@@ -152,31 +152,42 @@ func TestCheckpointCLIRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointGoldenBytes pins the committed golden checkpoint: the
+// TestCheckpointGoldenBytes pins the committed golden checkpoints: the
 // encoding (container header, section markers, field order and widths) is
 // versioned, so regenerating these exact flags must reproduce the committed
-// bytes. A mismatch means the format changed — bump snap.Version and
-// regenerate testdata/reference-checkpoint.snap deliberately, never silently.
+// bytes. The serial golden covers the single-engine sections; the lane-mode
+// golden adds the sharded-engine and kvm-sharded sections. A mismatch
+// means the format changed — bump snap.Version and regenerate the golden
+// deliberately, never silently.
 func TestCheckpointGoldenBytes(t *testing.T) {
-	dir := t.TempDir()
-	ck := filepath.Join(dir, "ck.snap")
-	var b strings.Builder
-	err := run([]string{"-scale", "0.05", "-checkpoint-at", "10ms", "-checkpoint-out", ck}, &b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "reference-checkpoint.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("checkpoint bytes diverged from the committed golden (%d vs %d bytes): "+
-			"if the snapshot encoding changed deliberately, bump the format version and regenerate testdata/reference-checkpoint.snap",
-			len(got), len(want))
+	for _, tc := range []struct {
+		golden string
+		flags  []string
+	}{
+		{"reference-checkpoint.snap", nil},
+		{"reference-checkpoint-lanes.snap", []string{"-quantum", "1ms"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			ck := filepath.Join(t.TempDir(), "ck.snap")
+			args := append([]string{"-scale", "0.05", "-checkpoint-at", "10ms", "-checkpoint-out", ck}, tc.flags...)
+			var b strings.Builder
+			if err := run(args, &b); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("checkpoint bytes diverged from the committed golden (%d vs %d bytes): "+
+					"if the snapshot encoding changed deliberately, bump the format version and regenerate testdata/%s",
+					len(got), len(want), tc.golden)
+			}
+		})
 	}
 }
 

@@ -7,12 +7,12 @@
 // Rules: D001 wall clock in deterministic packages, D002 global math/rand,
 // D003 map iteration feeding ordered sinks, D004 unsanctioned concurrency,
 // D005 shard-isolation violations in lane-executed code, S001 snapshot field
-// coverage, S002 Save/Load mirroring, R001 arena reset coverage, A001
-// allocation-prone constructs in //paratick:noalloc functions, and U001, the
-// stale-suppression audit (-unused-directives, on by default): a
-// //lint:ignore, //snap:skip, or //reset:keep that no longer suppresses or
-// excuses anything — or is missing its mandatory reason — is itself
-// reported. See DESIGN.md "Determinism & allocation contracts" and "Type
+// coverage (every field moved through a snap.Stream body), R001 arena reset
+// coverage, A001 allocation-prone constructs in //paratick:noalloc
+// functions, and U001, the stale-suppression audit (-unused-directives, on
+// by default): a //lint:ignore, //snap:skip, or //reset:keep that no longer
+// suppresses or excuses anything — or is missing its mandatory reason — is
+// itself reported. See DESIGN.md "Determinism & allocation contracts" and "Type
 // facts and coverage contracts" for the full law book and the justification
 // syntax.
 //

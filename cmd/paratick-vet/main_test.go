@@ -44,7 +44,7 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &buf); code != 0 {
 		t.Fatalf("run(-list) = %d, want 0\n%s", code, buf.String())
 	}
-	for _, rule := range []string{"D001", "D002", "D003", "D004", "D005", "S001", "S002", "R001", "A001", "U001"} {
+	for _, rule := range []string{"D001", "D002", "D003", "D004", "D005", "S001", "R001", "A001", "U001"} {
 		if !strings.Contains(buf.String(), rule) {
 			t.Errorf("-list output missing %s:\n%s", rule, buf.String())
 		}

@@ -36,17 +36,27 @@ func (c *Checkpoint) At() sim.Time { return c.at }
 // Events returns how many engine events the warmup dispatched.
 func (c *Checkpoint) Events() uint64 { return c.events }
 
+// snap moves the container fields after the header. Encoding leaves the
+// checkpoint untouched, so concurrent arms may serialize it.
+func (c *Checkpoint) snap(s *snap.Stream) {
+	s.Section("checkpoint")
+	fp, payload := string(c.fp), string(c.payload)
+	s.String(&fp)
+	s.U64(&c.seed)
+	snap.Int(s, &c.at)
+	s.U64(&c.events)
+	s.String(&payload)
+	if s.Decoding() {
+		c.fp, c.payload = []byte(fp), []byte(payload)
+	}
+}
+
 // Bytes serializes the checkpoint into the versioned container format.
 // The bytes are stable: the same logical state always encodes identically.
 func (c *Checkpoint) Bytes() []byte {
 	var enc snap.Encoder
 	snap.WriteHeader(&enc, checkpointKind)
-	enc.Section("checkpoint")
-	enc.String(string(c.fp))
-	enc.U64(c.seed)
-	enc.I64(int64(c.at))
-	enc.U64(c.events)
-	enc.String(string(c.payload))
+	c.snap(snap.NewWriter(&enc))
 	return enc.Bytes()
 }
 
@@ -58,15 +68,10 @@ func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 	if err := snap.ReadHeader(dec, checkpointKind); err != nil {
 		return nil, err
 	}
-	dec.Section("checkpoint")
 	c := &Checkpoint{}
-	c.fp = []byte(dec.String())
-	c.seed = dec.U64()
-	c.at = sim.Time(dec.I64())
-	c.events = dec.U64()
-	c.payload = []byte(dec.String())
-	if err := dec.Err(); err != nil {
-		return nil, err
+	s := snap.NewReader(dec)
+	if c.snap(s); s.Err() != nil {
+		return nil, s.Err()
 	}
 	if n := dec.Remaining(); n != 0 {
 		return nil, fmt.Errorf("experiment: %d trailing bytes after checkpoint", n)
@@ -153,7 +158,11 @@ func resumeCheckpoint(s Scenario, ck *Checkpoint, mutate func(*world) error, m *
 	if err != nil {
 		return nil, err
 	}
-	return w.finish()
+	out := &ScenarioResult{}
+	if err := w.finishInto(out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // forkScenario warms one group scenario to the fork instant, then runs one

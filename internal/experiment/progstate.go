@@ -1,8 +1,8 @@
 package experiment
 
 // Checkpoint support for the experiment-layer programs, mirroring
-// internal/workload/snapshot.go: each program serializes exactly the fields
-// its Next mutates; construction-time parameters (devices, locks, horizons)
+// internal/workload/snapshot.go: each program moves exactly the fields its
+// Next mutates; construction-time parameters (devices, locks, horizons)
 // come back from rebuilding the scenario.
 
 import (
@@ -16,39 +16,22 @@ var (
 	_ guest.ProgramState = (*spinLockProgram)(nil)
 )
 
-// SaveState implements guest.ProgramState.
-func (p *idleCycleProgram) SaveState(enc *snap.Encoder) {
-	enc.Bool(p.inIO)
+// SnapState implements guest.ProgramState.
+func (p *idleCycleProgram) SnapState(s *snap.Stream) error {
+	s.Bool(&p.inIO)
+	return nil
 }
 
-// LoadState implements guest.ProgramState.
-func (p *idleCycleProgram) LoadState(dec *snap.Decoder) error {
-	p.inIO = dec.Bool()
-	return dec.Err()
+// SnapState implements guest.ProgramState.
+func (p *timerAppProgram) SnapState(s *snap.Stream) error {
+	snap.Int(s, &p.iters)
+	s.Bool(&p.sleeping)
+	return nil
 }
 
-// SaveState implements guest.ProgramState.
-func (p *timerAppProgram) SaveState(enc *snap.Encoder) {
-	enc.I64(int64(p.iters))
-	enc.Bool(p.sleeping)
-}
-
-// LoadState implements guest.ProgramState.
-func (p *timerAppProgram) LoadState(dec *snap.Decoder) error {
-	p.iters = int(dec.I64())
-	p.sleeping = dec.Bool()
-	return dec.Err()
-}
-
-// SaveState implements guest.ProgramState.
-func (p *spinLockProgram) SaveState(enc *snap.Encoder) {
-	enc.I64(int64(p.iters))
-	enc.I64(int64(p.phase))
-}
-
-// LoadState implements guest.ProgramState.
-func (p *spinLockProgram) LoadState(dec *snap.Decoder) error {
-	p.iters = int(dec.I64())
-	p.phase = int(dec.I64())
-	return dec.Err()
+// SnapState implements guest.ProgramState.
+func (p *spinLockProgram) SnapState(s *snap.Stream) error {
+	snap.Int(s, &p.iters)
+	snap.Int(s, &p.phase)
+	return nil
 }

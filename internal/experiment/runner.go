@@ -292,18 +292,11 @@ type Session struct {
 // pools its world.
 func NewSession() *Session { return &Session{} }
 
-// RunScenario executes the scenario through the session's arena, recording
-// telemetry into m when non-nil. The returned result is freshly allocated
-// and stays valid across later runs; callers harvesting results every run
-// should prefer RunScenarioInto.
-func (s *Session) RunScenario(sc Scenario, seed uint64, m *metrics.Meter) (*ScenarioResult, error) {
-	return runScenario(sc, seed, m, &s.a)
-}
-
-// RunScenarioInto is RunScenario writing per-VM results into caller-owned
-// storage: out's Results slice is refilled in place, so a steady-state
-// caller reusing one ScenarioResult across runs pays no per-run result
-// allocation.
+// RunScenarioInto executes the scenario through the session's arena,
+// recording telemetry into m when non-nil, and writes per-VM results into
+// caller-owned storage: out's Results slice is refilled in place, so a
+// steady-state caller reusing one ScenarioResult across runs pays no
+// per-run result allocation.
 func (s *Session) RunScenarioInto(sc Scenario, seed uint64, m *metrics.Meter, out *ScenarioResult) error {
 	return runScenarioInto(sc, seed, m, &s.a, out)
 }

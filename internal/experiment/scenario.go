@@ -147,22 +147,17 @@ func (s Scenario) Validate() error {
 
 // RunScenario executes the scenario and returns per-VM results.
 func RunScenario(s Scenario, seed uint64) (*ScenarioResult, error) {
-	return runScenario(s, seed, nil, nil)
-}
-
-// runScenario is RunScenario with telemetry and an optional worker arena
-// supplying the reused engine.
-func runScenario(s Scenario, seed uint64, m *metrics.Meter, a *arena) (*ScenarioResult, error) {
 	out := &ScenarioResult{}
-	if err := runScenarioInto(s, seed, m, a, out); err != nil {
+	if err := runScenarioInto(s, seed, nil, nil, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// runScenarioInto is runScenario writing per-VM results into caller-owned
-// storage; the experiment runners pass their worker arena's scratch result
-// so a steady-state sweep allocates nothing per run.
+// runScenarioInto is RunScenario with telemetry and an optional worker
+// arena supplying the reused engine, writing per-VM results into
+// caller-owned storage; the experiment runners pass their worker arena's
+// scratch result so a steady-state sweep allocates nothing per run.
 func runScenarioInto(s Scenario, seed uint64, m *metrics.Meter, a *arena, out *ScenarioResult) error {
 	w, err := buildWorld(s, seed, a)
 	if err != nil {
@@ -424,12 +419,18 @@ func (w *world) fingerprint() []byte {
 	return append([]byte(nil), enc.Bytes()...)
 }
 
-// save serializes the world's complete mutable state: engine scalars first
+// snapWorld moves a world's complete mutable state: engine scalars first
 // (restore needs the clock before events re-arm), then the full host.
+func snapWorld(s *snap.Stream, se *sim.ShardedEngine, host *kvm.Host) error {
+	se.Snap(s)
+	host.Snap(s)
+	return s.Err()
+}
+
+// save serializes the world's complete mutable state.
 func (w *world) save() ([]byte, error) {
 	var enc snap.Encoder
-	w.se.Save(&enc)
-	if err := w.host.Save(&enc); err != nil {
+	if err := snapWorld(snap.NewWriter(&enc), w.se, w.host); err != nil {
 		return nil, err
 	}
 	return enc.Bytes(), nil
@@ -437,15 +438,12 @@ func (w *world) save() ([]byte, error) {
 
 // restore overwrites the world's mutable state with a snapshot produced by
 // save on a world of identical shape. The engine is reset (dropping every
-// event construction scheduled), its scalars loaded, and then every
+// event construction scheduled), its scalars restored, and then every
 // component re-arms its pending events at their original coordinates.
 func (w *world) restore(data []byte) error {
 	w.se.Reset(0)
 	dec := snap.NewDecoder(data)
-	if err := w.se.Load(dec); err != nil {
-		return err
-	}
-	if err := w.host.Load(dec); err != nil {
+	if err := snapWorld(snap.NewReader(dec), w.se, w.host); err != nil {
 		return err
 	}
 	if n := dec.Remaining(); n != 0 {
@@ -528,22 +526,14 @@ func (w *world) verifyRoundTrip() (*world, error) {
 	return fresh, nil
 }
 
-// finish validates completion and assembles per-VM results. No teardown
-// happens here: an arena-built world's VMs (with their timer wheels and
-// task pools attached) stay with the host, which recycles them through the
-// VM arena on its next reset; a fresh-built world is simply garbage.
-func (w *world) finish() (*ScenarioResult, error) {
-	out := &ScenarioResult{}
-	if err := w.finishInto(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// finishInto is finish writing into caller-owned storage: out's Results
-// slice is truncated and refilled in place (growing its backing array only
-// when the fleet outgrows it), so a caller harvesting results every run —
-// a runParallel worker, a Session — pays no per-run allocation.
+// finishInto validates completion and assembles per-VM results into
+// caller-owned storage: out's Results slice is truncated and refilled in
+// place (growing its backing array only when the fleet outgrows it), so a
+// caller harvesting results every run — a runParallel worker, a Session —
+// pays no per-run allocation. No teardown happens here: an arena-built
+// world's VMs (with their timer wheels and task pools attached) stay with
+// the host, which recycles them through the VM arena on its next reset; a
+// fresh-built world is simply garbage.
 func (w *world) finishInto(out *ScenarioResult) error {
 	if w.scenario.Duration == 0 {
 		for i, vs := range w.scenario.VMs {

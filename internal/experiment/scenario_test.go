@@ -58,7 +58,7 @@ func spinFleet(policy sched.Kind, dur sim.Time, nVMs int) Scenario {
 func TestFairNoStarvation(t *testing.T) {
 	const dur = 200 * sim.Millisecond
 	const nVMs = 2
-	sr, err := runScenario(spinFleet(sched.Fair, dur, nVMs), 1, nil, nil)
+	sr, err := RunScenario(spinFleet(sched.Fair, dur, nVMs), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestBusyConservationAcrossPolicies(t *testing.T) {
 	const nVMs = 2
 	total := func(policy sched.Kind) sim.Time {
 		t.Helper()
-		sr, err := runScenario(workFleet(policy, work, nVMs), 1, nil, nil)
+		sr, err := RunScenario(workFleet(policy, work, nVMs), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,8 +32,8 @@ func observeShardRun(t *testing.T, s Scenario, seed uint64, shards int, ckAt sim
 	if err != nil {
 		t.Fatalf("shards=%d: run: %v", shards, err)
 	}
-	res, err := w.finish()
-	if err != nil {
+	res := &ScenarioResult{}
+	if err := w.finishInto(res); err != nil {
 		t.Fatalf("shards=%d: finish: %v", shards, err)
 	}
 	fleet := &ShardFleetResult{VMs: len(s.VMs), Quantum: s.Quantum, Results: res.Results, Events: res.Events}

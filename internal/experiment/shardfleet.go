@@ -103,8 +103,8 @@ func RunShardFleet(opts Options, vms int) (*ShardFleetResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sr, err := runScenario(s, opts.Seed, opts.Meter, nil)
-	if err != nil {
+	sr := &ScenarioResult{}
+	if err := runScenarioInto(s, opts.Seed, opts.Meter, nil, sr); err != nil {
 		return nil, err
 	}
 	return &ShardFleetResult{

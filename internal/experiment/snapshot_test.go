@@ -2,6 +2,9 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -195,4 +198,62 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatalf("snapshot round-trip diverged at %v: %d vs %d bytes", at, len(data), len(again))
 		}
 	})
+}
+
+// TestCorruptCheckpointNeverPanics resumes the committed reference
+// checkpoint with single bit flips at payload offsets that once reached a
+// panic — restored event coordinates behind the clock or ahead of the
+// sequence counter, an unknown segment kind, a negative request size, a
+// request from a vCPU that does not exist, an io-submit segment with no
+// device — and with truncated payloads. Each case must either fail with an
+// error or run to completion; none may panic.
+func TestCorruptCheckpointNeverPanics(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "cmd", "paratick-bench", "testdata", "reference-checkpoint.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := LoadCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Scale = 0.05
+	s := ReferenceScenario(opts)
+	n := len(ck.payload)
+
+	type corruption struct {
+		name    string
+		payload []byte
+	}
+	var cases []corruption
+	for _, off := range []int{
+		25, 26, 27, 28, 30, // guest timer behind the clock / ahead of the seq counter
+		8492, 8497, 8499, 8500, 8501, 8502, 8503, 8504, 8505,
+		8696,                                           // segment kind
+		8736,                                           // request bytes
+		8737, 8738, 8739, 8740, 8741, 8742, 8743, 8744, // request vCPU
+		8777,                    // io-submit segment without its device
+		9042, 9457, 9484, 13312, // device, host tick, and pCPU event coordinates
+	} {
+		p := append([]byte(nil), ck.payload...)
+		p[off] ^= 0x80
+		cases = append(cases, corruption{fmt.Sprintf("flip@%d", off), p})
+	}
+	for _, cut := range []int{0, 1, 7, 100, n / 2, n - 1} {
+		cases = append(cases, corruption{fmt.Sprintf("truncate@%d", cut), ck.payload[:cut]})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("resume panicked: %v", r)
+				}
+			}()
+			bad := *ck
+			bad.payload = c.payload
+			if _, err := ResumeScenario(s, &bad); err != nil {
+				t.Logf("rejected: %v", err)
+			}
+		})
+	}
 }

@@ -133,7 +133,7 @@ func (v *VCPU) reset() {
 }
 
 // clearRunState recycles leftover segments and zeroes every per-run field,
-// exactly the set AddVCPU initializes and Save serializes.
+// exactly the set AddVCPU initializes and Snap moves.
 //
 //paratick:noalloc
 func (v *VCPU) clearRunState() {

@@ -64,6 +64,7 @@ type Segment struct {
 	HArg     int64
 	// OnDone runs inside the guest when the segment fully completes
 	// (a preempted SegRun completes only after its remainder runs).
+	//snap:skip closure, moved as its owner kind and re-bound on restore
 	OnDone func()
 
 	// ownerTask and ownerLock record which objects an OnDone closure is

@@ -8,14 +8,14 @@ package guest
 // registers sync objects in creation order. The segment pool is drained,
 // not saved: pooled segments are dead state.
 //
-// Load targets a kernel freshly rebuilt from the same scenario
+// Decoding targets a kernel freshly rebuilt from the same scenario
 // specification: identical vCPU count, task spawn order, sync-object
 // creation order, and device attachment order. Everything mutable is then
 // overwritten from the snapshot; pending timers and in-service I/O re-arm
 // their engine events at the original (when, seq) coordinates.
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
 	"paratick/internal/core"
@@ -26,47 +26,58 @@ import (
 
 // --- timer wheel -------------------------------------------------------------
 
-// restoreTimer re-queues t with its saved placement identity: the fire
-// jiffy and tie-break sequence assigned at the original Add. The wheel's
-// clock must already be restored; pending timers always satisfy
-// fireJiff > curJiff.
-func (w *TimerWheel) restoreTimer(t *SoftTimer, fireJiff int64, seq uint64) error {
-	if t.Pending() {
-		return fmt.Errorf("guest: restore of an already-pending timer")
-	}
-	if fireJiff <= w.curJiff {
-		return fmt.Errorf("guest: restored timer fires at jiffy %d, wheel already at %d", fireJiff, w.curJiff)
-	}
-	t.fireJiff = fireJiff
-	t.seq = seq
-	w.insert(t)
-	if w.nextOK && fireJiff < w.nextJiff {
-		w.nextJiff = fireJiff
-	}
-	return nil
-}
-
-// saveClock writes the wheel's scalar state. Bucket contents are not
+// snapClock moves the wheel's scalar state. Bucket contents are not
 // enumerated: every timer living in a scenario wheel is a task sleep timer,
-// saved (with its placement) by the task that owns it.
-func (w *TimerWheel) saveClock(enc *snap.Encoder) {
-	enc.I64(int64(w.jiffy))
-	enc.I64(w.curJiff)
-	enc.U64(w.seq)
+// moved (with its placement) by the task that owns it. Decoding requires an
+// empty wheel.
+func (w *TimerWheel) snapClock(s *snap.Stream) {
+	jiffy := w.jiffy
+	snap.Int(s, &jiffy)
+	if jiffy != w.jiffy {
+		s.Failf("guest: snapshot wheel jiffy %v does not match configured %v", jiffy, w.jiffy)
+	}
+	if s.Decoding() {
+		if w.count != 0 {
+			s.Failf("guest: restore into a wheel holding %d timers", w.count)
+		}
+		w.nextOK = false
+	}
+	s.I64(&w.curJiff)
+	s.U64(&w.seq)
+	if w.curJiff < 0 {
+		s.Failf("guest: snapshot wheel clock at jiffy %d", w.curJiff)
+	}
 }
 
-// loadClock restores state written by saveClock into an empty wheel.
-func (w *TimerWheel) loadClock(dec *snap.Decoder) error {
-	if j := sim.Time(dec.I64()); dec.Err() == nil && j != w.jiffy {
-		return fmt.Errorf("guest: snapshot wheel jiffy %v does not match configured %v", j, w.jiffy)
+// snapTimer moves t's pending placement: presence, deadline, and the fire
+// jiffy and Add-order seq assigned at the original Add. Decoding re-queues
+// the timer on w, bound to fire, with that placement identity; the wheel's
+// clock must already be restored, and pending timers always satisfy
+// fireJiff > curJiff.
+func (w *TimerWheel) snapTimer(s *snap.Stream, t *SoftTimer, fire func(sim.Time)) {
+	pending := t.Pending()
+	s.Bool(&pending)
+	if s.Decoding() {
+		*t = SoftTimer{}
 	}
-	if w.count != 0 {
-		return fmt.Errorf("guest: loadClock into a wheel holding %d timers", w.count)
+	if !pending {
+		return
 	}
-	w.curJiff = dec.I64()
-	w.seq = dec.U64()
-	w.nextOK = false
-	return dec.Err()
+	snap.Int(s, &t.Deadline)
+	s.I64(&t.fireJiff)
+	s.U64(&t.seq)
+	if !s.Decoding() || s.Err() != nil {
+		return
+	}
+	if t.fireJiff <= w.curJiff {
+		s.Failf("guest: restored timer fires at jiffy %d, wheel already at %d", t.fireJiff, w.curJiff)
+		return
+	}
+	t.Fire = fire
+	w.insert(t)
+	if w.nextOK && t.fireJiff < w.nextJiff {
+		w.nextJiff = t.fireJiff
+	}
 }
 
 // forEachPending visits every queued timer (buckets and overflow) in an
@@ -121,149 +132,148 @@ const (
 	segDoneLockSpin = 2 // post-spin lock retry probe (ownerLock, ownerTask)
 )
 
-func (k *Kernel) deviceIndex(d *iodev.Device) int {
-	for i, dev := range k.devices {
-		if dev == d {
-			return i
+// snapSegment moves one segment. Decoding passes a nil seg and receives a
+// fresh pooled segment; it rejects segments the hypervisor could not
+// execute (unknown kind, an IPI to a vCPU that does not exist, an io-submit
+// without its device and request).
+func (k *Kernel) snapSegment(s *snap.Stream, v *VCPU, seg *Segment) *Segment {
+	if seg == nil {
+		seg = k.acquireSeg()
+	}
+	snap.Byte(s, &seg.Kind)
+	if seg.Kind < SegRun || seg.Kind > SegHypercall {
+		s.Failf("guest: snapshot segment has unknown kind %d", seg.Kind)
+	}
+	s.String(&seg.Label)
+	snap.Int(s, &seg.Duration)
+	s.Bool(&seg.Kernel)
+	s.Bool(&seg.Spin)
+	snap.Int(s, &seg.Deadline)
+	hasReq := seg.Req != nil
+	s.Bool(&hasReq)
+	if hasReq {
+		if seg.Req == nil {
+			seg.Req = new(iodev.Request)
 		}
+		seg.Req.Snap(s, kernelRefs{k})
 	}
-	return -1
-}
-
-func (k *Kernel) saveSegment(enc *snap.Encoder, s *Segment) error {
-	enc.U8(uint8(s.Kind))
-	enc.String(s.Label)
-	enc.I64(int64(s.Duration))
-	enc.Bool(s.Kernel)
-	enc.Bool(s.Spin)
-	enc.I64(int64(s.Deadline))
-	enc.Bool(s.Req != nil)
-	if s.Req != nil {
-		iodev.SaveRequest(enc, s.Req, taskCookieID)
+	dev := slices.Index(k.devices, seg.Dev)
+	if seg.Dev != nil && dev < 0 {
+		s.Failf("guest: segment %v references an unattached device", seg)
 	}
-	if s.Dev == nil {
-		enc.I64(-1)
-	} else {
-		idx := k.deviceIndex(s.Dev)
-		if idx < 0 {
-			return fmt.Errorf("guest: segment %v references an unattached device", s)
-		}
-		enc.I64(int64(idx))
-	}
-	enc.I64(int64(s.Target))
-	enc.I64(int64(s.HKind))
-	enc.I64(s.HArg)
+	snap.Int(s, &dev)
 	switch {
-	case s.OnDone == nil:
-		enc.U8(segDoneNil)
-	case s.ownerLock != nil && s.ownerTask != nil:
-		enc.U8(segDoneLockSpin)
-		enc.I64(int64(s.ownerLock.id))
-		enc.I64(int64(s.ownerTask.ID))
-	case s.ownerTask != nil:
-		enc.U8(segDoneTaskRun)
-		enc.I64(int64(s.ownerTask.ID))
-	default:
-		return fmt.Errorf("guest: segment %v has an OnDone closure with no recorded owner", s)
+	case dev < -1 || dev >= len(k.devices):
+		s.Failf("guest: snapshot references device %d of %d", dev, len(k.devices))
+	case dev >= 0:
+		seg.Dev = k.devices[dev]
 	}
-	return nil
+	snap.Int(s, &seg.Target)
+	if seg.Target < 0 || seg.Target >= len(k.vcpus) {
+		s.Failf("guest: snapshot segment targets vCPU %d of %d", seg.Target, len(k.vcpus))
+	}
+	snap.Int(s, &seg.HKind)
+	s.I64(&seg.HArg)
+	if seg.Kind == SegIOSubmit && (seg.Dev == nil || seg.Req == nil) {
+		s.Failf("guest: snapshot io-submit segment lacks its device or request")
+	}
+	k.snapOnDone(s, v, seg)
+	return seg
 }
 
-func (k *Kernel) loadSegment(dec *snap.Decoder, v *VCPU) (*Segment, error) {
-	s := k.acquireSeg()
-	s.Kind = SegKind(dec.U8())
-	s.Label = dec.String()
-	s.Duration = sim.Time(dec.I64())
-	s.Kernel = dec.Bool()
-	s.Spin = dec.Bool()
-	s.Deadline = sim.Time(dec.I64())
-	if dec.Bool() {
-		s.Req = iodev.LoadRequest(dec, k.cookieOf)
+// snapOnDone moves the segment's completion callback as the kind of owner
+// it was bound over (plus the owners' ids); decoding re-binds the closure
+// over the rebuilt owners.
+func (k *Kernel) snapOnDone(s *snap.Stream, v *VCPU, seg *Segment) {
+	var kind uint8 = segDoneNil
+	switch {
+	case seg.OnDone == nil:
+	case seg.ownerLock != nil && seg.ownerTask != nil:
+		kind = segDoneLockSpin
+	case seg.ownerTask != nil:
+		kind = segDoneTaskRun
+	default:
+		s.Failf("guest: segment %v has an OnDone closure with no recorded owner", seg)
 	}
-	if idx := dec.I64(); idx >= 0 {
-		if int(idx) >= len(k.devices) {
-			return nil, fmt.Errorf("guest: snapshot references device %d of %d", idx, len(k.devices))
-		}
-		s.Dev = k.devices[idx]
-	}
-	s.Target = int(dec.I64())
-	s.HKind = core.HypercallKind(dec.I64())
-	s.HArg = dec.I64()
-	done := dec.U8()
-	if err := dec.Err(); err != nil {
-		return nil, err
-	}
-	switch done {
+	s.U8(&kind)
+	switch kind {
 	case segDoneNil:
 	case segDoneTaskRun:
-		t, err := k.taskByID(dec.I64())
-		if err != nil {
-			return nil, err
+		k.snapTask(s, &seg.ownerTask)
+		if seg.ownerTask == nil {
+			s.Failf("guest: snapshot run segment completes no task")
+		} else if s.Decoding() {
+			seg.OnDone = seg.ownerTask.runDoneFn
 		}
-		s.OnDone = t.runDoneFn
-		s.ownerTask = t
 	case segDoneLockSpin:
-		lockID := dec.I64()
-		t, err := k.taskByID(dec.I64())
-		if err != nil {
-			return nil, err
+		lock := -1
+		if seg.ownerLock != nil {
+			lock = seg.ownerLock.id
 		}
-		if lockID < 0 || int(lockID) >= len(k.locks) {
-			return nil, fmt.Errorf("guest: snapshot references lock %d of %d", lockID, len(k.locks))
+		snap.Int(s, &lock)
+		k.snapTask(s, &seg.ownerTask)
+		if lock < 0 || lock >= len(k.locks) || seg.ownerTask == nil {
+			s.Failf("guest: snapshot spin retry references lock %d of %d", lock, len(k.locks))
+		} else if s.Decoding() {
+			seg.ownerLock = k.locks[lock]
+			seg.OnDone = v.lockSpinRetry(seg.ownerLock, seg.ownerTask)
 		}
-		lock := k.locks[lockID]
-		s.OnDone = v.lockSpinRetry(lock, t)
-		s.ownerTask = t
-		s.ownerLock = lock
 	default:
-		return nil, fmt.Errorf("guest: unknown segment completion kind %d", done)
+		s.Failf("guest: unknown segment completion kind %d", kind)
 	}
-	return s, dec.Err()
 }
 
-func (k *Kernel) taskByID(id int64) (*Task, error) {
-	if id < 0 || int(id) >= len(k.tasks) {
-		return nil, fmt.Errorf("guest: snapshot references task %d of %d", id, len(k.tasks))
+// snapTask moves a task reference as its registry ID (-1 for none).
+func (k *Kernel) snapTask(s *snap.Stream, t **Task) {
+	id := -1
+	if *t != nil {
+		id = (*t).ID
 	}
-	return k.tasks[id], nil
+	snap.Int(s, &id)
+	if !s.Decoding() {
+		return
+	}
+	*t = nil
+	switch {
+	case id < -1 || id >= len(k.tasks):
+		s.Failf("guest: snapshot references task %d of %d", id, len(k.tasks))
+	case id >= 0:
+		*t = k.tasks[id]
+	}
 }
 
-// taskCookieID translates a request Cookie (a *Task for blocking I/O) into
-// its stable task id.
-func taskCookieID(c any) int64 {
+// snapTasks moves a task list by ID; every entry must name a task.
+func (k *Kernel) snapTasks(s *snap.Stream, list *[]*Task) {
+	for i := range snap.Slice(s, list) {
+		if k.snapTask(s, &(*list)[i]); (*list)[i] == nil {
+			s.Failf("guest: snapshot task list holds no task")
+		}
+	}
+}
+
+// kernelRefs translates the references I/O requests carry: a blocking
+// request's Cookie is its *Task, identified by task ID, and its vCPU is
+// one of the kernel's.
+type kernelRefs struct{ k *Kernel }
+
+// CookieID implements iodev.Refs.
+func (r kernelRefs) CookieID(c any) int64 {
 	if t, ok := c.(*Task); ok && t != nil {
 		return int64(t.ID)
 	}
 	return -1
 }
 
-// cookieOf resolves a task id back into the Cookie value the request
-// carried.
-func (k *Kernel) cookieOf(id int64) any {
-	if id < 0 || int(id) >= len(k.tasks) {
+// Cookie implements iodev.Refs.
+func (r kernelRefs) Cookie(id int64) any {
+	if id < 0 || id >= int64(len(r.k.tasks)) {
 		return nil
 	}
-	return k.tasks[id]
+	return r.k.tasks[id]
 }
 
-func saveTaskIDs(enc *snap.Encoder, tasks []*Task) {
-	enc.U32(uint32(len(tasks)))
-	for _, t := range tasks {
-		enc.I64(int64(t.ID))
-	}
-}
-
-func (k *Kernel) loadTaskIDs(dec *snap.Decoder, into []*Task) ([]*Task, error) {
-	n := int(dec.U32())
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		t, err := k.taskByID(dec.I64())
-		if err != nil {
-			return nil, err
-		}
-		into = append(into, t)
-	}
-	return into, dec.Err()
-}
+// ValidVCPU implements iodev.Refs.
+func (r kernelRefs) ValidVCPU(vcpu int) bool { return vcpu >= 0 && vcpu < len(r.k.vcpus) }
 
 // --- kernel ------------------------------------------------------------------
 
@@ -272,274 +282,117 @@ func (k *Kernel) loadTaskIDs(dec *snap.Decoder, into []*Task) ([]*Task, error) {
 // re-link its in-flight segment pointer.
 func (v *VCPU) Issued() *Segment { return v.issued }
 
-// Save serializes the kernel's complete mutable state. The shared metrics
+// Snap moves the kernel's complete mutable state. The shared metrics
 // counters are excluded (the hypervisor and guest write into one Counters
-// object; its owner saves it once). Every spawned program must implement
-// ProgramState.
-func (k *Kernel) Save(enc *snap.Encoder) error {
-	enc.Section("guest")
-	for _, w := range k.rng.State() {
-		enc.U64(w)
-	}
-	enc.Bool(k.started)
+// object; its owner moves it once). Every spawned program must implement
+// ProgramState. Decoding re-arms pending soft timers and device events at
+// their original engine coordinates, so the engine's clock must already be
+// restored.
+func (k *Kernel) Snap(s *snap.Stream) {
+	s.Section("guest")
+	k.rng.Snap(s)
+	s.Bool(&k.started)
 
-	enc.U32(uint32(len(k.locks)))
+	s.Len(len(k.locks), "guest locks")
 	for _, l := range k.locks {
-		holder := int64(-1)
-		if l.holder != nil {
-			holder = int64(l.holder.ID)
-		}
-		enc.I64(holder)
-		saveTaskIDs(enc, l.waiters)
-		enc.U64(l.acquisitions)
-		enc.U64(l.contended)
+		k.snapTask(s, &l.holder)
+		k.snapTasks(s, &l.waiters)
+		s.U64(&l.acquisitions)
+		s.U64(&l.contended)
 	}
-	enc.U32(uint32(len(k.barriers)))
+	s.Len(len(k.barriers), "guest barriers")
 	for _, b := range k.barriers {
-		enc.I64(int64(b.parties)) // mutable: detach shrinks the party
-		saveTaskIDs(enc, b.waiting)
-		enc.U64(b.cycles)
+		snap.Int(s, &b.parties) // mutable: detach shrinks the party
+		k.snapTasks(s, &b.waiting)
+		s.U64(&b.cycles)
 	}
-	enc.U32(uint32(len(k.conds)))
+	s.Len(len(k.conds), "guest conds")
 	for _, c := range k.conds {
-		enc.I64(int64(c.lock.id))
-		saveTaskIDs(enc, c.waiters)
-		enc.U64(c.waits)
-		enc.U64(c.signals)
+		lock := c.lock.id
+		snap.Int(s, &lock)
+		if lock != c.lock.id {
+			s.Failf("guest: cond %q paired with lock %d in snapshot, %d in kernel", c.name, lock, c.lock.id)
+		}
+		k.snapTasks(s, &c.waiters)
+		s.U64(&c.waits)
+		s.U64(&c.signals)
 	}
 
-	enc.U32(uint32(len(k.vcpus)))
+	s.Len(len(k.vcpus), "guest vCPUs")
 	for _, v := range k.vcpus {
-		enc.U64(core.PolicyState(v.policy))
-		v.wheel.saveClock(enc)
-		enc.Bool(v.idle)
-		enc.Bool(v.needResched)
-		enc.Bool(v.booted)
-		enc.Bool(v.timerArmed)
-		enc.I64(int64(v.timerDeadline))
-		enc.Bool(v.rcuPending)
-		enc.I64(int64(v.rcuDeadline))
-		enc.I64(int64(v.switchCount))
-		enc.I64(int64(v.lastTickAt))
-		current := int64(-1)
-		if v.current != nil {
-			current = int64(v.current.ID)
-		}
-		enc.I64(current)
-		saveTaskIDs(enc, v.runq)
-		enc.U32(uint32(len(v.queue)))
-		for _, s := range v.queue {
-			if err := k.saveSegment(enc, s); err != nil {
-				return err
-			}
-		}
-		enc.Bool(v.issued != nil)
-		if v.issued != nil {
-			if err := k.saveSegment(enc, v.issued); err != nil {
-				return err
-			}
-		}
+		k.snapVCPU(s, v)
 	}
 
-	enc.U32(uint32(len(k.tasks)))
-	for _, t := range k.tasks {
-		enc.U8(uint8(t.state))
-		for _, w := range t.rng.State() {
-			enc.U64(w)
-		}
-		enc.I64(int64(t.remaining))
-		enc.String(t.blockReason)
-		pending := t.sleepTimer.Pending()
-		enc.Bool(pending)
-		if pending {
-			enc.I64(int64(t.sleepTimer.Deadline))
-			enc.I64(t.sleepTimer.fireJiff)
-			enc.U64(t.sleepTimer.seq)
-		}
-		enc.I64(int64(t.startedAt))
-		enc.I64(int64(t.finishedAt))
-		ps, ok := t.prog.(ProgramState)
-		if !ok {
-			return fmt.Errorf("guest: task %q runs a %T, which does not implement ProgramState; snapshot requires struct programs", t.Name, t.prog)
-		}
-		ps.SaveState(enc)
-	}
-
-	enc.U32(uint32(len(k.devices)))
-	for _, d := range k.devices {
-		d.Save(enc, taskCookieID)
-	}
-	return nil
-}
-
-// Load restores state saved by Save into a kernel freshly rebuilt from the
-// same scenario specification, re-arming pending soft timers and device
-// events at their original engine coordinates. The engine's clock must
-// already be restored (Engine.Load), since timer re-arms schedule into the
-// restored timeline.
-func (k *Kernel) Load(dec *snap.Decoder) error {
-	dec.Section("guest")
-	var s [4]uint64
-	for i := range s {
-		s[i] = dec.U64()
-	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	k.rng.SetState(s)
-	k.started = dec.Bool()
-
-	if n := int(dec.U32()); dec.Err() == nil && n != len(k.locks) {
-		return fmt.Errorf("guest: snapshot has %d locks, kernel has %d", n, len(k.locks))
-	}
-	for _, l := range k.locks {
-		l.holder = nil
-		if id := dec.I64(); id >= 0 {
-			t, err := k.taskByID(id)
-			if err != nil {
-				return err
-			}
-			l.holder = t
-		}
-		var err error
-		if l.waiters, err = k.loadTaskIDs(dec, l.waiters[:0]); err != nil {
-			return err
-		}
-		l.acquisitions = dec.U64()
-		l.contended = dec.U64()
-	}
-	if n := int(dec.U32()); dec.Err() == nil && n != len(k.barriers) {
-		return fmt.Errorf("guest: snapshot has %d barriers, kernel has %d", n, len(k.barriers))
-	}
-	for _, b := range k.barriers {
-		b.parties = int(dec.I64())
-		var err error
-		if b.waiting, err = k.loadTaskIDs(dec, b.waiting[:0]); err != nil {
-			return err
-		}
-		b.cycles = dec.U64()
-	}
-	if n := int(dec.U32()); dec.Err() == nil && n != len(k.conds) {
-		return fmt.Errorf("guest: snapshot has %d conds, kernel has %d", n, len(k.conds))
-	}
-	for _, c := range k.conds {
-		if id := dec.I64(); dec.Err() == nil && int(id) != c.lock.id {
-			return fmt.Errorf("guest: cond %q paired with lock %d in snapshot, %d in kernel", c.name, id, c.lock.id)
-		}
-		var err error
-		if c.waiters, err = k.loadTaskIDs(dec, c.waiters[:0]); err != nil {
-			return err
-		}
-		c.waits = dec.U64()
-		c.signals = dec.U64()
-	}
-
-	if n := int(dec.U32()); dec.Err() == nil && n != len(k.vcpus) {
-		return fmt.Errorf("guest: snapshot has %d vCPUs, kernel has %d", n, len(k.vcpus))
-	}
-	for _, v := range k.vcpus {
-		if err := core.SetPolicyState(v.policy, dec.U64()); err != nil {
-			return err
-		}
-		if err := v.wheel.loadClock(dec); err != nil {
-			return err
-		}
-		v.idle = dec.Bool()
-		v.needResched = dec.Bool()
-		v.booted = dec.Bool()
-		v.timerArmed = dec.Bool()
-		v.timerDeadline = sim.Time(dec.I64())
-		v.rcuPending = dec.Bool()
-		v.rcuDeadline = sim.Time(dec.I64())
-		v.switchCount = int(dec.I64())
-		v.lastTickAt = sim.Time(dec.I64())
-		v.current = nil
-		if id := dec.I64(); id >= 0 {
-			t, err := k.taskByID(id)
-			if err != nil {
-				return err
-			}
-			v.current = t
-		}
-		var err error
-		if v.runq, err = k.loadTaskIDs(dec, v.runq[:0]); err != nil {
-			return err
-		}
-		for _, old := range v.queue {
-			k.releaseSeg(old)
-		}
-		v.queue = v.queue[:0]
-		nseg := int(dec.U32())
-		for i := 0; i < nseg; i++ {
-			seg, err := k.loadSegment(dec, v)
-			if err != nil {
-				return err
-			}
-			v.queue = append(v.queue, seg)
-		}
-		if v.issued != nil {
-			k.releaseSeg(v.issued)
-			v.issued = nil
-		}
-		if dec.Bool() {
-			if v.issued, err = k.loadSegment(dec, v); err != nil {
-				return err
-			}
-		}
-	}
-
-	if n := int(dec.U32()); dec.Err() == nil && n != len(k.tasks) {
-		return fmt.Errorf("guest: snapshot has %d tasks, kernel has %d", n, len(k.tasks))
-	}
+	s.Len(len(k.tasks), "guest tasks")
 	k.liveTasks = 0
 	for _, t := range k.tasks {
-		t.state = TaskState(dec.U8())
-		var rs [4]uint64
-		for i := range rs {
-			rs[i] = dec.U64()
-		}
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		t.rng.SetState(rs)
-		t.remaining = sim.Time(dec.I64())
-		t.blockReason = dec.String()
-		t.sleepTimer = SoftTimer{}
-		if dec.Bool() {
-			t.sleepTimer = SoftTimer{
-				Deadline: sim.Time(dec.I64()),
-				Fire:     t.sleepFireFn,
-			}
-			fireJiff := dec.I64()
-			seq := dec.U64()
-			if err := dec.Err(); err != nil {
-				return err
-			}
-			if err := t.vcpu.wheel.restoreTimer(&t.sleepTimer, fireJiff, seq); err != nil {
-				return err
-			}
-		}
-		t.startedAt = sim.Time(dec.I64())
-		t.finishedAt = sim.Time(dec.I64())
-		ps, ok := t.prog.(ProgramState)
-		if !ok {
-			return fmt.Errorf("guest: task %q runs a %T, which does not implement ProgramState", t.Name, t.prog)
-		}
-		if err := ps.LoadState(dec); err != nil {
-			return err
-		}
+		k.snapTaskState(s, t)
 		if t.state != TaskDone {
 			k.liveTasks++
 		}
 	}
 
-	if n := int(dec.U32()); dec.Err() == nil && n != len(k.devices) {
-		return fmt.Errorf("guest: snapshot has %d devices, kernel has %d", n, len(k.devices))
-	}
+	s.Len(len(k.devices), "guest devices")
 	for _, d := range k.devices {
-		if err := d.Load(dec, k.cookieOf); err != nil {
-			return err
+		d.Snap(s, kernelRefs{k})
+	}
+}
+
+// snapVCPU moves one vCPU: policy state word, wheel clock, run state, run
+// queue, and the queued and issued segments. Decoding first clears the
+// rebuilt world's run state, returning its segments to the pool.
+func (k *Kernel) snapVCPU(s *snap.Stream, v *VCPU) {
+	if s.Decoding() {
+		v.clearRunState()
+	}
+	policy := core.PolicyState(v.policy)
+	s.U64(&policy)
+	if s.Decoding() {
+		if err := core.SetPolicyState(v.policy, policy); err != nil {
+			s.Failf("%w", err)
 		}
 	}
-	return dec.Err()
+	v.wheel.snapClock(s)
+	s.Bool(&v.idle)
+	s.Bool(&v.needResched)
+	s.Bool(&v.booted)
+	s.Bool(&v.timerArmed)
+	snap.Int(s, &v.timerDeadline)
+	s.Bool(&v.rcuPending)
+	snap.Int(s, &v.rcuDeadline)
+	snap.Int(s, &v.switchCount)
+	snap.Int(s, &v.lastTickAt)
+	k.snapTask(s, &v.current)
+	k.snapTasks(s, &v.runq)
+	for i := range snap.Slice(s, &v.queue) {
+		v.queue[i] = k.snapSegment(s, v, v.queue[i])
+	}
+	issued := v.issued != nil
+	s.Bool(&issued)
+	if issued {
+		v.issued = k.snapSegment(s, v, v.issued)
+	}
+}
+
+// snapTaskState moves one task's mutable state, its sleep timer, and its
+// program's state.
+func (k *Kernel) snapTaskState(s *snap.Stream, t *Task) {
+	snap.Byte(s, &t.state)
+	if t.state < TaskRunnable || t.state > TaskDone {
+		s.Failf("guest: snapshot task %d has invalid state %d", t.ID, t.state)
+	}
+	t.rng.Snap(s)
+	snap.Int(s, &t.remaining)
+	s.String(&t.blockReason)
+	t.vcpu.wheel.snapTimer(s, &t.sleepTimer, t.sleepFireFn)
+	snap.Int(s, &t.startedAt)
+	snap.Int(s, &t.finishedAt)
+	ps, ok := t.prog.(ProgramState)
+	if !ok {
+		s.Failf("guest: task %q runs a %T, which does not implement ProgramState; snapshot requires struct programs", t.Name, t.prog)
+		return
+	}
+	if err := ps.SnapState(s); err != nil {
+		s.Failf("%w", err)
+	}
 }

@@ -161,9 +161,11 @@ func buildSnapshotScenario(t *testing.T) (*sim.Engine, *Kernel, *miniExec) {
 func saveWorld(t *testing.T, e *sim.Engine, k *Kernel, m *miniExec) []byte {
 	t.Helper()
 	var enc snap.Encoder
-	e.Save(&enc)
-	m.timer.Save(&enc)
-	if err := k.Save(&enc); err != nil {
+	s := snap.NewWriter(&enc)
+	e.Snap(s)
+	m.timer.Snap(s)
+	k.Snap(s)
+	if err := s.Err(); err != nil {
 		t.Fatalf("kernel save: %v", err)
 	}
 	return enc.Bytes()
@@ -172,14 +174,12 @@ func saveWorld(t *testing.T, e *sim.Engine, k *Kernel, m *miniExec) []byte {
 func loadWorld(t *testing.T, bytes []byte, e *sim.Engine, k *Kernel, m *miniExec) {
 	t.Helper()
 	dec := snap.NewDecoder(bytes)
-	if err := e.Load(dec); err != nil {
-		t.Fatalf("engine load: %v", err)
-	}
-	if err := m.timer.Load(dec); err != nil {
-		t.Fatalf("timer load: %v", err)
-	}
-	if err := k.Load(dec); err != nil {
-		t.Fatalf("kernel load: %v", err)
+	s := snap.NewReader(dec)
+	e.Snap(s)
+	m.timer.Snap(s)
+	k.Snap(s)
+	if err := s.Err(); err != nil {
+		t.Fatalf("load: %v", err)
 	}
 	if dec.Remaining() != 0 {
 		t.Fatalf("%d bytes left over after load", dec.Remaining())
@@ -292,8 +292,8 @@ func TestSaveRejectsClosurePrograms(t *testing.T) {
 	_, k := newTestKernel(t, core.DynticksIdle, 1)
 	k.Spawn("closure", 0, ProgramFunc(func(*StepCtx) Step { return Done() }))
 	var enc snap.Encoder
-	if err := k.Save(&enc); err == nil {
-		t.Fatal("Save accepted a ProgramFunc task")
+	if err := snap.Encode(&enc, k); err == nil {
+		t.Fatal("Snap accepted a ProgramFunc task")
 	}
 }
 
@@ -302,17 +302,24 @@ func TestStepsProgramState(t *testing.T) {
 	p := Steps(Compute(1), Compute(2), Done()).(*stepsProgram)
 	p.Next(nil)
 	var enc snap.Encoder
-	p.SaveState(&enc)
+	if err := p.SnapState(snap.NewWriter(&enc)); err != nil {
+		t.Fatal(err)
+	}
 
 	q := Steps(Compute(1), Compute(2), Done()).(*stepsProgram)
-	if err := q.LoadState(snap.NewDecoder(enc.Bytes())); err != nil {
+	if err := q.SnapState(snap.NewReader(snap.NewDecoder(enc.Bytes()))); err != nil {
 		t.Fatal(err)
 	}
 	if q.i != 1 {
 		t.Fatalf("cursor = %d, want 1", q.i)
 	}
-	bad := snap.NewDecoder((&snap.Encoder{}).Bytes())
-	if err := q.LoadState(bad); err == nil {
+	bad := snap.NewReader(snap.NewDecoder(nil))
+	if err := q.SnapState(bad); err != nil || bad.Err() == nil {
 		t.Fatal("truncated state accepted")
+	}
+	var far snap.Encoder
+	far.U32(7)
+	if err := q.SnapState(snap.NewReader(snap.NewDecoder(far.Bytes()))); err == nil {
+		t.Fatal("cursor past the step sequence accepted")
 	}
 }

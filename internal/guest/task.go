@@ -136,22 +136,19 @@ func (f ProgramFunc) Next(ctx *StepCtx) Step { return f(ctx) }
 
 // ProgramState is implemented by programs whose behaviour depends on
 // mutable fields. Checkpointing a kernel requires every spawned program to
-// implement it; SaveState writes the fields Next reads, LoadState restores
-// them into a freshly built program of the same shape.
+// implement it: SnapState moves the fields Next reads through the stream,
+// decoding into a freshly built program of the same shape, and returns an
+// error for decoded state the program cannot hold.
 type ProgramState interface {
-	SaveState(enc *snap.Encoder)
-	LoadState(dec *snap.Decoder) error
+	SnapState(s *snap.Stream) error
 }
 
 // Stateless marks a Program as carrying no mutable state (its Next is a
 // pure function of the StepCtx). Embed it to satisfy ProgramState.
 type Stateless struct{}
 
-// SaveState implements ProgramState; nothing to save.
-func (Stateless) SaveState(*snap.Encoder) {}
-
-// LoadState implements ProgramState; nothing to restore.
-func (Stateless) LoadState(*snap.Decoder) error { return nil }
+// SnapState implements ProgramState; there is nothing to move.
+func (Stateless) SnapState(*snap.Stream) error { return nil }
 
 // stepsProgram replays a fixed step sequence, then Done. Its only mutable
 // state is the replay cursor.
@@ -171,19 +168,14 @@ func (p *stepsProgram) Next(*StepCtx) Step {
 	return s
 }
 
-// SaveState implements ProgramState.
-func (p *stepsProgram) SaveState(enc *snap.Encoder) { enc.U32(uint32(p.i)) }
-
-// LoadState implements ProgramState.
-func (p *stepsProgram) LoadState(dec *snap.Decoder) error {
-	i := int(dec.U32())
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if i < 0 || i > len(p.steps) {
+// SnapState implements ProgramState.
+func (p *stepsProgram) SnapState(s *snap.Stream) error {
+	i := uint32(p.i)
+	s.U32(&i)
+	if int(i) > len(p.steps) {
 		return fmt.Errorf("guest: steps-program cursor %d outside %d steps", i, len(p.steps))
 	}
-	p.i = i
+	p.i = int(i)
 	return nil
 }
 
@@ -218,7 +210,8 @@ func (s TaskState) String() string {
 
 // Task is one schedulable guest thread.
 type Task struct {
-	ID   int
+	ID int
+	//snap:skip construction identity: the rebuilt scenario spawns it again
 	Name string
 	prog Program
 	//snap:skip re-homed by vCPU run-queue membership, which is saved

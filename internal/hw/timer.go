@@ -27,7 +27,6 @@ type DeadlineTimer struct {
 	//snap:skip pre-bound handler wrapping fire, recreated at construction
 	handler  sim.Handler // pre-bound expiry handler; arming must not allocate
 	ev       sim.Event
-	deadline sim.Time
 	armCount uint64
 	expireCt uint64
 }
@@ -57,7 +56,6 @@ func (t *DeadlineTimer) Arm(deadline sim.Time) {
 	if deadline < t.engine.Now() {
 		deadline = t.engine.Now()
 	}
-	t.deadline = deadline
 	t.armCount++
 	t.ev = t.engine.At(deadline, t.label, t.handler)
 }
@@ -91,7 +89,6 @@ func (t *DeadlineTimer) Cancel() {
 func (t *DeadlineTimer) Reset(engine *sim.Engine) {
 	t.engine = engine
 	t.ev = sim.Event{}
-	t.deadline = 0
 	t.armCount = 0
 	t.expireCt = 0
 }
@@ -105,7 +102,7 @@ func (t *DeadlineTimer) Deadline() sim.Time {
 	if !t.ev.Pending() {
 		return sim.Forever
 	}
-	return t.deadline
+	return t.ev.When()
 }
 
 // ArmCount returns how many times the timer has been (re)programmed.
@@ -114,40 +111,14 @@ func (t *DeadlineTimer) ArmCount() uint64 { return t.armCount }
 // Expirations returns how many times the timer has fired.
 func (t *DeadlineTimer) Expirations() uint64 { return t.expireCt }
 
-// Save serializes the timer's state, including the pending expiry's
-// (when, seq) coordinates so Load can re-arm it in the exact original
-// dispatch order.
-func (t *DeadlineTimer) Save(enc *snap.Encoder) {
-	enc.Section("dtimer:" + t.name)
-	enc.U64(t.armCount)
-	enc.U64(t.expireCt)
-	armed := t.ev.Pending()
-	enc.Bool(armed)
-	if armed {
-		seq, _ := t.ev.Seq()
-		enc.I64(int64(t.deadline))
-		enc.U64(seq)
-	}
-}
-
-// Load restores state saved by Save. The engine must already carry the
-// restored clock and sequence counter (sim.Engine.Load); any stale event
-// handle from before the engine was reset is dead and simply dropped.
-func (t *DeadlineTimer) Load(dec *snap.Decoder) error {
-	dec.Section("dtimer:" + t.name)
-	t.armCount = dec.U64()
-	t.expireCt = dec.U64()
-	t.ev = sim.Event{}
-	if dec.Bool() {
-		deadline := sim.Time(dec.I64())
-		seq := dec.U64()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		t.deadline = deadline
-		t.ev = t.engine.ScheduleRestored(deadline, seq, t.label, t.handler)
-	}
-	return dec.Err()
+// Snap moves the timer's counters and its pending expiry, which decoding
+// re-arms at the original (when, seq) coordinates. The engine must already
+// carry the restored clock and sequence counter.
+func (t *DeadlineTimer) Snap(s *snap.Stream) {
+	s.Section("dtimer:" + t.name)
+	s.U64(&t.armCount)
+	s.U64(&t.expireCt)
+	sim.SnapEvent(s, t.engine, &t.ev, t.label, t.handler)
 }
 
 // PeriodicTimer models a free-running periodic interrupt source — the host
@@ -229,45 +200,17 @@ func (t *PeriodicTimer) Period() sim.Time { return t.period }
 // Ticks returns the number of ticks fired so far.
 func (t *PeriodicTimer) Ticks() uint64 { return t.ticks }
 
-// Save serializes the timer's state and the pending tick's (when, seq)
-// coordinates.
-func (t *PeriodicTimer) Save(enc *snap.Encoder) {
-	enc.Section("ptimer:" + t.name)
-	enc.I64(int64(t.period))
-	enc.U64(t.ticks)
-	running := t.ev.Pending()
-	enc.Bool(running)
-	if running {
-		seq, _ := t.ev.Seq()
-		enc.I64(int64(t.ev.When()))
-		enc.U64(seq)
-	}
-}
-
-// Load restores state saved by Save, re-arming the next tick at its
-// original coordinates. The snapshot's period must match this timer's —
-// the period is construction-time configuration, not restorable state.
-func (t *PeriodicTimer) Load(dec *snap.Decoder) error {
-	dec.Section("ptimer:" + t.name)
-	period := sim.Time(dec.I64())
-	ticks := dec.U64()
-	running := dec.Bool()
-	var when sim.Time
-	var seq uint64
-	if running {
-		when = sim.Time(dec.I64())
-		seq = dec.U64()
-	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
+// Snap moves the tick count and the next tick, which decoding re-arms at
+// its original coordinates. The period is construction-time configuration,
+// not restorable state: it is encoded so that a snapshot taken at another
+// rate is rejected.
+func (t *PeriodicTimer) Snap(s *snap.Stream) {
+	s.Section("ptimer:" + t.name)
+	period := t.period
+	snap.Int(s, &period)
 	if period != t.period {
-		return fmt.Errorf("hw: snapshot period %v for timer %q does not match configured %v", period, t.name, t.period)
+		s.Failf("hw: snapshot period %v for timer %q does not match configured %v", period, t.name, t.period)
 	}
-	t.ticks = ticks
-	t.ev = sim.Event{}
-	if running {
-		t.ev = t.engine.ScheduleRestored(when, seq, t.label, t.handler)
-	}
-	return nil
+	s.U64(&t.ticks)
+	sim.SnapEvent(s, t.engine, &t.ev, t.label, t.handler)
 }

@@ -143,7 +143,7 @@ type Device struct {
 	//snap:skip injection wiring, rebound by the hypervisor at attach time
 	OnInterrupt func(vcpu int)
 
-	//snap:skip derived: recounted as in-service requests are restored
+	//snap:skip derived: recounted from the moved running list
 	inflight  int
 	running   []*Request // in service, submission order; each carries its completion event
 	waiting   []*Request
@@ -223,10 +223,13 @@ func (d *Device) start(req *Request) {
 	d.inflight++
 	lat := d.profile.Latency(req.Write, req.Sequential, req.Bytes)
 	lat = d.rng.Jitter(lat, d.profile.Jitter)
-	req.ev = d.engine.After(lat, d.ioLabel, func(e *sim.Engine) {
-		d.finish(req)
-	})
+	req.ev = d.engine.After(lat, d.ioLabel, d.finishFn(req))
 	d.running = append(d.running, req)
+}
+
+// finishFn builds req's completion handler.
+func (d *Device) finishFn(req *Request) sim.Handler {
+	return func(*sim.Engine) { d.finish(req) }
 }
 
 func (d *Device) finish(req *Request) {
@@ -291,11 +294,15 @@ func (d *Device) raiseOrCoalesce(vcpu int) {
 		return
 	}
 	if !st.flush.Pending() {
-		st.flush = d.engine.After(d.profile.CoalesceWindow, "io-coalesce:"+d.name,
-			func(*sim.Engine) {
-				st.flush = sim.Event{}
-				d.flushCoalesced(vcpu, st)
-			})
+		st.flush = d.engine.After(d.profile.CoalesceWindow, "io-coalesce:"+d.name, d.flushFn(vcpu, st))
+	}
+}
+
+// flushFn builds the coalescing-window handler for vcpu's batch.
+func (d *Device) flushFn(vcpu int, st *coalesceState) sim.Handler {
+	return func(*sim.Engine) {
+		st.flush = sim.Event{}
+		d.flushCoalesced(vcpu, st)
 	}
 }
 

@@ -1,14 +1,13 @@
 package iodev
 
-// Checkpoint/restore of device state. Requests reference guest tasks
-// through the opaque Cookie, so Save/Load take translation callbacks: the
-// guest layer maps cookies to stable task IDs and back. In-service
-// requests carry their completion event's (when, seq) coordinates and are
-// re-armed on Load, so a restored device completes I/O at exactly the
-// pre-snapshot instants.
+// Checkpoint/restore of device state. Requests reference guest objects
+// through the opaque Cookie and the submitting vCPU index, so Snap takes a
+// Refs translator: the guest layer maps cookies to stable task IDs and
+// back, and bounds vCPU indices. In-service requests carry their completion
+// event's (when, seq) coordinates and are re-armed on restore, so a
+// restored device completes I/O at exactly the pre-snapshot instants.
 
 import (
-	"fmt"
 	"sort"
 
 	"paratick/internal/sim"
@@ -27,161 +26,113 @@ func (d *Device) SetProfile(p Profile) error {
 	return nil
 }
 
-func saveRequest(enc *snap.Encoder, r *Request, cookieID func(any) int64) {
-	enc.Bool(r.Write)
-	enc.Bool(r.Sequential)
-	enc.I64(int64(r.Bytes))
-	enc.I64(int64(r.VCPU))
-	if r.Cookie == nil {
-		enc.I64(-1)
+// Refs translates the guest-side references a request carries.
+type Refs interface {
+	// CookieID maps a non-nil request Cookie to a stable non-negative
+	// identifier, or -1 when it has none.
+	CookieID(cookie any) int64
+	// Cookie maps an identifier from CookieID back to the live Cookie.
+	Cookie(id int64) any
+	// ValidVCPU reports whether vcpu indexes a vCPU that can submit I/O.
+	ValidVCPU(vcpu int) bool
+}
+
+// Snap moves a request — the device's own, or one a guest segment carries
+// before submission. Decoding rejects requests no submission path could
+// have produced.
+func (r *Request) Snap(s *snap.Stream, refs Refs) {
+	s.Bool(&r.Write)
+	s.Bool(&r.Sequential)
+	snap.Int(s, &r.Bytes)
+	snap.Int(s, &r.VCPU)
+	if r.Bytes <= 0 || !refs.ValidVCPU(r.VCPU) {
+		s.Failf("iodev: snapshot request of %d bytes from vCPU %d", r.Bytes, r.VCPU)
+	}
+	cookie := int64(-1)
+	if r.Cookie != nil {
+		cookie = refs.CookieID(r.Cookie)
+	}
+	s.I64(&cookie)
+	if s.Decoding() && cookie >= 0 {
+		r.Cookie = refs.Cookie(cookie)
+	}
+	snap.Int(s, &r.Submitted)
+	snap.Int(s, &r.Completed)
+	s.Bool(&r.done)
+}
+
+// snapRequest moves *p, allocating the request when decoding into an empty
+// slot.
+func snapRequest(s *snap.Stream, p **Request, refs Refs) *Request {
+	if *p == nil {
+		*p = new(Request)
+	}
+	(*p).Snap(s, refs)
+	return *p
+}
+
+// Snap moves the device's full state. Decoding targets a freshly
+// constructed device (same name, vector, and engine wiring) and re-arms
+// every in-service completion and coalescing flush.
+func (d *Device) Snap(s *snap.Stream, refs Refs) {
+	s.Section("iodev:" + d.name)
+	if s.Decoding() && (d.Inflight() != 0 || len(d.waiting) != 0 || len(d.completed) != 0) {
+		s.Failf("iodev: %s: restore into a device with active requests", d.name)
+	}
+	d.rng.Snap(s)
+	s.U64(&d.ops)
+	s.U64(&d.bytesRead)
+	s.U64(&d.bytesWritten)
+	s.U64(&d.coalescedIRQs)
+
+	for i := range snap.Slice(s, &d.running) {
+		req := snapRequest(s, &d.running[i], refs)
+		var done sim.Handler
+		if s.Decoding() {
+			done = d.finishFn(req)
+		}
+		sim.SnapArmed(s, d.engine, &req.ev, d.ioLabel, done)
+	}
+	d.inflight = len(d.running)
+	for i := range snap.Slice(s, &d.waiting) {
+		snapRequest(s, &d.waiting[i], refs)
+	}
+	for i := range snap.Slice(s, &d.completed) {
+		snapRequest(s, &d.completed[i], refs)
+	}
+
+	// Coalescing state is keyed by vCPU in a map, so it moves under sorted
+	// keys (paratick-vet D003). Exhausted entries (no pending completions,
+	// no flush scheduled) are semantically absent and skipped, so equal
+	// states encode to equal bytes.
+	var vcpus []int
+	if s.Decoding() {
+		clear(d.coalesce)
 	} else {
-		enc.I64(cookieID(r.Cookie))
-	}
-	enc.I64(int64(r.Submitted))
-	enc.I64(int64(r.Completed))
-	enc.Bool(r.done)
-}
-
-func loadRequest(dec *snap.Decoder, cookie func(int64) any) *Request {
-	r := &Request{
-		Write:      dec.Bool(),
-		Sequential: dec.Bool(),
-		Bytes:      int(dec.I64()),
-		VCPU:       int(dec.I64()),
-	}
-	if id := dec.I64(); id >= 0 {
-		r.Cookie = cookie(id)
-	}
-	r.Submitted = sim.Time(dec.I64())
-	r.Completed = sim.Time(dec.I64())
-	r.done = dec.Bool()
-	return r
-}
-
-// SaveRequest encodes a request not yet held by any device (the guest's
-// queued io-kick segments carry such requests). cookieID translates the
-// opaque Cookie as in Device.Save.
-func SaveRequest(enc *snap.Encoder, r *Request, cookieID func(any) int64) {
-	saveRequest(enc, r, cookieID)
-}
-
-// LoadRequest decodes a request written by SaveRequest.
-func LoadRequest(dec *snap.Decoder, cookie func(int64) any) *Request {
-	return loadRequest(dec, cookie)
-}
-
-// Save serializes the device's full state. cookieID must translate every
-// non-nil request Cookie into a stable non-negative identifier.
-func (d *Device) Save(enc *snap.Encoder, cookieID func(any) int64) {
-	enc.Section("iodev:" + d.name)
-	for _, w := range d.rng.State() {
-		enc.U64(w)
-	}
-	enc.U64(d.ops)
-	enc.U64(d.bytesRead)
-	enc.U64(d.bytesWritten)
-	enc.U64(d.coalescedIRQs)
-
-	enc.U32(uint32(len(d.running)))
-	for _, r := range d.running {
-		saveRequest(enc, r, cookieID)
-		seq, _ := r.ev.Seq()
-		enc.I64(int64(r.ev.When()))
-		enc.U64(seq)
-	}
-	enc.U32(uint32(len(d.waiting)))
-	for _, r := range d.waiting {
-		saveRequest(enc, r, cookieID)
-	}
-	enc.U32(uint32(len(d.completed)))
-	for _, r := range d.completed {
-		saveRequest(enc, r, cookieID)
-	}
-
-	// Coalescing state is keyed by vCPU in a map; collect and sort the keys
-	// before encoding (paratick-vet D003). Exhausted entries (no pending
-	// completions, no flush scheduled) are semantically absent — skip them
-	// so equal states encode to equal bytes.
-	keys := make([]int, 0, len(d.coalesce))
-	for vcpu, st := range d.coalesce {
-		if st.pending > 0 || st.flush.Pending() {
-			keys = append(keys, vcpu)
-		}
-	}
-	sort.Ints(keys)
-	enc.U32(uint32(len(keys)))
-	for _, vcpu := range keys {
-		st := d.coalesce[vcpu]
-		enc.I64(int64(vcpu))
-		enc.I64(int64(st.pending))
-		flushing := st.flush.Pending()
-		enc.Bool(flushing)
-		if flushing {
-			seq, _ := st.flush.Seq()
-			enc.I64(int64(st.flush.When()))
-			enc.U64(seq)
-		}
-	}
-}
-
-// Load restores state saved by Save into a freshly constructed device (same
-// name, vector, and engine wiring). cookie must translate the identifiers
-// produced by Save's cookieID back into live guest objects.
-func (d *Device) Load(dec *snap.Decoder, cookie func(int64) any) error {
-	dec.Section("iodev:" + d.name)
-	if d.inflight != 0 || len(d.waiting) != 0 || len(d.completed) != 0 {
-		return fmt.Errorf("iodev: %s: Load into a device with active requests", d.name)
-	}
-	var s [4]uint64
-	for i := range s {
-		s[i] = dec.U64()
-	}
-	d.rng.SetState(s)
-	d.ops = dec.U64()
-	d.bytesRead = dec.U64()
-	d.bytesWritten = dec.U64()
-	d.coalescedIRQs = dec.U64()
-
-	nRunning := int(dec.U32())
-	for i := 0; i < nRunning && dec.Err() == nil; i++ {
-		req := loadRequest(dec, cookie)
-		when := sim.Time(dec.I64())
-		seq := dec.U64()
-		if dec.Err() != nil {
-			break
-		}
-		d.inflight++
-		req.ev = d.engine.ScheduleRestored(when, seq, d.ioLabel, func(e *sim.Engine) {
-			d.finish(req)
-		})
-		d.running = append(d.running, req)
-	}
-	nWaiting := int(dec.U32())
-	for i := 0; i < nWaiting && dec.Err() == nil; i++ {
-		d.waiting = append(d.waiting, loadRequest(dec, cookie))
-	}
-	nCompleted := int(dec.U32())
-	for i := 0; i < nCompleted && dec.Err() == nil; i++ {
-		d.completed = append(d.completed, loadRequest(dec, cookie))
-	}
-
-	nCoalesce := int(dec.U32())
-	for i := 0; i < nCoalesce && dec.Err() == nil; i++ {
-		vcpu := int(dec.I64())
-		st := &coalesceState{pending: int(dec.I64())}
-		d.coalesce[vcpu] = st
-		if dec.Bool() {
-			when := sim.Time(dec.I64())
-			seq := dec.U64()
-			if dec.Err() != nil {
-				break
+		for vcpu, st := range d.coalesce {
+			if st.pending > 0 || st.flush.Pending() {
+				vcpus = append(vcpus, vcpu)
 			}
-			st.flush = d.engine.ScheduleRestored(when, seq, "io-coalesce:"+d.name,
-				func(*sim.Engine) {
-					st.flush = sim.Event{}
-					d.flushCoalesced(vcpu, st)
-				})
 		}
+		sort.Ints(vcpus)
 	}
-	return dec.Err()
+	for i := range snap.Slice(s, &vcpus) {
+		vcpu := &vcpus[i]
+		snap.Int(s, vcpu)
+		if !refs.ValidVCPU(*vcpu) {
+			s.Failf("iodev: %s: snapshot coalesces completions for vCPU %d", d.name, *vcpu)
+			return
+		}
+		st := d.coalesce[*vcpu]
+		if st == nil {
+			st = &coalesceState{}
+			d.coalesce[*vcpu] = st
+		}
+		snap.Int(s, &st.pending)
+		var flush sim.Handler
+		if s.Decoding() {
+			flush = d.flushFn(*vcpu, st)
+		}
+		sim.SnapEvent(s, d.engine, &st.flush, "io-coalesce:"+d.name, flush)
+	}
 }

@@ -82,6 +82,7 @@ func (c Config) HostTickPeriod() sim.Time { return sim.PeriodFromHz(c.HostHz) }
 
 // Host is the hypervisor instance.
 type Host struct {
+	//snap:skip engine coordinator wiring; ShardedEngine.Snap moves its state first
 	se *sim.ShardedEngine
 	//snap:skip immutable host configuration from the scenario
 	cfg Config

@@ -7,6 +7,7 @@ import (
 	"paratick/internal/guest"
 	"paratick/internal/hw"
 	"paratick/internal/iodev"
+	"paratick/internal/metrics"
 	"paratick/internal/sim"
 )
 
@@ -442,7 +443,8 @@ func TestVMResultSnapshot(t *testing.T) {
 	rig := newRig(t, core.Paratick, 1)
 	rig.vm.Kernel().Spawn("w", 0, guest.Steps(guest.Compute(5*sim.Millisecond)))
 	at := rig.runUntilDone(t, sim.Second)
-	res := rig.vm.Result("unit")
+	var res metrics.Result
+	rig.vm.ResultInto(&res, "unit")
 	if res.Name != "unit" || res.Mode != "paratick" {
 		t.Fatalf("result identity: %+v", res)
 	}

@@ -17,7 +17,7 @@ import (
 //
 // The payload is pure data (VM index, vCPU index, vector), never a
 // closure, so a checkpoint taken while a delivery is in flight can
-// serialize it and restore re-arms it — see saveRemote/loadRemote.
+// serialize it and restore re-arms it — see Host.snapRemoteIRQ.
 
 // remoteIRQ is one in-flight cross-lane interrupt delivery: drained from
 // the mailbox, waiting on the destination lane's engine to fire.
@@ -55,14 +55,6 @@ func (h *Host) deliverRemoteIRQ(m sim.Message) {
 func (h *Host) armRemoteIRQ(r *remoteIRQ, fireAt sim.Time) {
 	vm := h.vms[r.vm]
 	r.ev = vm.engine.At(fireAt, "remote-irq", h.remoteFireFn(vm, r))
-	h.inflight[vm.lane] = append(h.inflight[vm.lane], r)
-}
-
-// armRemoteIRQRestored is the checkpoint-restore arm path: same handler,
-// re-scheduled at the snapshot's original (when, seq) coordinates.
-func (h *Host) armRemoteIRQRestored(r *remoteIRQ, when sim.Time, seq uint64) {
-	vm := h.vms[r.vm]
-	r.ev = vm.engine.ScheduleRestored(when, seq, "remote-irq", h.remoteFireFn(vm, r))
 	h.inflight[vm.lane] = append(h.inflight[vm.lane], r)
 }
 

@@ -3,425 +3,253 @@ package kvm
 // Checkpoint/restore of the full hypervisor state. The protocol mirrors
 // the guest layer's: the scenario is rebuilt from its spec first (which
 // recreates every object, closure, and pre-bound handler), the engine is
-// reset and loaded, and then Host.Load overwrites the rebuilt state with
-// the snapshot's — re-arming every pending host-side event (segment
-// completions, halt polls, wake delays, host ticks, guest/top-up timers)
-// at its original (when, seq) coordinates.
+// reset and restored, and then decoding Host.Snap overwrites the rebuilt
+// state with the snapshot's — re-arming every pending host-side event
+// (segment completions, halt polls, wake delays, host ticks, guest/top-up
+// timers) at its original (when, seq) coordinates.
 //
 // Closures are never serialized. The in-flight segment on a pCPU is not
 // encoded either: it is, by construction, the current vCPU's issued guest
 // segment (set by exec via gcpu.Next and restored by the guest kernel), so
 // restore re-links the pointer. Pending segment-completion events are
-// encoded as a handler-kind enum resolved back to the pCPU's pre-bound
+// encoded as a handler-kind index resolved back to the pCPU's pre-bound
 // handlers.
 
 import (
 	"fmt"
+	"slices"
 
 	"paratick/internal/guest"
-	"paratick/internal/hw"
 	"paratick/internal/sched"
 	"paratick/internal/sim"
 	"paratick/internal/snap"
 )
 
-// Handler kinds for a pCPU's pending segment-completion event. The kind is
-// derived from the in-flight segment at save time and selects which
-// pre-bound handler the restored event invokes.
-const (
-	pevRun  = 0 // runDoneFn: a guest-run segment completes
-	pevExit = 1 // exitDoneFn: an atomic exit's handling window elapses
-	pevHlt  = 2 // hltDoneFn: the HLT exit's handling window elapses
-	pevIrq  = 3 // irqDoneFn: an interrupt-induced exit's window elapses
-)
+// segDoneLabels lists, by handler kind, the labels exec schedules a pCPU's
+// segment-completion event with. A pending event moves as the kind — the
+// index of its label — which selects the matching pre-bound handler on
+// restore (see segDoneFn).
+var segDoneLabels = [...]string{"pcpu-run", "pcpu-exit", "pcpu-hlt", "pcpu-irq-exit"}
 
-func saveEventCoords(enc *snap.Encoder, ev sim.Event) {
-	pending := ev.Pending()
-	enc.Bool(pending)
-	if pending {
-		seq, _ := ev.Seq()
-		enc.I64(int64(ev.When()))
-		enc.U64(seq)
-	}
+// segDoneFn returns the pre-bound handler for a segment-event kind.
+func (p *PCPU) segDoneFn(kind uint8) sim.Handler {
+	return [...]sim.Handler{p.runDoneFn, p.exitDoneFn, p.hltDoneFn, p.irqDoneFn}[kind]
 }
 
-// loadEventCoords reads the coordinates written by saveEventCoords and
-// re-arms the handler when the event was pending. Returns the zero Event
-// otherwise.
-func loadEventCoords(dec *snap.Decoder, e *sim.Engine, label string, fn sim.Handler) (sim.Event, error) {
-	if !dec.Bool() {
-		return sim.Event{}, dec.Err()
-	}
-	when := sim.Time(dec.I64())
-	seq := dec.U64()
-	if err := dec.Err(); err != nil {
-		return sim.Event{}, err
-	}
-	return e.ScheduleRestored(when, seq, label, fn), nil
-}
-
-// Save serializes the complete hypervisor state: every VM (counters,
-// vCPUs, guest kernel), the scheduler queues, every pCPU's run state, and
-// the tracer. The engine must be saved separately (sim.Engine.Save) and
-// first, since restore needs the engine's clock before any event re-arms.
-func (h *Host) Save(enc *snap.Encoder) error {
-	enc.Section("kvm-host")
-	enc.U32(uint32(len(h.pcpus)))
-	enc.U32(uint32(len(h.vms)))
-	enc.I64(int64(h.nextIOVector))
-	enc.U64(h.nextSchedKey)
-	for _, vm := range h.vms {
-		if err := vm.save(enc); err != nil {
-			return err
-		}
-	}
-	h.sched.Save(enc)
-	for _, p := range h.pcpus {
-		if err := p.save(enc); err != nil {
-			return err
-		}
-	}
-	h.tracer.Save(enc)
-	if h.se.Quantum() > 0 {
-		h.saveSharded(enc)
-	}
-	return nil
-}
-
-// Load restores state saved by Save into a host freshly rebuilt from the
-// same scenario spec: identical topology, VM shapes, device attachments,
-// and spawn order. The engine must already be restored (sim.Engine.Load).
-func (h *Host) Load(dec *snap.Decoder) error {
-	dec.Section("kvm-host")
-	np := int(dec.U32())
-	nv := int(dec.U32())
-	iov := hw.Vector(dec.I64())
-	key := dec.U64()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if np != len(h.pcpus) || nv != len(h.vms) {
-		return fmt.Errorf("kvm: snapshot has %d pCPUs / %d VMs, host has %d / %d",
-			np, nv, len(h.pcpus), len(h.vms))
-	}
+// Snap moves the complete hypervisor state: every VM (counters, vCPUs,
+// guest kernel), the scheduler queues, every pCPU's run state, and the
+// tracer. The engine coordinator must move first (sim.ShardedEngine.Snap),
+// since restore needs its clock before any event re-arms; decoding targets
+// a host freshly rebuilt from the same scenario spec — identical topology,
+// VM shapes, device attachments, and spawn order.
+func (h *Host) Snap(s *snap.Stream) {
+	s.Section("kvm-host")
+	s.Len(len(h.pcpus), "pCPUs")
+	s.Len(len(h.vms), "VMs")
+	iov, key := h.nextIOVector, h.nextSchedKey
+	snap.Int(s, &iov)
+	s.U64(&key)
 	if iov != h.nextIOVector || key != h.nextSchedKey {
-		return fmt.Errorf("kvm: snapshot allocator state (vector %d, key %d) does not match rebuilt host (vector %d, key %d) — scenario shape mismatch",
+		s.Failf("kvm: snapshot allocator state (vector %d, key %d) does not match rebuilt host (vector %d, key %d) — scenario shape mismatch",
 			iov, key, h.nextIOVector, h.nextSchedKey)
 	}
 	for _, vm := range h.vms {
-		if err := vm.load(dec); err != nil {
-			return err
-		}
+		vm.snap(s)
 	}
-	byKey := make(map[uint64]*VCPU)
+	h.sched.Snap(s, h.entityByKey)
+	for _, p := range h.pcpus {
+		p.snap(s)
+	}
+	h.tracer.Snap(s)
+	if h.se.Quantum() > 0 {
+		h.snapSharded(s)
+	}
+}
+
+// Save encodes the host state; see Snap.
+func (h *Host) Save(enc *snap.Encoder) error { return snap.Encode(enc, h) }
+
+// Load decodes state written by Save; see Snap.
+func (h *Host) Load(dec *snap.Decoder) error { return snap.Decode(dec, h) }
+
+// vcpuByKey resolves a scheduler key to its vCPU, or nil.
+func (h *Host) vcpuByKey(key uint64) *VCPU {
 	for _, vm := range h.vms {
 		for _, v := range vm.vcpus {
-			byKey[v.node.Key] = v
-		}
-	}
-	lookup := func(k uint64) sched.Entity {
-		if v, ok := byKey[k]; ok {
-			return v
-		}
-		return nil
-	}
-	if err := h.sched.Load(dec, lookup); err != nil {
-		return err
-	}
-	for _, p := range h.pcpus {
-		if err := p.load(dec, byKey); err != nil {
-			return err
-		}
-	}
-	_, err := h.tracer.Load(dec)
-	if err != nil {
-		return err
-	}
-	if h.se.Quantum() > 0 {
-		if err := h.loadSharded(dec); err != nil {
-			return err
-		}
-	}
-	return dec.Err()
-}
-
-// saveSharded encodes the lane-mode extras: per-lane trace rings, in-flight
-// remote-IRQ deliveries, and IPI stream positions. The section only exists
-// for lane-mode hosts (a positive quantum), so legacy checkpoint bytes are
-// byte-for-byte unchanged.
-func (h *Host) saveSharded(enc *snap.Encoder) {
-	enc.Section("kvm-sharded")
-	enc.Bool(h.laneTracers != nil)
-	for _, t := range h.laneTracers {
-		t.Save(enc)
-	}
-	enc.U32(uint32(len(h.inflight)))
-	for _, list := range h.inflight {
-		enc.U32(uint32(len(list)))
-		for _, r := range list {
-			enc.I64(int64(r.vm))
-			enc.I64(int64(r.vcpu))
-			enc.I64(int64(r.vec))
-			seq, _ := r.ev.Seq()
-			enc.I64(int64(r.ev.When()))
-			enc.U64(seq)
-		}
-	}
-	enc.U32(uint32(len(h.streams)))
-	for _, s := range h.streams {
-		enc.U64(s.sent)
-		saveEventCoords(enc, s.ev)
-	}
-}
-
-// loadSharded restores the lane-mode extras into a host rebuilt from the
-// same scenario spec, re-arming every in-flight remote delivery and stream
-// event at its original (when, seq) coordinates.
-func (h *Host) loadSharded(dec *snap.Decoder) error {
-	dec.Section("kvm-sharded")
-	if dec.Bool() {
-		if h.laneTracers == nil {
-			return fmt.Errorf("kvm: snapshot has per-lane tracers but the rebuilt host records none")
-		}
-		for _, t := range h.laneTracers {
-			if _, err := t.Load(dec); err != nil {
-				return err
+			if v.node.Key == key {
+				return v
 			}
 		}
-	} else if dec.Err() == nil && h.laneTracers != nil {
-		return fmt.Errorf("kvm: rebuilt host has per-lane tracers but the snapshot records none")
 	}
-	if nl := int(dec.U32()); dec.Err() == nil && nl != len(h.inflight) {
-		return fmt.Errorf("kvm: snapshot has %d remote-IRQ lanes, host has %d", nl, len(h.inflight))
-	}
-	for lane := range h.inflight {
-		h.inflight[lane] = h.inflight[lane][:0]
-		n := int(dec.U32())
-		for i := 0; i < n && dec.Err() == nil; i++ {
-			r := &remoteIRQ{vm: int(dec.I64()), vcpu: int(dec.I64()), vec: hw.Vector(dec.I64())}
-			when := sim.Time(dec.I64())
-			seq := dec.U64()
-			if err := dec.Err(); err != nil {
-				return err
-			}
-			if r.vm < 0 || r.vm >= len(h.vms) {
-				return fmt.Errorf("kvm: snapshot remote IRQ targets unknown VM %d", r.vm)
-			}
-			if vm := h.vms[r.vm]; r.vcpu < 0 || r.vcpu >= len(vm.vcpus) {
-				return fmt.Errorf("kvm: snapshot remote IRQ targets invalid vCPU %d of VM %q", r.vcpu, vm.name)
-			}
-			h.armRemoteIRQRestored(r, when, seq)
-		}
-	}
-	if ns := int(dec.U32()); dec.Err() == nil && ns != len(h.streams) {
-		return fmt.Errorf("kvm: snapshot has %d IPI streams, host has %d", ns, len(h.streams))
-	}
-	for _, s := range h.streams {
-		s.sent = dec.U64()
-		var err error
-		s.ev, err = loadEventCoords(dec, s.src.engine, "ipi-stream", s.fn)
-		if err != nil {
-			return err
-		}
-	}
-	return dec.Err()
-}
-
-func (vm *VM) save(enc *snap.Encoder) error {
-	enc.Section("vm:" + vm.name)
-	enc.I64(int64(vm.declaredTickHz))
-	enc.Bool(vm.started)
-	enc.Bool(vm.workloadDone)
-	enc.I64(int64(vm.doneAt))
-	vm.counters.Save(enc)
-	enc.U32(uint32(len(vm.vcpus)))
-	for _, v := range vm.vcpus {
-		v.save(enc)
-	}
-	return vm.kernel.Save(enc)
-}
-
-func (vm *VM) load(dec *snap.Decoder) error {
-	dec.Section("vm:" + vm.name)
-	vm.declaredTickHz = int(dec.I64())
-	vm.started = dec.Bool()
-	vm.workloadDone = dec.Bool()
-	vm.doneAt = sim.Time(dec.I64())
-	if err := vm.counters.Load(dec); err != nil {
-		return err
-	}
-	if n := int(dec.U32()); dec.Err() == nil && n != len(vm.vcpus) {
-		return fmt.Errorf("kvm: snapshot VM %q has %d vCPUs, rebuilt VM has %d",
-			vm.name, n, len(vm.vcpus))
-	}
-	for _, v := range vm.vcpus {
-		if err := v.load(dec); err != nil {
-			return err
-		}
-	}
-	return vm.kernel.Load(dec)
-}
-
-func (v *VCPU) save(enc *snap.Encoder) {
-	enc.U8(uint8(v.state))
-	enc.I64(int64(v.pcpu.id))
-	v.node.Save(enc)
-	enc.I64(int64(v.lastVirtualTick))
-	enc.I64(int64(v.sliceStart))
-	enc.U32(uint32(len(v.pending)))
-	for _, irq := range v.pending {
-		enc.I64(int64(irq.vec))
-		enc.I64(int64(irq.since))
-	}
-	v.guestTimer.Save(enc)
-	v.topUpTimer.Save(enc)
-}
-
-func (v *VCPU) load(dec *snap.Decoder) error {
-	st := VCPUState(dec.U8())
-	if dec.Err() == nil && (st < VCPUStopped || st > VCPUHalted) {
-		return fmt.Errorf("kvm: snapshot vCPU %s/%d has invalid state %d", v.vm.name, v.id, st)
-	}
-	v.state = st
-	pid := int(dec.I64())
-	if dec.Err() == nil && (pid < 0 || pid >= len(v.vm.host.pcpus)) {
-		return fmt.Errorf("kvm: snapshot vCPU %s/%d homed on invalid pCPU %d", v.vm.name, v.id, pid)
-	}
-	if dec.Err() == nil {
-		v.pcpu = v.vm.host.pcpus[pid]
-	}
-	if err := v.node.Load(dec); err != nil {
-		return err
-	}
-	v.lastVirtualTick = sim.Time(dec.I64())
-	v.sliceStart = sim.Time(dec.I64())
-	n := int(dec.U32())
-	v.pending = v.pending[:0]
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		vec := hw.Vector(dec.I64())
-		since := sim.Time(dec.I64())
-		v.pending = append(v.pending, pendingIRQ{vec: vec, since: since})
-	}
-	if err := v.guestTimer.Load(dec); err != nil {
-		return err
-	}
-	return v.topUpTimer.Load(dec)
-}
-
-// segEventKind derives the pending completion event's handler kind from
-// the in-flight segment: interruptGuest is the only path that leaves a
-// pending event with no segment, and otherwise the segment's kind selects
-// the handler exec installed.
-func (p *PCPU) segEventKind() uint8 {
-	if p.seg == nil {
-		return pevIrq
-	}
-	switch p.seg.Kind {
-	case guest.SegRun:
-		return pevRun
-	case guest.SegHLT:
-		return pevHlt
-	default:
-		return pevExit
-	}
-}
-
-func (p *PCPU) save(enc *snap.Encoder) error {
-	enc.Section(fmt.Sprintf("pcpu:%d", p.id))
-	p.tick.Save(enc)
-	cur := p.current != nil
-	enc.Bool(cur)
-	if cur {
-		enc.U64(p.current.node.Key)
-	}
-	enc.Bool(p.seg != nil)
-	pending := p.segEvent.Pending()
-	enc.Bool(pending)
-	if pending {
-		enc.U8(p.segEventKind())
-		seq, _ := p.segEvent.Seq()
-		enc.I64(int64(p.segEvent.When()))
-		enc.U64(seq)
-	}
-	enc.I64(int64(p.segStart))
-	enc.Bool(p.polling)
-	enc.I64(int64(p.pollStart))
-	saveEventCoords(enc, p.pollEvent)
-	enc.Bool(p.dispatchPending)
-	saveEventCoords(enc, p.wakeEvent)
-	enc.Bool(p.irqExpire)
 	return nil
 }
 
-func (p *PCPU) load(dec *snap.Decoder, byKey map[uint64]*VCPU) error {
-	dec.Section(fmt.Sprintf("pcpu:%d", p.id))
-	if err := p.tick.Load(dec); err != nil {
-		return err
+// entityByKey is vcpuByKey typed as the scheduler's restore lookup.
+func (h *Host) entityByKey(key uint64) sched.Entity {
+	if v := h.vcpuByKey(key); v != nil {
+		return v
 	}
-	p.current = nil
-	if dec.Bool() {
-		key := dec.U64()
-		if dec.Err() == nil {
-			v, ok := byKey[key]
-			if !ok {
-				return fmt.Errorf("kvm: snapshot pCPU %d runs unknown vCPU key %d", p.id, key)
+	return nil
+}
+
+// snapSharded moves the lane-mode extras: per-lane trace rings, in-flight
+// remote-IRQ deliveries, and IPI stream positions. The section only exists
+// for lane-mode hosts (a positive quantum), so legacy checkpoint bytes are
+// byte-for-byte unchanged.
+func (h *Host) snapSharded(s *snap.Stream) {
+	s.Section("kvm-sharded")
+	traced := h.laneTracers != nil
+	s.Bool(&traced)
+	if traced != (h.laneTracers != nil) {
+		s.Failf("kvm: snapshot per-lane tracing (%v) does not match the rebuilt host (%v)", traced, !traced)
+	}
+	for _, t := range h.laneTracers {
+		t.Snap(s)
+	}
+	s.Len(len(h.inflight), "remote-IRQ lanes")
+	for lane := range h.inflight {
+		list := &h.inflight[lane]
+		for i := range snap.Slice(s, list) {
+			if (*list)[i] == nil {
+				(*list)[i] = new(remoteIRQ)
 			}
-			p.current = v
+			h.snapRemoteIRQ(s, lane, (*list)[i])
 		}
 	}
-	segInFlight := dec.Bool()
-	p.seg = nil
-	if dec.Err() == nil && segInFlight {
-		if p.current == nil {
-			return fmt.Errorf("kvm: snapshot pCPU %d has an in-flight segment but no current vCPU", p.id)
-		}
-		gv, ok := p.current.gcpu.(*guest.VCPU)
-		if !ok {
-			return fmt.Errorf("kvm: pCPU %d in-flight segment belongs to a non-guest vCPU; such hosts cannot be restored", p.id)
-		}
-		p.seg = gv.Issued()
-		if p.seg == nil {
-			return fmt.Errorf("kvm: snapshot pCPU %d expects an issued segment on %s/%d, guest restored none",
-				p.id, p.current.vm.name, p.current.id)
+	s.Len(len(h.streams), "IPI streams")
+	for _, st := range h.streams {
+		s.U64(&st.sent)
+		sim.SnapEvent(s, st.src.engine, &st.ev, "ipi-stream", st.fn)
+	}
+}
+
+// snapRemoteIRQ moves one in-flight cross-lane delivery on the given
+// destination lane; decoding re-arms it there.
+func (h *Host) snapRemoteIRQ(s *snap.Stream, lane int, r *remoteIRQ) {
+	snap.Int(s, &r.vm)
+	snap.Int(s, &r.vcpu)
+	snap.Int(s, &r.vec)
+	if r.vm < 0 || r.vm >= len(h.vms) {
+		s.Failf("kvm: snapshot remote IRQ targets unknown VM %d", r.vm)
+		return
+	}
+	vm := h.vms[r.vm]
+	if r.vcpu < 0 || r.vcpu >= len(vm.vcpus) || vm.lane != lane {
+		s.Failf("kvm: snapshot remote IRQ on lane %d targets vCPU %d of VM %q", lane, r.vcpu, vm.name)
+		return
+	}
+	var fire sim.Handler
+	if s.Decoding() {
+		fire = h.remoteFireFn(vm, r)
+	}
+	sim.SnapArmed(s, vm.engine, &r.ev, "remote-irq", fire)
+}
+
+func (vm *VM) snap(s *snap.Stream) {
+	s.Section("vm:" + vm.name)
+	snap.Int(s, &vm.declaredTickHz)
+	s.Bool(&vm.started)
+	s.Bool(&vm.workloadDone)
+	snap.Int(s, &vm.doneAt)
+	vm.counters.Snap(s)
+	s.Len(len(vm.vcpus), "vCPUs in a VM")
+	for _, v := range vm.vcpus {
+		v.snap(s)
+	}
+	vm.kernel.Snap(s)
+}
+
+func (v *VCPU) snap(s *snap.Stream) {
+	snap.Byte(s, &v.state)
+	if v.state < VCPUStopped || v.state > VCPUHalted {
+		s.Failf("kvm: snapshot vCPU %s/%d has invalid state %d", v.vm.name, v.id, v.state)
+	}
+	pcpu := int(v.pcpu.id)
+	snap.Int(s, &pcpu)
+	if pcpu < 0 || pcpu >= len(v.vm.host.pcpus) {
+		s.Failf("kvm: snapshot vCPU %s/%d homed on invalid pCPU %d", v.vm.name, v.id, pcpu)
+	} else if s.Decoding() {
+		v.pcpu = v.vm.host.pcpus[pcpu]
+	}
+	v.node.Snap(s)
+	snap.Int(s, &v.lastVirtualTick)
+	snap.Int(s, &v.sliceStart)
+	for i := range snap.Slice(s, &v.pending) {
+		snap.Int(s, &v.pending[i].vec)
+		snap.Int(s, &v.pending[i].since)
+	}
+	v.guestTimer.Snap(s)
+	v.topUpTimer.Snap(s)
+}
+
+func (p *PCPU) snap(s *snap.Stream) {
+	s.Section(fmt.Sprintf("pcpu:%d", p.id))
+	p.tick.Snap(s)
+
+	// The running vCPU moves as its scheduler key.
+	current := p.current != nil
+	var key uint64
+	if current {
+		key = p.current.node.Key
+	}
+	s.Bool(&current)
+	if current {
+		s.U64(&key)
+	}
+	if s.Decoding() {
+		p.current = nil
+		if current {
+			if p.current = p.host.vcpuByKey(key); p.current == nil {
+				s.Failf("kvm: snapshot pCPU %d runs unknown vCPU key %d", p.id, key)
+			}
 		}
 	}
-	p.segEvent = sim.Event{}
-	if dec.Bool() {
-		kind := dec.U8()
-		when := sim.Time(dec.I64())
-		seq := dec.U64()
-		if err := dec.Err(); err != nil {
-			return err
+
+	inFlight := p.seg != nil
+	s.Bool(&inFlight)
+	if s.Decoding() {
+		p.seg = p.relinkSegment(s, inFlight)
+	}
+
+	pending := p.segEvent.Pending()
+	s.Bool(&pending)
+	if pending {
+		kind := uint8(slices.Index(segDoneLabels[:], p.segEvent.Label()))
+		s.U8(&kind)
+		if int(kind) >= len(segDoneLabels) {
+			s.Failf("kvm: snapshot pCPU %d has unknown segment-event kind %d", p.id, kind)
+		} else {
+			sim.SnapArmed(s, p.engine, &p.segEvent, segDoneLabels[kind], p.segDoneFn(kind))
 		}
-		var label string
-		var fn sim.Handler
-		switch kind {
-		case pevRun:
-			label, fn = "pcpu-run", p.runDoneFn
-		case pevExit:
-			label, fn = "pcpu-exit", p.exitDoneFn
-		case pevHlt:
-			label, fn = "pcpu-hlt", p.hltDoneFn
-		case pevIrq:
-			label, fn = "pcpu-irq-exit", p.irqDoneFn
-		default:
-			return fmt.Errorf("kvm: snapshot pCPU %d has unknown segment-event kind %d", p.id, kind)
-		}
-		p.segEvent = p.engine.ScheduleRestored(when, seq, label, fn)
 	}
-	p.segStart = sim.Time(dec.I64())
-	p.polling = dec.Bool()
-	p.pollStart = sim.Time(dec.I64())
-	var err error
-	p.pollEvent, err = loadEventCoords(dec, p.engine, "pcpu-poll", p.pollDoneFn)
-	if err != nil {
-		return err
+	snap.Int(s, &p.segStart)
+	s.Bool(&p.polling)
+	snap.Int(s, &p.pollStart)
+	sim.SnapEvent(s, p.engine, &p.pollEvent, "pcpu-poll", p.pollDoneFn)
+	s.Bool(&p.dispatchPending)
+	sim.SnapEvent(s, p.engine, &p.wakeEvent, "pcpu-wakeup", p.wakeupFn)
+	s.Bool(&p.irqExpire)
+}
+
+// relinkSegment resolves a restored pCPU's in-flight segment: the current
+// vCPU's issued guest segment, which the guest kernel has already restored.
+func (p *PCPU) relinkSegment(s *snap.Stream, inFlight bool) *guestSegment {
+	if !inFlight || s.Err() != nil {
+		return nil
 	}
-	p.dispatchPending = dec.Bool()
-	p.wakeEvent, err = loadEventCoords(dec, p.engine, "pcpu-wakeup", p.wakeupFn)
-	if err != nil {
-		return err
+	if p.current == nil {
+		s.Failf("kvm: snapshot pCPU %d has an in-flight segment but no current vCPU", p.id)
+		return nil
 	}
-	p.irqExpire = dec.Bool()
-	return dec.Err()
+	gv, ok := p.current.gcpu.(*guest.VCPU)
+	if !ok {
+		s.Failf("kvm: pCPU %d in-flight segment belongs to a non-guest vCPU; such hosts cannot be restored", p.id)
+		return nil
+	}
+	seg := gv.Issued()
+	if seg == nil {
+		s.Failf("kvm: snapshot pCPU %d expects an issued segment on %s/%d, guest restored none",
+			p.id, p.current.vm.name, p.current.id)
+	}
+	return seg
 }

@@ -75,8 +75,10 @@ func buildSnapScenario(t *testing.T, policy sched.Kind) (*sim.Engine, *Host, *VM
 func saveHost(t *testing.T, e *sim.Engine, h *Host) []byte {
 	t.Helper()
 	var enc snap.Encoder
-	e.Save(&enc)
-	if err := h.Save(&enc); err != nil {
+	s := snap.NewWriter(&enc)
+	e.Snap(s)
+	h.Snap(s)
+	if err := s.Err(); err != nil {
 		t.Fatalf("host save: %v", err)
 	}
 	return enc.Bytes()
@@ -87,10 +89,10 @@ func restoreHost(t *testing.T, buf []byte, e *sim.Engine, h *Host) {
 	t.Helper()
 	e.Reset(0)
 	dec := snap.NewDecoder(buf)
-	if err := e.Load(dec); err != nil {
-		t.Fatalf("engine load: %v", err)
-	}
-	if err := h.Load(dec); err != nil {
+	s := snap.NewReader(dec)
+	e.Snap(s)
+	h.Snap(s)
+	if err := s.Err(); err != nil {
 		t.Fatalf("host load: %v", err)
 	}
 	if dec.Remaining() != 0 {
@@ -195,7 +197,7 @@ func TestHostLoadRejectsShapeMismatch(t *testing.T) {
 	}
 	e2.Reset(0)
 	dec := snap.NewDecoder(buf)
-	if err := e2.Load(dec); err != nil {
+	if err := snap.Decode(dec, e2); err != nil {
 		t.Fatal(err)
 	}
 	if err := h2.Load(dec); err == nil {

@@ -248,19 +248,12 @@ func (vm *VM) GuestTickPeriod() sim.Time {
 	return vm.kernel.Config().TickPeriod()
 }
 
-// Result snapshots the VM's metrics as a metrics.Result. The wall time is
-// the workload completion time when the workload has finished, otherwise
-// the current time.
-func (vm *VM) Result(workload string) metrics.Result {
-	var out metrics.Result
-	vm.ResultInto(&out, workload)
-	return out
-}
-
-// ResultInto writes the VM's metrics into caller-owned storage, the
-// allocation-free flavor of Result for callers that harvest results every
-// run: every field of *out is overwritten (Events to zero — the engine
-// event count is the run's, not the VM's, so the scenario layer stamps it).
+// ResultInto writes the VM's metrics into caller-owned storage, so callers
+// that harvest results every run allocate nothing. Every field of *out is
+// overwritten: the wall time is the workload completion time when the
+// workload has finished, otherwise the current time; Events is zeroed —
+// the engine event count is the run's, not the VM's, so the scenario layer
+// stamps it.
 func (vm *VM) ResultInto(out *metrics.Result, workload string) {
 	wall := vm.host.Now()
 	if vm.workloadDone {

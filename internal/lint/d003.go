@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // AnalyzerD003 flags `range` over a map when the loop body is sensitive to
@@ -88,16 +87,19 @@ func orderSensitive(pkg *Package, rs *ast.RangeStmt) string {
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 				if path, name, ok := qualifiedCallee(pkg.Info, sel); ok {
-					if path == "fmt" {
+					switch {
+					case path == "fmt":
 						reason = "fmt." + name + " call"
+					case passesStream(pkg.Info, n): // a generic snap helper (snap.Int, snap.Slice, …)
+						reason = "snap." + name + " call"
 					}
 					return true
 				}
 				// A method (not package-qualified) call with a sink name.
 				if orderedSinkMethods[sel.Sel.Name] {
 					reason = sel.Sel.Name + " method call"
-				} else if isSnapEncoderSink(pkg, sel) {
-					reason = "snap.Encoder." + sel.Sel.Name + " call"
+				} else if recv := snapSinkType(pkg, sel); recv != "" {
+					reason = "snap." + recv + "." + sel.Sel.Name + " call"
 				}
 			}
 		case *ast.AssignStmt:
@@ -110,29 +112,22 @@ func orderSensitive(pkg *Package, rs *ast.RangeStmt) string {
 	return reason
 }
 
-// isSnapEncoderSink reports whether sel is a method call on a snapshot
-// Encoder (internal/snap). Every Encoder method appends to the serialized
-// byte stream, so calling any of them from a map-range body makes the
-// snapshot bytes depend on iteration order — two snapshots of identical
-// state would then fail to compare byte-equal. The sink-name table above
-// cannot catch these: the encoder's methods are named after the scalar they
-// write (U64, I64, F64, String, …), so the receiver type is the signal.
-func isSnapEncoderSink(pkg *Package, sel *ast.SelectorExpr) bool {
-	tv, ok := pkg.Info.Types[sel.X]
-	if !ok {
-		return false
+// snapSinkType names the snapshot type ("Encoder" or "Stream") sel is a
+// method call on, or returns "". Every Encoder and Stream method moves
+// bytes through the serialized stream, so calling any of them from a
+// map-range body makes the snapshot bytes depend on iteration order — two
+// snapshots of identical state would then fail to compare byte-equal. The
+// sink-name table above cannot catch these: the methods are named after the
+// scalar they move (U64, I64, String, …), so the receiver type is the
+// signal.
+func snapSinkType(pkg *Package, sel *ast.SelectorExpr) string {
+	t := pkg.Info.TypeOf(sel.X)
+	for _, name := range []string{"Encoder", "Stream"} {
+		if isSnapType(t, name) {
+			return name
+		}
 	}
-	t := tv.Type
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Encoder" && obj.Pkg() != nil &&
-		strings.HasSuffix(obj.Pkg().Path(), "/snap")
+	return ""
 }
 
 // isFloatAccumulation reports whether the assignment compounds (+=, -=, *=,

@@ -2,8 +2,8 @@ package lint
 
 // The type-facts layer: a shared, cross-package inventory built once per
 // RunAnalyzers invocation and handed to every analyzer. It answers the
-// questions the struct-coverage rules (S001/S002 snapshot coverage, R001
-// reset coverage, D005 shard isolation) all need:
+// questions the struct-coverage rules (S001 snapshot coverage, R001 reset
+// coverage, D005 shard isolation) all need:
 //
 //   - which named struct types exist, with every field's declaration
 //     position and its field-level annotations (//snap:skip, //reset:keep);
@@ -81,9 +81,8 @@ type Facts struct {
 	// directives lists every field-level annotation, for the U001 audit.
 	directives []*FieldDirective
 
-	// Lazily computed cross-package analyses, shared between rules of one
-	// family (S001/S002 share the save-graph sweep, R001 the reachability
-	// walk). Keyed by the Config pointer identity of the run.
+	// Lazily computed cross-package analyses, built once per run (S001's
+	// save-graph sweep, R001's reachability walk).
 	snap  *snapFacts
 	reset *resetFacts
 }
@@ -282,30 +281,12 @@ func unparen(e ast.Expr) ast.Expr {
 	}
 }
 
-// exprText renders a normalized source form of simple expressions for
-// sequence comparison and diagnostics: identifier chains keep their names,
-// index expressions collapse to [_] (loop variables may differ between a
-// save and its load), anything else falls back to a coarse shape.
-func exprText(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprText(e.X) + "." + e.Sel.Name
-	case *ast.IndexExpr:
-		return exprText(e.X) + "[_]"
-	case *ast.StarExpr:
-		return "*" + exprText(e.X)
-	case *ast.ParenExpr:
-		return exprText(e.X)
-	case *ast.BasicLit:
-		return e.Value
-	case *ast.BinaryExpr:
-		return exprText(e.X) + e.Op.String() + exprText(e.Y)
-	case *ast.UnaryExpr:
-		return e.Op.String() + exprText(e.X)
-	case *ast.CallExpr:
-		return exprText(e.Fun) + "(…)"
+// passesStream reports whether the call hands a *snap.Stream argument on.
+func passesStream(info *types.Info, call *ast.CallExpr) bool {
+	for _, arg := range call.Args {
+		if isSnapType(info.TypeOf(arg), "Stream") {
+			return true
+		}
 	}
-	return "?"
+	return false
 }

@@ -69,7 +69,7 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerD001, AnalyzerD002, AnalyzerD003, AnalyzerD004, AnalyzerD005,
-		AnalyzerS001, AnalyzerS002, AnalyzerR001, AnalyzerA001, AnalyzerU001,
+		AnalyzerS001, AnalyzerR001, AnalyzerA001, AnalyzerU001,
 	}
 }
 
@@ -89,9 +89,9 @@ type Config struct {
 	// single file ("mod/internal/experiment:runner.go").
 	ConcurrencyAllow []string
 	// SnapshotPkgs are import paths whose struct types carry the snapshot
-	// coverage contract: once any field of a type is encoded by a save
-	// function, S001 requires every field to be encoded or carry a
-	// //snap:skip reason, and S002 requires each Load to mirror its Save.
+	// coverage contract: once any field of a type is moved by a snap.Stream
+	// body, S001 requires every field to be moved or carry a //snap:skip
+	// reason.
 	SnapshotPkgs []string
 	// ArenaRoots name the arena take-path entry points for R001, as
 	// "importpath:Type" (every method of Type), "importpath:Type.Method",

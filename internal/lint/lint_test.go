@@ -15,14 +15,14 @@ type diagAt struct {
 }
 
 // fixtureConfig scopes the rules to the fixture import paths: the d001
-// fixture package is "deterministic", the s001/s002/unused fixtures carry
+// fixture package is "deterministic", the s001/unused fixtures carry
 // the snapshot contract, the r001/unused fixtures are arena-recycled
 // through their Pool, and the d005 fixture is lane-dispatch code with
 // coord.go as its only coordinator file.
 func fixtureConfig() *Config {
 	return &Config{
 		DeterministicPkgs:    []string{"fixture/d001"},
-		SnapshotPkgs:         []string{"fixture/s001", "fixture/s002", "fixture/unused"},
+		SnapshotPkgs:         []string{"fixture/s001", "fixture/unused"},
 		ArenaRoots:           []string{"fixture/r001:Pool", "fixture/unused:Pool"},
 		LaneDispatchPkgs:     []string{"fixture/d005"},
 		LaneCoordinatorFiles: []string{"fixture/d005:coord.go"},
@@ -60,6 +60,8 @@ func TestAnalyzerFixtures(t *testing.T) {
 			{"pos.go", 11, 2, "D003"}, // range feeding fmt.Println
 			{"pos.go", 20, 2, "D003"}, // range accumulating floats
 			{"pos.go", 30, 2, "D003"}, // range feeding a snapshot encoder
+			{"pos.go", 37, 2, "D003"}, // range feeding a snapshot stream
+			{"pos.go", 45, 2, "D003"}, // range feeding a generic stream helper
 		}},
 		{"d004", []*Analyzer{AnalyzerD004}, []diagAt{
 			{"pos.go", 5, 2, "D004"}, // go statement
@@ -79,11 +81,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"s001", []*Analyzer{AnalyzerS001}, []diagAt{
 			{"pos.go", 11, 2, "S001"}, // dropped: never encoded
 			{"pos.go", 13, 2, "S001"}, // cache: reasonless skip excuses nothing
-		}},
-		{"s002", []*Analyzer{AnalyzerS002}, []diagAt{
-			{"pos.go", 20, 8, "S002"},  // Pair: op 1 transposed (b vs a)
-			{"pos.go", 38, 17, "S002"}, // Short: load reads 1 of 2 ops
-			{"pos.go", 57, 15, "S002"}, // Mixed: op 2 reads U32 where save writes U64
+			{"pos.go", 25, 2, "S001"}, // armed: mentioned, never moved
 		}},
 		{"r001", []*Analyzer{AnalyzerR001}, []diagAt{
 			{"pos.go", 23, 2, "R001"}, // buf: never reset

@@ -8,24 +8,35 @@ import (
 )
 
 // AnalyzerS001 enforces snapshot field coverage. The module's save graph is
-// every function with a *snap.Encoder parameter — Save/save methods, their
-// helpers (saveSharded, saveClock, saveSegment, …), and SaveState
-// implementations. A struct type declared in a snapshot package is under
-// the coverage contract as soon as any of its fields is referenced by the
-// save graph (guest.Kernel.Save encodes Lock/Task/VCPU fields inline, so
-// owning a Save method is not required). Every field of a contract type
-// must then be referenced somewhere in the save graph or carry a
-// `//snap:skip reason` annotation on its declaration — pools, closures,
-// caches, and state re-derived on restore are the sanctioned skips.
+// every function with a *snap.Stream parameter — Snap/snap bodies, their
+// helpers (snapSharded, snapClock, snapSegment, …), and SnapState
+// implementations. Because one body both encodes and decodes, a field is
+// covered only when the graph *moves* it, not merely mentions it (a decode
+// branch that re-binds a handler or checks a derived counter mentions
+// fields it does not move):
+//
+//   - its address is taken: s.U64(&c.Injections), snap.Slice(s, &d.running);
+//   - it is the receiver of a stream-taking method: c.TickInterval.Snap(s);
+//   - it appears in the arguments of a Stream method other than Failf:
+//     s.Len(len(k.locks), …), s.Section("vm:" + vm.name);
+//   - it feeds a local variable the graph moves — the local-copy idiom for
+//     checked and derived values (iov := h.nextIOVector; snap.Int(s, &iov)),
+//     including a range variable over the field's collection.
+//
+// A struct type declared in a snapshot package is under the coverage
+// contract as soon as any of its fields is covered. Every field of a
+// contract type must then be covered or carry a `//snap:skip reason`
+// annotation on its declaration — pools, closures, wiring, caches, and
+// state re-derived on restore are the sanctioned skips.
 var AnalyzerS001 = &Analyzer{
 	Name: "S001",
-	Doc:  "every field of a snapshotted struct is encoded or carries //snap:skip",
+	Doc:  "every field of a snapshotted struct is moved through a snap.Stream or carries //snap:skip",
 	Run:  runS001,
 }
 
-// snapFacts is the module-wide save-graph sweep shared by S001 and S002.
+// snapFacts is the module-wide save-graph sweep behind S001.
 type snapFacts struct {
-	// covered maps a struct field to one save-graph position referencing it.
+	// covered maps a struct field to one save-graph position moving it.
 	covered map[*types.Var]token.Pos
 	// contract holds every struct type with at least one covered field.
 	contract map[*TypeFact]bool
@@ -41,26 +52,9 @@ func (f *Facts) snapshotFacts(cfg *Config) *snapFacts {
 		contract: make(map[*TypeFact]bool),
 	}
 	for _, ff := range f.Funcs {
-		if paramOfType(ff, "Encoder") == nil {
-			continue
+		if streamParam(ff) != nil {
+			sf.sweep(ff)
 		}
-		pkg := ff.Pkg
-		ast.Inspect(ff.Decl.Body, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			selection := pkg.Info.Selections[sel]
-			if selection == nil || selection.Kind() != types.FieldVal {
-				return true
-			}
-			if v, ok := selection.Obj().(*types.Var); ok {
-				if _, seen := sf.covered[v]; !seen {
-					sf.covered[v] = sel.Pos()
-				}
-			}
-			return true
-		})
 	}
 	for v := range sf.covered {
 		if field := f.fields[v]; field != nil && cfg.isSnapshotPkg(field.Owner.Pkg.PkgPath) {
@@ -71,21 +65,148 @@ func (f *Facts) snapshotFacts(cfg *Config) *snapFacts {
 	return sf
 }
 
-// paramOfType returns the first parameter of type *snap.<name> (by object,
-// so the function body's uses resolve against it), or nil.
-func paramOfType(ff *FuncFact, name string) *types.Var {
+// streamParam returns the function's first *snap.Stream parameter (by
+// object, so the body's uses resolve against it), or nil.
+func streamParam(ff *FuncFact) *types.Var {
 	params := ff.Decl.Type.Params
 	if params == nil {
 		return nil
 	}
 	for _, field := range params.List {
 		for _, n := range field.Names {
-			if v, ok := ff.Pkg.Info.Defs[n].(*types.Var); ok && isSnapType(v.Type(), name) {
+			if v, ok := ff.Pkg.Info.Defs[n].(*types.Var); ok && isSnapType(v.Type(), "Stream") {
 				return v
 			}
 		}
 	}
 	return nil
+}
+
+// sweep records the fields one save-graph body moves.
+func (sf *snapFacts) sweep(ff *FuncFact) {
+	info := ff.Pkg.Info
+	moved := make(map[*types.Var]bool) // locals and parameters the body moves
+	cover := func(sel *ast.SelectorExpr) {
+		if selection := info.Selections[sel]; selection != nil && selection.Kind() == types.FieldVal {
+			if v, ok := selection.Obj().(*types.Var); ok {
+				if _, seen := sf.covered[v]; !seen {
+					sf.covered[v] = sel.Pos()
+				}
+			}
+		}
+	}
+	// coverOuter covers the field an operand or receiver denotes, seen
+	// through indexing, dereference, and parentheses; a bare local there is
+	// itself moved.
+	coverOuter := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+				continue
+			case *ast.StarExpr:
+				e = x.X
+				continue
+			case *ast.IndexExpr:
+				e = x.X
+				continue
+			case *ast.SelectorExpr:
+				cover(x)
+			}
+			break
+		}
+		markLocals(info, e, moved)
+	}
+	coverAll := func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				cover(sel)
+			}
+			return true
+		})
+		markLocals(info, n, moved)
+	}
+	ast.Inspect(ff.Decl.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				coverOuter(n.X)
+			}
+		case *ast.CallExpr:
+			sel, isSel := unparen(n.Fun).(*ast.SelectorExpr)
+			if isSel && isSnapType(info.TypeOf(sel.X), "Stream") {
+				if sel.Sel.Name != "Failf" {
+					for _, arg := range n.Args {
+						coverAll(arg)
+					}
+				}
+				return true
+			}
+			if !passesStream(info, n) {
+				return true
+			}
+			if isSel && info.Selections[sel] != nil {
+				coverOuter(sel.X) // receiver of a stream-taking method
+			}
+			for _, arg := range n.Args {
+				if id, ok := unparen(arg).(*ast.Ident); ok {
+					markLocals(info, id, moved)
+				}
+			}
+		}
+		return true
+	})
+	// A moved local covers the fields its definitions read; iterate so a
+	// local feeding another moved local counts too.
+	for changed := true; changed; {
+		before := len(moved)
+		ast.Inspect(ff.Decl.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if isMovedLocal(info, lhs, moved) {
+						for _, rhs := range n.Rhs {
+							coverAll(rhs)
+						}
+						break
+					}
+				}
+			case *ast.RangeStmt:
+				if isMovedLocal(info, n.Key, moved) || isMovedLocal(info, n.Value, moved) {
+					coverAll(n.X)
+				}
+			}
+			return true
+		})
+		changed = len(moved) != before
+	}
+}
+
+// markLocals records every local variable or parameter referenced in n as
+// moved.
+func markLocals(info *types.Info, n ast.Node, moved map[*types.Var]bool) {
+	if n == nil {
+		return
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if v, ok := info.Uses[id].(*types.Var); ok && !v.IsField() && v.Parent() != v.Pkg().Scope() {
+				moved[v] = true
+			}
+		}
+		return true
+	})
+}
+
+// isMovedLocal reports whether e names a moved local (at its definition or
+// a later assignment).
+func isMovedLocal(info *types.Info, e ast.Expr, moved map[*types.Var]bool) bool {
+	id, ok := e.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	v, ok := info.ObjectOf(id).(*types.Var)
+	return ok && moved[v]
 }
 
 func runS001(cfg *Config, facts *Facts, pkg *Package) []Diagnostic {
@@ -98,7 +219,7 @@ func runS001(cfg *Config, facts *Facts, pkg *Package) []Diagnostic {
 		}
 		for _, field := range tf.Fields {
 			if _, ok := sf.covered[field.Var]; ok {
-				continue // encoded (or read) by the save graph
+				continue // moved by the save graph
 			}
 			if d := field.SnapSkip; d != nil && d.Reason != "" {
 				d.used = true
@@ -108,7 +229,7 @@ func runS001(cfg *Config, facts *Facts, pkg *Package) []Diagnostic {
 				Pos:  pkg.position(field.Pos),
 				Rule: "S001",
 				Message: fmt.Sprintf(
-					"field %s.%s is not encoded by any save function and carries no //snap:skip justification (sanctioned skips: pools, closures, caches, derived state)",
+					"field %s.%s is not moved by any snap.Stream body and carries no //snap:skip justification (sanctioned skips: pools, closures, wiring, caches, derived state)",
 					tf.Obj.Name(), field.Name),
 			})
 		}

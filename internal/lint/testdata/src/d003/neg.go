@@ -49,3 +49,17 @@ func SortedSave(enc *snap.Encoder, m map[string]uint64) {
 		enc.U64(m[k])
 	}
 }
+
+// SortedSnap is the same sanctioned pattern through a stream: no finding.
+func SortedSnap(s *snap.Stream, m map[string]uint64) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		v := m[k]
+		s.String(&k)
+		s.U64(&v)
+	}
+}

@@ -31,3 +31,19 @@ func SaveCounts(enc *snap.Encoder, m map[string]uint64) {
 		enc.U64(v)
 	}
 }
+
+// SnapCounts does the same through a bidirectional stream: one finding.
+func SnapCounts(s *snap.Stream, m map[string]uint64) {
+	for k := range m {
+		v := m[k]
+		s.U64(&v)
+	}
+}
+
+// SnapInts reaches the stream through a generic snap helper: one finding.
+func SnapInts(s *snap.Stream, m map[string]int) {
+	for k := range m {
+		v := m[k]
+		snap.Int(s, &v)
+	}
+}

@@ -23,9 +23,9 @@ type Quiet struct {
 	scratch []byte
 }
 
-// Save encodes n.
-func (q *Quiet) Save(enc *snap.Encoder) {
-	enc.U64(q.n)
+// Snap moves n.
+func (q *Quiet) Snap(s *snap.Stream) {
+	s.U64(&q.n)
 }
 
 // Slot's home is genuinely unreset and justified: the keep is

@@ -24,7 +24,7 @@ func Reasonless(m map[string]int) {
 	}
 }
 
-// State's seen field is encoded by Save, so its skip annotation excuses a
+// State's seen field is moved by Snap, so its skip annotation excuses a
 // field S001 already covers: one U001 finding.
 type State struct {
 	value uint64
@@ -32,10 +32,10 @@ type State struct {
 	seen uint64
 }
 
-// Save encodes both fields.
-func (s *State) Save(enc *snap.Encoder) {
-	enc.U64(s.value)
-	enc.U64(s.seen)
+// Snap moves both fields.
+func (st *State) Snap(s *snap.Stream) {
+	s.U64(&st.value)
+	s.U64(&st.seen)
 }
 
 // Cache's entries field is uncovered and its skip has no reason: one
@@ -46,9 +46,9 @@ type Cache struct {
 	hits    uint64
 }
 
-// Save encodes only hits.
-func (c *Cache) Save(enc *snap.Encoder) {
-	enc.U64(c.hits)
+// Snap moves only hits.
+func (c *Cache) Snap(s *snap.Stream) {
+	s.U64(&c.hits)
 }
 
 // Pool recycles Conn values; configured as the fixture's arena root.

@@ -1,12 +1,11 @@
 package metrics
 
 // Checkpoint encoding of the measurement plane. Counters and Histograms
-// are plain value types, so Save/Load are straight field dumps — but they
-// go through snap rather than raw memory copies so the on-disk format
-// stays stable even if Go reorders struct layout or fields grow.
+// are plain value types, so their Snap bodies are straight field lists —
+// but they go through snap rather than raw memory copies so the on-disk
+// format stays stable even if Go reorders struct layout or fields grow.
 
 import (
-	"paratick/internal/sim"
 	"paratick/internal/snap"
 )
 
@@ -16,96 +15,50 @@ import (
 // (see HistBuckets), so the padding slots are always zero.
 const histWireBuckets = 64
 
-// Save serializes the histogram.
-func (h *Histogram) Save(enc *snap.Encoder) {
-	for _, b := range h.Buckets {
-		enc.U64(b)
-	}
-	for i := len(h.Buckets); i < histWireBuckets; i++ {
-		enc.U64(0)
-	}
-	enc.U64(h.N)
-	enc.I64(int64(h.Sum))
-	enc.I64(int64(h.MaxSeen))
-}
-
-// Load restores state saved by Save.
-func (h *Histogram) Load(dec *snap.Decoder) error {
+// Snap moves the histogram. Encoding pads the wire to histWireBuckets with
+// zeros; decoding folds any padding counts (a checkpoint from a
+// wider-histogram build) into the absorbing top bucket rather than
+// silently dropping them.
+func (h *Histogram) Snap(s *snap.Stream) {
 	for i := range h.Buckets {
-		h.Buckets[i] = dec.U64()
+		s.U64(&h.Buckets[i])
 	}
 	for i := len(h.Buckets); i < histWireBuckets; i++ {
-		// Padding slots are zero for any checkpoint this build wrote; a
-		// checkpoint from a wider-histogram build folds its tail into the
-		// absorbing top bucket rather than silently dropping counts.
-		h.Buckets[HistBuckets-1] += dec.U64()
+		var pad uint64
+		s.U64(&pad)
+		h.Buckets[HistBuckets-1] += pad
 	}
-	h.N = dec.U64()
-	h.Sum = sim.Time(dec.I64())
-	h.MaxSeen = sim.Time(dec.I64())
-	return dec.Err()
+	s.U64(&h.N)
+	snap.Int(s, &h.Sum)
+	snap.Int(s, &h.MaxSeen)
 }
 
-// Save serializes the full counter set.
-func (c *Counters) Save(enc *snap.Encoder) {
-	enc.Section("counters")
-	for _, v := range c.Exits {
-		enc.U64(v)
-	}
-	enc.U64(c.Injections)
-	enc.U64(c.VirtualTicks)
-	enc.U64(c.GuestTicks)
-	enc.U64(c.TimerArms)
-	enc.U64(c.IdleEnters)
-	enc.U64(c.IdleExits)
-	enc.U64(c.Wakeups)
-	enc.U64(c.ContextSw)
-	enc.I64(int64(c.HostOverhead))
-	enc.I64(int64(c.GuestUseful))
-	enc.I64(int64(c.GuestKernel))
-	enc.U64(c.IOReads)
-	enc.U64(c.IOWrites)
-	enc.U64(c.IOBytesRead)
-	enc.U64(c.IOBytesWritten)
-	for i := range c.ExitCost {
-		c.ExitCost[i].Save(enc)
-	}
-	for i := range c.InjectLatency {
-		c.InjectLatency[i].Save(enc)
-	}
-	c.TickInterval.Save(enc)
-}
-
-// Load restores state saved by Save.
-func (c *Counters) Load(dec *snap.Decoder) error {
-	dec.Section("counters")
+// Snap moves the full counter set.
+func (c *Counters) Snap(s *snap.Stream) {
+	s.Section("counters")
 	for i := range c.Exits {
-		c.Exits[i] = dec.U64()
+		s.U64(&c.Exits[i])
 	}
-	c.Injections = dec.U64()
-	c.VirtualTicks = dec.U64()
-	c.GuestTicks = dec.U64()
-	c.TimerArms = dec.U64()
-	c.IdleEnters = dec.U64()
-	c.IdleExits = dec.U64()
-	c.Wakeups = dec.U64()
-	c.ContextSw = dec.U64()
-	c.HostOverhead = sim.Time(dec.I64())
-	c.GuestUseful = sim.Time(dec.I64())
-	c.GuestKernel = sim.Time(dec.I64())
-	c.IOReads = dec.U64()
-	c.IOWrites = dec.U64()
-	c.IOBytesRead = dec.U64()
-	c.IOBytesWritten = dec.U64()
+	s.U64(&c.Injections)
+	s.U64(&c.VirtualTicks)
+	s.U64(&c.GuestTicks)
+	s.U64(&c.TimerArms)
+	s.U64(&c.IdleEnters)
+	s.U64(&c.IdleExits)
+	s.U64(&c.Wakeups)
+	s.U64(&c.ContextSw)
+	snap.Int(s, &c.HostOverhead)
+	snap.Int(s, &c.GuestUseful)
+	snap.Int(s, &c.GuestKernel)
+	s.U64(&c.IOReads)
+	s.U64(&c.IOWrites)
+	s.U64(&c.IOBytesRead)
+	s.U64(&c.IOBytesWritten)
 	for i := range c.ExitCost {
-		if err := c.ExitCost[i].Load(dec); err != nil {
-			return err
-		}
+		c.ExitCost[i].Snap(s)
 	}
 	for i := range c.InjectLatency {
-		if err := c.InjectLatency[i].Load(dec); err != nil {
-			return err
-		}
+		c.InjectLatency[i].Snap(s)
 	}
-	return c.TickInterval.Load(dec)
+	c.TickInterval.Snap(s)
 }

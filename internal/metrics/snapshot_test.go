@@ -55,10 +55,12 @@ func TestHistogramSaveLoad(t *testing.T) {
 		h.Observe(sim.Time(i) * sim.Microsecond)
 	}
 	var enc snap.Encoder
-	h.Save(&enc)
+	if err := snap.Encode(&enc, &h); err != nil {
+		t.Fatal(err)
+	}
 	var got Histogram
-	if err := got.Load(snap.NewDecoder(enc.Bytes())); err != nil {
-		t.Fatalf("Load: %v", err)
+	if err := snap.Decode(snap.NewDecoder(enc.Bytes()), &got); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if got != h {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, h)
@@ -81,10 +83,12 @@ func TestCountersSaveLoad(t *testing.T) {
 	c.TickInterval.Observe(4 * sim.Millisecond)
 
 	var enc snap.Encoder
-	c.Save(&enc)
+	if err := snap.Encode(&enc, &c); err != nil {
+		t.Fatal(err)
+	}
 	var got Counters
-	if err := got.Load(snap.NewDecoder(enc.Bytes())); err != nil {
-		t.Fatalf("Load: %v", err)
+	if err := snap.Decode(snap.NewDecoder(enc.Bytes()), &got); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if got != c {
 		t.Fatalf("round trip mismatch")
@@ -92,7 +96,9 @@ func TestCountersSaveLoad(t *testing.T) {
 
 	// Determinism of the encoding itself: same state, same bytes.
 	var enc2 snap.Encoder
-	c.Save(&enc2)
+	if err := snap.Encode(&enc2, &c); err != nil {
+		t.Fatal(err)
+	}
 	if string(enc.Bytes()) != string(enc2.Bytes()) {
 		t.Fatal("re-encoding the same counters produced different bytes")
 	}

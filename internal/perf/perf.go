@@ -333,13 +333,13 @@ func e2eFleetReuse(b *testing.B) {
 	const dur = 200 * sim.Millisecond
 	modes := [2]core.Mode{core.Periodic, core.Paratick}
 	sess := experiment.NewSession()
+	var res experiment.ScenarioResult
 	for _, mode := range modes {
-		if _, err := sess.RunScenario(fleetReuseScenario(mode, dur), 1, nil); err != nil {
+		if err := sess.RunScenarioInto(fleetReuseScenario(mode, dur), 1, nil, &res); err != nil {
 			b.Fatal(err)
 		}
 	}
 	m := &metrics.Meter{}
-	var res experiment.ScenarioResult
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -27,7 +27,7 @@ type fairSched struct {
 // overcommit ratio), so min-selection is a linear scan with deterministic
 // tie-breaking rather than a tree.
 type fairQueue struct {
-	//snap:skip queue membership is re-derived from restored vCPU states
+	//snap:skip moved through its promoted snap method, as entity keys
 	fifoQueue
 	// minVruntime is a monotonic floor tracking the queue's progress; newly
 	// woken entities are placed at the floor so a long sleeper cannot

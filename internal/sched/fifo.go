@@ -11,7 +11,8 @@ import (
 // O(n) per pop under overcommit.)
 type fifoQueue struct {
 	items []Entity
-	head  int
+	//snap:skip consumed-prefix cursor, compacted to zero before the queue moves
+	head int
 }
 
 func (q *fifoQueue) push(e Entity) { q.items = append(q.items, e) }
@@ -29,12 +30,18 @@ func (q *fifoQueue) pop() Entity {
 		q.items = q.items[:0]
 		q.head = 0
 	} else if q.head >= 32 && q.head*2 >= len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		clearTail(q.items, n)
-		q.items = q.items[:n]
-		q.head = 0
+		q.compact()
 	}
 	return e
+}
+
+// compact drops the consumed prefix so items holds exactly the queued
+// entities.
+func (q *fifoQueue) compact() {
+	n := copy(q.items, q.items[q.head:])
+	clearTail(q.items, n)
+	q.items = q.items[:n]
+	q.head = 0
 }
 
 // removeAt removes and returns the queued entity at logical index i.

@@ -125,12 +125,10 @@ type Scheduler interface {
 	// base timeslice, retaining queue capacity — the pooled-host reuse
 	// path. A reset scheduler must behave identically to a newly built one.
 	Reset(timeslice sim.Time)
-	// Save serializes the scheduler's queue state for a checkpoint;
-	// entities are encoded by Node.Key.
-	Save(enc *snap.Encoder)
-	// Load restores state saved by Save into a freshly built scheduler of
-	// the same kind and topology; lookup resolves entity keys.
-	Load(dec *snap.Decoder, lookup func(key uint64) Entity) error
+	// Snap moves the scheduler's queue state through a checkpoint stream.
+	// Entities travel as their Node.Key; decoding, into a freshly built
+	// scheduler of the same kind and topology, resolves keys through lookup.
+	Snap(s *snap.Stream, lookup func(key uint64) Entity)
 }
 
 // New builds a scheduler of the given kind for a host with the given

@@ -1,102 +1,57 @@
 package sched
 
-// Checkpoint/restore of scheduler queues. Entities are encoded by their
-// stable Node.Key (never by pointer), and queue contents are saved in
-// logical order so a restored scheduler makes byte-identical decisions.
-// Per-entity vruntime travels with the entity itself (Node.Save), since
-// the entity's owner serializes it alongside the rest of its state.
+// Checkpoint/restore of scheduler queues. Entities travel by their stable
+// Node.Key (never by pointer), and queue contents move in logical order so
+// a restored scheduler makes byte-identical decisions. Per-entity vruntime
+// travels with the entity itself (Node.Snap), since the entity's owner
+// moves it alongside the rest of its state.
 
 import (
-	"fmt"
-
-	"paratick/internal/sim"
 	"paratick/internal/snap"
 )
 
-// Save serializes the node's accumulated scheduling state. Key is not
-// encoded: it is construction-time identity, re-established on rebuild.
-func (n *Node) Save(enc *snap.Encoder) {
-	enc.I64(int64(n.vruntime))
-}
+// Snap moves the node's accumulated scheduling state. Key is not encoded:
+// it is construction-time identity, re-established on rebuild.
+func (n *Node) Snap(s *snap.Stream) { snap.Int(s, &n.vruntime) }
 
-// Load restores state saved by Save.
-func (n *Node) Load(dec *snap.Decoder) error {
-	n.vruntime = sim.Time(dec.I64())
-	return dec.Err()
-}
-
-func (q *fifoQueue) save(enc *snap.Encoder) {
-	enc.U32(uint32(q.len()))
-	for i := 0; i < q.len(); i++ {
-		enc.U64(q.at(i).SchedNode().Key)
-	}
-}
-
-func (q *fifoQueue) load(dec *snap.Decoder, lookup func(key uint64) Entity) error {
-	// A rebuilt scenario enqueues entities while replaying its construction
-	// (VM.Start); the snapshot's queue contents replace them wholesale.
-	clearTail(q.items, 0)
-	q.items = q.items[:0]
-	q.head = 0
-	n := int(dec.U32())
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		key := dec.U64()
-		e := lookup(key)
-		if e == nil {
-			return fmt.Errorf("sched: snapshot references unknown entity key %d", key)
+// snap moves the queue's entities in logical order, as their keys. A
+// rebuilt scenario enqueues entities while replaying its construction
+// (VM.Start); decoding replaces them wholesale, resolving each key through
+// lookup.
+func (q *fifoQueue) snap(s *snap.Stream, lookup func(key uint64) Entity) {
+	q.compact()
+	for i := range snap.Slice(s, &q.items) {
+		var key uint64
+		if e := q.items[i]; e != nil {
+			key = e.SchedNode().Key
 		}
-		q.push(e)
-	}
-	return dec.Err()
-}
-
-// Save serializes every per-pCPU ready queue.
-func (s *fifoSched) Save(enc *snap.Encoder) {
-	enc.Section("sched:fifo")
-	enc.U32(uint32(len(s.queues)))
-	for i := range s.queues {
-		s.queues[i].save(enc)
-	}
-}
-
-// Load restores queues saved by Save into a fresh scheduler of identical
-// topology. lookup resolves entity keys back to live entities.
-func (s *fifoSched) Load(dec *snap.Decoder, lookup func(key uint64) Entity) error {
-	dec.Section("sched:fifo")
-	if n := int(dec.U32()); dec.Err() == nil && n != len(s.queues) {
-		return fmt.Errorf("sched: snapshot has %d queues, scheduler has %d", n, len(s.queues))
-	}
-	for i := range s.queues {
-		if err := s.queues[i].load(dec, lookup); err != nil {
-			return err
+		s.U64(&key)
+		if s.Decoding() {
+			if q.items[i] = lookup(key); q.items[i] == nil {
+				s.Failf("sched: snapshot references unknown entity key %d", key)
+			}
 		}
 	}
-	return dec.Err()
 }
 
-// Save serializes every per-pCPU ready queue plus its vruntime floor.
-// Entities are restored by direct queue insertion, not Enqueue — Enqueue
-// applies the sleeper credit, which must not be re-applied on restore.
-func (s *fairSched) Save(enc *snap.Encoder) {
-	enc.Section("sched:fair")
-	enc.U32(uint32(len(s.queues)))
+// Snap moves every per-pCPU ready queue into or out of a scheduler of
+// identical topology; lookup resolves entity keys when decoding.
+func (s *fifoSched) Snap(st *snap.Stream, lookup func(key uint64) Entity) {
+	st.Section("sched:fifo")
+	st.Len(len(s.queues), "scheduler queues")
 	for i := range s.queues {
-		s.queues[i].save(enc)
-		enc.I64(int64(s.queues[i].minVruntime))
+		s.queues[i].snap(st, lookup)
 	}
 }
 
-// Load restores queues saved by Save; see fifoSched.Load.
-func (s *fairSched) Load(dec *snap.Decoder, lookup func(key uint64) Entity) error {
-	dec.Section("sched:fair")
-	if n := int(dec.U32()); dec.Err() == nil && n != len(s.queues) {
-		return fmt.Errorf("sched: snapshot has %d queues, scheduler has %d", n, len(s.queues))
-	}
+// Snap moves every per-pCPU ready queue plus its vruntime floor. Decoding
+// inserts entities directly, not through Enqueue — Enqueue applies the
+// sleeper credit, which must not be re-applied on restore.
+func (s *fairSched) Snap(st *snap.Stream, lookup func(key uint64) Entity) {
+	st.Section("sched:fair")
+	st.Len(len(s.queues), "scheduler queues")
 	for i := range s.queues {
-		if err := s.queues[i].load(dec, lookup); err != nil {
-			return err
-		}
-		s.queues[i].minVruntime = sim.Time(dec.I64())
+		s.queues[i].snap(st, lookup)
+		snap.Int(st, &s.queues[i].minVruntime)
 	}
-	return dec.Err()
 }

@@ -1,6 +1,10 @@
 package sim
 
-import "math"
+import (
+	"math"
+
+	"paratick/internal/snap"
+)
 
 // Rand is a small, fast, deterministic pseudo-random generator
 // (xoshiro256** seeded via SplitMix64). It exists instead of math/rand so
@@ -155,19 +159,16 @@ func (r *Rand) ForkInto(dst *Rand, tag uint64) {
 	dst.Reseed(r.Uint64() ^ (tag * 0x9e3779b97f4a7c15))
 }
 
-// State returns the generator's full internal state, for checkpointing.
-// Restoring it with SetState resumes the stream at exactly this point.
-func (r *Rand) State() [4]uint64 { return r.s }
-
-// SetState restores a state captured by State.
-//
-//paratick:noalloc
-func (r *Rand) SetState(s [4]uint64) {
-	if s[0]|s[1]|s[2]|s[3] == 0 {
-		// An all-zero xoshiro state is degenerate (the stream is stuck at
-		// zero); State can never produce one, so reject it the same way
-		// Reseed guards.
-		s[0] = 1
+// Snap moves the generator's full state through a checkpoint stream, so a
+// restored generator resumes the stream at exactly the saved point. An
+// all-zero xoshiro state is degenerate (the stream is stuck at zero) and
+// only a corrupted snapshot can hold one, so it is corrected the way
+// Reseed guards.
+func (r *Rand) Snap(s *snap.Stream) {
+	for i := range r.s {
+		s.U64(&r.s[i])
 	}
-	r.s = s
+	if r.s == [4]uint64{} {
+		r.s[0] = 1
+	}
 }

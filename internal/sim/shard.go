@@ -70,6 +70,7 @@ type ShardedEngine struct {
 
 	// outbox[src] buffers messages posted by lane src during the current
 	// quantum; only src's shard appends to it, so no locking is needed.
+	//snap:skip empty at every barrier, the only instant a snapshot is taken
 	outbox [][]Message
 	// deliver receives every message at barrier drain, in (src lane, FIFO)
 	// order, on the coordinator goroutine.
@@ -388,51 +389,39 @@ func stopWorkers(workers []*shardWorker) {
 	}
 }
 
-// Save serializes the coordinator state. Legacy mode writes exactly the
-// single engine's section — byte-identical to the pre-shard encoding.
-// Lane mode writes a sharded section followed by every lane's engine in
-// lane order; the bytes are a pure function of (state, lanes, quantum),
-// never of the shard count. Saving is only legal at a barrier, where the
-// mailboxes are provably empty — in-flight messages never serialize.
-func (se *ShardedEngine) Save(enc *snap.Encoder) {
+// Snap moves the coordinator state. Legacy mode moves exactly the single
+// engine's section — byte-identical to the pre-shard encoding. Lane mode
+// moves a sharded section followed by every lane's engine in lane order;
+// the bytes are a pure function of (state, lanes, quantum), never of the
+// shard count, so decoding only needs a coordinator of identical lanes and
+// quantum. Snapshots are only legal at a barrier, where the mailboxes are
+// provably empty — in-flight messages never serialize.
+func (se *ShardedEngine) Snap(s *snap.Stream) {
 	if se.quantum == 0 {
-		se.engines[0].Save(enc)
+		se.engines[0].Snap(s)
 		return
 	}
 	for src, box := range se.outbox {
 		if len(box) != 0 {
-			panic(fmt.Sprintf("sim: save with %d undelivered messages from lane %d (not at a barrier)", len(box), src))
+			panic(fmt.Sprintf("sim: snapshot with %d undelivered messages from lane %d (not at a barrier)", len(box), src))
 		}
 	}
-	enc.Section("sharded-engine")
-	enc.I64(int64(se.quantum))
-	enc.U32(uint32(len(se.engines)))
-	enc.Bool(se.stopReq)
-	enc.Bool(se.stopped)
+	s.Section("sharded-engine")
+	q := se.quantum
+	snap.Int(s, &q)
+	if q != se.quantum {
+		s.Failf("sim: snapshot quantum %v, coordinator has %v", q, se.quantum)
+	}
+	s.Len(len(se.engines), "lanes")
+	s.Bool(&se.stopReq)
+	s.Bool(&se.stopped)
 	for _, e := range se.engines {
-		e.Save(enc)
+		e.Snap(s)
 	}
 }
 
-// Load restores state saved by Save into a coordinator of identical shape
-// (same lanes and quantum; shard count is free to differ).
-func (se *ShardedEngine) Load(dec *snap.Decoder) error {
-	if se.quantum == 0 {
-		return se.engines[0].Load(dec)
-	}
-	dec.Section("sharded-engine")
-	if q := Time(dec.I64()); q != se.quantum {
-		return fmt.Errorf("sim: snapshot quantum %v, coordinator has %v", q, se.quantum)
-	}
-	if n := int(dec.U32()); n != len(se.engines) {
-		return fmt.Errorf("sim: snapshot has %d lanes, coordinator has %d", n, len(se.engines))
-	}
-	se.stopReq = dec.Bool()
-	se.stopped = dec.Bool()
-	for _, e := range se.engines {
-		if err := e.Load(dec); err != nil {
-			return err
-		}
-	}
-	return dec.Err()
-}
+// Save encodes the coordinator state; see Snap.
+func (se *ShardedEngine) Save(enc *snap.Encoder) { se.Snap(snap.NewWriter(enc)) }
+
+// Load decodes state written by Save; see Snap.
+func (se *ShardedEngine) Load(dec *snap.Decoder) error { return snap.Decode(dec, se) }

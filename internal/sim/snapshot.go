@@ -1,13 +1,13 @@
 package sim
 
 // Checkpoint/restore support. The engine's pending events hold Go closures
-// and therefore cannot be serialized; instead the snapshot layer saves the
+// and therefore cannot be serialized; instead the snapshot layer moves the
 // engine's *scalar* state here (clock, sequence counter, RNG stream, stop
-// flags) and each component that owns events re-arms them after restore
-// with ScheduleRestored, preserving the original (when, seq) dispatch
-// order. Pools (the node free list, bucket/heap/batch capacities) and
-// generation stamps are capacity, not state: they are deliberately outside
-// the snapshot and outside DigestState.
+// flags) and each component that owns events moves their coordinates with
+// SnapEvent or SnapArmed, which re-arm them on restore in the original
+// (when, seq) dispatch order. Pools (the node free list, bucket/heap/batch
+// capacities) and generation stamps are capacity, not state: they are
+// deliberately outside the snapshot and outside DigestState.
 
 import (
 	"fmt"
@@ -16,56 +16,69 @@ import (
 	"paratick/internal/snap"
 )
 
-// Save serializes the engine's scalar state. Pending events are not
-// included — their owners re-arm them on restore (see ScheduleRestored).
-func (e *Engine) Save(enc *snap.Encoder) {
-	enc.Section("engine")
-	enc.U64(uint64(e.shift))
-	enc.I64(int64(e.now))
-	enc.U64(e.seq)
-	enc.U64(e.fired)
-	enc.Bool(e.stopReq)
-	enc.Bool(e.stopped)
-	s := e.rand.State()
-	for _, w := range s {
-		enc.U64(w)
+// Snap moves the engine's scalar state. Pending events are not included —
+// their owners move them through SnapEvent or SnapArmed. Decoding requires
+// an engine holding no pending events (freshly constructed or Reset) and
+// re-derives the wheel window from the restored clock.
+func (e *Engine) Snap(s *snap.Stream) {
+	s.Section("engine")
+	shift := uint64(e.shift)
+	s.U64(&shift)
+	if shift != uint64(e.shift) {
+		s.Failf("sim: snapshot bucket shift %d does not match engine shift %d", shift, e.shift)
+	}
+	if s.Decoding() && e.Pending() != 0 {
+		s.Failf("sim: restore into an engine with %d pending events (Reset it first)", e.Pending())
+	}
+	snap.Int(s, &e.now)
+	s.U64(&e.seq)
+	s.U64(&e.fired)
+	s.Bool(&e.stopReq)
+	s.Bool(&e.stopped)
+	e.rand.Snap(s)
+	if s.Decoding() {
+		e.rebaseWheel()
 	}
 }
 
-// Load restores scalar state saved by Save into an engine that holds no
-// pending events (freshly constructed or Reset). The wheel window is
-// re-derived from the restored clock; callers then re-arm every pending
-// event via ScheduleRestored.
-func (e *Engine) Load(dec *snap.Decoder) error {
-	dec.Section("engine")
-	shift := uint(dec.U64())
-	now := Time(dec.I64())
-	seq := dec.U64()
-	fired := dec.U64()
-	stopReq := dec.Bool()
-	stopped := dec.Bool()
-	var s [4]uint64
-	for i := range s {
-		s[i] = dec.U64()
-	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if shift != e.shift {
-		return fmt.Errorf("sim: snapshot bucket shift %d does not match engine shift %d", shift, e.shift)
-	}
-	if e.count != 0 {
-		return fmt.Errorf("sim: Load into an engine with %d pending events (Reset it first)", e.count)
-	}
-	e.now = now
-	e.wheelBase = int64(now >> e.shift)
+// rebaseWheel re-derives the wheel window from a restored clock.
+func (e *Engine) rebaseWheel() {
+	e.wheelBase = int64(e.now >> e.shift)
 	e.wheelEnd = wheelEndFor(e.wheelBase, e.shift)
-	e.seq = seq
-	e.fired = fired
-	e.stopReq = stopReq
-	e.stopped = stopped
-	e.rand.SetState(s)
-	return nil
+}
+
+// SnapEvent moves an optional pending event: a presence flag, then its
+// coordinates through SnapArmed. A handle left unarmed by decoding is
+// already dead, because decoding starts from an engine with no pending
+// events.
+func SnapEvent(s *snap.Stream, e *Engine, ev *Event, label string, fn Handler) {
+	pending := ev.Pending()
+	s.Bool(&pending)
+	if pending {
+		SnapArmed(s, e, ev, label, fn)
+	}
+}
+
+// SnapArmed moves a pending event's (when, seq) coordinates. Decoding
+// re-arms fn there through ScheduleRestored, so the restored engine
+// dispatches it in exactly the pre-snapshot order. Coordinates that
+// ScheduleRestored would refuse — in the past, or a seq the restored counter
+// never issued — can only come from a corrupted snapshot, so they fail the
+// stream instead of panicking.
+func SnapArmed(s *snap.Stream, e *Engine, ev *Event, label string, fn Handler) {
+	when := ev.When()
+	seq, _ := ev.Seq()
+	snap.Int(s, &when)
+	s.U64(&seq)
+	if !s.Decoding() || s.Err() != nil {
+		return
+	}
+	if when < e.now || seq >= e.seq {
+		s.Failf("sim: snapshot event %q at %v (seq %d) is outside the restored engine (now %v, seq %d)",
+			label, when, seq, e.now, e.seq)
+		return
+	}
+	*ev = e.ScheduleRestored(when, seq, label, fn)
 }
 
 // ScheduleRestored re-arms an event carried over from a snapshot at its
@@ -142,7 +155,7 @@ func (e *Engine) ForEachPending(fn func(when Time, seq uint64, label string)) {
 // test and fuzzing facility, not a hot-path one.
 func (e *Engine) DigestState() snap.Digest {
 	var enc snap.Encoder
-	e.Save(&enc)
+	e.Snap(snap.NewWriter(&enc))
 	enc.U64(uint64(e.count))
 	enc.Bool(e.obs != nil)
 	type pending struct {

@@ -93,9 +93,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	src.RunUntil(300 * Microsecond)
 	prefix := len(srcLog) // firings already delivered before the snapshot
 
-	// Snapshot: scalars via Save, events via ForEachPending.
+	// Snapshot: scalars via Snap, events via ForEachPending.
 	var enc snap.Encoder
-	src.Save(&enc)
+	if err := snap.Encode(&enc, src); err != nil {
+		t.Fatal(err)
+	}
 	type saved struct {
 		when  Time
 		seq   uint64
@@ -107,8 +109,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	})
 
 	dst := NewEngine(0)
-	if err := dst.Load(snap.NewDecoder(enc.Bytes())); err != nil {
-		t.Fatalf("Load: %v", err)
+	if err := snap.Decode(snap.NewDecoder(enc.Bytes()), dst); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	for _, ev := range events {
 		switch ev.label {
@@ -194,29 +196,37 @@ func TestScheduleRestoredGuards(t *testing.T) {
 	})
 }
 
-// TestLoadRejectsPendingEvents pins that Load demands a clean engine.
+// TestLoadRejectsPendingEvents pins that decoding demands a clean engine.
 func TestLoadRejectsPendingEvents(t *testing.T) {
 	src := NewEngine(9)
 	var enc snap.Encoder
-	src.Save(&enc)
+	if err := snap.Encode(&enc, src); err != nil {
+		t.Fatal(err)
+	}
 
 	dst := NewEngine(9)
 	dst.After(Microsecond, "pending", func(e *Engine) {})
-	if err := dst.Load(snap.NewDecoder(enc.Bytes())); err == nil {
-		t.Fatal("Load accepted an engine with pending events")
+	if err := snap.Decode(snap.NewDecoder(enc.Bytes()), dst); err == nil {
+		t.Fatal("decode accepted an engine with pending events")
 	}
 }
 
-// TestRandStateRoundTrip pins that SetState resumes the stream exactly.
+// TestRandStateRoundTrip pins that a decoded generator resumes the stream
+// exactly.
 func TestRandStateRoundTrip(t *testing.T) {
 	r := NewRand(77)
 	for i := 0; i < 10; i++ {
 		r.Uint64()
 	}
-	st := r.State()
+	var enc snap.Encoder
+	if err := snap.Encode(&enc, r); err != nil {
+		t.Fatal(err)
+	}
 	want := []uint64{r.Uint64(), r.Uint64(), r.Uint64()}
 	r2 := NewRand(0)
-	r2.SetState(st)
+	if err := snap.Decode(snap.NewDecoder(enc.Bytes()), r2); err != nil {
+		t.Fatal(err)
+	}
 	for i, w := range want {
 		if g := r2.Uint64(); g != w {
 			t.Fatalf("draw %d: got %d want %d", i, g, w)

@@ -1,15 +1,16 @@
 // Package snap is the stable binary encoding layer under the simulator's
 // checkpoint/restore machinery. Every stateful component (sim engine
-// scalars, guest kernels, host vCPUs, devices, metrics) serializes itself
-// through an Encoder and rebuilds through a Decoder; the format is
+// scalars, guest kernels, host vCPUs, devices, metrics) has one Snap body
+// that moves its fields through a Stream — encoding into an Encoder or
+// decoding from a Decoder, with the same statements; the format is
 // versioned, fixed-width, little-endian, and deliberately free of anything
 // whose byte representation could vary between runs or platforms (no maps,
 // no pointers, no varints whose length depends on incidental magnitudes).
 //
 // Determinism contract: encoding the same logical state must always
 // produce the same bytes. Callers therefore must never range over a map
-// while writing into an Encoder (paratick-vet rule D003) — collect keys,
-// sort, then encode.
+// while moving through an Encoder or Stream (paratick-vet rule D003) —
+// collect keys, sort, then encode.
 //
 // The package is a leaf: it imports only the standard library, so every
 // layer of the simulator can depend on it without cycles.
@@ -18,6 +19,7 @@ package snap
 import (
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Magic opens every snapshot produced by WriteHeader. Changing the format
@@ -36,9 +38,6 @@ type Encoder struct {
 // Bytes returns the encoded buffer. The slice aliases the encoder's
 // storage; callers that keep it past further writes must copy.
 func (e *Encoder) Bytes() []byte { return e.buf }
-
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
 
 // U8 writes one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
@@ -95,7 +94,7 @@ const sectionMagic = 0x5ec710f1
 
 // Decoder reads primitives back in the order they were encoded. Errors
 // are sticky: after the first failure every read returns a zero value and
-// Err reports the original cause, so Save/Load pairs can be written
+// Err reports the original cause, so Snap bodies can be written
 // straight-line with one error check at the end.
 type Decoder struct {
 	buf []byte
@@ -192,14 +191,15 @@ func (d *Decoder) String() string {
 }
 
 // Section verifies the next bytes are the named marker written by
-// Encoder.Section.
+// Encoder.Section. Only a failure retains name (as a copy), so callers may
+// build it on the stack.
 func (d *Decoder) Section(name string) {
 	if m := d.U32(); d.err == nil && m != sectionMagic {
-		d.fail("expected section %q, found non-section data", name)
+		d.fail("expected section %q, found non-section data", strings.Clone(name))
 		return
 	}
 	if got := d.String(); d.err == nil && got != name {
-		d.fail("expected section %q, found %q", name, got)
+		d.fail("expected section %q, found %q", strings.Clone(name), got)
 	}
 }
 

@@ -1,101 +1,82 @@
 package trace
 
-// Checkpoint encoding of the trace buffer. The ring is saved in
-// chronological order (so the internal next/full cursor state is
-// normalized away) and the aggregate count map is encoded under sorted
-// keys — equal trace states always produce equal bytes.
+// Checkpoint encoding of the trace buffer. The ring moves in chronological
+// order (the write cursor is rewound to the start first) and the aggregate
+// count map under sorted keys — equal trace states always produce equal
+// bytes.
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
-	"paratick/internal/sim"
 	"paratick/internal/snap"
 )
 
-// Save serializes the buffer. A nil buffer saves an explicit absent
-// marker, so presence round-trips.
-func (b *Buffer) Save(enc *snap.Encoder) {
-	enc.Section("trace")
-	if b == nil {
-		enc.Bool(false)
+// Snap moves the buffer. A nil buffer moves an explicit absent marker; a
+// snapshot recording none leaves an attached buffer as rebuilt. Decoding
+// requires a buffer of the same capacity.
+func (b *Buffer) Snap(s *snap.Stream) {
+	s.Section("trace")
+	present := b != nil
+	s.Bool(&present)
+	if !present {
 		return
 	}
-	enc.Bool(true)
-	enc.U64(uint64(b.cap))
-	enc.U64(b.total)
-	enc.I64(int64(b.first))
-	enc.I64(int64(b.last))
-	evs := b.Events()
-	enc.U32(uint32(len(evs)))
-	for _, e := range evs {
-		enc.I64(int64(e.When))
-		enc.I64(int64(e.Dur))
-		enc.I64(int64(e.Kind))
-		enc.I64(int64(e.PCPU))
-		enc.String(e.VM)
-		enc.I64(int64(e.VCPU))
-		enc.String(e.Detail)
+	if b == nil {
+		s.Failf("trace: snapshot carries a trace buffer but none is attached")
+		return
 	}
-	keys := make([]string, 0, len(b.counts))
-	for k := range b.counts {
-		keys = append(keys, k)
+	capacity := uint64(b.cap)
+	s.U64(&capacity)
+	if capacity != uint64(b.cap) {
+		s.Failf("trace: snapshot buffer capacity %d does not match configured %d", capacity, b.cap)
 	}
-	sort.Strings(keys)
-	enc.U32(uint32(len(keys)))
-	for _, k := range keys {
-		enc.String(k)
-		enc.U64(b.counts[k])
+	s.U64(&b.total)
+	snap.Int(s, &b.first)
+	snap.Int(s, &b.last)
+	b.rewind()
+	for i := range snap.Slice(s, &b.events) {
+		e := &b.events[i]
+		snap.Int(s, &e.When)
+		snap.Int(s, &e.Dur)
+		snap.Int(s, &e.Kind)
+		snap.Int(s, &e.PCPU)
+		s.String(&e.VM)
+		snap.Int(s, &e.VCPU)
+		s.String(&e.Detail)
+	}
+	if len(b.events) > b.cap {
+		s.Failf("trace: snapshot ring holds %d events, capacity %d", len(b.events), b.cap)
+	}
+	b.full = len(b.events) >= b.cap
+
+	// The count map moves under sorted keys; decoding rebuilds it from them.
+	var keys []string
+	if s.Decoding() {
+		clear(b.counts)
+	} else {
+		for k := range b.counts {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+	}
+	for i := range snap.Slice(s, &keys) {
+		n := b.counts[keys[i]]
+		s.String(&keys[i])
+		s.U64(&n)
+		b.counts[keys[i]] = n
 	}
 }
 
-// Load restores state saved by Save into a buffer of the same capacity.
-// It returns (present, error): present is false when the snapshot recorded
-// a nil tracer.
-func (b *Buffer) Load(dec *snap.Decoder) (bool, error) {
-	dec.Section("trace")
-	if !dec.Bool() {
-		return false, dec.Err()
-	}
-	if b == nil {
-		return true, fmt.Errorf("trace: snapshot carries a trace buffer but none is attached")
-	}
-	if c := int(dec.U64()); dec.Err() == nil && c != b.cap {
-		return true, fmt.Errorf("trace: snapshot buffer capacity %d does not match configured %d", c, b.cap)
-	}
-	b.total = dec.U64()
-	b.first = sim.Time(dec.I64())
-	b.last = sim.Time(dec.I64())
-	n := int(dec.U32())
-	b.events = b.events[:0]
-	b.next = 0
-	b.full = false
-	for i := 0; i < n && dec.Err() == nil; i++ {
-		e := Event{
-			When: sim.Time(dec.I64()),
-			Dur:  sim.Time(dec.I64()),
-			Kind: Kind(dec.I64()),
-			PCPU: int(dec.I64()),
-			VM:   dec.String(),
-			VCPU: int(dec.I64()),
-		}
-		e.Detail = dec.String()
-		b.events = append(b.events, e)
-	}
-	// The ring was saved in chronological order; a saved ring at capacity
-	// resumes as full with the write cursor back at the start, which keeps
-	// Events() ordering identical.
-	if len(b.events) >= b.cap {
-		b.full = true
+// rewind rotates a wrapped ring into chronological order with the write
+// cursor back at the start. Events and every later Record behave exactly as
+// before; only the layout changes, to the one Snap moves.
+func (b *Buffer) rewind() {
+	if b.next != 0 {
+		slices.Reverse(b.events[:b.next])
+		slices.Reverse(b.events[b.next:])
+		slices.Reverse(b.events)
 		b.next = 0
 	}
-	nk := int(dec.U32())
-	for k := range b.counts {
-		delete(b.counts, k)
-	}
-	for i := 0; i < nk && dec.Err() == nil; i++ {
-		k := dec.String()
-		b.counts[k] = dec.U64()
-	}
-	return true, dec.Err()
+	b.full = len(b.events) >= b.cap
 }

@@ -21,12 +21,17 @@ func TestBufferSaveLoad(t *testing.T) {
 		src := NewBuffer(8)
 		record(src, n)
 		var enc snap.Encoder
-		src.Save(&enc)
+		if err := snap.Encode(&enc, src); err != nil {
+			t.Fatal(err)
+		}
+		var again snap.Encoder
+		if err := snap.Encode(&again, src); err != nil || string(again.Bytes()) != string(enc.Bytes()) {
+			t.Fatalf("n=%d: re-encoding the rewound ring changed the bytes (%v)", n, err)
+		}
 
 		dst := NewBuffer(8)
-		present, err := dst.Load(snap.NewDecoder(enc.Bytes()))
-		if err != nil || !present {
-			t.Fatalf("n=%d: Load = %v, %v", n, present, err)
+		if err := snap.Decode(snap.NewDecoder(enc.Bytes()), dst); err != nil {
+			t.Fatalf("n=%d: decode: %v", n, err)
 		}
 		if dst.Total() != src.Total() {
 			t.Fatalf("n=%d: total %d != %d", n, dst.Total(), src.Total())
@@ -56,10 +61,23 @@ func TestBufferSaveLoad(t *testing.T) {
 func TestNilBufferSaveLoad(t *testing.T) {
 	var nilBuf *Buffer
 	var enc snap.Encoder
-	nilBuf.Save(&enc)
-	present, err := NewBuffer(4).Load(snap.NewDecoder(enc.Bytes()))
-	if err != nil || present {
-		t.Fatalf("nil buffer round trip: present=%v err=%v", present, err)
+	if err := snap.Encode(&enc, nilBuf); err != nil {
+		t.Fatal(err)
+	}
+	dst := NewBuffer(4)
+	record(dst, 2)
+	if err := snap.Decode(snap.NewDecoder(enc.Bytes()), dst); err != nil || dst.Total() != 2 {
+		t.Fatalf("nil buffer round trip: total=%d err=%v", dst.Total(), err)
+	}
+	if err := snap.Decode(snap.NewDecoder(enc.Bytes()), nilBuf); err != nil {
+		t.Fatalf("nil into nil: %v", err)
+	}
+	var full snap.Encoder
+	if err := snap.Encode(&full, dst); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Decode(snap.NewDecoder(full.Bytes()), nilBuf); err == nil {
+		t.Fatal("a recorded buffer decoded into a nil tracer")
 	}
 }
 
@@ -67,8 +85,10 @@ func TestLoadRejectsCapacityMismatch(t *testing.T) {
 	src := NewBuffer(8)
 	record(src, 2)
 	var enc snap.Encoder
-	src.Save(&enc)
-	if _, err := NewBuffer(16).Load(snap.NewDecoder(enc.Bytes())); err == nil {
+	if err := snap.Encode(&enc, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Decode(snap.NewDecoder(enc.Bytes()), NewBuffer(16)); err == nil {
 		t.Fatal("capacity mismatch not rejected")
 	}
 }

@@ -67,12 +67,11 @@ func (e Event) String() string {
 // Buffer is a bounded ring of trace events plus running aggregates. A nil
 // *Buffer is a valid no-op tracer, so call sites need no nil checks.
 type Buffer struct {
-	cap int
-	//snap:skip the ring is saved normalized (chronological) via Events
+	cap    int
 	events []Event
-	//snap:skip ring cursor, re-derived from the normalized event order on load
+	//snap:skip ring cursor, rewound to the start before the ring moves
 	next int
-	//snap:skip ring cursor, re-derived from the normalized event order on load
+	//snap:skip ring state, re-derived from the moved ring's length
 	full   bool
 	total  uint64
 	counts map[string]uint64 // "kind/detail" → occurrences

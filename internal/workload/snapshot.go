@@ -1,15 +1,15 @@
 package workload
 
-// Checkpoint support for the workload programs. Each program serializes
-// only the fields its Next reads and mutates; construction-time parameters
-// (job descriptions, devices, lock/barrier pointers) are re-established by
+// Checkpoint support for the workload programs. Each program moves only the
+// fields its Next reads and mutates; construction-time parameters (job
+// descriptions, devices, lock/barrier pointers) are re-established by
 // rebuilding the scenario and are deliberately absent from the encoding.
 
 import (
 	"fmt"
+	"slices"
 
 	"paratick/internal/guest"
-	"paratick/internal/sim"
 	"paratick/internal/snap"
 )
 
@@ -20,85 +20,48 @@ var (
 	_ guest.ProgramState = (*parProgram)(nil)
 )
 
-// SaveState implements guest.ProgramState.
-func (f *fioProgram) SaveState(enc *snap.Encoder) {
-	enc.I64(int64(f.opsLeft))
-	enc.Bool(f.thinking)
-	enc.I64(int64(f.opIndex))
+// SnapState implements guest.ProgramState.
+func (f *fioProgram) SnapState(s *snap.Stream) error {
+	snap.Int(s, &f.opsLeft)
+	s.Bool(&f.thinking)
+	snap.Int(s, &f.opIndex)
+	return nil
 }
 
-// LoadState implements guest.ProgramState.
-func (f *fioProgram) LoadState(dec *snap.Decoder) error {
-	f.opsLeft = int(dec.I64())
-	f.thinking = dec.Bool()
-	f.opIndex = int(dec.I64())
-	return dec.Err()
+// SnapState implements guest.ProgramState.
+func (p *syncProgram) SnapState(s *snap.Stream) error {
+	snap.Int(s, &p.phase)
+	s.Bool(&p.done)
+	s.Bool(&p.left)
+	return nil
 }
 
-// SaveState implements guest.ProgramState.
-func (p *syncProgram) SaveState(enc *snap.Encoder) {
-	enc.I64(int64(p.phase))
-	enc.Bool(p.done)
-	enc.Bool(p.left)
+// SnapState implements guest.ProgramState.
+func (q *seqProgram) SnapState(s *snap.Stream) error {
+	snap.Int(s, &q.remaining)
+	s.Bool(&q.ioPending)
+	s.Bool(&q.ioSeq)
+	return nil
 }
 
-// LoadState implements guest.ProgramState.
-func (p *syncProgram) LoadState(dec *snap.Decoder) error {
-	p.phase = int(dec.I64())
-	p.done = dec.Bool()
-	p.left = dec.Bool()
-	return dec.Err()
-}
-
-// SaveState implements guest.ProgramState.
-func (s *seqProgram) SaveState(enc *snap.Encoder) {
-	enc.I64(int64(s.remaining))
-	enc.Bool(s.ioPending)
-	enc.Bool(s.ioSeq)
-}
-
-// LoadState implements guest.ProgramState.
-func (s *seqProgram) LoadState(dec *snap.Decoder) error {
-	s.remaining = sim.Time(dec.I64())
-	s.ioPending = dec.Bool()
-	s.ioSeq = dec.Bool()
-	return dec.Err()
-}
-
-// SaveState implements guest.ProgramState. The current-iteration lock is
-// encoded as its index into the thread's stripe slice (-1 when none is
-// held or pending), never as a pointer.
-func (t *parProgram) SaveState(enc *snap.Encoder) {
-	idx := int64(-1)
-	for i, l := range t.locks {
-		if l == t.lock {
-			idx = int64(i)
-			break
-		}
+// SnapState implements guest.ProgramState. The current-iteration lock moves
+// as its index into the thread's stripe slice (-1 when none is held or
+// pending), never as a pointer.
+func (t *parProgram) SnapState(s *snap.Stream) error {
+	lock := slices.Index(t.locks, t.lock)
+	snap.Int(s, &lock)
+	snap.Int(s, &t.remaining)
+	snap.Int(s, &t.iter)
+	snap.Int(s, &t.phase)
+	s.Bool(&t.left)
+	if lock < -1 || lock >= len(t.locks) {
+		return fmt.Errorf("workload: %s: snapshot lock stripe %d out of %d", t.p.Name, lock, len(t.locks))
 	}
-	enc.I64(idx)
-	enc.I64(int64(t.remaining))
-	enc.I64(int64(t.iter))
-	enc.I64(int64(t.phase))
-	enc.Bool(t.left)
-}
-
-// LoadState implements guest.ProgramState.
-func (t *parProgram) LoadState(dec *snap.Decoder) error {
-	idx := dec.I64()
-	t.remaining = sim.Time(dec.I64())
-	t.iter = int(dec.I64())
-	t.phase = int(dec.I64())
-	t.left = dec.Bool()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	t.lock = nil
-	if idx >= 0 {
-		if int(idx) >= len(t.locks) {
-			return fmt.Errorf("workload: %s: snapshot lock stripe %d out of %d", t.p.Name, idx, len(t.locks))
+	if s.Decoding() {
+		t.lock = nil
+		if lock >= 0 {
+			t.lock = t.locks[lock]
 		}
-		t.lock = t.locks[idx]
 	}
 	return nil
 }

@@ -57,7 +57,8 @@ type Report struct {
 }
 
 func newReport(s Scenario, vm *kvm.VM, tracer *trace.Buffer) *Report {
-	res := vm.Result(s.Name)
+	var res metrics.Result
+	vm.ResultInto(&res, s.Name)
 	c := &res.Counters
 	breakdown := make(map[string]uint64)
 	for r := metrics.ExitReason(0); r < metrics.NumExitReasons; r++ {
