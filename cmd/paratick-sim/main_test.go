@@ -39,4 +39,12 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-workload", "nonsense:spec"}, &b); err == nil {
 		t.Error("bad workload spec accepted")
 	}
+	// Above 1 GHz the tick period truncates to 0ns; both rates must be
+	// rejected as errors, not reach the timer constructors' panics.
+	if err := run([]string{"-host-hz", "2000000000"}, &b); err == nil {
+		t.Error("host tick rate above 1 GHz accepted")
+	}
+	if err := run([]string{"-guest-hz", "2000000000"}, &b); err == nil {
+		t.Error("guest tick rate above 1 GHz accepted")
+	}
 }

@@ -143,15 +143,20 @@ type Options struct {
 	IdleExitCost  sim.Time
 }
 
-// NewPolicy returns a fresh per-vCPU policy instance for the mode.
+// NewPolicy returns a fresh per-vCPU policy instance for the mode: a zero
+// instance that ResetPolicy initializes, the same path a pooled one takes.
 func NewPolicy(mode Mode, opts Options) TickPolicy {
+	var p TickPolicy
 	switch mode {
 	case Periodic:
-		return &periodicPolicy{}
+		p = new(periodicPolicy)
 	case DynticksIdle:
-		return &dynticksPolicy{}
+		p = new(dynticksPolicy)
 	case Paratick:
-		return &paratickPolicy{opts: opts}
+		p = new(paratickPolicy)
+	default:
+		panic(fmt.Sprintf("core: unknown mode %d", int(mode)))
 	}
-	panic(fmt.Sprintf("core: unknown mode %d", int(mode)))
+	ResetPolicy(p, opts)
+	return p
 }

@@ -31,12 +31,12 @@ func SetPolicyState(p TickPolicy, s uint64) error {
 	return nil
 }
 
-// ResetPolicy returns a pooled policy instance to the exact state
-// NewPolicy(p.Mode(), opts) would construct, without allocating: the whole
-// struct is reassigned, so no mutable field can leak from the previous run.
-// Unlike SetOptions it follows NewPolicy's (looser) contract and silently
-// ignores opts for modes that take none. It reports false when p is not one
-// of the known policy kinds, in which case the caller must build fresh.
+// ResetPolicy returns a policy instance to its just-constructed state for
+// opts, without allocating: the whole struct is reassigned, so no mutable
+// field can leak from the previous run. NewPolicy is a zero instance plus
+// this call. Unlike SetOptions it silently ignores opts for modes that take
+// none. It reports false when p is not one of the known policy kinds, in
+// which case the caller must build fresh.
 //
 //paratick:noalloc
 func ResetPolicy(p TickPolicy, opts Options) bool {

@@ -31,10 +31,6 @@ type Config struct {
 	// before blocking (Linux mutex optimistic spinning). 0 = block
 	// immediately, the pure blocking synchronization the paper evaluates.
 	AdaptiveSpin sim.Time
-	// Wheels, when non-nil, supplies recycled per-vCPU timer wheels. The
-	// experiment layer points it at a worker-private pool; nil allocates
-	// fresh wheels (identical behaviour, more garbage).
-	Wheels *WheelPool
 	// TaskHint, when positive, presizes the kernel's task registry and each
 	// vCPU's run queue for roughly this many spawned tasks, so the first run
 	// through a pooled kernel does not grow those slices mid-flight. It is a
@@ -54,6 +50,9 @@ func DefaultConfig() Config {
 func (c Config) Validate() error {
 	if c.TickHz <= 0 {
 		return fmt.Errorf("guest: TickHz must be positive, got %d", c.TickHz)
+	}
+	if c.TickPeriod() <= 0 {
+		return fmt.Errorf("guest: TickHz %d exceeds 1 GHz, the nanosecond clock's resolution", c.TickHz)
 	}
 	if c.RCUEveryNSwitches < 0 {
 		return fmt.Errorf("guest: RCUEveryNSwitches must be non-negative, got %d", c.RCUEveryNSwitches)
@@ -171,26 +170,12 @@ func (k *Kernel) releaseSeg(s *Segment) {
 	k.segFree = append(k.segFree, s)
 }
 
-// NewKernel creates a guest kernel recording into counters.
+// NewKernel creates a guest kernel recording into counters: an empty shell
+// that Reset initializes, the same path a pooled kernel takes.
 func NewKernel(engine *sim.Engine, cost hw.CostModel, cfg Config, counters *metrics.Counters) (*Kernel, error) {
-	if engine == nil || counters == nil {
-		return nil, fmt.Errorf("guest: NewKernel requires an engine and counters")
-	}
-	if err := cfg.Validate(); err != nil {
+	k := new(Kernel)
+	if err := k.Reset(engine, cost, cfg, counters); err != nil {
 		return nil, err
-	}
-	if err := cost.Validate(); err != nil {
-		return nil, err
-	}
-	k := &Kernel{
-		engine:   engine,
-		cost:     cost,
-		cfg:      cfg,
-		counters: counters,
-		rng:      engine.Rand().Fork(0x6e57),
-	}
-	if cfg.TaskHint > 0 {
-		k.tasks = make([]*Task, 0, cfg.TaskHint)
 	}
 	return k, nil
 }
@@ -234,7 +219,6 @@ func (k *Kernel) VCPUs() []*VCPU { return k.vcpus }
 // AddVCPU creates the next vCPU. All vCPUs must be added before tasks
 // spawn.
 func (k *Kernel) AddVCPU() *VCPU {
-	id := len(k.vcpus)
 	runqCap := 16
 	if k.cfg.TaskHint > runqCap {
 		// Wakes append to a task's home run queue, so in the worst case one
@@ -242,18 +226,8 @@ func (k *Kernel) AddVCPU() *VCPU {
 		// never grows the queue.
 		runqCap = k.cfg.TaskHint
 	}
-	v := &VCPU{
-		kernel:        k,
-		id:            id,
-		policy:        core.NewPolicy(k.cfg.Mode, k.cfg.PolicyOpts),
-		wheel:         k.cfg.Wheels.acquire(k.cfg.TickPeriod()),
-		queue:         make([]*Segment, 0, 64),
-		runq:          make([]*Task, 0, runqCap),
-		timerDeadline: sim.Forever,
-		rcuDeadline:   sim.Forever,
-		lastTickAt:    -1,
-	}
-	v.policyCache[k.cfg.Mode] = v.policy
+	v := &VCPU{kernel: k, id: len(k.vcpus), queue: make([]*Segment, 0, 64), runq: make([]*Task, 0, runqCap)}
+	v.reset()
 	k.vcpus = append(k.vcpus, v)
 	return v
 }
@@ -270,17 +244,30 @@ func (k *Kernel) AttachDevice(d *iodev.Device) {
 // Devices returns the attached devices.
 func (k *Kernel) Devices() []*iodev.Device { return k.devices }
 
+// claim takes the pooled sync object at registry id when deterministic
+// scenario construction is recreating it under the same name, or returns
+// the zero value so the caller builds a fresh shell.
+func claim[T interface {
+	comparable
+	Name() string
+}](pool []T, id int, name string) T {
+	var none T
+	if id < len(pool) && pool[id] != none && pool[id].Name() == name {
+		obj := pool[id]
+		pool[id] = none
+		return obj
+	}
+	return none
+}
+
 // NewLock creates a guest-level blocking mutex.
 func (k *Kernel) NewLock(name string) *Lock {
 	id := len(k.locks)
-	if id < len(k.lockPool) && k.lockPool[id] != nil && k.lockPool[id].name == name {
-		l := k.lockPool[id]
-		k.lockPool[id] = nil
-		l.reset()
-		k.locks = append(k.locks, l)
-		return l
+	l := claim(k.lockPool, id, name)
+	if l == nil {
+		l = &Lock{kernel: k, id: id, name: name, blockReason: "lock:" + name}
 	}
-	l := &Lock{kernel: k, id: id, name: name, blockReason: "lock:" + name}
+	l.reset()
 	k.locks = append(k.locks, l)
 	return l
 }
@@ -291,21 +278,15 @@ func (k *Kernel) NewBarrier(name string, parties int) *Barrier {
 		panic(fmt.Sprintf("guest: barrier %q needs positive parties, got %d", name, parties))
 	}
 	id := len(k.barriers)
-	if id < len(k.barrierPool) && k.barrierPool[id] != nil && k.barrierPool[id].name == name {
-		b := k.barrierPool[id]
-		k.barrierPool[id] = nil
-		b.reset(parties)
-		k.barriers = append(k.barriers, b)
-		return b
-	}
-	b := &Barrier{kernel: k, id: id, name: name, blockReason: "barrier:" + name, parties: parties}
-	if cap(b.waiting) < parties-1 {
+	b := claim(k.barrierPool, id, name)
+	if b == nil {
 		// The barrier can hold parties-1 blocked tasks (the last arrival
 		// releases everyone); size both cycle buffers up front so the first
 		// cycle does not grow them.
-		b.waiting = make([]*Task, 0, parties-1)
-		b.spare = make([]*Task, 0, parties-1)
+		b = &Barrier{kernel: k, id: id, name: name, blockReason: "barrier:" + name,
+			waiting: make([]*Task, 0, parties-1), spare: make([]*Task, 0, parties-1)}
 	}
+	b.reset(parties)
 	k.barriers = append(k.barriers, b)
 	return b
 }
@@ -321,33 +302,11 @@ func (k *Kernel) Spawn(name string, vcpu int, prog Program) *Task {
 	}
 	var t *Task
 	if n := len(k.taskFree); n > 0 {
-		// Recycle a task retired by Reset. ForkInto consumes exactly one
-		// draw from k.rng, the same as Fork on the fresh path, so recycled
-		// and fresh kernels stay in RNG lockstep.
 		t = k.taskFree[n-1]
 		k.taskFree[n-1] = nil
 		k.taskFree = k.taskFree[:n-1]
-		t.ID = len(k.tasks)
-		t.Name = name
-		t.prog = prog
-		t.vcpu = k.vcpus[vcpu]
-		t.state = TaskRunnable
-		k.rng.ForkInto(t.rng, uint64(len(k.tasks))+0x7a5c)
-		t.remaining = 0
-		t.blockReason = ""
-		t.sleepTimer = SoftTimer{}
-		t.startedAt = k.engine.Now()
-		t.finishedAt = 0
 	} else {
-		t = &Task{
-			ID:        len(k.tasks),
-			Name:      name,
-			prog:      prog,
-			vcpu:      k.vcpus[vcpu],
-			state:     TaskRunnable,
-			rng:       k.rng.Fork(uint64(len(k.tasks)) + 0x7a5c),
-			startedAt: k.engine.Now(),
-		}
+		t = &Task{rng: new(sim.Rand)}
 		// Pre-bind the task's hot-path callbacks once: a run segment
 		// completes and a sleep timer fires millions of times per run, and a
 		// closure literal per occurrence dominated allocation profiles. Both
@@ -359,6 +318,13 @@ func (k *Kernel) Spawn(name string, vcpu int, prog Program) *Task {
 		}
 		t.sleepFireFn = func(sim.Time) { k.wake(t, t.vcpu) }
 	}
+	// Only the shell (Rand object and pre-bound callbacks) survives; every
+	// other field is rewritten here, for fresh and recycled tasks alike.
+	*t = Task{
+		ID: len(k.tasks), Name: name, prog: prog, vcpu: k.vcpus[vcpu], state: TaskRunnable,
+		rng: t.rng, runDoneFn: t.runDoneFn, sleepFireFn: t.sleepFireFn, startedAt: k.engine.Now(),
+	}
+	k.rng.ForkInto(t.rng, uint64(len(k.tasks))+0x7a5c)
 	k.tasks = append(k.tasks, t)
 	k.liveTasks++
 	t.vcpu.runq = append(t.vcpu.runq, t)

@@ -1,20 +1,18 @@
 package guest
 
-// Pooled-reuse reset paths. A kernel owned by a recycled VM (kvm.VMArena)
-// is not rebuilt between runs: Reset returns it — vCPUs, tasks, sync
-// objects, timer wheels, and queued segments included — to the exact state
-// NewKernel would construct, so a recycled VM is byte-identical to a fresh
-// one under the snapshot digest audit. The rules that make that identity
-// hold:
+// Reset paths. Each pooled type in this package has one reset that writes
+// its per-run state, and its constructor builds a shell of construction
+// identity and then calls it. A kernel recycled by a pooled VM
+// (kvm.VMArena) and a freshly built one therefore take the same path and
+// stay byte-identical under the snapshot digest audit:
 //
-//   - RNG lockstep: NewKernel forks the engine stream with tag 0x6e57 and
-//     Spawn forks the kernel stream once per task. Reset and the recycled
-//     Spawn path reproduce those forks via ForkInto at the identical draw
-//     points, so derived streams match a fresh build bit for bit.
+//   - RNG lockstep holds by construction: Kernel.Reset forks the engine
+//     stream (tag 0x6e57) and Spawn forks the kernel stream once per task,
+//     each via ForkInto, whether the Rand object is new or recycled.
 //   - Construction identity survives, per-run state does not: registry ids,
-//     names, precomputed blockReason strings, and pre-bound closures
-//     (task callbacks, barrier buffers) are reused; everything a
-//     fresh constructor would zero is zeroed.
+//     names, precomputed blockReason strings, pre-bound closures (task
+//     callbacks) and slice capacities are kept; every other field is
+//     written by the reset.
 //   - The vCPU count is construction identity: the VM arena only recycles a
 //     kernel onto a world with the same number of vCPUs.
 
@@ -27,12 +25,13 @@ import (
 	"paratick/internal/sim"
 )
 
-// Reset returns a pooled kernel to the state NewKernel(engine, cost, cfg,
-// counters) would construct. OnAllDone is deliberately left in place: the
-// owning VM binds it once, and the closure reads only per-run VM fields.
+// Reset returns the kernel to its just-constructed state for a run on
+// engine; NewKernel is a zero Kernel plus this call. OnAllDone is
+// deliberately left in place: the owning VM binds it once, and the closure
+// reads only per-run VM fields.
 func (k *Kernel) Reset(engine *sim.Engine, cost hw.CostModel, cfg Config, counters *metrics.Counters) error {
 	if engine == nil || counters == nil {
-		return fmt.Errorf("guest: Reset requires an engine and counters")
+		return fmt.Errorf("guest: kernel requires an engine and counters")
 	}
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -44,7 +43,9 @@ func (k *Kernel) Reset(engine *sim.Engine, cost hw.CostModel, cfg Config, counte
 	k.cost = cost
 	k.cfg = cfg
 	k.counters = counters
-	// Re-fork the kernel RNG at NewKernel's tag and draw point.
+	if k.rng == nil {
+		k.rng = new(sim.Rand)
+	}
 	engine.Rand().ForkInto(k.rng, 0x6e57)
 
 	// The new cfg must be installed before the vCPUs reset: they read it
@@ -110,11 +111,11 @@ func (k *Kernel) recycleSyncObjects() {
 	}
 }
 
-// reset returns the vCPU to its just-constructed state under the kernel's
-// (re-assigned) config: segments still queued or issued from the previous
-// run are recycled into the kernel pool, the policy is swapped to the
-// cached instance for the new mode, and the timer wheel is reset in place
-// to the new jiffy.
+// reset brings the vCPU to its just-constructed state under the kernel's
+// current config; AddVCPU builds a shell and calls it. Segments still
+// queued or issued from a previous run are recycled into the kernel pool,
+// the policy is swapped to the cached instance for the mode, and the timer
+// wheel is built or reset in place to the jiffy.
 func (v *VCPU) reset() {
 	k := v.kernel
 	v.clearRunState()
@@ -125,15 +126,15 @@ func (v *VCPU) reset() {
 		v.policyCache[mode] = p
 	}
 	v.policy = p
-	if v.wheel != nil {
-		v.wheel.Reset(k.cfg.TickPeriod())
+	if v.wheel == nil {
+		v.wheel = NewTimerWheel(k.cfg.TickPeriod())
 	} else {
-		v.wheel = k.cfg.Wheels.acquire(k.cfg.TickPeriod())
+		v.wheel.Reset(k.cfg.TickPeriod())
 	}
 }
 
-// clearRunState recycles leftover segments and zeroes every per-run field,
-// exactly the set AddVCPU initializes and Snap moves.
+// clearRunState recycles leftover segments and zeroes every per-run field
+// that Snap moves.
 //
 //paratick:noalloc
 func (v *VCPU) clearRunState() {

@@ -73,26 +73,6 @@ func TestWheelResetDigestMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestWheelPoolRecycleDigest pins the same property through the pool path
-// the experiment layer actually uses: an acquired recycled wheel must be
-// indistinguishable from a new one.
-func TestWheelPoolRecycleDigest(t *testing.T) {
-	jiffy := sim.PeriodFromHz(250)
-	pool := &WheelPool{}
-	w := pool.acquire(jiffy)
-	var fired int
-	exerciseWheel(w, &fired)
-	pool.free = append(pool.free, w)
-
-	recycled := pool.acquire(sim.Millisecond)
-	if recycled != w {
-		t.Fatal("pool did not recycle the released wheel")
-	}
-	if got, want := recycled.DigestState(), NewTimerWheel(sim.Millisecond).DigestState(); got != want {
-		t.Fatalf("recycled wheel digest %v != fresh digest %v", got, want)
-	}
-}
-
 // TestSegmentPoolZeroed is the reset audit for the PR 6 segment pool:
 // every segment sitting in the free pool must be the zero value, retaining
 // no closure, request, device, or owner references from its previous life.

@@ -42,9 +42,9 @@ func (l *Lock) Acquisitions() uint64 { return l.acquisitions }
 // Contended returns how many acquisitions had to block.
 func (l *Lock) Contended() uint64 { return l.contended }
 
-// reset returns a pooled lock to its just-constructed state; the kernel
-// pointer, registry id, name, and precomputed blockReason are construction
-// identity and survive.
+// reset writes the lock's per-run state, on a fresh shell or a pooled lock
+// alike; the kernel pointer, registry id, name, and precomputed blockReason
+// are construction identity and survive.
 //
 //paratick:noalloc
 func (l *Lock) reset() {
@@ -139,9 +139,10 @@ func (b *Barrier) Waiting() int { return len(b.waiting) }
 // Cycles returns how many times the barrier has released.
 func (b *Barrier) Cycles() uint64 { return b.cycles }
 
-// reset returns a pooled barrier to its just-constructed state for parties
-// tasks. The party count is taken from the constructor call, not the old
-// value: detach shrinks parties during a run, so it is per-run state.
+// reset writes the barrier's per-run state for parties tasks, on a fresh
+// shell or a pooled barrier alike. The party count is taken from the
+// constructor call, not the old value: detach shrinks parties during a
+// run, so it is per-run state.
 //
 //paratick:noalloc
 func (b *Barrier) reset(parties int) {
@@ -215,19 +216,17 @@ func (k *Kernel) NewCond(name string, l *Lock) *Cond {
 		panic("guest: NewCond with nil lock")
 	}
 	id := len(k.conds)
-	if id < len(k.condPool) && k.condPool[id] != nil && k.condPool[id].name == name {
-		c := k.condPool[id]
-		k.condPool[id] = nil
-		c.reset(l)
-		k.conds = append(k.conds, c)
-		return c
+	c := claim(k.condPool, id, name)
+	if c == nil {
+		c = &Cond{kernel: k, id: id, name: name, blockReason: "cond:" + name}
 	}
-	c := &Cond{kernel: k, id: id, name: name, blockReason: "cond:" + name, lock: l}
+	c.reset(l)
 	k.conds = append(k.conds, c)
 	return c
 }
 
-// reset returns a pooled condvar to its just-constructed state bound to l.
+// reset writes the condvar's per-run state bound to l, on a fresh shell or
+// a pooled condvar alike.
 //
 //paratick:noalloc
 func (c *Cond) reset(l *Lock) {

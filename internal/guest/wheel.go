@@ -104,12 +104,12 @@ type TimerWheel struct {
 	nextOK bool
 }
 
-// NewTimerWheel creates a wheel with the given jiffy duration.
+// NewTimerWheel creates a wheel with the given jiffy duration: an empty
+// shell that Reset initializes, the same path a recycled wheel takes.
 func NewTimerWheel(jiffy sim.Time) *TimerWheel {
-	if jiffy <= 0 {
-		panic(fmt.Sprintf("guest: timer wheel jiffy must be positive, got %v", jiffy))
-	}
-	return &TimerWheel{jiffy: jiffy, maxJiff: int64(sim.Forever / jiffy)}
+	w := new(TimerWheel)
+	w.Reset(jiffy)
+	return w
 }
 
 // Reset returns the wheel to its just-constructed state with the given
@@ -146,45 +146,6 @@ func (w *TimerWheel) Reset(jiffy sim.Time) {
 	w.seq = 0
 	w.nextJiff = 0
 	w.nextOK = false
-}
-
-// WheelPool recycles TimerWheels across simulation runs. The wheel struct is
-// dominated by its 6×64 bucket slice headers (~10 KB), which made fresh
-// per-vCPU wheels the largest allocation in whole-experiment profiles; a
-// pool amortizes that to the fleet's high-water mark. Pools are
-// single-goroutine: each worker owns one and never shares it.
-type WheelPool struct {
-	free []*TimerWheel
-}
-
-// acquire pops a reset wheel from the pool, or builds one. A nil pool
-// always builds fresh (the no-pooling default).
-func (p *WheelPool) acquire(jiffy sim.Time) *TimerWheel {
-	if p == nil {
-		return NewTimerWheel(jiffy)
-	}
-	if n := len(p.free); n > 0 {
-		w := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		w.Reset(jiffy)
-		return w
-	}
-	return NewTimerWheel(jiffy)
-}
-
-// ReleaseAll takes every vCPU wheel of a finished kernel back into the
-// pool. The kernel must not run again afterwards.
-func (p *WheelPool) ReleaseAll(k *Kernel) {
-	if p == nil {
-		return
-	}
-	for _, v := range k.vcpus {
-		if v.wheel != nil {
-			p.free = append(p.free, v.wheel)
-			v.wheel = nil
-		}
-	}
 }
 
 // Jiffy returns the wheel granularity.

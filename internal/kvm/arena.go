@@ -16,9 +16,10 @@ import (
 // place instead of rebuilding it.
 //
 // Reuse never changes behaviour: a reset host is indistinguishable from a
-// fresh one (the contract TestHostArenaReuseMatchesFresh pins), so run
-// output stays byte-identical whether or not a pool is in play. A nil
-// *HostArena is valid and always builds fresh hosts.
+// fresh one (the contract TestHostArenaReuseMatchesFresh pins, and
+// TestHostArenaLaneReuseMatchesFresh in lane mode), so run output stays
+// byte-identical whether or not a pool is in play. A nil *HostArena is
+// valid and always builds fresh hosts.
 type HostArena struct {
 	host *Host
 	vms  VMArena
@@ -33,10 +34,10 @@ type HostArena struct {
 // workload shape adapts through the kernel's internal pools. A nil *VMArena
 // is valid and never pools.
 //
-// Like host pooling, VM reuse is execution-only: VM.reset returns every
-// recycled object to the state a fresh constructor would produce (the
-// digest audits in arena_test.go pin fresh == recycled byte for byte), so
-// reports, traces, and checkpoints cannot observe it.
+// Like host pooling, VM reuse is execution-only: NewVM runs VM.reset on
+// fresh shells and recycled VMs alike (the digest audits in arena_test.go
+// pin fresh == recycled byte for byte), so reports, traces, and
+// checkpoints cannot observe it.
 type VMArena struct {
 	free []*VM
 }
@@ -102,9 +103,9 @@ func (a *HostArena) NewHostOn(se *sim.ShardedEngine, cfg Config) (*Host, error) 
 	return h, err
 }
 
-// reset returns the host to its just-constructed state for cfg. The
-// caller guarantees the engines underneath were already Reset, so stale
-// event handles are dropped, not canceled.
+// reset brings the host to its just-constructed state for cfg; NewHostOn
+// builds a shell and calls it. The caller guarantees the engines underneath
+// were already Reset, so stale event handles are dropped, not canceled.
 func (h *Host) reset(cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -120,7 +121,7 @@ func (h *Host) reset(cfg Config) error {
 	h.nextSchedKey = 0
 	h.tracer = nil
 	h.laneTracers = nil
-	if h.sched.Name() == cfg.SchedPolicy.String() {
+	if h.sched != nil && h.sched.Name() == cfg.SchedPolicy.String() {
 		h.sched.Reset(cfg.Timeslice)
 	} else {
 		s, err := sched.New(cfg.SchedPolicy, cfg.Topology, cfg.Timeslice)
@@ -129,9 +130,11 @@ func (h *Host) reset(cfg Config) error {
 		}
 		h.sched = s
 	}
-	// Restart the staggered host ticks in pCPU order — the same engine-At
-	// order construction uses, so the tick events get identical (when, seq)
-	// coordinates on the freshly reset lane engines.
+	// Stagger host ticks across pCPUs deterministically, like LAPIC
+	// calibration skew on real machines. The offset starts away from 0 so
+	// host ticks do not land exactly on guest tick deadlines (which are
+	// armed at whole tick periods from boot). Starting them in pCPU order
+	// fixes their (when, seq) coordinates on the lane engines.
 	n := len(h.pcpus)
 	period := cfg.HostTickPeriod()
 	for i, p := range h.pcpus {
@@ -154,9 +157,9 @@ func (h *Host) reset(cfg Config) error {
 	return nil
 }
 
-// reset clears the pCPU's in-flight execution state for pooled reuse. The
-// pre-bound handlers and the tick timer object are kept — that is the
-// point of the pool — but the tick must be restarted by the caller.
+// reset clears the pCPU's in-flight execution state. The pre-bound
+// handlers and the tick timer object are construction identity and are
+// kept, but the tick must be restarted by the caller.
 func (p *PCPU) reset() {
 	p.current = nil
 	p.seg = nil

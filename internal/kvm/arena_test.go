@@ -6,6 +6,7 @@ import (
 	"paratick/internal/core"
 	"paratick/internal/guest"
 	"paratick/internal/hw"
+	"paratick/internal/metrics"
 	"paratick/internal/sched"
 	"paratick/internal/sim"
 	"paratick/internal/snap"
@@ -331,5 +332,96 @@ func TestHostArenaRebuildsOnShapeChange(t *testing.T) {
 	}
 	if h5 == h4 {
 		t.Fatal("nil arena reused a host")
+	}
+}
+
+// laneArenaRun builds a lane-mode host on se through the arena — one
+// compute VM per socket and a doorbell IPI stream from socket 0's VM to
+// socket 1's — and runs it until the given instant. It returns the host,
+// the digests of every lane engine and of the host's own checkpoint (VMs,
+// scheduler, pCPUs, in-flight IRQs, streams), and each VM's counters.
+func laneArenaRun(t *testing.T, a *HostArena, se *sim.ShardedEngine, until sim.Time) (*Host, []snap.Digest, []metrics.Counters) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Topology = hw.Topology{Sockets: 2, CPUsPerSocket: 4, CrossSocketTax: 1.35}
+	host, err := a.NewHostOn(se, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for socket := 0; socket < 2; socket++ {
+		first := hw.CPUID(socket * cfg.Topology.CPUsPerSocket)
+		vm, err := host.NewVM("vm", guest.DefaultConfig(), []hw.CPUID{first, first + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm.Kernel().Spawn("burn", 0, guest.Steps(guest.Compute(3*sim.Millisecond)))
+	}
+	vms := host.VMs()
+	if err := host.AddIPIStream(vms[0], vms[1], 1, 500*sim.Microsecond, 2*sim.Millisecond, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, vm := range vms {
+		vm.Start()
+	}
+	se.RunUntil(until)
+	var digests []snap.Digest
+	for l := 0; l < se.Lanes(); l++ {
+		digests = append(digests, se.Engine(l).DigestState())
+	}
+	var enc snap.Encoder
+	if err := host.Save(&enc); err != nil {
+		t.Fatal(err)
+	}
+	digests = append(digests, snap.HashBytes(enc.Bytes()))
+	var counters []metrics.Counters
+	for _, vm := range vms {
+		counters = append(counters, *vm.Counters())
+	}
+	return host, digests, counters
+}
+
+// TestHostArenaLaneReuseMatchesFresh is the lane-mode digest audit: a host
+// abandoned while a cross-lane IRQ is in flight, then reused through the
+// same arena, must run byte-identically — every lane engine's digest, the
+// host checkpoint's digest, and every VM's counters — to a freshly built
+// one. It covers Host.reset's
+// lane branch: the in-flight lists, the IPI streams, and the barrier
+// delivery hook.
+func TestHostArenaLaneReuseMatchesFresh(t *testing.T) {
+	const seed, done = 13, 20 * sim.Millisecond
+	newSE := func() *sim.ShardedEngine {
+		se, err := sim.NewSharded(seed, 2, 1, sim.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return se
+	}
+	_, wantDigests, wantCounters := laneArenaRun(t, nil, newSE(), done)
+
+	a := &HostArena{}
+	se := newSE()
+	abandoned, _, _ := laneArenaRun(t, a, se, 2*sim.Millisecond)
+	if len(abandoned.inflight[1]) == 0 {
+		t.Fatal("abandon point has no remote IRQ in flight; the audit would be vacuous")
+	}
+	se.Reset(seed)
+	host, digests, counters := laneArenaRun(t, a, se, done)
+	if host != abandoned {
+		t.Fatal("the arena rebuilt the host instead of reusing it")
+	}
+	for _, vm := range host.VMs() {
+		if finished, _ := vm.WorkloadDone(); !finished {
+			t.Fatal("workload did not finish")
+		}
+	}
+	for i := range wantDigests {
+		if digests[i] != wantDigests[i] {
+			t.Fatalf("digest %d (lanes, then host): reused %v, fresh %v", i, digests[i], wantDigests[i])
+		}
+	}
+	for i := range wantCounters {
+		if counters[i] != wantCounters[i] {
+			t.Fatalf("vm %d: counters differ on reuse:\n got %+v\nwant %+v", i, counters[i], wantCounters[i])
+		}
 	}
 }

@@ -62,6 +62,9 @@ func (c Config) Validate() error {
 	if c.HostHz <= 0 {
 		return fmt.Errorf("kvm: HostHz must be positive, got %d", c.HostHz)
 	}
+	if c.HostTickPeriod() <= 0 {
+		return fmt.Errorf("kvm: HostHz %d exceeds 1 GHz, the nanosecond clock's resolution", c.HostHz)
+	}
 	if c.Timeslice <= 0 {
 		return fmt.Errorf("kvm: Timeslice must be positive, got %v", c.Timeslice)
 	}
@@ -143,30 +146,22 @@ func NewHostOn(se *sim.ShardedEngine, cfg Config) (*Host, error) {
 		return nil, fmt.Errorf("kvm: coordinator has %d lanes, topology has %d sockets (want one lane per socket, or one lane total)",
 			se.Lanes(), cfg.Topology.Sockets)
 	}
-	h := &Host{se: se, cfg: cfg, cost: cfg.Cost, nextIOVector: hw.IODeviceBase}
+	// The shell holds the machine shape the host pool keys on: one pCPU per
+	// physical CPU with its pre-bound handlers and host-tick timer, plus
+	// the per-lane in-flight lists. reset writes everything else.
+	h := &Host{se: se, pcpus: make([]*PCPU, cfg.Topology.NumCPUs())}
 	if se.Quantum() > 0 {
 		h.inflight = make([][]*remoteIRQ, se.Lanes())
-		se.SetDeliver(h.deliverRemoteIRQ)
 	}
-	s, err := sched.New(cfg.SchedPolicy, cfg.Topology, cfg.Timeslice)
-	if err != nil {
-		return nil, err
-	}
-	h.sched = s
-	n := cfg.Topology.NumCPUs()
-	period := cfg.HostTickPeriod()
-	for i := 0; i < n; i++ {
+	for i := range h.pcpus {
 		lane := h.laneOf(cfg.Topology.SocketOf(hw.CPUID(i)))
 		p := &PCPU{host: h, id: hw.CPUID(i), lane: lane, engine: se.Engine(lane)}
 		p.bindHandlers()
-		// Stagger host ticks across pCPUs deterministically, like LAPIC
-		// calibration skew on real machines. The offset starts away from 0
-		// so host ticks do not land exactly on guest tick deadlines (which
-		// are armed at whole tick periods from boot).
-		phase := period * sim.Time(i+1) / sim.Time(n+1)
-		p.tick = hw.NewPeriodicTimer(p.engine, "host-tick", period, p.onHostTick)
-		p.tick.Start(phase)
-		h.pcpus = append(h.pcpus, p)
+		p.tick = hw.NewPeriodicTimer(p.engine, "host-tick", cfg.HostTickPeriod(), p.onHostTick)
+		h.pcpus[i] = p
+	}
+	if err := h.reset(cfg); err != nil {
+		return nil, err
 	}
 	return h, nil
 }

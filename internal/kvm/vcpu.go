@@ -88,11 +88,12 @@ type guestCPU interface {
 	ShouldHalt() bool
 }
 
-// reset returns a pooled vCPU to its just-constructed state on a (possibly
-// different) pCPU with a fresh scheduler ordinal. The deadline timers are
-// reset in place onto the VM's current lane engine — their expiry handlers
-// were pre-bound at construction and receive the dispatching engine as an
-// argument, so rebinding lanes costs nothing.
+// reset brings a vCPU — a fresh shell from VM.newVCPU or a pooled one — to
+// its just-constructed state on a (possibly different) pCPU with a fresh
+// scheduler ordinal. The deadline timers are reset in place onto the VM's
+// current lane engine — their expiry handlers were pre-bound at
+// construction and receive the dispatching engine as an argument, so
+// rebinding lanes costs nothing.
 //
 //paratick:noalloc
 func (v *VCPU) reset(pcpu *PCPU, key uint64) {

@@ -75,62 +75,32 @@ func (h *Host) NewVM(name string, gcfg guest.Config, placement []hw.CPUID) (*VM,
 			}
 		}
 	}
-	engine := h.se.Engine(lane)
-	if vm := h.vmArena.take(len(placement), gcfg.TickHz); vm != nil {
-		if err := vm.reset(name, engine, lane, gcfg, placement); err != nil {
-			return nil, err
+	vm := h.vmArena.take(len(placement), gcfg.TickHz)
+	if vm == nil {
+		vm = &VM{host: h, kernel: new(guest.Kernel), counters: new(metrics.Counters), vcpus: make([]*VCPU, 0, len(placement))}
+		vm.kernel.OnAllDone = func(now sim.Time) {
+			vm.workloadDone = true
+			vm.doneAt = now
+			if vm.OnWorkloadDone != nil {
+				vm.OnWorkloadDone(now)
+			}
 		}
-		h.vms = append(h.vms, vm)
-		return vm, nil
 	}
-	counters := &metrics.Counters{}
-	kernel, err := guest.NewKernel(engine, h.cost, gcfg, counters)
-	if err != nil {
+	if err := vm.reset(name, h.se.Engine(lane), lane, gcfg, placement); err != nil {
 		return nil, err
-	}
-	vm := &VM{host: h, name: name, engine: engine, lane: lane, index: len(h.vms), kernel: kernel, counters: counters}
-	if gcfg.Mode == core.Paratick {
-		vm.hook = &vm.defaultHook
-	}
-	vm.vcpus = make([]*VCPU, 0, len(placement))
-	for i, cpu := range placement {
-		gv := kernel.AddVCPU()
-		v := &VCPU{
-			vm:    vm,
-			id:    i,
-			gcpu:  gv,
-			pcpu:  h.pcpus[cpu],
-			state: VCPUStopped,
-			// The LAPIC IRR dedupes by vector, so the pend queue holds at
-			// most the distinct vectors in play; 8 covers every scenario
-			// without first-run growth.
-			pending:      make([]pendingIRQ, 0, 8),
-			pendingSpare: make([]pendingIRQ, 0, 8),
-		}
-		v.node.Key = h.nextSchedKey
-		h.nextSchedKey++
-		v.guestTimer = hw.NewDeadlineTimer(engine, "guest-timer", v.onGuestTimer)
-		v.topUpTimer = hw.NewDeadlineTimer(engine, "topup-timer", v.onTopUpTimer)
-		vm.vcpus = append(vm.vcpus, v)
-	}
-	vm.kernel.OnAllDone = func(now sim.Time) {
-		vm.workloadDone = true
-		vm.doneAt = now
-		if vm.OnWorkloadDone != nil {
-			vm.OnWorkloadDone(now)
-		}
 	}
 	h.vms = append(h.vms, vm)
 	return vm, nil
 }
 
-// reset rebinds a pooled VM — taken from the host's VM arena — to a new
-// run: new name, lane engine, guest config, and placement. The expensive
-// object graph survives: the guest kernel (with its tasks, sync objects,
-// segment pool, and timer wheels), the host vCPUs with their pre-bound
-// deadline-timer handlers, and the OnAllDone completion closure NewVM bound
-// once (it captures only the VM and reads per-run fields at fire time).
-// The arena key guarantees len(vm.vcpus) == len(placement).
+// reset binds a VM — a fresh shell from NewVM, or one taken from the
+// host's VM arena — to a run: name, lane engine, guest config, and
+// placement. The shell's object graph survives: the guest kernel (with its
+// tasks, sync objects, segment pool, and timer wheels), the host vCPUs
+// with their pre-bound deadline-timer handlers, and the OnAllDone
+// completion closure (it captures only the VM and reads per-run fields at
+// fire time). vCPUs are built on first use, so a shell grows to the
+// placement while a pooled VM, keyed on the vCPU count, already has it.
 func (vm *VM) reset(name string, engine *sim.Engine, lane int, gcfg guest.Config, placement []hw.CPUID) error {
 	h := vm.host
 	vm.name = name
@@ -153,10 +123,31 @@ func (vm *VM) reset(name string, engine *sim.Engine, lane int, gcfg guest.Config
 	vm.workloadDone = false
 	vm.OnWorkloadDone = nil
 	for i, cpu := range placement {
+		if i == len(vm.vcpus) {
+			vm.vcpus = append(vm.vcpus, vm.newVCPU())
+		}
 		vm.vcpus[i].reset(h.pcpus[cpu], h.nextSchedKey)
 		h.nextSchedKey++
 	}
 	return nil
+}
+
+// newVCPU builds the shell of the VM's next vCPU on the next guest vCPU;
+// VCPU.reset writes its per-run state.
+func (vm *VM) newVCPU() *VCPU {
+	v := &VCPU{
+		vm:   vm,
+		id:   len(vm.vcpus),
+		gcpu: vm.kernel.AddVCPU(),
+		// The LAPIC IRR dedupes by vector, so the pend queue holds at most
+		// the distinct vectors in play; 8 covers every scenario without
+		// first-run growth.
+		pending:      make([]pendingIRQ, 0, 8),
+		pendingSpare: make([]pendingIRQ, 0, 8),
+	}
+	v.guestTimer = hw.NewDeadlineTimer(vm.engine, "guest-timer", v.onGuestTimer)
+	v.topUpTimer = hw.NewDeadlineTimer(vm.engine, "topup-timer", v.onTopUpTimer)
+	return v
 }
 
 // SetEntryHook overrides the VM-entry hook (nil disables). NewVM installs

@@ -144,8 +144,6 @@ func DefaultConfig(modPath string) *Config {
 			p("internal/kvm") + ":HostArena",
 			p("internal/kvm") + ":VMArena",
 			p("internal/kvm") + ":Host.NewVM",
-			// Timer-wheel recycling: WheelPool.acquire → TimerWheel.Reset.
-			p("internal/guest") + ":WheelPool",
 		},
 		LaneDispatchPkgs: []string{
 			p("internal/sim"), p("internal/guest"), p("internal/kvm"),

@@ -13,6 +13,7 @@ import (
 // injections — onto a pCPU well before a FIFO rotation would.
 type fairSched struct {
 	//snap:skip immutable host topology from the scenario
+	//reset:keep machine shape fixed at construction; the host pool keys on the topology
 	topo hw.Topology
 	//snap:skip immutable policy parameter from the scenario
 	timeslice sim.Time
@@ -36,12 +37,9 @@ type fairQueue struct {
 }
 
 func newFair(topo hw.Topology, timeslice sim.Time) *fairSched {
-	return &fairSched{
-		topo:           topo,
-		timeslice:      timeslice,
-		minGranularity: timeslice / 8,
-		queues:         make([]fairQueue, topo.NumCPUs()),
-	}
+	s := &fairSched{topo: topo, queues: make([]fairQueue, topo.NumCPUs())}
+	s.Reset(timeslice)
+	return s
 }
 
 func (s *fairSched) Name() string { return Fair.String() }
@@ -62,6 +60,8 @@ func (s *fairSched) Enqueue(cpu hw.CPUID, e Entity, now sim.Time) {
 
 // minIndex returns the index of the queue's least-vruntime waiter, ties
 // broken by the lower Node.Key. -1 when empty.
+//
+//paratick:noalloc
 func (q *fairQueue) minIndex() int {
 	best := -1
 	var bestV sim.Time
@@ -86,12 +86,14 @@ func (s *fairSched) PickNext(cpu hw.CPUID, now sim.Time) Entity {
 // steal scans the idle CPU's socket siblings in increasing CPU id order and
 // takes the globally least-vruntime waiter. The fixed scan order and the
 // (vruntime, Key, CPU id) tie-break keep stealing deterministic.
+//
+//paratick:noalloc
 func (s *fairSched) steal(cpu hw.CPUID) Entity {
-	socket := s.topo.SocketOf(cpu)
+	first := hw.CPUID(s.topo.SocketOf(cpu) * s.topo.CPUsPerSocket)
 	bestCPU, bestIdx := hw.CPUID(-1), -1
 	var bestV sim.Time
 	var bestKey uint64
-	for _, sib := range s.topo.CPUsOnSocket(socket) {
+	for sib := first; sib < first+hw.CPUID(s.topo.CPUsPerSocket); sib++ {
 		if sib == cpu {
 			continue
 		}
@@ -112,6 +114,8 @@ func (s *fairSched) steal(cpu hw.CPUID) Entity {
 }
 
 // take removes index i from q and advances the queue's vruntime floor.
+//
+//paratick:noalloc
 func (s *fairSched) take(q *fairQueue, i int) Entity {
 	e := q.removeAt(i)
 	if v := e.SchedNode().vruntime; v > q.minVruntime {

@@ -17,6 +17,7 @@ type fifoQueue struct {
 
 func (q *fifoQueue) push(e Entity) { q.items = append(q.items, e) }
 
+//paratick:noalloc
 func (q *fifoQueue) len() int { return len(q.items) - q.head }
 
 func (q *fifoQueue) pop() Entity {
@@ -45,6 +46,8 @@ func (q *fifoQueue) compact() {
 }
 
 // removeAt removes and returns the queued entity at logical index i.
+//
+//paratick:noalloc
 func (q *fifoQueue) removeAt(i int) Entity {
 	idx := q.head + i
 	e := q.items[idx]
@@ -55,6 +58,8 @@ func (q *fifoQueue) removeAt(i int) Entity {
 }
 
 // at returns the queued entity at logical index i without removing it.
+//
+//paratick:noalloc
 func (q *fifoQueue) at(i int) Entity { return q.items[q.head+i] }
 
 func clearTail(s []Entity, from int) {
@@ -73,7 +78,9 @@ type fifoSched struct {
 }
 
 func newFIFO(topo hw.Topology, timeslice sim.Time) *fifoSched {
-	return &fifoSched{queues: make([]fifoQueue, topo.NumCPUs()), timeslice: timeslice}
+	s := &fifoSched{queues: make([]fifoQueue, topo.NumCPUs())}
+	s.Reset(timeslice)
+	return s
 }
 
 func (s *fifoSched) Name() string { return FIFO.String() }

@@ -217,13 +217,9 @@ func NewEngineShift(seed uint64, shift uint) *Engine {
 	if shift < 1 || shift > 40 {
 		panic(fmt.Sprintf("sim: bucket shift %d outside [1, 40]", shift))
 	}
-	return &Engine{
-		shift:    shift,
-		wheelEnd: wheelEndFor(0, shift),
-		batchBkt: -1,
-		heap:     make([]*node, 0, initialQueueCap),
-		rand:     NewRand(seed),
-	}
+	e := &Engine{shift: shift, heap: make([]*node, 0, initialQueueCap), rand: new(Rand)}
+	e.Reset(seed)
+	return e
 }
 
 // wheelEndFor returns the time at which the window starting at absolute
@@ -242,8 +238,9 @@ func wheelEndFor(base int64, shift uint) Time {
 
 // Reset returns the engine to time zero with a fresh RNG stream, releasing
 // every pending event while keeping the node pool, bucket, batch, and heap
-// capacities. It lets the experiment layer's per-worker arenas reuse one
-// engine across repeated runs instead of reallocating the whole structure.
+// capacities. It is the only writer of the engine's per-run state:
+// NewEngineShift builds a shell and calls it, and the experiment layer's
+// per-worker arenas call it to reuse one engine across repeated runs.
 func (e *Engine) Reset(seed uint64) {
 	if e.wheelCount > 0 {
 		for s := range e.buckets {
@@ -678,12 +675,20 @@ func (e *Engine) refillBatch() {
 	e.occ[s>>6] &^= 1 << uint(s&63)
 	e.wheelCount -= len(e.batch)
 	sortEnts(e.batch)
+	e.batchBkt = e.wheelBase + int64((s-s0)&wheelMask)
+	// A saturated window ends at Forever, so the bucket holding Forever is
+	// split: events at exactly Forever sit in the heap. They follow every
+	// wheel entry of the bucket in (when, seq) order; drain them too, or a
+	// later same-bucket schedule would join the batch ahead of them.
+	for e.wheelEnd == Forever && len(e.heap) > 0 && int64(e.heap[0].when>>e.shift) == e.batchBkt {
+		nd := e.popMin()
+		e.batch = append(e.batch, batchEnt{when: nd.when, seq: nd.seq, nd: nd})
+	}
 	for i := range e.batch {
 		nd := e.batch[i].nd
 		nd.loc = locBatch
 		nd.index = i
 	}
-	e.batchBkt = e.wheelBase + int64((s-s0)&wheelMask)
 }
 
 // ensureBatch makes the live batch non-empty, refilling it from the wheel

@@ -289,6 +289,13 @@ func TestHybridEngineDifferentialTargeted(t *testing.T) {
 		"step-mixed-tiers": {
 			0, 0, 1, 30, 2, 3, 2, 90, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0,
 		},
+		"forever-bucket-split": {
+			// Near Forever the window saturates and the last bucket is split
+			// between wheel and heap: an event at exactly Forever parked in
+			// the heap must still fire before a later one drained into the
+			// batch with that bucket.
+			3, 2, 6, 0, 0, 0, 3, 1, 7, 0, 3, 1,
+		},
 	}
 	for name, script := range scripts {
 		for _, shift := range engineDiffShifts {

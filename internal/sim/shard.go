@@ -126,22 +126,22 @@ func NewSharded(seed uint64, lanes, shards int, quantum Time) (*ShardedEngine, e
 		shards:  shards,
 		outbox:  make([][]Message, lanes),
 	}
-	rs := NewRand(seed)
 	for l := range se.engines {
-		se.engines[l] = NewEngine(rs.Uint64())
+		se.engines[l] = NewEngine(0)
 	}
 	se.shardEngines = make([][]*Engine, shards)
 	for s := 0; s < shards; s++ {
 		lo, hi := s*lanes/shards, (s+1)*lanes/shards
 		se.shardEngines[s] = se.engines[lo:hi]
 	}
+	se.Reset(seed)
 	return se, nil
 }
 
 // Reset returns the coordinator to its just-constructed state for the
-// given seed, retaining every engine's allocated capacity — the arena
-// reuse path. The resulting state is indistinguishable from a fresh
-// NewSharded with the same parameters.
+// given seed, retaining every engine's allocated capacity. NewSharded
+// seeds its lanes through it, so the arena reuse path and a fresh build
+// share one seeding rule.
 func (se *ShardedEngine) Reset(seed uint64) {
 	se.stopReq, se.stopped = false, false
 	if se.quantum == 0 {
