@@ -106,7 +106,7 @@ func run(args []string, w io.Writer) error {
 	scale := fs.Float64("scale", 1.0, "workload duration scale (1.0 = paper-sized)")
 	seed := fs.Uint64("seed", 1, "deterministic seed")
 	device := fs.String("device", "nvme", "block device profile: nvme, sata-ssd, hdd")
-	repeats := fs.Int("repeats", 1, "average each experiment over this many seeds (paper: 3-15)")
+	repeats := fs.Int("repeats", 1, "average fig4 and fig5 over this many seeds (paper: 3-15); other experiments run once")
 	workers := fs.Int("workers", 0, "parallel simulation workers (0 = one per CPU)")
 	shards := fs.Int("shards", 0, "intra-run event shards per scenario; >1 requires -quantum (output is byte-identical for any value)")
 	quantum := fs.Duration("quantum", 0, "lane-mode barrier quantum (0 = serial legacy engine)")

@@ -157,32 +157,14 @@ func RunIdleExitAblation(opts Options) (*AblationResult, error) {
 	jobs, err := runParallel(opts, 2,
 		func(i int, a *arena) (job2, error) {
 			if i == 0 {
-				spec := Spec{
-					Name:          "ablation-idle-exit/dynticks",
-					Mode:          core.DynticksIdle,
-					VCPUs:         1,
-					SchedPolicy:   opts.SchedPolicy,
-					SnapshotProbe: opts.SnapshotProbe,
-					Quantum:       opts.Quantum,
-					Shards:        opts.Shards,
-					Setup:         setup,
-				}
-				r, err := run(spec, opts.Seed, opts.Meter, a)
-				if err != nil {
+				sr := a.resultScratch()
+				s := opts.oneVM("ablation-idle-exit/dynticks", VMSpec{Mode: core.DynticksIdle, VCPUs: 1, Setup: setup})
+				if err := runScenarioInto(s, opts.Seed, opts.Meter, a, sr); err != nil {
 					return job2{}, err
 				}
-				return job2{results: []metrics.Result{r}}, nil
+				return job2{results: []metrics.Result{sr.Results[0]}}, nil
 			}
-			group := Spec{
-				Name:          "ablation-idle-exit/paratick",
-				Mode:          core.Paratick,
-				VCPUs:         1,
-				SchedPolicy:   opts.SchedPolicy,
-				SnapshotProbe: opts.SnapshotProbe,
-				Quantum:       opts.Quantum,
-				Shards:        opts.Shards,
-				Setup:         setup,
-			}.scenario()
+			group := opts.oneVM("ablation-idle-exit/paratick", VMSpec{Mode: core.Paratick, VCPUs: 1, Setup: setup})
 			arms := []func(*world) error{
 				nil, // keep armed: the group configuration as checkpointed
 				func(w *world) error {
@@ -221,21 +203,16 @@ func RunFrequencyMismatchAblation(opts Options) (*AblationResult, error) {
 	}
 	res := &AblationResult{Title: "Ablation: §4.1 guest 1000 Hz on host 250 Hz (busy vCPU)"}
 	work := sim.Time(float64(200*sim.Millisecond) * opts.Scale * 10)
-	group := Spec{
-		Name:          "ablation-freq/paratick-1000hz",
-		Mode:          core.Paratick,
-		VCPUs:         1,
-		GuestHz:       1000,
-		HostHz:        250,
-		SchedPolicy:   opts.SchedPolicy,
-		SnapshotProbe: opts.SnapshotProbe,
-		Quantum:       opts.Quantum,
-		Shards:        opts.Shards,
+	group := opts.oneVM("ablation-freq/paratick-1000hz", VMSpec{
+		Mode:    core.Paratick,
+		VCPUs:   1,
+		GuestHz: 1000,
 		Setup: func(vm *kvm.VM) error {
 			vm.Kernel().Spawn("spin", 0, guest.Steps(guest.Compute(work)))
 			return nil
 		},
-	}.scenario()
+	})
+	group.HostHz = 250
 	arms := []func(*world) error{
 		func(w *world) error {
 			w.vms[0].SetEntryHook(&core.ParatickHost{})
@@ -267,16 +244,7 @@ func RunHaltPollAblation(opts Options) (*AblationResult, error) {
 	}
 	res := &AblationResult{Title: "Ablation: KVM halt polling (fio rndr 4k, dynticks)"}
 	windows := []sim.Time{0, 50 * sim.Microsecond, 200 * sim.Microsecond}
-	group := Spec{
-		Name:          "ablation-haltpoll",
-		Mode:          core.DynticksIdle,
-		VCPUs:         1,
-		SchedPolicy:   opts.SchedPolicy,
-		SnapshotProbe: opts.SnapshotProbe,
-		Quantum:       opts.Quantum,
-		Shards:        opts.Shards,
-		Setup:         fioSetup(opts),
-	}.scenario()
+	group := opts.oneVM("ablation-haltpoll", VMSpec{Mode: core.DynticksIdle, VCPUs: 1, Setup: fioSetup(opts)})
 	arms := make([]func(*world) error, len(windows))
 	for i, hp := range windows {
 		hp := hp
@@ -344,14 +312,9 @@ func RunPLEAblation(opts Options) (*AblationResult, error) {
 	if iters < 100 {
 		iters = 100
 	}
-	group := Spec{
-		Name:          "ple",
-		Mode:          core.DynticksIdle,
-		VCPUs:         4,
-		SchedPolicy:   opts.SchedPolicy,
-		SnapshotProbe: opts.SnapshotProbe,
-		Quantum:       opts.Quantum,
-		Shards:        opts.Shards,
+	group := opts.oneVM("ple", VMSpec{
+		Mode:  core.DynticksIdle,
+		VCPUs: 4,
 		Setup: func(vm *kvm.VM) error {
 			lock := vm.Kernel().NewLock("hot")
 			for i := 0; i < 4; i++ {
@@ -359,7 +322,7 @@ func RunPLEAblation(opts Options) (*AblationResult, error) {
 			}
 			return nil
 		},
-	}.scenario()
+	})
 	variants := []struct {
 		name string
 		spin sim.Time
@@ -420,14 +383,9 @@ func RunCoalescingAblation(opts Options) (*AblationResult, error) {
 			base := opts.Device
 			base.CoalesceWindow = windows[0]
 			base.CoalesceMax = 8
-			group := Spec{
-				Name:          fmt.Sprintf("ablation-coalesce/%v", mode),
-				Mode:          mode,
-				VCPUs:         1,
-				SchedPolicy:   opts.SchedPolicy,
-				SnapshotProbe: opts.SnapshotProbe,
-				Quantum:       opts.Quantum,
-				Shards:        opts.Shards,
+			group := opts.oneVM(fmt.Sprintf("ablation-coalesce/%v", mode), VMSpec{
+				Mode:  mode,
+				VCPUs: 1,
 				Setup: func(vm *kvm.VM) error {
 					d, err := vm.AttachDevice("disk0", base)
 					if err != nil {
@@ -435,7 +393,7 @@ func RunCoalescingAblation(opts Options) (*AblationResult, error) {
 					}
 					return job.Spawn(vm.Kernel(), d)
 				},
-			}.scenario()
+			})
 			arms := make([]func(*world) error, len(windows))
 			for i, coalesce := range windows {
 				profile := opts.Device

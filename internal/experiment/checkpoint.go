@@ -189,16 +189,7 @@ func forkScenario(s Scenario, seed uint64, at sim.Time, arms []func(*world) erro
 // checkpoint flags operate on: random 4 KiB reads on the configured device
 // under the dynticks baseline, sized by opts.Scale.
 func ReferenceScenario(opts Options) Scenario {
-	return Spec{
-		Name:          "reference",
-		Mode:          core.DynticksIdle,
-		VCPUs:         1,
-		SchedPolicy:   opts.SchedPolicy,
-		SnapshotProbe: opts.SnapshotProbe,
-		Quantum:       opts.Quantum,
-		Shards:        opts.Shards,
-		Setup:         fioSetup(opts),
-	}.scenario()
+	return opts.oneVM("reference", VMSpec{Mode: core.DynticksIdle, VCPUs: 1, Setup: fioSetup(opts)})
 }
 
 // WarmupStats accounts what warm-started forking saved: warmup events are

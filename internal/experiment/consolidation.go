@@ -53,15 +53,11 @@ func wrapPlace(vcpus, base int) []hw.CPUID {
 // four idle 4-vCPU VMs, one 8-vCPU blocking-sync VM, one 4-vCPU I/O VM, one
 // 4-vCPU compute VM — all under one tick mode.
 func consolidationScenario(opts Options, mode core.Mode, dur sim.Time) Scenario {
-	s := Scenario{
-		Name:          "consolidation/" + mode.String(),
-		Topology:      hw.SmallTopology(), // 16 pCPUs
-		SchedPolicy:   opts.SchedPolicy,
-		Duration:      dur,
-		SnapshotProbe: opts.SnapshotProbe,
-		Quantum:       opts.Quantum,
-		Shards:        opts.Shards,
-	}
+	s := opts.scenario(Scenario{
+		Name:     "consolidation/" + mode.String(),
+		Topology: hw.SmallTopology(), // 16 pCPUs
+		Duration: dur,
+	})
 	for i := 0; i < 4; i++ {
 		s.VMs = append(s.VMs, VMSpec{
 			Name: fmt.Sprintf("idle%d", i), Mode: mode, Placement: wrapPlace(4, i*4),

@@ -122,15 +122,9 @@ func RunCrossover(opts Options) (*CrossoverResult, error) {
 	sweeps, err := runParallel(opts, len(modes),
 		func(mi int, a *arena) (modeSweep, error) {
 			mode := modes[mi]
-			group := Spec{
-				Name:          fmt.Sprintf("crossover/%v", mode),
-				Mode:          mode,
-				VCPUs:         1,
-				Duration:      dur,
-				SchedPolicy:   opts.SchedPolicy,
-				SnapshotProbe: opts.SnapshotProbe,
-				Quantum:       opts.Quantum,
-				Shards:        opts.Shards,
+			group := opts.oneVM(fmt.Sprintf("crossover/%v", mode), VMSpec{
+				Mode:  mode,
+				VCPUs: 1,
 				Setup: func(vm *kvm.VM) error {
 					dev, err := vm.AttachDevice("delay", delayLineProfile(warmLatency))
 					if err != nil {
@@ -141,7 +135,8 @@ func RunCrossover(opts Options) (*CrossoverResult, error) {
 					})
 					return nil
 				},
-			}.scenario()
+			})
+			group.Duration = dur
 			arms := make([]func(*world) error, len(idles))
 			for i, idle := range idles {
 				profile := delayLineProfile(idle)

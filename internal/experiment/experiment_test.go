@@ -49,19 +49,26 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Spec{Name: "x", VCPUs: 1}, 1); err == nil {
-		t.Error("spec with no workload and no duration accepted")
+	var o Options
+	if _, err := RunScenario(o.oneVM("x", VMSpec{VCPUs: 1}), 1); err == nil {
+		t.Error("scenario with no workload and no duration accepted")
 	}
-	if _, err := Run(Spec{Name: "x", Duration: sim.Second}, 1); err == nil {
-		t.Error("spec with zero vCPUs accepted")
+	s := o.oneVM("x", VMSpec{})
+	s.Duration = sim.Second
+	if _, err := RunScenario(s, 1); err == nil {
+		t.Error("scenario with zero vCPUs accepted")
 	}
 }
 
 func TestRunFixedDuration(t *testing.T) {
-	res, err := Run(Spec{Name: "idle", Mode: core.DynticksIdle, VCPUs: 2, Duration: 100 * sim.Millisecond}, 1)
+	var o Options
+	s := o.oneVM("idle", VMSpec{Mode: core.DynticksIdle, VCPUs: 2})
+	s.Duration = 100 * sim.Millisecond
+	sr, err := RunScenario(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := sr.Results[0]
 	if res.WallTime != 100*sim.Millisecond {
 		t.Fatalf("wall time = %v", res.WallTime)
 	}
@@ -71,15 +78,16 @@ func TestRunFixedDuration(t *testing.T) {
 }
 
 func TestCompareModesOnCompute(t *testing.T) {
-	spec := Spec{
-		Name:  "compute",
+	var o Options
+	s := o.oneVM("compute", VMSpec{
 		VCPUs: 1,
 		Setup: func(vm *kvm.VM) error {
 			vm.Kernel().Spawn("w", 0, guest.Steps(guest.Compute(20*sim.Millisecond)))
 			return nil
 		},
-	}
-	cmp, err := CompareModes(spec, 1)
+	})
+	mode := s.VMs[0].Mode
+	cmp, err := compareModes(s, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +96,9 @@ func TestCompareModesOnCompute(t *testing.T) {
 	}
 	if cmp.ExitsDelta >= 0 {
 		t.Fatalf("paratick should reduce exits, delta = %v", cmp.ExitsDelta)
+	}
+	if s.VMs[0].Mode != mode {
+		t.Errorf("compareModes changed the caller's VM mode from %v to %v", mode, s.VMs[0].Mode)
 	}
 }
 

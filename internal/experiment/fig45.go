@@ -37,13 +37,8 @@ func runFig4Once(opts Options) (*ParsecFigure, error) {
 	comps, err := runParallel(opts, len(profiles),
 		func(i int, a *arena) (metrics.Comparison, error) {
 			p := profiles[i]
-			spec := Spec{
-				Name:          "parsec-seq/" + p.Name,
-				VCPUs:         1,
-				SchedPolicy:   opts.SchedPolicy,
-				SnapshotProbe: opts.SnapshotProbe,
-				Quantum:       opts.Quantum,
-				Shards:        opts.Shards,
+			s := opts.oneVM("parsec-seq/"+p.Name, VMSpec{
+				VCPUs: 1,
 				Setup: func(vm *kvm.VM) error {
 					dev, err := vm.AttachDevice("disk0", opts.Device)
 					if err != nil {
@@ -56,8 +51,8 @@ func runFig4Once(opts Options) (*ParsecFigure, error) {
 					vm.Kernel().Spawn(p.Name, 0, prog)
 					return nil
 				},
-			}
-			cmp, err := compareModes(spec, opts.Seed, opts.Meter, a)
+			})
+			cmp, err := compareModes(s, opts.Seed, opts.Meter, a)
 			if err != nil {
 				return metrics.Comparison{}, err
 			}
@@ -107,14 +102,9 @@ func runFig5SizeOnce(opts Options, size VMSize) (*ParsecFigure, error) {
 	comps, err := runParallel(opts, len(profiles),
 		func(i int, a *arena) (metrics.Comparison, error) {
 			p := profiles[i]
-			spec := Spec{
-				Name:          "parsec-par/" + size.Name + "/" + p.Name,
-				VCPUs:         size.VCPUs,
-				Sockets:       size.Sockets,
-				SchedPolicy:   opts.SchedPolicy,
-				SnapshotProbe: opts.SnapshotProbe,
-				Quantum:       opts.Quantum,
-				Shards:        opts.Shards,
+			s := opts.oneVM("parsec-par/"+size.Name+"/"+p.Name, VMSpec{
+				VCPUs:   size.VCPUs,
+				Sockets: size.Sockets,
 				Setup: func(vm *kvm.VM) error {
 					dev, err := vm.AttachDevice("disk0", opts.Device)
 					if err != nil {
@@ -123,8 +113,8 @@ func runFig5SizeOnce(opts Options, size VMSize) (*ParsecFigure, error) {
 					_, err = p.SpawnParallel(vm.Kernel(), size.VCPUs, dev, opts.Scale)
 					return err
 				},
-			}
-			cmp, err := compareModes(spec, opts.Seed, opts.Meter, a)
+			})
+			cmp, err := compareModes(s, opts.Seed, opts.Meter, a)
 			if err != nil {
 				return metrics.Comparison{}, err
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"paratick/internal/core"
 	"paratick/internal/kvm"
 	"paratick/internal/metrics"
 	"paratick/internal/workload"
@@ -100,13 +99,8 @@ func RunFig6(opts Options) (*FioFigure, error) {
 
 func runFioCell(opts Options, pat workload.FioPattern, bs int, a *arena) (FioCell, error) {
 	job := workload.DefaultFioJob(pat, bs, fioTotalBytes(bs, opts.Scale))
-	spec := Spec{
-		Name:          fmt.Sprintf("fio/%s/%dk", pat, bs/1024),
-		VCPUs:         1,
-		SchedPolicy:   opts.SchedPolicy,
-		SnapshotProbe: opts.SnapshotProbe,
-		Quantum:       opts.Quantum,
-		Shards:        opts.Shards,
+	s := opts.oneVM(fmt.Sprintf("fio/%s/%dk", pat, bs/1024), VMSpec{
+		VCPUs: 1,
 		Setup: func(vm *kvm.VM) error {
 			dev, err := vm.AttachDevice("disk0", opts.Device)
 			if err != nil {
@@ -114,25 +108,21 @@ func runFioCell(opts Options, pat workload.FioPattern, bs int, a *arena) (FioCel
 			}
 			return job.Spawn(vm.Kernel(), dev)
 		},
-	}
-	base := spec
-	base.Mode = core.DynticksIdle
-	baseRes, err := run(base, opts.Seed, opts.Meter, a)
+	})
+	cmp, err := compareModes(s, opts.Seed, opts.Meter, a)
 	if err != nil {
 		return FioCell{}, err
 	}
-	para := spec
-	para.Mode = core.Paratick
-	paraRes, err := run(para, opts.Seed, opts.Meter, a)
-	if err != nil {
-		return FioCell{}, err
+	cell := FioCell{
+		Pattern:         pat,
+		BlockSize:       bs,
+		Baseline:        cmp.Baseline,
+		Paratick:        cmp.Optimized,
+		ExitsDelta:      cmp.ExitsDelta,
+		TimerExitsDelta: cmp.TimerExitsDelta,
+		RuntimeDelta:    cmp.RuntimeDelta,
 	}
-	cell := FioCell{Pattern: pat, BlockSize: bs, Baseline: baseRes, Paratick: paraRes}
-	cmp := metrics.Compare(baseRes, paraRes)
-	cell.ExitsDelta = cmp.ExitsDelta
-	cell.TimerExitsDelta = cmp.TimerExitsDelta
-	cell.RuntimeDelta = cmp.RuntimeDelta
-	bt, pt := baseRes.IOThroughputMBps(), paraRes.IOThroughputMBps()
+	bt, pt := cell.Baseline.IOThroughputMBps(), cell.Paratick.IOThroughputMBps()
 	if bt > 0 {
 		cell.IOThroughputDelta = pt/bt - 1
 	}

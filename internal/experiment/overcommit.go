@@ -67,15 +67,13 @@ func overcommitScenario(opts Options, ratio int, mode core.Mode, policy sched.Ki
 		}
 		return out
 	}
-	s := Scenario{
-		Name:          fmt.Sprintf("overcommit/%d:1/%s/%s", ratio, mode, policy),
-		Topology:      hw.Topology{Sockets: 2, CPUsPerSocket: 4, CrossSocketTax: 1.35},
-		SchedPolicy:   policy,
-		Duration:      dur,
-		SnapshotProbe: opts.SnapshotProbe,
-		Quantum:       opts.Quantum,
-		Shards:        opts.Shards,
-	}
+	s := opts.scenario(Scenario{
+		Name:     fmt.Sprintf("overcommit/%d:1/%s/%s", ratio, mode, policy),
+		Topology: hw.Topology{Sockets: 2, CPUsPerSocket: 4, CrossSocketTax: 1.35},
+		Duration: dur,
+	})
+	// The sweep compares policies, so each cell overrides the stamped one.
+	s.SchedPolicy = policy
 	bench := workload.DefaultSyncBench()
 	bench.Threads = overcommitPCPUs
 	bench.SyncsPerSec = 4000

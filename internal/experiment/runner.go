@@ -28,9 +28,10 @@ type Options struct {
 	Scale float64
 	// Device is the block-device profile for I/O experiments.
 	Device iodev.Profile
-	// Repeats runs every experiment this many times with consecutive seeds
-	// and reports mean ± spread, the paper's 3–15-iteration methodology
-	// (§6). 0 or 1 = single run.
+	// Repeats runs Figure 4 and each Figure 5 panel this many times with
+	// consecutive seeds and reports mean ± spread, the paper's
+	// 3–15-iteration methodology (§6). The other experiments run once
+	// regardless. 0 or 1 = single run.
 	Repeats int
 	// Workers caps how many independent simulation runs execute
 	// concurrently; 0 means runtime.GOMAXPROCS(0). Every run owns a private
@@ -120,19 +121,16 @@ func (o Options) WorkerCount() int {
 }
 
 // arena is per-worker scratch reused across the independent runs one worker
-// executes serially. The dominant construction cost of a run is its
-// sim.Engine — the wheel bucket arrays and event slab — which Engine.Reset
-// retains across runs. Arenas are never shared between workers, so runs stay
+// executes serially. The dominant construction cost of a run is its engine
+// coordinator — the wheel bucket arrays and event slab — which Reset retains
+// across runs. Arenas are never shared between workers, so runs stay
 // race-free, and a run's observable behaviour depends only on its seed (the
-// engine resets to an identical state either way), keeping output
+// coordinator resets to an identical state either way), keeping output
 // byte-identical for any worker count.
 type arena struct {
-	engine *sim.Engine
-	// wrapped caches WrapEngine(engine) so legacy-mode runs reuse one
-	// coordinator shell per worker instead of allocating one per run.
-	wrapped *sim.ShardedEngine
-	// sharded caches the lane-mode coordinator, reused while consecutive
-	// runs ask for the same (lanes, shards, quantum) shape.
+	// sharded caches the engine coordinator, serial (one lane, quantum 0)
+	// or lane mode, reused while consecutive runs ask for the same
+	// (lanes, shards, quantum) shape.
 	sharded *sim.ShardedEngine
 	// hosts pools Host construction (PCPUs, their pre-bound handler
 	// closures, host-tick timers, scheduler queues) across runs on the
@@ -167,35 +165,12 @@ func (a *arena) hostArena() *kvm.HostArena {
 	return &a.hosts
 }
 
-// engineFor returns the arena's engine reset to seed, creating it on first
-// use. A nil arena (one-off runs outside a worker pool) builds a fresh
-// engine.
-func (a *arena) engineFor(seed uint64) *sim.Engine {
-	if a == nil {
-		return sim.NewEngine(seed)
-	}
-	if a.engine == nil {
-		a.engine = sim.NewEngine(seed)
-	} else {
-		a.engine.Reset(seed)
-	}
-	return a.engine
-}
-
-// shardedFor returns a coordinator for the requested shape, reset to seed.
-// Quantum 0 wraps the arena's legacy engine (the byte-identical serial
-// path); lane mode reuses the cached coordinator while the shape matches.
+// shardedFor returns a coordinator for the requested shape, reset to seed:
+// the cached one while the shape matches, otherwise a new one (which the
+// arena then caches). Quantum 0 is the serial shape (1, 1, 0), for which
+// sim.NewSharded wraps one engine — the byte-identical legacy path. A nil
+// arena (one-off runs outside a worker pool) always builds a new one.
 func (a *arena) shardedFor(seed uint64, lanes, shards int, quantum sim.Time) (*sim.ShardedEngine, error) {
-	if quantum == 0 {
-		e := a.engineFor(seed)
-		if a == nil {
-			return sim.WrapEngine(e), nil
-		}
-		if a.wrapped == nil || a.wrapped.Root() != e {
-			a.wrapped = sim.WrapEngine(e)
-		}
-		return a.wrapped, nil
-	}
 	if a != nil && a.sharded != nil &&
 		a.sharded.Lanes() == lanes && a.sharded.Shards() == shards && a.sharded.Quantum() == quantum {
 		a.sharded.Reset(seed)
@@ -231,10 +206,10 @@ func (o Options) arenaFor(w int) *arena {
 // goroutines and assembles the results by index, so output ordering — and
 // therefore every rendered table — is identical to a serial loop. Jobs must
 // not share mutable state; each experiment run builds its own host and VMs,
-// drawing scratch (the reused sim.Engine, the host/VM arenas) only from the
-// worker-private arena it is handed (nil under o.NoArena). On failure the
-// error of the lowest-index failing job is returned, keeping even the error
-// path deterministic.
+// drawing scratch (the reused engine coordinator, the host/VM arenas) only
+// from the worker-private arena it is handed (nil under o.NoArena). On
+// failure the error of the lowest-index failing job is returned, keeping
+// even the error path deterministic.
 func runParallel[T any](o Options, n int, job func(i int, a *arena) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	workers := o.WorkerCount()
@@ -327,115 +302,46 @@ func (o Options) Validate() error {
 	return o.Device.Validate()
 }
 
-// Spec describes one single-VM simulation run. It is the degenerate case of
-// a Scenario (see scenario.go): Run turns it into a one-VM fleet.
-type Spec struct {
-	Name       string
-	Mode       core.Mode
-	VCPUs      int
-	Sockets    int
-	GuestHz    int // 0 → 250
-	HostHz     int // 0 → 250
-	PolicyOpts core.Options
-	HaltPoll   sim.Time
-	TopUp      bool
-	// Timeslice overrides the pCPU timeslice (0 → 6 ms default).
-	Timeslice sim.Time
-	// PLEWindow enables pause-loop exiting on the host (0 → disabled, the
-	// paper's setting).
-	PLEWindow sim.Time
-	// AdaptiveSpin enables the guest's optimistic-spin lock path.
-	AdaptiveSpin sim.Time
-	// SchedPolicy selects the host vCPU scheduler (zero → sched.FIFO).
-	SchedPolicy sched.Kind
-	// Duration runs for a fixed simulated time (open-ended workloads);
-	// when 0 the run ends at workload completion.
-	Duration sim.Time
-	// SnapshotProbe enables the mid-run checkpoint round-trip gate (see
-	// Scenario.SnapshotProbe).
-	SnapshotProbe sim.Time
-	// Quantum/Shards select lane mode and its execution width (see
-	// Scenario.Quantum and Scenario.Shards).
-	Quantum sim.Time
-	Shards  int
-	// Setup spawns the workload (tasks, devices) into the fresh VM.
-	Setup func(vm *kvm.VM) error
-}
-
 // maxSimTime caps runaway simulations; any paper experiment finishes far
 // sooner.
 const maxSimTime = 1000 * sim.Second
 
-// scenario lifts the single-VM spec into a one-VM Scenario.
-func (spec Spec) scenario() Scenario {
-	return Scenario{
-		Name:          spec.Name,
-		HostHz:        spec.HostHz,
-		Timeslice:     spec.Timeslice,
-		HaltPoll:      spec.HaltPoll,
-		PLEWindow:     spec.PLEWindow,
-		SchedPolicy:   spec.SchedPolicy,
-		Duration:      spec.Duration,
-		SnapshotProbe: spec.SnapshotProbe,
-		Quantum:       spec.Quantum,
-		Shards:        spec.Shards,
-		VMs: []VMSpec{{
-			Name:         spec.Name,
-			Mode:         spec.Mode,
-			GuestHz:      spec.GuestHz,
-			PolicyOpts:   spec.PolicyOpts,
-			AdaptiveSpin: spec.AdaptiveSpin,
-			TopUp:        spec.TopUp,
-			VCPUs:        spec.VCPUs,
-			Sockets:      spec.Sockets,
-			Workload:     spec.Setup != nil,
-			Setup:        spec.Setup,
-		}},
-	}
+// scenario stamps the invocation-wide knobs onto a runner's scenario: the
+// host scheduling policy, the snapshot probe, and lane mode. It is the only
+// place runners get them from, so every CLI gate covers every runner.
+func (o Options) scenario(s Scenario) Scenario {
+	s.SchedPolicy = o.SchedPolicy
+	s.SnapshotProbe = o.SnapshotProbe
+	s.Quantum = o.Quantum
+	s.Shards = o.Shards
+	return s
 }
 
-// Run executes one spec and returns its result.
-func Run(spec Spec, seed uint64) (metrics.Result, error) {
-	return run(spec, seed, nil, nil)
+// oneVM builds the stamped single-VM scenario: one VM named like the
+// scenario, which is the completion condition when it has a Setup.
+func (o Options) oneVM(name string, vm VMSpec) Scenario {
+	vm.Name = name
+	vm.Workload = vm.Setup != nil
+	return o.scenario(Scenario{Name: name, VMs: []VMSpec{vm}})
 }
 
-// run is Run with telemetry (engine event counts go to m, which may be nil)
-// and an optional worker arena providing the reused engine.
-func run(spec Spec, seed uint64, m *metrics.Meter, a *arena) (metrics.Result, error) {
-	if spec.Setup == nil && spec.Duration == 0 {
-		return metrics.Result{}, fmt.Errorf("experiment %s: no workload and no duration", spec.Name)
+// compareModes runs a one-VM scenario under the dynticks baseline and
+// paratick and returns the paper's relative metrics.
+func compareModes(s Scenario, seed uint64, m *metrics.Meter, a *arena) (metrics.Comparison, error) {
+	var res [2]metrics.Result
+	for i, mode := range []core.Mode{core.DynticksIdle, core.Paratick} {
+		// Each arm gets its own VMs slice: flipping the mode in place
+		// would alias the caller's scenario.
+		arm := s
+		arm.VMs = []VMSpec{s.VMs[0]}
+		arm.VMs[0].Mode = mode
+		sr := a.resultScratch()
+		if err := runScenarioInto(arm, seed, m, a, sr); err != nil {
+			return metrics.Comparison{}, err
+		}
+		res[i] = sr.Results[0]
 	}
-	if spec.VCPUs <= 0 {
-		return metrics.Result{}, fmt.Errorf("experiment %s: need vCPUs", spec.Name)
-	}
-	sr := a.resultScratch()
-	if err := runScenarioInto(spec.scenario(), seed, m, a, sr); err != nil {
-		return metrics.Result{}, err
-	}
-	return sr.Results[0], nil
-}
-
-// CompareModes runs the spec under the dynticks baseline and paratick and
-// returns the paper's relative metrics.
-func CompareModes(spec Spec, seed uint64) (metrics.Comparison, error) {
-	return compareModes(spec, seed, nil, nil)
-}
-
-// compareModes is CompareModes with telemetry and an optional worker arena.
-func compareModes(spec Spec, seed uint64, m *metrics.Meter, a *arena) (metrics.Comparison, error) {
-	base := spec
-	base.Mode = core.DynticksIdle
-	baseRes, err := run(base, seed, m, a)
-	if err != nil {
-		return metrics.Comparison{}, err
-	}
-	opt := spec
-	opt.Mode = core.Paratick
-	optRes, err := run(opt, seed, m, a)
-	if err != nil {
-		return metrics.Comparison{}, err
-	}
-	cmp := metrics.Compare(baseRes, optRes)
-	cmp.Name = spec.Name
+	cmp := metrics.Compare(res[0], res[1])
+	cmp.Name = s.Name
 	return cmp, nil
 }

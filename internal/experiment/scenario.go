@@ -44,8 +44,10 @@ type VMSpec struct {
 }
 
 // Scenario is one simulation run: a host configuration plus the fleet of
-// VMs sharing it. A single-VM Spec is the degenerate case (see Spec.scenario);
-// consolidation and overcommit studies declare multi-VM fleets.
+// VMs sharing it. It is the one world description: single-VM runners
+// build theirs with Options.oneVM, paratick.Run translates its own
+// scenario into a one-VM Scenario, and consolidation and overcommit
+// studies declare multi-VM fleets.
 type Scenario struct {
 	Name string
 	// Topology overrides the host CPU layout; the zero value keeps the
@@ -186,15 +188,9 @@ type world struct {
 	// se coordinates the run's engines: a legacy single-engine wrapper when
 	// Quantum is 0 (byte-identical to the pre-shard code path), or one lane
 	// per socket under the quantum barrier.
-	se        *sim.ShardedEngine
-	host      *kvm.Host
-	vms       []*kvm.VM
-	workloads int
-	// remaining counts unfinished workload VMs; the legacy OnWorkloadDone
-	// hooks decrement it and stop the engine at zero (Duration-0
-	// scenarios). Lane mode checks completion at barriers instead — a
-	// shared counter mutated from several shards would race.
-	remaining int
+	se   *sim.ShardedEngine
+	host *kvm.Host
+	vms  []*kvm.VM
 	// resumed marks a world restored from a checkpoint whose arms may have
 	// had runtime knobs retuned; the snapshot probe then verifies without
 	// adopting the rebuilt copy (a rebuild cannot know the retuned knobs).
@@ -286,9 +282,6 @@ func buildWorld(s Scenario, seed uint64, a *arena) (*world, error) {
 				return nil, fmt.Errorf("experiment %s setup %s: %w", s.Name, vs.Name, err)
 			}
 		}
-		if vs.Workload {
-			w.workloads++
-		}
 		w.placements = append(w.placements, placement)
 		w.vms = append(w.vms, vm)
 	}
@@ -297,29 +290,24 @@ func buildWorld(s Scenario, seed uint64, a *arena) (*world, error) {
 			return nil, fmt.Errorf("experiment %s: cross-IPI stream %d: %w", s.Name, i, err)
 		}
 	}
-	w.remaining = w.workloads
-	if s.Quantum > 0 {
-		// Lane mode: completion is decided at quantum barriers, where the
-		// coordinator can read every lane's state race-free. A per-VM
-		// OnWorkloadDone hook would mutate shared state from several shard
-		// goroutines, and a mid-quantum stop would depend on the shard
-		// interleaving.
-		if s.Duration == 0 {
-			se.SetBarrierHook(func(sim.Time) {
-				if w.workloadsDone() {
-					se.Stop()
-				}
-			})
-		}
-	} else {
-		for i, vs := range s.VMs {
-			if !vs.Workload {
-				continue
+	if s.Duration == 0 {
+		// One completion rule: stop once every workload VM has finished.
+		// Serial runs check it as each workload VM completes. Lane mode
+		// checks it at quantum barriers, where the coordinator can read
+		// every lane's state race-free: a per-VM hook would run on several
+		// shard goroutines, and a mid-quantum stop would depend on the
+		// shard interleaving.
+		stopWhenDone := func(sim.Time) {
+			if w.workloadsDone() {
+				se.Stop()
 			}
-			w.vms[i].OnWorkloadDone = func(sim.Time) {
-				w.remaining--
-				if w.remaining == 0 && w.scenario.Duration == 0 {
-					w.se.Stop()
+		}
+		if s.Quantum > 0 {
+			se.SetBarrierHook(stopWhenDone)
+		} else {
+			for i, vs := range s.VMs {
+				if vs.Workload {
+					w.vms[i].OnWorkloadDone = stopWhenDone
 				}
 			}
 		}
@@ -448,15 +436,6 @@ func (w *world) restore(data []byte) error {
 	}
 	if n := dec.Remaining(); n != 0 {
 		return fmt.Errorf("experiment %s: %d bytes left over after snapshot load", w.scenario.Name, n)
-	}
-	w.remaining = 0
-	for i, vs := range w.scenario.VMs {
-		if !vs.Workload {
-			continue
-		}
-		if done, _ := w.vms[i].WorkloadDone(); !done {
-			w.remaining++
-		}
 	}
 	return nil
 }

@@ -35,19 +35,11 @@ func ShardFleetScenario(opts Options, vms int) (Scenario, error) {
 	if vms < 2 {
 		return Scenario{}, fmt.Errorf("experiment shardfleet: need at least 2 VMs, got %d", vms)
 	}
-	quantum := opts.Quantum
-	if quantum == 0 {
-		quantum = shardFleetQuantum
+	if opts.Quantum == 0 {
+		opts.Quantum = shardFleetQuantum
 	}
 	topo := hw.PaperTopology()
-	s := Scenario{
-		Name:          "shardfleet",
-		Topology:      topo,
-		SchedPolicy:   opts.SchedPolicy,
-		SnapshotProbe: opts.SnapshotProbe,
-		Quantum:       quantum,
-		Shards:        opts.Shards,
-	}
+	s := opts.scenario(Scenario{Name: "shardfleet", Topology: topo})
 	for i := 0; i < vms; i++ {
 		socket := i % topo.Sockets
 		cpus := topo.CPUsOnSocket(socket)
@@ -74,7 +66,7 @@ func ShardFleetScenario(opts Options, vms int) (Scenario, error) {
 		s.CrossIPI = append(s.CrossIPI, CrossIPISpec{
 			Src: i, Dst: (i + 1) % vms, DstVCPU: i % shardFleetVCPUs,
 			Period:  250 * sim.Microsecond,
-			Latency: 2 * quantum,
+			Latency: 2 * opts.Quantum,
 		})
 	}
 	return s, nil

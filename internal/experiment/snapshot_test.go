@@ -163,13 +163,11 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		modes := []core.Mode{core.Periodic, core.DynticksIdle, core.Paratick}
 		opts := DefaultOptions()
 		opts.Scale = 0.02
-		spec := Spec{
-			Name:  "fuzz",
+		s := opts.oneVM("fuzz", VMSpec{
 			Mode:  modes[int(modeSel)%len(modes)],
 			VCPUs: 2,
 			Setup: fioSetup(opts),
-		}
-		s := spec.scenario()
+		})
 		at := sim.Time(int64(atMicros)%5000+1) * sim.Microsecond
 		w1, err := buildWorld(s, seed, nil)
 		if err != nil {

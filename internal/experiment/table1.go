@@ -84,15 +84,11 @@ func runTable1Workload(opts Options, mode core.Mode, nVMs int, sync bool, dur si
 	for i := range placement {
 		placement[i] = hw.CPUID(i)
 	}
-	s := Scenario{
-		Name:          fmt.Sprintf("table1/%s", mode),
-		Topology:      hw.SmallTopology(), // the §3.3 16-pCPU system
-		SchedPolicy:   opts.SchedPolicy,
-		Duration:      dur,
-		SnapshotProbe: opts.SnapshotProbe,
-		Quantum:       opts.Quantum,
-		Shards:        opts.Shards,
-	}
+	s := opts.scenario(Scenario{
+		Name:     fmt.Sprintf("table1/%s", mode),
+		Topology: hw.SmallTopology(), // the §3.3 16-pCPU system
+		Duration: dur,
+	})
 	for n := 0; n < nVMs; n++ {
 		vs := VMSpec{Name: fmt.Sprintf("vm%d", n), Mode: mode, Placement: placement}
 		if sync {

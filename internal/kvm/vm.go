@@ -158,6 +158,9 @@ func (vm *VM) SetEntryHook(hook core.EntryHook) { vm.hook = hook }
 // Name returns the VM name.
 func (vm *VM) Name() string { return vm.name }
 
+// Host returns the host the VM runs on.
+func (vm *VM) Host() *Host { return vm.host }
+
 // Kernel returns the guest kernel, used to spawn tasks and create locks.
 func (vm *VM) Kernel() *guest.Kernel { return vm.kernel }
 

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"paratick/internal/core"
-	"paratick/internal/guest"
+	"paratick/internal/experiment"
 	"paratick/internal/hw"
 	"paratick/internal/kvm"
 	"paratick/internal/sched"
@@ -183,34 +183,18 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// Run simulates the scenario and returns its report.
+// Run simulates the scenario and returns its report. The scenario runs as
+// a one-VM experiment.Scenario, through the same builder and completion
+// rule as every paper experiment.
 func Run(s Scenario) (*Report, error) {
 	s = s.withDefaults()
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	engine := sim.NewEngine(s.Seed)
-	cfg := kvm.DefaultConfig()
-	cfg.HostHz = s.HostHz
-	cfg.HaltPoll = sim.Time(s.HaltPoll.Nanoseconds())
-	cfg.PLEWindow = sim.Time(s.PLEWindow.Nanoseconds())
-	cfg.SchedPolicy = s.Sched.internal()
-	if s.Timeslice > 0 {
-		cfg.Timeslice = sim.Time(s.Timeslice.Nanoseconds())
-	}
-	host, err := kvm.NewHost(engine, cfg)
-	if err != nil {
-		return nil, err
-	}
-	var tracer *trace.Buffer
-	if s.TraceCapacity > 0 {
-		tracer = trace.NewBuffer(s.TraceCapacity)
-		host.SetTracer(tracer)
-	}
 	// With overcommit, groups of vCPUs share a physical CPU: vCPU i lands
 	// on the pCPU of slot i/Overcommit.
 	pcpus := (s.VCPUs + s.Overcommit - 1) / s.Overcommit
-	spread, err := cfg.Topology.SpreadAcross(pcpus, s.Sockets)
+	spread, err := kvm.DefaultConfig().Topology.SpreadAcross(pcpus, s.Sockets)
 	if err != nil {
 		return nil, err
 	}
@@ -218,37 +202,42 @@ func Run(s Scenario) (*Report, error) {
 	for i := range placement {
 		placement[i] = spread[i/s.Overcommit]
 	}
-	gcfg := guest.DefaultConfig()
-	gcfg.Mode = s.Mode.internal()
-	gcfg.TickHz = s.GuestHz
-	gcfg.PolicyOpts = core.Options{DisarmOnIdleExit: s.DisarmOnIdleExit}
-	gcfg.AdaptiveSpin = sim.Time(s.AdaptiveSpin.Nanoseconds())
-	vm, err := host.NewVM(s.Name, gcfg, placement)
+	var tracer *trace.Buffer
+	if s.TraceCapacity > 0 {
+		tracer = trace.NewBuffer(s.TraceCapacity)
+	}
+	sr, err := experiment.RunScenario(experiment.Scenario{
+		Name:        s.Name,
+		HostHz:      s.HostHz,
+		Timeslice:   sim.Time(s.Timeslice.Nanoseconds()),
+		HaltPoll:    sim.Time(s.HaltPoll.Nanoseconds()),
+		PLEWindow:   sim.Time(s.PLEWindow.Nanoseconds()),
+		SchedPolicy: s.Sched.internal(),
+		Duration:    sim.Time(s.Duration.Nanoseconds()),
+		VMs: []experiment.VMSpec{{
+			Name:         s.Name,
+			Mode:         s.Mode.internal(),
+			GuestHz:      s.GuestHz,
+			PolicyOpts:   core.Options{DisarmOnIdleExit: s.DisarmOnIdleExit},
+			AdaptiveSpin: sim.Time(s.AdaptiveSpin.Nanoseconds()),
+			TopUp:        s.TopUpTimer,
+			Placement:    placement,
+			Workload:     s.Workload != nil,
+			// Setup runs after NewVM and before Start, so the tracer is in
+			// place before anything can record.
+			Setup: func(vm *kvm.VM) error {
+				vm.Host().SetTracer(tracer)
+				if s.Workload == nil {
+					return nil
+				}
+				return s.Workload.apply(vm)
+			},
+		}},
+	}, s.Seed)
 	if err != nil {
 		return nil, err
 	}
-	if s.Mode == ModeParatick && s.TopUpTimer {
-		vm.SetEntryHook(&core.ParatickHost{TopUp: true})
-	}
-	if s.Workload != nil {
-		if err := s.Workload.apply(vm); err != nil {
-			return nil, fmt.Errorf("paratick: workload setup: %w", err)
-		}
-	}
-	deadline := sim.Time(s.Duration.Nanoseconds())
-	if deadline == 0 {
-		deadline = 1000 * sim.Second
-		vm.OnWorkloadDone = func(sim.Time) { engine.Stop() }
-	}
-	vm.Start()
-	engine.RunUntil(deadline)
-	if s.Duration == 0 {
-		if done, _ := vm.WorkloadDone(); !done {
-			return nil, fmt.Errorf("paratick: scenario %q did not finish within %v (%d tasks alive)",
-				s.Name, deadline, vm.Kernel().LiveTasks())
-		}
-	}
-	return newReport(s, vm, tracer), nil
+	return newReport(s, sr.Results[0], tracer), nil
 }
 
 // CompareToBaseline runs the scenario twice — once under ModeDynticks (the

@@ -307,6 +307,18 @@ func TestTraceCapture(t *testing.T) {
 	}
 }
 
+// TestResultCountsEvents checks that Report.Result carries the run's engine
+// event count, which the experiment layer's results have always reported.
+func TestResultCountsEvents(t *testing.T) {
+	rep, err := Run(Scenario{Mode: ModeParatick, Workload: FioWorkload("rndr", 4, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Result().Events; got == 0 {
+		t.Error("Result().Events = 0 for a completed fio run")
+	}
+}
+
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() *Report {
 		rep, err := Run(Scenario{

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"paratick/internal/kvm"
 	"paratick/internal/metrics"
 	"paratick/internal/trace"
 )
@@ -56,9 +55,7 @@ type Report struct {
 	result metrics.Result
 }
 
-func newReport(s Scenario, vm *kvm.VM, tracer *trace.Buffer) *Report {
-	var res metrics.Result
-	vm.ResultInto(&res, s.Name)
+func newReport(s Scenario, res metrics.Result, tracer *trace.Buffer) *Report {
 	c := &res.Counters
 	breakdown := make(map[string]uint64)
 	for r := metrics.ExitReason(0); r < metrics.NumExitReasons; r++ {

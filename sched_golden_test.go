@@ -1,6 +1,7 @@
 package paratick
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -14,7 +15,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 // in testdata/. They were captured before the scheduler extraction, so they
 // prove the default FIFO policy is behaviour-preserving bit for bit — the
 // overcommitted ones exercise run-queue rotation, timeslice expiry, and
-// timer-steal exits, exactly the paths the scheduler refactor touched.
+// timer-steal exits, exactly the paths the scheduler refactor touched. An
+// entry with a TraceCapacity also pins its Chrome trace export.
 func goldenScenarios(t *testing.T) map[string]Scenario {
 	t.Helper()
 	fio, err := ParseWorkloadSpec("fio:rndr:4:2", 0)
@@ -23,10 +25,11 @@ func goldenScenarios(t *testing.T) map[string]Scenario {
 	}
 	return map[string]Scenario{
 		"fio-paratick": {
-			Mode:     ModeParatick,
-			VCPUs:    1,
-			Seed:     7,
-			Workload: fio,
+			Mode:          ModeParatick,
+			VCPUs:         1,
+			Seed:          7,
+			TraceCapacity: 128,
+			Workload:      fio,
 		},
 		"sync-overcommit2-dynticks": {
 			Mode:       ModeDynticks,
@@ -61,22 +64,34 @@ func TestFIFOGoldenSummaries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := rep.Summary()
-			path := filepath.Join("testdata", "golden-"+name+".txt")
-			if *updateGolden {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			checkGolden(t, filepath.Join("testdata", "golden-"+name+".txt"), []byte(rep.Summary()))
+			if s.TraceCapacity > 0 {
+				var trace bytes.Buffer
+				if err := rep.Trace.WriteChrome(&trace); err != nil {
 					t.Fatal(err)
 				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update-golden): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("summary diverges from pre-refactor golden %s:\n--- got ---\n%s\n--- want ---\n%s",
-					path, got, want)
+				checkGolden(t, filepath.Join("testdata", "golden-"+name+".trace.json"), trace.Bytes())
 			}
 		})
+	}
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update-golden.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update-golden): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("output diverges from pre-refactor golden %s:\n--- got ---\n%s\n--- want ---\n%s",
+			path, got, want)
 	}
 }
