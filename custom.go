@@ -29,17 +29,20 @@ func (w *customWL) name() string {
 	return "custom"
 }
 
-func (w *customWL) apply(vm *kvm.VM) error {
+func (w *customWL) apply(b *Builder) error {
 	if w.setup == nil {
 		return fmt.Errorf("paratick: CustomWorkload with nil setup")
 	}
-	return w.setup(&Builder{vm: vm})
+	return w.setup(b)
 }
 
 // Builder assembles a custom workload inside a fresh VM.
 type Builder struct {
 	vm      *kvm.VM
 	devices int
+	// invalid is the first operation a spawned program issued that the
+	// simulator cannot execute; Run reports it once the run ends.
+	invalid error
 }
 
 // VCPUs returns the VM's vCPU count, for spreading tasks.
@@ -98,12 +101,20 @@ func (b *Builder) Spawn(name string, vcpu int, prog Program) error {
 	if vcpu < 0 || vcpu >= b.VCPUs() {
 		return fmt.Errorf("paratick: Spawn %q on vCPU %d of %d", name, vcpu, b.VCPUs())
 	}
-	b.vm.Kernel().Spawn(name, vcpu, &progAdapter{prog: prog})
+	b.vm.Kernel().Spawn(name, vcpu, &progAdapter{prog: prog, name: name, b: b})
 	return nil
 }
 
 // Device wraps a block device for custom programs.
 type Device struct{ dev *iodev.Device }
+
+// iodev returns the wrapped device, or nil for a nil *Device.
+func (d *Device) iodev() *iodev.Device {
+	if d == nil {
+		return nil
+	}
+	return d.dev
+}
 
 // Ops returns the number of completed device operations.
 func (d *Device) Ops() uint64 { return d.dev.Ops() }
@@ -217,12 +228,12 @@ func OpLeaveBarrier(b *Barrier) Op { return Op{guest.LeaveBarrier(b.b)} }
 
 // OpRead performs a synchronous read of n bytes.
 func OpRead(d *Device, n int, sequential bool) Op {
-	return Op{guest.Read(d.dev, n, sequential)}
+	return Op{guest.Read(d.iodev(), n, sequential)}
 }
 
 // OpWrite performs a write of n bytes; blocking selects sync semantics.
 func OpWrite(d *Device, n int, sequential, blocking bool) Op {
-	return Op{guest.WriteOp(d.dev, n, sequential, blocking)}
+	return Op{guest.WriteOp(d.iodev(), n, sequential, blocking)}
 }
 
 // OpYield relinquishes the CPU to the next runnable task.
@@ -233,6 +244,8 @@ func OpDone() Op { return Op{guest.Done()} }
 
 type progAdapter struct {
 	prog Program
+	name string
+	b    *Builder
 }
 
 func (a *progAdapter) Next(ctx *guest.StepCtx) guest.Step {
@@ -241,6 +254,22 @@ func (a *progAdapter) Next(ctx *guest.StepCtx) guest.Step {
 	// The zero Op (and a zero-duration compute) finishes the task; letting
 	// it through would spin the scheduler without advancing time.
 	if step.Kind == guest.StepCompute && step.D <= 0 {
+		return guest.Done()
+	}
+	// An I/O the device cannot accept ends the task; Run returns the first
+	// one as its error.
+	if step.Kind == guest.StepIO && (step.Dev == nil || step.Bytes <= 0) {
+		if a.b.invalid == nil {
+			op := "read"
+			if step.Write {
+				op = "write"
+			}
+			if step.Dev == nil {
+				a.b.invalid = fmt.Errorf("paratick: program %q issued a %s of %d bytes on a nil device", a.name, op, step.Bytes)
+			} else {
+				a.b.invalid = fmt.Errorf("paratick: program %q issued a %s of %d bytes; I/O needs a positive byte count", a.name, op, step.Bytes)
+			}
+		}
 		return guest.Done()
 	}
 	return step

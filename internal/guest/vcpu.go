@@ -5,7 +5,6 @@ import (
 
 	"paratick/internal/core"
 	"paratick/internal/hw"
-	"paratick/internal/iodev"
 	"paratick/internal/sim"
 )
 
@@ -371,7 +370,8 @@ func (v *VCPU) Deliver(vec hw.Vector) {
 }
 
 // deliverDeviceIRQ drains completions destined for this vCPU from every
-// attached device using the vector, waking the blocked submitters.
+// attached device using the vector, waking the blocked submitters. Each
+// request goes back to its device once its result has been read.
 func (v *VCPU) deliverDeviceIRQ(vec hw.Vector) {
 	k := v.kernel
 	for _, d := range k.devices {
@@ -387,7 +387,9 @@ func (v *VCPU) deliverDeviceIRQ(vec hw.Vector) {
 				k.counters.IOReads++
 				k.counters.IOBytesRead += uint64(req.Bytes)
 			}
-			if t, ok := req.Cookie.(*Task); ok && t != nil {
+			t, _ := req.Cookie.(*Task)
+			d.Release(req)
+			if t != nil {
 				k.wake(t, v)
 			}
 		}
@@ -597,12 +599,11 @@ func (v *VCPU) applyStep(t *Task, step Step) {
 
 	case StepIO:
 		v.addKernelSeg(k.cost.GuestIOSubmitWork, "io-submit")
-		req := &iodev.Request{
-			Write:      step.Write,
-			Sequential: step.Sequential,
-			Bytes:      step.Bytes,
-			VCPU:       v.id,
-		}
+		req := step.Dev.NewRequest()
+		req.Write = step.Write
+		req.Sequential = step.Sequential
+		req.Bytes = step.Bytes
+		req.VCPU = v.id
 		if step.Blocking {
 			req.Cookie = t
 		}

@@ -17,8 +17,22 @@ const (
 	IODeviceBase     Vector = 48  // first vector used by emulated I/O devices
 )
 
+// vectorNames caches every vector's String, so naming a vector on the
+// interrupt-injection path never formats.
+var vectorNames = func() (names [256]string) {
+	for i := range names {
+		names[i] = Vector(i).format()
+	}
+	return names
+}()
+
 // String names the well-known vectors for diagnostics.
-func (v Vector) String() string {
+//
+//paratick:noalloc
+func (v Vector) String() string { return vectorNames[v] }
+
+// format builds the name String returns.
+func (v Vector) format() string {
 	switch v {
 	case LocalTimerVector:
 		return "local-timer(236)"

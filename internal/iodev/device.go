@@ -90,6 +90,8 @@ func (p Profile) Validate() error {
 }
 
 // Latency returns the nominal (un-jittered) service time for an operation.
+//
+//paratick:noalloc
 func (p Profile) Latency(write, sequential bool, bytes int) sim.Time {
 	base := p.ReadBase
 	if write {
@@ -102,7 +104,10 @@ func (p Profile) Latency(write, sequential bool, bytes int) sim.Time {
 	return base + transfer
 }
 
-// Request is one block-I/O operation.
+// Request is one block-I/O operation. A device owns the requests it hands
+// out: NewRequest pops one from its free list, Submit puts it in service,
+// completion queues it for DrainCompletedFor, and the guest hands it back
+// with Release once it has read the result.
 type Request struct {
 	Write      bool
 	Sequential bool
@@ -113,6 +118,8 @@ type Request struct {
 	Completed  sim.Time
 	done       bool
 	ev         sim.Event // pending completion while in service
+	//snap:skip pre-bound completion handler, bound by the device that starts the request
+	fin sim.Handler
 }
 
 // Done reports whether the request has completed.
@@ -125,6 +132,8 @@ type Device struct {
 	name string
 	//snap:skip cache: label precomputed from name at construction
 	ioLabel string // precomputed completion-event label; submit is a hot path
+	//snap:skip cache: label precomputed from name at construction
+	coalesceLabel string // precomputed coalescing-flush label
 	//snap:skip engine wiring, bound at construction
 	engine *sim.Engine
 	rng    *sim.Rand
@@ -135,6 +144,8 @@ type Device struct {
 
 	// OnComplete is invoked at completion time, before the request is
 	// queued for draining (per-request observation; tests and metrics).
+	// The request is recycled once the guest drains and releases it, so
+	// an observer must not keep the pointer past that point.
 	//snap:skip observer callback, rewired by the harness after restore
 	OnComplete func(req *Request)
 	// OnInterrupt raises the completion interrupt toward the given vCPU.
@@ -148,6 +159,13 @@ type Device struct {
 	running   []*Request // in service, submission order; each carries its completion event
 	waiting   []*Request
 	completed []*Request
+
+	// drained is the buffer DrainCompletedFor returns, reused across calls.
+	//snap:skip scratch: valid only until the next DrainCompletedFor
+	drained []*Request
+	// free holds released requests for NewRequest.
+	//snap:skip pool: released requests, zeroed except for their pre-bound handler
+	free []*Request
 
 	// Per-vCPU coalescing state: pending completion count and the flush
 	// event.
@@ -169,13 +187,14 @@ func New(engine *sim.Engine, name string, profile Profile, vector hw.Vector) (*D
 		return nil, err
 	}
 	return &Device{
-		name:     name,
-		ioLabel:  "io:" + name,
-		engine:   engine,
-		rng:      engine.Rand().Fork(uint64(vector) + 0x10dead),
-		profile:  profile,
-		vector:   vector,
-		coalesce: make(map[int]*coalesceState),
+		name:          name,
+		ioLabel:       "io:" + name,
+		coalesceLabel: "io-coalesce:" + name,
+		engine:        engine,
+		rng:           engine.Rand().Fork(uint64(vector) + 0x10dead),
+		profile:       profile,
+		vector:        vector,
+		coalesce:      make(map[int]*coalesceState),
 	}, nil
 }
 
@@ -205,6 +224,31 @@ func (d *Device) BytesWritten() uint64 { return d.bytesWritten }
 // (0 unless the profile enables coalescing).
 func (d *Device) CoalescedInterrupts() uint64 { return d.coalescedIRQs }
 
+// NewRequest returns a zeroed request for this device, recycling a
+// released one when it can. The caller fills it in and passes it to Submit.
+//
+//paratick:noalloc
+func (d *Device) NewRequest() *Request {
+	if n := len(d.free); n > 0 {
+		req := d.free[n-1]
+		d.free[n-1] = nil
+		d.free = d.free[:n-1]
+		return req
+	}
+	//lint:ignore A001 pool miss: one request per concurrently outstanding I/O, absent in steady state
+	return new(Request)
+}
+
+// Release hands a drained request back to the device that completed it.
+// Every field is zeroed except the pre-bound completion handler, which
+// captures this device; the caller must not touch req afterwards.
+//
+//paratick:noalloc
+func (d *Device) Release(req *Request) {
+	*req = Request{fin: req.fin}
+	d.free = append(d.free, req)
+}
+
 // Submit enqueues a request; it starts servicing immediately if the device
 // has a free slot.
 func (d *Device) Submit(req *Request) {
@@ -219,19 +263,30 @@ func (d *Device) Submit(req *Request) {
 	}
 }
 
+//paratick:noalloc
 func (d *Device) start(req *Request) {
 	d.inflight++
 	lat := d.profile.Latency(req.Write, req.Sequential, req.Bytes)
 	lat = d.rng.Jitter(lat, d.profile.Jitter)
-	req.ev = d.engine.After(lat, d.ioLabel, d.finishFn(req))
+	req.ev = d.engine.After(lat, d.ioLabel, d.finishHandler(req))
 	d.running = append(d.running, req)
 }
 
-// finishFn builds req's completion handler.
-func (d *Device) finishFn(req *Request) sim.Handler {
-	return func(*sim.Engine) { d.finish(req) }
+// finishHandler returns req's completion handler, binding it on first use.
+// The binding survives Release, so a recycled request reuses it; it is the
+// one place a completion handler is built, for submitted and restored
+// requests alike.
+//
+//paratick:noalloc
+func (d *Device) finishHandler(req *Request) sim.Handler {
+	if req.fin == nil {
+		//lint:ignore A001 bound once per request object; recycled requests keep it
+		req.fin = func(*sim.Engine) { d.finish(req) }
+	}
+	return req.fin
 }
 
+//paratick:noalloc
 func (d *Device) finish(req *Request) {
 	d.inflight--
 	req.ev = sim.Event{}
@@ -271,10 +326,26 @@ func (d *Device) finish(req *Request) {
 type coalesceState struct {
 	pending int
 	flush   sim.Event
+	//snap:skip pre-bound flush handler, created with the state
+	fire sim.Handler
+}
+
+// newCoalesceState builds vcpu's batch state with its flush handler bound,
+// for first use and for restore alike.
+func (d *Device) newCoalesceState(vcpu int) *coalesceState {
+	st := &coalesceState{}
+	st.fire = func(*sim.Engine) {
+		st.flush = sim.Event{}
+		d.flushCoalesced(vcpu, st)
+	}
+	d.coalesce[vcpu] = st
+	return st
 }
 
 // raiseOrCoalesce delivers the completion interrupt, batching when the
 // profile enables moderation.
+//
+//paratick:noalloc
 func (d *Device) raiseOrCoalesce(vcpu int) {
 	if d.OnInterrupt == nil {
 		return
@@ -285,8 +356,8 @@ func (d *Device) raiseOrCoalesce(vcpu int) {
 	}
 	st := d.coalesce[vcpu]
 	if st == nil {
-		st = &coalesceState{}
-		d.coalesce[vcpu] = st
+		//lint:ignore A001 first completion for vcpu: one state per (device, vCPU), absent in steady state
+		st = d.newCoalesceState(vcpu)
 	}
 	st.pending++
 	if d.profile.CoalesceMax > 0 && st.pending >= d.profile.CoalesceMax {
@@ -294,18 +365,11 @@ func (d *Device) raiseOrCoalesce(vcpu int) {
 		return
 	}
 	if !st.flush.Pending() {
-		st.flush = d.engine.After(d.profile.CoalesceWindow, "io-coalesce:"+d.name, d.flushFn(vcpu, st))
+		st.flush = d.engine.After(d.profile.CoalesceWindow, d.coalesceLabel, st.fire)
 	}
 }
 
-// flushFn builds the coalescing-window handler for vcpu's batch.
-func (d *Device) flushFn(vcpu int, st *coalesceState) sim.Handler {
-	return func(*sim.Engine) {
-		st.flush = sim.Event{}
-		d.flushCoalesced(vcpu, st)
-	}
-}
-
+//paratick:noalloc
 func (d *Device) flushCoalesced(vcpu int, st *coalesceState) {
 	d.engine.Cancel(st.flush)
 	st.flush = sim.Event{}
@@ -318,16 +382,23 @@ func (d *Device) flushCoalesced(vcpu int, st *coalesceState) {
 }
 
 // DrainCompletedFor removes and returns completed requests whose submitting
-// vCPU matches id — the guest's completion-handler view.
+// vCPU matches id — the guest's completion-handler view. The returned slice
+// is a device-owned buffer, valid only until the next call; the requests in
+// it belong to the caller, which hands each back with Release once done.
+//
+//paratick:noalloc
 func (d *Device) DrainCompletedFor(vcpu int) []*Request {
-	var out, rest []*Request
+	d.drained = d.drained[:0]
+	kept := 0
 	for _, r := range d.completed {
 		if r.VCPU == vcpu {
-			out = append(out, r)
+			d.drained = append(d.drained, r)
 		} else {
-			rest = append(rest, r)
+			d.completed[kept] = r
+			kept++
 		}
 	}
-	d.completed = rest
-	return out
+	clear(d.completed[kept:])
+	d.completed = d.completed[:kept]
+	return d.drained
 }

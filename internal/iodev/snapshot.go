@@ -61,11 +61,11 @@ func (r *Request) Snap(s *snap.Stream, refs Refs) {
 	s.Bool(&r.done)
 }
 
-// snapRequest moves *p, allocating the request when decoding into an empty
-// slot.
-func snapRequest(s *snap.Stream, p **Request, refs Refs) *Request {
+// snapRequest moves *p, taking a request from the device when decoding
+// into an empty slot.
+func (d *Device) snapRequest(s *snap.Stream, p **Request, refs Refs) *Request {
 	if *p == nil {
-		*p = new(Request)
+		*p = d.NewRequest()
 	}
 	(*p).Snap(s, refs)
 	return *p
@@ -86,19 +86,15 @@ func (d *Device) Snap(s *snap.Stream, refs Refs) {
 	s.U64(&d.coalescedIRQs)
 
 	for i := range snap.Slice(s, &d.running) {
-		req := snapRequest(s, &d.running[i], refs)
-		var done sim.Handler
-		if s.Decoding() {
-			done = d.finishFn(req)
-		}
-		sim.SnapArmed(s, d.engine, &req.ev, d.ioLabel, done)
+		req := d.snapRequest(s, &d.running[i], refs)
+		sim.SnapArmed(s, d.engine, &req.ev, d.ioLabel, d.finishHandler(req))
 	}
 	d.inflight = len(d.running)
 	for i := range snap.Slice(s, &d.waiting) {
-		snapRequest(s, &d.waiting[i], refs)
+		d.snapRequest(s, &d.waiting[i], refs)
 	}
 	for i := range snap.Slice(s, &d.completed) {
-		snapRequest(s, &d.completed[i], refs)
+		d.snapRequest(s, &d.completed[i], refs)
 	}
 
 	// Coalescing state is keyed by vCPU in a map, so it moves under sorted
@@ -125,14 +121,9 @@ func (d *Device) Snap(s *snap.Stream, refs Refs) {
 		}
 		st := d.coalesce[*vcpu]
 		if st == nil {
-			st = &coalesceState{}
-			d.coalesce[*vcpu] = st
+			st = d.newCoalesceState(*vcpu)
 		}
 		snap.Int(s, &st.pending)
-		var flush sim.Handler
-		if s.Decoding() {
-			flush = d.flushFn(*vcpu, st)
-		}
-		sim.SnapEvent(s, d.engine, &st.flush, "io-coalesce:"+d.name, flush)
+		sim.SnapEvent(s, d.engine, &st.flush, d.coalesceLabel, st.fire)
 	}
 }

@@ -143,7 +143,8 @@ func (h *Host) reset(cfg Config) error {
 	}
 	if h.se.Quantum() > 0 {
 		for l := range h.inflight {
-			for i := range h.inflight[l] {
+			for i, r := range h.inflight[l] {
+				h.releaseRemoteIRQ(l, r)
 				h.inflight[l][i] = nil
 			}
 			h.inflight[l] = h.inflight[l][:0]

@@ -1,6 +1,7 @@
 package kvm
 
 import (
+	"slices"
 	"testing"
 
 	"paratick/internal/core"
@@ -335,6 +336,13 @@ func TestHostArenaRebuildsOnShapeChange(t *testing.T) {
 	}
 }
 
+// laneArenaConfig is the two-socket host laneArenaRun builds.
+func laneArenaConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Topology = hw.Topology{Sockets: 2, CPUsPerSocket: 4, CrossSocketTax: 1.35}
+	return cfg
+}
+
 // laneArenaRun builds a lane-mode host on se through the arena — one
 // compute VM per socket and a doorbell IPI stream from socket 0's VM to
 // socket 1's — and runs it until the given instant. It returns the host,
@@ -342,8 +350,7 @@ func TestHostArenaRebuildsOnShapeChange(t *testing.T) {
 // scheduler, pCPUs, in-flight IRQs, streams), and each VM's counters.
 func laneArenaRun(t *testing.T, a *HostArena, se *sim.ShardedEngine, until sim.Time) (*Host, []snap.Digest, []metrics.Counters) {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Topology = hw.Topology{Sockets: 2, CPUsPerSocket: 4, CrossSocketTax: 1.35}
+	cfg := laneArenaConfig()
 	host, err := a.NewHostOn(se, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -422,6 +429,63 @@ func TestHostArenaLaneReuseMatchesFresh(t *testing.T) {
 	for i := range wantCounters {
 		if counters[i] != wantCounters[i] {
 			t.Fatalf("vm %d: counters differ on reuse:\n got %+v\nwant %+v", i, counters[i], wantCounters[i])
+		}
+	}
+}
+
+// TestHostResetRecyclesInflightIRQs pins the remote-IRQ pool: deliveries
+// abandoned in flight go back to Host.freeIRQ on reset, fired deliveries go
+// back when they fire, and every pooled record is blank except for its
+// pre-bound fire handler.
+func TestHostResetRecyclesInflightIRQs(t *testing.T) {
+	const seed = 13
+	se, err := sim.NewSharded(seed, 2, 1, sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &HostArena{}
+	host, _, _ := laneArenaRun(t, a, se, 2*sim.Millisecond)
+	abandoned := slices.Clone(host.inflight[1])
+	if len(abandoned) == 0 {
+		t.Fatal("abandon point has no remote IRQ in flight; the audit would be vacuous")
+	}
+	se.Reset(seed)
+	if _, err := a.NewHostOn(se, laneArenaConfig()); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range abandoned {
+		if !slices.Contains(host.freeIRQ[1], r) {
+			t.Fatal("reset dropped an abandoned delivery instead of pooling it")
+		}
+	}
+	checkBlankIRQPool(t, host)
+
+	se.Reset(seed)
+	laneArenaRun(t, a, se, 20*sim.Millisecond)
+	checkBlankIRQPool(t, host)
+	sent := host.streams[0].sent
+	se.Reset(seed)
+	if _, err := a.NewHostOn(se, laneArenaConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if records := uint64(len(host.freeIRQ[1])); records == 0 || records >= sent {
+		t.Fatalf("%d deliveries used %d records; fired deliveries are not being recycled", sent, records)
+	}
+	checkBlankIRQPool(t, host)
+}
+
+// checkBlankIRQPool fails when a pooled delivery record retains anything
+// beyond its fire handler.
+func checkBlankIRQPool(t *testing.T, h *Host) {
+	t.Helper()
+	for lane, free := range h.freeIRQ {
+		for i, r := range free {
+			if r.vm != 0 || r.vcpu != 0 || r.vec != 0 || r.ev != (sim.Event{}) {
+				t.Fatalf("lane %d: pooled remote IRQ %d retains state: %+v", lane, i, *r)
+			}
+			if r.fire == nil {
+				t.Fatalf("lane %d: pooled remote IRQ %d lost its fire handler", lane, i)
+			}
 		}
 	}
 }

@@ -118,6 +118,10 @@ type Host struct {
 	// drained from the barrier mailboxes whose interrupt has not fired yet.
 	// A checkpoint serializes them so restore can re-arm the delivery.
 	inflight [][]*remoteIRQ
+	// freeIRQ recycles fired delivery records per destination lane for
+	// newRemoteIRQ.
+	//snap:skip pool: blank records with their pre-bound fire handlers, never live state
+	freeIRQ [][]*remoteIRQ
 	// streams are the periodic cross-VM IPI generators, in creation order.
 	streams []*ipiStream
 }
@@ -152,6 +156,7 @@ func NewHostOn(se *sim.ShardedEngine, cfg Config) (*Host, error) {
 	h := &Host{se: se, pcpus: make([]*PCPU, cfg.Topology.NumCPUs())}
 	if se.Quantum() > 0 {
 		h.inflight = make([][]*remoteIRQ, se.Lanes())
+		h.freeIRQ = make([][]*remoteIRQ, se.Lanes())
 	}
 	for i := range h.pcpus {
 		lane := h.laneOf(cfg.Topology.SocketOf(hw.CPUID(i)))

@@ -20,11 +20,59 @@ import (
 // serialize it and restore re-arms it — see Host.snapRemoteIRQ.
 
 // remoteIRQ is one in-flight cross-lane interrupt delivery: drained from
-// the mailbox, waiting on the destination lane's engine to fire.
+// the mailbox, waiting on the destination lane's engine to fire. Records
+// are recycled through the destination lane's Host.freeIRQ pool, each
+// keeping its pre-bound fire handler.
 type remoteIRQ struct {
 	vm, vcpu int
 	vec      hw.Vector
 	ev       sim.Event
+	//snap:skip pre-bound handler, created with the record
+	fire sim.Handler
+}
+
+// newRemoteIRQ returns a blank delivery record for the given destination
+// lane, recycling one that fired there when it can. Its fire handler
+// unregisters the delivery, pends the interrupt on the destination vCPU,
+// and returns the record to the lane's pool. Pools are per lane because
+// handlers fire on lane goroutines; only the coordinator, with every lane
+// parked, takes from them.
+//
+//paratick:noalloc
+func (h *Host) newRemoteIRQ(lane int) *remoteIRQ {
+	free := h.freeIRQ[lane]
+	if n := len(free); n > 0 {
+		r := free[n-1]
+		free[n-1] = nil
+		h.freeIRQ[lane] = free[:n-1]
+		return r
+	}
+	//lint:ignore A001 pool miss: one record per concurrently in-flight delivery, absent in steady state
+	r := new(remoteIRQ)
+	//lint:ignore A001 bound once per record; recycled records keep it
+	r.fire = func(*sim.Engine) { h.fireRemoteIRQ(r) }
+	return r
+}
+
+// fireRemoteIRQ is a delivery's fire handler: unregister it, pend the
+// interrupt on the destination vCPU, and recycle the record.
+//
+//paratick:noalloc
+func (h *Host) fireRemoteIRQ(r *remoteIRQ) {
+	vm := h.vms[r.vm]
+	h.dropInflight(vm.lane, r)
+	//lint:ignore A001 interrupt injection runs the vCPU's wake or exit path, the run loop's own steady state
+	vm.vcpus[r.vcpu].pendIRQ(r.vec)
+	h.releaseRemoteIRQ(vm.lane, r)
+}
+
+// releaseRemoteIRQ returns a delivery record to its lane's pool, keeping
+// only its fire handler.
+//
+//paratick:noalloc
+func (h *Host) releaseRemoteIRQ(lane int, r *remoteIRQ) {
+	*r = remoteIRQ{fire: r.fire}
+	h.freeIRQ[lane] = append(h.freeIRQ[lane], r)
 }
 
 // PostRemoteIRQ sends an interrupt to another VM's vCPU across lanes,
@@ -45,31 +93,21 @@ func (h *Host) PostRemoteIRQ(src, dst *VM, vcpu int, vec hw.Vector, fireAt sim.T
 // deliverRemoteIRQ is the barrier-drain hook: it runs on the coordinator
 // with every lane parked, arms the interrupt on the destination lane's
 // engine, and tracks it as in flight until it fires.
+//
+//paratick:noalloc
 func (h *Host) deliverRemoteIRQ(m sim.Message) {
-	r := &remoteIRQ{vm: int(m.A), vcpu: int(m.B), vec: hw.Vector(m.C)}
-	h.armRemoteIRQ(r, m.FireAt)
-}
-
-// armRemoteIRQ schedules an in-flight delivery's interrupt and registers
-// it on the destination lane's in-flight list.
-func (h *Host) armRemoteIRQ(r *remoteIRQ, fireAt sim.Time) {
-	vm := h.vms[r.vm]
-	r.ev = vm.engine.At(fireAt, "remote-irq", h.remoteFireFn(vm, r))
+	vm := h.vms[m.A]
+	r := h.newRemoteIRQ(vm.lane)
+	r.vm, r.vcpu, r.vec = int(m.A), int(m.B), hw.Vector(m.C)
+	r.ev = vm.engine.At(m.FireAt, "remote-irq", r.fire)
 	h.inflight[vm.lane] = append(h.inflight[vm.lane], r)
-}
-
-// remoteFireFn builds the delivery handler: unregister, then pend the
-// interrupt on the destination vCPU.
-func (h *Host) remoteFireFn(vm *VM, r *remoteIRQ) sim.Handler {
-	return func(*sim.Engine) {
-		h.dropInflight(vm.lane, r)
-		vm.vcpus[r.vcpu].pendIRQ(r.vec)
-	}
 }
 
 // dropInflight removes a fired delivery, preserving the (deterministic)
 // arrival order of the remainder. In-flight counts are tiny — at most
 // latency/period entries per stream — so a linear scan is fine.
+//
+//paratick:noalloc
 func (h *Host) dropInflight(lane int, r *remoteIRQ) {
 	list := h.inflight[lane]
 	for i, e := range list {

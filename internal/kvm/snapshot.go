@@ -111,7 +111,7 @@ func (h *Host) snapSharded(s *snap.Stream) {
 		list := &h.inflight[lane]
 		for i := range snap.Slice(s, list) {
 			if (*list)[i] == nil {
-				(*list)[i] = new(remoteIRQ)
+				(*list)[i] = h.newRemoteIRQ(lane)
 			}
 			h.snapRemoteIRQ(s, lane, (*list)[i])
 		}
@@ -138,11 +138,7 @@ func (h *Host) snapRemoteIRQ(s *snap.Stream, lane int, r *remoteIRQ) {
 		s.Failf("kvm: snapshot remote IRQ on lane %d targets vCPU %d of VM %q", lane, r.vcpu, vm.name)
 		return
 	}
-	var fire sim.Handler
-	if s.Decoding() {
-		fire = h.remoteFireFn(vm, r)
-	}
-	sim.SnapArmed(s, vm.engine, &r.ev, "remote-irq", fire)
+	sim.SnapArmed(s, vm.engine, &r.ev, "remote-irq", r.fire)
 }
 
 func (vm *VM) snap(s *snap.Stream) {

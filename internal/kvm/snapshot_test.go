@@ -204,3 +204,115 @@ func TestHostLoadRejectsShapeMismatch(t *testing.T) {
 		t.Fatal("shape-mismatched load succeeded")
 	}
 }
+
+// buildIOSnapScenario constructs an I/O-bound checkpoint fixture: four
+// tasks on two vCPUs issuing blocking reads and non-blocking writes to a
+// one-slot device, so requests sit in every lifecycle stage — carried by a
+// submit segment, waiting for the slot, in service, and completed but not
+// yet drained — while the device recycles them through its pool.
+func buildIOSnapScenario(t *testing.T) (*sim.Engine, *Host, *VM, *iodev.Device) {
+	t.Helper()
+	engine := sim.NewEngine(5150)
+	cfg := DefaultConfig()
+	cfg.Topology = hw.SmallTopology()
+	host, err := NewHost(engine, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, err := host.NewVM("io", guest.DefaultConfig(), []hw.CPUID{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	profile := iodev.NVMe()
+	profile.QueueDepth = 1
+	dev, err := vm.AttachDevice("nvme0", profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := vm.Kernel()
+	for i := 0; i < 4; i++ {
+		var steps []guest.Step
+		for j := 0; j < 8; j++ {
+			steps = append(steps,
+				guest.Compute(sim.Time(3+i)*sim.Microsecond),
+				guest.WriteOp(dev, 4096, j%2 == 0, false),
+				guest.Read(dev, 4096*(1+(i+j)%3), j%3 == 0))
+		}
+		k.Spawn("io", i%2, guest.Steps(steps...))
+	}
+	vm.OnWorkloadDone = func(sim.Time) { engine.Stop() }
+	vm.Start()
+	return engine, host, vm, dev
+}
+
+// TestHostIOSaveLoadAfterPoolsCycle sweeps the I/O fixture in small steps
+// once requests have started coming back from the pool. At every probe the
+// checkpoint must restore and re-save byte for byte; the first probe that
+// shows each lifecycle stage is also run to completion and compared with
+// a straight-through run.
+func TestHostIOSaveLoadAfterPoolsCycle(t *testing.T) {
+	const deadline = 50 * sim.Millisecond
+	engine, host, vm, dev := buildIOSnapScenario(t)
+	seen := map[string]bool{}
+	for probe := sim.Time(0); ; probe += 2 * sim.Microsecond {
+		engine.RunUntil(probe)
+		if done, _ := vm.WorkloadDone(); done || probe > deadline {
+			break
+		}
+		if dev.Ops() <= 8 {
+			continue // the first requests are still fresh allocations
+		}
+		c := vm.Counters()
+		var stages []string
+		if dev.Inflight() > 0 {
+			stages = append(stages, "running")
+		}
+		if dev.QueuedWaiting() > 0 {
+			stages = append(stages, "waiting")
+		}
+		if dev.Ops() > c.IOReads+c.IOWrites {
+			stages = append(stages, "completed")
+		}
+		for _, p := range host.PCPUs() {
+			if p.seg != nil && p.seg.Req != nil {
+				stages = append(stages, "segment")
+				break
+			}
+		}
+		buf := saveHost(t, engine, host)
+		e2, h2, vm2, _ := buildIOSnapScenario(t)
+		restoreHost(t, buf, e2, h2)
+		if again := saveHost(t, e2, h2); !bytes.Equal(buf, again) {
+			t.Fatalf("restore-then-resave at %v (%v) diverged: %d vs %d bytes", probe, stages, len(buf), len(again))
+		}
+		fresh := false
+		for _, st := range stages {
+			fresh = fresh || !seen[st]
+			seen[st] = true
+		}
+		if !fresh {
+			continue
+		}
+		// A straight-through copy of the source, never checkpointed.
+		e1, h1, vm1, _ := buildIOSnapScenario(t)
+		e1.RunUntil(probe)
+		e1.RunUntil(deadline)
+		e2.RunUntil(deadline)
+		done1, at1 := vm1.WorkloadDone()
+		done2, at2 := vm2.WorkloadDone()
+		if !done1 || !done2 || at1 != at2 {
+			t.Fatalf("restored at %v (%v): completion %v@%v vs %v@%v", probe, stages, done1, at1, done2, at2)
+		}
+		if !bytes.Equal(saveHost(t, e1, h1), saveHost(t, e2, h2)) {
+			t.Fatalf("restored at %v (%v): final states diverged", probe, stages)
+		}
+	}
+	for _, st := range []string{"running", "waiting", "completed", "segment"} {
+		if !seen[st] {
+			t.Errorf("no probe caught a request in stage %q; the sweep is vacuous there", st)
+		}
+	}
+	if done, _ := vm.WorkloadDone(); !done {
+		t.Fatal("fixture workload never completed")
+	}
+}

@@ -206,6 +206,7 @@ func Run(s Scenario) (*Report, error) {
 	if s.TraceCapacity > 0 {
 		tracer = trace.NewBuffer(s.TraceCapacity)
 	}
+	var b Builder
 	sr, err := experiment.RunScenario(experiment.Scenario{
 		Name:        s.Name,
 		HostHz:      s.HostHz,
@@ -230,12 +231,16 @@ func Run(s Scenario) (*Report, error) {
 				if s.Workload == nil {
 					return nil
 				}
-				return s.Workload.apply(vm)
+				b.vm = vm
+				return s.Workload.apply(&b)
 			},
 		}},
 	}, s.Seed)
 	if err != nil {
 		return nil, err
+	}
+	if b.invalid != nil {
+		return nil, b.invalid
 	}
 	return newReport(s, sr.Results[0], tracer), nil
 }

@@ -275,6 +275,38 @@ func TestZeroOpFinishesTask(t *testing.T) {
 	}
 }
 
+func TestInvalidIOEndsRunWithError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(d *Device) Op
+		want string
+	}{
+		{"zero-read", func(d *Device) Op { return OpRead(d, 0, false) }, "read of 0 bytes"},
+		{"negative-write", func(d *Device) Op { return OpWrite(d, -4096, false, true) }, "write of -4096 bytes"},
+		{"nil-device", func(*Device) Op { return OpRead(nil, 4096, false) }, "nil device"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wl := CustomWorkload("io", func(b *Builder) error {
+				dev, err := b.AttachDevice("disk", DeviceNVMe)
+				if err != nil {
+					return err
+				}
+				if err := b.Spawn("ok", 0, Sequence(OpRead(dev, 4096, false))); err != nil {
+					return err
+				}
+				return b.Spawn("reader", 0, Sequence(OpCompute(time.Microsecond), tc.op(dev), OpCompute(time.Millisecond)))
+			})
+			_, err := Run(Scenario{Workload: wl})
+			if err == nil {
+				t.Fatal("invalid I/O accepted")
+			}
+			if msg := err.Error(); !strings.Contains(msg, `"reader"`) || !strings.Contains(msg, tc.want) {
+				t.Fatalf("error %q does not name the program and %q", msg, tc.want)
+			}
+		})
+	}
+}
+
 func TestSpawnValidation(t *testing.T) {
 	wl := CustomWorkload("bad", func(b *Builder) error {
 		return b.Spawn("x", 99, Sequence(OpCompute(time.Millisecond)))

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"paratick/internal/iodev"
-	"paratick/internal/kvm"
 	"paratick/internal/sim"
 	"paratick/internal/workload"
 )
@@ -16,7 +15,7 @@ import (
 // created with the constructors below (ParsecSequential, FioWorkload, ...)
 // or with CustomWorkload.
 type Workload interface {
-	apply(vm *kvm.VM) error
+	apply(b *Builder) error
 	name() string
 }
 
@@ -85,12 +84,12 @@ func ParsecSequentialScaled(benchmark string, scale float64) Workload {
 
 func (w *parsecSeq) name() string { return "parsec-seq/" + w.bench }
 
-func (w *parsecSeq) apply(vm *kvm.VM) error {
+func (w *parsecSeq) apply(b *Builder) error {
 	p, err := workload.ProfileByName(w.bench)
 	if err != nil {
 		return err
 	}
-	dev, err := vm.AttachDevice("disk0", w.dev.profile())
+	dev, err := b.vm.AttachDevice("disk0", w.dev.profile())
 	if err != nil {
 		return err
 	}
@@ -98,7 +97,7 @@ func (w *parsecSeq) apply(vm *kvm.VM) error {
 	if err != nil {
 		return err
 	}
-	vm.Kernel().Spawn(p.Name, 0, prog)
+	b.vm.Kernel().Spawn(p.Name, 0, prog)
 	return nil
 }
 
@@ -124,16 +123,16 @@ func (w *parsecPar) name() string {
 	return fmt.Sprintf("parsec-par/%s-x%d", w.bench, w.threads)
 }
 
-func (w *parsecPar) apply(vm *kvm.VM) error {
+func (w *parsecPar) apply(b *Builder) error {
 	p, err := workload.ProfileByName(w.bench)
 	if err != nil {
 		return err
 	}
-	dev, err := vm.AttachDevice("disk0", w.dev.profile())
+	dev, err := b.vm.AttachDevice("disk0", w.dev.profile())
 	if err != nil {
 		return err
 	}
-	_, err = p.SpawnParallel(vm.Kernel(), w.threads, dev, w.scale)
+	_, err = p.SpawnParallel(b.vm.Kernel(), w.threads, dev, w.scale)
 	return err
 }
 
@@ -160,7 +159,7 @@ func (w *fioWL) name() string {
 	return fmt.Sprintf("fio/%s-%dk", w.pattern, w.blockSizeKB)
 }
 
-func (w *fioWL) apply(vm *kvm.VM) error {
+func (w *fioWL) apply(b *Builder) error {
 	pat, err := workload.ParseFioPattern(w.pattern)
 	if err != nil {
 		return err
@@ -168,12 +167,12 @@ func (w *fioWL) apply(vm *kvm.VM) error {
 	if w.blockSizeKB <= 0 || w.totalMB <= 0 {
 		return fmt.Errorf("paratick: fio needs positive block size and total MB")
 	}
-	dev, err := vm.AttachDevice("disk0", w.dev.profile())
+	dev, err := b.vm.AttachDevice("disk0", w.dev.profile())
 	if err != nil {
 		return err
 	}
 	job := workload.DefaultFioJob(pat, w.blockSizeKB<<10, int64(w.totalMB)<<20)
-	return job.Spawn(vm.Kernel(), dev)
+	return job.Spawn(b.vm.Kernel(), dev)
 }
 
 type idleWL struct{}
@@ -182,8 +181,8 @@ type idleWL struct{}
 // with Scenario.Duration.
 func IdleWorkload() Workload { return idleWL{} }
 
-func (idleWL) name() string           { return "idle" }
-func (idleWL) apply(vm *kvm.VM) error { return nil }
+func (idleWL) name() string         { return "idle" }
+func (idleWL) apply(*Builder) error { return nil }
 
 type syncWL struct {
 	threads     int
@@ -202,14 +201,14 @@ func (w *syncWL) name() string {
 	return fmt.Sprintf("sync/%dx%.0f", w.threads, w.syncsPerSec)
 }
 
-func (w *syncWL) apply(vm *kvm.VM) error {
-	b := workload.SyncBench{
+func (w *syncWL) apply(b *Builder) error {
+	bench := workload.SyncBench{
 		Threads:     w.threads,
 		SyncsPerSec: w.syncsPerSec,
 		CSLen:       5 * sim.Microsecond,
 		Duration:    sim.Time(w.duration.Nanoseconds()),
 	}
-	return b.Spawn(vm.Kernel())
+	return bench.Spawn(b.vm.Kernel())
 }
 
 // ParseWorkloadSpec builds a workload from a colon-separated spec string,
