@@ -20,8 +20,9 @@ const (
 
 // node is the pooled representation of a scheduled event. Nodes are recycled
 // through the engine's free list; the generation counter invalidates stale
-// Event handles across reuse. index is the node's position inside whichever
-// container loc names: heap index, bucket slice index, or batch index.
+// Event handles across reuse. index is the node's position in the heap or
+// its wheel bucket; a batch node has no index — Cancel finds its cell by
+// binary search on (when, seq) — so index is stale while loc is locBatch.
 type node struct {
 	when  Time
 	seq   uint64
@@ -118,6 +119,12 @@ const (
 	// sortCutover is the batch size above which bucket drains switch from
 	// insertion sort to in-place heapsort.
 	sortCutover = 32
+
+	// batchProbe is how many tail entries batchInsert shifts one at a time
+	// before it falls back to a binary search and one block move. Most
+	// inserts land within a few entries of the tail, where stepping is
+	// cheaper than a copy of pointer-holding entries.
+	batchProbe = 4
 )
 
 // Engine is the discrete-event simulation core: a clock plus an event queue.
@@ -162,12 +169,13 @@ type Engine struct {
 	buckets [wheelBuckets][]*node
 
 	// Active dispatch batch: one drained bucket, sorted by (when, seq).
-	// Entries carry the sort key inline so comparisons and the dispatch
-	// loop's same-instant scan never dereference nodes; canceled entries
-	// keep their key but drop the node (nd == nil). batchBkt is the
+	// Entries carry the sort key inline so comparisons, binary searches and
+	// the dispatch loop's same-instant scan never dereference nodes;
+	// canceled entries keep their key but drop the node (nd == nil), so
+	// the live region batch[batchPos:] stays key-sorted. batchBkt is the
 	// absolute bucket the batch was drained from (-1 when no batch is
-	// active); same-bucket schedules during a drain bubble-insert into the
-	// live batch.
+	// active); same-bucket schedules during a drain are inserted into the
+	// live batch by batchInsert.
 	//snap:skip derived queue state, rebuilt by ScheduleRestored on load
 	batch []batchEnt
 	//snap:skip derived queue state, rebuilt by ScheduleRestored on load
@@ -573,9 +581,25 @@ func siftDownMax(a []batchEnt, i, n int) {
 	a[i] = ent
 }
 
-// batchInsert bubble-inserts nd into the live batch at its (when, seq)
-// position, used when a handler schedules into the bucket currently being
-// drained. Canceled (nil) entries shift along with live ones.
+// batchSearch returns the first index in batch[lo:hi] whose key is not
+// below key's, or hi if there is none.
+//
+//paratick:noalloc
+func (e *Engine) batchSearch(lo, hi int, key batchEnt) int {
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if entLess(e.batch[m], key) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// batchInsert places nd into the live batch at its (when, seq) position,
+// used when a schedule lands in the bucket currently being drained.
+// Canceled (nil) entries move along with live ones.
 //
 //paratick:noalloc
 func (e *Engine) batchInsert(nd *node) {
@@ -586,34 +610,31 @@ func (e *Engine) batchInsert(nd *node) {
 	// O(1) per insert.
 	if e.batchPos >= 64 && e.batchPos*2 >= len(e.batch) {
 		n := copy(e.batch, e.batch[e.batchPos:])
-		for i := 0; i < n; i++ {
-			if m := e.batch[i].nd; m != nil {
-				m.index = i
-			}
-		}
-		for i := n; i < len(e.batch); i++ {
-			e.batch[i] = batchEnt{}
-		}
+		clear(e.batch[n:])
 		e.batch = e.batch[:n]
 		e.batchPos = 0
 	}
 	nd.loc = locBatch
 	ent := batchEnt{when: nd.when, seq: nd.seq, nd: nd}
+	i := len(e.batch)
 	e.batch = append(e.batch, ent)
-	i := len(e.batch) - 1
+	if d := i - batchProbe; d > e.batchPos && entLess(ent, e.batch[d-1]) {
+		// More than batchProbe entries follow ent: find its cell among the
+		// rest and move everything after it up at once.
+		j := e.batchSearch(e.batchPos, d-1, ent)
+		copy(e.batch[j+1:], e.batch[j:i])
+		e.batch[j] = ent
+		return
+	}
 	for i > e.batchPos {
 		p := e.batch[i-1]
 		if !entLess(ent, p) {
 			break
 		}
 		e.batch[i] = p
-		if p.nd != nil {
-			p.nd.index = i
-		}
 		i--
 	}
 	e.batch[i] = ent
-	nd.index = i
 }
 
 // spillBatch returns the undispatched remainder of the batch to the wheel
@@ -653,10 +674,7 @@ func (e *Engine) refillBatch() {
 		// (when, seq) order, so the batch arrives sorted.
 		ab := int64(e.heap[0].when >> e.shift)
 		for len(e.heap) > 0 && int64(e.heap[0].when>>e.shift) == ab {
-			nd := e.popMin()
-			nd.loc = locBatch
-			nd.index = len(e.batch)
-			e.batch = append(e.batch, batchEnt{when: nd.when, seq: nd.seq, nd: nd})
+			e.batchAppend(e.popMin())
 		}
 		e.batchBkt = ab
 		return
@@ -668,7 +686,7 @@ func (e *Engine) refillBatch() {
 	}
 	b := e.buckets[s]
 	for i, nd := range b {
-		e.batch = append(e.batch, batchEnt{when: nd.when, seq: nd.seq, nd: nd})
+		e.batchAppend(nd)
 		b[i] = nil
 	}
 	e.buckets[s] = b[:0]
@@ -681,14 +699,16 @@ func (e *Engine) refillBatch() {
 	// wheel entry of the bucket in (when, seq) order; drain them too, or a
 	// later same-bucket schedule would join the batch ahead of them.
 	for e.wheelEnd == Forever && len(e.heap) > 0 && int64(e.heap[0].when>>e.shift) == e.batchBkt {
-		nd := e.popMin()
-		e.batch = append(e.batch, batchEnt{when: nd.when, seq: nd.seq, nd: nd})
+		e.batchAppend(e.popMin())
 	}
-	for i := range e.batch {
-		nd := e.batch[i].nd
-		nd.loc = locBatch
-		nd.index = i
-	}
+}
+
+// batchAppend moves nd to the end of the batch being refilled.
+//
+//paratick:noalloc
+func (e *Engine) batchAppend(nd *node) {
+	nd.loc = locBatch
+	e.batch = append(e.batch, batchEnt{when: nd.when, seq: nd.seq, nd: nd})
 }
 
 // ensureBatch makes the live batch non-empty, refilling it from the wheel
@@ -802,10 +822,13 @@ func (e *Engine) Cancel(ev Event) bool {
 	case nd.loc == locHeap:
 		e.remove(nd)
 	case nd.loc == locBatch:
-		// The entry keeps its (when, seq) key so the batch stays key-sorted
-		// for bubble-inserts; only the node is dropped.
-		e.batch[nd.index].nd = nil
-		nd.index = -1
+		// The cell keeps its (when, seq) key so the batch stays key-sorted
+		// for later searches; only the node is dropped.
+		i := e.batchSearch(e.batchPos, len(e.batch), batchEnt{when: nd.when, seq: nd.seq})
+		if i == len(e.batch) || e.batch[i].nd != nd {
+			panic("sim: batch node missing from its (when, seq) cell")
+		}
+		e.batch[i].nd = nil
 		nd.loc = locDetached
 	default:
 		e.bucketRemove(nd)

@@ -38,6 +38,36 @@ func BenchmarkEngineDeepQueue(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineTickWave models the periodic-tick exit path: 64 ticks a
+// microsecond apart fill one bucket, and each tick schedules an exit a few
+// microseconds ahead, which lands in the live batch ahead of most of it.
+// The exit re-arms its tick one period out, keeping the wave steady. One
+// op is one dispatched event.
+func BenchmarkEngineTickWave(b *testing.B) {
+	e := NewEngine(1)
+	const (
+		ticks  = 64
+		period = ticks * Microsecond
+		exitIn = 3 * Microsecond
+	)
+	var tick, exit Handler
+	tick = func(en *Engine) { en.After(exitIn, "exit", exit) }
+	exit = func(en *Engine) { en.After(period-exitIn, "tick", tick) }
+	for i := 0; i < ticks; i++ {
+		e.At(Time(i)*Microsecond, "tick", tick)
+	}
+	for i := 0; i < 4*ticks; i++ {
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !e.Step() {
+			b.Fatal("queue drained")
+		}
+	}
+}
+
 // BenchmarkEngineCancelHeavy models the DeadlineTimer re-arm churn: against
 // a deep queue, every iteration cancels an interior event and schedules a
 // replacement further out — the paratick entry-hook pattern of overwriting

@@ -316,6 +316,19 @@ func FuzzHybridEngineDifferential(f *testing.F) {
 	f.Add([]byte{3, 1, 3, 2, 40, 4, 0, 4, 1, 4, 0, 7, 30})
 	f.Add([]byte{0, 2, 100, 7, 12, 0, 1, 1, 4, 6, 0, 7, 200})
 	f.Add([]byte{1, 3, 3, 3, 7, 5, 0, 3, 15, 7, 40, 6, 0})
+	// Deep inserts, one seed per shift: sixteen events pile into bucket 0
+	// at two instants, the head fires, and inserts land ahead of all of
+	// them and ahead of one instant (both past the probe, so a binary
+	// search and block move). Cancels hit shifted entries and the fired
+	// head, then one more insert moves the canceled cells along.
+	deep := []byte{0, 0}
+	for i := 0; i < 8; i++ {
+		deep = append(deep, 0, 3, 0, 2)
+	}
+	deep = append(deep, 5, 0, 0, 1, 0, 2, 4, 5, 4, 12, 4, 0, 0, 1, 6, 0, 5, 0, 7, 255)
+	for shift := byte(0); shift < byte(len(engineDiffShifts)); shift++ {
+		f.Add(append([]byte{shift}, deep...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

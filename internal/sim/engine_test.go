@@ -454,4 +454,139 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	if cancels != 0 {
 		t.Fatalf("schedule+cancel allocates %v objects/op, want 0", cancels)
 	}
+
+	// Deep insert + batch cancel: a chain of events a microsecond apart
+	// keeps up to 64 entries in the live batch; each round inserts an
+	// event ahead of all of them (past the probe, so the binary-search
+	// block move whenever more than batchProbe remain), cancels it from
+	// the batch, and fires one chain event.
+	var chain Handler
+	chain = func(en *Engine) { en.After(64*Microsecond, "chain", chain) }
+	nop := func(*Engine) {}
+	for i := 1; i <= 64; i++ {
+		e.After(Time(i)*Microsecond, "chain", chain)
+	}
+	deep := func() {
+		ev := e.After(1, "deep", nop)
+		if !e.Cancel(ev) {
+			t.Fatal("deep-inserted event not cancelable")
+		}
+		e.Step()
+	}
+	for i := 0; i < 10000; i++ {
+		deep()
+	}
+	if deeps := testing.AllocsPerRun(1000, deep); deeps != 0 {
+		t.Fatalf("deep insert+batch cancel allocates %v objects/op, want 0", deeps)
+	}
+}
+
+// TestEngineBatchDeepInserts drives one bucket's live batch, several times
+// batchProbe entries long, through inserts that take the binary-search
+// block-move path — ahead of the batch, at its tail, between entries and at
+// an existing instant — plus restored older seqs and cancels of shifted,
+// inserted and already-fired entries. The fire order must be the plain
+// (when, seq) sort of the surviving events.
+func TestEngineBatchDeepInserts(t *testing.T) {
+	e := NewEngine(1)
+	type want struct {
+		when Time
+		seq  uint64
+		id   int
+	}
+	var (
+		live  []want
+		evs   []Event
+		fired []int
+	)
+	record := func(ev Event) {
+		id := len(evs)
+		evs = append(evs, ev)
+		seq, _ := ev.Seq()
+		live = append(live, want{when: ev.When(), seq: seq, id: id})
+	}
+	handler := func(id int) Handler {
+		return func(*Engine) { fired = append(fired, id) }
+	}
+	at := func(when Time) {
+		record(e.At(when, "deep", handler(len(evs))))
+	}
+	restore := func(when Time, seq uint64) {
+		record(e.ScheduleRestored(when, seq, "restored", handler(len(evs))))
+	}
+	cancel := func(id int, ok bool) {
+		t.Helper()
+		if got := e.Cancel(evs[id]); got != ok {
+			t.Fatalf("Cancel(%d) = %v, want %v", id, got, ok)
+		}
+		for i, w := range live {
+			if w.id == id {
+				live = append(live[:i], live[i+1:]...)
+				break
+			}
+		}
+	}
+	check := func(step string) {
+		t.Helper()
+		if e.Pending() != len(live) {
+			t.Fatalf("%s: Pending = %d, want %d", step, e.Pending(), len(live))
+		}
+	}
+
+	// Burn two seqs so older-seq restores have unused coordinates.
+	e.Cancel(e.At(Millisecond, "burn", func(*Engine) {}))
+	e.Cancel(e.At(Millisecond, "burn", func(*Engine) {}))
+	// A head event, then pairs of events sharing an instant, 100ns apart,
+	// all in bucket 0.
+	at(1)
+	n := 3 * batchProbe
+	for k := 0; k < n; k++ {
+		at(1000 + Time(k/2)*100)
+	}
+	check("build")
+	if !e.Step() || len(fired) != 1 || fired[0] != 0 {
+		t.Fatalf("head did not fire first: %v", fired)
+	}
+	live = live[1:]
+	check("head")
+
+	at(2) // ahead of the whole batch
+	check("insert ahead")
+	at(1000 + Time(n)*100) // tail
+	check("insert tail")
+	at(1150) // between two instants
+	check("insert between")
+	at(1100) // at an existing instant, after its two older entries
+	check("insert at instant")
+	restore(1100, 1) // same instant, older seq: ahead of every 1100 entry
+	check("restore older seq")
+	cancel(3, true)   // an 1100 entry, shifted by the inserts ahead of it
+	cancel(n-1, true) // a late entry, shifted by every insert but the tail
+	cancel(n+3, true) // the 1150 insert itself
+	check("cancel shifted")
+	cancel(0, false) // fired head
+	check("cancel fired")
+	at(3)           // ahead again, past the canceled cells
+	restore(900, 0) // restored ahead of the batch
+	check("insert past canceled")
+
+	sort.Slice(live, func(i, j int) bool {
+		if live[i].when != live[j].when {
+			return live[i].when < live[j].when
+		}
+		return live[i].seq < live[j].seq
+	})
+	fired = fired[:0]
+	e.Run()
+	if len(fired) != len(live) {
+		t.Fatalf("fired %d events, want %d: %v", len(fired), len(live), fired)
+	}
+	for i, w := range live {
+		if fired[i] != w.id {
+			t.Fatalf("fire order %v diverges at %d: want id %d (when %v, seq %d)", fired, i, w.id, w.when, w.seq)
+		}
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after Run", e.Pending())
+	}
 }
