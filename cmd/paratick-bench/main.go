@@ -42,7 +42,7 @@
 // (timer wheel, event engine, one end-to-end experiment) via
 // testing.Benchmark and prints ns/op, allocs/op, and events/sec. -perf-out
 // writes the machine-readable report; -perf-baseline compares against a
-// committed report (BENCH_PR9.json) and fails when any kernel's ns/op grows
+// committed report (BENCH_PR10.json) and fails when any kernel's ns/op grows
 // past -perf-threshold or its allocs/op grows at all.
 //
 // Checkpointing:

@@ -110,16 +110,17 @@ func TestPerfSuiteFlagValidation(t *testing.T) {
 }
 
 // TestPerfKernelsMatchCommittedBaseline pins the suite's kernel set to the
-// committed BENCH_PR9.json: adding, renaming, or removing a kernel must
-// regenerate the baseline in the same change.
+// committed BENCH_PR10.json, the baseline CI's perf gate reads: adding,
+// renaming, or removing a kernel must regenerate the baseline in the same
+// change.
 func TestPerfKernelsMatchCommittedBaseline(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_PR9.json"))
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_PR10.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var base perfSuiteReport
 	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatalf("BENCH_PR9.json invalid: %v", err)
+		t.Fatalf("BENCH_PR10.json invalid: %v", err)
 	}
 	names := map[string]bool{}
 	for _, r := range base.Results {

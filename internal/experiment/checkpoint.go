@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"paratick/internal/core"
+	"paratick/internal/kvm"
 	"paratick/internal/metrics"
 	"paratick/internal/sim"
 	"paratick/internal/snap"
@@ -106,17 +107,7 @@ func checkpointScenario(s Scenario, seed uint64, at sim.Time, m *metrics.Meter, 
 	if w.se.Stopped() {
 		return nil, fmt.Errorf("experiment %s: workload finished before checkpoint instant %v — every resumed arm would measure an already-ended run", s.Name, at)
 	}
-	state, err := w.save()
-	if err != nil {
-		return nil, err
-	}
-	return &Checkpoint{
-		fp:      w.fingerprint(),
-		seed:    seed,
-		at:      at,
-		events:  w.se.Fired(),
-		payload: append([]byte(nil), state...),
-	}, nil
+	return w.freeze()
 }
 
 // ResumeScenario rebuilds the scenario, restores the checkpoint into it,
@@ -127,13 +118,46 @@ func ResumeScenario(s Scenario, ck *Checkpoint) (*ScenarioResult, error) {
 	return resumeCheckpoint(s, ck, nil, nil, nil)
 }
 
-// resumeCheckpoint is ResumeScenario with a mutation hook applied between
-// restore and run: the fork point where ablation arms retune runtime knobs
-// (halt-poll window, policy options, device profile) that construction-time
-// state never captures. Arm identity therefore lives entirely in the hook —
-// every arm rebuilds from the same group scenario, which is what keeps the
-// snapshot's structural sections (VM names, shapes) shared.
-func resumeCheckpoint(s Scenario, ck *Checkpoint, mutate func(*world) error, m *metrics.Meter, a *arena) (*ScenarioResult, error) {
+// resumeCheckpoint is ResumeScenario with an arm hook, telemetry and an
+// arena: thaw, run to the deadline, harvest.
+func resumeCheckpoint(s Scenario, ck *Checkpoint, arm func(*world) error, m *metrics.Meter, a *arena) (*ScenarioResult, error) {
+	w, err := thaw(s, ck, arm, a)
+	if err != nil {
+		return nil, err
+	}
+	out := &ScenarioResult{}
+	if err := w.runInto(m, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// freeze captures the world's complete mutable state together with its
+// structural fingerprint, seed, clock and event count.
+func (w *world) freeze() (*Checkpoint, error) {
+	var enc snap.Encoder
+	if err := snapWorld(snap.NewWriter(&enc), w.se, w.host); err != nil {
+		return nil, err
+	}
+	return &Checkpoint{
+		fp:      w.fingerprint(),
+		seed:    w.seed,
+		at:      w.se.Now(),
+		events:  w.se.Fired(),
+		payload: enc.Bytes(),
+	}, nil
+}
+
+// thaw is the one path that rebuilds a world from a checkpoint — resumes,
+// fork arms and the snapshot probe all come through here. It builds the
+// scenario from its spec, refuses a different shape, resets the engine
+// (dropping every event construction scheduled), decodes the state (each
+// component re-arms its pending events at their saved coordinates), and
+// applies arm: the fork point where an ablation arm retunes a runtime knob
+// that construction never captures, so every arm rebuilds from the same
+// group scenario. The world keeps the hook for the probe to re-apply;
+// every arm setter assigns a config value, so applying it twice is exact.
+func thaw(s Scenario, ck *Checkpoint, arm func(*world) error, a *arena) (*world, error) {
 	if ck == nil {
 		return nil, fmt.Errorf("experiment %s: nil checkpoint", s.Name)
 	}
@@ -141,28 +165,33 @@ func resumeCheckpoint(s Scenario, ck *Checkpoint, mutate func(*world) error, m *
 	if err != nil {
 		return nil, err
 	}
-	if !bytes.Equal(w.fingerprint(), ck.fp) {
+	if fp := w.fingerprint(); !bytes.Equal(fp, ck.fp) {
 		return nil, fmt.Errorf("experiment %s: checkpoint was taken from a structurally different scenario (fingerprint %v, rebuilt %v)",
-			s.Name, snap.HashBytes(ck.fp), snap.HashBytes(w.fingerprint()))
+			s.Name, snap.HashBytes(ck.fp), snap.HashBytes(fp))
 	}
-	if err := w.restore(ck.payload); err != nil {
+	w.se.Reset(0)
+	dec := snap.NewDecoder(ck.payload)
+	if err := snapWorld(snap.NewReader(dec), w.se, w.host); err != nil {
 		return nil, err
 	}
-	w.resumed = true
-	if mutate != nil {
-		if err := mutate(w); err != nil {
+	if n := dec.Remaining(); n != 0 {
+		return nil, fmt.Errorf("experiment %s: %d bytes left over after snapshot load", s.Name, n)
+	}
+	w.arm = arm
+	if arm != nil {
+		if err := arm(w); err != nil {
 			return nil, fmt.Errorf("experiment %s: arm setup: %w", s.Name, err)
 		}
 	}
-	w, err = w.run(m)
-	if err != nil {
-		return nil, err
-	}
-	out := &ScenarioResult{}
-	if err := w.finishInto(out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return w, nil
+}
+
+// snapWorld moves a world's complete mutable state: engine scalars first
+// (thaw needs the clock before events re-arm), then the full host.
+func snapWorld(s *snap.Stream, se *sim.ShardedEngine, host *kvm.Host) error {
+	se.Snap(s)
+	host.Snap(s)
+	return s.Err()
 }
 
 // forkScenario warms one group scenario to the fork instant, then runs one
@@ -175,8 +204,8 @@ func forkScenario(s Scenario, seed uint64, at sim.Time, arms []func(*world) erro
 		return nil, nil, err
 	}
 	out := make([]*ScenarioResult, len(arms))
-	for i, mutate := range arms {
-		r, err := resumeCheckpoint(s, ck, mutate, m, a)
+	for i, arm := range arms {
+		r, err := resumeCheckpoint(s, ck, arm, m, a)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -165,17 +165,13 @@ func runScenarioInto(s Scenario, seed uint64, m *metrics.Meter, a *arena, out *S
 	if err != nil {
 		return err
 	}
-	w, err = w.run(m)
-	if err != nil {
-		return err
-	}
-	return w.finishInto(out)
+	return w.runInto(m, out)
 }
 
 // world is one fully constructed scenario instance: the engine, host, and
 // VM fleet, plus the bookkeeping runScenario needs. Splitting construction
-// (buildWorld) from execution (run/finish) is what makes checkpointing
-// possible: restore rebuilds an identical world from the spec and then
+// (buildWorld) from execution (runInto) is what makes checkpointing
+// possible: thaw rebuilds an identical world from the spec and then
 // overwrites its mutable state from the snapshot.
 type world struct {
 	scenario Scenario
@@ -191,10 +187,9 @@ type world struct {
 	se   *sim.ShardedEngine
 	host *kvm.Host
 	vms  []*kvm.VM
-	// resumed marks a world restored from a checkpoint whose arms may have
-	// had runtime knobs retuned; the snapshot probe then verifies without
-	// adopting the rebuilt copy (a rebuild cannot know the retuned knobs).
-	resumed bool
+	// arm is the hook thaw applied after decoding (nil for a straight run
+	// or a plain resume); the snapshot probe re-applies it to its copy.
+	arm func(*world) error
 }
 
 // buildWorld constructs the scenario and starts every VM, leaving the
@@ -407,102 +402,52 @@ func (w *world) fingerprint() []byte {
 	return append([]byte(nil), enc.Bytes()...)
 }
 
-// snapWorld moves a world's complete mutable state: engine scalars first
-// (restore needs the clock before events re-arm), then the full host.
-func snapWorld(s *snap.Stream, se *sim.ShardedEngine, host *kvm.Host) error {
-	se.Snap(s)
-	host.Snap(s)
-	return s.Err()
-}
-
-// save serializes the world's complete mutable state.
-func (w *world) save() ([]byte, error) {
-	var enc snap.Encoder
-	if err := snapWorld(snap.NewWriter(&enc), w.se, w.host); err != nil {
-		return nil, err
-	}
-	return enc.Bytes(), nil
-}
-
-// restore overwrites the world's mutable state with a snapshot produced by
-// save on a world of identical shape. The engine is reset (dropping every
-// event construction scheduled), its scalars restored, and then every
-// component re-arms its pending events at their original coordinates.
-func (w *world) restore(data []byte) error {
-	w.se.Reset(0)
-	dec := snap.NewDecoder(data)
-	if err := snapWorld(snap.NewReader(dec), w.se, w.host); err != nil {
-		return err
-	}
-	if n := dec.Remaining(); n != 0 {
-		return fmt.Errorf("experiment %s: %d bytes left over after snapshot load", w.scenario.Name, n)
-	}
-	return nil
-}
-
-// run executes the world to its deadline, crossing the snapshot probe if
-// one is set, and returns the world holding the final state — which is the
-// restored copy when the probe adopted one.
-func (w *world) run(m *metrics.Meter) (*world, error) {
+// runInto executes the world to its deadline and harvests per-VM results
+// into out, crossing the snapshot probe if one is set.
+//
+// The probe is the restore path's differential gate: freeze, thaw into a
+// rebuilt world (re-applying the arm hook), check the copy re-freezes to
+// the same bytes, and finish the run on the copy — so a missed field, a
+// mis-bound closure, a mis-armed event or a lost arm knob diverges the
+// results. The abandoned world needs no teardown: an arena-built host
+// keeps its VMs, and its next reset stashes them into the VM arena, whose
+// acquire-time reset sanitizes them.
+func (w *world) runInto(m *metrics.Meter, out *ScenarioResult) error {
 	deadline := w.deadline()
 	start := w.se.Fired()
 	if !w.se.Stopped() {
 		if probe := w.alignUp(w.scenario.SnapshotProbe); probe > 0 && probe < deadline && w.se.Now() < probe {
 			w.se.RunUntil(probe)
-			// A Stop fired before the probe (workload completed) must survive
-			// the split: re-arm it so the final RunUntil consumes it exactly
-			// as an uninterrupted run would.
-			stopped := w.se.Stopped()
-			next, err := w.verifyRoundTrip()
-			if err != nil {
-				return nil, err
-			}
-			w = next
-			if stopped {
+			if w.se.Stopped() {
+				// The workload finished before the probe, so there is no
+				// live state to freeze: the clock has run past events the
+				// finished run left pending. Re-arm the stop so the final
+				// RunUntil consumes it as an uninterrupted run would.
 				w.se.Stop()
+			} else {
+				ck, err := w.freeze()
+				if err != nil {
+					return err
+				}
+				next, err := thaw(w.scenario, ck, w.arm, nil)
+				if err != nil {
+					return fmt.Errorf("experiment %s: snapshot probe: %w", w.scenario.Name, err)
+				}
+				again, err := next.freeze()
+				if err != nil {
+					return err
+				}
+				if !bytes.Equal(ck.payload, again.payload) {
+					return fmt.Errorf("experiment %s: snapshot round-trip diverged at %v: %d bytes (digest %v) re-saved as %d bytes (digest %v)",
+						w.scenario.Name, probe, len(ck.payload), snap.HashBytes(ck.payload), len(again.payload), snap.HashBytes(again.payload))
+				}
+				w = next
 			}
 		}
 		w.se.RunUntil(deadline)
 	}
 	m.AddRun(w.se.Fired() - start)
-	return w, nil
-}
-
-// verifyRoundTrip is the probe's differential gate: save the world, rebuild
-// an identical one from the spec, restore the snapshot into it, and check
-// the copy re-saves to the exact original bytes. For a straight run the
-// restored copy is returned and the run continues on it, so a mis-restored
-// closure or pointer diverges the final results; a resumed world keeps
-// running itself (its runtime knobs were retuned after the fork, which a
-// rebuild from the spec cannot reproduce) and only the bytes are checked.
-func (w *world) verifyRoundTrip() (*world, error) {
-	data, err := w.save()
-	if err != nil {
-		return nil, err
-	}
-	fresh, err := buildWorld(w.scenario, w.seed, nil)
-	if err != nil {
-		return nil, fmt.Errorf("experiment %s: snapshot probe rebuild: %w", w.scenario.Name, err)
-	}
-	if err := fresh.restore(data); err != nil {
-		return nil, fmt.Errorf("experiment %s: snapshot probe restore: %w", w.scenario.Name, err)
-	}
-	again, err := fresh.save()
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(data, again) {
-		return nil, fmt.Errorf("experiment %s: snapshot round-trip diverged at %v: %d bytes (digest %v) re-saved as %d bytes (digest %v)",
-			w.scenario.Name, w.se.Now(), len(data), snap.HashBytes(data), len(again), snap.HashBytes(again))
-	}
-	if w.resumed {
-		return w, nil
-	}
-	// The original world is abandoned in favor of the restored copy. Its VMs
-	// need no teardown: if it was arena-built, the host keeps them and the
-	// next run's Host.reset stashes them — mid-run state and all — into the
-	// VM arena, whose acquire-time reset fully sanitizes them.
-	return fresh, nil
+	return w.finishInto(out)
 }
 
 // finishInto validates completion and assembles per-VM results into

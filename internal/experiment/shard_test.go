@@ -28,13 +28,9 @@ func observeShardRun(t *testing.T, s Scenario, seed uint64, shards int, ckAt sim
 		t.Fatalf("shards=%d: build: %v", shards, err)
 	}
 	w.host.SetTracer(trace.NewBuffer(2048))
-	w, err = w.run(nil)
-	if err != nil {
-		t.Fatalf("shards=%d: run: %v", shards, err)
-	}
 	res := &ScenarioResult{}
-	if err := w.finishInto(res); err != nil {
-		t.Fatalf("shards=%d: finish: %v", shards, err)
+	if err := w.runInto(nil, res); err != nil {
+		t.Fatalf("shards=%d: run: %v", shards, err)
 	}
 	fleet := &ShardFleetResult{VMs: len(s.VMs), Quantum: s.Quantum, Results: res.Results, Events: res.Events}
 	ck, err := CheckpointScenario(s, seed, ckAt)

@@ -39,6 +39,55 @@ func TestSnapshotProbeGolden(t *testing.T) {
 	}
 }
 
+// TestSnapshotProbeAdoptsForkedArms is the probe differential for
+// warm-start fork arms. The 15 ms probe lands after the crossover and §4.1
+// fork instants (12.5 ms at scale 0.05) and inside the arms' ~100 ms runs,
+// so each of those arms is frozen, thawed into a rebuilt world with its arm
+// hook re-applied, and continued on the thawed copy. A thaw that loses the
+// arm (a device profile, an entry hook) diverges the rendered output.
+func TestSnapshotProbeAdoptsForkedArms(t *testing.T) {
+	const probe = 15 * sim.Millisecond
+	render := func(opts Options) (string, *CrossoverResult, *AblationResult) {
+		t.Helper()
+		cross, err := RunCrossover(opts)
+		if err != nil {
+			t.Fatalf("crossover (probe %v): %v", opts.SnapshotProbe, err)
+		}
+		abl, err := RunAllAblations(opts)
+		if err != nil {
+			t.Fatalf("ablations (probe %v): %v", opts.SnapshotProbe, err)
+		}
+		freq, err := RunFrequencyMismatchAblation(opts)
+		if err != nil {
+			t.Fatalf("§4.1 ablation (probe %v): %v", opts.SnapshotProbe, err)
+		}
+		return cross.Render() + cross.Table().CSV() + abl, cross, freq
+	}
+	opts := DefaultOptions()
+	opts.Scale = 0.05
+	straight, cross, freq := render(opts)
+
+	// The probe must fall strictly inside every checked arm, or the
+	// comparison below passes without thawing anything. The fork instants
+	// restate the runners' warmup lengths: dur/8 and work/8.
+	if fork := cross.Duration / 8; fork >= probe || cross.Duration <= probe {
+		t.Fatalf("crossover arms run %v..%v, probe %v is not inside", fork, cross.Duration, probe)
+	}
+	if fork := sim.Time(float64(200*sim.Millisecond)*opts.Scale*10) / 8; fork >= probe {
+		t.Fatalf("§4.1 arms fork at %v, not before probe %v", fork, probe)
+	}
+	for _, row := range freq.Rows {
+		if row.Runtime <= probe {
+			t.Fatalf("§4.1 arm %q ends at %v, before probe %v", row.Variant, row.Runtime, probe)
+		}
+	}
+
+	opts.SnapshotProbe = probe
+	if probed, _, _ := render(opts); probed != straight {
+		t.Fatalf("probe at %v diverges forked arms: %s", probe, firstDiff(straight, probed))
+	}
+}
+
 // TestCheckpointResumeMatchesStraightRun pins the public checkpoint API:
 // warm up, freeze, rebuild, restore, and run to completion must produce a
 // result deeply equal to running straight through — including the restored
@@ -150,7 +199,7 @@ func TestWarmForkSavings(t *testing.T) {
 	checkSavings("haltpoll ablation", abl.Warmup)
 }
 
-// FuzzSnapshotRoundTrip drives save→rebuild→restore→re-save at arbitrary
+// FuzzSnapshotRoundTrip drives freeze→thaw→re-freeze at arbitrary
 // mid-run instants and modes: the re-saved bytes and the engine state digest
 // must both match the original exactly, whatever the freeze point cuts
 // through (mid-I/O, mid-tick, pre-boot, post-completion).
@@ -174,26 +223,67 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		w1.se.RunUntil(at)
-		data, err := w1.save()
+		ck, err := w1.freeze()
 		if err != nil {
 			t.Fatal(err)
 		}
-		w2, err := buildWorld(s, seed, nil)
+		w2, err := thaw(s, ck, nil, nil)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w2.restore(data); err != nil {
 			t.Fatal(err)
 		}
 		if g, w := w2.se.Root().DigestState(), w1.se.Root().DigestState(); g != w {
 			t.Fatalf("engine digest mismatch after restore at %v: %v vs %v", at, g, w)
 		}
-		again, err := w2.save()
+		again, err := w2.freeze()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(data, again) {
-			t.Fatalf("snapshot round-trip diverged at %v: %d vs %d bytes", at, len(data), len(again))
+		if !bytes.Equal(ck.payload, again.payload) {
+			t.Fatalf("snapshot round-trip diverged at %v: %d vs %d bytes", at, len(ck.payload), len(again.payload))
+		}
+	})
+}
+
+// FuzzThawCheckpoint feeds hostile bytes to the one decode path:
+// LoadCheckpoint parses the container, then thaw rebuilds the reference
+// scenario (serial and lane mode, matching the two committed reference
+// checkpoints that seed the corpus) and decodes the payload into it. Every
+// input must be rejected with an error or restore; none may panic. The
+// thawed world is never run, so no input can hang.
+func FuzzThawCheckpoint(f *testing.F) {
+	opts := DefaultOptions()
+	opts.Scale = 0.05
+	serial := ReferenceScenario(opts)
+	opts.Quantum = sim.Millisecond
+	lanes := ReferenceScenario(opts)
+	for name, s := range map[string]Scenario{
+		"reference-checkpoint.snap":       serial,
+		"reference-checkpoint-lanes.snap": lanes,
+	} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "cmd", "paratick-bench", "testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		// An unmutated seed must restore, or the corpus starts from inputs
+		// that never reach the payload decoder.
+		ck, err := LoadCheckpoint(data)
+		if err == nil {
+			_, err = thaw(s, ck, nil, nil)
+		}
+		if err != nil {
+			f.Fatalf("seed %s does not thaw: %v", name, err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := LoadCheckpoint(data)
+		if err != nil {
+			return
+		}
+		for _, s := range []Scenario{serial, lanes} {
+			if _, err := thaw(s, ck, nil, nil); err == nil {
+				return
+			}
 		}
 	})
 }

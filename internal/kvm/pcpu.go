@@ -230,14 +230,10 @@ func (p *PCPU) chargePLE(v *VCPU, seg *guestSegment) {
 	if w <= 0 {
 		return
 	}
-	n := int64(seg.Duration / w)
-	cnt := v.vm.counters
 	perExit := p.cost().ExitPLE
-	for i := int64(0); i < n; i++ {
-		cnt.AddExit(metrics.ExitPLE)
-		cnt.ExitCost[metrics.ExitPLE].Observe(perExit)
+	for n := int64(seg.Duration / w); n > 0; n-- {
+		p.chargeExit(v, metrics.ExitPLE, perExit)
 	}
-	cnt.HostOverhead += sim.Time(n) * perExit
 }
 
 // ipiCost prices a wakeup IPI, taxing cross-socket delivery.
@@ -275,16 +271,30 @@ func (p *PCPU) chargeRun(v *VCPU, seg *guestSegment, d sim.Time) {
 	}
 }
 
+// chargeExit accounts one VM exit: its count, its host cost in overhead and
+// in the per-reason histogram, and a trace span. PLE exits are not traced:
+// they happen inside a spin segment that keeps running.
+func (p *PCPU) chargeExit(v *VCPU, reason metrics.ExitReason, cost sim.Time) {
+	cnt := v.vm.counters
+	cnt.AddExit(reason)
+	cnt.HostOverhead += cost
+	cnt.ExitCost[reason].Observe(cost)
+	if reason != metrics.ExitPLE {
+		p.traceSpan(trace.KindExit, v, reason.String(), cost)
+	}
+}
+
+// inGuest reports whether v is executing guest code on this pCPU — the
+// only state in which a physical interrupt forces a VM exit.
+func (p *PCPU) inGuest(v *VCPU) bool {
+	return p.current == v && p.seg != nil && p.seg.Kind == guest.SegRun
+}
+
 // atomic executes a non-run segment: a VM exit of the given reason whose
 // handling occupies the pCPU for hostCost; exitDone then applies its
 // effect from the segment fields.
 func (p *PCPU) atomic(reason metrics.ExitReason, hostCost sim.Time) {
-	v := p.current
-	cnt := v.vm.counters
-	cnt.AddExit(reason)
-	cnt.HostOverhead += hostCost
-	cnt.ExitCost[reason].Observe(hostCost)
-	p.traceSpan(trace.KindExit, v, reason.String(), hostCost)
+	p.chargeExit(p.current, reason, hostCost)
 	p.segEvent = p.engine.After(hostCost, "pcpu-exit", p.exitDoneFn)
 }
 
@@ -318,13 +328,9 @@ func (p *PCPU) exitDone() {
 // halt processes a SegHLT: the HLT exit, then either halt polling or
 // descheduling.
 func (p *PCPU) halt(v *VCPU) {
-	c := p.cost()
-	cnt := v.vm.counters
-	cnt.AddExit(metrics.ExitHLT)
-	cnt.HostOverhead += c.ExitHLT
-	cnt.ExitCost[metrics.ExitHLT].Observe(c.ExitHLT)
-	p.traceSpan(trace.KindExit, v, metrics.ExitHLT.String(), c.ExitHLT)
-	p.segEvent = p.engine.After(c.ExitHLT, "pcpu-hlt", p.hltDoneFn)
+	cost := p.cost().ExitHLT
+	p.chargeExit(v, metrics.ExitHLT, cost)
+	p.segEvent = p.engine.After(cost, "pcpu-hlt", p.hltDoneFn)
 }
 
 // hltDone completes the HLT exit: the vCPU either stays on the CPU (an
@@ -392,7 +398,7 @@ func (p *PCPU) wake(v *VCPU) {
 // guest code on this pCPU (a physical interrupt — device or IPI — arrived
 // for it).
 func (p *PCPU) interruptIfInGuest(v *VCPU) {
-	if p.current != v || p.seg == nil || p.seg.Kind != guest.SegRun {
+	if !p.inGuest(v) {
 		return // in host context: delivered at the next entry
 	}
 	p.interruptGuest(v, metrics.ExitExternalIRQ, p.cost().ExitExternalIRQ, false)
@@ -402,7 +408,7 @@ func (p *PCPU) interruptIfInGuest(v *VCPU) {
 // KVM's (cheaper) preemption-timer exit (§3).
 func (p *PCPU) preemptTimerExit(v *VCPU) {
 	v.queuePendingNoReact(hw.LocalTimerVector)
-	if p.current != v || p.seg == nil || p.seg.Kind != guest.SegRun {
+	if !p.inGuest(v) {
 		return
 	}
 	p.interruptGuest(v, metrics.ExitPreemptTimer, p.cost().ExitPreemptTimer, false)
@@ -411,7 +417,7 @@ func (p *PCPU) preemptTimerExit(v *VCPU) {
 // forceEntryExit takes a bare preemption-timer exit on a running vCPU so
 // the next VM entry (and its hook) happens now — the §4.1 top-up mechanism.
 func (p *PCPU) forceEntryExit(v *VCPU) {
-	if p.current != v || p.seg == nil || p.seg.Kind != guest.SegRun {
+	if !p.inGuest(v) {
 		return // already exiting; the entry hook will run shortly anyway
 	}
 	p.interruptGuest(v, metrics.ExitPreemptTimer, p.cost().ExitPreemptTimer, false)
@@ -420,7 +426,7 @@ func (p *PCPU) forceEntryExit(v *VCPU) {
 // timerStealExit charges a running vCPU for a physical timer interrupt that
 // belongs to a different (descheduled) vCPU sharing this pCPU.
 func (p *PCPU) timerStealExit(victim *VCPU) {
-	if p.current != victim || p.seg == nil || p.seg.Kind != guest.SegRun {
+	if !p.inGuest(victim) {
 		// Already in host context: the interrupt is absorbed there.
 		return
 	}
@@ -438,7 +444,7 @@ func (p *PCPU) onHostTick(now sim.Time) {
 	// jittering it also prevents same-period timers from phase-locking
 	// onto the handling window deterministically.
 	tickWork := p.engine.Rand().Jitter(p.cost().HostTickWork, 0.2)
-	if p.seg != nil && p.seg.Kind == guest.SegRun {
+	if p.inGuest(v) {
 		// The tick interrupts guest execution: an external-interrupt exit
 		// plus the host tick handler. This is the exit paratick reuses for
 		// virtual-tick injection on the subsequent entry.
@@ -466,11 +472,7 @@ func (p *PCPU) interruptGuest(v *VCPU, reason metrics.ExitReason, hostCost sim.T
 	} else if seg.OnDone != nil {
 		seg.OnDone()
 	}
-	cnt := v.vm.counters
-	cnt.AddExit(reason)
-	cnt.HostOverhead += hostCost
-	cnt.ExitCost[reason].Observe(hostCost)
-	p.traceSpan(trace.KindExit, v, reason.String(), hostCost)
+	p.chargeExit(v, reason, hostCost)
 	p.irqExpire = expireSlice
 	p.segEvent = p.engine.After(hostCost, "pcpu-irq-exit", p.irqDoneFn)
 }

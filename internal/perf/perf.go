@@ -10,7 +10,7 @@
 // would cycle. Keeping the kernels here, frozen, also means the regression
 // gate compares like with like across commits even when the exploratory
 // in-package benchmarks evolve. When a kernel changes shape, the committed
-// baseline (BENCH_PR6.json) must be regenerated in the same commit — see
+// baseline (BENCH_PR10.json) must be regenerated in the same commit — see
 // EXPERIMENTS.md.
 package perf
 
