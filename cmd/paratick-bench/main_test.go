@@ -191,12 +191,15 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 	}
 }
 
-// stripWallClock drops the wall-clock-dependent lines ([name] timing and the
-// trailing "done in ..." summary) so outputs of two runs can be compared.
+// stripWallClock drops the lines that differ between two runs of the same
+// flags — the wall-clock "[name] ... wall" timing and trailing "done in ..."
+// summary — and the "wrote ..." lines naming output paths, so outputs of two
+// runs can be compared.
 func stripWallClock(s string) string {
 	var keep []string
 	for _, line := range strings.Split(s, "\n") {
-		if strings.HasPrefix(line, "[") || strings.HasPrefix(line, "done in") {
+		if strings.HasPrefix(line, "[") || strings.HasPrefix(line, "done in") ||
+			strings.HasPrefix(strings.TrimLeft(line, " "), "wrote ") {
 			continue
 		}
 		keep = append(keep, line)

@@ -19,7 +19,7 @@ type dynticksPolicy struct {
 func (p *dynticksPolicy) Mode() Mode { return DynticksIdle }
 
 func (p *dynticksPolicy) OnBoot(v GuestVCPU) {
-	v.ArmTimer(v.Now() + v.TickPeriod())
+	v.SetTimer(v.Now() + v.TickPeriod())
 }
 
 // OnTick is Fig. 1a: perform tick work, then re-arm — unless the tick has
@@ -30,7 +30,7 @@ func (p *dynticksPolicy) OnTick(v GuestVCPU) {
 	if p.stopped {
 		return
 	}
-	v.ArmTimer(v.Now() + v.TickPeriod())
+	v.SetTimer(v.Now() + v.TickPeriod())
 }
 
 // OnVirtualTick rejects virtual ticks: this guest did not negotiate
@@ -39,7 +39,7 @@ func (p *dynticksPolicy) OnVirtualTick(v GuestVCPU) {}
 
 // OnIdleEnter is Fig. 1b.
 func (p *dynticksPolicy) OnIdleEnter(v GuestVCPU) {
-	v.AddKernelWork(0, "idle-enter-eval") // guest supplies default cost
+	v.AddKernelWork("idle-enter-eval")
 	if v.TickRequired() {
 		// A system component needs the tick: enter idle with it running.
 		// When the tick is not actually armed (a deferred expiry already
@@ -48,8 +48,8 @@ func (p *dynticksPolicy) OnIdleEnter(v GuestVCPU) {
 		// counts as running (stopped = false): the handler must keep
 		// re-arming it every period for as long as the vCPU stays idle,
 		// and idle exit has nothing to restore.
-		if !v.TimerArmed() {
-			v.ArmTimer(v.Now() + v.TickPeriod())
+		if v.TimerDeadline() == sim.Forever {
+			v.SetTimer(v.Now() + v.TickPeriod())
 		}
 		p.stopped = false
 		return
@@ -61,29 +61,25 @@ func (p *dynticksPolicy) OnIdleEnter(v GuestVCPU) {
 		// disarmed. As above, a kept tick is a running tick: marking it
 		// stopped here would make the next OnTick skip its re-arm and
 		// strand RCU/soft-timer work on a vCPU that stays idle.
-		if !v.TimerArmed() {
-			v.ArmTimer(next)
+		if v.TimerDeadline() == sim.Forever {
+			v.SetTimer(next)
 		}
 		p.stopped = false
 		return
 	}
-	if next != sim.Forever {
-		// Defer: reprogram the tick timer to the event's expiry.
-		v.ArmTimer(next)
-	} else {
-		// Disable entirely.
-		v.StopTimer()
-	}
+	// Defer the tick to the event's expiry, or disable it entirely when no
+	// event is pending (next == sim.Forever).
+	v.SetTimer(next)
 	p.stopped = true
 }
 
 // OnIdleExit is Fig. 1c: if the tick was deferred or disabled at idle
 // entry, re-arm it at the regular interval.
 func (p *dynticksPolicy) OnIdleExit(v GuestVCPU) {
-	v.AddKernelWork(0, "idle-exit")
+	v.AddKernelWork("idle-exit")
 	if !p.stopped {
 		return
 	}
 	p.stopped = false
-	v.ArmTimer(v.Now() + v.TickPeriod())
+	v.SetTimer(v.Now() + v.TickPeriod())
 }

@@ -22,8 +22,8 @@ func (p *paratickPolicy) Mode() Mode { return Paratick }
 // made: no timer is armed.
 func (p *paratickPolicy) OnBoot(v GuestVCPU) {
 	v.Hypercall(HypercallDeclareTickHz, int64(sim.Second/v.TickPeriod()))
-	if v.TimerArmed() {
-		v.StopTimer()
+	if v.TimerDeadline() != sim.Forever {
+		v.SetTimer(sim.Forever)
 	}
 }
 
@@ -44,7 +44,7 @@ func (p *paratickPolicy) OnTick(v GuestVCPU) {
 		return
 	}
 	// Spurious wakeup of a busy vCPU: negligible handler cost only.
-	v.AddKernelWork(0, "paratick-stale-timer")
+	v.AddKernelWork("paratick-stale-timer")
 }
 
 // OnIdleEnter is Fig. 3c, recycling the tickless idle-entry evaluation with
@@ -52,8 +52,8 @@ func (p *paratickPolicy) OnTick(v GuestVCPU) {
 // decides whether one *must* be set so the vCPU is woken for the next RCU
 // event or soft interrupt (§5.2.4).
 func (p *paratickPolicy) OnIdleEnter(v GuestVCPU) {
-	v.AddKernelWork(p.opts.IdleEnterCost, "idle-enter-eval")
-	deadline := sim.Forever
+	v.AddKernelWork("idle-enter-eval")
+	var deadline sim.Time
 	if v.TickRequired() {
 		// A component needs tick-interval service: wake at the regular
 		// tick interval.
@@ -61,17 +61,15 @@ func (p *paratickPolicy) OnIdleEnter(v GuestVCPU) {
 	} else {
 		deadline = v.NextSoftEvent()
 	}
-	if deadline == sim.Forever {
-		// Nothing pending: sleep until an external interrupt.
+	// §5.2.4: only (re)program when the new expiry is sooner than the
+	// programmed one — the timer may still be armed from a previous idle
+	// entry. A disarmed timer reads sim.Forever, so any pending event
+	// arms it, and with nothing pending (deadline == sim.Forever) the
+	// vCPU sleeps until an external interrupt.
+	if v.TimerDeadline() <= deadline {
 		return
 	}
-	// §5.2.4: only (re)program when the timer is not running or the new
-	// expiry is sooner than the currently programmed one — the timer may
-	// still be armed from a previous idle entry.
-	if v.TimerArmed() && v.TimerDeadline() <= deadline {
-		return
-	}
-	v.ArmTimer(deadline)
+	v.SetTimer(deadline)
 }
 
 // OnIdleExit is Fig. 3d: no action. The wakeup timer, if armed, stays armed
@@ -79,7 +77,7 @@ func (p *paratickPolicy) OnIdleEnter(v GuestVCPU) {
 // reprogram-on-every-idle-entry it avoids. The DisarmOnIdleExit option
 // inverts this for the ablation study.
 func (p *paratickPolicy) OnIdleExit(v GuestVCPU) {
-	if p.opts.DisarmOnIdleExit && v.TimerArmed() {
-		v.StopTimer()
+	if p.opts.DisarmOnIdleExit && v.TimerDeadline() != sim.Forever {
+		v.SetTimer(sim.Forever)
 	}
 }

@@ -10,12 +10,12 @@ type periodicPolicy struct{}
 func (p *periodicPolicy) Mode() Mode { return Periodic }
 
 func (p *periodicPolicy) OnBoot(v GuestVCPU) {
-	v.ArmTimer(v.Now() + v.TickPeriod())
+	v.SetTimer(v.Now() + v.TickPeriod())
 }
 
 func (p *periodicPolicy) OnTick(v GuestVCPU) {
 	v.RunTickWork()
-	v.ArmTimer(v.Now() + v.TickPeriod())
+	v.SetTimer(v.Now() + v.TickPeriod())
 }
 
 // OnVirtualTick rejects host-injected virtual ticks: a periodic guest has

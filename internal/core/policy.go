@@ -64,27 +64,27 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // GuestVCPU is the view a tick policy has of the guest kernel's per-vCPU
-// state. It is implemented by internal/guest. Timer operations translate to
-// intercepted TSC_DEADLINE MSR writes (i.e. VM exits) in the hypervisor.
+// state. It is implemented by internal/guest. SetTimer is the one timer
+// operation: an intercepted TSC_DEADLINE MSR write (a VM exit) in the
+// hypervisor.
 type GuestVCPU interface {
 	// Now returns current simulated time.
 	Now() sim.Time
 	// TickPeriod returns the guest's scheduler-tick period.
 	TickPeriod() sim.Time
-	// ArmTimer programs the per-vCPU deadline timer (an MSR write).
-	ArmTimer(deadline sim.Time)
-	// StopTimer disarms the timer (also an MSR write).
-	StopTimer()
-	// TimerArmed reports whether the deadline timer is programmed.
-	TimerArmed() bool
-	// TimerDeadline returns the programmed deadline, or sim.Forever.
+	// SetTimer writes the per-vCPU deadline timer (one MSR write):
+	// deadline arms it, sim.Forever disarms it.
+	SetTimer(deadline sim.Time)
+	// TimerDeadline returns the programmed deadline, or sim.Forever when
+	// the timer is disarmed.
 	TimerDeadline() sim.Time
 	// RunTickWork performs one scheduler tick's worth of kernel work:
 	// accounting, timer-wheel advance, preemption.
 	RunTickWork()
-	// AddKernelWork charges d of guest-kernel CPU time (policy book-keeping
-	// such as the dynticks idle-entry evaluation).
-	AddKernelWork(d sim.Time, label string)
+	// AddKernelWork charges the guest's calibrated kernel CPU time for a
+	// labelled piece of policy book-keeping, such as the dynticks
+	// idle-entry evaluation.
+	AddKernelWork(label string)
 	// NextSoftEvent returns the expiry of the earliest pending soft timer or
 	// RCU callback, or sim.Forever when none is pending (Fig. 1b).
 	NextSoftEvent() sim.Time
@@ -137,10 +137,6 @@ type Options struct {
 	// paratick cancels the idle wakeup timer on idle exit (and consequently
 	// must reprogram it on the next idle entry — 2 VM exits instead of ≤1).
 	DisarmOnIdleExit bool
-	// IdleEnterCost/IdleExitCost override the guest-kernel time charged on
-	// idle transitions; zero values keep the defaults supplied by the guest.
-	IdleEnterCost sim.Time
-	IdleExitCost  sim.Time
 }
 
 // NewPolicy returns a fresh per-vCPU policy instance for the mode: a zero

@@ -28,25 +28,25 @@ func newMockVCPU() *mockVCPU {
 
 func (m *mockVCPU) Now() sim.Time        { return m.now }
 func (m *mockVCPU) TickPeriod() sim.Time { return m.period }
-func (m *mockVCPU) TimerArmed() bool     { return m.armed }
 func (m *mockVCPU) TimerDeadline() sim.Time {
 	if !m.armed {
 		return sim.Forever
 	}
 	return m.deadline
 }
-func (m *mockVCPU) ArmTimer(deadline sim.Time) {
-	m.armed = true
+
+// SetTimer records the MSR write as an arm or, for sim.Forever, a stop.
+func (m *mockVCPU) SetTimer(deadline sim.Time) {
+	m.armed = deadline != sim.Forever
 	m.deadline = deadline
-	m.armCalls = append(m.armCalls, deadline)
-}
-func (m *mockVCPU) StopTimer() {
-	m.armed = false
-	m.deadline = sim.Forever
-	m.stopCalls++
+	if m.armed {
+		m.armCalls = append(m.armCalls, deadline)
+	} else {
+		m.stopCalls++
+	}
 }
 func (m *mockVCPU) RunTickWork() { m.tickWork++ }
-func (m *mockVCPU) AddKernelWork(d sim.Time, label string) {
+func (m *mockVCPU) AddKernelWork(label string) {
 	m.kernelWork = append(m.kernelWork, label)
 }
 func (m *mockVCPU) NextSoftEvent() sim.Time { return m.nextSoft }

@@ -369,8 +369,10 @@ func (w *world) fingerprint() []byte {
 		enc.U8(uint8(vs.Mode))
 		enc.I64(int64(vs.GuestHz))
 		enc.Bool(vs.PolicyOpts.DisarmOnIdleExit)
-		enc.I64(int64(vs.PolicyOpts.IdleEnterCost))
-		enc.I64(int64(vs.PolicyOpts.IdleExitCost))
+		// Two zero words where idle-transition cost overrides once sat,
+		// which keeps committed checkpoints' fingerprints stable.
+		enc.I64(0)
+		enc.I64(0)
 		enc.I64(int64(vs.AdaptiveSpin))
 		enc.Bool(vs.TopUp)
 		enc.Bool(vs.Workload)

@@ -20,13 +20,6 @@ type Config struct {
 	Mode core.Mode
 	// PolicyOpts tunes the policy (ablations).
 	PolicyOpts core.Options
-	// RCUEveryNSwitches activates the RCU model: after every N guest
-	// context switches an RCU grace period is pending, requiring tick
-	// service (Fig. 1b's "tick explicitly needed"). 0 disables it.
-	RCUEveryNSwitches int
-	// PreemptOnTick enables round-robin task preemption from the tick
-	// handler (the scheduler work ticks exist for).
-	PreemptOnTick bool
 	// AdaptiveSpin makes contended lock acquisitions spin for this long
 	// before blocking (Linux mutex optimistic spinning). 0 = block
 	// immediately, the pure blocking synchronization the paper evaluates.
@@ -40,11 +33,21 @@ type Config struct {
 
 // DefaultConfig returns the paper's guest configuration: 250 Hz dynticks.
 func DefaultConfig() Config {
-	// RCU blocks tick-stopping rarely in practice; once per ~2000 context
-	// switches keeps the Fig. 1b "tick explicitly needed" branch exercised
-	// without distorting the idle-transition MSR traffic §3.2 analyzes.
-	return Config{TickHz: 250, Mode: core.DynticksIdle, RCUEveryNSwitches: 2000, PreemptOnTick: true}
+	return Config{TickHz: 250, Mode: core.DynticksIdle}
 }
+
+const (
+	// rcuEveryNSwitches is the RCU model: after every N guest context
+	// switches an RCU grace period is pending, requiring tick service
+	// (Fig. 1b's "tick explicitly needed"). RCU blocks tick-stopping rarely
+	// in practice; once per ~2000 context switches keeps that branch
+	// exercised without distorting the idle-transition MSR traffic §3.2
+	// analyzes.
+	rcuEveryNSwitches = 2000
+	// preemptOnTick enables round-robin task preemption from the tick
+	// handler (the scheduler work ticks exist for).
+	preemptOnTick = true
+)
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
@@ -53,9 +56,6 @@ func (c Config) Validate() error {
 	}
 	if c.TickPeriod() <= 0 {
 		return fmt.Errorf("guest: TickHz %d exceeds 1 GHz, the nanosecond clock's resolution", c.TickHz)
-	}
-	if c.RCUEveryNSwitches < 0 {
-		return fmt.Errorf("guest: RCUEveryNSwitches must be non-negative, got %d", c.RCUEveryNSwitches)
 	}
 	if c.AdaptiveSpin < 0 {
 		return fmt.Errorf("guest: AdaptiveSpin must be non-negative, got %v", c.AdaptiveSpin)

@@ -160,7 +160,6 @@ func (v *VCPU) clearRunState() {
 	v.idle = false
 	v.needResched = false
 	v.booted = false
-	v.timerArmed = false
 	v.timerDeadline = sim.Forever
 	v.rcuPending = false
 	v.rcuDeadline = sim.Forever

@@ -356,8 +356,12 @@ func (k *Kernel) snapVCPU(s *snap.Stream, v *VCPU) {
 	s.Bool(&v.idle)
 	s.Bool(&v.needResched)
 	s.Bool(&v.booted)
-	s.Bool(&v.timerArmed)
+	armed := v.timerDeadline != sim.Forever
+	s.Bool(&armed)
 	snap.Int(s, &v.timerDeadline)
+	if armed != (v.timerDeadline != sim.Forever) {
+		s.Failf("guest: snapshot vCPU %d timer armed=%v disagrees with deadline %v", v.id, armed, v.timerDeadline)
+	}
 	s.Bool(&v.rcuPending)
 	snap.Int(s, &v.rcuDeadline)
 	snap.Int(s, &v.switchCount)

@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"bytes"
 	"testing"
 
 	"paratick/internal/core"
@@ -301,5 +302,50 @@ func TestStepsProgramState(t *testing.T) {
 	far.U32(7)
 	if err := q.SnapState(snap.NewReader(snap.NewDecoder(far.Bytes()))); err == nil {
 		t.Fatal("cursor past the step sequence accepted")
+	}
+}
+
+// TestSnapshotRejectsTimerFlagMismatch feeds the decoder vCPU snapshots
+// whose armed flag and deadline disagree — "armed" with sim.Forever, and
+// "disarmed" with a finite deadline. Neither state can be produced by a run,
+// so both must fail to decode with an error, never restore or panic.
+func TestSnapshotRejectsTimerFlagMismatch(t *testing.T) {
+	_, k := newTestKernel(t, core.Periodic, 1)
+	k.VCPUs()[0].Boot() // arms the tick at one period
+	var enc snap.Encoder
+	if err := snap.Encode(&enc, k); err != nil {
+		t.Fatal(err)
+	}
+	good := enc.Bytes()
+	// The vCPU moves booted, armed, deadline back to back.
+	var want snap.Encoder
+	want.Bool(true)
+	want.Bool(true)
+	want.I64(int64(k.cfg.TickPeriod()))
+	pattern := want.Bytes()
+	if n := bytes.Count(good, pattern); n != 1 {
+		t.Fatalf("armed-timer pattern occurs %d times in the snapshot, want 1", n)
+	}
+	at := bytes.Index(good, pattern) + 1 // the armed flag
+
+	var forever snap.Encoder
+	forever.I64(int64(sim.Forever))
+	for name, patch := range map[string]func(b []byte){
+		"armed-forever":     func(b []byte) { copy(b[at+1:], forever.Bytes()) },
+		"disarmed-deadline": func(b []byte) { b[at] = 0 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := append([]byte(nil), good...)
+			patch(bad)
+			_, k2 := newTestKernel(t, core.Periodic, 1)
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("decode panicked: %v", r)
+				}
+			}()
+			if err := snap.Decode(snap.NewDecoder(bad), k2); err == nil {
+				t.Fatal("decode accepted a timer flag that disagrees with the deadline")
+			}
+		})
 	}
 }

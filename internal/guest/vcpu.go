@@ -36,9 +36,9 @@ type VCPU struct {
 
 	wheel *TimerWheel
 
-	// Guest-visible deadline-timer state; the authoritative hardware timer
-	// lives in the hypervisor and is programmed by SegMSRWrite segments.
-	timerArmed    bool
+	// timerDeadline is the guest-visible deadline-timer state, sim.Forever
+	// when disarmed; the authoritative hardware timer lives in the
+	// hypervisor and is programmed by SegMSRWrite segments.
 	timerDeadline sim.Time
 
 	// RCU model: a pending grace period requires tick service.
@@ -102,43 +102,28 @@ func (v *VCPU) Now() sim.Time { return v.kernel.engine.Now() }
 // TickPeriod returns the guest tick period.
 func (v *VCPU) TickPeriod() sim.Time { return v.kernel.cfg.TickPeriod() }
 
-// ArmTimer programs the deadline timer: guest-visible state changes
-// immediately; the MSR write (and its VM exit) is a queued segment.
-func (v *VCPU) ArmTimer(deadline sim.Time) {
-	v.timerArmed = true
+// SetTimer writes the deadline timer: one TSC_DEADLINE MSR write that arms
+// it at deadline, or disarms it for sim.Forever. Guest-visible state changes
+// immediately; the write (and its VM exit) is a queued segment.
+func (v *VCPU) SetTimer(deadline sim.Time) {
+	k := v.kernel
 	v.timerDeadline = deadline
-	v.kernel.counters.TimerArms++
-	v.addKernelSeg(v.kernel.cost.GuestTimerProgram, "timer-program")
-	s := v.kernel.acquireSeg()
+	k.counters.TimerArms++
+	work, op := "timer-program", "arm"
+	if deadline == sim.Forever {
+		work, op = "timer-stop", "stop"
+	}
+	v.addKernelSeg(k.cost.GuestTimerProgram, work)
+	s := k.acquireSeg()
 	s.Kind = SegMSRWrite
 	s.Deadline = deadline
-	s.Label = "arm"
+	s.Label = op
 	v.queueSeg(s)
 }
 
-// StopTimer disarms the deadline timer (an MSR write of 0).
-func (v *VCPU) StopTimer() {
-	v.timerArmed = false
-	v.timerDeadline = sim.Forever
-	v.kernel.counters.TimerArms++
-	v.addKernelSeg(v.kernel.cost.GuestTimerProgram, "timer-stop")
-	s := v.kernel.acquireSeg()
-	s.Kind = SegMSRWrite
-	s.Deadline = sim.Forever
-	s.Label = "stop"
-	v.queueSeg(s)
-}
-
-// TimerArmed reports the guest-visible timer state.
-func (v *VCPU) TimerArmed() bool { return v.timerArmed }
-
-// TimerDeadline returns the guest-visible programmed deadline.
-func (v *VCPU) TimerDeadline() sim.Time {
-	if !v.timerArmed {
-		return sim.Forever
-	}
-	return v.timerDeadline
-}
+// TimerDeadline returns the guest-visible programmed deadline, or
+// sim.Forever when the timer is disarmed.
+func (v *VCPU) TimerDeadline() sim.Time { return v.timerDeadline }
 
 // RunTickWork performs one scheduler tick: accounting/housekeeping cost,
 // timer-wheel service (soft interrupts), RCU grace-period progress, and
@@ -161,18 +146,14 @@ func (v *VCPU) RunTickWork() {
 		v.rcuDeadline = sim.Forever
 		v.addKernelSeg(500, "rcu-callbacks")
 	}
-	if k.cfg.PreemptOnTick && v.current != nil && len(v.runq) > 0 {
+	if preemptOnTick && v.current != nil && len(v.runq) > 0 {
 		v.needResched = true
 	}
 }
 
-// AddKernelWork charges guest-kernel CPU time; d == 0 selects the
-// calibrated default for the label.
-func (v *VCPU) AddKernelWork(d sim.Time, label string) {
-	if d == 0 {
-		d = v.kernel.defaultKernelCost(label)
-	}
-	v.addKernelSeg(d, label)
+// AddKernelWork charges the calibrated guest-kernel CPU time for label.
+func (v *VCPU) AddKernelWork(label string) {
+	v.addKernelSeg(v.kernel.defaultKernelCost(label), label)
 }
 
 // serviceWheel advances the timer wheel to now, firing due soft timers.
@@ -351,7 +332,6 @@ func (v *VCPU) Deliver(vec hw.Vector) {
 		case vec == hw.LocalTimerVector:
 			// The one-shot deadline timer fired; guest-visible state
 			// reflects that before the handler runs.
-			v.timerArmed = false
 			v.timerDeadline = sim.Forever
 			v.policy.OnTick(v)
 		case vec == hw.ParatickVector:
@@ -441,7 +421,7 @@ func (v *VCPU) contextSwitch() {
 	k.counters.ContextSw++
 	v.switchCount++
 	v.addKernelSeg(k.cost.GuestSchedSwitch, "ctx-switch")
-	if k.cfg.RCUEveryNSwitches > 0 && v.switchCount%k.cfg.RCUEveryNSwitches == 0 && !v.rcuPending {
+	if v.switchCount%rcuEveryNSwitches == 0 && !v.rcuPending {
 		v.rcuPending = true
 		v.rcuDeadline = v.Now() + v.TickPeriod()
 	}

@@ -119,11 +119,6 @@ func TestKernelConfigValidate(t *testing.T) {
 		t.Error("TickHz=0 accepted")
 	}
 	bad = DefaultConfig()
-	bad.RCUEveryNSwitches = -1
-	if bad.Validate() == nil {
-		t.Error("negative RCU accepted")
-	}
-	bad = DefaultConfig()
 	bad.Mode = core.Mode(99)
 	if bad.Validate() == nil {
 		t.Error("bad mode accepted")
@@ -200,7 +195,7 @@ func TestBootStreams(t *testing.T) {
 		if len(m.msrLog) == 0 {
 			t.Errorf("%v boot armed no timer", mode)
 		}
-		if !v.TimerArmed() && mode == core.Periodic {
+		if v.TimerDeadline() == sim.Forever && mode == core.Periodic {
 			t.Errorf("%v: timer not armed after boot", mode)
 		}
 	}
@@ -507,7 +502,7 @@ func TestPreemptNonRunPanics(t *testing.T) {
 }
 
 func TestTickPreemptionRotatesRunqueue(t *testing.T) {
-	// With two CPU hogs and PreemptOnTick, RunTickWork must set
+	// With two CPU hogs and preemptOnTick, RunTickWork must set
 	// needResched so the scheduler rotates.
 	e, k := newTestKernel(t, core.DynticksIdle, 1)
 	v := k.VCPUs()[0]
@@ -587,7 +582,7 @@ func TestTimerArmsCounted(t *testing.T) {
 	if k.Counters().TimerArms != 1 {
 		t.Fatalf("timer arms = %d", k.Counters().TimerArms)
 	}
-	v.StopTimer()
+	v.SetTimer(sim.Forever)
 	if k.Counters().TimerArms != 2 {
 		t.Fatalf("timer arms after stop = %d", k.Counters().TimerArms)
 	}

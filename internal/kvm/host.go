@@ -181,11 +181,8 @@ func (h *Host) laneOf(socket int) int {
 }
 
 // Engine returns lane 0's simulation engine — the engine, in the serial
-// single-lane mode. Multi-lane callers should use Sharded().
+// single-lane mode.
 func (h *Host) Engine() *sim.Engine { return h.se.Root() }
-
-// Sharded returns the engine coordinator the host runs on.
-func (h *Host) Sharded() *sim.ShardedEngine { return h.se }
 
 // Config returns the host configuration.
 func (h *Host) Config() Config { return h.cfg }

@@ -308,11 +308,7 @@ func (p *PCPU) exitDone() {
 	p.segEvent = sim.Event{}
 	switch seg.Kind {
 	case guest.SegMSRWrite:
-		if seg.Deadline == sim.Forever {
-			v.guestTimer.Cancel()
-		} else {
-			v.guestTimer.Arm(seg.Deadline)
-		}
+		v.guestTimer.Arm(seg.Deadline) // sim.Forever disarms
 	case guest.SegIOSubmit:
 		seg.Dev.Submit(seg.Req)
 	case guest.SegIPI:
@@ -394,43 +390,14 @@ func (p *PCPU) wake(v *VCPU) {
 	}
 }
 
-// interruptIfInGuest forces an external-interrupt exit when v is executing
-// guest code on this pCPU (a physical interrupt — device or IPI — arrived
-// for it).
-func (p *PCPU) interruptIfInGuest(v *VCPU) {
-	if !p.inGuest(v) {
-		return // in host context: delivered at the next entry
+// exitIfInGuest takes an interrupt exit of reason, costing cost, when v is
+// executing guest code on this pCPU — the only state in which a physical
+// interrupt forces a VM exit. In host context the interrupt is absorbed:
+// whatever it pended is injected at the next entry.
+func (p *PCPU) exitIfInGuest(v *VCPU, reason metrics.ExitReason, cost sim.Time) {
+	if p.inGuest(v) {
+		p.interruptGuest(v, reason, cost, false)
 	}
-	p.interruptGuest(v, metrics.ExitExternalIRQ, p.cost().ExitExternalIRQ, false)
-}
-
-// preemptTimerExit handles the guest deadline timer firing while v runs:
-// KVM's (cheaper) preemption-timer exit (§3).
-func (p *PCPU) preemptTimerExit(v *VCPU) {
-	v.queuePendingNoReact(hw.LocalTimerVector)
-	if !p.inGuest(v) {
-		return
-	}
-	p.interruptGuest(v, metrics.ExitPreemptTimer, p.cost().ExitPreemptTimer, false)
-}
-
-// forceEntryExit takes a bare preemption-timer exit on a running vCPU so
-// the next VM entry (and its hook) happens now — the §4.1 top-up mechanism.
-func (p *PCPU) forceEntryExit(v *VCPU) {
-	if !p.inGuest(v) {
-		return // already exiting; the entry hook will run shortly anyway
-	}
-	p.interruptGuest(v, metrics.ExitPreemptTimer, p.cost().ExitPreemptTimer, false)
-}
-
-// timerStealExit charges a running vCPU for a physical timer interrupt that
-// belongs to a different (descheduled) vCPU sharing this pCPU.
-func (p *PCPU) timerStealExit(victim *VCPU) {
-	if !p.inGuest(victim) {
-		// Already in host context: the interrupt is absorbed there.
-		return
-	}
-	p.interruptGuest(victim, metrics.ExitTimerSteal, p.cost().ExitExternalIRQ, false)
 }
 
 // onHostTick is the host scheduler tick on this pCPU.

@@ -5,6 +5,7 @@ import (
 
 	"paratick/internal/core"
 	"paratick/internal/hw"
+	"paratick/internal/metrics"
 	"paratick/internal/sched"
 	"paratick/internal/sim"
 	"paratick/internal/trace"
@@ -134,40 +135,27 @@ func (v *VCPU) PendingIRQs() []hw.Vector {
 	return out
 }
 
-// pendIRQ queues vec for injection (deduplicated, like the LAPIC IRR) and
-// wakes or interrupts the vCPU as its state demands.
-func (v *VCPU) pendIRQ(vec hw.Vector) {
+// queue adds vec to the pending interrupts unless it is already pending:
+// hardware coalesces, like the LAPIC IRR.
+func (v *VCPU) queue(vec hw.Vector) {
 	for _, p := range v.pending {
 		if p.vec == vec {
-			// Already pending; hardware coalesces.
-			v.reactToIRQ()
 			return
 		}
 	}
 	v.pending = append(v.pending, pendingIRQ{vec: vec, since: v.Now()})
-	v.reactToIRQ()
 }
 
-func (v *VCPU) reactToIRQ() {
+// pendIRQ queues vec for injection and wakes or interrupts the vCPU as its
+// state demands. A runnable or stopped vCPU takes it at its next entry.
+func (v *VCPU) pendIRQ(vec hw.Vector) {
+	v.queue(vec)
 	switch v.state {
 	case VCPUHalted:
 		v.pcpu.wake(v)
 	case VCPURunning:
-		v.pcpu.interruptIfInGuest(v)
-	case VCPURunnable, VCPUStopped:
-		// Delivered at next entry.
+		v.pcpu.exitIfInGuest(v, metrics.ExitExternalIRQ, v.pcpu.cost().ExitExternalIRQ)
 	}
-}
-
-// queuePendingNoReact queues a vector without triggering wake/interrupt
-// handling — used when the caller performs the exit itself.
-func (v *VCPU) queuePendingNoReact(vec hw.Vector) {
-	for _, p := range v.pending {
-		if p.vec == vec {
-			return
-		}
-	}
-	v.pending = append(v.pending, pendingIRQ{vec: vec, since: v.Now()})
 }
 
 // hasPending reports whether any interrupt is queued.
@@ -196,38 +184,34 @@ func (v *VCPU) recyclePending(drained []pendingIRQ) {
 
 // onGuestTimer fires when the guest's armed deadline passes.
 func (v *VCPU) onGuestTimer(now sim.Time) {
-	switch v.state {
-	case VCPURunning:
-		// Expiry hits a running vCPU: KVM's preemption-timer exit (§3).
-		v.pcpu.preemptTimerExit(v)
-	default:
-		// Host hrtimer on behalf of a descheduled/halted vCPU: queue the
-		// interrupt (wakes a halted vCPU). If another vCPU currently
-		// occupies this pCPU, the physical timer interrupt suspends it —
-		// the §3.1 overcommit cost: "the running vCPU is suspended
-		// whenever a tick interrupt arrives for a descheduled vCPU".
-		victim := v.pcpu.current
-		v.pendLocalTimer()
-		if victim != nil && victim != v {
-			v.pcpu.timerStealExit(victim)
-		}
+	p := v.pcpu
+	if v.state == VCPURunning {
+		// Expiry hits a running vCPU: KVM's (cheaper) preemption-timer
+		// exit (§3).
+		v.queue(hw.LocalTimerVector)
+		p.exitIfInGuest(v, metrics.ExitPreemptTimer, p.cost().ExitPreemptTimer)
+		return
 	}
-}
-
-func (v *VCPU) pendLocalTimer() {
+	// Host hrtimer on behalf of a descheduled/halted vCPU: queue the
+	// interrupt (wakes a halted vCPU). If another vCPU currently occupies
+	// this pCPU, the physical timer interrupt suspends it — the §3.1
+	// overcommit cost: "the running vCPU is suspended whenever a tick
+	// interrupt arrives for a descheduled vCPU".
+	victim := p.current
 	v.pendIRQ(hw.LocalTimerVector)
+	if victim != nil && victim != v {
+		p.exitIfInGuest(victim, metrics.ExitTimerSteal, p.cost().ExitExternalIRQ)
+	}
 }
 
 // onTopUpTimer fires the §4.1 top-up deadline: a bare preemption-timer exit
 // that forces a VM entry, so the paratick hook observes the elapsed guest
 // tick period and injects the due virtual tick. Unlike the guest's own
 // deadline timer, no local-timer vector is queued — this timer is
-// host-internal.
+// host-internal. Halted or descheduled vCPUs need no top-up tick, and one
+// already in an exit re-enters shortly anyway.
 func (v *VCPU) onTopUpTimer(now sim.Time) {
-	if v.state == VCPURunning {
-		v.pcpu.forceEntryExit(v)
-	}
-	// Halted/descheduled vCPUs don't need top-up ticks.
+	v.pcpu.exitIfInGuest(v, metrics.ExitPreemptTimer, v.pcpu.cost().ExitPreemptTimer)
 }
 
 // --- core.HostVCPU implementation (the Fig. 2 hook surface) ---------------
@@ -255,18 +239,8 @@ func (v *VCPU) HasPendingLocalTimer() bool {
 // InjectVirtualTick queues the vector-235 virtual tick.
 func (v *VCPU) InjectVirtualTick() {
 	v.vm.counters.VirtualTicks++
-	if tr := v.vm.host.tracerFor(v.vm.lane); tr != nil {
-		tr.Record(trace.Event{
-			When: v.Now(), Kind: trace.KindVirtualTick, PCPU: int(v.pcpu.id),
-			VM: v.vm.name, VCPU: v.id, Detail: "vector-235",
-		})
-	}
-	for _, p := range v.pending {
-		if p.vec == hw.ParatickVector {
-			return
-		}
-	}
-	v.pending = append(v.pending, pendingIRQ{vec: hw.ParatickVector, since: v.Now()})
+	v.pcpu.traceEvent(trace.KindVirtualTick, v, "vector-235")
+	v.queue(hw.ParatickVector)
 }
 
 // LastVirtualTick returns the §5.1 last_tick field.
@@ -277,7 +251,7 @@ func (v *VCPU) SetLastVirtualTick(t sim.Time) { v.lastVirtualTick = t }
 
 // ArmTopUpTimer programs the §4.1 top-up deadline.
 func (v *VCPU) ArmTopUpTimer(deadline sim.Time) {
-	if v.topUpTimer.Armed() && v.topUpTimer.Deadline() <= deadline {
+	if v.topUpTimer.Deadline() <= deadline {
 		return
 	}
 	v.topUpTimer.Arm(deadline)
