@@ -94,7 +94,7 @@ type Kernel struct {
 
 	// locks, barriers and conds register every synchronization object in
 	// creation order. The registries give each object a stable small id so
-	// checkpoints can reference them (waiter lists, spin-retry closures)
+	// checkpoints can reference them (waiter lists, spin-segment owners)
 	// without serializing pointers; deterministic scenario construction
 	// guarantees a rebuilt kernel assigns the same ids.
 	locks    []*Lock
@@ -117,8 +117,8 @@ type Kernel struct {
 	segFree []*Segment
 
 	// taskFree holds the previous run's Task objects after a Reset, reused
-	// by Spawn in LIFO order. A recycled task keeps its pre-bound callback
-	// closures (they read t.vcpu at call time, so re-homing is safe) and its
+	// by Spawn in LIFO order. A recycled task keeps its pre-bound sleep
+	// callback (it reads t.vcpu at call time, so re-homing is safe) and its
 	// Rand object (reseeded via ForkInto at the identical draw point).
 	//snap:skip pool of recycled tasks, capacity only
 	taskFree []*Task
@@ -161,8 +161,8 @@ func (k *Kernel) acquireSeg() *Segment {
 	return &slab[0]
 }
 
-// releaseSeg recycles a fully consumed segment. Zeroing drops the OnDone
-// closure, device, and request references so the pool retains no state.
+// releaseSeg recycles a fully consumed segment. Zeroing drops the owner,
+// device, and request references so the pool retains no state.
 //
 //paratick:noalloc
 func (k *Kernel) releaseSeg(s *Segment) {
@@ -307,22 +307,17 @@ func (k *Kernel) Spawn(name string, vcpu int, prog Program) *Task {
 		k.taskFree = k.taskFree[:n-1]
 	} else {
 		t = &Task{rng: new(sim.Rand)}
-		// Pre-bind the task's hot-path callbacks once: a run segment
-		// completes and a sleep timer fires millions of times per run, and a
-		// closure literal per occurrence dominated allocation profiles. Both
-		// closures read t.vcpu at call time, so they survive re-homing when
-		// the task is recycled into a later run.
-		t.runDoneFn = func() {
-			t.remaining = 0
-			t.vcpu.stepComplete(t)
-		}
+		// Pre-bind the sleep callback once: a sleep timer fires millions of
+		// times per run, and a closure literal per occurrence dominated
+		// allocation profiles. It reads t.vcpu at call time, so it survives
+		// re-homing when the task is recycled into a later run.
 		t.sleepFireFn = func(sim.Time) { k.wake(t, t.vcpu) }
 	}
-	// Only the shell (Rand object and pre-bound callbacks) survives; every
+	// Only the shell (Rand object and pre-bound callback) survives; every
 	// other field is rewritten here, for fresh and recycled tasks alike.
 	*t = Task{
 		ID: len(k.tasks), Name: name, prog: prog, vcpu: k.vcpus[vcpu], state: TaskRunnable,
-		rng: t.rng, runDoneFn: t.runDoneFn, sleepFireFn: t.sleepFireFn, startedAt: k.engine.Now(),
+		rng: t.rng, sleepFireFn: t.sleepFireFn, startedAt: k.engine.Now(),
 	}
 	k.rng.ForkInto(t.rng, uint64(len(k.tasks))+0x7a5c)
 	k.tasks = append(k.tasks, t)

@@ -148,10 +148,6 @@ func (v *VCPU) clearRunState() {
 		v.queue[i] = nil
 	}
 	v.queue = v.queue[:0]
-	for i := range v.irqScratch {
-		v.irqScratch[i] = nil
-	}
-	v.irqScratch = v.irqScratch[:0]
 	for i := range v.runq {
 		v.runq[i] = nil
 	}
@@ -165,6 +161,5 @@ func (v *VCPU) clearRunState() {
 	v.rcuDeadline = sim.Forever
 	v.switchCount = 0
 	v.lastTickAt = -1
-	v.emit = nil
 	v.stepCtx = StepCtx{}
 }

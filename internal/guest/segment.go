@@ -62,15 +62,11 @@ type Segment struct {
 	Target   int                // SegIPI: destination vCPU id
 	HKind    core.HypercallKind // SegHypercall
 	HArg     int64
-	// OnDone runs inside the guest when the segment fully completes
-	// (a preempted SegRun completes only after its remainder runs).
-	//snap:skip closure, moved as its owner kind and re-bound on restore
-	OnDone func()
 
-	// ownerTask and ownerLock record which objects an OnDone closure is
-	// bound over, so checkpoints can encode the closure symbolically
-	// (task-run completion, or a lock-spin retry probe) and rebuild it on
-	// restore. nil for segments whose OnDone is nil.
+	// ownerTask and ownerLock name what completing a run segment means
+	// (see VCPU.Return): a task run (ownerTask) ends the task's step, an
+	// optimistic spin (both) re-probes ownerLock for ownerTask. Anonymous
+	// kernel work has neither.
 	ownerTask *Task
 	ownerLock *Lock
 }

@@ -1,12 +1,12 @@
 package guest
 
 // Checkpoint/restore of the guest kernel: tasks, vCPUs, synchronization
-// objects, timer wheels, and attached devices. Closures are never
-// serialized — every callback the guest schedules is rebuilt from the
-// identity of the objects it was bound over (task ids, lock registry
-// ordinals), which is why Segment carries owner fields and the kernel
-// registers sync objects in creation order. The segment pool is drained,
-// not saved: pooled segments are dead state.
+// objects, timer wheels, and attached devices. Cross-object references are
+// plain data moved as identities: a segment's owners and a request's
+// waiter as task ids and lock registry ordinals, which is why the kernel
+// registers sync objects in creation order. Closures are never serialized;
+// the one the guest keeps (a task's sleep callback) is pre-bound by Spawn.
+// The segment pool is drained, not saved: pooled segments are dead state.
 //
 // Decoding targets a kernel freshly rebuilt from the same scenario
 // specification: identical vCPU count, task spawn order, sync-object
@@ -125,18 +125,18 @@ func (w *TimerWheel) DigestState() snap.Digest {
 
 // --- segments ----------------------------------------------------------------
 
-// OnDone closures are encoded symbolically by what they were bound over.
+// A segment's owners move behind a byte naming what completing it means.
 const (
-	segDoneNil      = 0 // no completion callback
-	segDoneTaskRun  = 1 // ownerTask's run-completion callback
-	segDoneLockSpin = 2 // post-spin lock retry probe (ownerLock, ownerTask)
+	segDoneNil      = 0 // anonymous work: no owners
+	segDoneTaskRun  = 1 // a task run: ownerTask
+	segDoneLockSpin = 2 // an optimistic spin: ownerLock and ownerTask
 )
 
 // snapSegment moves one segment. Decoding passes a nil seg and receives a
 // fresh pooled segment; it rejects segments the hypervisor could not
 // execute (unknown kind, an IPI to a vCPU that does not exist, an io-submit
 // without its device and request).
-func (k *Kernel) snapSegment(s *snap.Stream, v *VCPU, seg *Segment) *Segment {
+func (k *Kernel) snapSegment(s *snap.Stream, seg *Segment) *Segment {
 	if seg == nil {
 		seg = k.acquireSeg()
 	}
@@ -155,7 +155,7 @@ func (k *Kernel) snapSegment(s *snap.Stream, v *VCPU, seg *Segment) *Segment {
 		if seg.Req == nil {
 			seg.Req = new(iodev.Request)
 		}
-		seg.Req.Snap(s, kernelRefs{k})
+		seg.Req.Snap(s, len(k.vcpus), len(k.tasks))
 	}
 	dev := slices.Index(k.devices, seg.Dev)
 	if seg.Dev != nil && dev < 0 {
@@ -177,23 +177,18 @@ func (k *Kernel) snapSegment(s *snap.Stream, v *VCPU, seg *Segment) *Segment {
 	if seg.Kind == SegIOSubmit && (seg.Dev == nil || seg.Req == nil) {
 		s.Failf("guest: snapshot io-submit segment lacks its device or request")
 	}
-	k.snapOnDone(s, v, seg)
+	k.snapOwners(s, seg)
 	return seg
 }
 
-// snapOnDone moves the segment's completion callback as the kind of owner
-// it was bound over (plus the owners' ids); decoding re-binds the closure
-// over the rebuilt owners.
-func (k *Kernel) snapOnDone(s *snap.Stream, v *VCPU, seg *Segment) {
+// snapOwners moves the segment's owners as their kind and ids.
+func (k *Kernel) snapOwners(s *snap.Stream, seg *Segment) {
 	var kind uint8 = segDoneNil
 	switch {
-	case seg.OnDone == nil:
-	case seg.ownerLock != nil && seg.ownerTask != nil:
+	case seg.ownerLock != nil:
 		kind = segDoneLockSpin
 	case seg.ownerTask != nil:
 		kind = segDoneTaskRun
-	default:
-		s.Failf("guest: segment %v has an OnDone closure with no recorded owner", seg)
 	}
 	s.U8(&kind)
 	switch kind {
@@ -202,8 +197,6 @@ func (k *Kernel) snapOnDone(s *snap.Stream, v *VCPU, seg *Segment) {
 		k.snapTask(s, &seg.ownerTask)
 		if seg.ownerTask == nil {
 			s.Failf("guest: snapshot run segment completes no task")
-		} else if s.Decoding() {
-			seg.OnDone = seg.ownerTask.runDoneFn
 		}
 	case segDoneLockSpin:
 		lock := -1
@@ -213,10 +206,9 @@ func (k *Kernel) snapOnDone(s *snap.Stream, v *VCPU, seg *Segment) {
 		snap.Int(s, &lock)
 		k.snapTask(s, &seg.ownerTask)
 		if lock < 0 || lock >= len(k.locks) || seg.ownerTask == nil {
-			s.Failf("guest: snapshot spin retry references lock %d of %d", lock, len(k.locks))
+			s.Failf("guest: snapshot spin segment references lock %d of %d", lock, len(k.locks))
 		} else if s.Decoding() {
 			seg.ownerLock = k.locks[lock]
-			seg.OnDone = v.lockSpinRetry(seg.ownerLock, seg.ownerTask)
 		}
 	default:
 		s.Failf("guest: unknown segment completion kind %d", kind)
@@ -250,30 +242,6 @@ func (k *Kernel) snapTasks(s *snap.Stream, list *[]*Task) {
 		}
 	}
 }
-
-// kernelRefs translates the references I/O requests carry: a blocking
-// request's Cookie is its *Task, identified by task ID, and its vCPU is
-// one of the kernel's.
-type kernelRefs struct{ k *Kernel }
-
-// CookieID implements iodev.Refs.
-func (r kernelRefs) CookieID(c any) int64 {
-	if t, ok := c.(*Task); ok && t != nil {
-		return int64(t.ID)
-	}
-	return -1
-}
-
-// Cookie implements iodev.Refs.
-func (r kernelRefs) Cookie(id int64) any {
-	if id < 0 || id >= int64(len(r.k.tasks)) {
-		return nil
-	}
-	return r.k.tasks[id]
-}
-
-// ValidVCPU implements iodev.Refs.
-func (r kernelRefs) ValidVCPU(vcpu int) bool { return vcpu >= 0 && vcpu < len(r.k.vcpus) }
 
 // --- kernel ------------------------------------------------------------------
 
@@ -334,7 +302,7 @@ func (k *Kernel) Snap(s *snap.Stream) {
 
 	s.Len(len(k.devices), "guest devices")
 	for _, d := range k.devices {
-		d.Snap(s, kernelRefs{k})
+		d.Snap(s, len(k.vcpus), len(k.tasks))
 	}
 }
 
@@ -369,12 +337,12 @@ func (k *Kernel) snapVCPU(s *snap.Stream, v *VCPU) {
 	k.snapTask(s, &v.current)
 	k.snapTasks(s, &v.runq)
 	for i := range snap.Slice(s, &v.queue) {
-		v.queue[i] = k.snapSegment(s, v, v.queue[i])
+		v.queue[i] = k.snapSegment(s, v.queue[i])
 	}
 	issued := v.issued != nil
 	s.Bool(&issued)
 	if issued {
-		v.issued = k.snapSegment(s, v, v.issued)
+		v.issued = k.snapSegment(s, v.issued)
 	}
 }
 

@@ -2,10 +2,12 @@ package guest
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"paratick/internal/core"
 	"paratick/internal/hw"
+	"paratick/internal/iodev"
 	"paratick/internal/metrics"
 	"paratick/internal/sim"
 	"paratick/internal/snap"
@@ -74,9 +76,9 @@ func TestWheelResetDigestMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestSegmentPoolZeroed is the reset audit for the PR 6 segment pool:
-// every segment sitting in the free pool must be the zero value, retaining
-// no closure, request, device, or owner references from its previous life.
+// TestSegmentPoolZeroed is the reset audit for the segment pool: every
+// segment sitting in the free pool must be the zero value, retaining no
+// request, device, or owner references from its previous life.
 func TestSegmentPoolZeroed(t *testing.T) {
 	e, k := newTestKernel(t, core.DynticksIdle, 1)
 	k.cfg.AdaptiveSpin = 2 * sim.Microsecond // exercise the lock-spin owner fields
@@ -97,13 +99,7 @@ func TestSegmentPoolZeroed(t *testing.T) {
 		if s == nil {
 			continue
 		}
-		// Segment holds a func field, so it is not comparable; check every
-		// field explicitly.
-		dirty := s.Kind != SegRun || s.Label != "" || s.Duration != 0 ||
-			s.Kernel || s.Spin || s.Deadline != 0 || s.Req != nil ||
-			s.Dev != nil || s.Target != 0 || s.HKind != 0 || s.HArg != 0 ||
-			s.OnDone != nil || s.ownerTask != nil || s.ownerLock != nil
-		if dirty {
+		if *s != (Segment{}) {
 			t.Fatalf("pooled segment %d retains state: %+v", i, *s)
 		}
 	}
@@ -347,5 +343,64 @@ func TestSnapshotRejectsTimerFlagMismatch(t *testing.T) {
 				t.Fatal("decode accepted a timer flag that disagrees with the deadline")
 			}
 		})
+	}
+}
+
+// newReaderWorld builds a one-vCPU kernel with an attached NVMe device and
+// one task that issues a blocking read; the vCPU is booted but not run.
+func newReaderWorld(t *testing.T) (*sim.Engine, *Kernel, *miniExec) {
+	t.Helper()
+	e, k := newTestKernel(t, core.DynticksIdle, 1)
+	dev, err := iodev.New(e, "d0", iodev.NVMe(), hw.IODeviceBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.AttachDevice(dev)
+	k.Spawn("reader", 0, Steps(Read(dev, 4096, false), Done()))
+	k.vcpus[0].Boot()
+	return e, k, newMiniExec(e, k.vcpus[0])
+}
+
+// TestSnapshotRejectsUnknownIOWaiter checks that an in-service request
+// naming a task the kernel does not have is refused with an error in both
+// directions, never restored as a request nobody waits on.
+func TestSnapshotRejectsUnknownIOWaiter(t *testing.T) {
+	e, k, m := newReaderWorld(t)
+	var req *iodev.Request
+	for i := 0; i < 100 && !m.hlt; i++ {
+		if s := m.runOne(); s.Kind == SegIOSubmit {
+			req = s.Req
+		}
+	}
+	if req == nil || k.devices[0].Inflight() != 1 || req.Waiter != 0 {
+		t.Fatal("fixture: the reader's blocking read is not in service")
+	}
+	// Control: the world as run restores.
+	e2, k2, m2 := newReaderWorld(t)
+	loadWorld(t, saveWorld(t, e, k, m), e2, k2, m2)
+
+	req.Waiter = len(k.tasks)
+	want := "waited on by task 1 of 1"
+	var enc snap.Encoder
+	s := snap.NewWriter(&enc)
+	e.Snap(s)
+	m.timer.Snap(s)
+	k.Snap(s)
+	if err := s.Err(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("encode err = %v, want one containing %q", err, want)
+	}
+	// The failed encode still wrote every field; decode those bytes.
+	e3, k3, m3 := newReaderWorld(t)
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("decode panicked: %v", r)
+		}
+	}()
+	d := snap.NewReader(snap.NewDecoder(enc.Bytes()))
+	e3.Snap(d)
+	m3.timer.Snap(d)
+	k3.Snap(d)
+	if err := d.Err(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("decode err = %v, want one containing %q", err, want)
 	}
 }

@@ -227,10 +227,8 @@ type Task struct {
 	// wakePending marks a wakeup that raced with block bookkeeping.
 	sleepTimer SoftTimer
 
-	// runDoneFn and sleepFireFn are pre-bound in Spawn so the run-segment
-	// and sleep paths never allocate a closure per event.
-	//snap:skip pre-bound closure, recreated by Spawn on restore
-	runDoneFn func()
+	// sleepFireFn is pre-bound in Spawn so the sleep path never allocates
+	// a closure per event.
 	//snap:skip pre-bound closure, recreated by Spawn on restore
 	sleepFireFn func(sim.Time)
 

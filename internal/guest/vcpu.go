@@ -2,6 +2,7 @@ package guest
 
 import (
 	"fmt"
+	"slices"
 
 	"paratick/internal/core"
 	"paratick/internal/hw"
@@ -50,22 +51,11 @@ type VCPU struct {
 	// histogram; -1 until the first tick (time 0 is a valid tick time).
 	lastTickAt sim.Time
 
-	// emit, when non-nil, redirects queued segments (used to order
-	// interrupt-handler segments ahead of preempted work).
-	//snap:skip transient redirect, nil outside a collect call (never set at a barrier)
-	emit *[]*Segment
-
 	// issued is the segment most recently handed to the hypervisor; it is
 	// returned to the kernel's pool when the next segment is fetched (by
-	// then the hypervisor has fully consumed it — completed, preempted, or
+	// then the hypervisor has fully consumed it — returned, executed, or
 	// aborted it).
 	issued *Segment
-
-	// irqScratch is collect's reusable buffer for interrupt-handler
-	// segments; its contents are copied into the queue before the next
-	// collect call.
-	//snap:skip scratch buffer, empty between collect calls
-	irqScratch []*Segment
 
 	// stepCtx is the reusable context handed to task programs; programs
 	// read it during Next and must not retain it.
@@ -199,26 +189,7 @@ var _ core.GuestVCPU = (*VCPU)(nil)
 
 //paratick:noalloc
 func (v *VCPU) queueSeg(s *Segment) {
-	if v.emit != nil {
-		*v.emit = append(*v.emit, s)
-		return
-	}
 	v.queue = append(v.queue, s)
-}
-
-// pushFront prepends segs to the queue in order, shifting the existing
-// contents with overlapping copies instead of allocating a fresh slice.
-//
-//paratick:noalloc
-func (v *VCPU) pushFront(segs ...*Segment) {
-	n := len(segs)
-	if n == 0 {
-		return
-	}
-	old := len(v.queue)
-	v.queue = append(v.queue, segs...)
-	copy(v.queue[n:], v.queue[:old])
-	copy(v.queue, segs)
 }
 
 //paratick:noalloc
@@ -232,21 +203,6 @@ func (v *VCPU) addKernelSeg(d sim.Time, label string) {
 	s.Kernel = true
 	s.Label = label
 	v.queueSeg(s)
-}
-
-// collect routes segments emitted by fn into the vCPU's reusable scratch
-// buffer (for interrupt handlers, whose work must run ahead of preempted
-// segments). The returned slice is valid until the next collect call;
-// collect never nests — only Deliver uses it, and delivery cannot re-enter.
-//
-//paratick:noalloc
-func (v *VCPU) collect(fn func()) []*Segment {
-	prev := v.emit
-	v.irqScratch = v.irqScratch[:0]
-	v.emit = &v.irqScratch
-	fn()
-	v.emit = prev
-	return v.irqScratch
 }
 
 // --- hypervisor-facing interface ---------------------------------------------
@@ -273,8 +229,8 @@ func (v *VCPU) Boot() {
 // to do: with no runnable tasks it emits the idle-entry sequence ending in
 // SegHLT. The previously issued segment is recycled here: by the time the
 // hypervisor asks for the next segment it has fully consumed the last one
-// (completed, preempted — which banks remaining work elsewhere — or
-// aborted).
+// (returned — which banks any remaining work elsewhere — or, for the
+// other kinds, executed or aborted).
 func (v *VCPU) Next() *Segment {
 	if v.issued != nil {
 		v.kernel.releaseSeg(v.issued)
@@ -291,62 +247,59 @@ func (v *VCPU) Next() *Segment {
 	}
 }
 
-// Preempt informs the guest that an interrupt cut seg short with remaining
-// time unconsumed. Task work is banked on the task (so the scheduler may
-// switch away before resuming it); anonymous kernel work is re-queued
-// directly.
-func (v *VCPU) Preempt(seg *Segment, remaining sim.Time) {
+// Return hands a run segment the hypervisor stopped back to the guest:
+// remaining is the time it left unconsumed, 0 when it ran to completion.
+// Cut-short task work is banked on the task (so the scheduler may switch
+// away before resuming it), and cut-short kernel work — an optimistic spin
+// included — is re-queued at the front. A completed segment acts on its
+// owners: a task run ends the task's step, a spin re-probes its lock.
+func (v *VCPU) Return(seg *Segment, remaining sim.Time) {
 	if seg.Kind != SegRun {
-		panic(fmt.Sprintf("guest: preempt of non-run segment %v", seg))
+		panic(fmt.Sprintf("guest: return of non-run segment %v", seg))
 	}
-	if remaining <= 0 {
-		return
-	}
-	if t := v.taskOf(seg); t != nil {
+	t, lock := seg.ownerTask, seg.ownerLock
+	switch {
+	case remaining > 0 && t != nil && lock == nil:
 		t.remaining = remaining
-		return
+	case remaining > 0:
+		rest := v.kernel.acquireSeg()
+		*rest = *seg
+		rest.Duration = remaining
+		v.queue = slices.Insert(v.queue, 0, rest)
+	case lock != nil:
+		v.spinDone(lock, t)
+	case t != nil:
+		t.remaining = 0
+		v.stepComplete(t)
 	}
-	rest := v.kernel.acquireSeg()
-	*rest = *seg
-	rest.Duration = remaining
-	v.pushFront(rest)
-}
-
-// taskOf maps a user-run segment back to the task that owns it.
-func (v *VCPU) taskOf(seg *Segment) *Task {
-	if seg.Kernel {
-		return nil
-	}
-	if v.current != nil {
-		return v.current
-	}
-	return nil
 }
 
 // Deliver runs interrupt delivery for vec: the handler's segments are
-// placed ahead of everything else queued on the vCPU.
+// placed ahead of everything else queued on the vCPU. Handlers only append
+// to the queue, so the appended tail is rotated to the front in place.
 func (v *VCPU) Deliver(vec hw.Vector) {
-	segs := v.collect(func() {
-		v.addKernelSeg(v.kernel.cost.GuestIRQEntry, "irq-entry")
-		switch {
-		case vec == hw.LocalTimerVector:
-			// The one-shot deadline timer fired; guest-visible state
-			// reflects that before the handler runs.
-			v.timerDeadline = sim.Forever
-			v.policy.OnTick(v)
-		case vec == hw.ParatickVector:
-			v.policy.OnVirtualTick(v)
-		case vec == hw.RescheduleVector:
-			// Wakeup IPI: the waker already queued the task; entry cost
-			// plus wheel service (softirqs run on IRQ exit).
-			v.serviceWheel(v.Now())
-		case vec == hw.CallFuncVector:
-			v.addKernelSeg(400, "call-func")
-		default:
-			v.deliverDeviceIRQ(vec)
-		}
-	})
-	v.pushFront(segs...)
+	queued := len(v.queue)
+	v.addKernelSeg(v.kernel.cost.GuestIRQEntry, "irq-entry")
+	switch {
+	case vec == hw.LocalTimerVector:
+		// The one-shot deadline timer fired; guest-visible state reflects
+		// that before the handler runs.
+		v.timerDeadline = sim.Forever
+		v.policy.OnTick(v)
+	case vec == hw.ParatickVector:
+		v.policy.OnVirtualTick(v)
+	case vec == hw.RescheduleVector:
+		// Wakeup IPI: the waker already queued the task; entry cost plus
+		// wheel service (softirqs run on IRQ exit).
+		v.serviceWheel(v.Now())
+	case vec == hw.CallFuncVector:
+		v.addKernelSeg(400, "call-func")
+	default:
+		v.deliverDeviceIRQ(vec)
+	}
+	slices.Reverse(v.queue[:queued])
+	slices.Reverse(v.queue[queued:])
+	slices.Reverse(v.queue)
 }
 
 // deliverDeviceIRQ drains completions destined for this vCPU from every
@@ -367,10 +320,10 @@ func (v *VCPU) deliverDeviceIRQ(vec hw.Vector) {
 				k.counters.IOReads++
 				k.counters.IOBytesRead += uint64(req.Bytes)
 			}
-			t, _ := req.Cookie.(*Task)
+			waiter := req.Waiter
 			d.Release(req)
-			if t != nil {
-				k.wake(t, v)
+			if waiter >= 0 {
+				k.wake(k.tasks[waiter], v)
 			}
 		}
 	}
@@ -462,7 +415,6 @@ func (v *VCPU) pushTaskRun(t *Task) {
 	s.Kind = SegRun
 	s.Duration = t.remaining
 	s.Label = t.Name
-	s.OnDone = t.runDoneFn
 	s.ownerTask = t
 	v.queueSeg(s)
 }
@@ -505,16 +457,14 @@ func (v *VCPU) applyStep(t *Task, step Step) {
 			// only block if the lock is still held. This is the behaviour
 			// pause-loop exiting (PLE) targets — and why the paper disables
 			// PLE when studying pure blocking synchronization (§6).
-			lock := step.L
 			s := v.kernel.acquireSeg()
 			s.Kind = SegRun
 			s.Duration = t.rng.Jitter(spin, 0.2)
 			s.Kernel = true
 			s.Spin = true
 			s.Label = "lock-spin"
-			s.OnDone = v.lockSpinRetry(lock, t)
 			s.ownerTask = t
-			s.ownerLock = lock
+			s.ownerLock = step.L
 			v.queueSeg(s)
 			return
 		}
@@ -585,7 +535,7 @@ func (v *VCPU) applyStep(t *Task, step Step) {
 		req.Bytes = step.Bytes
 		req.VCPU = v.id
 		if step.Blocking {
-			req.Cookie = t
+			req.Waiter = t.ID
 		}
 		s := v.kernel.acquireSeg()
 		s.Kind = SegIOSubmit
@@ -621,20 +571,16 @@ func (v *VCPU) applyStep(t *Task, step Step) {
 	}
 }
 
-// lockSpinRetry builds the post-spin probe that ends an optimistic-spin
-// segment: take the lock if it freed up meanwhile, otherwise block as a
-// waiter. Factored out of applyStep so a restored checkpoint can rebuild
-// an in-flight spin segment's OnDone bit for bit.
-func (v *VCPU) lockSpinRetry(lock *Lock, t *Task) func() {
-	return func() {
-		if lock.tryAcquireFast(t) {
-			v.stepComplete(t)
-			return
-		}
-		lock.enqueueWaiter(t)
-		v.addKernelSeg(v.kernel.cost.GuestSyscall, "futex-wait")
-		v.block(t, lock.blockReason)
+// spinDone ends a completed optimistic-spin segment: t takes the lock if
+// it freed up meanwhile, otherwise it blocks as a waiter.
+func (v *VCPU) spinDone(lock *Lock, t *Task) {
+	if lock.tryAcquireFast(t) {
+		v.stepComplete(t)
+		return
 	}
+	lock.enqueueWaiter(t)
+	v.addKernelSeg(v.kernel.cost.GuestSyscall, "futex-wait")
+	v.block(t, lock.blockReason)
 }
 
 // block marks the current task blocked and frees the CPU.

@@ -113,7 +113,7 @@ type Request struct {
 	Sequential bool
 	Bytes      int
 	VCPU       int // submitting vCPU; completion interrupt targets it
-	Cookie     any // opaque guest payload (the blocked task)
+	Waiter     int // ID of the guest task blocked on the result, -1 for none
 	Submitted  sim.Time
 	Completed  sim.Time
 	done       bool
@@ -224,8 +224,9 @@ func (d *Device) BytesWritten() uint64 { return d.bytesWritten }
 // (0 unless the profile enables coalescing).
 func (d *Device) CoalescedInterrupts() uint64 { return d.coalescedIRQs }
 
-// NewRequest returns a zeroed request for this device, recycling a
-// released one when it can. The caller fills it in and passes it to Submit.
+// NewRequest returns a zeroed request with no waiter (Waiter -1) for this
+// device, recycling a released one when it can. The caller fills it in and
+// passes it to Submit.
 //
 //paratick:noalloc
 func (d *Device) NewRequest() *Request {
@@ -236,16 +237,19 @@ func (d *Device) NewRequest() *Request {
 		return req
 	}
 	//lint:ignore A001 pool miss: one request per concurrently outstanding I/O, absent in steady state
-	return new(Request)
+	req := new(Request)
+	req.Waiter = -1
+	return req
 }
 
 // Release hands a drained request back to the device that completed it.
-// Every field is zeroed except the pre-bound completion handler, which
-// captures this device; the caller must not touch req afterwards.
+// Every field returns to NewRequest's blank state (zero, Waiter -1) except
+// the pre-bound completion handler, which captures this device; the caller
+// must not touch req afterwards.
 //
 //paratick:noalloc
 func (d *Device) Release(req *Request) {
-	*req = Request{fin: req.fin}
+	*req = Request{Waiter: -1, fin: req.fin}
 	d.free = append(d.free, req)
 }
 

@@ -1,11 +1,13 @@
 package iodev
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"paratick/internal/hw"
 	"paratick/internal/sim"
+	"paratick/internal/snap"
 )
 
 func newTestDevice(t *testing.T, p Profile) (*sim.Engine, *Device) {
@@ -89,7 +91,7 @@ func TestSubmitCompletes(t *testing.T) {
 	e, d := newTestDevice(t, NVMe())
 	var completions []*Request
 	d.OnComplete = func(r *Request) { completions = append(completions, r) }
-	req := &Request{Bytes: 4096, VCPU: 0, Cookie: "task1"}
+	req := &Request{Bytes: 4096, VCPU: 0, Waiter: 1}
 	d.Submit(req)
 	if d.Inflight() != 1 {
 		t.Fatalf("inflight = %d", d.Inflight())
@@ -144,10 +146,10 @@ func TestQueueDepthOneIsFIFO(t *testing.T) {
 	p := NVMe()
 	p.QueueDepth = 1
 	e, d := newTestDevice(t, p)
-	var order []any
-	d.OnComplete = func(r *Request) { order = append(order, r.Cookie) }
+	var order []int
+	d.OnComplete = func(r *Request) { order = append(order, r.Waiter) }
 	for i := 0; i < 4; i++ {
-		d.Submit(&Request{Bytes: 4096, Cookie: i})
+		d.Submit(&Request{Bytes: 4096, Waiter: i})
 	}
 	e.Run()
 	for i, c := range order {
@@ -159,9 +161,9 @@ func TestQueueDepthOneIsFIFO(t *testing.T) {
 
 func TestDrainCompletedFor(t *testing.T) {
 	e, d := newTestDevice(t, NVMe())
-	d.Submit(&Request{Bytes: 4096, VCPU: 0, Cookie: "a"})
-	d.Submit(&Request{Bytes: 4096, VCPU: 1, Cookie: "b"})
-	d.Submit(&Request{Bytes: 4096, VCPU: 0, Cookie: "c"})
+	d.Submit(&Request{Bytes: 4096, VCPU: 0, Waiter: 0})
+	d.Submit(&Request{Bytes: 4096, VCPU: 1, Waiter: 1})
+	d.Submit(&Request{Bytes: 4096, VCPU: 0, Waiter: 2})
 	e.Run()
 	got := d.DrainCompletedFor(0)
 	if len(got) != 2 {
@@ -366,12 +368,15 @@ func TestCoalescingValidation(t *testing.T) {
 }
 
 // TestReleasedRequestCarriesNoStaleState pins the request lifecycle: a
-// request handed back with Release comes out of NewRequest blank, keeping
-// only its completion handler.
+// request handed back with Release comes out of NewRequest blank (no
+// waiter), keeping only its completion handler.
 func TestReleasedRequestCarriesNoStaleState(t *testing.T) {
 	e, d := newTestDevice(t, NVMe())
 	req := d.NewRequest()
-	req.Write, req.Sequential, req.Bytes, req.VCPU, req.Cookie = true, true, 8192, 1, "task"
+	if req.Waiter != -1 {
+		t.Fatalf("new request has waiter %d, want -1", req.Waiter)
+	}
+	req.Write, req.Sequential, req.Bytes, req.VCPU, req.Waiter = true, true, 8192, 1, 3
 	d.Submit(req)
 	e.Run()
 	drained := d.DrainCompletedFor(1)
@@ -388,7 +393,7 @@ func TestReleasedRequestCarriesNoStaleState(t *testing.T) {
 	}
 	// Request holds a func field, so it is not comparable; check every
 	// other field explicitly.
-	if again.Write || again.Sequential || again.Bytes != 0 || again.VCPU != 0 || again.Cookie != nil ||
+	if again.Write || again.Sequential || again.Bytes != 0 || again.VCPU != 0 || again.Waiter != -1 ||
 		again.Submitted != 0 || again.Completed != 0 || again.done || again.ev != (sim.Event{}) {
 		t.Fatalf("recycled request carries stale state: %+v", *again)
 	}
@@ -402,14 +407,14 @@ func TestDrainInPlaceKeepsOtherVCPUs(t *testing.T) {
 	p.QueueDepth = 1 // completions land in submission order
 	e, d := newTestDevice(t, p)
 	for i, vcpu := range []int{0, 1, 0, 2, 1} {
-		d.Submit(&Request{Bytes: 4096, VCPU: vcpu, Cookie: i})
+		d.Submit(&Request{Bytes: 4096, VCPU: vcpu, Waiter: i})
 	}
 	e.Run()
 	full := d.completed[:cap(d.completed)]
-	if got := d.DrainCompletedFor(0); len(got) != 2 || got[0].Cookie != 0 || got[1].Cookie != 2 {
+	if got := d.DrainCompletedFor(0); len(got) != 2 || got[0].Waiter != 0 || got[1].Waiter != 2 {
 		t.Fatalf("vCPU 0 drained %v", got)
 	}
-	if len(d.completed) != 3 || d.completed[0].Cookie != 1 || d.completed[1].Cookie != 3 || d.completed[2].Cookie != 4 {
+	if len(d.completed) != 3 || d.completed[0].Waiter != 1 || d.completed[1].Waiter != 3 || d.completed[2].Waiter != 4 {
 		t.Fatalf("remaining completions out of order: %v", d.completed)
 	}
 	for i := len(d.completed); i < len(full); i++ {
@@ -462,6 +467,49 @@ func TestDeviceSteadyStateAllocs(t *testing.T) {
 			}
 			if irqs == 0 || d.Ops() == 0 {
 				t.Fatal("no completions or interrupts; the check would be vacuous")
+			}
+		})
+	}
+}
+
+// TestRequestSnapRejectsUnknownRefs checks the guest indices a request
+// carries against the guest's vCPU and task counts, in both directions:
+// encoding a bad request fails, and so does decoding the bytes it wrote.
+func TestRequestSnapRejectsUnknownRefs(t *testing.T) {
+	const vcpus, tasks = 2, 3
+	for _, tc := range []struct {
+		name string
+		req  Request
+		want string // "" = round-trips
+	}{
+		{"blocking", Request{Bytes: 4096, VCPU: 1, Waiter: tasks - 1}, ""},
+		{"non-blocking", Request{Bytes: 4096, VCPU: 0, Waiter: -1}, ""},
+		{"waiter-below-none", Request{Bytes: 4096, VCPU: 0, Waiter: -2}, "task -2 of 3"},
+		{"waiter-past-tasks", Request{Bytes: 4096, VCPU: 0, Waiter: tasks}, "task 3 of 3"},
+		{"vcpu-negative", Request{Bytes: 4096, VCPU: -1, Waiter: -1}, "vCPU -1 of 2"},
+		{"vcpu-past-vcpus", Request{Bytes: 4096, VCPU: vcpus, Waiter: 0}, "vCPU 2 of 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := func(dir string, err error) {
+				t.Helper()
+				switch {
+				case tc.want == "" && err != nil:
+					t.Fatalf("%s: %v", dir, err)
+				case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+					t.Fatalf("%s err = %v, want one containing %q", dir, err, tc.want)
+				}
+			}
+			var enc snap.Encoder
+			w := snap.NewWriter(&enc)
+			req := tc.req
+			req.Snap(w, vcpus, tasks)
+			check("encode", w.Err())
+			r := snap.NewReader(snap.NewDecoder(enc.Bytes()))
+			var got Request
+			got.Snap(r, vcpus, tasks)
+			check("decode", r.Err())
+			if tc.want == "" && (got.VCPU != req.VCPU || got.Waiter != req.Waiter) {
+				t.Fatalf("round trip = %+v, want %+v", got, req)
 			}
 		})
 	}

@@ -254,9 +254,7 @@ func (p *PCPU) runDone() {
 	p.seg = nil
 	p.segEvent = sim.Event{}
 	p.chargeRun(v, seg, seg.Duration)
-	if seg.OnDone != nil {
-		seg.OnDone()
-	}
+	v.gcpu.Return(seg, 0)
 	p.continueGuest()
 }
 
@@ -434,11 +432,7 @@ func (p *PCPU) interruptGuest(v *VCPU, reason metrics.ExitReason, hostCost sim.T
 	p.segEvent = sim.Event{}
 	p.seg = nil
 	p.chargeRun(v, seg, elapsed)
-	if remaining := seg.Duration - elapsed; remaining > 0 {
-		v.gcpu.Preempt(seg, remaining)
-	} else if seg.OnDone != nil {
-		seg.OnDone()
-	}
+	v.gcpu.Return(seg, max(seg.Duration-elapsed, 0))
 	p.chargeExit(v, reason, hostCost)
 	p.irqExpire = expireSlice
 	p.segEvent = p.engine.After(hostCost, "pcpu-irq-exit", p.irqDoneFn)

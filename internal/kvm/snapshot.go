@@ -11,15 +11,16 @@ package kvm
 // Closures are never serialized. The in-flight segment on a pCPU is not
 // encoded either: it is, by construction, the current vCPU's issued guest
 // segment (set by exec via gcpu.Next and restored by the guest kernel), so
-// restore re-links the pointer. Pending segment-completion events are
-// encoded as a handler-kind index resolved back to the pCPU's pre-bound
-// handlers.
+// restore re-links the pointer. A segment is plain data — what finishing it
+// means travels as its guest-side owners, acted on when the pCPU hands it
+// back through gcpu.Return — so the only code-shaped state left is a
+// pending segment-completion event, encoded as the index of its label and
+// resolved back to the pCPU's pre-bound handler.
 
 import (
 	"fmt"
 	"slices"
 
-	"paratick/internal/guest"
 	"paratick/internal/sched"
 	"paratick/internal/sim"
 	"paratick/internal/snap"
@@ -237,12 +238,7 @@ func (p *PCPU) relinkSegment(s *snap.Stream, inFlight bool) *guestSegment {
 		s.Failf("kvm: snapshot pCPU %d has an in-flight segment but no current vCPU", p.id)
 		return nil
 	}
-	gv, ok := p.current.gcpu.(*guest.VCPU)
-	if !ok {
-		s.Failf("kvm: pCPU %d in-flight segment belongs to a non-guest vCPU; such hosts cannot be restored", p.id)
-		return nil
-	}
-	seg := gv.Issued()
+	seg := p.current.gcpu.Issued()
 	if seg == nil {
 		s.Failf("kvm: snapshot pCPU %d expects an issued segment on %s/%d, guest restored none",
 			p.id, p.current.vm.name, p.current.id)

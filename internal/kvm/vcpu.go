@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"paratick/internal/core"
+	"paratick/internal/guest"
 	"paratick/internal/hw"
 	"paratick/internal/metrics"
 	"paratick/internal/sched"
@@ -45,7 +46,7 @@ type VCPU struct {
 	id int
 	//snap:skip guest-CPU wiring, re-linked to the kernel's vCPU at construction
 	//reset:keep wiring to the recycled kernel's vCPU, which stays attached across reuse
-	gcpu guestCPU
+	gcpu *guest.VCPU
 	pcpu *PCPU
 
 	state   VCPUState
@@ -76,17 +77,6 @@ type VCPU struct {
 type pendingIRQ struct {
 	vec   hw.Vector
 	since sim.Time
-}
-
-// guestCPU is what the hypervisor needs from a guest vCPU; implemented by
-// *guest.VCPU. Narrowing it to an interface keeps the dependency one-way
-// and makes the run loop testable with scripted guests.
-type guestCPU interface {
-	Boot()
-	Next() *guestSegment
-	Deliver(vec hw.Vector)
-	Preempt(seg *guestSegment, remaining sim.Time)
-	ShouldHalt() bool
 }
 
 // reset brings a vCPU — a fresh shell from VM.newVCPU or a pooled one — to
