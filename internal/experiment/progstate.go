@@ -17,21 +17,18 @@ var (
 )
 
 // SnapState implements guest.ProgramState.
-func (p *idleCycleProgram) SnapState(s *snap.Stream) error {
+func (p *idleCycleProgram) SnapState(s *snap.Stream) {
 	s.Bool(&p.inIO)
-	return nil
 }
 
 // SnapState implements guest.ProgramState.
-func (p *timerAppProgram) SnapState(s *snap.Stream) error {
+func (p *timerAppProgram) SnapState(s *snap.Stream) {
 	snap.Int(s, &p.iters)
 	s.Bool(&p.sleeping)
-	return nil
 }
 
 // SnapState implements guest.ProgramState.
-func (p *spinLockProgram) SnapState(s *snap.Stream) error {
+func (p *spinLockProgram) SnapState(s *snap.Stream) {
 	snap.Int(s, &p.iters)
 	snap.Int(s, &p.phase)
-	return nil
 }

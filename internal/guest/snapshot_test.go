@@ -279,24 +279,27 @@ func TestStepsProgramState(t *testing.T) {
 	p := Steps(Compute(1), Compute(2), Done()).(*stepsProgram)
 	p.Next(nil)
 	var enc snap.Encoder
-	if err := p.SnapState(snap.NewWriter(&enc)); err != nil {
-		t.Fatal(err)
+	w := snap.NewWriter(&enc)
+	if p.SnapState(w); w.Err() != nil {
+		t.Fatal(w.Err())
 	}
 
 	q := Steps(Compute(1), Compute(2), Done()).(*stepsProgram)
-	if err := q.SnapState(snap.NewReader(snap.NewDecoder(enc.Bytes()))); err != nil {
-		t.Fatal(err)
+	r := snap.NewReader(snap.NewDecoder(enc.Bytes()))
+	if q.SnapState(r); r.Err() != nil {
+		t.Fatal(r.Err())
 	}
 	if q.i != 1 {
 		t.Fatalf("cursor = %d, want 1", q.i)
 	}
 	bad := snap.NewReader(snap.NewDecoder(nil))
-	if err := q.SnapState(bad); err != nil || bad.Err() == nil {
+	if q.SnapState(bad); bad.Err() == nil {
 		t.Fatal("truncated state accepted")
 	}
 	var far snap.Encoder
 	far.U32(7)
-	if err := q.SnapState(snap.NewReader(snap.NewDecoder(far.Bytes()))); err == nil {
+	farStream := snap.NewReader(snap.NewDecoder(far.Bytes()))
+	if q.SnapState(farStream); farStream.Err() == nil {
 		t.Fatal("cursor past the step sequence accepted")
 	}
 }

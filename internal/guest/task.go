@@ -137,10 +137,10 @@ func (f ProgramFunc) Next(ctx *StepCtx) Step { return f(ctx) }
 // ProgramState is implemented by programs whose behaviour depends on
 // mutable fields. Checkpointing a kernel requires every spawned program to
 // implement it: SnapState moves the fields Next reads through the stream,
-// decoding into a freshly built program of the same shape, and returns an
-// error for decoded state the program cannot hold.
+// decoding into a freshly built program of the same shape, and fails the
+// stream (s.Failf) on decoded state the program cannot hold.
 type ProgramState interface {
-	SnapState(s *snap.Stream) error
+	SnapState(s *snap.Stream)
 }
 
 // Stateless marks a Program as carrying no mutable state (its Next is a
@@ -148,7 +148,7 @@ type ProgramState interface {
 type Stateless struct{}
 
 // SnapState implements ProgramState; there is nothing to move.
-func (Stateless) SnapState(*snap.Stream) error { return nil }
+func (Stateless) SnapState(*snap.Stream) {}
 
 // stepsProgram replays a fixed step sequence, then Done. Its only mutable
 // state is the replay cursor.
@@ -169,14 +169,14 @@ func (p *stepsProgram) Next(*StepCtx) Step {
 }
 
 // SnapState implements ProgramState.
-func (p *stepsProgram) SnapState(s *snap.Stream) error {
+func (p *stepsProgram) SnapState(s *snap.Stream) {
 	i := uint32(p.i)
 	s.U32(&i)
 	if int(i) > len(p.steps) {
-		return fmt.Errorf("guest: steps-program cursor %d outside %d steps", i, len(p.steps))
+		s.Failf("guest: steps-program cursor %d outside %d steps", i, len(p.steps))
+		return
 	}
 	p.i = int(i)
-	return nil
 }
 
 // Steps returns a Program that replays a fixed step sequence, then Done.

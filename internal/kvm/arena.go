@@ -8,10 +8,10 @@ import (
 
 // HostArena pools Host construction across the runs of one experiment
 // worker. Building a host is the second-largest allocation source in an
-// end-to-end run after VM construction: one PCPU per physical CPU, six
-// pre-bound handler closures each, a periodic host-tick timer per pCPU,
+// end-to-end run after VM construction: one PCPU per physical CPU, one
+// pre-bound handler closure each, a periodic host-tick timer per pCPU,
 // and the scheduler's per-CPU queues. All of that state is reusable — the
-// closures capture only the PCPU itself, which survives — so consecutive
+// closure captures only the PCPU itself, which survives — so consecutive
 // runs on the same coordinator and machine shape reset the cached host in
 // place instead of rebuilding it.
 //
@@ -159,18 +159,13 @@ func (h *Host) reset(cfg Config) error {
 }
 
 // reset clears the pCPU's in-flight execution state. The pre-bound
-// handlers and the tick timer object are construction identity and are
+// handler and the tick timer object are construction identity and are
 // kept, but the tick must be restarted by the caller.
 func (p *PCPU) reset() {
 	p.current = nil
-	p.seg = nil
-	p.segEvent = sim.Event{}
+	p.phase = phaseNone
+	p.done = sim.Event{}
 	p.segStart = 0
-	p.polling = false
 	p.pollStart = 0
-	p.pollEvent = sim.Event{}
-	p.dispatchPending = false
-	p.wakeEvent = sim.Event{}
-	p.irqExpire = false
 	p.tick.Reset()
 }

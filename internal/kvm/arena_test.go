@@ -489,3 +489,24 @@ func checkBlankIRQPool(t *testing.T, h *Host) {
 		}
 	}
 }
+
+// TestFreshHostAllocs bounds the allocations of building a host without an
+// arena — what nil-arena runs, snapshot thaws and shard fleets pay per
+// world. Each pCPU binds one pre-bound completion handler; a handler per
+// completion kind cost five more allocations per pCPU (884 rather than 484
+// on the paper's 80-CPU machine).
+func TestFreshHostAllocs(t *testing.T) {
+	se := sim.WrapEngine(sim.NewEngine(1))
+	cfg := DefaultConfig()
+	allocs := testing.AllocsPerRun(20, func() {
+		se.Reset(1)
+		if _, err := NewHostOn(se, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 580 {
+		t.Fatalf("building a fresh %d-pCPU host took %v allocations, want at most 580",
+			cfg.Topology.NumCPUs(), allocs)
+	}
+	t.Logf("%v allocations per fresh host", allocs)
+}

@@ -151,7 +151,7 @@ func NewHostOn(se *sim.ShardedEngine, cfg Config) (*Host, error) {
 			se.Lanes(), cfg.Topology.Sockets)
 	}
 	// The shell holds the machine shape the host pool keys on: one pCPU per
-	// physical CPU with its pre-bound handlers and host-tick timer, plus
+	// physical CPU with its pre-bound handler and host-tick timer, plus
 	// the per-lane in-flight lists. reset writes everything else.
 	h := &Host{se: se, pcpus: make([]*PCPU, cfg.Topology.NumCPUs())}
 	if se.Quantum() > 0 {
@@ -161,7 +161,7 @@ func NewHostOn(se *sim.ShardedEngine, cfg Config) (*Host, error) {
 	for i := range h.pcpus {
 		lane := h.laneOf(cfg.Topology.SocketOf(hw.CPUID(i)))
 		p := &PCPU{host: h, id: hw.CPUID(i), lane: lane, engine: se.Engine(lane)}
-		p.bindHandlers()
+		p.doneFn = p.complete
 		p.tick = hw.NewPeriodicTimer(p.engine, "host-tick", cfg.HostTickPeriod(), p.onHostTick)
 		h.pcpus[i] = p
 	}

@@ -65,19 +65,19 @@ func TestInterruptExitsOnlyFromGuestCode(t *testing.T) {
 			}
 
 			fireAndCount("in guest code", 1)
-			if p.current != busy || p.seg != nil {
+			if p.current != busy || p.phase != phaseIRQ {
 				t.Fatal("premise: the pCPU should be in the interrupt exit for the busy vCPU")
 			}
 			fireAndCount("in the interrupt exit window", 0)
 
 			// A host-handled exit (the periodic tick's MSR write) also runs
 			// in host context.
-			for p.current != busy || p.seg == nil || p.seg.Kind == guest.SegRun {
+			for p.current != busy || p.phase != phaseExit && p.phase != phaseHLT {
 				if !engine.Step() {
 					t.Fatal("engine drained before the busy vCPU took an atomic exit")
 				}
 			}
-			fireAndCount("in a "+p.seg.Kind.String()+" exit window", 0)
+			fireAndCount("in a "+busy.gcpu.Issued().Kind.String()+" exit window", 0)
 		})
 	}
 }

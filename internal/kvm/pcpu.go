@@ -34,59 +34,68 @@ type PCPU struct {
 
 	current *VCPU
 
-	// seg is the in-flight segment: a SegRun in guest context, or any
-	// other kind while the host handles its exit. nil while the host is in
-	// scheduling/interrupt bookkeeping.
-	seg      *guestSegment
-	segEvent sim.Event
-	segStart sim.Time
+	// phase is the pCPU's one pending completion, done its event: a pCPU
+	// runs one thing at a time, so at most one of its windows is open. In
+	// the run, exit and HLT phases the in-flight segment is the current
+	// vCPU's issued guest segment.
+	phase     phase
+	done      sim.Event
+	segStart  sim.Time
+	pollStart sim.Time
 
-	polling         bool
-	pollStart       sim.Time
-	pollEvent       sim.Event
-	dispatchPending bool
-	// wakeEvent is the pending wake-to-dispatch delay event scheduled by
-	// wake(); held so a snapshot can re-arm it at its original coordinates.
-	wakeEvent sim.Event
-
-	// irqExpire carries interruptGuest's expire-slice decision to irqDone.
-	irqExpire bool
-
-	// Pre-bound completion handlers, created once in bindHandlers: the
-	// exec/exit/halt/wake paths schedule millions of events per run, and a
-	// closure literal at each schedule site was the dominant allocation in
-	// the whole experiment layer.
-	//snap:skip pre-bound handler, recreated by bindHandlers
-	runDoneFn sim.Handler
-	//snap:skip pre-bound handler, recreated by bindHandlers
-	exitDoneFn sim.Handler
-	//snap:skip pre-bound handler, recreated by bindHandlers
-	hltDoneFn sim.Handler
-	//snap:skip pre-bound handler, recreated by bindHandlers
-	pollDoneFn sim.Handler
-	//snap:skip pre-bound handler, recreated by bindHandlers
-	wakeupFn sim.Handler
-	//snap:skip pre-bound handler, recreated by bindHandlers
-	irqDoneFn sim.Handler
+	// doneFn is the pre-bound completion handler: a closure literal per
+	// completion was once the experiment layer's dominant allocation.
+	//snap:skip pre-bound handler, bound at host construction
+	doneFn sim.Handler
 }
 
-// bindHandlers installs the pCPU's pre-bound event handlers. Called once at
-// construction; every handler reads the in-flight state (p.current, p.seg,
-// p.irqExpire) from the struct instead of a per-event closure environment.
-// That state is stable across the host-side handling window: p.current only
-// changes in deschedule/dispatch paths that run strictly after these
-// handlers, and wake-side paths re-check it.
-func (p *PCPU) bindHandlers() {
-	p.runDoneFn = func(*sim.Engine) { p.runDone() }
-	p.exitDoneFn = func(*sim.Engine) { p.exitDone() }
-	p.hltDoneFn = func(*sim.Engine) { p.hltDone() }
-	p.pollDoneFn = func(*sim.Engine) { p.pollDone() }
-	p.wakeupFn = func(*sim.Engine) {
-		p.wakeEvent = sim.Event{}
-		p.dispatchPending = false
+// phase names what a pCPU's pending completion ends.
+type phase uint8
+
+const (
+	phaseNone      phase = iota // no completion pending: idle, or mid-handler
+	phaseRun                    // a guest run segment executes
+	phaseExit                   // the host handles an MSR, I/O-kick, IPI or hypercall exit
+	phaseHLT                    // the host handles a HLT exit
+	phaseIRQ                    // the host handles an interrupt exit; the vCPU resumes
+	phaseIRQRotate              // as phaseIRQ, but the timeslice expired: the vCPU rotates out
+	phasePoll                   // the halted vCPU busy-waits in the halt-poll window
+	phaseWake                   // a woken vCPU waits out the wake-to-dispatch delay
+)
+
+// phaseLabels are the event labels of each phase's completion.
+var phaseLabels = [...]string{"", "pcpu-run", "pcpu-exit", "pcpu-hlt",
+	"pcpu-irq-exit", "pcpu-irq-exit", "pcpu-poll", "pcpu-wakeup"}
+
+// await makes ph the pending completion, d from now.
+func (p *PCPU) await(ph phase, d sim.Time) {
+	p.phase = ph
+	p.done = p.engine.After(d, phaseLabels[ph], p.doneFn)
+}
+
+// complete is the one completion handler: it closes the pending phase and
+// dispatches on it. The phase handlers read the current vCPU and its issued
+// segment from the pCPU; only deschedule and dispatch paths, which run
+// after them, change those.
+func (p *PCPU) complete(*sim.Engine) {
+	ph := p.phase
+	p.phase = phaseNone
+	switch ph {
+	case phaseRun:
+		p.runDone()
+	case phaseExit:
+		p.exitDone()
+	case phaseHLT:
+		p.hltDone()
+	case phaseIRQ:
+		p.resume()
+	case phaseIRQRotate:
+		p.rotate()
+	case phasePoll:
+		p.pollDone()
+	case phaseWake:
 		p.maybeDispatch()
 	}
-	p.irqDoneFn = func(*sim.Engine) { p.irqDone() }
 }
 
 // ID returns the physical CPU id.
@@ -126,11 +135,11 @@ func (p *PCPU) enqueue(v *VCPU) {
 }
 
 // maybeDispatch asks the scheduler for the next runnable vCPU if the pCPU is
-// free. The policy may hand back a vCPU stolen from a sibling queue; the
-// vCPU is re-homed here (a no-op self-assignment under FIFO, which never
-// migrates).
+// free and no wake is pending. The policy may hand back a vCPU stolen from a
+// sibling queue; the vCPU is re-homed here (a no-op self-assignment under
+// FIFO, which never migrates).
 func (p *PCPU) maybeDispatch() {
-	if p.current != nil || p.dispatchPending {
+	if p.current != nil || p.phase == phaseWake {
 		return
 	}
 	e := p.host.sched.PickNext(p.id, p.now())
@@ -148,18 +157,13 @@ func (p *PCPU) enter(v *VCPU) {
 	v.sliceStart = p.now()
 	p.current = v
 	p.traceEvent(trace.KindSched, v, "enter")
-	p.execNext()
+	p.exec(true)
 }
 
-// execNext performs one VM entry — entry hook, pending-interrupt injection
-// — then fetches and executes the next guest segment.
-func (p *PCPU) execNext() { p.exec(true) }
-
-// continueGuest fetches the next segment without a VM entry: the previous
-// run segment completed naturally and the guest simply keeps executing.
-// (A pending interrupt still forces entry semantics — hardware would exit.)
-func (p *PCPU) continueGuest() { p.exec(false) }
-
+// exec fetches and executes the current vCPU's next guest segment, after a
+// VM entry (entry hook, pending-interrupt injection) when entry is set or
+// an interrupt is pending; otherwise the previous run segment completed
+// naturally and the guest simply keeps executing.
 func (p *PCPU) exec(entry bool) {
 	v := p.current
 	if v == nil {
@@ -185,7 +189,6 @@ func (p *PCPU) exec(entry bool) {
 		v.recyclePending(irqs)
 	}
 	seg := v.gcpu.Next()
-	p.seg = seg
 	p.segStart = p.now()
 	c := p.cost()
 	switch seg.Kind {
@@ -193,29 +196,22 @@ func (p *PCPU) exec(entry bool) {
 		if seg.Spin {
 			p.chargePLE(v, seg)
 		}
-		p.segEvent = p.engine.After(seg.Duration, "pcpu-run", p.runDoneFn)
-
+		p.await(phaseRun, seg.Duration)
 	case guest.SegMSRWrite:
-		p.atomic(metrics.ExitMSRWrite, c.ExitMSRWrite+c.HostTimerArm)
-
+		p.takeExit(v, metrics.ExitMSRWrite, c.ExitMSRWrite+c.HostTimerArm, phaseExit)
 	case guest.SegHLT:
 		if !v.gcpu.ShouldHalt() {
 			// need_resched raced ahead of HLT: abort the halt.
-			p.seg = nil
-			p.execNext()
+			p.exec(true)
 			return
 		}
-		p.halt(v)
-
+		p.takeExit(v, metrics.ExitHLT, c.ExitHLT, phaseHLT)
 	case guest.SegIOSubmit:
-		p.atomic(metrics.ExitIOKick, c.ExitIOKick)
-
+		p.takeExit(v, metrics.ExitIOKick, c.ExitIOKick, phaseExit)
 	case guest.SegIPI:
-		p.atomic(metrics.ExitIPI, p.ipiCost(v, seg.Target))
-
+		p.takeExit(v, metrics.ExitIPI, p.ipiCost(v, seg.Target), phaseExit)
 	case guest.SegHypercall:
-		p.atomic(metrics.ExitHypercall, c.ExitHypercall)
-
+		p.takeExit(v, metrics.ExitHypercall, c.ExitHypercall, phaseExit)
 	default:
 		panic("kvm: unknown segment kind")
 	}
@@ -250,12 +246,10 @@ func (p *PCPU) ipiCost(v *VCPU, target int) sim.Time {
 // runDone completes a guest-run segment.
 func (p *PCPU) runDone() {
 	v := p.current
-	seg := p.seg
-	p.seg = nil
-	p.segEvent = sim.Event{}
+	seg := v.gcpu.Issued()
 	p.chargeRun(v, seg, seg.Duration)
 	v.gcpu.Return(seg, 0)
-	p.continueGuest()
+	p.exec(false)
 }
 
 func (p *PCPU) chargeRun(v *VCPU, seg *guestSegment, d sim.Time) {
@@ -282,28 +276,25 @@ func (p *PCPU) chargeExit(v *VCPU, reason metrics.ExitReason, cost sim.Time) {
 	}
 }
 
+// takeExit charges v a VM exit of reason and occupies the pCPU for its
+// host cost in phase ph, whose completion applies the exit's effect.
+func (p *PCPU) takeExit(v *VCPU, reason metrics.ExitReason, cost sim.Time, ph phase) {
+	p.chargeExit(v, reason, cost)
+	p.await(ph, cost)
+}
+
 // inGuest reports whether v is executing guest code on this pCPU — the
 // only state in which a physical interrupt forces a VM exit.
 func (p *PCPU) inGuest(v *VCPU) bool {
-	return p.current == v && p.seg != nil && p.seg.Kind == guest.SegRun
+	return p.current == v && p.phase == phaseRun
 }
 
-// atomic executes a non-run segment: a VM exit of the given reason whose
-// handling occupies the pCPU for hostCost; exitDone then applies its
-// effect from the segment fields.
-func (p *PCPU) atomic(reason metrics.ExitReason, hostCost sim.Time) {
-	p.chargeExit(p.current, reason, hostCost)
-	p.segEvent = p.engine.After(hostCost, "pcpu-exit", p.exitDoneFn)
-}
-
-// exitDone completes an atomic (non-run, non-HLT) exit: the host-side
-// handling window has elapsed, so apply the segment's architectural effect
-// and re-enter the guest.
+// exitDone completes a non-run, non-HLT exit: the host-side handling
+// window has elapsed, so apply the segment's architectural effect and
+// re-enter the guest.
 func (p *PCPU) exitDone() {
 	v := p.current
-	seg := p.seg
-	p.seg = nil
-	p.segEvent = sim.Event{}
+	seg := v.gcpu.Issued()
 	switch seg.Kind {
 	case guest.SegMSRWrite:
 		v.guestTimer.Arm(seg.Deadline) // sim.Forever disarms
@@ -314,17 +305,9 @@ func (p *PCPU) exitDone() {
 	case guest.SegHypercall:
 		v.vm.applyHypercall(seg.HKind, seg.HArg)
 	default:
-		panic("kvm: atomic exit with unexpected segment kind")
+		panic("kvm: exit with unexpected segment kind")
 	}
-	p.execNext()
-}
-
-// halt processes a SegHLT: the HLT exit, then either halt polling or
-// descheduling.
-func (p *PCPU) halt(v *VCPU) {
-	cost := p.cost().ExitHLT
-	p.chargeExit(v, metrics.ExitHLT, cost)
-	p.segEvent = p.engine.After(cost, "pcpu-hlt", p.hltDoneFn)
+	p.exec(true)
 }
 
 // hltDone completes the HLT exit: the vCPU either stays on the CPU (an
@@ -332,18 +315,15 @@ func (p *PCPU) halt(v *VCPU) {
 // descheduled.
 func (p *PCPU) hltDone() {
 	v := p.current
-	p.seg = nil
-	p.segEvent = sim.Event{}
 	if v.hasPending() {
 		// An interrupt raced with the halt: stay on the CPU.
-		p.execNext()
+		p.exec(true)
 		return
 	}
 	if hp := p.host.cfg.HaltPoll; hp > 0 {
 		v.state = VCPUHalted
-		p.polling = true
 		p.pollStart = p.now()
-		p.pollEvent = p.engine.After(hp, "pcpu-poll", p.pollDoneFn)
+		p.await(phasePoll, hp)
 		return
 	}
 	p.deschedule(v)
@@ -353,8 +333,6 @@ func (p *PCPU) hltDone() {
 // as host overhead and the vCPU is descheduled.
 func (p *PCPU) pollDone() {
 	v := p.current
-	p.polling = false
-	p.pollEvent = sim.Event{}
 	v.vm.counters.HostOverhead += p.host.cfg.HaltPoll // cycles burned polling
 	p.deschedule(v)
 }
@@ -372,19 +350,17 @@ func (p *PCPU) deschedule(v *VCPU) {
 // the host's wake-to-schedule latency.
 func (p *PCPU) wake(v *VCPU) {
 	p.traceEvent(trace.KindSched, v, "wake")
-	if p.polling && p.current == v {
-		p.polling = false
-		p.engine.Cancel(p.pollEvent)
-		p.pollEvent = sim.Event{}
+	if p.phase == phasePoll && p.current == v {
+		p.engine.Cancel(p.done)
+		p.phase = phaseNone
 		v.vm.counters.HostOverhead += p.now() - p.pollStart
 		v.state = VCPURunning
-		p.execNext()
+		p.exec(true)
 		return
 	}
 	p.enqueue(v)
-	if p.current == nil && !p.dispatchPending {
-		p.dispatchPending = true
-		p.wakeEvent = p.engine.After(p.cost().HostSchedDelay, "pcpu-wakeup", p.wakeupFn)
+	if p.current == nil && p.phase != phaseWake {
+		p.await(phaseWake, p.cost().HostSchedDelay)
 	}
 }
 
@@ -422,34 +398,33 @@ func (p *PCPU) onHostTick(now sim.Time) {
 	cnt.HostOverhead += tickWork
 }
 
-// interruptGuest preempts the in-flight run segment, charges the exit, and
-// afterwards resumes the vCPU — or rotates it out when its timeslice
+// interruptGuest preempts the in-flight run segment and takes the exit;
+// its completion resumes the vCPU — or rotates it out when its timeslice
 // expired.
 func (p *PCPU) interruptGuest(v *VCPU, reason metrics.ExitReason, hostCost sim.Time, expireSlice bool) {
-	seg := p.seg
+	seg := v.gcpu.Issued()
 	elapsed := p.now() - p.segStart
-	p.engine.Cancel(p.segEvent)
-	p.segEvent = sim.Event{}
-	p.seg = nil
+	p.engine.Cancel(p.done)
+	p.phase = phaseNone
 	p.chargeRun(v, seg, elapsed)
 	v.gcpu.Return(seg, max(seg.Duration-elapsed, 0))
-	p.chargeExit(v, reason, hostCost)
-	p.irqExpire = expireSlice
-	p.segEvent = p.engine.After(hostCost, "pcpu-irq-exit", p.irqDoneFn)
+	ph := phaseIRQ
+	if expireSlice {
+		ph = phaseIRQRotate
+	}
+	p.takeExit(v, reason, hostCost, ph)
 }
 
-// irqDone completes an interrupt-induced exit: the vCPU resumes, or — when
-// its timeslice expired with the interrupt — rotates through the run queue.
-func (p *PCPU) irqDone() {
+// resume completes an interrupt exit by re-entering the guest.
+func (p *PCPU) resume() { p.exec(true) }
+
+// rotate completes an interrupt exit whose timeslice expired: the vCPU
+// goes back through the run queue and the pCPU dispatches the next one.
+func (p *PCPU) rotate() {
 	v := p.current
-	p.segEvent = sim.Event{}
-	if p.irqExpire {
-		v.vm.counters.HostOverhead += p.cost().HostSchedSwitch
-		p.host.sched.Ran(v, p.now()-v.sliceStart)
-		p.enqueue(v)
-		p.current = nil
-		p.maybeDispatch()
-		return
-	}
-	p.execNext()
+	v.vm.counters.HostOverhead += p.cost().HostSchedSwitch
+	p.host.sched.Ran(v, p.now()-v.sliceStart)
+	p.enqueue(v)
+	p.current = nil
+	p.maybeDispatch()
 }

@@ -8,34 +8,25 @@ package kvm
 // (segment completions, halt polls, wake delays, host ticks, guest/top-up
 // timers) at its original (when, seq) coordinates.
 //
-// Closures are never serialized. The in-flight segment on a pCPU is not
-// encoded either: it is, by construction, the current vCPU's issued guest
-// segment (set by exec via gcpu.Next and restored by the guest kernel), so
-// restore re-links the pointer. A segment is plain data — what finishing it
-// means travels as its guest-side owners, acted on when the pCPU hands it
-// back through gcpu.Return — so the only code-shaped state left is a
-// pending segment-completion event, encoded as the index of its label and
-// resolved back to the pCPU's pre-bound handler.
+// Closures are never serialized. A pCPU's run state is one phase, its
+// single pending completion, whose event re-arms the pCPU's one pre-bound
+// handler; the handler dispatches on the phase. The in-flight segment is
+// not encoded: in the run, exit and HLT phases it is, by construction, the
+// current vCPU's issued guest segment (set by exec via gcpu.Next and
+// restored by the guest kernel). A segment is plain data — what finishing
+// it means travels as its guest-side owners, acted on when the pCPU hands
+// it back through gcpu.Return. Decoding refuses a pCPU record whose flags,
+// events, in-flight bit, current vCPU and issued segment contradict the
+// one phase they were derived from.
 
 import (
 	"fmt"
-	"slices"
 
+	"paratick/internal/guest"
 	"paratick/internal/sched"
 	"paratick/internal/sim"
 	"paratick/internal/snap"
 )
-
-// segDoneLabels lists, by handler kind, the labels exec schedules a pCPU's
-// segment-completion event with. A pending event moves as the kind — the
-// index of its label — which selects the matching pre-bound handler on
-// restore (see segDoneFn).
-var segDoneLabels = [...]string{"pcpu-run", "pcpu-exit", "pcpu-hlt", "pcpu-irq-exit"}
-
-// segDoneFn returns the pre-bound handler for a segment-event kind.
-func (p *PCPU) segDoneFn(kind uint8) sim.Handler {
-	return [...]sim.Handler{p.runDoneFn, p.exitDoneFn, p.hltDoneFn, p.irqDoneFn}[kind]
-}
 
 // Snap moves the complete hypervisor state: every VM (counters, vCPUs,
 // guest kernel), the scheduler queues, every pCPU's run state, and the
@@ -179,6 +170,10 @@ func (v *VCPU) snap(s *snap.Stream) {
 	v.topUpTimer.Snap(s)
 }
 
+// snap moves a pCPU's run state. The record spells the phase out as the
+// in-flight bit, a segment-completion event with its kind (run, exit, HLT,
+// interrupt exit), the poll flag and event, the dispatch flag and wake
+// event, and the rotate flag; decoding rebuilds the phase from them.
 func (p *PCPU) snap(s *snap.Stream) {
 	s.Section(fmt.Sprintf("pcpu:%d", p.id))
 	p.tick.Snap(s)
@@ -194,7 +189,8 @@ func (p *PCPU) snap(s *snap.Stream) {
 		s.U64(&key)
 	}
 	if s.Decoding() {
-		p.current = nil
+		// A rebuilt world's Start left dead completion handles behind.
+		p.current, p.phase = nil, phaseNone
 		if current {
 			if p.current = p.host.vcpuByKey(key); p.current == nil {
 				s.Failf("kvm: snapshot pCPU %d runs unknown vCPU key %d", p.id, key)
@@ -202,46 +198,89 @@ func (p *PCPU) snap(s *snap.Stream) {
 		}
 	}
 
-	inFlight := p.seg != nil
+	inFlight := p.phase.inFlight()
 	s.Bool(&inFlight)
-	if s.Decoding() {
-		p.seg = p.relinkSegment(s, inFlight)
-	}
-
-	pending := p.segEvent.Pending()
+	pending := p.phase >= phaseRun && p.phase <= phaseIRQRotate
 	s.Bool(&pending)
 	if pending {
-		kind := uint8(slices.Index(segDoneLabels[:], p.segEvent.Label()))
+		kind := uint8(min(p.phase, phaseIRQ) - phaseRun) // both interrupt exits move as one kind
 		s.U8(&kind)
-		if int(kind) >= len(segDoneLabels) {
+		if kind > uint8(phaseIRQ-phaseRun) {
 			s.Failf("kvm: snapshot pCPU %d has unknown segment-event kind %d", p.id, kind)
-		} else {
-			sim.SnapArmed(s, p.engine, &p.segEvent, segDoneLabels[kind], p.segDoneFn(kind))
+			return
 		}
+		p.snapDone(s, phaseRun+phase(kind))
 	}
 	snap.Int(s, &p.segStart)
-	s.Bool(&p.polling)
+	polling := p.phase == phasePoll
+	s.Bool(&polling)
 	snap.Int(s, &p.pollStart)
-	sim.SnapEvent(s, p.engine, &p.pollEvent, "pcpu-poll", p.pollDoneFn)
-	s.Bool(&p.dispatchPending)
-	sim.SnapEvent(s, p.engine, &p.wakeEvent, "pcpu-wakeup", p.wakeupFn)
-	s.Bool(&p.irqExpire)
+	p.snapFlagged(s, phasePoll, polling)
+	waking := p.phase == phaseWake
+	s.Bool(&waking)
+	p.snapFlagged(s, phaseWake, waking)
+	rotate := p.phase == phaseIRQRotate
+	s.Bool(&rotate)
+	if !s.Decoding() || s.Err() != nil {
+		return
+	}
+	// Older writers left the rotate flag set after every rotation;
+	// without an interrupt exit pending it means nothing.
+	if rotate && p.phase == phaseIRQ {
+		p.phase = phaseIRQRotate
+	}
+	p.checkPhase(s, inFlight)
 }
 
-// relinkSegment resolves a restored pCPU's in-flight segment: the current
-// vCPU's issued guest segment, which the guest kernel has already restored.
-func (p *PCPU) relinkSegment(s *snap.Stream, inFlight bool) *guestSegment {
-	if !inFlight || s.Err() != nil {
-		return nil
+// inFlight reports whether the phase executes or handles a guest segment:
+// the current vCPU's issued one.
+func (ph phase) inFlight() bool { return ph >= phaseRun && ph <= phaseHLT }
+
+// snapFlagged moves the poll or wake completion, ph, whose presence the
+// record also carries as a flag; decoding refuses a flag that disagrees
+// with its event.
+func (p *PCPU) snapFlagged(s *snap.Stream, ph phase, flag bool) {
+	pending := p.phase == ph
+	s.Bool(&pending)
+	if pending != flag {
+		s.Failf("kvm: snapshot pCPU %d has %s flag %v but event pending %v", p.id, phaseLabels[ph], flag, pending)
+		return
 	}
-	if p.current == nil {
-		s.Failf("kvm: snapshot pCPU %d has an in-flight segment but no current vCPU", p.id)
-		return nil
+	if pending {
+		p.snapDone(s, ph)
 	}
-	seg := p.current.gcpu.Issued()
-	if seg == nil {
-		s.Failf("kvm: snapshot pCPU %d expects an issued segment on %s/%d, guest restored none",
-			p.id, p.current.vm.name, p.current.id)
+}
+
+// snapDone moves the pending completion's coordinates; decoding re-arms it
+// as phase ph and refuses a second pending completion.
+func (p *PCPU) snapDone(s *snap.Stream, ph phase) {
+	if s.Decoding() {
+		if p.phase != phaseNone {
+			s.Failf("kvm: snapshot pCPU %d has both %s and %s pending", p.id, phaseLabels[p.phase], phaseLabels[ph])
+			return
+		}
+		p.phase = ph
 	}
-	return seg
+	sim.SnapArmed(s, p.engine, &p.done, phaseLabels[ph], p.doneFn)
+}
+
+// checkPhase refuses a decoded phase the rest of the record contradicts:
+// the in-flight bit, the current vCPU, or the kind of the vCPU's issued
+// segment, which the guest kernel has already restored.
+func (p *PCPU) checkPhase(s *snap.Stream, inFlight bool) {
+	ph := p.phase
+	switch {
+	case inFlight != ph.inFlight():
+		s.Failf("kvm: snapshot pCPU %d has in-flight bit %v with %q pending", p.id, inFlight, phaseLabels[ph])
+	case (ph == phaseNone || ph == phaseWake) != (p.current == nil):
+		s.Failf("kvm: snapshot pCPU %d with %q pending has a current vCPU: %v", p.id, phaseLabels[ph], p.current != nil)
+	case inFlight:
+		seg := p.current.gcpu.Issued()
+		if seg == nil {
+			s.Failf("kvm: snapshot pCPU %d expects an issued segment on %s/%d, guest restored none",
+				p.id, p.current.vm.name, p.current.id)
+		} else if (seg.Kind == guest.SegRun) != (ph == phaseRun) || (seg.Kind == guest.SegHLT) != (ph == phaseHLT) {
+			s.Failf("kvm: snapshot pCPU %d has %s pending for a %v segment", p.id, phaseLabels[ph], seg.Kind)
+		}
+	}
 }

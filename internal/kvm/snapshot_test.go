@@ -274,7 +274,7 @@ func TestHostIOSaveLoadAfterPoolsCycle(t *testing.T) {
 			stages = append(stages, "completed")
 		}
 		for _, p := range host.PCPUs() {
-			if p.seg != nil && p.seg.Req != nil {
+			if p.phase.inFlight() && p.current.gcpu.Issued().Req != nil {
 				stages = append(stages, "segment")
 				break
 			}

@@ -6,7 +6,6 @@ package workload
 // rebuilding the scenario and are deliberately absent from the encoding.
 
 import (
-	"fmt"
 	"slices"
 
 	"paratick/internal/guest"
@@ -21,33 +20,30 @@ var (
 )
 
 // SnapState implements guest.ProgramState.
-func (f *fioProgram) SnapState(s *snap.Stream) error {
+func (f *fioProgram) SnapState(s *snap.Stream) {
 	snap.Int(s, &f.opsLeft)
 	s.Bool(&f.thinking)
 	snap.Int(s, &f.opIndex)
-	return nil
 }
 
 // SnapState implements guest.ProgramState.
-func (p *syncProgram) SnapState(s *snap.Stream) error {
+func (p *syncProgram) SnapState(s *snap.Stream) {
 	snap.Int(s, &p.phase)
 	s.Bool(&p.done)
 	s.Bool(&p.left)
-	return nil
 }
 
 // SnapState implements guest.ProgramState.
-func (q *seqProgram) SnapState(s *snap.Stream) error {
+func (q *seqProgram) SnapState(s *snap.Stream) {
 	snap.Int(s, &q.remaining)
 	s.Bool(&q.ioPending)
 	s.Bool(&q.ioSeq)
-	return nil
 }
 
 // SnapState implements guest.ProgramState. The current-iteration lock moves
 // as its index into the thread's stripe slice (-1 when none is held or
 // pending), never as a pointer.
-func (t *parProgram) SnapState(s *snap.Stream) error {
+func (t *parProgram) SnapState(s *snap.Stream) {
 	lock := slices.Index(t.locks, t.lock)
 	snap.Int(s, &lock)
 	snap.Int(s, &t.remaining)
@@ -55,7 +51,8 @@ func (t *parProgram) SnapState(s *snap.Stream) error {
 	snap.Int(s, &t.phase)
 	s.Bool(&t.left)
 	if lock < -1 || lock >= len(t.locks) {
-		return fmt.Errorf("workload: %s: snapshot lock stripe %d out of %d", t.p.Name, lock, len(t.locks))
+		s.Failf("workload: %s: snapshot lock stripe %d out of %d", t.p.Name, lock, len(t.locks))
+		return
 	}
 	if s.Decoding() {
 		t.lock = nil
@@ -63,5 +60,4 @@ func (t *parProgram) SnapState(s *snap.Stream) error {
 			t.lock = t.locks[lock]
 		}
 	}
-	return nil
 }
