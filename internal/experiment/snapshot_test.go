@@ -6,11 +6,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"paratick/internal/core"
+	"paratick/internal/guest"
 	"paratick/internal/metrics"
 	"paratick/internal/sim"
+	"paratick/internal/snap"
 )
 
 // TestSnapshotProbeGolden is the tentpole differential gate: enabling the
@@ -244,18 +247,50 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzThawCheckpoint feeds hostile bytes to the one decode path:
-// LoadCheckpoint parses the container, then thaw rebuilds the reference
-// scenario (serial and lane mode, matching the two committed reference
-// checkpoints that seed the corpus) and decodes the payload into it. Every
-// input must be rejected with an error or restore; none may panic. The
-// thawed world is never run, so no input can hang.
+// FuzzThawCheckpoint feeds hostile bytes to the one decode path and runs
+// whatever it accepts: LoadCheckpoint parses the container, thaw rebuilds
+// the reference scenario (serial and lane mode, matching the two committed
+// reference checkpoints that seed the corpus) and decodes the payload into
+// it, and an accepted world then runs toward its deadline, 100 ms, under an
+// event budget counted through the dispatch observer. The seeds dispatch
+// about 8,200 events to that deadline, so a world that spends the budget
+// is one the decoder should have refused: it hangs, or restored state
+// drives it far past anything the run loop produces. Every input must be
+// refused with an error or run within the budget; none may panic.
 func FuzzThawCheckpoint(f *testing.F) {
+	const budget = 200_000
 	opts := DefaultOptions()
 	opts.Scale = 0.05
 	serial := ReferenceScenario(opts)
+	serial.Duration = 100 * sim.Millisecond
 	opts.Quantum = sim.Millisecond
 	lanes := ReferenceScenario(opts)
+	lanes.Duration = serial.Duration
+	run := func(t testing.TB, s Scenario, ck *Checkpoint) error {
+		w, err := thaw(s, ck, nil, nil)
+		if err != nil {
+			return err
+		}
+		events, spent := 0, sim.Time(0)
+		w.se.SetObserver(func(_ string, when sim.Time) {
+			if events++; events == budget {
+				spent = when
+				// Lane mode honors the coordinator's stop only at the
+				// next barrier; stopping each lane ends the quantum too.
+				w.se.Stop()
+				for lane := 0; lane < w.se.Lanes(); lane++ {
+					w.se.Engine(lane).Stop()
+				}
+			}
+		})
+		if err := w.runInto(nil, &ScenarioResult{}); err != nil {
+			t.Fatalf("thawed %s world failed its run: %v", s.Name, err)
+		}
+		if events >= budget {
+			t.Fatalf("thawed %s world spent the %d-event budget by %v", s.Name, budget, spent)
+		}
+		return nil
+	}
 	for name, s := range map[string]Scenario{
 		"reference-checkpoint.snap":       serial,
 		"reference-checkpoint-lanes.snap": lanes,
@@ -264,11 +299,11 @@ func FuzzThawCheckpoint(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		// An unmutated seed must restore, or the corpus starts from inputs
-		// that never reach the payload decoder.
+		// An unmutated seed must restore and run, or the corpus starts
+		// from inputs that never reach the payload decoder.
 		ck, err := LoadCheckpoint(data)
 		if err == nil {
-			_, err = thaw(s, ck, nil, nil)
+			err = run(f, s, ck)
 		}
 		if err != nil {
 			f.Fatalf("seed %s does not thaw: %v", name, err)
@@ -281,20 +316,140 @@ func FuzzThawCheckpoint(f *testing.F) {
 			return
 		}
 		for _, s := range []Scenario{serial, lanes} {
-			if _, err := thaw(s, ck, nil, nil); err == nil {
+			if run(t, s, ck) == nil {
 				return
 			}
 		}
 	})
 }
 
+// TestLoadCheckpointRefusesVersion1 relabels the reference checkpoint as
+// format version 1, whose records stored task lists and pCPU flags beside
+// the facts they restate. No v1 decoder is kept, so the container must be
+// refused with an error naming both versions.
+func TestLoadCheckpointRefusesVersion1(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "cmd", "paratick-bench", "testdata", "reference-checkpoint.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1 snap.Encoder
+	v1.U32(1)
+	old := append([]byte(nil), data...)
+	copy(old[len(snap.Magic):], v1.Bytes())
+	want := fmt.Sprintf("version 1 (want %d)", snap.Version)
+	if _, err := LoadCheckpoint(old); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("v1 checkpoint: err = %v, want one containing %q", err, want)
+	}
+}
+
+// referenceFields holds the payload offsets of the reference checkpoint's
+// fields TestCorruptCheckpointNeverPanics flips, found by walking from
+// section markers the layout the Snap bodies write: the engine clock and
+// sequence counter, the guest deadline timer's event, the first queued
+// guest segment (an io-submit) with its request and device, the disk's
+// in-service count, and the host-tick and completion events of the busy
+// pCPU 0 and the host tick of the idle pCPU 40.
+type referenceFields struct {
+	now, seq             int
+	guestTimer           int // the event's when; its seq follows
+	segKind              int
+	reqBytes, reqVCPU    int
+	segDev               int
+	running              int
+	hostTick, done, idle int
+}
+
+// findReferenceFields locates the referenceFields in payload.
+func findReferenceFields(t *testing.T, payload []byte) referenceFields {
+	t.Helper()
+	var f referenceFields
+	var d *snap.Decoder
+	pos := func() int { return len(payload) - d.Remaining() }
+	at := func(section string) {
+		var marker snap.Encoder
+		marker.Section(section)
+		off := bytes.Index(payload, marker.Bytes())
+		if off < 0 {
+			t.Fatalf("no %s section in the reference checkpoint", section)
+		}
+		d = snap.NewDecoder(payload[off:])
+		d.Section(section)
+	}
+	skip := func(n int) {
+		for ; n > 0; n-- {
+			d.U8()
+		}
+	}
+
+	at("engine")
+	d.U64() // bucket shift
+	f.now = pos()
+	d.I64()
+	f.seq = pos()
+
+	at("dtimer:guest-timer")
+	skip(16) // arm and expiry counts
+	if !d.Bool() {
+		t.Fatal("the reference checkpoint's guest timer is not armed")
+	}
+	f.guestTimer = pos()
+
+	at("guest")
+	skip(32 + 1)            // RNG state, started
+	skip(24 * int(d.U32())) // locks: holder and two counters
+	skip(16 * int(d.U32())) // barriers: parties and cycles
+	skip(16 * int(d.U32())) // conds: two counters
+	if n := d.U32(); n != 1 {
+		t.Fatalf("the reference guest has %d vCPUs, want 1", n)
+	}
+	skip(8 + 16 + 3 + 8 + 1 + 8 + 8 + 8) // policy, wheel clock, flags, timer, RCU, switches, last tick
+	if n := d.U32(); n == 0 {
+		t.Fatal("the reference vCPU has no queued segment")
+	}
+	f.segKind = pos()
+	if kind := guest.SegKind(d.U8()); kind != guest.SegIOSubmit {
+		t.Fatalf("the reference vCPU's first queued segment is %v, want an io-submit", kind)
+	}
+	_ = d.String() // label
+	f.segDev = pos()
+	skip(8 + 2) // device, request write and sequential flags
+	f.reqBytes = pos()
+	d.I64()
+	f.reqVCPU = pos()
+
+	at("iodev:disk0")
+	skip(32 + 32) // RNG state, counters
+	f.running = pos()
+
+	hostTick := func(pcpu string) int { // the pCPU's host-tick event
+		at(pcpu)
+		d.Section("ptimer:host-tick")
+		skip(8 + 8) // period, ticks
+		if !d.Bool() {
+			t.Fatalf("the reference checkpoint's %s has no host tick pending", pcpu)
+		}
+		return pos()
+	}
+	f.hostTick = hostTick("pcpu:0")
+	skip(16)
+	if ph := d.U8(); ph == 0 {
+		t.Fatal("the reference checkpoint's pCPU 0 has no completion pending")
+	}
+	f.done = pos()
+	f.idle = hostTick("pcpu:40")
+	if err := d.Err(); err != nil {
+		t.Fatalf("walking the reference checkpoint: %v", err)
+	}
+	return f
+}
+
 // TestCorruptCheckpointNeverPanics resumes the committed reference
-// checkpoint with single bit flips at payload offsets that once reached a
-// panic — restored event coordinates behind the clock or ahead of the
-// sequence counter, an unknown segment kind, a negative request size, a
-// request from a vCPU that does not exist, an io-submit segment with no
-// device — and with truncated payloads. Each case must either fail with an
-// error or run to completion; none may panic.
+// checkpoint with single bit flips in fields that once reached a panic —
+// restored event coordinates behind the clock or ahead of the sequence
+// counter, an unknown segment kind, a negative request size, a request
+// from a vCPU that does not exist, an io-submit segment with no device —
+// and with truncated payloads. Each case must either fail with an error or
+// run to completion; none may panic.
 func TestCorruptCheckpointNeverPanics(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "cmd", "paratick-bench", "testdata", "reference-checkpoint.snap"))
 	if err != nil {
@@ -308,21 +463,34 @@ func TestCorruptCheckpointNeverPanics(t *testing.T) {
 	opts.Scale = 0.05
 	s := ReferenceScenario(opts)
 	n := len(ck.payload)
+	f := findReferenceFields(t, ck.payload)
 
 	type corruption struct {
 		name    string
 		payload []byte
 	}
 	var cases []corruption
-	for _, off := range []int{
-		25, 26, 27, 28, 30, // guest timer behind the clock / ahead of the seq counter
-		8492, 8497, 8499, 8500, 8501, 8502, 8503, 8504, 8505,
-		8696,                                           // segment kind
-		8736,                                           // request bytes
-		8737, 8738, 8739, 8740, 8741, 8742, 8743, 8744, // request vCPU
-		8777,                    // io-submit segment without its device
-		9042, 9457, 9484, 13312, // device, host tick, and pCPU event coordinates
+	span := func(off, from, to int) []int { // bytes from..to of the field at off
+		var out []int
+		for i := from; i <= to; i++ {
+			out = append(out, off+i)
+		}
+		return out
+	}
+	var offs []int
+	for _, group := range [][]int{
+		// guest timer behind the clock / ahead of the seq counter
+		span(f.now, 3, 6), {f.seq},
+		{f.guestTimer + 2, f.guestTimer + 7}, span(f.guestTimer+8, 1, 7),
+		{f.segKind},           // segment kind
+		{f.reqBytes + 7},      // request bytes
+		span(f.reqVCPU, 0, 7), // request vCPU
+		{f.segDev + 7},        // io-submit segment without its device
+		{f.running, f.hostTick + 2, f.done + 1, f.idle + 1}, // device, host tick, and pCPU event coordinates
 	} {
+		offs = append(offs, group...)
+	}
+	for _, off := range offs {
 		p := append([]byte(nil), ck.payload...)
 		p[off] ^= 0x80
 		cases = append(cases, corruption{fmt.Sprintf("flip@%d", off), p})

@@ -94,7 +94,7 @@ type Kernel struct {
 
 	// locks, barriers and conds register every synchronization object in
 	// creation order. The registries give each object a stable small id so
-	// checkpoints can reference them (waiter lists, spin-segment owners)
+	// checkpoints can reference them (task placements, spin-segment owners)
 	// without serializing pointers; deterministic scenario construction
 	// guarantees a rebuilt kernel assigns the same ids.
 	locks    []*Lock
@@ -103,7 +103,11 @@ type Kernel struct {
 
 	//snap:skip derived: recounted as tasks are restored
 	liveTasks int
-	started   bool
+	// place holds each task's placement, indexed by task ID, while the
+	// kernel moves through a snapshot stream.
+	//reset:keep scratch: rewritten by every save and load, capacity only
+	place   []placement
+	started bool
 	// OnAllDone fires when the last live task finishes — the workload's
 	// completion instant (the paper's "execution time" metric endpoint).
 	//snap:skip completion callback, rebound by the harness after restore
@@ -128,8 +132,8 @@ type Kernel struct {
 	// New{Lock,Barrier,Cond} recycle the object at the id being assigned
 	// when its name matches — deterministic scenario construction recreates
 	// sync objects in the same order with the same names, so in steady
-	// state every constructor call is a pool hit that keeps the precomputed
-	// blockReason string.
+	// state every constructor call is a pool hit that keeps the waiter
+	// buffers' capacity.
 	//snap:skip pool of recycled sync objects, capacity only
 	lockPool []*Lock
 	//snap:skip pool of recycled sync objects, capacity only
@@ -265,7 +269,7 @@ func (k *Kernel) NewLock(name string) *Lock {
 	id := len(k.locks)
 	l := claim(k.lockPool, id, name)
 	if l == nil {
-		l = &Lock{kernel: k, id: id, name: name, blockReason: "lock:" + name}
+		l = &Lock{id: id, name: name}
 	}
 	l.reset()
 	k.locks = append(k.locks, l)
@@ -283,7 +287,7 @@ func (k *Kernel) NewBarrier(name string, parties int) *Barrier {
 		// The barrier can hold parties-1 blocked tasks (the last arrival
 		// releases everyone); size both cycle buffers up front so the first
 		// cycle does not grow them.
-		b = &Barrier{kernel: k, id: id, name: name, blockReason: "barrier:" + name,
+		b = &Barrier{name: name,
 			waiting: make([]*Task, 0, parties-1), spare: make([]*Task, 0, parties-1)}
 	}
 	b.reset(parties)

@@ -10,9 +10,8 @@ package guest
 //     stream (tag 0x6e57) and Spawn forks the kernel stream once per task,
 //     each via ForkInto, whether the Rand object is new or recycled.
 //   - Construction identity survives, per-run state does not: registry ids,
-//     names, precomputed blockReason strings, pre-bound closures (task
-//     callbacks) and slice capacities are kept; every other field is
-//     written by the reset.
+//     names, pre-bound closures (task callbacks) and slice capacities are
+//     kept; every other field is written by the reset.
 //   - The vCPU count is construction identity: the VM arena only recycles a
 //     kernel onto a world with the same number of vCPUs.
 
@@ -55,9 +54,7 @@ func (k *Kernel) Reset(engine *sim.Engine, cost hw.CostModel, cfg Config, counte
 	}
 	k.retireTasks()
 	k.recycleSyncObjects()
-	for i := range k.devices {
-		k.devices[i] = nil
-	}
+	clear(k.devices)
 	k.devices = k.devices[:0]
 	k.liveTasks = 0
 	k.started = false
@@ -92,21 +89,15 @@ func (k *Kernel) retireTasks() {
 //paratick:noalloc
 func (k *Kernel) recycleSyncObjects() {
 	if len(k.locks) > 0 {
-		for i := range k.lockPool {
-			k.lockPool[i] = nil
-		}
+		clear(k.lockPool)
 		k.locks, k.lockPool = k.lockPool[:0], k.locks
 	}
 	if len(k.barriers) > 0 {
-		for i := range k.barrierPool {
-			k.barrierPool[i] = nil
-		}
+		clear(k.barrierPool)
 		k.barriers, k.barrierPool = k.barrierPool[:0], k.barriers
 	}
 	if len(k.conds) > 0 {
-		for i := range k.condPool {
-			k.condPool[i] = nil
-		}
+		clear(k.condPool)
 		k.conds, k.condPool = k.condPool[:0], k.conds
 	}
 }
@@ -148,9 +139,7 @@ func (v *VCPU) clearRunState() {
 		v.queue[i] = nil
 	}
 	v.queue = v.queue[:0]
-	for i := range v.runq {
-		v.runq[i] = nil
-	}
+	clear(v.runq)
 	v.runq = v.runq[:0]
 	v.current = nil
 	v.idle = false

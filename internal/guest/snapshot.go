@@ -2,21 +2,21 @@ package guest
 
 // Checkpoint/restore of the guest kernel: tasks, vCPUs, synchronization
 // objects, timer wheels, and attached devices. Cross-object references are
-// plain data moved as identities: a segment's owners and a request's
-// waiter as task ids and lock registry ordinals, which is why the kernel
-// registers sync objects in creation order. Closures are never serialized;
-// the one the guest keeps (a task's sleep callback) is pre-bound by Spawn.
-// The segment pool is drained, not saved: pooled segments are dead state.
+// plain data moved as identities — task ids, and registry ordinals, which
+// is why the kernel registers sync objects in creation order — and each
+// fact is written once: a task record names the one place the task is, and
+// decoding rebuilds run queues and waiter lists from those placements.
+// Closures are never serialized, and the segment pool is drained, not saved.
 //
 // Decoding targets a kernel freshly rebuilt from the same scenario
 // specification: identical vCPU count, task spawn order, sync-object
-// creation order, and device attachment order. Everything mutable is then
-// overwritten from the snapshot; pending timers and in-service I/O re-arm
-// their engine events at the original (when, seq) coordinates.
+// creation order, and device attachment order. Pending timers and
+// in-service I/O re-arm their engine events at the original (when, seq)
+// coordinates.
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"paratick/internal/core"
 	"paratick/internal/iodev"
@@ -26,16 +26,11 @@ import (
 
 // --- timer wheel -------------------------------------------------------------
 
-// snapClock moves the wheel's scalar state. Bucket contents are not
-// enumerated: every timer living in a scenario wheel is a task sleep timer,
-// moved (with its placement) by the task that owns it. Decoding requires an
-// empty wheel.
+// snapClock moves the wheel's clock. Its jiffy is configuration, fixed by
+// the rebuilt scenario. Bucket contents are not enumerated: every timer in
+// a scenario wheel is a task sleep timer, moved by the sleeping task that
+// owns it. Decoding requires an empty wheel.
 func (w *TimerWheel) snapClock(s *snap.Stream) {
-	jiffy := w.jiffy
-	snap.Int(s, &jiffy)
-	if jiffy != w.jiffy {
-		s.Failf("guest: snapshot wheel jiffy %v does not match configured %v", jiffy, w.jiffy)
-	}
 	if s.Decoding() {
 		if w.count != 0 {
 			s.Failf("guest: restore into a wheel holding %d timers", w.count)
@@ -49,19 +44,13 @@ func (w *TimerWheel) snapClock(s *snap.Stream) {
 	}
 }
 
-// snapTimer moves t's pending placement: presence, deadline, and the fire
-// jiffy and Add-order seq assigned at the original Add. Decoding re-queues
-// the timer on w, bound to fire, with that placement identity; the wheel's
-// clock must already be restored, and pending timers always satisfy
-// fireJiff > curJiff.
+// snapTimer moves a pending timer's deadline, and the fire jiffy and
+// Add-order seq assigned at the original Add. Decoding re-queues the timer
+// on w, bound to fire, with that placement identity; the wheel's clock must
+// already be restored, and pending timers always satisfy fireJiff > curJiff.
 func (w *TimerWheel) snapTimer(s *snap.Stream, t *SoftTimer, fire func(sim.Time)) {
-	pending := t.Pending()
-	s.Bool(&pending)
 	if s.Decoding() {
 		*t = SoftTimer{}
-	}
-	if !pending {
-		return
 	}
 	snap.Int(s, &t.Deadline)
 	s.I64(&t.fireJiff)
@@ -75,144 +64,65 @@ func (w *TimerWheel) snapTimer(s *snap.Stream, t *SoftTimer, fire func(sim.Time)
 	}
 	t.Fire = fire
 	w.insert(t)
-	if w.nextOK && t.fireJiff < w.nextJiff {
-		w.nextJiff = t.fireJiff
-	}
-}
-
-// forEachPending visits every queued timer (buckets and overflow) in an
-// unspecified order.
-func (w *TimerWheel) forEachPending(fn func(t *SoftTimer)) {
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		for slot := 0; slot < wheelSlots; slot++ {
-			for _, t := range w.buckets[lvl][slot] {
-				fn(t)
-			}
-		}
-	}
-	for _, t := range w.overflow {
-		fn(t)
-	}
-}
-
-// DigestState hashes the wheel's observable state: clock, counters,
-// occupancy bitmaps, and every pending timer in Add order. Cached
-// next-expiry values and retained bucket capacity are excluded — both are
-// derived or deliberately recycled state. A freshly constructed wheel and
-// a used-then-Reset wheel must digest identically.
-func (w *TimerWheel) DigestState() snap.Digest {
-	var enc snap.Encoder
-	enc.Section("wheel-digest")
-	enc.I64(int64(w.jiffy))
-	enc.I64(w.maxJiff)
-	enc.I64(w.curJiff)
-	enc.I64(int64(w.count))
-	enc.U64(w.seq)
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		enc.U64(w.occ[lvl])
-	}
-	var pending []*SoftTimer
-	w.forEachPending(func(t *SoftTimer) { pending = append(pending, t) })
-	sort.Slice(pending, func(i, j int) bool { return pending[i].seq < pending[j].seq })
-	enc.U32(uint32(len(pending)))
-	for _, t := range pending {
-		enc.I64(int64(t.Deadline))
-		enc.I64(t.fireJiff)
-		enc.U64(t.seq)
-	}
-	return snap.HashBytes(enc.Bytes())
+	w.nextOK = false
 }
 
 // --- segments ----------------------------------------------------------------
 
-// A segment's owners move behind a byte naming what completing it means.
-const (
-	segDoneNil      = 0 // anonymous work: no owners
-	segDoneTaskRun  = 1 // a task run: ownerTask
-	segDoneLockSpin = 2 // an optimistic spin: ownerLock and ownerTask
-)
-
-// snapSegment moves one segment. Decoding passes a nil seg and receives a
-// fresh pooled segment; it rejects segments the hypervisor could not
-// execute (unknown kind, an IPI to a vCPU that does not exist, an io-submit
-// without its device and request).
+// snapSegment moves one segment: its kind and label, then what the kind
+// has — a run's duration, flags and owners (the task a run advances, and
+// the lock an optimistic spin re-probes), an MSR write's deadline, an
+// io-submit's device and request, an IPI's target, a hypercall's kind and
+// argument. Decoding passes a nil seg and receives a fresh pooled segment;
+// it rejects segments the hypervisor could not execute.
 func (k *Kernel) snapSegment(s *snap.Stream, seg *Segment) *Segment {
 	if seg == nil {
 		seg = k.acquireSeg()
 	}
 	snap.Byte(s, &seg.Kind)
-	if seg.Kind < SegRun || seg.Kind > SegHypercall {
-		s.Failf("guest: snapshot segment has unknown kind %d", seg.Kind)
-	}
 	s.String(&seg.Label)
-	snap.Int(s, &seg.Duration)
-	s.Bool(&seg.Kernel)
-	s.Bool(&seg.Spin)
-	snap.Int(s, &seg.Deadline)
-	hasReq := seg.Req != nil
-	s.Bool(&hasReq)
-	if hasReq {
-		if seg.Req == nil {
-			seg.Req = new(iodev.Request)
-		}
-		seg.Req.Snap(s, len(k.vcpus), len(k.tasks))
-	}
-	dev := slices.Index(k.devices, seg.Dev)
-	if seg.Dev != nil && dev < 0 {
-		s.Failf("guest: segment %v references an unattached device", seg)
-	}
-	snap.Int(s, &dev)
-	switch {
-	case dev < -1 || dev >= len(k.devices):
-		s.Failf("guest: snapshot references device %d of %d", dev, len(k.devices))
-	case dev >= 0:
-		seg.Dev = k.devices[dev]
-	}
-	snap.Int(s, &seg.Target)
-	if seg.Target < 0 || seg.Target >= len(k.vcpus) {
-		s.Failf("guest: snapshot segment targets vCPU %d of %d", seg.Target, len(k.vcpus))
-	}
-	snap.Int(s, &seg.HKind)
-	s.I64(&seg.HArg)
-	if seg.Kind == SegIOSubmit && (seg.Dev == nil || seg.Req == nil) {
-		s.Failf("guest: snapshot io-submit segment lacks its device or request")
-	}
-	k.snapOwners(s, seg)
-	return seg
-}
-
-// snapOwners moves the segment's owners as their kind and ids.
-func (k *Kernel) snapOwners(s *snap.Stream, seg *Segment) {
-	var kind uint8 = segDoneNil
-	switch {
-	case seg.ownerLock != nil:
-		kind = segDoneLockSpin
-	case seg.ownerTask != nil:
-		kind = segDoneTaskRun
-	}
-	s.U8(&kind)
-	switch kind {
-	case segDoneNil:
-	case segDoneTaskRun:
+	switch seg.Kind {
+	case SegRun:
+		snap.Int(s, &seg.Duration)
+		s.Bool(&seg.Kernel)
+		s.Bool(&seg.Spin)
 		k.snapTask(s, &seg.ownerTask)
-		if seg.ownerTask == nil {
-			s.Failf("guest: snapshot run segment completes no task")
-		}
-	case segDoneLockSpin:
 		lock := -1
 		if seg.ownerLock != nil {
 			lock = seg.ownerLock.id
 		}
 		snap.Int(s, &lock)
-		k.snapTask(s, &seg.ownerTask)
-		if lock < 0 || lock >= len(k.locks) || seg.ownerTask == nil {
+		switch {
+		case lock < -1 || lock >= len(k.locks) || lock >= 0 && seg.ownerTask == nil:
 			s.Failf("guest: snapshot spin segment references lock %d of %d", lock, len(k.locks))
-		} else if s.Decoding() {
+		case lock >= 0 && s.Decoding():
 			seg.ownerLock = k.locks[lock]
 		}
+	case SegMSRWrite:
+		snap.Int(s, &seg.Deadline)
+	case SegIOSubmit:
+		dev := slices.Index(k.devices, seg.Dev)
+		if snap.Int(s, &dev); dev < 0 || dev >= len(k.devices) {
+			s.Failf("guest: snapshot io-submit segment references device %d of %d", dev, len(k.devices))
+			return seg
+		}
+		seg.Dev = k.devices[dev]
+		if seg.Req == nil {
+			seg.Req = new(iodev.Request)
+		}
+		seg.Req.Snap(s, len(k.vcpus), len(k.tasks))
+	case SegIPI:
+		if snap.Int(s, &seg.Target); seg.Target < 0 || seg.Target >= len(k.vcpus) {
+			s.Failf("guest: snapshot segment targets vCPU %d of %d", seg.Target, len(k.vcpus))
+		}
+	case SegHypercall:
+		snap.Int(s, &seg.HKind)
+		s.I64(&seg.HArg)
+	case SegHLT:
 	default:
-		s.Failf("guest: unknown segment completion kind %d", kind)
+		s.Failf("guest: snapshot segment has unknown kind %d", seg.Kind)
 	}
+	return seg
 }
 
 // snapTask moves a task reference as its registry ID (-1 for none).
@@ -234,20 +144,11 @@ func (k *Kernel) snapTask(s *snap.Stream, t **Task) {
 	}
 }
 
-// snapTasks moves a task list by ID; every entry must name a task.
-func (k *Kernel) snapTasks(s *snap.Stream, list *[]*Task) {
-	for i := range snap.Slice(s, list) {
-		if k.snapTask(s, &(*list)[i]); (*list)[i] == nil {
-			s.Failf("guest: snapshot task list holds no task")
-		}
-	}
-}
-
 // --- kernel ------------------------------------------------------------------
 
 // Issued returns the segment most recently handed to the hypervisor (nil
-// when none is outstanding). The hypervisor uses it after a restore to
-// re-link its in-flight segment pointer.
+// when none is outstanding). The hypervisor reads it as the in-flight
+// segment of its run, exit and HLT phases.
 func (v *VCPU) Issued() *Segment { return v.issued }
 
 // Snap moves the kernel's complete mutable state. The shared metrics
@@ -256,6 +157,10 @@ func (v *VCPU) Issued() *Segment { return v.issued }
 // ProgramState. Decoding re-arms pending soft timers and device events at
 // their original engine coordinates, so the engine's clock must already be
 // restored.
+//
+// Run queues, current tasks and waiter lists are not moved: each task
+// record names the one place its task is, and decoding rebuilds the lists
+// from those placements.
 func (k *Kernel) Snap(s *snap.Stream) {
 	s.Section("guest")
 	k.rng.Snap(s)
@@ -264,24 +169,16 @@ func (k *Kernel) Snap(s *snap.Stream) {
 	s.Len(len(k.locks), "guest locks")
 	for _, l := range k.locks {
 		k.snapTask(s, &l.holder)
-		k.snapTasks(s, &l.waiters)
 		s.U64(&l.acquisitions)
 		s.U64(&l.contended)
 	}
 	s.Len(len(k.barriers), "guest barriers")
 	for _, b := range k.barriers {
 		snap.Int(s, &b.parties) // mutable: detach shrinks the party
-		k.snapTasks(s, &b.waiting)
 		s.U64(&b.cycles)
 	}
 	s.Len(len(k.conds), "guest conds")
 	for _, c := range k.conds {
-		lock := c.lock.id
-		snap.Int(s, &lock)
-		if lock != c.lock.id {
-			s.Failf("guest: cond %q paired with lock %d in snapshot, %d in kernel", c.name, lock, c.lock.id)
-		}
-		k.snapTasks(s, &c.waiters)
 		s.U64(&c.waits)
 		s.U64(&c.signals)
 	}
@@ -292,6 +189,7 @@ func (k *Kernel) Snap(s *snap.Stream) {
 	}
 
 	s.Len(len(k.tasks), "guest tasks")
+	k.placeTasks(s.Decoding())
 	k.liveTasks = 0
 	for _, t := range k.tasks {
 		k.snapTaskState(s, t)
@@ -299,16 +197,18 @@ func (k *Kernel) Snap(s *snap.Stream) {
 			k.liveTasks++
 		}
 	}
-
 	s.Len(len(k.devices), "guest devices")
 	for _, d := range k.devices {
 		d.Snap(s, len(k.vcpus), len(k.tasks))
 	}
+	if s.Decoding() && s.Err() == nil {
+		k.checkPlacement(s)
+	}
 }
 
-// snapVCPU moves one vCPU: policy state word, wheel clock, run state, run
-// queue, and the queued and issued segments. Decoding first clears the
-// rebuilt world's run state, returning its segments to the pool.
+// snapVCPU moves one vCPU: policy state word, wheel clock, run state, and
+// the queued and issued segments. Decoding first clears the rebuilt
+// world's run state, returning its segments to the pool.
 func (k *Kernel) snapVCPU(s *snap.Stream, v *VCPU) {
 	if s.Decoding() {
 		v.clearRunState()
@@ -324,18 +224,11 @@ func (k *Kernel) snapVCPU(s *snap.Stream, v *VCPU) {
 	s.Bool(&v.idle)
 	s.Bool(&v.needResched)
 	s.Bool(&v.booted)
-	armed := v.timerDeadline != sim.Forever
-	s.Bool(&armed)
-	snap.Int(s, &v.timerDeadline)
-	if armed != (v.timerDeadline != sim.Forever) {
-		s.Failf("guest: snapshot vCPU %d timer armed=%v disagrees with deadline %v", v.id, armed, v.timerDeadline)
-	}
+	snap.Int(s, &v.timerDeadline) // sim.Forever: disarmed
 	s.Bool(&v.rcuPending)
 	snap.Int(s, &v.rcuDeadline)
 	snap.Int(s, &v.switchCount)
 	snap.Int(s, &v.lastTickAt)
-	k.snapTask(s, &v.current)
-	k.snapTasks(s, &v.runq)
 	for i := range snap.Slice(s, &v.queue) {
 		v.queue[i] = k.snapSegment(s, v.queue[i])
 	}
@@ -346,17 +239,25 @@ func (k *Kernel) snapVCPU(s *snap.Stream, v *VCPU) {
 	}
 }
 
-// snapTaskState moves one task's mutable state, its sleep timer, and its
-// program's state.
+// snapTaskState moves one task: its placement (with the sleep timer of a
+// sleeping task), its mutable state, and its program's state.
 func (k *Kernel) snapTaskState(s *snap.Stream, t *Task) {
-	snap.Byte(s, &t.state)
-	if t.state < TaskRunnable || t.state > TaskDone {
-		s.Failf("guest: snapshot task %d has invalid state %d", t.ID, t.state)
+	p := &k.place[t.ID]
+	s.U8(&p.kind)
+	switch p.kind {
+	case placeLock, placeCond, placeBarrier:
+		snap.Int(s, &p.obj)
+		fallthrough
+	case placeRunq:
+		snap.Int(s, &p.slot)
+	case placeSleep:
+		t.vcpu.wheel.snapTimer(s, &t.sleepTimer, t.sleepFireFn)
+	}
+	if s.Decoding() {
+		k.seat(s, t, p)
 	}
 	t.rng.Snap(s)
 	snap.Int(s, &t.remaining)
-	s.String(&t.blockReason)
-	t.vcpu.wheel.snapTimer(s, &t.sleepTimer, t.sleepFireFn)
 	snap.Int(s, &t.startedAt)
 	snap.Int(s, &t.finishedAt)
 	ps, ok := t.prog.(ProgramState)
@@ -365,4 +266,163 @@ func (k *Kernel) snapTaskState(s *snap.Stream, t *Task) {
 		return
 	}
 	ps.SnapState(s)
+}
+
+// --- task placement ----------------------------------------------------------
+
+// A task record opens with its placement, the one place the task is, which
+// fixes its state. A listed task names its slot in its vCPU's run queue, or
+// the object and slot of a lock, cond or barrier waiter list.
+const (
+	placeDone    = iota // finished
+	placeRunning        // its vCPU's current task
+	placeSleep          // asleep; the sleep timer's coordinates follow
+	placeIO             // waiting for the one I/O request that names it
+	placeRunq
+	placeLock
+	placeCond
+	placeBarrier
+)
+
+// listNames names the list kinds' owners in errors.
+var listNames = [...]string{"the run queue of vCPU", "lock", "cond", "barrier"}
+
+// placement is where one task is: a kind, and for a listed task its list's
+// ordinal and its slot. Decoding counts an I/O wait's requests in slot.
+type placement struct {
+	kind      uint8
+	obj, slot int
+}
+
+// eachList calls fn on every task list: each vCPU's run queue, then the
+// waiter lists of the locks, conds and barriers, by registry ordinal n.
+func (k *Kernel) eachList(fn func(kind uint8, n int, list *[]*Task)) {
+	for n, v := range k.vcpus {
+		fn(placeRunq, n, &v.runq)
+	}
+	for n, l := range k.locks {
+		fn(placeLock, n, &l.waiters)
+	}
+	for n, c := range k.conds {
+		fn(placeCond, n, &c.waiters)
+	}
+	for n, b := range k.barriers {
+		fn(placeBarrier, n, &b.waiting)
+	}
+}
+
+// placeTasks sizes the placement scratch to the task registry. Encoding
+// fills it — a listed task by its list, any other by its state, where a
+// blocked task with no sleep pending waits for I/O — and decoding empties
+// every list for the task records to refill.
+func (k *Kernel) placeTasks(decoding bool) {
+	k.place = slices.Grow(k.place[:0], len(k.tasks))[:len(k.tasks)]
+	for i, t := range k.tasks {
+		k.place[i] = placement{kind: placeIO}
+		switch {
+		case decoding:
+		case t.state == TaskDone:
+			k.place[i].kind = placeDone
+		case t.state == TaskRunning:
+			k.place[i].kind = placeRunning
+		case t.sleepTimer.Pending():
+			k.place[i].kind = placeSleep
+		}
+	}
+	k.eachList(func(kind uint8, n int, list *[]*Task) {
+		if decoding {
+			clear(*list)
+			*list = (*list)[:0]
+		}
+		for i, t := range *list {
+			k.place[t.ID] = placement{kind, n, i}
+		}
+	})
+}
+
+// seat puts a decoded task where its placement says and sets its state; a
+// runnable task joins its own vCPU's run queue. checkPlacement sorts slots.
+func (k *Kernel) seat(s *snap.Stream, t *Task, p *placement) {
+	t.state = TaskBlocked
+	switch p.kind {
+	case placeDone:
+		t.state = TaskDone
+	case placeRunning:
+		t.state = TaskRunning
+		if cur := t.vcpu.current; cur != nil {
+			s.Failf("guest: snapshot runs tasks %d and %d on vCPU %d", cur.ID, t.ID, t.vcpu.id)
+		}
+		t.vcpu.current = t
+	case placeSleep, placeIO:
+	case placeRunq:
+		t.state, p.obj = TaskRunnable, t.vcpu.id
+		fallthrough
+	case placeLock, placeCond, placeBarrier:
+		var list *[]*Task
+		k.eachList(func(kind uint8, n int, l *[]*Task) {
+			if kind == p.kind && n == p.obj {
+				list = l
+			}
+		})
+		if list == nil {
+			s.Failf("guest: snapshot places task %d on unknown %s %d", t.ID, listNames[p.kind-placeRunq], p.obj)
+			return
+		}
+		*list = append(*list, t)
+	default:
+		s.Failf("guest: snapshot task %d has unknown placement %d", t.ID, p.kind)
+	}
+}
+
+// checkPlacement orders the rebuilt lists by slot and refuses placements
+// the run loop never produces: a slot held twice or left empty, a done lock
+// holder, lock waiters with no holder to hand the lock on, an I/O wait that
+// no request ends exactly once, and a request whose waiter does not wait
+// for I/O. A queued or issued io-submit segment carries its request until
+// the hypervisor submits it, and a device holds it until it is drained.
+func (k *Kernel) checkPlacement(s *snap.Stream) {
+	k.eachList(func(kind uint8, n int, list *[]*Task) {
+		slot := func(t *Task) int { return k.place[t.ID].slot }
+		slices.SortStableFunc(*list, func(a, b *Task) int { return cmp.Compare(slot(a), slot(b)) })
+		for i, t := range *list {
+			if slot(t) != i {
+				s.Failf("guest: snapshot holds slot %d of %s %d twice, or leaves slot %d empty", slot(t), listNames[kind-placeRunq], n, i)
+			}
+		}
+	})
+	for n, l := range k.locks {
+		switch h := l.holder; {
+		case h != nil && h.state == TaskDone:
+			s.Failf("guest: snapshot lock %d is held by done task %d", n, h.ID)
+		case h == nil && len(l.waiters) > 0:
+			s.Failf("guest: snapshot lock %d has %d waiters and no holder", n, len(l.waiters))
+		}
+	}
+	carry := func(req *iodev.Request) {
+		switch w := req.Waiter; {
+		case w < 0:
+		case k.place[w].kind != placeIO:
+			s.Failf("guest: snapshot request names task %d, which does not wait for I/O", w)
+		default:
+			k.place[w].slot++
+		}
+	}
+	for _, v := range k.vcpus {
+		for _, seg := range v.queue {
+			if seg.Req != nil {
+				carry(seg.Req)
+			}
+		}
+		if v.issued != nil && v.issued.Req != nil {
+			carry(v.issued.Req)
+		}
+	}
+	for _, d := range k.devices {
+		d.EachRequest(carry)
+	}
+	for id, p := range k.place {
+		if p.kind == placeIO && p.slot != 1 {
+			s.Failf("guest: snapshot task %d waits for I/O that %d requests name", id, p.slot)
+		}
+	}
 }

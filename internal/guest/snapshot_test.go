@@ -2,6 +2,7 @@ package guest
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 
@@ -12,6 +13,49 @@ import (
 	"paratick/internal/sim"
 	"paratick/internal/snap"
 )
+
+// forEachPending visits every queued timer (buckets and overflow) in an
+// unspecified order.
+func (w *TimerWheel) forEachPending(fn func(t *SoftTimer)) {
+	for lvl := 0; lvl < wheelLevels; lvl++ {
+		for slot := 0; slot < wheelSlots; slot++ {
+			for _, t := range w.buckets[lvl][slot] {
+				fn(t)
+			}
+		}
+	}
+	for _, t := range w.overflow {
+		fn(t)
+	}
+}
+
+// DigestState hashes the wheel's observable state: clock, counters,
+// occupancy bitmaps, and every pending timer in Add order. Cached
+// next-expiry values and retained bucket capacity are excluded — both are
+// derived or deliberately recycled state. A freshly constructed wheel and
+// a used-then-Reset wheel must digest identically.
+func (w *TimerWheel) DigestState() snap.Digest {
+	var enc snap.Encoder
+	enc.Section("wheel-digest")
+	enc.I64(int64(w.jiffy))
+	enc.I64(w.maxJiff)
+	enc.I64(w.curJiff)
+	enc.I64(int64(w.count))
+	enc.U64(w.seq)
+	for lvl := 0; lvl < wheelLevels; lvl++ {
+		enc.U64(w.occ[lvl])
+	}
+	var pending []*SoftTimer
+	w.forEachPending(func(t *SoftTimer) { pending = append(pending, t) })
+	sort.Slice(pending, func(i, j int) bool { return pending[i].seq < pending[j].seq })
+	enc.U32(uint32(len(pending)))
+	for _, t := range pending {
+		enc.I64(int64(t.Deadline))
+		enc.I64(t.fireJiff)
+		enc.U64(t.seq)
+	}
+	return snap.HashBytes(enc.Bytes())
+}
 
 // exerciseWheel drives a wheel through every structural path: all six
 // levels, the overflow list, cancels, partial advances, and late adds.
@@ -304,51 +348,6 @@ func TestStepsProgramState(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsTimerFlagMismatch feeds the decoder vCPU snapshots
-// whose armed flag and deadline disagree — "armed" with sim.Forever, and
-// "disarmed" with a finite deadline. Neither state can be produced by a run,
-// so both must fail to decode with an error, never restore or panic.
-func TestSnapshotRejectsTimerFlagMismatch(t *testing.T) {
-	_, k := newTestKernel(t, core.Periodic, 1)
-	k.VCPUs()[0].Boot() // arms the tick at one period
-	var enc snap.Encoder
-	if err := snap.Encode(&enc, k); err != nil {
-		t.Fatal(err)
-	}
-	good := enc.Bytes()
-	// The vCPU moves booted, armed, deadline back to back.
-	var want snap.Encoder
-	want.Bool(true)
-	want.Bool(true)
-	want.I64(int64(k.cfg.TickPeriod()))
-	pattern := want.Bytes()
-	if n := bytes.Count(good, pattern); n != 1 {
-		t.Fatalf("armed-timer pattern occurs %d times in the snapshot, want 1", n)
-	}
-	at := bytes.Index(good, pattern) + 1 // the armed flag
-
-	var forever snap.Encoder
-	forever.I64(int64(sim.Forever))
-	for name, patch := range map[string]func(b []byte){
-		"armed-forever":     func(b []byte) { copy(b[at+1:], forever.Bytes()) },
-		"disarmed-deadline": func(b []byte) { b[at] = 0 },
-	} {
-		t.Run(name, func(t *testing.T) {
-			bad := append([]byte(nil), good...)
-			patch(bad)
-			_, k2 := newTestKernel(t, core.Periodic, 1)
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("decode panicked: %v", r)
-				}
-			}()
-			if err := snap.Decode(snap.NewDecoder(bad), k2); err == nil {
-				t.Fatal("decode accepted a timer flag that disagrees with the deadline")
-			}
-		})
-	}
-}
-
 // newReaderWorld builds a one-vCPU kernel with an attached NVMe device and
 // one task that issues a blocking read; the vCPU is booted but not run.
 func newReaderWorld(t *testing.T) (*sim.Engine, *Kernel, *miniExec) {
@@ -405,5 +404,96 @@ func TestSnapshotRejectsUnknownIOWaiter(t *testing.T) {
 	k3.Snap(d)
 	if err := d.Err(); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("decode err = %v, want one containing %q", err, want)
+	}
+}
+
+// rngOffset locates task's RNG state in buf. It directly follows the
+// task's placement and is unique to the task, so it finds the task record.
+func rngOffset(t *testing.T, buf []byte, task *Task) int {
+	t.Helper()
+	var enc snap.Encoder
+	task.rng.Snap(snap.NewWriter(&enc))
+	if n := bytes.Count(buf, enc.Bytes()); n != 1 {
+		t.Fatalf("task %d's RNG state occurs %d times in the snapshot, want 1", task.ID, n)
+	}
+	return bytes.Index(buf, enc.Bytes())
+}
+
+// TestSnapshotRejectsMisplacedTask corrupts task placements so that the
+// rebuilt lists or I/O waits contradict each other or the lock records.
+// Each case must fail to decode with an error naming the contradiction.
+func TestSnapshotRejectsMisplacedTask(t *testing.T) {
+	// Three tasks queued on one vCPU at run-queue slots 0, 1 and 2; the
+	// first takes a lock.
+	queued := func(t *testing.T) (*sim.Engine, *Kernel, *miniExec) {
+		e, k := newTestKernel(t, core.DynticksIdle, 1)
+		l := k.NewLock("l")
+		k.Spawn("a", 0, Steps(Acquire(l), Compute(sim.Millisecond), Release(l)))
+		k.Spawn("b", 0, Steps(Compute(sim.Millisecond)))
+		k.Spawn("c", 0, Steps(Compute(sim.Millisecond)))
+		k.vcpus[0].Boot()
+		return e, k, newMiniExec(e, k.vcpus[0])
+	}
+	var slot0, slot2 snap.Encoder
+	slot0.I64(0)
+	slot2.I64(2)
+	for _, tc := range []struct {
+		name, want string
+		build      func(*testing.T) (*sim.Engine, *Kernel, *miniExec)
+		ready      func(k *Kernel) bool // run the fixture until it holds
+		corrupt    func(buf []byte, rng func(id int) int) []byte
+	}{
+		{"two tasks claim one run-queue slot", "holds slot 0 of the run queue of vCPU 0 twice", queued, nil,
+			func(b []byte, rng func(int) int) []byte {
+				copy(b[rng(1)-8:], slot0.Bytes())
+				return b
+			}},
+		{"gap in a rebuilt run queue", "holds slot 2 of the run queue of vCPU 0 twice, or leaves slot 1 empty", queued, nil,
+			func(b []byte, rng func(int) int) []byte {
+				copy(b[rng(1)-8:], slot2.Bytes())
+				return append(append(b[:rng(2)-9:rng(2)-9], placeDone), b[rng(2):]...)
+			}},
+		{"I/O wait no request names", "task 2 waits for I/O that 0 requests name", queued, nil,
+			func(b []byte, rng func(int) int) []byte {
+				return append(append(b[:rng(2)-9:rng(2)-9], placeIO), b[rng(2):]...)
+			}},
+		{"request names a task not waiting for I/O", "request names task 0, which does not wait for I/O",
+			newReaderWorld, func(k *Kernel) bool { return k.devices[0].Inflight() == 1 && k.vcpus[0].issued.Req == nil },
+			func(b []byte, rng func(int) int) []byte {
+				b[rng(0)-1] = placeDone
+				return b
+			}},
+		{"lock held by a done task", "lock 0 is held by done task 0", queued,
+			func(k *Kernel) bool { return k.locks[0].holder == k.tasks[0] },
+			func(b []byte, rng func(int) int) []byte {
+				b[rng(0)-1] = placeDone
+				return b
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, k, m := tc.build(t)
+			for i := 0; tc.ready != nil && !tc.ready(k); i++ {
+				if i == 100 {
+					t.Fatal("fixture never reached the state to corrupt")
+				}
+				m.runOne()
+			}
+			decode := func(buf []byte) error {
+				e2, k2, m2 := tc.build(t)
+				s := snap.NewReader(snap.NewDecoder(buf))
+				e2.Snap(s)
+				m2.timer.Snap(s)
+				k2.Snap(s)
+				return s.Err()
+			}
+			buf := saveWorld(t, e, k, m)
+			if err := decode(buf); err != nil {
+				t.Fatalf("uncorrupted world refused: %v", err)
+			}
+			bad := tc.corrupt(append([]byte(nil), buf...), func(id int) int { return rngOffset(t, buf, k.tasks[id]) })
+			if err := decode(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("decode err = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }

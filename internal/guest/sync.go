@@ -8,20 +8,14 @@ package guest
 
 // Lock is a guest-level blocking mutex with direct handoff.
 type Lock struct {
-	//snap:skip back-pointer wiring, bound when the kernel registers the lock
-	kernel *Kernel
 	// id is the lock's ordinal in the kernel's creation-order registry,
 	// the stable identity used by checkpoints.
 	id int
 	//snap:skip immutable diagnostic label from deterministic construction
-	name string
-	// blockReason is the precomputed BlockReason string for waiters;
-	// building "lock:"+name per contended acquisition allocated on a hot
-	// path.
-	//snap:skip cache: precomputed from name at construction
-	blockReason string
-	holder      *Task
-	waiters     []*Task
+	name   string
+	holder *Task
+	//snap:skip derived: rebuilt from the task records' placements
+	waiters []*Task
 
 	acquisitions uint64
 	contended    uint64
@@ -43,15 +37,12 @@ func (l *Lock) Acquisitions() uint64 { return l.acquisitions }
 func (l *Lock) Contended() uint64 { return l.contended }
 
 // reset writes the lock's per-run state, on a fresh shell or a pooled lock
-// alike; the kernel pointer, registry id, name, and precomputed blockReason
-// are construction identity and survive.
+// alike; the registry id and name are construction identity and survive.
 //
 //paratick:noalloc
 func (l *Lock) reset() {
 	l.holder = nil
-	for i := range l.waiters {
-		l.waiters[i] = nil
-	}
+	clear(l.waiters)
 	l.waiters = l.waiters[:0]
 	l.acquisitions = 0
 	l.contended = 0
@@ -106,17 +97,11 @@ func (l *Lock) release(t *Task) *Task {
 // all of them at once (the last arrival does not block). This reproduces
 // the phase synchronization of data-parallel PARSEC workloads.
 type Barrier struct {
-	//snap:skip back-pointer wiring, bound when the kernel registers the barrier
-	kernel *Kernel
-	//snap:skip identity is implicit in the registry's save order
-	id int // creation-order registry ordinal (checkpoint identity)
 	//snap:skip immutable diagnostic label from deterministic construction
 	name    string
 	parties int
-	// blockReason is the precomputed BlockReason string for waiters.
-	//snap:skip cache: precomputed from name at construction
-	blockReason string
-	waiting     []*Task
+	//snap:skip derived: rebuilt from the task records' placements
+	waiting []*Task
 	// spare is the previous cycle's waiting buffer, recycled so each release
 	// does not abandon the array. Safe because the returned toWake slice is
 	// consumed synchronously (the caller wakes every task before any of them
@@ -147,9 +132,7 @@ func (b *Barrier) Cycles() uint64 { return b.cycles }
 //paratick:noalloc
 func (b *Barrier) reset(parties int) {
 	b.parties = parties
-	for i := range b.waiting {
-		b.waiting[i] = nil
-	}
+	clear(b.waiting)
 	b.waiting = b.waiting[:0]
 	b.cycles = 0
 }
@@ -195,16 +178,12 @@ func (b *Barrier) detach() (toWake []*Task) {
 // the primitive behind the producer/consumer queues of the pipeline PARSEC
 // workloads (dedup, ferret) whose blocking behaviour §3.2 analyzes.
 type Cond struct {
-	//snap:skip back-pointer wiring, bound when the kernel registers the cond
-	kernel *Kernel
-	//snap:skip identity is implicit in the registry's save order
-	id int // creation-order registry ordinal (checkpoint identity)
 	//snap:skip immutable diagnostic label from deterministic construction
 	name string
-	//snap:skip cache: precomputed from name at construction
-	blockReason string
-	lock        *Lock
-	waiters     []*Task
+	//snap:skip construction identity: the rebuilt scenario pairs the cond with the same lock
+	lock *Lock
+	//snap:skip derived: rebuilt from the task records' placements
+	waiters []*Task
 
 	waits   uint64
 	signals uint64
@@ -218,7 +197,7 @@ func (k *Kernel) NewCond(name string, l *Lock) *Cond {
 	id := len(k.conds)
 	c := claim(k.condPool, id, name)
 	if c == nil {
-		c = &Cond{kernel: k, id: id, name: name, blockReason: "cond:" + name}
+		c = &Cond{name: name}
 	}
 	c.reset(l)
 	k.conds = append(k.conds, c)
@@ -231,9 +210,7 @@ func (k *Kernel) NewCond(name string, l *Lock) *Cond {
 //paratick:noalloc
 func (c *Cond) reset(l *Lock) {
 	c.lock = l
-	for i := range c.waiters {
-		c.waiters[i] = nil
-	}
+	clear(c.waiters)
 	c.waiters = c.waiters[:0]
 	c.waits = 0
 	c.signals = 0

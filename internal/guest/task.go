@@ -214,17 +214,16 @@ type Task struct {
 	//snap:skip construction identity: the rebuilt scenario spawns it again
 	Name string
 	prog Program
-	//snap:skip re-homed by vCPU run-queue membership, which is saved
-	vcpu  *VCPU
+	//snap:skip construction identity: tasks never migrate, and the rebuilt scenario spawns each on the same vCPU
+	vcpu *VCPU
+	//snap:skip derived: the task record's placement fixes it
 	state TaskState
 	rng   *sim.Rand
 
 	// remaining holds unconsumed compute time when the task was preempted
 	// mid-step.
 	remaining sim.Time
-	// blockReason annotates TaskBlocked for diagnostics.
-	blockReason string
-	// wakePending marks a wakeup that raced with block bookkeeping.
+	// sleepTimer is the task's nanosleep, pending only while it sleeps.
 	sleepTimer SoftTimer
 
 	// sleepFireFn is pre-bound in Spawn so the sleep path never allocates
@@ -241,9 +240,6 @@ func (t *Task) State() TaskState { return t.state }
 
 // VCPU returns the vCPU the task is affine to.
 func (t *Task) VCPU() *VCPU { return t.vcpu }
-
-// BlockReason returns why a blocked task is blocked ("" otherwise).
-func (t *Task) BlockReason() string { return t.blockReason }
 
 // Runtime returns completion time minus start time for a done task.
 func (t *Task) Runtime() sim.Time {

@@ -27,8 +27,10 @@ type VCPU struct {
 	//snap:skip pool of per-mode policy instances; live policy state is saved
 	policyCache [3]core.TickPolicy
 
-	queue   []*Segment
-	runq    []*Task
+	queue []*Segment
+	//snap:skip derived: rebuilt from the task records' placements
+	runq []*Task
+	//snap:skip derived: rebuilt from the task records' placements
 	current *Task
 
 	idle        bool
@@ -444,7 +446,7 @@ func (v *VCPU) applyStep(t *Task, step Step) {
 			Fire:     t.sleepFireFn,
 		}
 		v.wheel.Add(&t.sleepTimer)
-		v.block(t, "sleep")
+		v.block(t)
 
 	case StepLock:
 		v.addKernelSeg(250, "lock-fast-path")
@@ -470,7 +472,7 @@ func (v *VCPU) applyStep(t *Task, step Step) {
 		}
 		step.L.enqueueWaiter(t)
 		v.addKernelSeg(k.cost.GuestSyscall, "futex-wait")
-		v.block(t, step.L.blockReason)
+		v.block(t)
 
 	case StepUnlock:
 		next := step.L.release(t)
@@ -490,7 +492,7 @@ func (v *VCPU) applyStep(t *Task, step Step) {
 			v.stepComplete(t)
 			return
 		}
-		v.block(t, step.B.blockReason)
+		v.block(t)
 
 	case StepCondWait:
 		v.addKernelSeg(k.cost.GuestSyscall, "cond-wait")
@@ -498,7 +500,7 @@ func (v *VCPU) applyStep(t *Task, step Step) {
 		if next := step.C.lock.release(t); next != nil {
 			k.wake(next, v)
 		}
-		v.block(t, step.C.blockReason)
+		v.block(t)
 
 	case StepCondSignal, StepCondBroadcast:
 		n := 1
@@ -544,7 +546,7 @@ func (v *VCPU) applyStep(t *Task, step Step) {
 		s.Label = "io-kick"
 		v.queueSeg(s)
 		if step.Blocking {
-			v.block(t, "io")
+			v.block(t)
 			return
 		}
 		v.stepComplete(t)
@@ -580,13 +582,12 @@ func (v *VCPU) spinDone(lock *Lock, t *Task) {
 	}
 	lock.enqueueWaiter(t)
 	v.addKernelSeg(v.kernel.cost.GuestSyscall, "futex-wait")
-	v.block(t, lock.blockReason)
+	v.block(t)
 }
 
 // block marks the current task blocked and frees the CPU.
-func (v *VCPU) block(t *Task, reason string) {
+func (v *VCPU) block(t *Task) {
 	t.state = TaskBlocked
-	t.blockReason = reason
 	if v.current == t {
 		v.current = nil
 	}
@@ -603,7 +604,6 @@ func (k *Kernel) wake(t *Task, waker *VCPU) {
 		t.vcpu.wheel.Cancel(&t.sleepTimer)
 	}
 	t.state = TaskRunnable
-	t.blockReason = ""
 	k.counters.Wakeups++
 	t.vcpu.runq = append(t.vcpu.runq, t)
 	if waker != nil && waker != t.vcpu {

@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"slices"
 	"testing"
 
 	"paratick/internal/core"
@@ -685,19 +686,22 @@ func TestWakeNonBlockedTaskIsNoop(t *testing.T) {
 	}
 }
 
+// TestBlockReasonExposed checks that why a blocked task waits is visible
+// from outside the task: a contended acquisition leaves it TaskBlocked and
+// the lock's only waiter.
 func TestBlockReasonExposed(t *testing.T) {
 	e, k := newTestKernel(t, core.Paratick, 1)
 	v := k.VCPUs()[0]
 	m := newMiniExec(e, v)
 	l := k.NewLock("mylock")
-	k.Spawn("holder", 0, Steps(Acquire(l), Sleep(5*sim.Millisecond), Release(l)))
+	holder := k.Spawn("holder", 0, Steps(Acquire(l), Sleep(5*sim.Millisecond), Release(l)))
 	w := k.Spawn("waiter", 0, Steps(Compute(sim.Microsecond), Acquire(l), Release(l)))
 	v.Boot()
 	for i := 0; i < 200 && w.State() != TaskBlocked; i++ {
 		m.runOne()
 	}
-	if w.BlockReason() != "lock:mylock" {
-		t.Fatalf("block reason = %q", w.BlockReason())
+	if w.State() != TaskBlocked || l.Holder() != holder || !slices.Equal(l.waiters, []*Task{w}) {
+		t.Fatalf("waiter is %v, lock held by %v with waiters %v; want it blocked as the only waiter", w.State(), l.Holder(), l.waiters)
 	}
 }
 
@@ -775,9 +779,9 @@ func TestSpinSegmentEmitted(t *testing.T) {
 	if !sawSpin {
 		t.Fatal("no spin segment emitted under contention")
 	}
-	if l.Waiters() != 1 || waiter.BlockReason() != "lock:l" {
-		t.Fatalf("after one spin: %d waiters, waiter blocked on %q; want 1 waiter blocked on \"lock:l\"",
-			l.Waiters(), waiter.BlockReason())
+	if waiter.State() != TaskBlocked || !slices.Equal(l.waiters, []*Task{waiter}) {
+		t.Fatalf("after one spin: waiter is %v and the lock's waiters are %v; want it blocked as the only waiter",
+			waiter.State(), l.waiters)
 	}
 }
 

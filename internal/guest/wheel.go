@@ -79,6 +79,7 @@ func (t *SoftTimer) Pending() bool { return t != nil && t.queued }
 // reaches them; this keeps the per-level invariant exact (every in-wheel
 // timer's fire jiffy falls inside its bucket's current-lap span).
 type TimerWheel struct {
+	//snap:skip configuration: the rebuilt scenario's tick rate fixes it
 	jiffy sim.Time
 	//snap:skip derived from jiffy at construction
 	maxJiff int64 // sim.Forever / jiffy: fire jiffies at or past this mean "never"
@@ -446,9 +447,7 @@ func (w *TimerWheel) processJiffy(now sim.Time) int {
 			w.count--
 			w.insert(t)
 		}
-		for i := range pending {
-			pending[i] = nil
-		}
+		clear(pending)
 	}
 	// Drain the level-0 bucket. Every timer is detached before any Fire
 	// callback runs, so a handler canceling a sibling expiring in the same
@@ -476,9 +475,7 @@ func (w *TimerWheel) processJiffy(now sim.Time) int {
 		fired++
 		t.Fire(now)
 	}
-	for i := range b {
-		b[i] = nil
-	}
+	clear(b)
 	return fired
 }
 

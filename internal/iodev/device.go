@@ -116,14 +116,14 @@ type Request struct {
 	Waiter     int // ID of the guest task blocked on the result, -1 for none
 	Submitted  sim.Time
 	Completed  sim.Time
-	done       bool
 	ev         sim.Event // pending completion while in service
 	//snap:skip pre-bound completion handler, bound by the device that starts the request
 	fin sim.Handler
 }
 
-// Done reports whether the request has completed.
-func (r *Request) Done() bool { return r.done }
+// Done reports whether the request has completed: only completion sets
+// Completed, and no request completes at time zero.
+func (r *Request) Done() bool { return r.Completed > 0 }
 
 // Device is a block device with a bounded in-flight window. Completions are
 // announced through the OnComplete callback (wired to the hypervisor's
@@ -154,8 +154,6 @@ type Device struct {
 	//snap:skip injection wiring, rebound by the hypervisor at attach time
 	OnInterrupt func(vcpu int)
 
-	//snap:skip derived: recounted from the moved running list
-	inflight  int
 	running   []*Request // in service, submission order; each carries its completion event
 	waiting   []*Request
 	completed []*Request
@@ -208,7 +206,7 @@ func (d *Device) Vector() hw.Vector { return d.vector }
 func (d *Device) Profile() Profile { return d.profile }
 
 // Inflight returns the number of requests currently being serviced.
-func (d *Device) Inflight() int { return d.inflight }
+func (d *Device) Inflight() int { return len(d.running) }
 
 // QueuedWaiting returns the number of requests waiting for a device slot.
 func (d *Device) QueuedWaiting() int { return len(d.waiting) }
@@ -260,7 +258,7 @@ func (d *Device) Submit(req *Request) {
 		panic(fmt.Sprintf("iodev: %s: invalid request %+v", d.name, req))
 	}
 	req.Submitted = d.engine.Now()
-	if d.inflight < d.profile.QueueDepth {
+	if len(d.running) < d.profile.QueueDepth {
 		d.start(req)
 	} else {
 		d.waiting = append(d.waiting, req)
@@ -269,7 +267,6 @@ func (d *Device) Submit(req *Request) {
 
 //paratick:noalloc
 func (d *Device) start(req *Request) {
-	d.inflight++
 	lat := d.profile.Latency(req.Write, req.Sequential, req.Bytes)
 	lat = d.rng.Jitter(lat, d.profile.Jitter)
 	req.ev = d.engine.After(lat, d.ioLabel, d.finishHandler(req))
@@ -292,7 +289,6 @@ func (d *Device) finishHandler(req *Request) sim.Handler {
 
 //paratick:noalloc
 func (d *Device) finish(req *Request) {
-	d.inflight--
 	req.ev = sim.Event{}
 	for i, r := range d.running {
 		if r == req {
@@ -307,7 +303,6 @@ func (d *Device) finish(req *Request) {
 		}
 	}
 	req.Completed = d.engine.Now()
-	req.done = true
 	d.ops++
 	if req.Write {
 		d.bytesWritten += uint64(req.Bytes)
@@ -383,6 +378,16 @@ func (d *Device) flushCoalesced(vcpu int, st *coalesceState) {
 	st.pending = 0
 	d.coalescedIRQs++
 	d.OnInterrupt(vcpu)
+}
+
+// EachRequest calls fn on every request the device holds: in service,
+// queued, or completed and not yet drained.
+func (d *Device) EachRequest(fn func(*Request)) {
+	for _, list := range [...][]*Request{d.running, d.waiting, d.completed} {
+		for _, r := range list {
+			fn(r)
+		}
+	}
 }
 
 // DrainCompletedFor removes and returns completed requests whose submitting

@@ -394,7 +394,7 @@ func TestReleasedRequestCarriesNoStaleState(t *testing.T) {
 	// Request holds a func field, so it is not comparable; check every
 	// other field explicitly.
 	if again.Write || again.Sequential || again.Bytes != 0 || again.VCPU != 0 || again.Waiter != -1 ||
-		again.Submitted != 0 || again.Completed != 0 || again.done || again.ev != (sim.Event{}) {
+		again.Submitted != 0 || again.Completed != 0 || again.ev != (sim.Event{}) {
 		t.Fatalf("recycled request carries stale state: %+v", *again)
 	}
 }

@@ -44,7 +44,6 @@ func (r *Request) Snap(s *snap.Stream, vcpus, tasks int) {
 	}
 	snap.Int(s, &r.Submitted)
 	snap.Int(s, &r.Completed)
-	s.Bool(&r.done)
 }
 
 // snapRequest moves *p, taking a request from the device when decoding
@@ -76,7 +75,6 @@ func (d *Device) Snap(s *snap.Stream, vcpus, tasks int) {
 		req := d.snapRequest(s, &d.running[i], vcpus, tasks)
 		sim.SnapArmed(s, d.engine, &req.ev, d.ioLabel, d.finishHandler(req))
 	}
-	d.inflight = len(d.running)
 	for i := range snap.Slice(s, &d.waiting) {
 		d.snapRequest(s, &d.waiting[i], vcpus, tasks)
 	}

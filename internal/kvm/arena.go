@@ -72,9 +72,7 @@ func (a *VMArena) stash(vms []*VM) {
 // a new machine shape: the pooled VMs reference the dead host's pCPUs and
 // lane engines.
 func (a *VMArena) clear() {
-	for i := range a.free {
-		a.free[i] = nil
-	}
+	clear(a.free)
 	a.free = a.free[:0]
 }
 
@@ -113,9 +111,7 @@ func (h *Host) reset(cfg Config) error {
 	h.cfg = cfg
 	h.cost = cfg.Cost
 	h.vmArena.stash(h.vms)
-	for i := range h.vms {
-		h.vms[i] = nil
-	}
+	clear(h.vms)
 	h.vms = h.vms[:0]
 	h.nextIOVector = hw.IODeviceBase
 	h.nextSchedKey = 0
@@ -149,9 +145,7 @@ func (h *Host) reset(cfg Config) error {
 			}
 			h.inflight[l] = h.inflight[l][:0]
 		}
-		for i := range h.streams {
-			h.streams[i] = nil
-		}
+		clear(h.streams)
 		h.streams = h.streams[:0]
 		h.se.SetDeliver(h.deliverRemoteIRQ)
 	}
@@ -165,7 +159,6 @@ func (p *PCPU) reset() {
 	p.current = nil
 	p.phase = phaseNone
 	p.done = sim.Event{}
-	p.segStart = 0
-	p.pollStart = 0
+	p.since = 0
 	p.tick.Reset()
 }

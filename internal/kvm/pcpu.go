@@ -37,11 +37,11 @@ type PCPU struct {
 	// phase is the pCPU's one pending completion, done its event: a pCPU
 	// runs one thing at a time, so at most one of its windows is open. In
 	// the run, exit and HLT phases the in-flight segment is the current
-	// vCPU's issued guest segment.
-	phase     phase
-	done      sim.Event
-	segStart  sim.Time
-	pollStart sim.Time
+	// vCPU's issued guest segment. since is when the current segment or
+	// halt-poll window began; only the run and poll phases read it.
+	phase phase
+	done  sim.Event
+	since sim.Time
 
 	// doneFn is the pre-bound completion handler: a closure literal per
 	// completion was once the experiment layer's dominant allocation.
@@ -189,7 +189,7 @@ func (p *PCPU) exec(entry bool) {
 		v.recyclePending(irqs)
 	}
 	seg := v.gcpu.Next()
-	p.segStart = p.now()
+	p.since = p.now()
 	c := p.cost()
 	switch seg.Kind {
 	case guest.SegRun:
@@ -322,7 +322,7 @@ func (p *PCPU) hltDone() {
 	}
 	if hp := p.host.cfg.HaltPoll; hp > 0 {
 		v.state = VCPUHalted
-		p.pollStart = p.now()
+		p.since = p.now()
 		p.await(phasePoll, hp)
 		return
 	}
@@ -353,7 +353,7 @@ func (p *PCPU) wake(v *VCPU) {
 	if p.phase == phasePoll && p.current == v {
 		p.engine.Cancel(p.done)
 		p.phase = phaseNone
-		v.vm.counters.HostOverhead += p.now() - p.pollStart
+		v.vm.counters.HostOverhead += p.now() - p.since
 		v.state = VCPURunning
 		p.exec(true)
 		return
@@ -403,7 +403,7 @@ func (p *PCPU) onHostTick(now sim.Time) {
 // expired.
 func (p *PCPU) interruptGuest(v *VCPU, reason metrics.ExitReason, hostCost sim.Time, expireSlice bool) {
 	seg := v.gcpu.Issued()
-	elapsed := p.now() - p.segStart
+	elapsed := p.now() - p.since
 	p.engine.Cancel(p.done)
 	p.phase = phaseNone
 	p.chargeRun(v, seg, elapsed)

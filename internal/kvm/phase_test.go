@@ -3,6 +3,7 @@ package kvm
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"paratick/internal/core"
@@ -15,11 +16,11 @@ import (
 
 // pcpuRecord holds the offsets of one encoded pCPU record's fields in a
 // saved world, read by following the layout PCPU.snap writes (pinned by
-// the committed reference checkpoints). kind and key are -1 when absent.
+// the committed reference checkpoints): the phase byte, the pending
+// completion's (when, seq) and the current vCPU's key (-1 when the phase
+// has none), and the first byte past the record.
 type pcpuRecord struct {
-	current, key, inFlight, kind int
-	polling, dispatch, wakeEvent int
-	rotate                       int
+	phase, when, key, end int
 }
 
 // findPCPURecord locates pCPU id's record in buf.
@@ -34,42 +35,30 @@ func findPCPURecord(t *testing.T, buf []byte, id int) pcpuRecord {
 	}
 	d := snap.NewDecoder(buf[off:])
 	pos := func() int { return len(buf) - d.Remaining() }
-	event := func() { // a SnapEvent: presence, then (when, seq)
-		if d.Bool() {
-			d.I64()
-			d.U64()
-		}
-	}
-	r := pcpuRecord{key: -1, kind: -1}
+	r := pcpuRecord{when: -1, key: -1}
 	d.Section(name)
 	d.Section("ptimer:host-tick")
 	d.I64() // period
 	d.U64() // ticks
-	event()
-	r.current = pos()
 	if d.Bool() {
-		r.key = pos()
-		d.U64()
-	}
-	r.inFlight = pos()
-	d.Bool()
-	if d.Bool() { // a segment completion: kind, when, seq
-		r.kind = pos()
-		d.U8()
 		d.I64()
 		d.U64()
 	}
-	d.I64() // segStart
-	r.polling = pos()
-	d.Bool()
-	d.I64() // pollStart
-	event()
-	r.dispatch = pos()
-	d.Bool()
-	r.wakeEvent = pos()
-	event()
-	r.rotate = pos()
-	d.Bool()
+	r.phase = pos()
+	ph := phase(d.U8())
+	if ph != phaseNone {
+		r.when = pos()
+		d.I64()
+		d.U64()
+	}
+	if ph.hasCurrent() {
+		r.key = pos()
+		d.U64()
+	}
+	if ph == phaseRun || ph == phasePoll {
+		d.I64() // since
+	}
+	r.end = pos()
 	if err := d.Err(); err != nil {
 		t.Fatalf("reading the %s record: %v", name, err)
 	}
@@ -109,76 +98,45 @@ func splice(buf []byte, off, n int, ins ...byte) []byte {
 }
 
 // TestSnapshotRejectsContradictoryPCPU corrupts one encoded pCPU record per
-// case so that its flags, events, in-flight bit, current vCPU and issued
-// segment contradict each other. Every case must fail to decode with an
-// error, never decode into a stranded or panicking world. A stale rotate
-// flag, which older writers left set after every rotation, must still load
-// and run to completion; an uncorrupted control must round-trip.
+// case: a phase byte no phase has, a current vCPU the host does not have,
+// and a phase relabeled so that it no longer fits the kind of the current
+// vCPU's issued segment (its record resized to the new phase's layout).
+// Every case must fail to decode with an error, never decode into a
+// stranded or panicking world; an uncorrupted control must round-trip.
 func TestSnapshotRejectsContradictoryPCPU(t *testing.T) {
-	set := func(buf []byte, off int, v byte) []byte {
+	set := func(buf []byte, off int, v ...byte) []byte {
 		out := append([]byte(nil), buf...)
-		out[off] = v
+		copy(out[off:], v)
 		return out
 	}
 	for _, tc := range []struct {
-		name    string
-		phase   phase
-		corrupt func(buf []byte, r pcpuRecord) []byte
+		name, want string
+		phase      phase
+		corrupt    func(buf []byte, r pcpuRecord) []byte
 	}{
-		{"dispatch flag without wake event", phaseNone, func(b []byte, r pcpuRecord) []byte {
-			return set(b, r.dispatch, 1)
+		{"unknown phase byte", "unknown phase 8", phaseNone, func(b []byte, r pcpuRecord) []byte {
+			return set(b, r.phase, byte(phaseWake+1))
 		}},
-		{"exit completion relabeled as run", phaseExit, func(b []byte, r pcpuRecord) []byte {
-			return set(b, r.kind, 0)
+		{"unknown current key", "unknown vCPU key", phaseRun, func(b []byte, r pcpuRecord) []byte {
+			return set(b, r.key, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)
 		}},
-		{"poll flag without poll event", phaseNone, func(b []byte, r pcpuRecord) []byte {
-			return set(b, r.polling, 1)
+		{"exit completion relabeled as run", "pcpu-run pending for a", phaseExit, func(b []byte, r pcpuRecord) []byte {
+			b = splice(b, r.end, 0, make([]byte, 8)...) // the run phase's start
+			return set(b, r.phase, byte(phaseRun))
 		}},
-		{"poll event without poll flag", phasePoll, func(b []byte, r pcpuRecord) []byte {
-			return set(b, r.polling, 0)
-		}},
-		{"segment completion plus wake event", phaseRun, func(b []byte, r pcpuRecord) []byte {
-			coords := b[r.kind+1 : r.kind+17] // the run completion's (when, seq)
-			b = splice(b, r.wakeEvent, 1, append([]byte{1}, coords...)...)
-			return set(b, r.dispatch, 1)
-		}},
-		{"poll completion without current vCPU", phasePoll, func(b []byte, r pcpuRecord) []byte {
-			b = splice(b, r.key, 8)
-			return set(b, r.current, 0)
-		}},
-		{"in-flight bit set while idle", phaseNone, func(b []byte, r pcpuRecord) []byte {
-			return set(b, r.inFlight, 1)
-		}},
-		{"in-flight bit clear while running", phaseRun, func(b []byte, r pcpuRecord) []byte {
-			return set(b, r.inFlight, 0)
+		{"run completion relabeled as hlt", "pcpu-hlt pending for a run segment", phaseRun, func(b []byte, r pcpuRecord) []byte {
+			b = splice(b, r.end-8, 8) // the run phase's start
+			return set(b, r.phase, byte(phaseHLT))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := freezeInPhase(t, tc.phase)
 			bad := tc.corrupt(buf, findPCPURecord(t, buf, 0))
-			if _, _, _, err := loadHost(t, bad); err == nil {
-				t.Fatal("contradictory pCPU record decoded without error")
-			} else {
-				t.Logf("refused: %v", err)
+			if _, _, _, err := loadHost(t, bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("decode err = %v, want one containing %q", err, tc.want)
 			}
 		})
 	}
-
-	t.Run("stale rotate flag", func(t *testing.T) {
-		buf := freezeInPhase(t, phaseRun)
-		r := findPCPURecord(t, buf, 0)
-		e, h, vm, err := loadHost(t, set(buf, r.rotate, 1))
-		if err != nil {
-			t.Fatalf("stale rotate flag refused: %v", err)
-		}
-		if again := saveHost(t, e, h); !bytes.Equal(again, buf) {
-			t.Fatal("a stale rotate flag survived into the re-encoded record")
-		}
-		e.RunUntil(50 * sim.Millisecond)
-		if done, _ := vm.WorkloadDone(); !done {
-			t.Fatal("world restored with a stale rotate flag never finished its workload")
-		}
-	})
 
 	t.Run("control", func(t *testing.T) {
 		buf := freezeInPhase(t, phaseExit)
@@ -190,6 +148,55 @@ func TestSnapshotRejectsContradictoryPCPU(t *testing.T) {
 			t.Fatal("uncorrupted world did not round-trip")
 		}
 	})
+}
+
+// TestSnapshotRejectsMisplacedVCPU saves the halt-poll fixture, whose two
+// vCPUs share pCPU 0, at its first run phase — vCPU 0 current, vCPU 1
+// queued — after moving a vCPU somewhere the run loop never puts one. Each
+// case must fail to decode with an error naming the misplacement.
+func TestSnapshotRejectsMisplacedVCPU(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		move       func(h *Host, cur, queued *VCPU)
+	}{
+		{"runnable vCPU queued twice", "snap/1 is runnable, queued 2 times", func(h *Host, _, q *VCPU) {
+			h.sched.Enqueue(0, q, 0)
+		}},
+		{"runnable vCPU not queued", "snap/1 is runnable, queued 0 times", func(h *Host, _, _ *VCPU) {
+			h.sched.PickNext(0, 0)
+		}},
+		{"vCPU current on two pCPUs", "snap/0 is running, queued 0 times and current on 2 pCPUs", func(h *Host, cur, _ *VCPU) {
+			p := h.pcpus[1]
+			p.current = cur
+			p.await(phaseRun, sim.Microsecond)
+		}},
+		{"vCPU current away from home", "current on 1 pCPUs (on its home pCPU 1: false)", func(h *Host, cur, _ *VCPU) {
+			cur.pcpu = h.pcpus[1]
+		}},
+		{"vCPU both current and queued", "snap/0 is running, queued 1 times and current on 1 pCPUs", func(h *Host, cur, _ *VCPU) {
+			h.sched.Enqueue(0, cur, 0)
+		}},
+		{"current vCPU halted outside a poll window", "snap/0 is halted, queued 0 times and current on 1 pCPUs", func(_ *Host, cur, _ *VCPU) {
+			cur.state = VCPUHalted
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			engine, host, vm := buildSnapScenario(t, sched.FIFO)
+			for host.pcpus[0].phase != phaseRun {
+				if !engine.Step() {
+					t.Fatal("fixture drained before its first run phase")
+				}
+			}
+			cur, queued := vm.vcpus[0], vm.vcpus[1]
+			if host.pcpus[0].current != cur || queued.state != VCPURunnable {
+				t.Fatalf("fixture: pCPU 0 runs %v, vCPU 1 is %v", host.pcpus[0].current, queued.state)
+			}
+			tc.move(host, cur, queued)
+			if _, _, _, err := loadHost(t, saveHost(t, engine, host)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("decode err = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
 }
 
 // buildOvercommitSnapScenario constructs a time-sharing fixture: two

@@ -4,20 +4,12 @@ package kvm
 // the guest layer's: the scenario is rebuilt from its spec first (which
 // recreates every object, closure, and pre-bound handler), the engine is
 // reset and restored, and then decoding Host.Snap overwrites the rebuilt
-// state with the snapshot's — re-arming every pending host-side event
-// (segment completions, halt polls, wake delays, host ticks, guest/top-up
-// timers) at its original (when, seq) coordinates.
+// state with the snapshot's — re-arming every pending host-side event at
+// its original (when, seq) coordinates. Closures are never serialized.
 //
-// Closures are never serialized. A pCPU's run state is one phase, its
-// single pending completion, whose event re-arms the pCPU's one pre-bound
-// handler; the handler dispatches on the phase. The in-flight segment is
-// not encoded: in the run, exit and HLT phases it is, by construction, the
-// current vCPU's issued guest segment (set by exec via gcpu.Next and
-// restored by the guest kernel). A segment is plain data — what finishing
-// it means travels as its guest-side owners, acted on when the pCPU hands
-// it back through gcpu.Return. Decoding refuses a pCPU record whose flags,
-// events, in-flight bit, current vCPU and issued segment contradict the
-// one phase they were derived from.
+// A pCPU record is its phase: what else it holds follows from the phase.
+// The in-flight segment of the run, exit and HLT phases is the current
+// vCPU's issued guest segment, restored by the guest kernel.
 
 import (
 	"fmt"
@@ -48,9 +40,19 @@ func (h *Host) Snap(s *snap.Stream) {
 	for _, vm := range h.vms {
 		vm.snap(s)
 	}
-	h.sched.Snap(s, h.entityByKey)
+	var queued []*VCPU // the vCPUs the scheduler queues hold, when decoding
+	h.sched.Snap(s, func(key uint64) sched.Entity {
+		if v := h.vcpuByKey(key); v != nil {
+			queued = append(queued, v)
+			return v
+		}
+		return nil
+	})
 	for _, p := range h.pcpus {
 		p.snap(s)
+	}
+	if s.Decoding() && s.Err() == nil {
+		h.checkPlacement(s, queued)
 	}
 	h.tracer.Snap(s)
 	if h.se.Quantum() > 0 {
@@ -76,12 +78,46 @@ func (h *Host) vcpuByKey(key uint64) *VCPU {
 	return nil
 }
 
-// entityByKey is vcpuByKey typed as the scheduler's restore lookup.
-func (h *Host) entityByKey(key uint64) sched.Entity {
-	if v := h.vcpuByKey(key); v != nil {
-		return v
+// checkPlacement refuses a decoded host whose vCPUs sit where the run loop
+// never puts them: a vCPU is queued at most once, current on at most one
+// pCPU — its home — and never both, and its state is one its placement
+// allows. queued lists the vCPUs the scheduler queues hold.
+func (h *Host) checkPlacement(s *snap.Stream, queued []*VCPU) {
+	for _, vm := range h.vms {
+		for _, v := range vm.vcpus {
+			n, cur, home := 0, 0, v.pcpu.current == v
+			for _, q := range queued {
+				if q == v {
+					n++
+				}
+			}
+			for _, p := range h.pcpus {
+				if p.current == v {
+					cur++
+				}
+			}
+			if n+cur > 1 || cur == 1 && !home || !v.placedAs(n == 1, cur == 1) {
+				s.Failf("kvm: snapshot vCPU %s/%d is %v, queued %d times and current on %d pCPUs (on its home pCPU %d: %v)",
+					vm.name, v.id, v.state, n, cur, v.pcpu.id, home)
+			}
+		}
 	}
-	return nil
+}
+
+// placedAs reports whether v's state is one its placement allows: queued
+// means runnable; current means running, or halted in its pCPU's poll
+// window, which keeps it current until a wake or the window's end; neither
+// means halted or not yet started.
+func (v *VCPU) placedAs(queued, current bool) bool {
+	switch {
+	case queued:
+		return v.state == VCPURunnable
+	case current && v.pcpu.phase == phasePoll:
+		return v.state == VCPUHalted
+	case current:
+		return v.state == VCPURunning
+	}
+	return v.state == VCPUHalted || v.state == VCPUStopped
 }
 
 // snapSharded moves the lane-mode extras: per-lane trace rings, in-flight
@@ -148,10 +184,7 @@ func (vm *VM) snap(s *snap.Stream) {
 }
 
 func (v *VCPU) snap(s *snap.Stream) {
-	snap.Byte(s, &v.state)
-	if v.state < VCPUStopped || v.state > VCPUHalted {
-		s.Failf("kvm: snapshot vCPU %s/%d has invalid state %d", v.vm.name, v.id, v.state)
-	}
+	snap.Byte(s, &v.state) // checkPlacement refuses a state its placement rules out
 	pcpu := int(v.pcpu.id)
 	snap.Int(s, &pcpu)
 	if pcpu < 0 || pcpu >= len(v.vm.host.pcpus) {
@@ -170,117 +203,54 @@ func (v *VCPU) snap(s *snap.Stream) {
 	v.topUpTimer.Snap(s)
 }
 
-// snap moves a pCPU's run state. The record spells the phase out as the
-// in-flight bit, a segment-completion event with its kind (run, exit, HLT,
-// interrupt exit), the poll flag and event, the dispatch flag and wake
-// event, and the rotate flag; decoding rebuilds the phase from them.
+// snap moves a pCPU's run state: its phase, then what the phase has — the
+// pending completion's coordinates, the current vCPU's scheduler key, and
+// the instant the running segment or poll window began.
 func (p *PCPU) snap(s *snap.Stream) {
 	s.Section(fmt.Sprintf("pcpu:%d", p.id))
 	p.tick.Snap(s)
-
-	// The running vCPU moves as its scheduler key.
-	current := p.current != nil
-	var key uint64
-	if current {
-		key = p.current.node.Key
+	snap.Byte(s, &p.phase)
+	if p.phase > phaseWake {
+		s.Failf("kvm: snapshot pCPU %d has unknown phase %d", p.id, p.phase)
+		return
 	}
-	s.Bool(&current)
-	if current {
+	if p.phase != phaseNone {
+		sim.SnapArmed(s, p.engine, &p.done, phaseLabels[p.phase], p.doneFn)
+	}
+	if p.phase.hasCurrent() {
+		var key uint64
+		if p.current != nil {
+			key = p.current.node.Key
+		}
 		s.U64(&key)
-	}
-	if s.Decoding() {
-		// A rebuilt world's Start left dead completion handles behind.
-		p.current, p.phase = nil, phaseNone
-		if current {
+		if s.Decoding() {
 			if p.current = p.host.vcpuByKey(key); p.current == nil {
 				s.Failf("kvm: snapshot pCPU %d runs unknown vCPU key %d", p.id, key)
 			}
 		}
+	} else if s.Decoding() {
+		p.current = nil
 	}
-
-	inFlight := p.phase.inFlight()
-	s.Bool(&inFlight)
-	pending := p.phase >= phaseRun && p.phase <= phaseIRQRotate
-	s.Bool(&pending)
-	if pending {
-		kind := uint8(min(p.phase, phaseIRQ) - phaseRun) // both interrupt exits move as one kind
-		s.U8(&kind)
-		if kind > uint8(phaseIRQ-phaseRun) {
-			s.Failf("kvm: snapshot pCPU %d has unknown segment-event kind %d", p.id, kind)
-			return
-		}
-		p.snapDone(s, phaseRun+phase(kind))
+	if p.phase == phaseRun || p.phase == phasePoll {
+		snap.Int(s, &p.since)
 	}
-	snap.Int(s, &p.segStart)
-	polling := p.phase == phasePoll
-	s.Bool(&polling)
-	snap.Int(s, &p.pollStart)
-	p.snapFlagged(s, phasePoll, polling)
-	waking := p.phase == phaseWake
-	s.Bool(&waking)
-	p.snapFlagged(s, phaseWake, waking)
-	rotate := p.phase == phaseIRQRotate
-	s.Bool(&rotate)
-	if !s.Decoding() || s.Err() != nil {
+	if !s.Decoding() || s.Err() != nil || !p.phase.inFlight() {
 		return
 	}
-	// Older writers left the rotate flag set after every rotation;
-	// without an interrupt exit pending it means nothing.
-	if rotate && p.phase == phaseIRQ {
-		p.phase = phaseIRQRotate
+	// The guest kernel has restored the issued segment: run needs SegRun,
+	// hlt SegHLT, exit any other kind.
+	if seg := p.current.gcpu.Issued(); seg == nil {
+		s.Failf("kvm: snapshot pCPU %d expects an issued segment on %s/%d, guest restored none",
+			p.id, p.current.vm.name, p.current.id)
+	} else if (seg.Kind == guest.SegRun) != (p.phase == phaseRun) || (seg.Kind == guest.SegHLT) != (p.phase == phaseHLT) {
+		s.Failf("kvm: snapshot pCPU %d has %s pending for a %v segment", p.id, phaseLabels[p.phase], seg.Kind)
 	}
-	p.checkPhase(s, inFlight)
 }
+
+// hasCurrent reports whether the phase runs on behalf of a current vCPU:
+// every phase but none and the wake delay.
+func (ph phase) hasCurrent() bool { return ph != phaseNone && ph != phaseWake }
 
 // inFlight reports whether the phase executes or handles a guest segment:
 // the current vCPU's issued one.
 func (ph phase) inFlight() bool { return ph >= phaseRun && ph <= phaseHLT }
-
-// snapFlagged moves the poll or wake completion, ph, whose presence the
-// record also carries as a flag; decoding refuses a flag that disagrees
-// with its event.
-func (p *PCPU) snapFlagged(s *snap.Stream, ph phase, flag bool) {
-	pending := p.phase == ph
-	s.Bool(&pending)
-	if pending != flag {
-		s.Failf("kvm: snapshot pCPU %d has %s flag %v but event pending %v", p.id, phaseLabels[ph], flag, pending)
-		return
-	}
-	if pending {
-		p.snapDone(s, ph)
-	}
-}
-
-// snapDone moves the pending completion's coordinates; decoding re-arms it
-// as phase ph and refuses a second pending completion.
-func (p *PCPU) snapDone(s *snap.Stream, ph phase) {
-	if s.Decoding() {
-		if p.phase != phaseNone {
-			s.Failf("kvm: snapshot pCPU %d has both %s and %s pending", p.id, phaseLabels[p.phase], phaseLabels[ph])
-			return
-		}
-		p.phase = ph
-	}
-	sim.SnapArmed(s, p.engine, &p.done, phaseLabels[ph], p.doneFn)
-}
-
-// checkPhase refuses a decoded phase the rest of the record contradicts:
-// the in-flight bit, the current vCPU, or the kind of the vCPU's issued
-// segment, which the guest kernel has already restored.
-func (p *PCPU) checkPhase(s *snap.Stream, inFlight bool) {
-	ph := p.phase
-	switch {
-	case inFlight != ph.inFlight():
-		s.Failf("kvm: snapshot pCPU %d has in-flight bit %v with %q pending", p.id, inFlight, phaseLabels[ph])
-	case (ph == phaseNone || ph == phaseWake) != (p.current == nil):
-		s.Failf("kvm: snapshot pCPU %d with %q pending has a current vCPU: %v", p.id, phaseLabels[ph], p.current != nil)
-	case inFlight:
-		seg := p.current.gcpu.Issued()
-		if seg == nil {
-			s.Failf("kvm: snapshot pCPU %d expects an issued segment on %s/%d, guest restored none",
-				p.id, p.current.vm.name, p.current.id)
-		} else if (seg.Kind == guest.SegRun) != (ph == phaseRun) || (seg.Kind == guest.SegHLT) != (ph == phaseHLT) {
-			s.Failf("kvm: snapshot pCPU %d has %s pending for a %v segment", p.id, phaseLabels[ph], seg.Kind)
-		}
-	}
-}

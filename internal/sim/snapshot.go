@@ -31,6 +31,9 @@ func (e *Engine) Snap(s *snap.Stream) {
 		s.Failf("sim: restore into an engine with %d pending events (Reset it first)", e.Pending())
 	}
 	snap.Int(s, &e.now)
+	if e.now < 0 {
+		s.Failf("sim: snapshot clock %v is before time zero", e.now)
+	}
 	s.U64(&e.seq)
 	s.U64(&e.fired)
 	s.Bool(&e.stopReq)

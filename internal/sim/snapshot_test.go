@@ -211,6 +211,21 @@ func TestLoadRejectsPendingEvents(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsNegativeClock pins that both directions refuse a clock
+// before time zero: a lane-mode coordinator would walk quantum barriers
+// from it toward the deadline without dispatching an event.
+func TestLoadRejectsNegativeClock(t *testing.T) {
+	src := NewEngine(9)
+	src.now = -Millisecond
+	var enc snap.Encoder
+	if err := snap.Encode(&enc, src); err == nil {
+		t.Fatal("encode accepted a negative clock")
+	}
+	if err := snap.Decode(snap.NewDecoder(enc.Bytes()), NewEngine(9)); err == nil {
+		t.Fatal("decode accepted a negative clock")
+	}
+}
+
 // TestRandStateRoundTrip pins that a decoded generator resumes the stream
 // exactly.
 func TestRandStateRoundTrip(t *testing.T) {

@@ -27,7 +27,7 @@ import (
 const Magic = "PTSNAP"
 
 // Version is the current snapshot format version.
-const Version = 1
+const Version = 2
 
 // Encoder appends fixed-width little-endian primitives to a growing
 // buffer. The zero value is ready to use.
