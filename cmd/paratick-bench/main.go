@@ -82,6 +82,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -156,12 +157,15 @@ func run(args []string, w io.Writer) error {
 	}
 	opts.SnapshotProbe = sim.Time(probeAt.Nanoseconds())
 	opts.NoArena = *noArena
-	// Shards>1 without a quantum is rejected by each experiment's own
-	// Validate — except shardfleet, which first defaults the quantum.
+	// Shards>1 without a quantum is rejected by the experiment executor's
+	// Validate — except for shardfleet, which first defaults the quantum.
 	opts.Shards = *shards
 	opts.Quantum = sim.Time(quantum.Nanoseconds())
 	if *ckOut != "" || *ckIn != "" {
 		return runCheckpoint(w, opts, *ckOut, *ckIn, sim.Time(ckAt.Nanoseconds()))
+	}
+	if *runSel != "all" && !slices.ContainsFunc(steps, func(s step) bool { return s.name == *runSel }) {
+		return fmt.Errorf("unknown experiment %q", *runSel)
 	}
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
@@ -184,33 +188,12 @@ func run(args []string, w io.Writer) error {
 	b := &bench{opts: opts, out: *out, w: w}
 	all := *runSel == "all"
 	start := time.Now()
-	steps := []struct {
-		name string
-		fn   func(experiment.Options, string, io.Writer) error
-	}{
-		{"table1", runTable1},
-		{"fig4", runFig4},
-		{"fig5", runFig5},
-		{"fig6", runFig6},
-		{"crossover", runCrossover},
-		{"consolidation", runConsolidation},
-		{"overcommit", runOvercommit},
-		{"ablation", runAblation},
-		{"shardfleet", runShardFleet},
-	}
-	known := all
 	for _, s := range steps {
-		if s.name == *runSel {
-			known = true
-		}
 		if all || *runSel == s.name {
 			if err := b.measure(s.name, s.fn); err != nil {
 				return err
 			}
 		}
-	}
-	if !known {
-		return fmt.Errorf("unknown experiment %q", *runSel)
 	}
 	wall := time.Since(start)
 
@@ -246,6 +229,26 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "done in %v (scale %.2f, seed %d, workers %d)\n",
 		wall.Round(time.Millisecond), *scale, *seed, b.opts.WorkerCount())
 	return nil
+}
+
+// step is one -run experiment: its name and the function that runs it,
+// printing its header and report only once the runner has succeeded.
+type step struct {
+	name string
+	fn   func(experiment.Options, string, io.Writer) error
+}
+
+// steps lists the experiments in the order -run all runs them.
+var steps = []step{
+	{"table1", runTable1},
+	{"fig4", runFig4},
+	{"fig5", runFig5},
+	{"fig6", runFig6},
+	{"crossover", runCrossover},
+	{"consolidation", runConsolidation},
+	{"overcommit", runOvercommit},
+	{"ablation", runAblation},
+	{"shardfleet", runShardFleet},
 }
 
 // runCheckpoint drives -checkpoint-out / -checkpoint-in on the reference
@@ -436,21 +439,21 @@ func writeCSV(dir, name string, t *metrics.Table, w io.Writer) error {
 }
 
 func runTable1(opts experiment.Options, out string, w io.Writer) error {
-	fmt.Fprintln(w, "== Table 1: hypothetical workloads (analytic + simulated) ==")
 	res, err := experiment.RunTable1(opts)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintln(w, "== Table 1: hypothetical workloads (analytic + simulated) ==")
 	fmt.Fprintln(w, res.Render())
 	return nil
 }
 
 func runFig4(opts experiment.Options, out string, w io.Writer) error {
-	fmt.Fprintln(w, "== Figure 4 + Table 2: sequential PARSEC ==")
 	fig, err := experiment.RunFig4(opts)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintln(w, "== Figure 4 + Table 2: sequential PARSEC ==")
 	fmt.Fprintln(w, fig.Render())
 	fmt.Fprintln(w, fig.Table().String())
 	fmt.Fprintln(w, experiment.RenderTable2(fig).String())
@@ -461,11 +464,11 @@ func runFig4(opts experiment.Options, out string, w io.Writer) error {
 }
 
 func runFig5(opts experiment.Options, out string, w io.Writer) error {
-	fmt.Fprintln(w, "== Figure 5 + Table 3: multithreaded PARSEC ==")
 	figs, err := experiment.RunFig5(opts)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintln(w, "== Figure 5 + Table 3: multithreaded PARSEC ==")
 	for i, fig := range figs {
 		fmt.Fprintln(w, fig.Render())
 		if err := writeCSV(out, fmt.Sprintf("fig5-%s", experiment.VMSizes()[i].Name), fig.Table(), w); err != nil {
@@ -477,11 +480,11 @@ func runFig5(opts experiment.Options, out string, w io.Writer) error {
 }
 
 func runFig6(opts experiment.Options, out string, w io.Writer) error {
-	fmt.Fprintln(w, "== Figure 6 + Table 4: phoronix-fio ==")
 	fig, err := experiment.RunFig6(opts)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintln(w, "== Figure 6 + Table 4: phoronix-fio ==")
 	fmt.Fprintln(w, fig.Render())
 	fmt.Fprintln(w, fig.Table().String())
 	fmt.Fprintln(w, experiment.RenderTable4(fig).String())
@@ -492,41 +495,41 @@ func runFig6(opts experiment.Options, out string, w io.Writer) error {
 }
 
 func runCrossover(opts experiment.Options, out string, w io.Writer) error {
-	fmt.Fprintln(w, "== §3.3 crossover sweep: to tick or not to tick ==")
 	res, err := experiment.RunCrossover(opts)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintln(w, "== §3.3 crossover sweep: to tick or not to tick ==")
 	fmt.Fprintln(w, res.Render())
 	return writeCSV(out, "crossover", res.Table(), w)
 }
 
 func runConsolidation(opts experiment.Options, out string, w io.Writer) error {
-	fmt.Fprintln(w, "== §3.1 consolidation: mixed fleet, 2:1 overcommit ==")
 	res, err := experiment.RunConsolidation(opts)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintln(w, "== §3.1 consolidation: mixed fleet, 2:1 overcommit ==")
 	fmt.Fprintln(w, res.Render())
 	return nil
 }
 
 func runOvercommit(opts experiment.Options, out string, w io.Writer) error {
-	fmt.Fprintln(w, "== Overcommit sweep: 1:1→4:1, fifo vs fair host scheduling ==")
 	res, err := experiment.RunOvercommit(opts)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintln(w, "== Overcommit sweep: 1:1→4:1, fifo vs fair host scheduling ==")
 	fmt.Fprintln(w, res.Render())
 	return writeCSV(out, "overcommit", res.Table(), w)
 }
 
 func runAblation(opts experiment.Options, out string, w io.Writer) error {
-	fmt.Fprintln(w, "== Ablations ==")
 	s, err := experiment.RunAllAblations(opts)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintln(w, "== Ablations ==")
 	fmt.Fprintln(w, s)
 	return nil
 }
@@ -536,11 +539,11 @@ func runAblation(opts experiment.Options, out string, w io.Writer) error {
 const shardFleetVMs = 16
 
 func runShardFleet(opts experiment.Options, out string, w io.Writer) error {
-	fmt.Fprintln(w, "== Shard fleet: lane-mode determinism workload ==")
 	res, err := experiment.RunShardFleet(opts, shardFleetVMs)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintln(w, "== Shard fleet: lane-mode determinism workload ==")
 	fmt.Fprintln(w, res.Render())
 	return nil
 }

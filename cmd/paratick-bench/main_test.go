@@ -33,6 +33,37 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunHostileFlags pins that every hostile flag value is refused before
+// anything is printed: a NaN scale used to print the Table 1 header and
+// then hang, an infinite one rendered every bar at +0.0%, and -shards
+// without -quantum printed the header and then the error. A huge -workers
+// value is not tried here: the worker pool clamps it to the job count.
+func TestRunHostileFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scale", "NaN"},
+		{"-scale", "+Inf"},
+		{"-scale", "-1"},
+		{"-shards", "4"},
+		{"-run", "table1", "-shards", "4"},
+		{"-quantum", "-1ms"},
+		{"-repeats", "-1"},
+		{"-workers", "-1"},
+		{"-snapshot-probe", "-1ms"},
+		{"-device", "floppy"},
+		{"-run", "nope"},
+		{"-run", "shardfleet", "-scale", "NaN"},
+		{"-run", "shardfleet", "-quantum", "-1ms"},
+	} {
+		var b strings.Builder
+		if err := run(args, &b); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+		if b.Len() != 0 {
+			t.Errorf("%v printed before failing:\n%s", args, b.String())
+		}
+	}
+}
+
 func TestRunManifestAndBenchJSON(t *testing.T) {
 	dir := t.TempDir()
 	mf := filepath.Join(dir, "manifest.json")

@@ -48,3 +48,26 @@ func TestRunBadFlags(t *testing.T) {
 		t.Error("guest tick rate above 1 GHz accepted")
 	}
 }
+
+// TestRunHostileFlags pins that hostile values are refused before anything
+// runs or prints: a 5000h idle run used to simulate for hours, past the
+// 1000 s cap a workload run stops at.
+func TestRunHostileFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workload", "idle", "-duration", "5000h"},
+		{"-workload", "idle", "-duration", "-1ms"},
+		{"-duration", "-1ms"},
+		{"-vcpus", "-1"},
+		{"-overcommit", "-1"},
+		{"-haltpoll", "-1ms"},
+		{"-sched", "nope"},
+	} {
+		var b strings.Builder
+		if err := run(args, &b); err == nil {
+			t.Errorf("%v accepted", args)
+		}
+		if b.Len() != 0 {
+			t.Errorf("%v printed before failing:\n%s", args, b.String())
+		}
+	}
+}

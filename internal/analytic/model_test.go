@@ -1,7 +1,6 @@
 package analytic
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -254,31 +253,6 @@ func TestTable1Workloads(t *testing.T) {
 			if v.TickHz != 250 {
 				t.Errorf("%s VM tick = %d Hz, want 250", name, v.TickHz)
 			}
-		}
-	}
-}
-
-func TestRenderTable1(t *testing.T) {
-	s := RenderTable1(PaperTable).String()
-	for _, want := range []string{"W1", "W4", "periodic ticks", "tickless", "paratick", "40 000", "240 000"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("rendered table missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func TestFormatCount(t *testing.T) {
-	cases := map[float64]string{
-		0:      "0",
-		999:    "999",
-		1000:   "1 000",
-		40000:  "40 000",
-		240000: "240 000",
-		1e6:    "1 000 000",
-	}
-	for in, want := range cases {
-		if got := formatCount(in); got != want {
-			t.Errorf("formatCount(%v) = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package analytic
 
-import (
-	"paratick/internal/metrics"
-	"paratick/internal/sim"
-)
+import "paratick/internal/sim"
 
 // Table1Duration and Table1TickHz are the §3.3 scenario parameters: the
 // workloads run for 10 seconds with a 250 Hz tick on a 16-pCPU system.
@@ -98,61 +95,4 @@ func PaperTable1Values() map[string][2]float64 {
 		"W3": {40000, 60000},
 		"W4": {160000, 240000},
 	}
-}
-
-// RenderTable1 renders Table 1 in the paper's layout (plus the paratick
-// column) as a metrics.Table.
-func RenderTable1(conv Convention) *metrics.Table {
-	t := metrics.NewTable(
-		"Table 1: VM exits induced by tick management over 10s ("+conv.String()+" convention)",
-		"mechanism", "W1", "W2", "W3", "W4")
-	rows := Table1(conv)
-	get := func(f func(Table1Row) float64) []string {
-		out := make([]string, len(rows))
-		for i, r := range rows {
-			out[i] = formatCount(f(r))
-		}
-		return out
-	}
-	per := get(func(r Table1Row) float64 { return r.Periodic })
-	tl := get(func(r Table1Row) float64 { return r.Tickless })
-	pt := get(func(r Table1Row) float64 { return r.Paratick })
-	t.AddRow(append([]string{"periodic ticks"}, per...)...)
-	t.AddRow(append([]string{"tickless"}, tl...)...)
-	t.AddRow(append([]string{"paratick"}, pt...)...)
-	return t
-}
-
-func formatCount(f float64) string {
-	n := int64(f + 0.5)
-	// Group thousands with spaces, like the paper ("40 000").
-	s := ""
-	for n >= 1000 {
-		s = " " + pad3(n%1000) + s
-		n /= 1000
-	}
-	return itoa(n) + s
-}
-
-func pad3(n int64) string {
-	d := []byte{'0', '0', '0'}
-	for i := 2; i >= 0 && n > 0; i-- {
-		d[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(d)
-}
-
-func itoa(n int64) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -72,6 +72,20 @@ func warmupInstant(base sim.Time, scale float64, floor sim.Time) sim.Time {
 	return w
 }
 
+// ablate runs the variant worlds through runAll and returns each result's
+// one VM in runAll's result order, with the fork groups' warmup accounting.
+func ablate(opts Options, runs ...run) ([]metrics.Result, WarmupStats, error) {
+	n := 0
+	for i := range runs {
+		n += runs[i].results()
+	}
+	out := make([]metrics.Result, n)
+	warm, err := runAll(opts, runs, func(k int, r *ScenarioResult) {
+		out[k] = r.Results[0]
+	})
+	return out, warm, err
+}
+
 // fioSetup builds a random-read fio workload for ablation runs.
 func fioSetup(opts Options) func(vm *kvm.VM) error {
 	job := workload.DefaultFioJob(workload.RandRead, 4096, fioTotalBytes(4096, opts.Scale))
@@ -119,9 +133,6 @@ func (p *timerAppProgram) Next(ctx *guest.StepCtx) guest.Step {
 // plus a re-arm on every single cycle. The two paratick variants fork from
 // one warmed checkpoint, differing only in the policy option.
 func RunIdleExitAblation(opts Options) (*AblationResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	res := &AblationResult{Title: "Ablation: §5.2.5 keep-wakeup-timer-armed heuristic (heartbeat + fio rndr 4k)"}
 	job := workload.DefaultFioJob(workload.RandRead, 4096, fioTotalBytes(4096, opts.Scale))
 	// Size the heartbeat to tick for roughly the I/O loop's lifetime.
@@ -148,47 +159,28 @@ func RunIdleExitAblation(opts Options) (*AblationResult, error) {
 	// The heartbeat alone keeps the run alive ≥ 10 beats ≈ 40 ms, so a
 	// millisecond-class fork point is always mid-run.
 	warm := warmupInstant(4*sim.Millisecond, opts.Scale, sim.Millisecond)
-	type job2 struct {
-		results []metrics.Result
-		warmup  WarmupStats
-	}
-	// Job 0 is the dynticks baseline (no options to vary: a straight run);
-	// job 1 warms one paratick world and forks the keep/disarm arms.
-	jobs, err := runParallel(opts, 2,
-		func(i int, a *arena) (job2, error) {
-			if i == 0 {
-				sr := a.resultScratch()
-				s := opts.oneVM("ablation-idle-exit/dynticks", VMSpec{Mode: core.DynticksIdle, VCPUs: 1, Setup: setup})
-				if err := runScenarioInto(s, opts.Seed, opts.Meter, a, sr); err != nil {
-					return job2{}, err
-				}
-				return job2{results: []metrics.Result{sr.Results[0]}}, nil
-			}
-			group := opts.oneVM("ablation-idle-exit/paratick", VMSpec{Mode: core.Paratick, VCPUs: 1, Setup: setup})
-			arms := []func(*world) error{
+	// The dynticks baseline has no options to vary: a straight run. One
+	// paratick world warms once and forks the keep/disarm arms.
+	results, warmup, err := ablate(opts,
+		run{s: opts.oneVM("ablation-idle-exit/dynticks", VMSpec{Mode: core.DynticksIdle, VCPUs: 1, Setup: setup}), seed: opts.Seed},
+		run{
+			s:    opts.oneVM("ablation-idle-exit/paratick", VMSpec{Mode: core.Paratick, VCPUs: 1, Setup: setup}),
+			seed: opts.Seed,
+			fork: warm,
+			arms: []func(*world) error{
 				nil, // keep armed: the group configuration as checkpointed
 				func(w *world) error {
 					return w.vms[0].Kernel().SetPolicyOptions(core.Options{DisarmOnIdleExit: true})
 				},
-			}
-			results, ck, err := forkScenario(group, opts.Seed, warm, arms, opts.Meter, a)
-			if err != nil {
-				return job2{}, err
-			}
-			out := job2{}
-			for _, r := range results {
-				out.results = append(out.results, r.Results[0])
-			}
-			out.warmup.record(ck, len(arms))
-			return out, nil
+			},
 		})
 	if err != nil {
 		return nil, err
 	}
-	res.add("dynticks (baseline)", jobs[0].results[0])
-	res.add("paratick (keep armed, paper)", jobs[1].results[0])
-	res.add("paratick (disarm on idle exit)", jobs[1].results[1])
-	res.Warmup.merge(jobs[1].warmup)
+	res.add("dynticks (baseline)", results[0])
+	res.add("paratick (keep armed, paper)", results[1])
+	res.add("paratick (disarm on idle exit)", results[2])
+	res.Warmup = warmup
 	return res, nil
 }
 
@@ -198,9 +190,6 @@ func RunIdleExitAblation(opts Options) (*AblationResult, error) {
 // actually receives its requested rate. Both variants fork from one warmed
 // checkpoint; the top-up is a host-side entry hook swapped at the fork.
 func RunFrequencyMismatchAblation(opts Options) (*AblationResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	res := &AblationResult{Title: "Ablation: §4.1 guest 1000 Hz on host 250 Hz (busy vCPU)"}
 	work := sim.Time(float64(200*sim.Millisecond) * opts.Scale * 10)
 	group := opts.oneVM("ablation-freq/paratick-1000hz", VMSpec{
@@ -224,13 +213,13 @@ func RunFrequencyMismatchAblation(opts Options) (*AblationResult, error) {
 		},
 	}
 	// The busy spin runs for ~work; fork after an eighth of it.
-	results, ck, err := forkScenario(group, opts.Seed, work/8, arms, opts.Meter, nil)
+	results, warmup, err := ablate(opts, run{s: group, seed: opts.Seed, fork: work / 8, arms: arms})
 	if err != nil {
 		return nil, err
 	}
-	res.add("paratick 1000Hz, no top-up", results[0].Results[0])
-	res.add("paratick 1000Hz, top-up", results[1].Results[0])
-	res.Warmup.record(ck, len(arms))
+	res.add("paratick 1000Hz, no top-up", results[0])
+	res.add("paratick 1000Hz, top-up", results[1])
+	res.Warmup = warmup
 	return res, nil
 }
 
@@ -239,9 +228,6 @@ func RunFrequencyMismatchAblation(opts Options) (*AblationResult, error) {
 // The windows are a host knob read at each HLT exit, so all three variants
 // fork from one checkpoint warmed with polling disabled.
 func RunHaltPollAblation(opts Options) (*AblationResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	res := &AblationResult{Title: "Ablation: KVM halt polling (fio rndr 4k, dynticks)"}
 	windows := []sim.Time{0, 50 * sim.Microsecond, 200 * sim.Microsecond}
 	group := opts.oneVM("ablation-haltpoll", VMSpec{Mode: core.DynticksIdle, VCPUs: 1, Setup: fioSetup(opts)})
@@ -253,7 +239,7 @@ func RunHaltPollAblation(opts Options) (*AblationResult, error) {
 		}
 	}
 	warm := warmupInstant(2*sim.Millisecond, opts.Scale, 100*sim.Microsecond)
-	results, ck, err := forkScenario(group, opts.Seed, warm, arms, opts.Meter, nil)
+	results, warmup, err := ablate(opts, run{s: group, seed: opts.Seed, fork: warm, arms: arms})
 	if err != nil {
 		return nil, err
 	}
@@ -262,9 +248,9 @@ func RunHaltPollAblation(opts Options) (*AblationResult, error) {
 		if hp > 0 {
 			name = "window " + hp.String()
 		}
-		res.add(name, results[i].Results[0])
+		res.add(name, results[i])
 	}
-	res.Warmup.record(ck, len(arms))
+	res.Warmup = warmup
 	return res, nil
 }
 
@@ -304,9 +290,6 @@ func (p *spinLockProgram) Next(ctx *guest.StepCtx) guest.Step {
 // window (guest) and PLE window (host) are both consulted per decision, so
 // the three variants fork from one blocking-sync warmup.
 func RunPLEAblation(opts Options) (*AblationResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	res := &AblationResult{Title: "Ablation: blocking sync vs optimistic spin vs spin+PLE (4 vCPUs, hot lock)"}
 	iters := int(4000 * opts.Scale)
 	if iters < 100 {
@@ -345,14 +328,14 @@ func RunPLEAblation(opts Options) (*AblationResult, error) {
 	// ≥100 iterations × ≥60us of compute per task keeps the run in the
 	// multi-millisecond range; fork inside the first millisecond.
 	warm := warmupInstant(5*sim.Millisecond, opts.Scale, 500*sim.Microsecond)
-	results, ck, err := forkScenario(group, opts.Seed, warm, arms, opts.Meter, nil)
+	results, warmup, err := ablate(opts, run{s: group, seed: opts.Seed, fork: warm, arms: arms})
 	if err != nil {
 		return nil, err
 	}
 	for i, v := range variants {
-		res.add(v.name, results[i].Results[0])
+		res.add(v.name, results[i])
 	}
-	res.Warmup.record(ck, len(arms))
+	res.Warmup = warmup
 	return res, nil
 }
 
@@ -364,56 +347,41 @@ func RunPLEAblation(opts Options) (*AblationResult, error) {
 // One warmed group per mode; the coalescing window is a device profile
 // retuned at the fork.
 func RunCoalescingAblation(opts Options) (*AblationResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	res := &AblationResult{Title: "Ablation: device interrupt coalescing (fio seqwr 4k bursts)"}
 	job := workload.DefaultFioJob(workload.SeqWrite, 4096, fioTotalBytes(4096, opts.Scale))
 	job.WriteBehind = 8 // mostly async: bursts of in-flight writes
 	windows := []sim.Time{0, 30 * sim.Microsecond}
 	modes := []core.Mode{core.DynticksIdle, core.Paratick}
 	warm := warmupInstant(sim.Millisecond, opts.Scale, 50*sim.Microsecond)
-	type modeJob struct {
-		results []metrics.Result
-		warmup  WarmupStats
-	}
-	jobs, err := runParallel(opts, len(modes),
-		func(mi int, a *arena) (modeJob, error) {
-			mode := modes[mi]
-			base := opts.Device
-			base.CoalesceWindow = windows[0]
-			base.CoalesceMax = 8
-			group := opts.oneVM(fmt.Sprintf("ablation-coalesce/%v", mode), VMSpec{
-				Mode:  mode,
-				VCPUs: 1,
-				Setup: func(vm *kvm.VM) error {
-					d, err := vm.AttachDevice("disk0", base)
-					if err != nil {
-						return err
-					}
-					return job.Spawn(vm.Kernel(), d)
-				},
-			})
-			arms := make([]func(*world) error, len(windows))
-			for i, coalesce := range windows {
-				profile := opts.Device
-				profile.CoalesceWindow = coalesce
-				profile.CoalesceMax = 8
-				arms[i] = func(w *world) error {
-					return w.vms[0].Device("disk0").SetProfile(profile)
+	runs := make([]run, len(modes))
+	for mi, mode := range modes {
+		base := opts.Device
+		base.CoalesceWindow = windows[0]
+		base.CoalesceMax = 8
+		group := opts.oneVM(fmt.Sprintf("ablation-coalesce/%v", mode), VMSpec{
+			Mode:  mode,
+			VCPUs: 1,
+			Setup: func(vm *kvm.VM) error {
+				d, err := vm.AttachDevice("disk0", base)
+				if err != nil {
+					return err
 				}
-			}
-			results, ck, err := forkScenario(group, opts.Seed, warm, arms, opts.Meter, a)
-			if err != nil {
-				return modeJob{}, err
-			}
-			out := modeJob{}
-			for _, r := range results {
-				out.results = append(out.results, r.Results[0])
-			}
-			out.warmup.record(ck, len(arms))
-			return out, nil
+				return job.Spawn(vm.Kernel(), d)
+			},
 		})
+		arms := make([]func(*world) error, len(windows))
+		for i, coalesce := range windows {
+			profile := opts.Device
+			profile.CoalesceWindow = coalesce
+			profile.CoalesceMax = 8
+			arms[i] = func(w *world) error {
+				return w.vms[0].Device("disk0").SetProfile(profile)
+			}
+		}
+		runs[mi] = run{s: group, seed: opts.Seed, fork: warm, arms: arms}
+	}
+	// results is mode-major: each mode's arms in window order.
+	results, warmup, err := ablate(opts, runs...)
 	if err != nil {
 		return nil, err
 	}
@@ -423,12 +391,10 @@ func RunCoalescingAblation(opts Options) (*AblationResult, error) {
 			if coalesce > 0 {
 				name = mode.String() + ", coalesce " + coalesce.String()
 			}
-			res.add(name, jobs[j].results[i])
+			res.add(name, results[j*len(windows)+i])
 		}
 	}
-	for _, j := range jobs {
-		res.Warmup.merge(j.warmup)
-	}
+	res.Warmup = warmup
 	return res, nil
 }
 

@@ -115,18 +115,12 @@ func checkpointScenario(s Scenario, seed uint64, at sim.Time, m *metrics.Meter, 
 // the one the checkpoint was taken from (Name, Duration, and SnapshotProbe
 // may differ — they do not shape the object graph).
 func ResumeScenario(s Scenario, ck *Checkpoint) (*ScenarioResult, error) {
-	return resumeCheckpoint(s, ck, nil, nil, nil)
-}
-
-// resumeCheckpoint is ResumeScenario with an arm hook, telemetry and an
-// arena: thaw, run to the deadline, harvest.
-func resumeCheckpoint(s Scenario, ck *Checkpoint, arm func(*world) error, m *metrics.Meter, a *arena) (*ScenarioResult, error) {
-	w, err := thaw(s, ck, arm, a)
+	w, err := thaw(s, ck, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	out := &ScenarioResult{}
-	if err := w.runInto(m, out); err != nil {
+	if err := w.runInto(nil, out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -194,26 +188,6 @@ func snapWorld(s *snap.Stream, se *sim.ShardedEngine, host *kvm.Host) error {
 	return s.Err()
 }
 
-// forkScenario warms one group scenario to the fork instant, then runs one
-// independent arm per mutation hook, each restored from the shared
-// checkpoint. Results are returned in hook order. The arms share every
-// warmup event — the savings WarmupStats reports.
-func forkScenario(s Scenario, seed uint64, at sim.Time, arms []func(*world) error, m *metrics.Meter, a *arena) ([]*ScenarioResult, *Checkpoint, error) {
-	ck, err := checkpointScenario(s, seed, at, m, a)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]*ScenarioResult, len(arms))
-	for i, arm := range arms {
-		r, err := resumeCheckpoint(s, ck, arm, m, a)
-		if err != nil {
-			return nil, nil, err
-		}
-		out[i] = r
-	}
-	return out, ck, nil
-}
-
 // ReferenceScenario returns the canonical single-VM fio scenario the CLI's
 // checkpoint flags operate on: random 4 KiB reads on the configured device
 // under the dynticks baseline, sized by opts.Scale.
@@ -235,22 +209,15 @@ type WarmupStats struct {
 	SavedEvents uint64
 }
 
-// record accounts one group's checkpoint forked into the given arm count.
-func (s *WarmupStats) record(ck *Checkpoint, arms int) {
+// record accounts one group's warmup of the given event count forked into
+// the given arm count.
+func (s *WarmupStats) record(events uint64, arms int) {
 	s.Groups++
 	s.Arms += arms
-	s.GroupEvents += ck.events
+	s.GroupEvents += events
 	if arms > 1 {
-		s.SavedEvents += ck.events * uint64(arms-1)
+		s.SavedEvents += events * uint64(arms-1)
 	}
-}
-
-// merge folds another accumulator into s.
-func (s *WarmupStats) merge(o WarmupStats) {
-	s.Groups += o.Groups
-	s.Arms += o.Arms
-	s.GroupEvents += o.GroupEvents
-	s.SavedEvents += o.SavedEvents
 }
 
 // String renders the savings line experiment reports append.

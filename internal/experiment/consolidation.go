@@ -98,42 +98,33 @@ func consolidationScenario(opts Options, mode core.Mode, dur sim.Time) Scenario 
 // RunConsolidation simulates the fleet for 1 s × scale under each mode and
 // reports system-wide costs.
 func RunConsolidation(opts Options) (*ConsolidationResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	dur := sim.Time(float64(sim.Second) * opts.Scale)
 	if dur < 100*sim.Millisecond {
 		dur = 100 * sim.Millisecond
 	}
 	res := &ConsolidationResult{Duration: dur}
 	modes := []core.Mode{core.Periodic, core.DynticksIdle, core.Paratick}
-	rows, err := runParallel(opts, len(modes),
-		func(i int, a *arena) (ConsolidationRow, error) {
-			return runConsolidationMode(opts, modes[i], dur, a)
-		})
-	if err != nil {
+	runs := make([]run, len(modes))
+	res.Rows = make([]ConsolidationRow, len(modes))
+	for i, mode := range modes {
+		runs[i] = run{s: consolidationScenario(opts, mode, dur), seed: opts.Seed}
+		res.Rows[i].Mode = mode
+	}
+	if _, err := runAll(opts, runs, func(k int, r *ScenarioResult) {
+		row := &res.Rows[k]
+		for i := range r.Results {
+			c := &r.Results[i].Counters
+			row.TotalExits += c.TotalExits()
+			row.TimerExits += c.TimerExits()
+			row.HostOverhead += c.HostOverhead
+			row.BusyCycles += c.BusyCycles()
+			row.IOBytes += c.IOBytes()
+			row.Wakeups += c.Wakeups
+		}
+	}); err != nil {
 		return nil, err
 	}
-	res.Rows = rows
 	return res, nil
-}
-
-func runConsolidationMode(opts Options, mode core.Mode, dur sim.Time, a *arena) (ConsolidationRow, error) {
-	sr := a.resultScratch()
-	if err := runScenarioInto(consolidationScenario(opts, mode, dur), opts.Seed, opts.Meter, a, sr); err != nil {
-		return ConsolidationRow{}, err
-	}
-	row := ConsolidationRow{Mode: mode}
-	for i := range sr.Results {
-		c := &sr.Results[i].Counters
-		row.TotalExits += c.TotalExits()
-		row.TimerExits += c.TimerExits()
-		row.HostOverhead += c.HostOverhead
-		row.BusyCycles += c.BusyCycles()
-		row.IOBytes += c.IOBytes()
-		row.Wakeups += c.Wakeups
-	}
-	return row, nil
 }
 
 // Render prints the fleet comparison.

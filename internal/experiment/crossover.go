@@ -92,9 +92,6 @@ func (p *idleCycleProgram) Next(ctx *guest.StepCtx) guest.Step {
 // measures each mechanism's timer exits over the run, reproducing the
 // to-tick-or-not-to-tick crossover empirically.
 func RunCrossover(opts Options) (*CrossoverResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	dur := sim.Time(float64(2*sim.Second) * opts.Scale)
 	if dur < 100*sim.Millisecond {
 		dur = 100 * sim.Millisecond
@@ -113,60 +110,48 @@ func RunCrossover(opts Options) (*CrossoverResult, error) {
 	// under the longest swept latency so the guest mostly blocks — the
 	// shared window then adds only a handful of ticks to each point instead
 	// of flooding the tickless counts with short-idle exits.
-	warm := dur / 8
 	warmLatency := idles[len(idles)-1]
-	type modeSweep struct {
-		exits  []uint64
-		warmup WarmupStats
+	arms := make([]func(*world) error, len(idles))
+	for i, idle := range idles {
+		profile := delayLineProfile(idle)
+		arms[i] = func(w *world) error {
+			return w.vms[0].Device("delay").SetProfile(profile)
+		}
 	}
-	sweeps, err := runParallel(opts, len(modes),
-		func(mi int, a *arena) (modeSweep, error) {
-			mode := modes[mi]
-			group := opts.oneVM(fmt.Sprintf("crossover/%v", mode), VMSpec{
-				Mode:  mode,
-				VCPUs: 1,
-				Setup: func(vm *kvm.VM) error {
-					dev, err := vm.AttachDevice("delay", delayLineProfile(warmLatency))
-					if err != nil {
-						return err
-					}
-					vm.Kernel().Spawn("cycle", 0, &idleCycleProgram{
-						dev: dev, busy: busy, until: dur,
-					})
-					return nil
-				},
-			})
-			group.Duration = dur
-			arms := make([]func(*world) error, len(idles))
-			for i, idle := range idles {
-				profile := delayLineProfile(idle)
-				arms[i] = func(w *world) error {
-					return w.vms[0].Device("delay").SetProfile(profile)
+	runs := make([]run, len(modes))
+	for mi, mode := range modes {
+		group := opts.oneVM(fmt.Sprintf("crossover/%v", mode), VMSpec{
+			Mode:  mode,
+			VCPUs: 1,
+			Setup: func(vm *kvm.VM) error {
+				dev, err := vm.AttachDevice("delay", delayLineProfile(warmLatency))
+				if err != nil {
+					return err
 				}
-			}
-			results, ck, err := forkScenario(group, opts.Seed, warm, arms, opts.Meter, a)
-			if err != nil {
-				return modeSweep{}, err
-			}
-			sweep := modeSweep{exits: make([]uint64, len(idles))}
-			for i, r := range results {
-				sweep.exits[i] = r.Results[0].Counters.TimerExits()
-			}
-			sweep.warmup.record(ck, len(arms))
-			return sweep, nil
+				vm.Kernel().Spawn("cycle", 0, &idleCycleProgram{
+					dev: dev, busy: busy, until: dur,
+				})
+				return nil
+			},
 		})
+		group.Duration = dur
+		runs[mi] = run{s: group, seed: opts.Seed, fork: dur / 8, arms: arms}
+	}
+	// exits is mode-major: the arms of each mode's group in idle order.
+	exits := make([]uint64, len(modes)*len(idles))
+	warmup, err := runAll(opts, runs, func(k int, r *ScenarioResult) {
+		exits[k] = r.Results[0].Counters.TimerExits()
+	})
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range sweeps {
-		res.Warmup.merge(s.warmup)
-	}
+	res.Warmup = warmup
 	for i, idle := range idles {
 		pt := CrossoverPoint{
 			IdlePeriod:    idle,
-			PeriodicExits: sweeps[0].exits[i],
-			TicklessExits: sweeps[1].exits[i],
-			ParatickExits: sweeps[2].exits[i],
+			PeriodicExits: exits[i],
+			TicklessExits: exits[len(idles)+i],
+			ParatickExits: exits[2*len(idles)+i],
 		}
 		res.Points = append(res.Points, pt)
 		if res.EmpiricalCrossover == sim.Forever && pt.TicklessExits <= pt.PeriodicExits {

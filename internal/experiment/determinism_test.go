@@ -113,6 +113,29 @@ func TestParallelRepeatsDeterminism(t *testing.T) {
 	}
 }
 
+// TestPooledRepeatsShareNoSlot runs Fig. 4's repeats on two workers of one
+// WorkerPool, the race detector's case (it runs under -short). Repeats
+// once fanned out as a second worker layer whose concurrent repeats each
+// claimed the pool's slots, so two goroutines drove one arena. Every run
+// now goes through one executor; the output must still equal one worker's.
+func TestPooledRepeatsShareNoSlot(t *testing.T) {
+	render := func(workers int) string {
+		opts := DefaultOptions()
+		opts.Scale = 0.02
+		opts.Repeats = 2
+		opts.Workers = workers
+		opts.Pool = NewWorkerPool()
+		fig, err := RunFig4(opts)
+		if err != nil {
+			t.Fatalf("fig4 repeats (workers=%d): %v", workers, err)
+		}
+		return fig.Render() + fig.Table().CSV()
+	}
+	if serial, pooled := render(1), render(2); serial != pooled {
+		t.Fatalf("pooled repeats diverge:\n%s", firstDiff(serial, pooled))
+	}
+}
+
 // firstDiff returns a window around the first differing byte for readable
 // failure output.
 func firstDiff(a, b string) string {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"paratick/internal/guest"
 	"paratick/internal/iodev"
 	"paratick/internal/kvm"
+	"paratick/internal/metrics"
 	"paratick/internal/sim"
 	"paratick/internal/workload"
 )
@@ -48,6 +50,36 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
+// TestOptionsValidateHostile feeds Validate values that used to slip
+// through: a NaN scale passed "Scale <= 0" and hung Table 1, and an
+// infinite one rendered every bar at +0.0%.
+func TestOptionsValidateHostile(t *testing.T) {
+	for name, mutate := range map[string]func(*Options){
+		"scale NaN":                func(o *Options) { o.Scale = math.NaN() },
+		"scale +Inf":               func(o *Options) { o.Scale = math.Inf(1) },
+		"scale -Inf":               func(o *Options) { o.Scale = math.Inf(-1) },
+		"scale 0":                  func(o *Options) { o.Scale = 0 },
+		"scale -1":                 func(o *Options) { o.Scale = -1 },
+		"negative repeats":         func(o *Options) { o.Repeats = -1 },
+		"negative workers":         func(o *Options) { o.Workers = -1 },
+		"negative probe":           func(o *Options) { o.SnapshotProbe = -sim.Millisecond },
+		"negative quantum":         func(o *Options) { o.Quantum = -sim.Millisecond },
+		"shards without a quantum": func(o *Options) { o.Shards = 4 },
+		"negative shards":          func(o *Options) { o.Shards = -1 },
+		"invalid device":           func(o *Options) { o.Device = iodev.Profile{} },
+	} {
+		o := DefaultOptions()
+		mutate(&o)
+		if err := o.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+		// Every runner refuses them through the executor, before any run.
+		if _, err := RunTable1(o); err == nil {
+			t.Errorf("RunTable1 accepted %s", name)
+		}
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	var o Options
 	if _, err := RunScenario(o.oneVM("x", VMSpec{VCPUs: 1}), 1); err == nil {
@@ -77,28 +109,27 @@ func TestRunFixedDuration(t *testing.T) {
 	}
 }
 
+// TestCompareModesOnCompute runs a compared pair through the executor: the
+// dynticks baseline first, then paratick, and paratick takes fewer exits.
 func TestCompareModesOnCompute(t *testing.T) {
-	var o Options
-	s := o.oneVM("compute", VMSpec{
+	o := DefaultOptions()
+	runs := o.compared(nil, "compute", VMSpec{
 		VCPUs: 1,
 		Setup: func(vm *kvm.VM) error {
 			vm.Kernel().Spawn("w", 0, guest.Steps(guest.Compute(20*sim.Millisecond)))
 			return nil
 		},
-	})
-	mode := s.VMs[0].Mode
-	cmp, err := compareModes(s, 1, nil, nil)
-	if err != nil {
+	}, 1)
+	var res [2]metrics.Result
+	if _, err := runAll(o, runs, func(k int, r *ScenarioResult) { res[k] = r.Results[0] }); err != nil {
 		t.Fatal(err)
 	}
+	cmp := metrics.Compare(res[0], res[1])
 	if cmp.Baseline.Mode != "dynticks" || cmp.Optimized.Mode != "paratick" {
 		t.Fatalf("modes: %s vs %s", cmp.Baseline.Mode, cmp.Optimized.Mode)
 	}
 	if cmp.ExitsDelta >= 0 {
 		t.Fatalf("paratick should reduce exits, delta = %v", cmp.ExitsDelta)
-	}
-	if s.VMs[0].Mode != mode {
-		t.Errorf("compareModes changed the caller's VM mode from %v to %v", mode, s.VMs[0].Mode)
 	}
 }
 

@@ -25,19 +25,9 @@ type ParsecFigure struct {
 // sequential mode on a 1-vCPU VM. With Options.Repeats > 1, results are
 // averaged over consecutive seeds.
 func RunFig4(opts Options) (*ParsecFigure, error) {
-	return repeatFigure(opts, runFig4Once)
-}
-
-func runFig4Once(opts Options) (*ParsecFigure, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	fig := &ParsecFigure{Title: "Figure 4: sequential PARSEC (1 vCPU)"}
-	profiles := workload.Profiles()
-	comps, err := runParallel(opts, len(profiles),
-		func(i int, a *arena) (metrics.Comparison, error) {
-			p := profiles[i]
-			s := opts.oneVM("parsec-seq/"+p.Name, VMSpec{
+	return runParsec(opts, "Figure 4: sequential PARSEC (1 vCPU)", "parsec-seq/",
+		func(p workload.ParsecProfile) VMSpec {
+			return VMSpec{
 				VCPUs: 1,
 				Setup: func(vm *kvm.VM) error {
 					dev, err := vm.AttachDevice("disk0", opts.Device)
@@ -51,20 +41,8 @@ func runFig4Once(opts Options) (*ParsecFigure, error) {
 					vm.Kernel().Spawn(p.Name, 0, prog)
 					return nil
 				},
-			})
-			cmp, err := compareModes(s, opts.Seed, opts.Meter, a)
-			if err != nil {
-				return metrics.Comparison{}, err
 			}
-			cmp.Name = p.Name
-			return cmp, nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	fig.Comparisons = comps
-	fig.Aggregate = metrics.Aggregated(fig.Comparisons)
-	return fig, nil
 }
 
 // VMSize is one of the paper's §6.2 scenarios.
@@ -87,22 +65,10 @@ func VMSizes() []VMSize {
 // parallelism equal to the vCPU count. With Options.Repeats > 1, results
 // are averaged over consecutive seeds.
 func RunFig5Size(opts Options, size VMSize) (*ParsecFigure, error) {
-	return repeatFigure(opts, func(o Options) (*ParsecFigure, error) {
-		return runFig5SizeOnce(o, size)
-	})
-}
-
-func runFig5SizeOnce(opts Options, size VMSize) (*ParsecFigure, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	fig := &ParsecFigure{Title: fmt.Sprintf("Figure 5 (%s VM, %d vCPUs over %d sockets)",
-		size.Name, size.VCPUs, size.Sockets)}
-	profiles := workload.Profiles()
-	comps, err := runParallel(opts, len(profiles),
-		func(i int, a *arena) (metrics.Comparison, error) {
-			p := profiles[i]
-			s := opts.oneVM("parsec-par/"+size.Name+"/"+p.Name, VMSpec{
+	title := fmt.Sprintf("Figure 5 (%s VM, %d vCPUs over %d sockets)", size.Name, size.VCPUs, size.Sockets)
+	return runParsec(opts, title, "parsec-par/"+size.Name+"/",
+		func(p workload.ParsecProfile) VMSpec {
+			return VMSpec{
 				VCPUs:   size.VCPUs,
 				Sockets: size.Sockets,
 				Setup: func(vm *kvm.VM) error {
@@ -113,20 +79,8 @@ func runFig5SizeOnce(opts Options, size VMSize) (*ParsecFigure, error) {
 					_, err = p.SpawnParallel(vm.Kernel(), size.VCPUs, dev, opts.Scale)
 					return err
 				},
-			})
-			cmp, err := compareModes(s, opts.Seed, opts.Meter, a)
-			if err != nil {
-				return metrics.Comparison{}, err
 			}
-			cmp.Name = p.Name
-			return cmp, nil
 		})
-	if err != nil {
-		return nil, err
-	}
-	fig.Comparisons = comps
-	fig.Aggregate = metrics.Aggregated(fig.Comparisons)
-	return fig, nil
 }
 
 // RunFig5 reproduces all three VM sizes of Fig. 5 + Table 3.
@@ -142,32 +96,47 @@ func RunFig5(opts Options) ([]*ParsecFigure, error) {
 	return out, nil
 }
 
-// repeatFigure runs a figure Options.Repeats times with consecutive seeds
-// and averages the per-benchmark deltas. Repeats fan out across the worker
-// pool (each repeat's runs fan out further); figures are accumulated in
-// repeat order, so the float additions — and therefore the averaged output —
-// are byte-identical to a serial loop.
-func repeatFigure(opts Options, once func(Options) (*ParsecFigure, error)) (*ParsecFigure, error) {
-	n := opts.repeatCount()
-	if n == 1 {
-		return once(opts)
+// runParsec runs each PARSEC benchmark's VM (named prefix+benchmark, built
+// by vm) under the dynticks baseline and paratick, Options.Repeats times
+// with consecutive seeds, and averages the per-benchmark deltas. Every
+// repeat's runs go to one runAll; figures are then accumulated in repeat
+// order, so the float additions — and therefore the averaged output — are
+// the same for any worker count.
+func runParsec(opts Options, title, prefix string, vm func(workload.ParsecProfile) VMSpec) (*ParsecFigure, error) {
+	profiles := workload.Profiles()
+	figs := make([]ParsecFigure, opts.repeatCount())
+	var runs []run
+	for r := range figs {
+		figs[r] = ParsecFigure{Title: title, Comparisons: make([]metrics.Comparison, len(profiles))}
+		for _, p := range profiles {
+			runs = opts.compared(runs, prefix+p.Name, vm(p), opts.Seed+uint64(r))
+		}
 	}
-	figs, err := runParallel(opts, n, func(r int, _ *arena) (*ParsecFigure, error) {
-		o := opts
-		o.Seed = opts.Seed + uint64(r)
-		return once(o)
-	})
-	if err != nil {
+	if _, err := runAll(opts, runs, func(k int, r *ScenarioResult) {
+		c := &figs[k/2/len(profiles)].Comparisons[k/2%len(profiles)]
+		if k%2 == 0 {
+			c.Baseline = r.Results[0]
+		} else {
+			c.Optimized = r.Results[0]
+		}
+	}); err != nil {
 		return nil, err
 	}
-	var base *ParsecFigure
-	var aggs []metrics.Aggregate
-	for _, fig := range figs {
-		aggs = append(aggs, fig.Aggregate)
-		if base == nil {
-			base = fig
-			continue
+	aggs := make([]metrics.Aggregate, len(figs))
+	for r := range figs {
+		for i, p := range profiles {
+			c := &figs[r].Comparisons[i]
+			*c = metrics.Compare(c.Baseline, c.Optimized)
+			c.Name = p.Name
 		}
+		figs[r].Aggregate = metrics.Aggregated(figs[r].Comparisons)
+		aggs[r] = figs[r].Aggregate
+	}
+	base := &figs[0]
+	if len(figs) == 1 {
+		return base, nil
+	}
+	for _, fig := range figs[1:] {
 		for i := range base.Comparisons {
 			base.Comparisons[i].ExitsDelta += fig.Comparisons[i].ExitsDelta
 			base.Comparisons[i].TimerExitsDelta += fig.Comparisons[i].TimerExitsDelta
@@ -175,11 +144,12 @@ func repeatFigure(opts Options, once func(Options) (*ParsecFigure, error)) (*Par
 			base.Comparisons[i].RuntimeDelta += fig.Comparisons[i].RuntimeDelta
 		}
 	}
+	n := float64(len(figs))
 	for i := range base.Comparisons {
-		base.Comparisons[i].ExitsDelta /= float64(n)
-		base.Comparisons[i].TimerExitsDelta /= float64(n)
-		base.Comparisons[i].ThroughputDelta /= float64(n)
-		base.Comparisons[i].RuntimeDelta /= float64(n)
+		base.Comparisons[i].ExitsDelta /= n
+		base.Comparisons[i].TimerExitsDelta /= n
+		base.Comparisons[i].ThroughputDelta /= n
+		base.Comparisons[i].RuntimeDelta /= n
 	}
 	base.Aggregate = metrics.Aggregated(base.Comparisons)
 	base.Spread = metrics.SpreadOf(aggs)

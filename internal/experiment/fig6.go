@@ -59,23 +59,46 @@ func fioTotalBytes(blockSize int, scale float64) int64 {
 // RunFig6 reproduces Fig. 6 + Table 4: fio's four access patterns over the
 // block-size sweep, sync engine, 1-vCPU VM.
 func RunFig6(opts Options) (*FioFigure, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	fig := &FioFigure{Title: fmt.Sprintf("Figure 6: fio on %s (1 vCPU)", opts.Device.Name)}
 	patterns := []workload.FioPattern{
 		workload.SeqRead, workload.SeqWrite, workload.RandRead, workload.RandWrite,
 	}
 	sizes := workload.FioBlockSizes()
-	// Flatten the (pattern, block size) grid so every cell is one parallel
-	// job; cells are regrouped by index, keeping category order identical to
-	// the serial nested loops.
-	cells, err := runParallel(opts, len(patterns)*len(sizes),
-		func(i int, a *arena) (FioCell, error) {
-			return runFioCell(opts, patterns[i/len(sizes)], sizes[i%len(sizes)], a)
-		})
-	if err != nil {
+	// One compared pair per (pattern, block size) cell; cells are regrouped
+	// by index, keeping category order identical to the serial nested loops.
+	cells := make([]FioCell, len(patterns)*len(sizes))
+	var runs []run
+	for i := range cells {
+		pat, bs := patterns[i/len(sizes)], sizes[i%len(sizes)]
+		cells[i] = FioCell{Pattern: pat, BlockSize: bs}
+		job := workload.DefaultFioJob(pat, bs, fioTotalBytes(bs, opts.Scale))
+		runs = opts.compared(runs, fmt.Sprintf("fio/%s/%dk", pat, bs/1024), VMSpec{
+			VCPUs: 1,
+			Setup: func(vm *kvm.VM) error {
+				dev, err := vm.AttachDevice("disk0", opts.Device)
+				if err != nil {
+					return err
+				}
+				return job.Spawn(vm.Kernel(), dev)
+			},
+		}, opts.Seed)
+	}
+	if _, err := runAll(opts, runs, func(k int, r *ScenarioResult) {
+		if k%2 == 0 {
+			cells[k/2].Baseline = r.Results[0]
+		} else {
+			cells[k/2].Paratick = r.Results[0]
+		}
+	}); err != nil {
 		return nil, err
+	}
+	for i := range cells {
+		c := &cells[i]
+		cmp := metrics.Compare(c.Baseline, c.Paratick)
+		c.ExitsDelta, c.TimerExitsDelta, c.RuntimeDelta = cmp.ExitsDelta, cmp.TimerExitsDelta, cmp.RuntimeDelta
+		if bt := c.Baseline.IOThroughputMBps(); bt > 0 {
+			c.IOThroughputDelta = c.Paratick.IOThroughputMBps()/bt - 1
+		}
 	}
 	for pi, pat := range patterns {
 		cat := FioCategory{Pattern: pat, Cells: cells[pi*len(sizes) : (pi+1)*len(sizes)]}
@@ -95,38 +118,6 @@ func RunFig6(opts Options) (*FioFigure, error) {
 		fig.RuntimeDelta += c.RuntimeDelta / n
 	}
 	return fig, nil
-}
-
-func runFioCell(opts Options, pat workload.FioPattern, bs int, a *arena) (FioCell, error) {
-	job := workload.DefaultFioJob(pat, bs, fioTotalBytes(bs, opts.Scale))
-	s := opts.oneVM(fmt.Sprintf("fio/%s/%dk", pat, bs/1024), VMSpec{
-		VCPUs: 1,
-		Setup: func(vm *kvm.VM) error {
-			dev, err := vm.AttachDevice("disk0", opts.Device)
-			if err != nil {
-				return err
-			}
-			return job.Spawn(vm.Kernel(), dev)
-		},
-	})
-	cmp, err := compareModes(s, opts.Seed, opts.Meter, a)
-	if err != nil {
-		return FioCell{}, err
-	}
-	cell := FioCell{
-		Pattern:         pat,
-		BlockSize:       bs,
-		Baseline:        cmp.Baseline,
-		Paratick:        cmp.Optimized,
-		ExitsDelta:      cmp.ExitsDelta,
-		TimerExitsDelta: cmp.TimerExitsDelta,
-		RuntimeDelta:    cmp.RuntimeDelta,
-	}
-	bt, pt := cell.Baseline.IOThroughputMBps(), cell.Paratick.IOThroughputMBps()
-	if bt > 0 {
-		cell.IOThroughputDelta = pt/bt - 1
-	}
-	return cell, nil
 }
 
 // Render prints Fig. 6 as the paper's three panels.

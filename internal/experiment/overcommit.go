@@ -104,9 +104,6 @@ func overcommitScenario(opts Options, ratio int, mode core.Mode, policy sched.Ki
 // while Fair's depth-scaled timeslice and least-vruntime pick bound the
 // wait — the motivation for making the host scheduler pluggable.
 func RunOvercommit(opts Options) (*OvercommitResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	dur := sim.Time(float64(sim.Second) * opts.Scale)
 	if dur < 100*sim.Millisecond {
 		dur = 100 * sim.Millisecond
@@ -117,40 +114,22 @@ func RunOvercommit(opts Options) (*OvercommitResult, error) {
 		Modes:    []core.Mode{core.DynticksIdle, core.Paratick},
 		Policies: []sched.Kind{sched.FIFO, sched.Fair},
 	}
-	type cellKey struct {
-		ratio  int
-		mode   core.Mode
-		policy sched.Kind
-	}
-	var keys []cellKey
+	var runs []run
 	for _, ratio := range res.Ratios {
 		for _, mode := range res.Modes {
 			for _, policy := range res.Policies {
-				keys = append(keys, cellKey{ratio, mode, policy})
+				res.Cells = append(res.Cells, OvercommitCell{Ratio: ratio, Mode: mode, Policy: policy})
+				runs = append(runs, run{s: overcommitScenario(opts, ratio, mode, policy, dur), seed: opts.Seed})
 			}
 		}
 	}
-	cells, err := runParallel(opts, len(keys),
-		func(i int, a *arena) (OvercommitCell, error) {
-			k := keys[i]
-			sr := a.resultScratch()
-			if err := runScenarioInto(overcommitScenario(opts, k.ratio, k.mode, k.policy, dur),
-				opts.Seed, opts.Meter, a, sr); err != nil {
-				return OvercommitCell{}, err
-			}
-			sync := &sr.Results[0].Counters
-			return OvercommitCell{
-				Ratio:        k.ratio,
-				Mode:         k.mode,
-				Policy:       k.policy,
-				Inject:       sync.InjectLatency[metrics.VecReschedule],
-				SyncCounters: *sync,
-			}, nil
-		})
-	if err != nil {
+	if _, err := runAll(opts, runs, func(k int, r *ScenarioResult) {
+		sync := &r.Results[0].Counters
+		res.Cells[k].Inject = sync.InjectLatency[metrics.VecReschedule]
+		res.Cells[k].SyncCounters = *sync
+	}); err != nil {
 		return nil, err
 	}
-	res.Cells = cells
 	return res, nil
 }
 

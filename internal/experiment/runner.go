@@ -7,6 +7,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -140,15 +141,15 @@ type arena struct {
 	// pooled VMs, which is why the arena no longer carries a separate
 	// wheel pool).
 	hosts kvm.HostArena
-	// res is the worker's reusable result storage: runScenarioInto refills
-	// it in place each run, so harvesting a sweep's counters allocates
-	// nothing. Valid only until the worker's next run.
+	// res is the worker's reusable result storage: runAll refills it in
+	// place for each result it hands to keep, so harvesting a sweep's
+	// counters allocates nothing. Valid only until the worker's next run.
 	res ScenarioResult
 }
 
 // resultScratch returns the arena's reusable ScenarioResult — overwritten
 // by the next run through the same arena, so callers must copy out what
-// they keep. A nil arena (one-off runs) allocates fresh storage.
+// they keep. A nil arena (Options.NoArena) allocates fresh storage.
 func (a *arena) resultScratch() *ScenarioResult {
 	if a == nil {
 		return &ScenarioResult{}
@@ -278,8 +279,8 @@ func (s *Session) RunScenarioInto(sc Scenario, seed uint64, m *metrics.Meter, ou
 
 // Validate checks the options.
 func (o Options) Validate() error {
-	if o.Scale <= 0 {
-		return fmt.Errorf("experiment: scale must be positive, got %v", o.Scale)
+	if !(o.Scale > 0) || math.IsInf(o.Scale, 1) {
+		return fmt.Errorf("experiment: scale must be finite and positive, got %v", o.Scale)
 	}
 	if o.Repeats < 0 {
 		return fmt.Errorf("experiment: repeats must be non-negative, got %d", o.Repeats)
@@ -325,23 +326,87 @@ func (o Options) oneVM(name string, vm VMSpec) Scenario {
 	return o.scenario(Scenario{Name: name, VMs: []VMSpec{vm}})
 }
 
-// compareModes runs a one-VM scenario under the dynticks baseline and
-// paratick and returns the paper's relative metrics.
-func compareModes(s Scenario, seed uint64, m *metrics.Meter, a *arena) (metrics.Comparison, error) {
-	var res [2]metrics.Result
-	for i, mode := range []core.Mode{core.DynticksIdle, core.Paratick} {
-		// Each arm gets its own VMs slice: flipping the mode in place
-		// would alias the caller's scenario.
-		arm := s
-		arm.VMs = []VMSpec{s.VMs[0]}
-		arm.VMs[0].Mode = mode
-		sr := a.resultScratch()
-		if err := runScenarioInto(arm, seed, m, a, sr); err != nil {
-			return metrics.Comparison{}, err
-		}
-		res[i] = sr.Results[0]
+// run is one unit of work for runAll. With fork 0 it is a straight run:
+// the scenario from boot to its deadline, one result. With a positive fork
+// it is a fork group: the scenario warmed to the fork instant once and
+// frozen, then thawed and finished once per arm hook (a nil hook finishes
+// the group configuration unchanged), one result per arm.
+type run struct {
+	s    Scenario
+	seed uint64
+	fork sim.Time
+	arms []func(*world) error
+}
+
+// results is how many results the run yields.
+func (r *run) results() int {
+	if r.fork == 0 {
+		return 1
 	}
-	cmp := metrics.Compare(res[0], res[1])
-	cmp.Name = s.Name
-	return cmp, nil
+	return len(r.arms)
+}
+
+// runAll is the one executor of experiment worlds. It validates opts, fans
+// the runs out over the worker pool, each on its worker's arena, and hands
+// every result to keep as it lands: k numbers the results in declaration
+// order (a straight run's one result, then a fork group's arms in hook
+// order) and r is worker scratch, valid only until keep returns. keep runs
+// on worker goroutines, so it may write only what result k owns. The
+// returned WarmupStats account the fork groups' shared warmups.
+func runAll(opts Options, runs []run, keep func(k int, r *ScenarioResult)) (WarmupStats, error) {
+	var warm WarmupStats
+	if err := opts.Validate(); err != nil {
+		return warm, err
+	}
+	first := make([]int, len(runs))
+	n := 0
+	for i := range runs {
+		first[i] = n
+		n += runs[i].results()
+	}
+	warmups, err := runParallel(opts, len(runs), func(i int, a *arena) (uint64, error) {
+		r := &runs[i]
+		out := a.resultScratch()
+		if r.fork == 0 {
+			if err := runScenarioInto(r.s, r.seed, opts.Meter, a, out); err != nil {
+				return 0, err
+			}
+			keep(first[i], out)
+			return 0, nil
+		}
+		ck, err := checkpointScenario(r.s, r.seed, r.fork, opts.Meter, a)
+		if err != nil {
+			return 0, err
+		}
+		for arm, hook := range r.arms {
+			w, err := thaw(r.s, ck, hook, a)
+			if err != nil {
+				return 0, err
+			}
+			if err := w.runInto(opts.Meter, out); err != nil {
+				return 0, err
+			}
+			keep(first[i]+arm, out)
+		}
+		return ck.events, nil
+	})
+	if err != nil {
+		return warm, err
+	}
+	for i := range runs {
+		if runs[i].fork != 0 {
+			warm.record(warmups[i], len(runs[i].arms))
+		}
+	}
+	return warm, nil
+}
+
+// compared appends the runs of a one-VM scenario under the dynticks
+// baseline and then paratick, the pair each Fig. 4–6 comparison reads.
+func (o Options) compared(runs []run, name string, vm VMSpec, seed uint64) []run {
+	for _, mode := range []core.Mode{core.DynticksIdle, core.Paratick} {
+		vm.Mode = mode
+		runs = append(runs, run{s: o.oneVM(name, vm), seed: seed})
+	}
+	return runs
 }

@@ -124,6 +124,12 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("experiment %s: VM %q needs vCPUs or a placement", s.Name, v.Name)
 		}
 	}
+	if s.Duration < 0 || s.Duration > maxSimTime {
+		return fmt.Errorf("experiment %s: duration must be between 0 and %v, got %v", s.Name, maxSimTime, s.Duration)
+	}
+	if s.SnapshotProbe < 0 {
+		return fmt.Errorf("experiment %s: snapshot probe must be non-negative, got %v", s.Name, s.SnapshotProbe)
+	}
 	if s.Quantum < 0 {
 		return fmt.Errorf("experiment %s: quantum must be non-negative, got %v", s.Name, s.Quantum)
 	}

@@ -24,6 +24,23 @@ func TestScenarioValidate(t *testing.T) {
 	if err := s.Validate(); err == nil {
 		t.Error("VM with neither vCPUs nor placement accepted")
 	}
+	// A negative duration used to run silently to maxSimTime, a longer one
+	// ran past the cap Duration-0 runs stop at, and a negative probe was
+	// silently ignored.
+	for _, s := range []Scenario{
+		{Name: "negative-duration", Duration: -sim.Second},
+		{Name: "past-cap", Duration: maxSimTime + 1},
+		{Name: "negative-probe", Duration: sim.Second, SnapshotProbe: -sim.Millisecond},
+	} {
+		s.VMs = []VMSpec{{Name: "a", VCPUs: 1, Workload: true}}
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s accepted", s.Name)
+		}
+	}
+	s = Scenario{Name: "at-cap", Duration: maxSimTime, VMs: []VMSpec{{Name: "a", VCPUs: 1}}}
+	if err := s.Validate(); err != nil {
+		t.Errorf("duration at the cap refused: %v", err)
+	}
 }
 
 // spinFleet declares nVMs identical VMs, every vCPU pinned to the same two

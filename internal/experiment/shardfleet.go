@@ -84,15 +84,19 @@ type ShardFleetResult struct {
 // per-VM report. The output depends on (seed, scale, quantum) only — runs
 // with different shard counts are byte-identical, which is what the CI
 // sharded-determinism gate diffs.
+//
+// It is the one runner outside runAll, and it runs unpooled: its one
+// lane-mode world would replace a worker arena's cached serial coordinator,
+// and with it the pooled host and VMs every other runner reuses.
 func RunShardFleet(opts Options, vms int) (*ShardFleetResult, error) {
-	if opts.Quantum == 0 {
-		opts.Quantum = shardFleetQuantum
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	s, err := ShardFleetScenario(opts, vms)
 	if err != nil {
+		return nil, err
+	}
+	// Validate the options the fleet runs under: -shards needs the
+	// quantum the scenario defaulted.
+	opts.Quantum = s.Quantum
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	sr := &ScenarioResult{}

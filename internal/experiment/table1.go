@@ -37,9 +37,6 @@ type Table1Result struct {
 // model (§3) and the full simulator. The workloads run for
 // 10 s × opts.Scale.
 func RunTable1(opts Options) (*Table1Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	dur := sim.Time(float64(analytic.Table1Duration) * opts.Scale)
 	res := &Table1Result{Duration: dur}
 	paper := analytic.Table1(analytic.PaperTable)
@@ -47,19 +44,24 @@ func RunTable1(opts Options) (*Table1Result, error) {
 
 	workloads := []string{"W1", "W2", "W3", "W4"}
 	modes := []core.Mode{core.Periodic, core.DynticksIdle, core.Paratick}
-	// Flatten the (workload, mode) grid into independent parallel jobs and
-	// regroup by index.
-	exits, err := runParallel(opts, len(workloads)*len(modes),
-		func(i int, a *arena) (uint64, error) {
-			w := workloads[i/len(modes)]
-			nVMs := 1
-			if w == "W2" || w == "W4" {
-				nVMs = 4
-			}
-			sync := w == "W3" || w == "W4"
-			return runTable1Workload(opts, modes[i%len(modes)], nVMs, sync, dur, a)
-		})
-	if err != nil {
+	// One run per (workload, mode) cell, regrouped by index.
+	var runs []run
+	for _, w := range workloads {
+		nVMs := 1
+		if w == "W2" || w == "W4" {
+			nVMs = 4
+		}
+		sync := w == "W3" || w == "W4"
+		for _, mode := range modes {
+			runs = append(runs, run{s: table1Scenario(opts, mode, nVMs, sync, dur), seed: opts.Seed})
+		}
+	}
+	exits := make([]uint64, len(runs))
+	if _, err := runAll(opts, runs, func(k int, r *ScenarioResult) {
+		for i := range r.Results {
+			exits[k] += r.Results[i].Counters.TimerExits()
+		}
+	}); err != nil {
 		return nil, err
 	}
 	for i, w := range workloads {
@@ -75,9 +77,9 @@ func RunTable1(opts Options) (*Table1Result, error) {
 	return res, nil
 }
 
-// runTable1Workload simulates nVMs 16-vCPU VMs (idle, or running the §3.3
-// blocking-sync workload) for dur and returns total timer-related exits.
-func runTable1Workload(opts Options, mode core.Mode, nVMs int, sync bool, dur sim.Time, a *arena) (uint64, error) {
+// table1Scenario declares nVMs 16-vCPU VMs (idle, or running the §3.3
+// blocking-sync workload) for dur.
+func table1Scenario(opts Options, mode core.Mode, nVMs int, sync bool, dur sim.Time) Scenario {
 	// All VMs span the 16 pCPUs (vCPU i on pCPU i) — the overcommitted
 	// consolidation scenario of §3.1.
 	placement := make([]hw.CPUID, 16)
@@ -101,15 +103,7 @@ func runTable1Workload(opts Options, mode core.Mode, nVMs int, sync bool, dur si
 		}
 		s.VMs = append(s.VMs, vs)
 	}
-	sr := a.resultScratch()
-	if err := runScenarioInto(s, opts.Seed, opts.Meter, a, sr); err != nil {
-		return 0, err
-	}
-	var exits uint64
-	for i := range sr.Results {
-		exits += sr.Results[i].Counters.TimerExits()
-	}
-	return exits, nil
+	return s
 }
 
 // Render prints Table 1 with analytic and simulated columns. Simulated

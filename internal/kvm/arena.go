@@ -29,10 +29,10 @@ type HostArena struct {
 // task, segment, and sync-object pools; the host-side vCPUs with their
 // pre-bound deadline-timer handler closures and pending-IRQ double buffers;
 // and the per-vCPU timer wheels, which stay attached to their kernels.
-// Host.reset stashes a finished run's VMs here and NewVM re-acquires them
-// keyed on (vCPU count, guest tick Hz) — the construction-shape fields; the
-// workload shape adapts through the kernel's internal pools. A nil *VMArena
-// is valid and never pools.
+// Host.reset stashes a finished run's VMs here, in place of the previous
+// world's, and NewVM re-acquires them keyed on (vCPU count, guest tick Hz)
+// — the construction-shape fields; the workload shape adapts through the
+// kernel's internal pools. A nil *VMArena is valid and never pools.
 //
 // Like host pooling, VM reuse is execution-only: NewVM runs VM.reset on
 // fresh shells and recycled VMs alike (the digest audits in arena_test.go
@@ -58,22 +58,17 @@ func (a *VMArena) take(vcpus, tickHz int) *VM {
 	return nil
 }
 
-// stash parks a finished run's VMs for reuse. No sanitization happens here
-// — VM.reset does all of it at re-acquire time, which also covers VMs
-// abandoned mid-run (the snapshot-probe path).
+// stash parks a finished world's VMs for reuse in place of whatever the
+// world before it left unclaimed, so the pool holds one world's VMs at
+// most. No sanitization happens here — VM.reset does all of it at
+// re-acquire time, which also covers VMs abandoned mid-run (the
+// snapshot-probe path).
 func (a *VMArena) stash(vms []*VM) {
 	if a == nil {
 		return
 	}
-	a.free = append(a.free, vms...)
-}
-
-// clear drops every pooled VM. Called when the owning host is rebuilt for
-// a new machine shape: the pooled VMs reference the dead host's pCPUs and
-// lane engines.
-func (a *VMArena) clear() {
 	clear(a.free)
-	a.free = a.free[:0]
+	a.free = append(a.free[:0], vms...)
 }
 
 // NewHostOn returns a host for the coordinator, reusing the pooled one
@@ -92,7 +87,8 @@ func (a *HostArena) NewHostOn(se *sim.ShardedEngine, cfg Config) (*Host, error) 
 		}
 		return h, nil
 	}
-	a.vms.clear()
+	// The pooled VMs reference the old host's pCPUs and lane engines.
+	a.vms.stash(nil)
 	h, err := NewHostOn(se, cfg)
 	if err == nil {
 		h.vmArena = &a.vms

@@ -146,9 +146,9 @@ func vmArenaRun(t *testing.T, a *HostArena, se *sim.ShardedEngine, cfg Config, h
 // counters — to the same run on freshly constructed VMs, including when
 // consecutive runs switch tick mode, guest Hz, and workload shape (compute
 // vs lock/barrier sync). The Hz switch also exercises the shape key: a
-// 100 Hz request cannot reuse a pooled 250 Hz VM, and the interleaved
-// rounds prove the mismatched VMs survive in the pool for the round that
-// can use them.
+// 100 Hz request cannot reuse a pooled 250 Hz VM, and since the pool keeps
+// only the last world's VMs, the 250 Hz round after it rebuilds its VMs
+// too — fresh builds interleaved with recycled ones.
 func TestVMArenaRecycledMatchesFresh(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology = hw.SmallTopology()
@@ -225,6 +225,30 @@ func TestVMArenaRecyclesVMObjects(t *testing.T) {
 	}
 	if !pooled[hit] {
 		t.Fatal("a matching-shape request rebuilt instead of recycling")
+	}
+}
+
+// TestVMArenaHoldsOneWorld pins the pool's bound: a world stashes its VMs
+// in place of whatever the world before it left unclaimed, so after a
+// 250 Hz world and then a 100 Hz one (which cannot reuse the 250 Hz VMs)
+// the pool holds exactly the 100 Hz world's VMs.
+func TestVMArenaHoldsOneWorld(t *testing.T) {
+	a := &HostArena{}
+	e := sim.NewEngine(3)
+	se := sim.WrapEngine(e)
+	cfg := DefaultConfig()
+	cfg.Topology = hw.SmallTopology()
+	vmArenaRun(t, a, se, cfg, 250, core.Periodic, false)
+	e.Reset(3)
+	vmArenaRun(t, a, se, cfg, 100, core.Periodic, false)
+	last := slices.Clone(a.host.VMs())
+
+	e.Reset(3)
+	if _, err := a.NewHostOn(se, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(a.vms.free, last) {
+		t.Fatalf("pool holds %d VMs after the 100 Hz world, want its %d", len(a.vms.free), len(last))
 	}
 }
 

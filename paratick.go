@@ -168,46 +168,38 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
-// Validate reports configuration errors without running anything.
+// Validate reports configuration errors without running anything: the
+// scenario's own checks, then those of the experiment scenario Run executes.
 func (s Scenario) Validate() error {
-	s = s.withDefaults()
-	if s.VCPUs < 0 || s.Sockets < 0 || s.GuestHz < 0 || s.HostHz < 0 || s.Overcommit < 0 {
-		return fmt.Errorf("paratick: negative scenario parameter")
-	}
-	if s.Workload == nil && s.Duration <= 0 {
-		return fmt.Errorf("paratick: scenario %q needs a Workload or a Duration", s.Name)
-	}
-	if s.Duration < 0 || s.HaltPoll < 0 || s.PLEWindow < 0 || s.AdaptiveSpin < 0 || s.Timeslice < 0 {
-		return fmt.Errorf("paratick: negative duration")
-	}
-	return nil
+	_, err := s.withDefaults().experimentScenario(nil, &Builder{})
+	return err
 }
 
-// Run simulates the scenario and returns its report. The scenario runs as
-// a one-VM experiment.Scenario, through the same builder and completion
-// rule as every paper experiment.
-func Run(s Scenario) (*Report, error) {
-	s = s.withDefaults()
-	if err := s.Validate(); err != nil {
-		return nil, err
+// experimentScenario translates the defaulted scenario into the validated
+// one-VM experiment.Scenario that Run executes, with the tracer installed
+// and the workload applied through b by the VM's Setup.
+func (s Scenario) experimentScenario(tracer *trace.Buffer, b *Builder) (experiment.Scenario, error) {
+	if s.VCPUs < 0 || s.Sockets < 0 || s.GuestHz < 0 || s.HostHz < 0 || s.Overcommit < 0 {
+		return experiment.Scenario{}, fmt.Errorf("paratick: negative scenario parameter")
+	}
+	if s.Workload == nil && s.Duration == 0 {
+		return experiment.Scenario{}, fmt.Errorf("paratick: scenario %q needs a Workload or a Duration", s.Name)
+	}
+	if s.HaltPoll < 0 || s.PLEWindow < 0 || s.AdaptiveSpin < 0 || s.Timeslice < 0 {
+		return experiment.Scenario{}, fmt.Errorf("paratick: negative duration")
 	}
 	// With overcommit, groups of vCPUs share a physical CPU: vCPU i lands
 	// on the pCPU of slot i/Overcommit.
 	pcpus := (s.VCPUs + s.Overcommit - 1) / s.Overcommit
 	spread, err := kvm.DefaultConfig().Topology.SpreadAcross(pcpus, s.Sockets)
 	if err != nil {
-		return nil, err
+		return experiment.Scenario{}, err
 	}
 	placement := make([]hw.CPUID, s.VCPUs)
 	for i := range placement {
 		placement[i] = spread[i/s.Overcommit]
 	}
-	var tracer *trace.Buffer
-	if s.TraceCapacity > 0 {
-		tracer = trace.NewBuffer(s.TraceCapacity)
-	}
-	var b Builder
-	sr, err := experiment.RunScenario(experiment.Scenario{
+	es := experiment.Scenario{
 		Name:        s.Name,
 		HostHz:      s.HostHz,
 		Timeslice:   sim.Time(s.Timeslice.Nanoseconds()),
@@ -232,10 +224,28 @@ func Run(s Scenario) (*Report, error) {
 					return nil
 				}
 				b.vm = vm
-				return s.Workload.apply(&b)
+				return s.Workload.apply(b)
 			},
 		}},
-	}, s.Seed)
+	}
+	return es, es.Validate()
+}
+
+// Run simulates the scenario and returns its report. The scenario runs as
+// a one-VM experiment.Scenario, through the same builder and completion
+// rule as every paper experiment.
+func Run(s Scenario) (*Report, error) {
+	s = s.withDefaults()
+	var tracer *trace.Buffer
+	if s.TraceCapacity > 0 {
+		tracer = trace.NewBuffer(s.TraceCapacity)
+	}
+	var b Builder
+	es, err := s.experimentScenario(tracer, &b)
+	if err != nil {
+		return nil, err
+	}
+	sr, err := experiment.RunScenario(es, s.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -31,6 +31,15 @@ func TestScenarioValidate(t *testing.T) {
 	if err := (Scenario{Duration: -time.Second}).Validate(); err == nil {
 		t.Error("negative duration accepted")
 	}
+	// Past the simulator's 1000 s cap: refused up front by the experiment
+	// scenario's check, not run for hours.
+	err := (Scenario{Workload: IdleWorkload(), Duration: 5000 * time.Hour}).Validate()
+	if err == nil || !strings.Contains(err.Error(), "duration must be between 0 and") {
+		t.Errorf("5000h duration: got %v, want the experiment scenario's duration error", err)
+	}
+	if _, err := Run(Scenario{Workload: IdleWorkload(), Duration: 5000 * time.Hour}); err == nil {
+		t.Error("Run accepted a 5000h duration")
+	}
 }
 
 func TestRunIdleScenario(t *testing.T) {
