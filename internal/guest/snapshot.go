@@ -376,10 +376,12 @@ func (k *Kernel) seat(s *snap.Stream, t *Task, p *placement) {
 
 // checkPlacement orders the rebuilt lists by slot and refuses placements
 // the run loop never produces: a slot held twice or left empty, a done lock
-// holder, lock waiters with no holder to hand the lock on, an I/O wait that
-// no request ends exactly once, and a request whose waiter does not wait
-// for I/O. A queued or issued io-submit segment carries its request until
-// the hypervisor submits it, and a device holds it until it is drained.
+// holder, lock waiters with no holder to hand the lock on, a negative
+// barrier party count, barrier waiters as many as its parties (arrive and
+// detach release the barrier before that), an I/O wait that no request
+// ends exactly once, and a request whose waiter does not wait for I/O. A
+// queued or issued io-submit segment carries its request until the
+// hypervisor submits it, and a device holds it until it is drained.
 func (k *Kernel) checkPlacement(s *snap.Stream) {
 	k.eachList(func(kind uint8, n int, list *[]*Task) {
 		slot := func(t *Task) int { return k.place[t.ID].slot }
@@ -396,6 +398,14 @@ func (k *Kernel) checkPlacement(s *snap.Stream) {
 			s.Failf("guest: snapshot lock %d is held by done task %d", n, h.ID)
 		case h == nil && len(l.waiters) > 0:
 			s.Failf("guest: snapshot lock %d has %d waiters and no holder", n, len(l.waiters))
+		}
+	}
+	for n, b := range k.barriers {
+		switch w := len(b.waiting); {
+		case b.parties < 0:
+			s.Failf("guest: snapshot barrier %d has %d parties", n, b.parties)
+		case w > 0 && w >= b.parties:
+			s.Failf("guest: snapshot barrier %d has %d waiters and %d parties", n, w, b.parties)
 		}
 	}
 	carry := func(req *iodev.Request) {

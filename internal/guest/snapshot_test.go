@@ -17,14 +17,16 @@ import (
 // forEachPending visits every queued timer (buckets and overflow) in an
 // unspecified order.
 func (w *TimerWheel) forEachPending(fn func(t *SoftTimer)) {
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		for slot := 0; slot < wheelSlots; slot++ {
-			for _, t := range w.buckets[lvl][slot] {
-				fn(t)
+	if w.buckets != nil {
+		for lvl := 0; lvl < wheelLevels; lvl++ {
+			for slot := 0; slot < wheelSlots; slot++ {
+				for t := w.buckets[lvl][slot]; t != nil; t = t.next {
+					fn(t)
+				}
 			}
 		}
 	}
-	for _, t := range w.overflow {
+	for t := w.overflow; t != nil; t = t.next {
 		fn(t)
 	}
 }
@@ -419,9 +421,44 @@ func rngOffset(t *testing.T, buf []byte, task *Task) int {
 	return bytes.Index(buf, enc.Bytes())
 }
 
+// offsets locates records in a kernel snapshot for a corruption to target.
+type offsets struct {
+	rng     func(task int) int    // just past the task's placement record
+	parties func(barrier int) int // the barrier's party count
+}
+
+// partiesOffset returns where barrier n's party count sits in a kernel
+// snapshot: it encodes the guest section's leading records the way
+// Kernel.Snap writes them, and finds them in buf. Any drift from that
+// layout fails the lookup rather than retargeting the corruption.
+func partiesOffset(t *testing.T, buf []byte, k *Kernel, n int) int {
+	t.Helper()
+	var enc snap.Encoder
+	s := snap.NewWriter(&enc)
+	s.Section("guest")
+	k.rng.Snap(s)
+	s.Bool(&k.started)
+	s.Len(len(k.locks), "guest locks")
+	for _, l := range k.locks {
+		k.snapTask(s, &l.holder)
+		s.U64(&l.acquisitions)
+		s.U64(&l.contended)
+	}
+	s.Len(len(k.barriers), "guest barriers")
+	for _, b := range k.barriers[:n] {
+		snap.Int(s, &b.parties)
+		s.U64(&b.cycles)
+	}
+	if c := bytes.Count(buf, enc.Bytes()); c != 1 {
+		t.Fatalf("the guest section's leading records occur %d times in the snapshot, want 1", c)
+	}
+	return bytes.Index(buf, enc.Bytes()) + len(enc.Bytes())
+}
+
 // TestSnapshotRejectsMisplacedTask corrupts task placements so that the
-// rebuilt lists or I/O waits contradict each other or the lock records.
-// Each case must fail to decode with an error naming the contradiction.
+// rebuilt lists or I/O waits contradict each other or the lock or barrier
+// records. Each case must fail to decode with an error naming the
+// contradiction, and the same world uncorrupted must decode.
 func TestSnapshotRejectsMisplacedTask(t *testing.T) {
 	// Three tasks queued on one vCPU at run-queue slots 0, 1 and 2; the
 	// first takes a lock.
@@ -434,39 +471,62 @@ func TestSnapshotRejectsMisplacedTask(t *testing.T) {
 		k.vcpus[0].Boot()
 		return e, k, newMiniExec(e, k.vcpus[0])
 	}
-	var slot0, slot2 snap.Encoder
+	// Two of a barrier's three parties wait on it while the third computes.
+	joined := func(t *testing.T) (*sim.Engine, *Kernel, *miniExec) {
+		e, k := newTestKernel(t, core.DynticksIdle, 1)
+		b := k.NewBarrier("b", 3)
+		k.Spawn("a", 0, Steps(JoinBarrier(b), Done()))
+		k.Spawn("b", 0, Steps(JoinBarrier(b), Done()))
+		k.Spawn("c", 0, Steps(Compute(10*sim.Millisecond), JoinBarrier(b), Done()))
+		k.vcpus[0].Boot()
+		return e, k, newMiniExec(e, k.vcpus[0])
+	}
+	twoWaiting := func(k *Kernel) bool { return k.barriers[0].Waiting() == 2 }
+	var slot0, slot2, two, minusOne snap.Encoder
 	slot0.I64(0)
 	slot2.I64(2)
+	two.I64(2)
+	minusOne.I64(-1)
 	for _, tc := range []struct {
 		name, want string
 		build      func(*testing.T) (*sim.Engine, *Kernel, *miniExec)
 		ready      func(k *Kernel) bool // run the fixture until it holds
-		corrupt    func(buf []byte, rng func(id int) int) []byte
+		corrupt    func(buf []byte, at offsets) []byte
 	}{
 		{"two tasks claim one run-queue slot", "holds slot 0 of the run queue of vCPU 0 twice", queued, nil,
-			func(b []byte, rng func(int) int) []byte {
-				copy(b[rng(1)-8:], slot0.Bytes())
+			func(b []byte, at offsets) []byte {
+				copy(b[at.rng(1)-8:], slot0.Bytes())
 				return b
 			}},
 		{"gap in a rebuilt run queue", "holds slot 2 of the run queue of vCPU 0 twice, or leaves slot 1 empty", queued, nil,
-			func(b []byte, rng func(int) int) []byte {
-				copy(b[rng(1)-8:], slot2.Bytes())
-				return append(append(b[:rng(2)-9:rng(2)-9], placeDone), b[rng(2):]...)
+			func(b []byte, at offsets) []byte {
+				copy(b[at.rng(1)-8:], slot2.Bytes())
+				return append(append(b[:at.rng(2)-9:at.rng(2)-9], placeDone), b[at.rng(2):]...)
 			}},
 		{"I/O wait no request names", "task 2 waits for I/O that 0 requests name", queued, nil,
-			func(b []byte, rng func(int) int) []byte {
-				return append(append(b[:rng(2)-9:rng(2)-9], placeIO), b[rng(2):]...)
+			func(b []byte, at offsets) []byte {
+				return append(append(b[:at.rng(2)-9:at.rng(2)-9], placeIO), b[at.rng(2):]...)
 			}},
 		{"request names a task not waiting for I/O", "request names task 0, which does not wait for I/O",
 			newReaderWorld, func(k *Kernel) bool { return k.devices[0].Inflight() == 1 && k.vcpus[0].issued.Req == nil },
-			func(b []byte, rng func(int) int) []byte {
-				b[rng(0)-1] = placeDone
+			func(b []byte, at offsets) []byte {
+				b[at.rng(0)-1] = placeDone
 				return b
 			}},
 		{"lock held by a done task", "lock 0 is held by done task 0", queued,
 			func(k *Kernel) bool { return k.locks[0].holder == k.tasks[0] },
-			func(b []byte, rng func(int) int) []byte {
-				b[rng(0)-1] = placeDone
+			func(b []byte, at offsets) []byte {
+				b[at.rng(0)-1] = placeDone
+				return b
+			}},
+		{"barrier waiters reach its parties", "barrier 0 has 2 waiters and 2 parties", joined, twoWaiting,
+			func(b []byte, at offsets) []byte {
+				copy(b[at.parties(0):], two.Bytes())
+				return b
+			}},
+		{"negative barrier parties", "barrier 0 has -1 parties", joined, twoWaiting,
+			func(b []byte, at offsets) []byte {
+				copy(b[at.parties(0):], minusOne.Bytes())
 				return b
 			}},
 	} {
@@ -490,7 +550,10 @@ func TestSnapshotRejectsMisplacedTask(t *testing.T) {
 			if err := decode(buf); err != nil {
 				t.Fatalf("uncorrupted world refused: %v", err)
 			}
-			bad := tc.corrupt(append([]byte(nil), buf...), func(id int) int { return rngOffset(t, buf, k.tasks[id]) })
+			bad := tc.corrupt(append([]byte(nil), buf...), offsets{
+				rng:     func(id int) int { return rngOffset(t, buf, k.tasks[id]) },
+				parties: func(n int) int { return partiesOffset(t, buf, k, n) },
+			})
 			if err := decode(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("decode err = %v, want one containing %q", err, tc.want)
 			}

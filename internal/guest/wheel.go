@@ -44,10 +44,15 @@ type SoftTimer struct {
 	// (Deadline, seq) order.
 	seq uint64
 
+	// next and prev link the timer into its bucket (or the overflow list)
+	// while queued; prev is nil at the list's head. Both are nil while the
+	// timer is detached.
 	//snap:skip wheel placement, recomputed when the timer is re-added on load
-	level, slot int
+	next, prev *SoftTimer
+	// level and slot locate the timer's bucket; byte-sized, they keep a
+	// timer within one cache line.
 	//snap:skip wheel placement, recomputed when the timer is re-added on load
-	index int // position within the bucket (or overflow list) while queued
+	level, slot int8
 	//snap:skip wheel placement, recomputed when the timer is re-added on load
 	queued bool
 }
@@ -78,6 +83,13 @@ func (t *SoftTimer) Pending() bool { return t != nil && t.queued }
 // separate overflow list and migrate into the wheel once the horizon
 // reaches them; this keeps the per-level invariant exact (every in-wheel
 // timer's fire jiffy falls inside its bucket's current-lap span).
+//
+// As in Linux, where each bucket is an intrusive hlist_head, a bucket is
+// the head of a doubly linked list threaded through the timers themselves,
+// so Add and Cancel are O(1). The 6×64 heads live in one array that the
+// wheel allocates on its first bucketed insert, its only allocation after
+// construction, and keeps across Reset: most vCPUs never hold a soft
+// timer, and their wheels hold no bucket storage at all.
 type TimerWheel struct {
 	//snap:skip configuration: the rebuilt scenario's tick rate fixes it
 	jiffy sim.Time
@@ -85,13 +97,18 @@ type TimerWheel struct {
 	maxJiff int64 // sim.Forever / jiffy: fire jiffies at or past this mean "never"
 	curJiff int64 // jiffies fully processed
 	//snap:skip derived population, rebuilt as timers are re-added on load
-	buckets [wheelLevels][wheelSlots][]*SoftTimer
+	buckets *[wheelLevels][wheelSlots]*SoftTimer // list heads; nil until the first bucketed insert
 	//snap:skip derived population, rebuilt as timers are re-added on load
 	occ [wheelLevels]uint64 // bit s set iff buckets[level][s] is non-empty
-	// overflow holds timers beyond the top level's reach, unordered, with
-	// index-swap removal like a bucket. It is empty in steady state.
+	// overflow heads the unordered list of timers beyond the top level's
+	// reach. It is empty in steady state.
 	//snap:skip derived population, rebuilt as timers are re-added on load
-	overflow []*SoftTimer
+	overflow *SoftTimer
+	// due is the level-0 drain's scratch: the expiring bucket, sorted for
+	// firing. It holds no timer between drains.
+	//snap:skip scratch capacity, never simulation state
+	//reset:keep scratch capacity; every drain clears what it collected
+	due []*SoftTimer
 	//snap:skip derived population, rebuilt as timers are re-added on load
 	count int
 	seq   uint64
@@ -106,7 +123,8 @@ type TimerWheel struct {
 }
 
 // NewTimerWheel creates a wheel with the given jiffy duration: an empty
-// shell that Reset initializes, the same path a recycled wheel takes.
+// shell that Reset initializes, the same path a recycled wheel takes. The
+// shell is the only allocation until the first timer is added.
 func NewTimerWheel(jiffy sim.Time) *TimerWheel {
 	w := new(TimerWheel)
 	w.Reset(jiffy)
@@ -114,7 +132,7 @@ func NewTimerWheel(jiffy sim.Time) *TimerWheel {
 }
 
 // Reset returns the wheel to its just-constructed state with the given
-// jiffy, detaching any still-pending timers but retaining bucket capacity.
+// jiffy, detaching any still-pending timers but keeping the bucket array.
 // The occupancy bitmaps locate the live buckets, so a near-empty wheel —
 // the common end-of-run state — resets in O(occupied buckets).
 func (w *TimerWheel) Reset(jiffy sim.Time) {
@@ -126,20 +144,11 @@ func (w *TimerWheel) Reset(jiffy sim.Time) {
 		for occ != 0 {
 			s := bits.TrailingZeros64(occ)
 			occ &^= 1 << uint(s)
-			b := w.buckets[lvl][s]
-			for i, t := range b {
-				t.queued = false
-				b[i] = nil
-			}
-			w.buckets[lvl][s] = b[:0]
+			detachAll(&w.buckets[lvl][s])
 		}
 		w.occ[lvl] = 0
 	}
-	for i, t := range w.overflow {
-		t.queued = false
-		w.overflow[i] = nil
-	}
-	w.overflow = w.overflow[:0]
+	detachAll(&w.overflow)
 	w.jiffy = jiffy
 	w.maxJiff = int64(sim.Forever / jiffy)
 	w.curJiff = 0
@@ -147,6 +156,47 @@ func (w *TimerWheel) Reset(jiffy sim.Time) {
 	w.seq = 0
 	w.nextJiff = 0
 	w.nextOK = false
+}
+
+// detachAll empties the list at *head, leaving every timer it held
+// detached with nil links.
+//
+//paratick:noalloc
+func detachAll(head **SoftTimer) {
+	for t := *head; t != nil; {
+		next := t.next
+		t.next, t.prev = nil, nil
+		t.queued = false
+		t = next
+	}
+	*head = nil
+}
+
+// push links t in at the head of the list at *head.
+//
+//paratick:noalloc
+func push(head **SoftTimer, t *SoftTimer) {
+	t.prev = nil
+	t.next = *head
+	if t.next != nil {
+		t.next.prev = t
+	}
+	*head = t
+}
+
+// unlink removes t from the list at *head and clears its links.
+//
+//paratick:noalloc
+func unlink(head **SoftTimer, t *SoftTimer) {
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		*head = t.next
+	}
+	if t.next != nil {
+		t.next.prev = t.prev
+	}
+	t.next, t.prev = nil, nil
 }
 
 // Jiffy returns the wheel granularity.
@@ -214,24 +264,27 @@ func (w *TimerWheel) Add(t *SoftTimer) {
 //
 //paratick:noalloc
 func (w *TimerWheel) insert(t *SoftTimer) {
-	delta := t.fireJiff - w.curJiff
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		if delta < levelReach(lvl) {
-			slot := int((t.fireJiff / levelSpan(lvl)) % wheelSlots)
-			t.level, t.slot = lvl, slot
-			t.index = len(w.buckets[lvl][slot])
-			t.queued = true
-			w.buckets[lvl][slot] = append(w.buckets[lvl][slot], t)
-			w.occ[lvl] |= 1 << uint(slot)
-			w.count++
-			return
-		}
-	}
-	t.level = overflowLevel
-	t.index = len(w.overflow)
 	t.queued = true
-	w.overflow = append(w.overflow, t)
 	w.count++
+	// The finest level whose reach, 2^(6+3·lvl) jiffies, exceeds delta:
+	// the one holding delta's top bit, found without a loop.
+	lvl := 0
+	if delta := t.fireJiff - w.curJiff; delta >= wheelSlots {
+		lvl = (bits.Len64(uint64(delta)) - 4) / wheelLevelShift
+	}
+	if lvl >= wheelLevels {
+		t.level = overflowLevel
+		push(&w.overflow, t)
+		return
+	}
+	if w.buckets == nil {
+		//lint:ignore A001 the bucket array, allocated once per wheel on its first bucketed insert and kept across Reset
+		w.buckets = new([wheelLevels][wheelSlots]*SoftTimer)
+	}
+	slot := int(uint64(t.fireJiff>>(uint(lvl)*wheelLevelShift)) % wheelSlots)
+	t.level, t.slot = int8(lvl), int8(slot)
+	push(&w.buckets[lvl][slot], t)
+	w.occ[lvl] |= 1 << uint(slot)
 }
 
 // Cancel removes a pending timer; a no-op for detached timers. Returns
@@ -243,19 +296,11 @@ func (w *TimerWheel) Cancel(t *SoftTimer) bool {
 		return false
 	}
 	if t.level == overflowLevel {
-		last := len(w.overflow) - 1
-		w.overflow[t.index] = w.overflow[last]
-		w.overflow[t.index].index = t.index
-		w.overflow[last] = nil
-		w.overflow = w.overflow[:last]
+		unlink(&w.overflow, t)
 	} else {
-		b := w.buckets[t.level][t.slot]
-		last := len(b) - 1
-		b[t.index] = b[last]
-		b[t.index].index = t.index
-		b[last] = nil
-		w.buckets[t.level][t.slot] = b[:last]
-		if last == 0 {
+		head := &w.buckets[t.level][t.slot]
+		unlink(head, t)
+		if *head == nil {
 			w.occ[t.level] &^= 1 << uint(t.slot)
 		}
 	}
@@ -315,13 +360,13 @@ func (w *TimerWheel) earliestFireJiff() int64 {
 		if k*span >= best {
 			continue // the whole bucket starts at or after the best so far
 		}
-		for _, t := range w.buckets[lvl][int(k%wheelSlots)] {
+		for t := w.buckets[lvl][int(k%wheelSlots)]; t != nil; t = t.next {
 			if t.fireJiff < best {
 				best = t.fireJiff
 			}
 		}
 	}
-	for _, t := range w.overflow {
+	for t := w.overflow; t != nil; t = t.next {
 		if t.fireJiff < best {
 			best = t.fireJiff
 		}
@@ -358,12 +403,10 @@ func (w *TimerWheel) nextEventJiffy() int64 {
 			next = ev
 		}
 	}
-	if len(w.overflow) > 0 {
-		reach := levelReach(wheelLevels - 1)
-		for _, t := range w.overflow {
-			if ev := t.fireJiff - reach + 1; ev < next {
-				next = ev
-			}
+	reach := levelReach(wheelLevels - 1)
+	for t := w.overflow; t != nil; t = t.next {
+		if ev := t.fireJiff - reach + 1; ev < next {
+			next = ev
 		}
 	}
 	return next
@@ -410,72 +453,78 @@ func (w *TimerWheel) AdvanceTo(now sim.Time) int {
 func (w *TimerWheel) processJiffy(now sim.Time) int {
 	// Far-future timers whose fire jiffy is now within the top level's
 	// horizon migrate into the wheel proper.
-	if len(w.overflow) > 0 {
-		reach := levelReach(wheelLevels - 1)
-		for i := 0; i < len(w.overflow); {
-			t := w.overflow[i]
-			if t.fireJiff-w.curJiff < reach {
-				last := len(w.overflow) - 1
-				w.overflow[i] = w.overflow[last]
-				w.overflow[i].index = i
-				w.overflow[last] = nil
-				w.overflow = w.overflow[:last]
-				t.queued = false
-				w.count--
-				w.insert(t)
-				continue // the swapped-in element now sits at i
-			}
-			i++
+	reach := levelReach(wheelLevels - 1)
+	for t := w.overflow; t != nil; {
+		next := t.next
+		if t.fireJiff-w.curJiff < reach {
+			unlink(&w.overflow, t)
+			w.count--
+			w.insert(t)
 		}
+		t = next
 	}
 	// Cascade higher levels whose slot boundary we crossed. Re-placements
 	// always land at a finer level (their remaining delta is below this
-	// level's slot span), so the bucket being drained is never appended to.
+	// level's slot span), so the bucket being drained is never linked to.
 	for lvl := 1; lvl < wheelLevels; lvl++ {
 		if w.curJiff%levelSpan(lvl) != 0 {
 			break
 		}
 		slot := int((w.curJiff / levelSpan(lvl)) % wheelSlots)
-		pending := w.buckets[lvl][slot]
-		if len(pending) == 0 {
+		if w.occ[lvl]&(1<<uint(slot)) == 0 {
 			continue
 		}
-		w.buckets[lvl][slot] = pending[:0]
+		t := w.buckets[lvl][slot]
+		w.buckets[lvl][slot] = nil
 		w.occ[lvl] &^= 1 << uint(slot)
-		for _, t := range pending {
-			t.queued = false
+		for t != nil {
+			next := t.next
 			w.count--
-			w.insert(t)
+			w.insert(t) // relinks t, overwriting both links
+			t = next
 		}
-		clear(pending)
 	}
-	// Drain the level-0 bucket. Every timer is detached before any Fire
-	// callback runs, so a handler canceling a sibling expiring in the same
-	// jiffy sees a clean no-op instead of a stale bucket reference.
+	// Drain the level-0 bucket into the scratch slice. Every timer is
+	// detached before any Fire callback runs, so a handler canceling a
+	// sibling expiring in the same jiffy sees a clean no-op instead of a
+	// stale link. The scratch is taken off the wheel for the drain, so a
+	// callback that drains this wheel again cannot overwrite it.
 	slot := int(w.curJiff % wheelSlots)
-	b := w.buckets[0][slot]
-	if len(b) == 0 {
+	if w.occ[0]&(1<<uint(slot)) == 0 {
 		return 0
 	}
-	w.buckets[0][slot] = b[:0]
+	t := w.buckets[0][slot]
+	w.buckets[0][slot] = nil
 	w.occ[0] &^= 1 << uint(slot)
-	for _, t := range b {
+	due := w.due[:0]
+	w.due = nil
+	for t != nil {
+		next := t.next
+		t.next, t.prev = nil, nil
 		t.queued = false
 		w.count--
+		due = append(due, t)
+		t = next
 	}
-	sortByDeadline(b)
+	// The list holds the bucket newest first; reversed, it is in Add order,
+	// the common case that sortByDeadline passes through in one scan.
+	for i, j := 0, len(due)-1; i < j; i, j = i+1, j-1 {
+		due[i], due[j] = due[j], due[i]
+	}
+	sortByDeadline(due)
 	fired := 0
-	for _, t := range b {
-		if t.fireJiff > w.curJiff {
-			// Defensive: a timer placed for a future lap of this slot
-			// (cannot happen with fireJiff-based placement) re-queues.
-			w.insert(t)
+	for _, t := range due {
+		if t.fireJiff != w.curJiff {
+			// An earlier callback of this drain re-added it, which moved
+			// its fire jiffy past this one: it now waits for that (or, if
+			// the callback canceled it again, for nothing).
 			continue
 		}
 		fired++
 		t.Fire(now)
 	}
-	clear(b)
+	clear(due)
+	w.due = due[:0]
 	return fired
 }
 

@@ -2,6 +2,7 @@ package guest
 
 import (
 	"testing"
+	"unsafe"
 
 	"paratick/internal/sim"
 )
@@ -154,7 +155,9 @@ func BenchmarkWheelNextExpiryDense(b *testing.B) {
 
 // TestWheelSteadyStateAllocs asserts the hot wheel operations — Add,
 // Cancel, and NextExpiry, including the recompute after a cache-
-// invalidating cancel — allocate nothing once bucket capacity exists.
+// invalidating cancel — allocate nothing on a fresh wheel once it holds
+// timers: the bucket lists are threaded through the timers, so no Add
+// grows a bucket.
 func TestWheelSteadyStateAllocs(t *testing.T) {
 	w := NewTimerWheel(sim.Millisecond)
 	rng := sim.NewRand(7)
@@ -165,12 +168,6 @@ func TestWheelSteadyStateAllocs(t *testing.T) {
 		})
 	}
 	tm := &SoftTimer{Fire: func(sim.Time) {}}
-	// Warm every slot the loop will touch so append never grows a bucket.
-	for i := 0; i < 2000; i++ {
-		tm.Deadline = sim.Time(i%1999+1) * sim.Millisecond
-		w.Add(tm)
-		w.Cancel(tm)
-	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		tm.Deadline = sim.Time(i%1999+1) * sim.Millisecond
@@ -182,6 +179,46 @@ func TestWheelSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Add/NextExpiry/Cancel steady state allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestNewTimerWheelAllocatesOnlyItsShell pins what an unused wheel costs:
+// NewTimerWheel allocates the wheel and nothing else, and advancing,
+// querying and resetting it allocate nothing. The first bucketed Add
+// allocates the bucket array, once: a Reset keeps it, so the next Add on
+// the recycled wheel allocates nothing.
+func TestNewTimerWheelAllocatesOnlyItsShell(t *testing.T) {
+	var w *TimerWheel
+	if n := testing.AllocsPerRun(100, func() {
+		w = NewTimerWheel(sim.Millisecond)
+		w.AdvanceTo(sim.Second)
+		_ = w.NextExpiry()
+		w.Reset(sim.Millisecond)
+	}); n != 1 {
+		t.Fatalf("an unused wheel allocates %.1f objects, want 1", n)
+	}
+	tm := &SoftTimer{Deadline: sim.Millisecond, Fire: func(sim.Time) {}}
+	if n := testing.AllocsPerRun(100, func() {
+		w = NewTimerWheel(sim.Millisecond)
+		w.Add(tm)
+		w.Cancel(tm)
+	}); n != 2 {
+		t.Fatalf("a wheel's first Add brings it to %.1f objects, want 2 (the wheel and its bucket array)", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		w.Reset(sim.Millisecond)
+		w.Add(tm)
+	}); n != 0 {
+		t.Fatalf("Add on a reset wheel allocates %.1f objects, want 0", n)
+	}
+}
+
+// TestWheelSize bounds a wheel's inline size. The bucket heads live behind
+// one pointer, so a wheel that never holds a timer costs a few words, not
+// 6×64 inline bucket headers.
+func TestWheelSize(t *testing.T) {
+	if n := unsafe.Sizeof(TimerWheel{}); n > 160 {
+		t.Fatalf("TimerWheel is %d bytes, want at most 160", n)
 	}
 }
 
@@ -203,8 +240,8 @@ func TestWheelAdvanceDenseZeroBytes(t *testing.T) {
 		}
 		w.Add(tm)
 	}
-	// Warm the wheel: the first pass through each level grows bucket slices;
-	// afterwards re-queues land in capacity the wheel already owns.
+	// Warm the wheel: the first passes grow the level-0 drain's scratch to
+	// the largest due bucket; afterwards every drain fits in it.
 	now := sim.Time(0)
 	for i := 0; i < 40_000; i++ {
 		now += sim.Millisecond

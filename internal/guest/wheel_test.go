@@ -496,3 +496,125 @@ func TestWheelFireCanAddTimers(t *testing.T) {
 		t.Fatalf("periodic re-add fired %d times, want 3", count)
 	}
 }
+
+// TestWheelResetDetachesEveryTimer fills every level, several timers to a
+// bucket, and the overflow list, then resets the wheel. Every timer must
+// come out detached with nil links, the wheel empty, and each timer must
+// then queue and fire again exactly once, in deadline order.
+func TestWheelResetDetachesEveryTimer(t *testing.T) {
+	w := NewTimerWheel(sim.Millisecond)
+	w.AdvanceTo(5 * sim.Millisecond)
+	var fired []int
+	var timers []*SoftTimer
+	add := func(deadline sim.Time) {
+		id := len(timers)
+		tm := &SoftTimer{Deadline: deadline, Fire: func(sim.Time) { fired = append(fired, id) }}
+		timers = append(timers, tm)
+		w.Add(tm)
+	}
+	for lvl := 0; lvl < wheelLevels; lvl++ {
+		// Three timers in one bucket at the middle of this level's reach.
+		jiffies := levelReach(lvl) / 2
+		for k := 0; k < 3; k++ {
+			add(5*sim.Millisecond + sim.Time(jiffies)*sim.Millisecond + sim.Time(k))
+		}
+	}
+	add(sim.Time(3*levelReach(wheelLevels-1)) * sim.Millisecond)
+	add(sim.Forever)
+	for lvl := 0; lvl < wheelLevels; lvl++ {
+		if w.occ[lvl] == 0 {
+			t.Fatalf("level %d holds no timer before the reset", lvl)
+		}
+	}
+	if w.overflow == nil {
+		t.Fatal("the overflow list is empty before the reset")
+	}
+	w.Reset(sim.Millisecond)
+	for i, tm := range timers {
+		if tm.Pending() || tm.next != nil || tm.prev != nil {
+			t.Fatalf("timer %d after Reset: pending %v, next %p, prev %p", i, tm.Pending(), tm.next, tm.prev)
+		}
+	}
+	if w.Len() != 0 || w.occ != [wheelLevels]uint64{} || w.overflow != nil || w.NextExpiry() != sim.Forever {
+		t.Fatalf("wheel not empty after Reset: len %d, occ %v, overflow %p", w.Len(), w.occ, w.overflow)
+	}
+	if w.buckets == nil || *w.buckets != [wheelLevels][wheelSlots]*SoftTimer{} {
+		t.Fatal("Reset dropped the bucket array or left a bucket head set")
+	}
+	for _, tm := range timers {
+		w.Add(tm)
+	}
+	if w.Len() != len(timers) {
+		t.Fatalf("re-added %d timers, wheel holds %d", len(timers), w.Len())
+	}
+	w.AdvanceTo(sim.Time(4*levelReach(wheelLevels-1)) * sim.Millisecond)
+	if len(fired) != len(timers)-1 || w.Len() != 1 { // the Forever timer stays
+		t.Fatalf("fired %v, want every timer but the last once", fired)
+	}
+	for i, id := range fired {
+		if id != i {
+			t.Fatalf("fire order %v, want deadline order", fired)
+		}
+	}
+}
+
+// TestWheelFireCallbacksKeepDrainOrder runs Fire callbacks that change
+// their own wheel while one level-0 bucket drains. The whole bucket is
+// detached before the first callback, so canceling a sibling of the same
+// jiffy is a no-op and the sibling still fires; timers added by a callback
+// fire at their own jiffies; and a sibling that a callback re-adds (or
+// re-adds and cancels) before its turn does not fire in this drain, and
+// fires once at its new deadline (or never).
+func TestWheelFireCallbacksKeepDrainOrder(t *testing.T) {
+	w := NewTimerWheel(testJiffy)
+	type fire struct {
+		name string
+		at   sim.Time
+	}
+	var got []fire
+	var a, b, c, d, h *SoftTimer
+	timer := func(name string, deadline sim.Time, then func(now sim.Time)) *SoftTimer {
+		return &SoftTimer{Deadline: deadline, Fire: func(now sim.Time) {
+			got = append(got, fire{name, now})
+			if then != nil {
+				then(now)
+			}
+		}}
+	}
+	a = timer("a", testJiffy-4, func(now sim.Time) {
+		if w.Cancel(c) {
+			t.Error("canceling a sibling of the draining bucket reported it pending")
+		}
+		w.Add(timer("e", now, nil))             // late: the next jiffy
+		w.Add(timer("f", now+testJiffy/2, nil)) // also the next jiffy, after e
+	})
+	b = timer("b", testJiffy-3, func(now sim.Time) {
+		d.Deadline = now + 3*testJiffy
+		w.Add(d)
+		h.Deadline = now + testJiffy
+		w.Add(h)
+		w.Cancel(h)
+	})
+	c = timer("c", testJiffy-2, nil)
+	h = timer("h", testJiffy-1, nil)
+	d = timer("d", testJiffy, nil)
+	for _, tm := range []*SoftTimer{d, h, c, b, a} {
+		w.Add(tm)
+	}
+	for now := sim.Time(0); now <= 8*testJiffy; now += testJiffy {
+		w.AdvanceTo(now)
+	}
+	want := []fire{{"a", testJiffy}, {"b", testJiffy}, {"c", testJiffy},
+		{"e", 2 * testJiffy}, {"f", 2 * testJiffy}, {"d", 4 * testJiffy}}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+	if w.Len() != 0 || h.Pending() {
+		t.Fatalf("wheel holds %d timers after the drain (h pending %v), want none", w.Len(), h.Pending())
+	}
+}

@@ -20,17 +20,20 @@ const (
 
 // node is the pooled representation of a scheduled event. Nodes are recycled
 // through the engine's free list; the generation counter invalidates stale
-// Event handles across reuse. index is the node's position in the heap or
-// its wheel bucket; a batch node has no index — Cancel finds its cell by
-// binary search on (when, seq) — so index is stale while loc is locBatch.
+// Event handles across reuse. A wheel node is linked into its bucket's list
+// by next and prev (prev is nil at the head); a heap node has index, its
+// heap position. A batch node has neither — Cancel finds its cell by binary
+// search on (when, seq). The links mean something only while the node is
+// in a bucket, and release clears them.
 type node struct {
-	when  Time
-	seq   uint64
-	index int
-	loc   int32
-	gen   uint32 // bumped on release; a handle with an older gen is dead
-	fn    Handler
-	label string
+	when       Time
+	seq        uint64
+	index      int
+	loc        int32
+	gen        uint32 // bumped on release; a handle with an older gen is dead
+	next, prev *node
+	fn         Handler
+	label      string
 }
 
 // Event is a handle to a scheduled occurrence, created by Engine.At /
@@ -136,6 +139,9 @@ const (
 // The queue is a two-tier hybrid. Events within the near horizon go into a
 // bitmap-indexed timer wheel: 256 buckets of 2^shift ns, with per-word
 // occupancy bitmaps so the next occupied bucket is a handful of word scans.
+// Each bucket is the head of a doubly linked list threaded through the
+// nodes, so filing and canceling are O(1) and an idle engine's wheel is
+// 256 nil pointers, with no per-bucket storage to grow or retain.
 // Far-future events overflow into an inlined binary min-heap — no
 // container/heap interface dispatch, no boxing — and cascade into the wheel
 // as the window advances with time. Dispatch drains one bucket at a time
@@ -166,7 +172,7 @@ type Engine struct {
 	//snap:skip derived queue state, rebuilt by ScheduleRestored on load
 	occ [wheelWords]uint64
 	//snap:skip derived queue state, rebuilt by ScheduleRestored on load
-	buckets [wheelBuckets][]*node
+	buckets [wheelBuckets]*node // list heads, newest first
 
 	// Active dispatch batch: one drained bucket, sorted by (when, seq).
 	// Entries carry the sort key inline so comparisons, binary searches and
@@ -245,25 +251,24 @@ func wheelEndFor(base int64, shift uint) Time {
 }
 
 // Reset returns the engine to time zero with a fresh RNG stream, releasing
-// every pending event while keeping the node pool, bucket, batch, and heap
+// every pending event while keeping the node pool, batch, and heap
 // capacities. It is the only writer of the engine's per-run state:
 // NewEngineShift builds a shell and calls it, and the experiment layer's
 // per-worker arenas call it to reuse one engine across repeated runs.
 func (e *Engine) Reset(seed uint64) {
-	if e.wheelCount > 0 {
-		for s := range e.buckets {
-			b := e.buckets[s]
-			for i, nd := range b {
-				b[i] = nil
+	for w := range e.occ {
+		for e.occ[w] != 0 {
+			s := w<<6 + bits.TrailingZeros64(e.occ[w])
+			e.occ[w] &= e.occ[w] - 1
+			for nd := e.buckets[s]; nd != nil; {
+				next := nd.next
 				e.release(nd)
+				nd = next
 			}
-			e.buckets[s] = b[:0]
+			e.buckets[s] = nil
 		}
-		for w := range e.occ {
-			e.occ[w] = 0
-		}
-		e.wheelCount = 0
 	}
+	e.wheelCount = 0
 	for i := e.batchPos; i < len(e.batch); i++ {
 		if nd := e.batch[i].nd; nd != nil {
 			e.release(nd)
@@ -340,6 +345,7 @@ func (e *Engine) release(nd *node) {
 	nd.gen++
 	nd.loc = locDetached
 	nd.index = -1
+	nd.next, nd.prev = nil, nil
 	nd.fn = nil
 	nd.label = ""
 	e.free = append(e.free, nd)
@@ -449,38 +455,41 @@ func (e *Engine) remove(nd *node) {
 
 // --- Near-horizon wheel (fast tier) ------------------------------------
 
-// wheelAdd files nd into its ring bucket and marks the occupancy bit.
-// Callers guarantee nd.when < e.wheelEnd.
+// wheelAdd links nd in at the head of its ring bucket and marks the
+// occupancy bit. Callers guarantee nd.when < e.wheelEnd.
 //
 //paratick:noalloc
 func (e *Engine) wheelAdd(nd *node) {
 	s := int(int64(nd.when>>e.shift) & wheelMask)
 	nd.loc = int32(s)
-	nd.index = len(e.buckets[s])
-	e.buckets[s] = append(e.buckets[s], nd)
+	nd.prev = nil
+	nd.next = e.buckets[s]
+	if nd.next != nil {
+		nd.next.prev = nd
+	}
+	e.buckets[s] = nd
 	e.occ[s>>6] |= 1 << uint(s&63)
 	e.wheelCount++
 }
 
-// bucketRemove unfiles nd from its wheel bucket by swap-remove, clearing
-// the occupancy bit when the bucket empties.
+// bucketRemove unlinks nd from its wheel bucket, clearing the occupancy
+// bit when the bucket empties.
 //
 //paratick:noalloc
 func (e *Engine) bucketRemove(nd *node) {
 	s := int(nd.loc)
-	b := e.buckets[s]
-	last := len(b) - 1
-	if nd.index != last {
-		moved := b[last]
-		b[nd.index] = moved
-		moved.index = nd.index
+	if nd.prev != nil {
+		nd.prev.next = nd.next
+	} else {
+		e.buckets[s] = nd.next
 	}
-	b[last] = nil
-	e.buckets[s] = b[:last]
-	if last == 0 {
+	if nd.next != nil {
+		nd.next.prev = nd.prev
+	}
+	if e.buckets[s] == nil {
 		e.occ[s>>6] &^= 1 << uint(s&63)
 	}
-	nd.index = -1
+	nd.next, nd.prev = nil, nil
 	nd.loc = locDetached
 	e.wheelCount--
 }
@@ -684,14 +693,22 @@ func (e *Engine) refillBatch() {
 	if s < 0 {
 		panic("sim: wheel count positive but occupancy empty")
 	}
-	b := e.buckets[s]
-	for i, nd := range b {
+	for nd := e.buckets[s]; nd != nil; nd = nd.next {
 		e.batchAppend(nd)
-		b[i] = nil
 	}
-	e.buckets[s] = b[:0]
+	e.buckets[s] = nil
 	e.occ[s>>6] &^= 1 << uint(s&63)
 	e.wheelCount -= len(e.batch)
+	if n := len(e.batch); n <= sortCutover {
+		// The list holds the bucket newest first. Reversed, it is back in
+		// filing order, which is seq order unless a cascade, spill or
+		// restore interleaved — the case insertion sort passes through in
+		// one scan. Heapsort, above the cutover, builds its heap fastest
+		// from the descending order as it is.
+		for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
+			e.batch[i], e.batch[j] = e.batch[j], e.batch[i]
+		}
+	}
 	sortEnts(e.batch)
 	e.batchBkt = e.wheelBase + int64((s-s0)&wheelMask)
 	// A saturated window ends at Forever, so the bucket holding Forever is
@@ -775,12 +792,23 @@ func (e *Engine) At(when Time, label string, fn Handler) Event {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", label, when, e.now))
 	}
+	ev := e.schedule(when, e.seq, label, fn)
+	e.seq++
+	return ev
+}
+
+// schedule queues fn at (when, seq), the one placement path for new and
+// restored events: into the live batch when it lands in the batch's bucket,
+// else into the wheel or the overflow heap. Callers have validated when and
+// seq.
+//
+//paratick:noalloc
+func (e *Engine) schedule(when Time, seq uint64, label string, fn Handler) Event {
 	nd := e.acquire()
 	nd.when = when
-	nd.seq = e.seq
+	nd.seq = seq
 	nd.fn = fn
 	nd.label = label
-	e.seq++
 	e.count++
 	ab := int64(when >> e.shift)
 	if e.batchBkt >= 0 && ab < e.batchBkt {

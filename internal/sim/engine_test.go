@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeString(t *testing.T) {
@@ -588,5 +589,81 @@ func TestEngineBatchDeepInserts(t *testing.T) {
 	}
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d after Run", e.Pending())
+	}
+}
+
+// TestEngineResetDetachesEveryNode fills the live batch, every wheel
+// bucket (several events to a bucket) and the overflow heap, then resets
+// the engine. Every node must come back to the pool detached, with nil
+// links and no heap index, every handle must be dead, and the same
+// schedule must then run again in (when, seq) order.
+func TestEngineResetDetachesEveryNode(t *testing.T) {
+	e := NewEngine(1)
+	span := Time(1) << DefaultBucketShift
+	var order []int
+	schedule := func() []Event {
+		var evs []Event
+		add := func(when Time) {
+			id := len(evs)
+			evs = append(evs, e.At(when, "ev", func(*Engine) { order = append(order, id) }))
+		}
+		for b := Time(0); b < wheelBuckets; b++ {
+			for k := Time(0); k < 3; k++ {
+				add(b*span + k*span/3)
+			}
+		}
+		for k := Time(1); k <= 4; k++ {
+			add(k * Second)
+		}
+		add(Forever)
+		return evs
+	}
+	evs := schedule()
+	if !e.Step() || e.batchPos >= len(e.batch) {
+		t.Fatal("no live batch after the first dispatch")
+	}
+	for w, occ := range e.occ {
+		want := ^uint64(0)
+		if w == 0 {
+			want &^= 1 // bucket 0 is the live batch
+		}
+		if occ != want {
+			t.Fatalf("occupancy word %d = %#x, want %#x", w, occ, want)
+		}
+	}
+	if len(e.heap) != 5 {
+		t.Fatalf("heap holds %d events, want 5", len(e.heap))
+	}
+	e.Reset(1)
+	for i, ev := range evs {
+		nd := ev.n
+		if ev.Pending() || nd.loc != locDetached || nd.next != nil || nd.prev != nil || nd.index != -1 {
+			t.Fatalf("event %d after Reset: pending %v, loc %d, next %p, prev %p, index %d",
+				i, ev.Pending(), nd.loc, nd.next, nd.prev, nd.index)
+		}
+	}
+	if e.Pending() != 0 || e.wheelCount != 0 || e.occ != [wheelWords]uint64{} ||
+		e.buckets != [wheelBuckets]*node{} || len(e.heap) != 0 || len(e.batch) != 0 {
+		t.Fatal("queue not empty after Reset")
+	}
+	order = order[:0]
+	evs = schedule()
+	e.Run()
+	if len(order) != len(evs) {
+		t.Fatalf("fired %d of %d rescheduled events", len(order), len(evs))
+	}
+	for i, id := range order {
+		if id != i {
+			t.Fatalf("fire order after Reset diverges at %d: got id %d", i, id)
+		}
+	}
+}
+
+// TestEngineSize bounds the engine's inline size: 256 list heads plus a
+// few dozen words of scalars and slice headers, not 256 inline bucket
+// slices.
+func TestEngineSize(t *testing.T) {
+	if n, limit := unsafe.Sizeof(Engine{}), uintptr(wheelBuckets*8+256); n > limit {
+		t.Fatalf("Engine is %d bytes, want at most %d", n, limit)
 	}
 }

@@ -101,25 +101,7 @@ func (e *Engine) ScheduleRestored(when Time, seq uint64, label string, fn Handle
 	if seq >= e.seq {
 		panic(fmt.Sprintf("sim: restored event %q seq %d not below engine seq %d", label, seq, e.seq))
 	}
-	nd := e.acquire()
-	nd.when = when
-	nd.seq = seq
-	nd.fn = fn
-	nd.label = label
-	e.count++
-	ab := int64(when >> e.shift)
-	if e.batchBkt >= 0 && ab < e.batchBkt {
-		e.spillBatch()
-	}
-	switch {
-	case ab == e.batchBkt:
-		e.batchInsert(nd)
-	case when < e.wheelEnd:
-		e.wheelAdd(nd)
-	default:
-		e.push(nd)
-	}
-	return Event{n: nd, gen: nd.gen}
+	return e.schedule(when, seq, label, fn)
 }
 
 // Seq returns the event's dispatch sequence number, the tie-break half of
@@ -135,7 +117,7 @@ func (ev Event) Seq() (seq uint64, ok bool) {
 // for state digests and diagnostics; fn must not schedule or cancel.
 func (e *Engine) ForEachPending(fn func(when Time, seq uint64, label string)) {
 	for s := range e.buckets {
-		for _, nd := range e.buckets[s] {
+		for nd := e.buckets[s]; nd != nil; nd = nd.next {
 			fn(nd.when, nd.seq, nd.label)
 		}
 	}
