@@ -208,7 +208,8 @@ func (o Options) arenaFor(w int) *arena {
 // therefore every rendered table — is identical to a serial loop. Jobs must
 // not share mutable state; each experiment run builds its own host and VMs,
 // drawing scratch (the reused engine coordinator, the host/VM arenas) only
-// from the worker-private arena it is handed (nil under o.NoArena). On
+// from the worker-private arena it is handed (nil under o.NoArena), which
+// drops the VMs its worlds left unclaimed when the call returns. On
 // failure the error of the lowest-index failing job is returned, keeping
 // even the error path deterministic.
 func runParallel[T any](o Options, n int, job func(i int, a *arena) (T, error)) ([]T, error) {
@@ -219,6 +220,7 @@ func runParallel[T any](o Options, n int, job func(i int, a *arena) (T, error)) 
 	}
 	if workers <= 1 {
 		a := o.arenaFor(0)
+		defer a.hostArena().DropUnclaimedVMs()
 		for i := 0; i < n; i++ {
 			v, err := job(i, a)
 			if err != nil {
@@ -236,6 +238,7 @@ func runParallel[T any](o Options, n int, job func(i int, a *arena) (T, error)) 
 		a := o.arenaFor(w)
 		go func() {
 			defer wg.Done()
+			defer a.hostArena().DropUnclaimedVMs()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -274,6 +277,7 @@ func NewSession() *Session { return &Session{} }
 // steady-state caller reusing one ScenarioResult across runs pays no
 // per-run result allocation.
 func (s *Session) RunScenarioInto(sc Scenario, seed uint64, m *metrics.Meter, out *ScenarioResult) error {
+	defer s.a.hosts.DropUnclaimedVMs()
 	return runScenarioInto(sc, seed, m, &s.a, out)
 }
 

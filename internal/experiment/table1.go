@@ -45,7 +45,7 @@ func RunTable1(opts Options) (*Table1Result, error) {
 	workloads := []string{"W1", "W2", "W3", "W4"}
 	modes := []core.Mode{core.Periodic, core.DynticksIdle, core.Paratick}
 	// One run per (workload, mode) cell, regrouped by index.
-	var runs []run
+	runs := make([]run, 0, len(workloads)*len(modes))
 	for _, w := range workloads {
 		nVMs := 1
 		if w == "W2" || w == "W4" {
@@ -90,6 +90,7 @@ func table1Scenario(opts Options, mode core.Mode, nVMs int, sync bool, dur sim.T
 		Name:     fmt.Sprintf("table1/%s", mode),
 		Topology: hw.SmallTopology(), // the §3.3 16-pCPU system
 		Duration: dur,
+		VMs:      make([]VMSpec, 0, nVMs),
 	})
 	for n := 0; n < nVMs; n++ {
 		vs := VMSpec{Name: fmt.Sprintf("vm%d", n), Mode: mode, Placement: placement}

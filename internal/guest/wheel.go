@@ -420,7 +420,9 @@ func (w *TimerWheel) nextEventJiffy() int64 {
 //
 //paratick:noalloc
 func (w *TimerWheel) AdvanceTo(now sim.Time) int {
-	target := int64(now / w.jiffy)
+	// Fire jiffies at or past maxJiff mean "never": when the jiffy does not
+	// divide sim.Forever, now can reach maxJiff·jiffy, so stop one short.
+	target := min(int64(now/w.jiffy), w.maxJiff-1)
 	if target <= w.curJiff {
 		return 0
 	}

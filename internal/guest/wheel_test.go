@@ -558,6 +558,26 @@ func TestWheelResetDetachesEveryTimer(t *testing.T) {
 	}
 }
 
+// TestWheelNeverFiresForeverTimer advances a 1 ms wheel, whose jiffy does
+// not divide sim.Forever, to the last representable instant: a timer at
+// sim.Forever means "never" and must stay queued, while one a jiffy before
+// the never jiffy fires.
+func TestWheelNeverFiresForeverTimer(t *testing.T) {
+	w := NewTimerWheel(sim.Millisecond)
+	if sim.Forever%sim.Millisecond == 0 {
+		t.Fatal("1 ms divides sim.Forever; the test needs a jiffy that does not")
+	}
+	never, last := false, false
+	w.Add(&SoftTimer{Deadline: sim.Forever, Fire: func(sim.Time) { never = true }})
+	w.Add(&SoftTimer{Deadline: sim.Time(w.maxJiff-1) * sim.Millisecond, Fire: func(sim.Time) { last = true }})
+	if n := w.AdvanceTo(sim.Forever - 1); n != 1 || never || !last {
+		t.Fatalf("AdvanceTo(Forever-1) fired %d (never %v, last %v), want only the timer before the never jiffy", n, never, last)
+	}
+	if w.Len() != 1 || w.NextExpiry() != sim.Forever {
+		t.Fatalf("wheel holds %d timers, next expiry %v; want the Forever timer, still pending", w.Len(), w.NextExpiry())
+	}
+}
+
 // TestWheelFireCallbacksKeepDrainOrder runs Fire callbacks that change
 // their own wheel while one level-0 bucket drains. The whole bucket is
 // detached before the first callback, so canceling a sibling of the same

@@ -29,10 +29,13 @@ type HostArena struct {
 // task, segment, and sync-object pools; the host-side vCPUs with their
 // pre-bound deadline-timer handler closures and pending-IRQ double buffers;
 // and the per-vCPU timer wheels, which stay attached to their kernels.
-// Host.reset stashes a finished run's VMs here, in place of the previous
-// world's, and NewVM re-acquires them keyed on (vCPU count, guest tick Hz)
-// — the construction-shape fields; the workload shape adapts through the
-// kernel's internal pools. A nil *VMArena is valid and never pools.
+// Host.reset stashes a finished run's VMs here, next to whatever earlier
+// worlds left unclaimed, and NewVM re-acquires them keyed on (vCPU count,
+// guest tick Hz) — the construction-shape fields; the workload shape adapts
+// through the kernel's internal pools. The pool grows only within one batch
+// of runs: the experiment layer calls HostArena.DropUnclaimedVMs when a
+// batch returns, so between batches the arena holds one world's VMs, those
+// still attached to its host. A nil *VMArena is valid and never pools.
 //
 // Like host pooling, VM reuse is execution-only: NewVM runs VM.reset on
 // fresh shells and recycled VMs alike (the digest audits in arena_test.go
@@ -58,17 +61,33 @@ func (a *VMArena) take(vcpus, tickHz int) *VM {
 	return nil
 }
 
-// stash parks a finished world's VMs for reuse in place of whatever the
-// world before it left unclaimed, so the pool holds one world's VMs at
-// most. No sanitization happens here — VM.reset does all of it at
+// stash parks a finished world's VMs for reuse next to those earlier
+// worlds left unclaimed, so worlds of different shapes that alternate
+// within one batch of runs (Table 1's 1-VM and 4-VM worlds) each find
+// theirs. No sanitization happens here — VM.reset does all of it at
 // re-acquire time, which also covers VMs abandoned mid-run (the
 // snapshot-probe path).
 func (a *VMArena) stash(vms []*VM) {
 	if a == nil {
 		return
 	}
+	a.free = append(a.free, vms...)
+}
+
+// drop empties the pool.
+func (a *VMArena) drop() {
 	clear(a.free)
-	a.free = append(a.free[:0], vms...)
+	a.free = a.free[:0]
+}
+
+// DropUnclaimedVMs empties the VM pool at the end of a batch of runs. The
+// VMs of the last world stay with the host, which stashes them on its next
+// reset, so the arena then holds that one world's VMs. A nil arena is a
+// no-op.
+func (a *HostArena) DropUnclaimedVMs() {
+	if a != nil {
+		a.vms.drop()
+	}
 }
 
 // NewHostOn returns a host for the coordinator, reusing the pooled one
@@ -88,7 +107,7 @@ func (a *HostArena) NewHostOn(se *sim.ShardedEngine, cfg Config) (*Host, error) 
 		return h, nil
 	}
 	// The pooled VMs reference the old host's pCPUs and lane engines.
-	a.vms.stash(nil)
+	a.vms.drop()
 	h, err := NewHostOn(se, cfg)
 	if err == nil {
 		h.vmArena = &a.vms

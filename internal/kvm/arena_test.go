@@ -228,10 +228,13 @@ func TestVMArenaRecyclesVMObjects(t *testing.T) {
 	}
 }
 
-// TestVMArenaHoldsOneWorld pins the pool's bound: a world stashes its VMs
-// in place of whatever the world before it left unclaimed, so after a
-// 250 Hz world and then a 100 Hz one (which cannot reuse the 250 Hz VMs)
-// the pool holds exactly the 100 Hz world's VMs.
+// TestVMArenaHoldsOneWorld pins the pool's bound. Within one batch of
+// runs a world stashes its VMs next to whatever earlier worlds left
+// unclaimed, so worlds that alternate between two shapes (250 Hz, 100 Hz,
+// 250 Hz) each reclaim theirs. Once the batch returns (DropUnclaimedVMs),
+// the arena holds one world's VMs: the last world's, which the next reset
+// stashes. A rebuilt host clears the pool outright, since pooled VMs
+// reference the old host's pCPUs.
 func TestVMArenaHoldsOneWorld(t *testing.T) {
 	a := &HostArena{}
 	e := sim.NewEngine(3)
@@ -239,16 +242,45 @@ func TestVMArenaHoldsOneWorld(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology = hw.SmallTopology()
 	vmArenaRun(t, a, se, cfg, 250, core.Periodic, false)
+	first := slices.Clone(a.host.VMs())
 	e.Reset(3)
 	vmArenaRun(t, a, se, cfg, 100, core.Periodic, false)
-	last := slices.Clone(a.host.VMs())
+	second := slices.Clone(a.host.VMs())
+	if !slices.Equal(a.vms.free, first) {
+		t.Fatalf("pool holds %d VMs after the 100 Hz world, want the unclaimed 250 Hz world's %d", len(a.vms.free), len(first))
+	}
+	e.Reset(3)
+	vmArenaRun(t, a, se, cfg, 250, core.Periodic, false)
+	third := slices.Clone(a.host.VMs())
+	for _, vm := range third {
+		if !slices.Contains(first, vm) {
+			t.Fatal("the second 250 Hz world did not reclaim the first one's VMs")
+		}
+	}
+	if !slices.Equal(a.vms.free, second) {
+		t.Fatalf("pool holds %d VMs within the batch, want the unclaimed 100 Hz world's %d", len(a.vms.free), len(second))
+	}
 
+	a.DropUnclaimedVMs()
+	if len(a.vms.free) != 0 {
+		t.Fatalf("pool holds %d VMs after DropUnclaimedVMs, want 0", len(a.vms.free))
+	}
 	e.Reset(3)
 	if _, err := a.NewHostOn(se, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(a.vms.free, last) {
-		t.Fatalf("pool holds %d VMs after the 100 Hz world, want its %d", len(a.vms.free), len(last))
+	if !slices.Equal(a.vms.free, third) {
+		t.Fatalf("pool holds %d VMs after the batch returned, want the last world's %d", len(a.vms.free), len(third))
+	}
+
+	e.Reset(3)
+	other := cfg
+	other.HostHz = cfg.HostHz * 2
+	if _, err := a.NewHostOn(se, other); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.vms.free) != 0 {
+		t.Fatalf("pool holds %d VMs after the host was rebuilt, want 0", len(a.vms.free))
 	}
 }
 

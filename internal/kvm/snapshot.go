@@ -12,7 +12,7 @@ package kvm
 // vCPU's issued guest segment, restored by the guest kernel.
 
 import (
-	"fmt"
+	"strconv"
 
 	"paratick/internal/guest"
 	"paratick/internal/sched"
@@ -207,7 +207,7 @@ func (v *VCPU) snap(s *snap.Stream) {
 // pending completion's coordinates, the current vCPU's scheduler key, and
 // the instant the running segment or poll window began.
 func (p *PCPU) snap(s *snap.Stream) {
-	s.Section(fmt.Sprintf("pcpu:%d", p.id))
+	s.Section("pcpu:" + strconv.Itoa(int(p.id)))
 	p.tick.Snap(s)
 	snap.Byte(s, &p.phase)
 	if p.phase > phaseWake {

@@ -10,21 +10,25 @@ import (
 type Handler func(e *Engine)
 
 // Node location discriminators. A node is always in exactly one container:
-// a wheel bucket (loc >= 0, the ring slot), the overflow heap (locHeap),
-// the active dispatch batch (locBatch), or detached (fired/canceled/free).
+// a wheel bucket (loc in [0, wheelBuckets), the ring slot), a sub-list of
+// the split bucket (loc in [locSub, locSub+subLists)), the overflow heap
+// (locHeap), the active dispatch batch (locBatch), or detached
+// (fired/canceled/free).
 const (
 	locDetached int32 = -1
 	locHeap     int32 = -2
 	locBatch    int32 = -3
+	locSub      int32 = wheelBuckets
 )
 
 // node is the pooled representation of a scheduled event. Nodes are recycled
 // through the engine's free list; the generation counter invalidates stale
 // Event handles across reuse. A wheel node is linked into its bucket's list
 // by next and prev (prev is nil at the head); a heap node has index, its
-// heap position. A batch node has neither — Cancel finds its cell by binary
-// search on (when, seq). The links mean something only while the node is
-// in a bucket, and release clears them.
+// heap position. A sub-list node is linked like a wheel node. A batch node
+// has neither — Cancel finds its cell by binary search on (when, seq). The
+// links mean something only while the node is in a bucket or sub-list, and
+// release clears them.
 type node struct {
 	when       Time
 	seq        uint64
@@ -128,6 +132,14 @@ const (
 	// inserts land within a few entries of the tail, where stepping is
 	// cheaper than a copy of pointer-holding entries.
 	batchProbe = 4
+
+	// subLists is how many sub-lists a dense bucket splits into on drain,
+	// each spanning 1<<(shift-subBits) ns: 1.024µs at the default shift.
+	// Below shift subBits a sub-list spans 1 ns and a bucket uses only
+	// the first 1<<shift of them.
+	subBits  = 6
+	subLists = 1 << subBits
+	subMask  = subLists - 1
 )
 
 // Engine is the discrete-event simulation core: a clock plus an event queue.
@@ -146,8 +158,12 @@ const (
 // container/heap interface dispatch, no boxing — and cascade into the wheel
 // as the window advances with time. Dispatch drains one bucket at a time
 // into a sorted batch, so the common near-horizon event costs O(1) amortized
-// instead of an O(log n) heap pop. Fired or canceled nodes return to a free
-// list, so steady-state schedule→fire→reschedule cycles allocate nothing.
+// instead of an O(log n) heap pop. A dense bucket — more than sortCutover
+// events over more than one of its 64 sub-spans — is split on drain into
+// sub-lists that enter the batch one at a time, so a follow-up scheduled
+// into a later sub-span is linked in O(1) instead of shifted into the batch.
+// Fired or canceled nodes return to a free list, so steady-state
+// schedule→fire→reschedule cycles allocate nothing.
 //
 // The hybrid preserves the exact (when, seq) total dispatch order of the
 // classic pure-heap engine; engine_ref_test.go proves the equivalence
@@ -189,6 +205,18 @@ type Engine struct {
 	//snap:skip derived queue state, rebuilt by ScheduleRestored on load
 	batchBkt int64
 
+	// Split bucket: splitBkt is the absolute bucket whose drain was split
+	// (-1 when none is), sub its sub-lists (newest first, like a bucket),
+	// subOcc their occupancy, and batchSub the sub-list the batch holds (-1
+	// when the batch holds none yet). While a bucket is split batchBkt is
+	// -1, so schedules into it take the wheel branch of schedule.
+	//snap:skip derived queue state, rebuilt by ScheduleRestored on load
+	splitBkt int64
+	//snap:skip derived queue state, rebuilt by ScheduleRestored on load
+	batchSub int
+	//snap:skip derived queue state, rebuilt by ScheduleRestored on load
+	subOcc uint64
+
 	//snap:skip derived queue state, rebuilt by ScheduleRestored on load
 	heap []*node // overflow min-heap; invariant: heap min >= wheelEnd
 	//snap:skip node pool, capacity only — never simulation state
@@ -201,8 +229,14 @@ type Engine struct {
 	rand    *Rand
 	stopReq bool // Stop() pending, not yet observed by a run
 	stopped bool // most recent run was halted by Stop
+	//snap:skip derived from shift: log2 of a sub-list's span in ns
+	subShift uint8
 	//snap:skip observer hook, reattached by the harness after restore
 	obs Observer
+	// sub is allocated on the first split and kept across Reset, so an
+	// engine that never drains a dense bucket carries one nil pointer.
+	//snap:skip derived queue state, rebuilt by ScheduleRestored on load
+	sub *[subLists]*node
 }
 
 // Observer receives one callback per dispatched event, immediately before
@@ -232,6 +266,9 @@ func NewEngineShift(seed uint64, shift uint) *Engine {
 		panic(fmt.Sprintf("sim: bucket shift %d outside [1, 40]", shift))
 	}
 	e := &Engine{shift: shift, heap: make([]*node, 0, initialQueueCap), rand: new(Rand)}
+	if shift > subBits {
+		e.subShift = uint8(shift - subBits)
+	}
 	e.Reset(seed)
 	return e
 }
@@ -278,6 +315,18 @@ func (e *Engine) Reset(seed uint64) {
 	e.batch = e.batch[:0]
 	e.batchPos = 0
 	e.batchBkt = -1
+	for e.subOcc != 0 {
+		j := bits.TrailingZeros64(e.subOcc)
+		e.subOcc &= e.subOcc - 1
+		for nd := e.sub[j]; nd != nil; {
+			next := nd.next
+			e.release(nd)
+			nd = next
+		}
+		e.sub[j] = nil
+	}
+	e.splitBkt = -1
+	e.batchSub = -1
 	for i, nd := range e.heap {
 		e.heap[i] = nil
 		e.release(nd)
@@ -455,6 +504,35 @@ func (e *Engine) remove(nd *node) {
 
 // --- Near-horizon wheel (fast tier) ------------------------------------
 
+// link pushes nd onto the front of the list at head, so a list holds its
+// nodes newest first.
+//
+//paratick:noalloc
+func link(head **node, nd *node) {
+	nd.prev = nil
+	nd.next = *head
+	if nd.next != nil {
+		nd.next.prev = nd
+	}
+	*head = nd
+}
+
+// unlink removes nd from the list at head and detaches it.
+//
+//paratick:noalloc
+func unlink(head **node, nd *node) {
+	if nd.prev != nil {
+		nd.prev.next = nd.next
+	} else {
+		*head = nd.next
+	}
+	if nd.next != nil {
+		nd.next.prev = nd.prev
+	}
+	nd.next, nd.prev = nil, nil
+	nd.loc = locDetached
+}
+
 // wheelAdd links nd in at the head of its ring bucket and marks the
 // occupancy bit. Callers guarantee nd.when < e.wheelEnd.
 //
@@ -462,12 +540,7 @@ func (e *Engine) remove(nd *node) {
 func (e *Engine) wheelAdd(nd *node) {
 	s := int(int64(nd.when>>e.shift) & wheelMask)
 	nd.loc = int32(s)
-	nd.prev = nil
-	nd.next = e.buckets[s]
-	if nd.next != nil {
-		nd.next.prev = nd
-	}
-	e.buckets[s] = nd
+	link(&e.buckets[s], nd)
 	e.occ[s>>6] |= 1 << uint(s&63)
 	e.wheelCount++
 }
@@ -478,19 +551,10 @@ func (e *Engine) wheelAdd(nd *node) {
 //paratick:noalloc
 func (e *Engine) bucketRemove(nd *node) {
 	s := int(nd.loc)
-	if nd.prev != nil {
-		nd.prev.next = nd.next
-	} else {
-		e.buckets[s] = nd.next
-	}
-	if nd.next != nil {
-		nd.next.prev = nd.prev
-	}
+	unlink(&e.buckets[s], nd)
 	if e.buckets[s] == nil {
 		e.occ[s>>6] &^= 1 << uint(s&63)
 	}
-	nd.next, nd.prev = nil, nil
-	nd.loc = locDetached
 	e.wheelCount--
 }
 
@@ -538,6 +602,39 @@ func (e *Engine) advanceWindow() {
 }
 
 // --- Batch (drained-bucket) dispatch -----------------------------------
+
+// orderList sorts a batch drained from a bucket's or sub-list's list, which
+// holds it newest first. Reversed, that is filing order, which is seq order
+// unless a cascade, spill or restore interleaved: insertion sort passes it
+// in one scan, and above sortCutover a run already in order skips the
+// heapsort, which otherwise builds its heap fastest from the descending
+// order as it is.
+//
+//paratick:noalloc
+func orderList(a []batchEnt) {
+	if len(a) > sortCutover && !descending(a) {
+		sortEnts(a)
+		return
+	}
+	for i, j := 0, len(a)-1; i < j; i, j = i+1, j-1 {
+		a[i], a[j] = a[j], a[i]
+	}
+	if len(a) <= sortCutover {
+		sortEnts(a)
+	}
+}
+
+// descending reports whether a is in strictly descending (when, seq) order.
+//
+//paratick:noalloc
+func descending(a []batchEnt) bool {
+	for i := 1; i < len(a); i++ {
+		if entLess(a[i-1], a[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // sortEnts orders a by (when, seq): insertion sort for the typical small
 // bucket, in-place heapsort (via siftDownMax) above sortCutover so dense
@@ -646,11 +743,11 @@ func (e *Engine) batchInsert(nd *node) {
 	e.batch[i] = ent
 }
 
-// spillBatch returns the undispatched remainder of the batch to the wheel
-// or heap. It runs only on the rare out-of-order schedule: a RunUntil peek
-// drained a future bucket ahead of now, and the caller then scheduled an
-// event into an earlier bucket. Nodes keep their seq, so re-draining later
-// reproduces the exact order.
+// spillBatch returns the undispatched remainder of the batch, and of a
+// split bucket's sub-lists, to the wheel or heap. It runs only on the rare
+// out-of-order schedule: a RunUntil peek drained a future bucket ahead of
+// now, and the caller then scheduled an event into an earlier bucket. Nodes
+// keep their seq, so re-draining later reproduces the exact order.
 //
 //paratick:noalloc
 func (e *Engine) spillBatch() {
@@ -669,6 +766,17 @@ func (e *Engine) spillBatch() {
 	e.batch = e.batch[:0]
 	e.batchPos = 0
 	e.batchBkt = -1
+	for e.subOcc != 0 {
+		j := bits.TrailingZeros64(e.subOcc)
+		e.subOcc &= e.subOcc - 1
+		for nd := e.sub[j]; nd != nil; {
+			next := nd.next
+			e.wheelAdd(nd)
+			nd = next
+		}
+		e.sub[j] = nil
+	}
+	e.splitBkt = -1
 }
 
 // refillBatch drains the next occupied bucket into the (empty) batch.
@@ -699,18 +807,20 @@ func (e *Engine) refillBatch() {
 	e.buckets[s] = nil
 	e.occ[s>>6] &^= 1 << uint(s&63)
 	e.wheelCount -= len(e.batch)
+	bkt := e.wheelBase + int64((s-s0)&wheelMask)
 	if n := len(e.batch); n <= sortCutover {
 		// The list holds the bucket newest first. Reversed, it is back in
 		// filing order, which is seq order unless a cascade, spill or
 		// restore interleaved — the case insertion sort passes through in
-		// one scan. Heapsort, above the cutover, builds its heap fastest
-		// from the descending order as it is.
+		// one scan.
 		for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
 			e.batch[i], e.batch[j] = e.batch[j], e.batch[i]
 		}
+		sortEnts(e.batch)
+	} else if e.orderDense(bkt) {
+		return
 	}
-	sortEnts(e.batch)
-	e.batchBkt = e.wheelBase + int64((s-s0)&wheelMask)
+	e.batchBkt = bkt
 	// A saturated window ends at Forever, so the bucket holding Forever is
 	// split: events at exactly Forever sit in the heap. They follow every
 	// wheel entry of the bucket in (when, seq) order; drain them too, or a
@@ -718,6 +828,104 @@ func (e *Engine) refillBatch() {
 	for e.wheelEnd == Forever && len(e.heap) > 0 && int64(e.heap[0].when>>e.shift) == e.batchBkt {
 		e.batchAppend(e.popMin())
 	}
+}
+
+// orderDense orders a drained bucket of more than sortCutover entries, or
+// splits it when they fall in more than one sub-span, and reports whether
+// it split. Nothing splits while the window is saturated: the bucket
+// holding Forever keeps its events at exactly Forever in the heap.
+//
+//paratick:noalloc
+func (e *Engine) orderDense(bkt int64) bool {
+	if e.wheelEnd != Forever {
+		j := e.batch[0].when >> e.subShift
+		for _, ent := range e.batch[1:] {
+			if ent.when>>e.subShift != j {
+				e.split(bkt)
+				return true
+			}
+		}
+	}
+	orderList(e.batch)
+	return false
+}
+
+// split spreads the drained batch of bucket bkt over the sub-lists, one
+// per sub-span, and serves the first.
+//
+//paratick:noalloc
+func (e *Engine) split(bkt int64) {
+	if e.sub == nil {
+		//lint:ignore A001 sub-list heads: allocated on an engine's first dense drain, kept across Reset
+		e.sub = new([subLists]*node)
+	}
+	// The batch holds the bucket newest first; linking from its end leaves
+	// every sub-list newest first too.
+	for i := len(e.batch) - 1; i >= 0; i-- {
+		e.subLink(e.batch[i].nd)
+		e.batch[i] = batchEnt{}
+	}
+	e.batch = e.batch[:0]
+	e.splitBkt = bkt
+	e.serveSub()
+}
+
+// serveSub drains the earliest occupied sub-list into the (empty) batch.
+//
+//paratick:noalloc
+func (e *Engine) serveSub() {
+	j := bits.TrailingZeros64(e.subOcc)
+	e.subOcc &^= 1 << uint(j)
+	for nd := e.sub[j]; nd != nil; nd = nd.next {
+		e.batchAppend(nd)
+	}
+	e.sub[j] = nil
+	orderList(e.batch)
+	e.batchSub = j
+}
+
+// subLink links nd into the split bucket's sub-list for its time.
+//
+//paratick:noalloc
+func (e *Engine) subLink(nd *node) {
+	j := int(nd.when>>e.subShift) & subMask
+	nd.loc = locSub + int32(j)
+	link(&e.sub[j], nd)
+	e.subOcc |= 1 << uint(j)
+}
+
+// scheduleSplit places nd, whose bucket ab is at or before the split
+// bucket. In the batch's own sub-list it joins the batch, in a later one
+// that sub-list. Anything earlier means the batch was served ahead of now
+// (a peek at the next event serves it before the clock gets there) and nd
+// lands before it: an earlier sub-list takes the batch back first, an
+// earlier bucket the whole split bucket.
+//
+//paratick:noalloc
+func (e *Engine) scheduleSplit(nd *node, ab int64) {
+	if ab < e.splitBkt {
+		e.spillBatch()
+		e.wheelAdd(nd)
+		return
+	}
+	j := int(nd.when>>e.subShift) & subMask
+	if j == e.batchSub {
+		e.batchInsert(nd)
+		return
+	}
+	if j < e.batchSub {
+		// Linked back in (when, seq) order, the sub-list is newest first.
+		for i := e.batchPos; i < len(e.batch); i++ {
+			if b := e.batch[i].nd; b != nil {
+				e.subLink(b)
+			}
+			e.batch[i] = batchEnt{}
+		}
+		e.batch = e.batch[:0]
+		e.batchPos = 0
+		e.batchSub = -1
+	}
+	e.subLink(nd)
 }
 
 // batchAppend moves nd to the end of the batch being refilled.
@@ -743,6 +951,13 @@ func (e *Engine) ensureBatch() bool {
 		e.batch = e.batch[:0]
 		e.batchPos = 0
 		e.batchBkt = -1
+		if e.splitBkt >= 0 {
+			if e.subOcc != 0 {
+				e.serveSub()
+				continue
+			}
+			e.splitBkt = -1
+		}
 		if e.wheelCount == 0 && len(e.heap) == 0 {
 			return false
 		}
@@ -799,8 +1014,10 @@ func (e *Engine) At(when Time, label string, fn Handler) Event {
 
 // schedule queues fn at (when, seq), the one placement path for new and
 // restored events: into the live batch when it lands in the batch's bucket,
-// else into the wheel or the overflow heap. Callers have validated when and
-// seq.
+// else into the wheel or the overflow heap. A split bucket is not the
+// batch's bucket, so its schedules take the wheel branch, the only one that
+// tests for a split (splitBkt is -1, below every bucket, when none is).
+// Callers have validated when and seq.
 //
 //paratick:noalloc
 func (e *Engine) schedule(when Time, seq uint64, label string, fn Handler) Event {
@@ -820,7 +1037,11 @@ func (e *Engine) schedule(when Time, seq uint64, label string, fn Handler) Event
 	case ab == e.batchBkt:
 		e.batchInsert(nd)
 	case when < e.wheelEnd:
-		e.wheelAdd(nd)
+		if ab <= e.splitBkt {
+			e.scheduleSplit(nd, ab)
+		} else {
+			e.wheelAdd(nd)
+		}
 	default:
 		e.push(nd)
 	}
@@ -858,6 +1079,12 @@ func (e *Engine) Cancel(ev Event) bool {
 		}
 		e.batch[i].nd = nil
 		nd.loc = locDetached
+	case nd.loc >= locSub:
+		j := int(nd.loc - locSub)
+		unlink(&e.sub[j], nd)
+		if e.sub[j] == nil {
+			e.subOcc &^= 1 << uint(j)
+		}
 	default:
 		e.bucketRemove(nd)
 	}

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"testing"
+
+	"paratick/internal/snap"
 )
 
 // Differential testing of the hybrid two-tier engine (bitmap wheel +
@@ -125,16 +127,27 @@ var engineDiffShifts = []uint{4, 10, 16, 24}
 // failing on any divergence in fire order, Cancel results, Pending, or Now.
 //
 // Script format: operations are consumed two bytes at a time (op, arg).
+// Ops 8 and 9 measure time in 64ths of a bucket, a sub-list's span at
+// shift 6 and above, so one script drives a split bucket at every shift.
 //
-//	op%8 == 0: schedule at now+arg%4 (same-instant / same-jiffy pileup)
-//	op%8 == 1: schedule inside the wheel window
-//	op%8 == 2: schedule far beyond the horizon (overflow heap, cascades)
-//	op%8 == 3: edge deadlines — now exactly, Forever, near-Forever, or a
-//	           re-arm (cancel a prior handle, schedule a replacement)
-//	op%8 == 4: cancel the handle indexed by arg (result compared)
-//	op%8 == 5: Step (single dispatch)
-//	op%8 == 6: StepBatch (one simulated instant)
-//	op%8 == 7: RunUntil a deadline derived from arg
+//	op%11 == 0: schedule at now+arg%4 (same-instant / same-jiffy pileup)
+//	op%11 == 1: schedule inside the wheel window
+//	op%11 == 2: schedule far beyond the horizon (overflow heap, cascades)
+//	op%11 == 3: edge deadlines — now exactly, Forever, near-Forever, or a
+//	            re-arm (cancel a prior handle, schedule a replacement)
+//	op%11 == 4: cancel the handle indexed by arg (result compared)
+//	op%11 == 5: Step (single dispatch)
+//	op%11 == 6: StepBatch (one simulated instant)
+//	op%11 == 7: RunUntil a deadline derived from arg
+//	op%11 == 8: dense fill — twelve events in the bucket after now's, at
+//	            64ths arg%64, arg%64+5, ... (mod 64) of it plus a
+//	            quarter-64th per arg/64; three fills make a bucket that
+//	            splits when it drains
+//	op%11 == 9: RunUntil now+(arg%64)/64 bucket: stopping short of a
+//	            sub-list the peek already served
+//	op%11 == 10: arg%4 == 0: Reset both sides (the engine must then digest
+//	            like a fresh one); otherwise compare DigestState with a
+//	            clone holding the reference's pending events
 func runEngineDifferentialScript(t *testing.T, shift uint, script []byte) {
 	t.Helper()
 	eng := NewEngineShift(1, shift)
@@ -167,9 +180,31 @@ func runEngineDifferentialScript(t *testing.T, shift uint, script []byte) {
 		}
 		fired = fired[:0]
 	}
+	nop := func(*Engine) {}
+	// checkDigest compares the engine's digest with a clone's: the engine's
+	// scalars moved through Snap, then the reference's pending events
+	// restored at their coordinates, so the clone's queue is laid out
+	// afresh (no batch, no split bucket) whatever the engine's is.
+	checkDigest := func(op int) {
+		t.Helper()
+		var enc snap.Encoder
+		eng.Snap(snap.NewWriter(&enc))
+		clone := NewEngineShift(1, shift)
+		s := snap.NewReader(snap.NewDecoder(enc.Bytes()))
+		clone.Snap(s)
+		if err := s.Err(); err != nil {
+			t.Fatalf("shift %d op %d: restoring the engine scalars: %v", shift, op, err)
+		}
+		for _, ev := range ref.events {
+			clone.ScheduleRestored(ev.when, ev.seq, "diff", nop)
+		}
+		if g, w := eng.DigestState(), clone.DigestState(); g != w {
+			t.Fatalf("shift %d op %d: digest %s, clone of the reference %s", shift, op, g, w)
+		}
+	}
 	bucket := Time(1) << shift
 	for i := 0; i+1 < len(script); i += 2 {
-		op := int(script[i] % 8)
+		op := int(script[i] % 11)
 		arg := Time(script[i+1])
 		switch op {
 		case 0:
@@ -225,6 +260,25 @@ func runEngineDifferentialScript(t *testing.T, shift uint, script []byte) {
 			deadline := eng.Now() + (arg*arg+1)*bucket
 			eng.RunUntil(deadline)
 			checkFired(i, ref.runUntil(deadline))
+		case 8:
+			base := (eng.Now()>>shift + 1) << shift
+			for k := Time(0); k < 12; k++ {
+				schedule(base + (arg%64+5*k)%64*bucket/64 + arg/64*bucket/256)
+			}
+		case 9:
+			deadline := eng.Now() + arg%64*bucket/64
+			eng.RunUntil(deadline)
+			checkFired(i, ref.runUntil(deadline))
+		case 10:
+			if arg%4 != 0 {
+				checkDigest(i)
+			} else {
+				eng.Reset(1)
+				ref = &refEngine{}
+				if eng.DigestState() != NewEngineShift(1, shift).DigestState() {
+					t.Fatalf("shift %d op %d: engine after Reset digests unlike a fresh one", shift, i)
+				}
+			}
 		}
 		if eng.Pending() != len(ref.events) {
 			t.Fatalf("shift %d op %d: Pending = %d, reference %d", shift, i, eng.Pending(), len(ref.events))
@@ -289,6 +343,7 @@ func TestHybridEngineDifferentialTargeted(t *testing.T) {
 		"step-mixed-tiers": {
 			0, 0, 1, 30, 2, 3, 2, 90, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0,
 		},
+		"split-bucket": splitBucketScript,
 		"forever-bucket-split": {
 			// Near Forever the window saturates and the last bucket is split
 			// between wheel and heap: an event at exactly Forever parked in
@@ -304,6 +359,26 @@ func TestHybridEngineDifferentialTargeted(t *testing.T) {
 			})
 		}
 	}
+}
+
+// splitBucketScript drives a bucket that splits on drain through every
+// split path. Three dense fills put 36 events in the next bucket, three to
+// a sub-span at 12 sub-spans; the first StepBatch drains and splits it.
+// Then a schedule joins the batch's own sub-list, one links into a later
+// sub-list, and cancels empty a sub-list and hit batch nodes (at shift 16
+// the batch holds a 1 µs sub-span, at shift 4 a single instant, so which
+// of ids 12 and 1 sits in the batch varies), before a digest check. A
+// RunUntil stops short of a sub-list its peek served and a schedule lands
+// in an earlier one (the batch goes back first); a second RunUntil ends
+// just before the next split bucket, so its peek splits it ahead of now,
+// and a schedule before it spills the whole bucket. The bucket splits
+// again and the engine is Reset with sub-lists populated.
+var splitBucketScript = []byte{
+	8, 0, 8, 64, 8, 128, 6, 0,
+	0, 1, 1, 1, 4, 35, 4, 11, 4, 23, 4, 12, 4, 1, 10, 1,
+	9, 17, 0, 0, 5, 0, 10, 2,
+	8, 0, 8, 64, 8, 128, 9, 46, 0, 0, 10, 3, 6, 0, 10, 0,
+	8, 3, 8, 67, 8, 131, 6, 0, 5, 0, 4, 50, 10, 1, 7, 0,
 }
 
 // FuzzHybridEngineDifferential fuzzes the hybrid engine against the
@@ -328,6 +403,7 @@ func FuzzHybridEngineDifferential(f *testing.F) {
 	deep = append(deep, 5, 0, 0, 1, 0, 2, 4, 5, 4, 12, 4, 0, 0, 1, 6, 0, 5, 0, 7, 255)
 	for shift := byte(0); shift < byte(len(engineDiffShifts)); shift++ {
 		f.Add(append([]byte{shift}, deep...))
+		f.Add(append([]byte{shift}, splitBucketScript...))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

@@ -592,10 +592,11 @@ func TestEngineBatchDeepInserts(t *testing.T) {
 	}
 }
 
-// TestEngineResetDetachesEveryNode fills the live batch, every wheel
-// bucket (several events to a bucket) and the overflow heap, then resets
-// the engine. Every node must come back to the pool detached, with nil
-// links and no heap index, every handle must be dead, and the same
+// TestEngineResetDetachesEveryNode fills the live batch, the sub-lists of
+// a split bucket, every wheel bucket (several events to a bucket) and the
+// overflow heap, then resets the engine. Every node must come back to the
+// pool detached, with nil links and no heap index, every handle must be
+// dead, the sub-list heads must stay allocated and empty, and the same
 // schedule must then run again in (when, seq) order.
 func TestEngineResetDetachesEveryNode(t *testing.T) {
 	e := NewEngine(1)
@@ -607,7 +608,12 @@ func TestEngineResetDetachesEveryNode(t *testing.T) {
 			id := len(evs)
 			evs = append(evs, e.At(when, "ev", func(*Engine) { order = append(order, id) }))
 		}
-		for b := Time(0); b < wheelBuckets; b++ {
+		// Bucket 0 is dense: 40 events, two to a sub-span at 20 of its
+		// sub-spans, so its drain splits.
+		for k := Time(0); k < 40; k++ {
+			add(k/2*span/20 + k%2)
+		}
+		for b := Time(1); b < wheelBuckets; b++ {
 			for k := Time(0); k < 3; k++ {
 				add(b*span + k*span/3)
 			}
@@ -622,10 +628,13 @@ func TestEngineResetDetachesEveryNode(t *testing.T) {
 	if !e.Step() || e.batchPos >= len(e.batch) {
 		t.Fatal("no live batch after the first dispatch")
 	}
+	if e.splitBkt != 0 || e.subOcc == 0 {
+		t.Fatalf("bucket 0 not split: split bucket %d, sub-list occupancy %#x", e.splitBkt, e.subOcc)
+	}
 	for w, occ := range e.occ {
 		want := ^uint64(0)
 		if w == 0 {
-			want &^= 1 // bucket 0 is the live batch
+			want &^= 1 // bucket 0 is split into the batch and sub-lists
 		}
 		if occ != want {
 			t.Fatalf("occupancy word %d = %#x, want %#x", w, occ, want)
@@ -646,6 +655,9 @@ func TestEngineResetDetachesEveryNode(t *testing.T) {
 		e.buckets != [wheelBuckets]*node{} || len(e.heap) != 0 || len(e.batch) != 0 {
 		t.Fatal("queue not empty after Reset")
 	}
+	if e.splitBkt != -1 || e.batchSub != -1 || e.subOcc != 0 || e.sub == nil || *e.sub != [subLists]*node{} {
+		t.Fatal("split state not cleared after Reset, or the sub-list heads dropped")
+	}
 	order = order[:0]
 	evs = schedule()
 	e.Run()
@@ -655,6 +667,48 @@ func TestEngineResetDetachesEveryNode(t *testing.T) {
 	for i, id := range order {
 		if id != i {
 			t.Fatalf("fire order after Reset diverges at %d: got id %d", i, id)
+		}
+	}
+}
+
+// TestEngineSplitsOnlySpreadDenseBuckets pins the split rule: a drained
+// bucket splits into sub-lists only when it holds more than sortCutover
+// events over more than one sub-span. A same-instant group, the shape of
+// the engine/batch-dispatch kernel, stays one sorted batch however large,
+// and so does a sparse spread bucket; an engine that never splits never
+// allocates the sub-list heads.
+func TestEngineSplitsOnlySpreadDenseBuckets(t *testing.T) {
+	span := Time(1) << DefaultBucketShift
+	cases := []struct {
+		name  string
+		times func(k Time) Time
+		n     Time
+		split bool
+	}{
+		{"same-instant group", func(Time) Time { return span }, 64, false},
+		{"sparse spread", func(k Time) Time { return span + k*span/32 }, sortCutover, false},
+		{"dense spread", func(k Time) Time { return span + k*span/40 }, 40, true},
+	}
+	for _, c := range cases {
+		e := NewEngine(1)
+		var order []Time
+		for k := Time(0); k < c.n; k++ {
+			e.At(c.times(k), "ev", func(en *Engine) { order = append(order, en.Now()) })
+		}
+		e.Step()
+		if got := e.splitBkt >= 0; got != c.split {
+			t.Fatalf("%s: split %v, want %v", c.name, got, c.split)
+		}
+		if (e.sub != nil) != c.split {
+			t.Fatalf("%s: sub-list heads allocated %v, want %v", c.name, e.sub != nil, c.split)
+		}
+		if !c.split && len(e.batch)-e.batchPos != int(c.n)-1 {
+			t.Fatalf("%s: batch holds %d events after one dispatch, want %d", c.name, len(e.batch)-e.batchPos, c.n-1)
+		}
+		e.Run()
+		inOrder := sort.SliceIsSorted(order, func(i, j int) bool { return order[i] < order[j] })
+		if Time(len(order)) != c.n || !inOrder {
+			t.Fatalf("%s: fired %d of %d events, in time order %v", c.name, len(order), c.n, inOrder)
 		}
 	}
 }

@@ -126,6 +126,13 @@ func (e *Engine) ForEachPending(fn func(when Time, seq uint64, label string)) {
 			fn(nd.when, nd.seq, nd.label)
 		}
 	}
+	if e.sub != nil {
+		for j := range e.sub {
+			for nd := e.sub[j]; nd != nil; nd = nd.next {
+				fn(nd.when, nd.seq, nd.label)
+			}
+		}
+	}
 	for _, nd := range e.heap {
 		fn(nd.when, nd.seq, nd.label)
 	}

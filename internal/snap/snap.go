@@ -178,28 +178,33 @@ func (d *Decoder) Bool() bool {
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // String reads a length-prefixed string.
-func (d *Decoder) String() string {
+func (d *Decoder) String() string { return string(d.lenBytes()) }
+
+// lenBytes reads a length-prefixed string's bytes in place: the result
+// aliases the buffer, and is nil after a failure.
+func (d *Decoder) lenBytes() []byte {
 	n := d.U32()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if int(n) > d.Remaining() {
 		d.fail("truncated string: length %d exceeds %d remaining", n, d.Remaining())
-		return ""
+		return nil
 	}
-	return string(d.take(int(n)))
+	return d.take(int(n))
 }
 
 // Section verifies the next bytes are the named marker written by
-// Encoder.Section. Only a failure retains name (as a copy), so callers may
-// build it on the stack.
+// Encoder.Section without allocating: the stored name is compared where it
+// lies. Only a failure retains name (as a copy), so callers may build it on
+// the stack.
 func (d *Decoder) Section(name string) {
 	if m := d.U32(); d.err == nil && m != sectionMagic {
 		d.fail("expected section %q, found non-section data", strings.Clone(name))
 		return
 	}
-	if got := d.String(); d.err == nil && got != name {
-		d.fail("expected section %q, found %q", strings.Clone(name), got)
+	if got := d.lenBytes(); d.err == nil && string(got) != name {
+		d.fail("expected section %q, found %q", strings.Clone(name), string(got))
 	}
 }
 

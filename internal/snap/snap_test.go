@@ -2,6 +2,7 @@ package snap
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -86,6 +87,26 @@ func TestSectionMismatch(t *testing.T) {
 	d.Section("beta")
 	if d.Err() == nil || !strings.Contains(d.Err().Error(), "beta") {
 		t.Fatalf("section mismatch error = %v", d.Err())
+	}
+}
+
+// TestSectionMatchAllocatesNothing pins that a matching section marker is
+// checked in place: restoring a checkpoint verifies one marker per
+// component, so a copy of each stored name would cost an allocation apiece.
+func TestSectionMatchAllocatesNothing(t *testing.T) {
+	var e Encoder
+	e.Section("pcpu:12")
+	buf := e.Bytes()
+	id := 12
+	allocs := testing.AllocsPerRun(100, func() {
+		d := Decoder{buf: buf}
+		d.Section("pcpu:" + strconv.Itoa(id))
+		if d.Err() != nil {
+			t.Fatal(d.Err())
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("matching Section allocates %v objects, want 0", allocs)
 	}
 }
 

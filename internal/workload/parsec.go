@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"paratick/internal/guest"
 	"paratick/internal/iodev"
@@ -222,15 +223,16 @@ func (p ParsecProfile) SpawnParallel(k *guest.Kernel, threads int, dev *iodev.De
 		stripes = 1
 	}
 	for i := 0; i < stripes; i++ {
-		art.Locks = append(art.Locks, k.NewLock(fmt.Sprintf("%s.lock%d", p.Name, i)))
+		art.Locks = append(art.Locks, k.NewLock(p.Name+".lock"+strconv.Itoa(i)))
 	}
 	if p.BarrierIters > 0 {
 		art.Barrier = k.NewBarrier(p.Name+".barrier", threads)
 	}
 	total := sim.Time(float64(p.Work) * (1 + p.ParallelOverhead) * scale)
 	share := total / sim.Time(threads)
-	for i := 0; i < threads; i++ {
-		prog := &parProgram{
+	progs := make([]parProgram, threads)
+	for i := range progs {
+		progs[i] = parProgram{
 			p:         p,
 			dev:       dev,
 			locks:     art.Locks,
@@ -238,7 +240,7 @@ func (p ParsecProfile) SpawnParallel(k *guest.Kernel, threads int, dev *iodev.De
 			remaining: share,
 			doIO:      i == 0 && p.IOOpsPerSec > 0,
 		}
-		k.Spawn(fmt.Sprintf("%s.%d", p.Name, i), i%nv, prog)
+		k.Spawn(p.Name+"."+strconv.Itoa(i), i%nv, &progs[i])
 	}
 	return art, nil
 }
