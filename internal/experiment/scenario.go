@@ -43,6 +43,21 @@ type VMSpec struct {
 	Setup func(vm *kvm.VM) error
 }
 
+// placement resolves the VM's vCPU pinning on topo: Placement when set,
+// else VCPUs spread across Sockets. buildWorld pins the VM with it and the
+// fingerprint covers it, so a checkpoint's shape is the pinning the world
+// was built with, wherever the host scheduler has since moved the vCPUs.
+func (vs *VMSpec) placement(topo hw.Topology) ([]hw.CPUID, error) {
+	if vs.Placement != nil {
+		return vs.Placement, nil
+	}
+	sockets := vs.Sockets
+	if sockets == 0 {
+		sockets = 1
+	}
+	return topo.SpreadAcross(vs.VCPUs, sockets)
+}
+
 // Scenario is one simulation run: a host configuration plus the fleet of
 // VMs sharing it. It is the one world description: single-VM runners
 // build theirs with Options.oneVM, paratick.Run translates its own
@@ -183,10 +198,6 @@ type world struct {
 	scenario Scenario
 	seed     uint64
 	cfg      kvm.Config
-	// placements records each VM's resolved pCPU placement; it feeds the
-	// scenario fingerprint, which must cover the placement actually used,
-	// not the spec fields it was derived from.
-	placements [][]hw.CPUID
 	// se coordinates the run's engines: a legacy single-engine wrapper when
 	// Quantum is 0 (byte-identical to the pre-shard code path), or one lane
 	// per socket under the quantum barrier.
@@ -243,25 +254,17 @@ func buildWorld(s Scenario, seed uint64, a *arena) (*world, error) {
 		return nil, err
 	}
 	w := &world{
-		scenario:   s,
-		seed:       seed,
-		cfg:        cfg,
-		se:         se,
-		host:       host,
-		vms:        make([]*kvm.VM, 0, len(s.VMs)),
-		placements: make([][]hw.CPUID, 0, len(s.VMs)),
+		scenario: s,
+		seed:     seed,
+		cfg:      cfg,
+		se:       se,
+		host:     host,
+		vms:      make([]*kvm.VM, 0, len(s.VMs)),
 	}
 	for _, vs := range s.VMs {
-		placement := vs.Placement
-		if placement == nil {
-			sockets := vs.Sockets
-			if sockets == 0 {
-				sockets = 1
-			}
-			placement, err = cfg.Topology.SpreadAcross(vs.VCPUs, sockets)
-			if err != nil {
-				return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
-			}
+		placement, err := vs.placement(cfg.Topology)
+		if err != nil {
+			return nil, fmt.Errorf("experiment %s: %w", s.Name, err)
 		}
 		gcfg := guest.DefaultConfig()
 		gcfg.Mode = vs.Mode
@@ -283,7 +286,6 @@ func buildWorld(s Scenario, seed uint64, a *arena) (*world, error) {
 				return nil, fmt.Errorf("experiment %s setup %s: %w", s.Name, vs.Name, err)
 			}
 		}
-		w.placements = append(w.placements, placement)
 		w.vms = append(w.vms, vm)
 	}
 	for i, ci := range s.CrossIPI {
@@ -370,7 +372,7 @@ func (w *world) fingerprint() []byte {
 	enc.I64(int64(w.cfg.PLEWindow))
 	enc.U8(uint8(w.cfg.SchedPolicy))
 	enc.U32(uint32(len(w.scenario.VMs)))
-	for i, vs := range w.scenario.VMs {
+	for _, vs := range w.scenario.VMs {
 		enc.String(vs.Name)
 		enc.U8(uint8(vs.Mode))
 		enc.I64(int64(vs.GuestHz))
@@ -382,8 +384,11 @@ func (w *world) fingerprint() []byte {
 		enc.I64(int64(vs.AdaptiveSpin))
 		enc.Bool(vs.TopUp)
 		enc.Bool(vs.Workload)
-		enc.U32(uint32(len(w.placements[i])))
-		for _, c := range w.placements[i] {
+		// buildWorld resolved the same placement from the same spec and
+		// topology, so it cannot fail here.
+		placement, _ := vs.placement(w.cfg.Topology)
+		enc.U32(uint32(len(placement)))
+		for _, c := range placement {
 			enc.I64(int64(c))
 		}
 	}

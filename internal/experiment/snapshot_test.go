@@ -11,9 +11,12 @@ import (
 
 	"paratick/internal/core"
 	"paratick/internal/guest"
+	"paratick/internal/kvm"
 	"paratick/internal/metrics"
+	"paratick/internal/sched"
 	"paratick/internal/sim"
 	"paratick/internal/snap"
+	"paratick/internal/workload"
 )
 
 // TestSnapshotProbeGolden is the tentpole differential gate: enabling the
@@ -108,6 +111,63 @@ func TestCheckpointResumeMatchesStraightRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed, err := ResumeScenario(s, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(straight, resumed) {
+		t.Fatalf("resumed result differs from straight run:\nstraight: %+v\nresumed:  %+v", straight, resumed)
+	}
+}
+
+// TestCheckpointAfterMigrationResumes pins the fingerprint to each VM's
+// pinning rather than to where its vCPUs run: under sched.Fair an idle pCPU
+// steals a socket sibling's waiter, so by the checkpoint some vCPU is homed
+// off its pinning, and the checkpoint must still resume into the scenario
+// it came from and finish like the straight run.
+func TestCheckpointAfterMigrationResumes(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Scale = 0.02
+	opts.SchedPolicy = sched.Fair
+	canneal, err := workload.ProfileByName("canneal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := opts.oneVM("canneal", VMSpec{VCPUs: 4, Setup: func(vm *kvm.VM) error {
+		dev, err := vm.AttachDevice("disk0", opts.Device)
+		if err != nil {
+			return err
+		}
+		_, err = canneal.SpawnParallel(vm.Kernel(), 4, dev, opts.Scale)
+		return err
+	}})
+	const at = 500 * sim.Microsecond
+	w, err := buildWorld(s, opts.Seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.se.RunUntil(at)
+	pinning, err := s.VMs[0].placement(w.cfg.Topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for j, v := range w.vms[0].VCPUs() {
+		if v.PCPU().ID() != pinning[j] {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatalf("no vCPU is off its pinning at %v, so the resume below checks nothing", at)
+	}
+	ck, err := w.freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := ResumeScenario(s, ck)
+	if err != nil {
+		t.Fatalf("checkpoint with %d migrated vCPUs: %v", moved, err)
+	}
+	straight, err := RunScenario(s, opts.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}

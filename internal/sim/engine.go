@@ -109,37 +109,30 @@ func entLess(a, b batchEnt) bool {
 }
 
 // Near-horizon wheel geometry. The wheel covers wheelBuckets consecutive
-// buckets of 1<<shift nanoseconds each, starting at the bucket containing
-// the current time. With the default shift of 16 a bucket spans ~65.5µs and
-// the wheel horizon is ~16.8ms — wide enough that tick periods, timeslices,
-// and IPI latencies all land in the wheel, so the overflow heap only sees
-// watchdog-scale deadlines.
+// buckets of 1<<DefaultBucketShift nanoseconds each, starting at the bucket
+// containing the current time: a bucket spans ~65.5µs and the wheel horizon
+// is ~16.8ms — wide enough that tick periods, timeslices, and IPI latencies
+// all land in the wheel, so the overflow heap only sees watchdog-scale
+// deadlines.
 const (
 	wheelBuckets = 256
 	wheelMask    = wheelBuckets - 1
 	wheelWords   = wheelBuckets / 64
 
-	// DefaultBucketShift is the bucket granularity used by NewEngine:
-	// log2 of the bucket span in nanoseconds.
+	// DefaultBucketShift is log2 of the bucket span in nanoseconds, the one
+	// wheel geometry every engine uses.
 	DefaultBucketShift = 16
 
 	// sortCutover is the batch size above which bucket drains switch from
-	// insertion sort to in-place heapsort.
+	// insertion sort to in-place heapsort, or split (see splits).
 	sortCutover = 32
 
-	// batchProbe is how many tail entries batchInsert shifts one at a time
-	// before it falls back to a binary search and one block move. Most
-	// inserts land within a few entries of the tail, where stepping is
-	// cheaper than a copy of pointer-holding entries.
-	batchProbe = 4
-
 	// subLists is how many sub-lists a dense bucket splits into on drain,
-	// each spanning 1<<(shift-subBits) ns: 1.024µs at the default shift.
-	// Below shift subBits a sub-list spans 1 ns and a bucket uses only
-	// the first 1<<shift of them.
+	// each spanning 1<<subShift ns (1.024µs).
 	subBits  = 6
 	subLists = 1 << subBits
 	subMask  = subLists - 1
+	subShift = DefaultBucketShift - subBits
 )
 
 // Engine is the discrete-event simulation core: a clock plus an event queue.
@@ -149,7 +142,7 @@ const (
 // relies on each run owning a private Engine.)
 //
 // The queue is a two-tier hybrid. Events within the near horizon go into a
-// bitmap-indexed timer wheel: 256 buckets of 2^shift ns, with per-word
+// bitmap-indexed timer wheel: 256 buckets of 2^16 ns, with per-word
 // occupancy bitmaps so the next occupied bucket is a handful of word scans.
 // Each bucket is the head of a doubly linked list threaded through the
 // nodes, so filing and canceling are O(1) and an idle engine's wheel is
@@ -169,12 +162,11 @@ const (
 // classic pure-heap engine; engine_ref_test.go proves the equivalence
 // differentially.
 type Engine struct {
-	now   Time
-	shift uint
+	now Time
 
 	// Near-horizon wheel. The window covers absolute buckets
 	// [wheelBase, wheelBase+wheelBuckets); wheelEnd is the window's end as
-	// a time (saturated at Forever). wheelBase tracks now>>shift, so every
+	// a time (saturated at Forever). wheelBase tracks now's bucket, so every
 	// schedulable time below wheelEnd maps to a unique ring slot.
 	// The queue population is never encoded: owners re-arm every pending
 	// event through ScheduleRestored on load, which rebuilds the wheel,
@@ -229,8 +221,6 @@ type Engine struct {
 	rand    *Rand
 	stopReq bool // Stop() pending, not yet observed by a run
 	stopped bool // most recent run was halted by Stop
-	//snap:skip derived from shift: log2 of a sub-list's span in ns
-	subShift uint8
 	//snap:skip observer hook, reattached by the harness after restore
 	obs Observer
 	// sub is allocated on the first split and kept across Reset, so an
@@ -251,24 +241,9 @@ type Observer func(label string, when Time)
 // typical simulations never grow either on the hot path.
 const initialQueueCap = 256
 
-// NewEngine returns an engine at time zero with an RNG seeded by seed and
-// the default near-horizon bucket granularity.
+// NewEngine returns an engine at time zero with an RNG seeded by seed.
 func NewEngine(seed uint64) *Engine {
-	return NewEngineShift(seed, DefaultBucketShift)
-}
-
-// NewEngineShift returns an engine whose wheel buckets span 1<<shift
-// nanoseconds (horizon = 256 buckets). Smaller shifts trade a shorter
-// horizon for finer batching; the default suits tick-rate workloads.
-// shift must be in [1, 40].
-func NewEngineShift(seed uint64, shift uint) *Engine {
-	if shift < 1 || shift > 40 {
-		panic(fmt.Sprintf("sim: bucket shift %d outside [1, 40]", shift))
-	}
-	e := &Engine{shift: shift, heap: make([]*node, 0, initialQueueCap), rand: new(Rand)}
-	if shift > subBits {
-		e.subShift = uint8(shift - subBits)
-	}
+	e := &Engine{heap: make([]*node, 0, initialQueueCap), rand: new(Rand)}
 	e.Reset(seed)
 	return e
 }
@@ -279,63 +254,40 @@ func NewEngineShift(seed uint64, shift uint) *Engine {
 // wheelBuckets, so slot mapping stays injective.
 //
 //paratick:noalloc
-func wheelEndFor(base int64, shift uint) Time {
-	end := (base + wheelBuckets) << shift
-	if end>>shift != base+wheelBuckets || end < 0 {
+func wheelEndFor(base int64) Time {
+	end := (base + wheelBuckets) << DefaultBucketShift
+	if end>>DefaultBucketShift != base+wheelBuckets || end < 0 {
 		return Forever
 	}
 	return Time(end)
 }
 
 // Reset returns the engine to time zero with a fresh RNG stream, releasing
-// every pending event while keeping the node pool, batch, and heap
-// capacities. It is the only writer of the engine's per-run state:
-// NewEngineShift builds a shell and calls it, and the experiment layer's
+// every pending event while keeping the node pool, batch, heap, and
+// sub-list head capacities. It is the only writer of the engine's per-run
+// state: NewEngine builds a shell and calls it, and the experiment layer's
 // per-worker arenas call it to reuse one engine across repeated runs.
 func (e *Engine) Reset(seed uint64) {
-	for w := range e.occ {
-		for e.occ[w] != 0 {
-			s := w<<6 + bits.TrailingZeros64(e.occ[w])
-			e.occ[w] &= e.occ[w] - 1
-			for nd := e.buckets[s]; nd != nil; {
-				next := nd.next
-				e.release(nd)
-				nd = next
-			}
-			e.buckets[s] = nil
-		}
-	}
+	e.eachNode(e.release)
+	e.buckets = [wheelBuckets]*node{}
+	e.occ = [wheelWords]uint64{}
 	e.wheelCount = 0
-	for i := e.batchPos; i < len(e.batch); i++ {
-		if nd := e.batch[i].nd; nd != nil {
-			e.release(nd)
-		}
-		e.batch[i] = batchEnt{}
-	}
+	clear(e.batch)
 	e.batch = e.batch[:0]
 	e.batchPos = 0
 	e.batchBkt = -1
-	for e.subOcc != 0 {
-		j := bits.TrailingZeros64(e.subOcc)
-		e.subOcc &= e.subOcc - 1
-		for nd := e.sub[j]; nd != nil; {
-			next := nd.next
-			e.release(nd)
-			nd = next
-		}
-		e.sub[j] = nil
+	if e.sub != nil {
+		*e.sub = [subLists]*node{}
 	}
+	e.subOcc = 0
 	e.splitBkt = -1
 	e.batchSub = -1
-	for i, nd := range e.heap {
-		e.heap[i] = nil
-		e.release(nd)
-	}
+	clear(e.heap)
 	e.heap = e.heap[:0]
 
 	e.now = 0
 	e.wheelBase = 0
-	e.wheelEnd = wheelEndFor(0, e.shift)
+	e.wheelEnd = wheelEndFor(0)
 	e.seq = 0
 	e.fired = 0
 	e.count = 0
@@ -343,6 +295,43 @@ func (e *Engine) Reset(seed uint64) {
 	e.stopped = false
 	e.obs = nil
 	e.rand.Reseed(seed)
+}
+
+// eachNode calls fn on every pending node. It is the one enumeration of
+// the four containers a pending node can sit in: the wheel buckets, the
+// live batch, a split bucket's sub-lists, and the overflow heap. fn may
+// release the node it is given, but must not schedule or cancel.
+//
+//paratick:noalloc
+func (e *Engine) eachNode(fn func(*node)) {
+	for w, occ := range e.occ {
+		for ; occ != 0; occ &= occ - 1 {
+			eachLinked(e.buckets[w<<6+bits.TrailingZeros64(occ)], fn)
+		}
+	}
+	for _, ent := range e.batch[e.batchPos:] {
+		if ent.nd != nil {
+			fn(ent.nd)
+		}
+	}
+	for occ := e.subOcc; occ != 0; occ &= occ - 1 {
+		eachLinked(e.sub[bits.TrailingZeros64(occ)], fn)
+	}
+	for _, nd := range e.heap {
+		fn(nd)
+	}
+}
+
+// eachLinked calls fn on every node of the list at nd, reading each link
+// before fn can clear it.
+//
+//paratick:noalloc
+func eachLinked(nd *node, fn func(*node)) {
+	for nd != nil {
+		next := nd.next
+		fn(nd)
+		nd = next
+	}
 }
 
 // Now returns the current simulated time.
@@ -538,7 +527,7 @@ func unlink(head **node, nd *node) {
 //
 //paratick:noalloc
 func (e *Engine) wheelAdd(nd *node) {
-	s := int(int64(nd.when>>e.shift) & wheelMask)
+	s := int(int64(nd.when>>DefaultBucketShift) & wheelMask)
 	nd.loc = int32(s)
 	link(&e.buckets[s], nd)
 	e.occ[s>>6] |= 1 << uint(s&63)
@@ -590,12 +579,12 @@ func (e *Engine) nextOccupied(s0 int) int {
 //
 //paratick:noalloc
 func (e *Engine) advanceWindow() {
-	ab := int64(e.now >> e.shift)
+	ab := int64(e.now >> DefaultBucketShift)
 	if ab <= e.wheelBase {
 		return
 	}
 	e.wheelBase = ab
-	e.wheelEnd = wheelEndFor(ab, e.shift)
+	e.wheelEnd = wheelEndFor(ab)
 	for len(e.heap) > 0 && e.heap[0].when < e.wheelEnd {
 		e.wheelAdd(e.popMin())
 	}
@@ -704,7 +693,8 @@ func (e *Engine) batchSearch(lo, hi int, key batchEnt) int {
 }
 
 // batchInsert places nd into the live batch at its (when, seq) position,
-// used when a schedule lands in the bucket currently being drained.
+// used when a schedule lands in the bucket currently being drained. It
+// steps back from the tail one cell at a time, where most inserts land.
 // Canceled (nil) entries move along with live ones.
 //
 //paratick:noalloc
@@ -724,14 +714,6 @@ func (e *Engine) batchInsert(nd *node) {
 	ent := batchEnt{when: nd.when, seq: nd.seq, nd: nd}
 	i := len(e.batch)
 	e.batch = append(e.batch, ent)
-	if d := i - batchProbe; d > e.batchPos && entLess(ent, e.batch[d-1]) {
-		// More than batchProbe entries follow ent: find its cell among the
-		// rest and move everything after it up at once.
-		j := e.batchSearch(e.batchPos, d-1, ent)
-		copy(e.batch[j+1:], e.batch[j:i])
-		e.batch[j] = ent
-		return
-	}
 	for i > e.batchPos {
 		p := e.batch[i-1]
 		if !entLess(ent, p) {
@@ -789,8 +771,8 @@ func (e *Engine) refillBatch() {
 		// Idle gap beyond the horizon: pull the heap's earliest bucket
 		// straight into the batch. Consecutive popMin calls yield
 		// (when, seq) order, so the batch arrives sorted.
-		ab := int64(e.heap[0].when >> e.shift)
-		for len(e.heap) > 0 && int64(e.heap[0].when>>e.shift) == ab {
+		ab := int64(e.heap[0].when >> DefaultBucketShift)
+		for len(e.heap) > 0 && int64(e.heap[0].when>>DefaultBucketShift) == ab {
 			e.batchAppend(e.popMin())
 		}
 		e.batchBkt = ab
@@ -808,45 +790,37 @@ func (e *Engine) refillBatch() {
 	e.occ[s>>6] &^= 1 << uint(s&63)
 	e.wheelCount -= len(e.batch)
 	bkt := e.wheelBase + int64((s-s0)&wheelMask)
-	if n := len(e.batch); n <= sortCutover {
-		// The list holds the bucket newest first. Reversed, it is back in
-		// filing order, which is seq order unless a cascade, spill or
-		// restore interleaved — the case insertion sort passes through in
-		// one scan.
-		for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
-			e.batch[i], e.batch[j] = e.batch[j], e.batch[i]
-		}
-		sortEnts(e.batch)
-	} else if e.orderDense(bkt) {
+	if e.splits() {
+		e.split(bkt)
 		return
 	}
+	orderList(e.batch)
 	e.batchBkt = bkt
-	// A saturated window ends at Forever, so the bucket holding Forever is
-	// split: events at exactly Forever sit in the heap. They follow every
+	// A saturated window ends at Forever, so the bucket holding Forever
+	// straddles it: events at exactly Forever sit in the heap. They follow every
 	// wheel entry of the bucket in (when, seq) order; drain them too, or a
 	// later same-bucket schedule would join the batch ahead of them.
-	for e.wheelEnd == Forever && len(e.heap) > 0 && int64(e.heap[0].when>>e.shift) == e.batchBkt {
+	for e.wheelEnd == Forever && len(e.heap) > 0 && int64(e.heap[0].when>>DefaultBucketShift) == e.batchBkt {
 		e.batchAppend(e.popMin())
 	}
 }
 
-// orderDense orders a drained bucket of more than sortCutover entries, or
-// splits it when they fall in more than one sub-span, and reports whether
-// it split. Nothing splits while the window is saturated: the bucket
-// holding Forever keeps its events at exactly Forever in the heap.
+// splits reports whether a drained bucket is dense enough to split: more
+// than sortCutover entries over more than one sub-span. Nothing splits
+// while the window is saturated: the bucket holding Forever keeps its
+// events at exactly Forever in the heap.
 //
 //paratick:noalloc
-func (e *Engine) orderDense(bkt int64) bool {
-	if e.wheelEnd != Forever {
-		j := e.batch[0].when >> e.subShift
-		for _, ent := range e.batch[1:] {
-			if ent.when>>e.subShift != j {
-				e.split(bkt)
-				return true
-			}
+func (e *Engine) splits() bool {
+	if len(e.batch) <= sortCutover || e.wheelEnd == Forever {
+		return false
+	}
+	j := e.batch[0].when >> subShift
+	for _, ent := range e.batch[1:] {
+		if ent.when>>subShift != j {
+			return true
 		}
 	}
-	orderList(e.batch)
 	return false
 }
 
@@ -888,7 +862,7 @@ func (e *Engine) serveSub() {
 //
 //paratick:noalloc
 func (e *Engine) subLink(nd *node) {
-	j := int(nd.when>>e.subShift) & subMask
+	j := int(nd.when>>subShift) & subMask
 	nd.loc = locSub + int32(j)
 	link(&e.sub[j], nd)
 	e.subOcc |= 1 << uint(j)
@@ -908,7 +882,7 @@ func (e *Engine) scheduleSplit(nd *node, ab int64) {
 		e.wheelAdd(nd)
 		return
 	}
-	j := int(nd.when>>e.subShift) & subMask
+	j := int(nd.when>>subShift) & subMask
 	if j == e.batchSub {
 		e.batchInsert(nd)
 		return
@@ -1027,7 +1001,7 @@ func (e *Engine) schedule(when Time, seq uint64, label string, fn Handler) Event
 	nd.fn = fn
 	nd.label = label
 	e.count++
-	ab := int64(when >> e.shift)
+	ab := int64(when >> DefaultBucketShift)
 	if e.batchBkt >= 0 && ab < e.batchBkt {
 		// The batch was drained ahead of now (RunUntil peeked past an idle
 		// gap) and this event lands before it: put the batch back first.

@@ -117,40 +117,45 @@ func (r *refEngine) runUntil(deadline Time) []int {
 	return ids
 }
 
-// engineDiffShifts are the wheel horizons scripts run under: a tiny window
-// (almost everything overflows to the heap and cascades back), the default
-// neighborhood, and a huge window (almost everything lands in the wheel).
-var engineDiffShifts = []uint{4, 10, 16, 24}
+// engineDiffUnits are the time units scripts run under, as log2 of the
+// unit in ns. The engine's bucket is always 2^16 ns, so the unit sets where
+// a script's traffic lands: at 2^4 ns nearly all of it shares a few buckets
+// and the live batch, at 2^16 ns the unit is a bucket and op 8 fills one
+// that splits, and at 2^24 ns most of it overflows to the heap and
+// cascades back.
+var engineDiffUnits = []uint{4, 10, 16, 24}
 
 // runEngineDifferentialScript drives a hybrid engine and the reference
-// through the same byte-coded script under the given horizon shift,
+// through the same byte-coded script in time units of 2^unitShift ns,
 // failing on any divergence in fire order, Cancel results, Pending, or Now.
 //
 // Script format: operations are consumed two bytes at a time (op, arg).
-// Ops 8 and 9 measure time in 64ths of a bucket, a sub-list's span at
-// shift 6 and above, so one script drives a split bucket at every shift.
+// Ops 1, 2, 7, 8 and 9 measure time in units; ops 8 and 9 in 64ths of
+// one, a sub-list's span when the unit is a bucket.
 //
 //	op%11 == 0: schedule at now+arg%4 (same-instant / same-jiffy pileup)
-//	op%11 == 1: schedule inside the wheel window
-//	op%11 == 2: schedule far beyond the horizon (overflow heap, cascades)
+//	op%11 == 1: schedule up to 85 units ahead (inside the wheel window
+//	            when the unit is a bucket)
+//	op%11 == 2: schedule 300 to 76,800 units ahead (far beyond the
+//	            horizon when the unit is a bucket: overflow heap, cascades)
 //	op%11 == 3: edge deadlines — now exactly, Forever, near-Forever, or a
 //	            re-arm (cancel a prior handle, schedule a replacement)
 //	op%11 == 4: cancel the handle indexed by arg (result compared)
 //	op%11 == 5: Step (single dispatch)
 //	op%11 == 6: StepBatch (one simulated instant)
 //	op%11 == 7: RunUntil a deadline derived from arg
-//	op%11 == 8: dense fill — twelve events in the bucket after now's, at
+//	op%11 == 8: dense fill — twelve events in the unit after now's, at
 //	            64ths arg%64, arg%64+5, ... (mod 64) of it plus a
-//	            quarter-64th per arg/64; three fills make a bucket that
-//	            splits when it drains
-//	op%11 == 9: RunUntil now+(arg%64)/64 bucket: stopping short of a
+//	            quarter-64th per arg/64; when the unit is a bucket, three
+//	            fills make one that splits when it drains
+//	op%11 == 9: RunUntil now+(arg%64)/64 unit: stopping short of a
 //	            sub-list the peek already served
 //	op%11 == 10: arg%4 == 0: Reset both sides (the engine must then digest
 //	            like a fresh one); otherwise compare DigestState with a
 //	            clone holding the reference's pending events
-func runEngineDifferentialScript(t *testing.T, shift uint, script []byte) {
+func runEngineDifferentialScript(t *testing.T, unitShift uint, script []byte) {
 	t.Helper()
-	eng := NewEngineShift(1, shift)
+	eng := NewEngine(1)
 	ref := &refEngine{}
 	var (
 		handles []Event
@@ -171,11 +176,11 @@ func runEngineDifferentialScript(t *testing.T, shift uint, script []byte) {
 	checkFired := func(op int, want []int) {
 		t.Helper()
 		if len(fired) != len(want) {
-			t.Fatalf("shift %d op %d: fired %v, reference %v", shift, op, fired, want)
+			t.Fatalf("unit 2^%d op %d: fired %v, reference %v", unitShift, op, fired, want)
 		}
 		for i := range want {
 			if fired[i] != want[i] {
-				t.Fatalf("shift %d op %d: fired %v, reference %v", shift, op, fired, want)
+				t.Fatalf("unit 2^%d op %d: fired %v, reference %v", unitShift, op, fired, want)
 			}
 		}
 		fired = fired[:0]
@@ -189,20 +194,20 @@ func runEngineDifferentialScript(t *testing.T, shift uint, script []byte) {
 		t.Helper()
 		var enc snap.Encoder
 		eng.Snap(snap.NewWriter(&enc))
-		clone := NewEngineShift(1, shift)
+		clone := NewEngine(1)
 		s := snap.NewReader(snap.NewDecoder(enc.Bytes()))
 		clone.Snap(s)
 		if err := s.Err(); err != nil {
-			t.Fatalf("shift %d op %d: restoring the engine scalars: %v", shift, op, err)
+			t.Fatalf("unit 2^%d op %d: restoring the engine scalars: %v", unitShift, op, err)
 		}
 		for _, ev := range ref.events {
 			clone.ScheduleRestored(ev.when, ev.seq, "diff", nop)
 		}
 		if g, w := eng.DigestState(), clone.DigestState(); g != w {
-			t.Fatalf("shift %d op %d: digest %s, clone of the reference %s", shift, op, g, w)
+			t.Fatalf("unit 2^%d op %d: digest %s, clone of the reference %s", unitShift, op, g, w)
 		}
 	}
-	bucket := Time(1) << shift
+	unit := Time(1) << unitShift
 	for i := 0; i+1 < len(script); i += 2 {
 		op := int(script[i] % 11)
 		arg := Time(script[i+1])
@@ -210,9 +215,9 @@ func runEngineDifferentialScript(t *testing.T, shift uint, script []byte) {
 		case 0:
 			schedule(eng.Now() + arg%4)
 		case 1:
-			schedule(eng.Now() + arg*bucket/3 + arg%5)
+			schedule(eng.Now() + arg*unit/3 + arg%5)
 		case 2:
-			schedule(eng.Now() + (arg+1)*bucket*300)
+			schedule(eng.Now() + (arg+1)*unit*300)
 		case 3:
 			switch arg % 4 {
 			case 0:
@@ -226,9 +231,9 @@ func runEngineDifferentialScript(t *testing.T, shift uint, script []byte) {
 					id := int(arg) % len(handles)
 					got, want := eng.Cancel(handles[id]), ref.cancel(id)
 					if got != want {
-						t.Fatalf("shift %d op %d: re-arm Cancel(%d) = %v, reference %v", shift, i, id, got, want)
+						t.Fatalf("unit 2^%d op %d: re-arm Cancel(%d) = %v, reference %v", unitShift, i, id, got, want)
 					}
-					schedule(eng.Now() + (arg+1)*bucket/2)
+					schedule(eng.Now() + (arg+1)*unit/2)
 				}
 			}
 		case 4:
@@ -238,13 +243,13 @@ func runEngineDifferentialScript(t *testing.T, shift uint, script []byte) {
 			id := int(arg) % len(handles)
 			got, want := eng.Cancel(handles[id]), ref.cancel(id)
 			if got != want {
-				t.Fatalf("shift %d op %d: Cancel(%d) = %v, reference %v", shift, i, id, got, want)
+				t.Fatalf("unit 2^%d op %d: Cancel(%d) = %v, reference %v", unitShift, i, id, got, want)
 			}
 		case 5:
 			ok := eng.Step()
 			id, wantOK := ref.step()
 			if ok != wantOK {
-				t.Fatalf("shift %d op %d: Step = %v, reference %v", shift, i, ok, wantOK)
+				t.Fatalf("unit 2^%d op %d: Step = %v, reference %v", unitShift, i, ok, wantOK)
 			}
 			if ok {
 				checkFired(i, []int{id})
@@ -253,20 +258,20 @@ func runEngineDifferentialScript(t *testing.T, shift uint, script []byte) {
 			n := eng.StepBatch()
 			want := ref.stepBatch()
 			if n != len(want) {
-				t.Fatalf("shift %d op %d: StepBatch = %d, reference %d (%v)", shift, i, n, len(want), want)
+				t.Fatalf("unit 2^%d op %d: StepBatch = %d, reference %d (%v)", unitShift, i, n, len(want), want)
 			}
 			checkFired(i, want)
 		case 7:
-			deadline := eng.Now() + (arg*arg+1)*bucket
+			deadline := eng.Now() + (arg*arg+1)*unit
 			eng.RunUntil(deadline)
 			checkFired(i, ref.runUntil(deadline))
 		case 8:
-			base := (eng.Now()>>shift + 1) << shift
+			base := (eng.Now()>>unitShift + 1) << unitShift
 			for k := Time(0); k < 12; k++ {
-				schedule(base + (arg%64+5*k)%64*bucket/64 + arg/64*bucket/256)
+				schedule(base + (arg%64+5*k)%64*unit/64 + arg/64*unit/256)
 			}
 		case 9:
-			deadline := eng.Now() + arg%64*bucket/64
+			deadline := eng.Now() + arg%64*unit/64
 			eng.RunUntil(deadline)
 			checkFired(i, ref.runUntil(deadline))
 		case 10:
@@ -275,16 +280,16 @@ func runEngineDifferentialScript(t *testing.T, shift uint, script []byte) {
 			} else {
 				eng.Reset(1)
 				ref = &refEngine{}
-				if eng.DigestState() != NewEngineShift(1, shift).DigestState() {
-					t.Fatalf("shift %d op %d: engine after Reset digests unlike a fresh one", shift, i)
+				if eng.DigestState() != NewEngine(1).DigestState() {
+					t.Fatalf("unit 2^%d op %d: engine after Reset digests unlike a fresh one", unitShift, i)
 				}
 			}
 		}
 		if eng.Pending() != len(ref.events) {
-			t.Fatalf("shift %d op %d: Pending = %d, reference %d", shift, i, eng.Pending(), len(ref.events))
+			t.Fatalf("unit 2^%d op %d: Pending = %d, reference %d", unitShift, i, eng.Pending(), len(ref.events))
 		}
 		if eng.Now() != ref.now {
-			t.Fatalf("shift %d op %d: Now = %v, reference %v", shift, i, eng.Now(), ref.now)
+			t.Fatalf("unit 2^%d op %d: Now = %v, reference %v", unitShift, i, eng.Now(), ref.now)
 		}
 	}
 	// Drain everything — including Forever-deadline events — and compare the
@@ -292,13 +297,13 @@ func runEngineDifferentialScript(t *testing.T, shift uint, script []byte) {
 	eng.RunUntil(Forever)
 	checkFired(len(script), ref.runUntil(Forever))
 	if eng.Pending() != 0 {
-		t.Fatalf("shift %d: %d events pending after full drain", shift, eng.Pending())
+		t.Fatalf("unit 2^%d: %d events pending after full drain", unitShift, eng.Pending())
 	}
 }
 
 // TestHybridEngineDifferentialRandomOps runs seeded random scripts against
-// the reference under every horizon shift. Deterministic: failures
-// reproduce by seed.
+// the reference in every time unit. Deterministic: failures reproduce by
+// seed.
 func TestHybridEngineDifferentialRandomOps(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := NewRand(seed * 0x9e3779b97f4a7c15)
@@ -306,73 +311,79 @@ func TestHybridEngineDifferentialRandomOps(t *testing.T) {
 		for i := range script {
 			script[i] = byte(rng.Uint64())
 		}
-		for _, shift := range engineDiffShifts {
-			t.Run(fmt.Sprintf("seed%d/shift%d", seed, shift), func(t *testing.T) {
-				runEngineDifferentialScript(t, shift, script)
+		for _, unit := range engineDiffUnits {
+			t.Run(fmt.Sprintf("seed%d/shift%d", seed, unit), func(t *testing.T) {
+				runEngineDifferentialScript(t, unit, script)
 			})
 		}
 	}
 }
 
-// TestHybridEngineDifferentialTargeted exercises named adversarial
-// patterns: same-instant pileups, beyond-horizon cascades, Forever and
-// near-Forever deadlines, cancel-heavy churn, re-arm chains, and RunUntil
-// jumps across idle gaps followed by earlier inserts (the spillBatch path).
+// engineDiffScripts are named adversarial patterns: same-instant pileups,
+// beyond-horizon cascades, Forever and near-Forever deadlines, cancel-heavy
+// churn, re-arm chains, RunUntil jumps across idle gaps followed by earlier
+// inserts (the spillBatch path), and a bucket split on drain.
+var engineDiffScripts = []struct {
+	name   string
+	script []byte
+}{
+	{"same-instant-batches", []byte{
+		0, 0, 0, 1, 0, 2, 0, 0, 3, 0, 6, 0, 0, 3, 0, 3, 0, 3, 6, 0, 5, 0, 6, 0,
+	}},
+	{"beyond-horizon-cascade", []byte{
+		2, 1, 2, 9, 2, 200, 2, 255, 1, 7, 7, 200, 7, 255, 6, 0, 7, 255,
+	}},
+	{"forever-and-near-forever", []byte{
+		3, 1, 3, 2, 3, 6, 3, 1, 1, 9, 7, 10, 5, 0, 6, 0,
+	}},
+	{"cancel-heavy", []byte{
+		1, 3, 1, 7, 2, 40, 0, 1, 4, 0, 4, 1, 4, 2, 4, 3, 4, 0, 1, 9, 4, 5, 7, 30,
+	}},
+	{"re-arm-chains", []byte{
+		1, 5, 2, 50, 3, 3, 3, 7, 3, 11, 5, 0, 3, 15, 7, 40, 3, 19, 6, 0, 7, 255,
+	}},
+	{"idle-gap-then-earlier-insert", []byte{
+		// Far future event, RunUntil jumps the clock across the idle gap,
+		// then near-now inserts land before the drained batch.
+		2, 100, 7, 12, 0, 1, 0, 2, 1, 4, 6, 0, 7, 200,
+	}},
+	{"step-mixed-tiers", []byte{
+		0, 0, 1, 30, 2, 3, 2, 90, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0,
+	}},
+	{"split-bucket", splitBucketScript},
+	{"forever-bucket-split", []byte{
+		// Near Forever the window saturates and the last bucket is split
+		// between wheel and heap: an event at exactly Forever parked in
+		// the heap must still fire before a later one drained into the
+		// batch with that bucket.
+		3, 2, 6, 0, 0, 0, 3, 1, 7, 0, 3, 1,
+	}},
+}
+
+// TestHybridEngineDifferentialTargeted runs every named script against the
+// reference in every time unit.
 func TestHybridEngineDifferentialTargeted(t *testing.T) {
-	scripts := map[string][]byte{
-		"same-instant-batches": {
-			0, 0, 0, 1, 0, 2, 0, 0, 3, 0, 6, 0, 0, 3, 0, 3, 0, 3, 6, 0, 5, 0, 6, 0,
-		},
-		"beyond-horizon-cascade": {
-			2, 1, 2, 9, 2, 200, 2, 255, 1, 7, 7, 200, 7, 255, 6, 0, 7, 255,
-		},
-		"forever-and-near-forever": {
-			3, 1, 3, 2, 3, 6, 3, 1, 1, 9, 7, 10, 5, 0, 6, 0,
-		},
-		"cancel-heavy": {
-			1, 3, 1, 7, 2, 40, 0, 1, 4, 0, 4, 1, 4, 2, 4, 3, 4, 0, 1, 9, 4, 5, 7, 30,
-		},
-		"re-arm-chains": {
-			1, 5, 2, 50, 3, 3, 3, 7, 3, 11, 5, 0, 3, 15, 7, 40, 3, 19, 6, 0, 7, 255,
-		},
-		"idle-gap-then-earlier-insert": {
-			// Far future event, RunUntil jumps the clock across the idle gap,
-			// then near-now inserts land before the drained batch.
-			2, 100, 7, 12, 0, 1, 0, 2, 1, 4, 6, 0, 7, 200,
-		},
-		"step-mixed-tiers": {
-			0, 0, 1, 30, 2, 3, 2, 90, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0, 5, 0,
-		},
-		"split-bucket": splitBucketScript,
-		"forever-bucket-split": {
-			// Near Forever the window saturates and the last bucket is split
-			// between wheel and heap: an event at exactly Forever parked in
-			// the heap must still fire before a later one drained into the
-			// batch with that bucket.
-			3, 2, 6, 0, 0, 0, 3, 1, 7, 0, 3, 1,
-		},
-	}
-	for name, script := range scripts {
-		for _, shift := range engineDiffShifts {
-			t.Run(fmt.Sprintf("%s/shift%d", name, shift), func(t *testing.T) {
-				runEngineDifferentialScript(t, shift, script)
+	for _, sc := range engineDiffScripts {
+		for _, unit := range engineDiffUnits {
+			t.Run(fmt.Sprintf("%s/shift%d", sc.name, unit), func(t *testing.T) {
+				runEngineDifferentialScript(t, unit, sc.script)
 			})
 		}
 	}
 }
 
 // splitBucketScript drives a bucket that splits on drain through every
-// split path. Three dense fills put 36 events in the next bucket, three to
-// a sub-span at 12 sub-spans; the first StepBatch drains and splits it.
-// Then a schedule joins the batch's own sub-list, one links into a later
-// sub-list, and cancels empty a sub-list and hit batch nodes (at shift 16
-// the batch holds a 1 µs sub-span, at shift 4 a single instant, so which
-// of ids 12 and 1 sits in the batch varies), before a digest check. A
-// RunUntil stops short of a sub-list its peek served and a schedule lands
-// in an earlier one (the batch goes back first); a second RunUntil ends
-// just before the next split bucket, so its peek splits it ahead of now,
-// and a schedule before it spills the whole bucket. The bucket splits
-// again and the engine is Reset with sub-lists populated.
+// split path when the unit is a bucket; in the other units the same
+// schedules run the unsplit paths. Three dense fills put 36 events in the
+// next bucket, three to a sub-span at 12 sub-spans; the first StepBatch
+// drains and splits it. Then a schedule joins the batch's own sub-list,
+// one links into a later sub-list, and cancels empty a sub-list and hit
+// batch nodes before a digest check. A RunUntil stops short of a sub-list
+// its peek served and a schedule lands in an earlier one (the batch goes
+// back first); a second RunUntil ends just before the next split bucket,
+// so its peek splits it ahead of now, and a schedule before it spills the
+// whole bucket. The bucket splits again and the engine is Reset with
+// sub-lists populated.
 var splitBucketScript = []byte{
 	8, 0, 8, 64, 8, 128, 6, 0,
 	0, 1, 1, 1, 4, 35, 4, 11, 4, 23, 4, 12, 4, 1, 10, 1,
@@ -382,38 +393,33 @@ var splitBucketScript = []byte{
 }
 
 // FuzzHybridEngineDifferential fuzzes the hybrid engine against the
-// pure-list reference. The first byte selects the horizon shift so the
-// fuzzer explores tiny and huge wheel windows; the rest is the op script.
+// pure-list reference. The input is the op script, run with a bucket as
+// its time unit, where every op reaches the tier it names.
 func FuzzHybridEngineDifferential(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 0, 0, 3, 0, 6, 0})
-	f.Add([]byte{1, 2, 1, 2, 9, 2, 200, 1, 7, 7, 200, 6, 0})
-	f.Add([]byte{2, 3, 1, 3, 2, 3, 6, 1, 9, 7, 10, 5, 0})
-	f.Add([]byte{3, 1, 3, 2, 40, 4, 0, 4, 1, 4, 0, 7, 30})
-	f.Add([]byte{0, 2, 100, 7, 12, 0, 1, 1, 4, 6, 0, 7, 200})
-	f.Add([]byte{1, 3, 3, 3, 7, 5, 0, 3, 15, 7, 40, 6, 0})
-	// Deep inserts, one seed per shift: sixteen events pile into bucket 0
-	// at two instants, the head fires, and inserts land ahead of all of
-	// them and ahead of one instant (both past the probe, so a binary
-	// search and block move). Cancels hit shifted entries and the fired
-	// head, then one more insert moves the canceled cells along.
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 0, 3, 0, 6, 0})
+	f.Add([]byte{2, 1, 2, 9, 2, 200, 1, 7, 7, 200, 6, 0})
+	f.Add([]byte{3, 1, 3, 2, 3, 6, 1, 9, 7, 10, 5, 0})
+	f.Add([]byte{1, 3, 2, 40, 4, 0, 4, 1, 4, 0, 7, 30})
+	f.Add([]byte{2, 100, 7, 12, 0, 1, 1, 4, 6, 0, 7, 200})
+	f.Add([]byte{3, 3, 3, 7, 5, 0, 3, 15, 7, 40, 6, 0})
+	// Deep inserts: sixteen events pile into bucket 0 at two instants, the
+	// head fires, and inserts land ahead of all of them and ahead of one
+	// instant, each stepping back over every entry after its cell.
+	// Cancels hit shifted entries and the fired head, then one more insert
+	// moves the canceled cells along.
 	deep := []byte{0, 0}
 	for i := 0; i < 8; i++ {
 		deep = append(deep, 0, 3, 0, 2)
 	}
 	deep = append(deep, 5, 0, 0, 1, 0, 2, 4, 5, 4, 12, 4, 0, 0, 1, 6, 0, 5, 0, 7, 255)
-	for shift := byte(0); shift < byte(len(engineDiffShifts)); shift++ {
-		f.Add(append([]byte{shift}, deep...))
-		f.Add(append([]byte{shift}, splitBucketScript...))
+	f.Add(deep)
+	for _, sc := range engineDiffScripts {
+		f.Add(sc.script)
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		shift := engineDiffShifts[int(data[0])%len(engineDiffShifts)]
-		script := data[1:]
+	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 2048 {
 			script = script[:2048]
 		}
-		runEngineDifferentialScript(t, shift, script)
+		runEngineDifferentialScript(t, DefaultBucketShift, script)
 	})
 }

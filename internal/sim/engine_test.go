@@ -458,9 +458,8 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 
 	// Deep insert + batch cancel: a chain of events a microsecond apart
 	// keeps up to 64 entries in the live batch; each round inserts an
-	// event ahead of all of them (past the probe, so the binary-search
-	// block move whenever more than batchProbe remain), cancels it from
-	// the batch, and fires one chain event.
+	// event ahead of all of them (stepping back over every entry),
+	// cancels it from the batch, and fires one chain event.
 	var chain Handler
 	chain = func(en *Engine) { en.After(64*Microsecond, "chain", chain) }
 	nop := func(*Engine) {}
@@ -482,12 +481,12 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineBatchDeepInserts drives one bucket's live batch, several times
-// batchProbe entries long, through inserts that take the binary-search
-// block-move path — ahead of the batch, at its tail, between entries and at
-// an existing instant — plus restored older seqs and cancels of shifted,
-// inserted and already-fired entries. The fire order must be the plain
-// (when, seq) sort of the surviving events.
+// TestEngineBatchDeepInserts drives one bucket's live batch, a dozen
+// entries long, through inserts that step back deep from its tail — ahead
+// of the batch, at its tail, between entries and at an existing instant —
+// plus restored older seqs and cancels of shifted, inserted and
+// already-fired entries. The fire order must be the plain (when, seq) sort
+// of the surviving events.
 func TestEngineBatchDeepInserts(t *testing.T) {
 	e := NewEngine(1)
 	type want struct {
@@ -540,7 +539,7 @@ func TestEngineBatchDeepInserts(t *testing.T) {
 	// A head event, then pairs of events sharing an instant, 100ns apart,
 	// all in bucket 0.
 	at(1)
-	n := 3 * batchProbe
+	n := 12
 	for k := 0; k < n; k++ {
 		at(1000 + Time(k/2)*100)
 	}
@@ -668,6 +667,44 @@ func TestEngineResetDetachesEveryNode(t *testing.T) {
 		if id != i {
 			t.Fatalf("fire order after Reset diverges at %d: got id %d", i, id)
 		}
+	}
+}
+
+// TestEngineResetAllocs fills a wheel bucket, a split bucket's sub-lists,
+// the live batch and the overflow heap, then resets the engine: walking
+// the four containers and releasing their nodes must not allocate.
+func TestEngineResetAllocs(t *testing.T) {
+	e := NewEngine(1)
+	span := Time(1) << DefaultBucketShift
+	nop := func(*Engine) {}
+	fill := func() {
+		for k := Time(0); k < 40; k++ {
+			e.At(k*span/40, "dense", nop)
+		}
+		for k := Time(0); k < 4; k++ {
+			e.At(3*span+k, "bucket", nop)
+			e.At(k+1, "batch", nop)
+			e.At((k+1)*Second, "heap", nop)
+		}
+		e.Step()
+	}
+	fill()
+	if e.splitBkt != 0 || e.subOcc == 0 || e.batchPos >= len(e.batch) || e.wheelCount == 0 || len(e.heap) == 0 {
+		t.Fatalf("fill missed a container: split bucket %d, sub-lists %#x, batch %d of %d, wheel %d, heap %d",
+			e.splitBkt, e.subOcc, e.batchPos, len(e.batch), e.wheelCount, len(e.heap))
+	}
+	e.Reset(1)
+	var pending int
+	allocs := testing.AllocsPerRun(100, func() {
+		fill()
+		pending = e.Pending()
+		e.Reset(1)
+	})
+	if allocs != 0 {
+		t.Fatalf("fill+Reset allocates %v objects/op, want 0", allocs)
+	}
+	if pending != 40+12-1 || e.Pending() != 0 {
+		t.Fatalf("pending %d before Reset and %d after, want %d and 0", pending, e.Pending(), 40+12-1)
 	}
 }
 

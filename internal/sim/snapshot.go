@@ -22,10 +22,10 @@ import (
 // re-derives the wheel window from the restored clock.
 func (e *Engine) Snap(s *snap.Stream) {
 	s.Section("engine")
-	shift := uint64(e.shift)
+	shift := uint64(DefaultBucketShift)
 	s.U64(&shift)
-	if shift != uint64(e.shift) {
-		s.Failf("sim: snapshot bucket shift %d does not match engine shift %d", shift, e.shift)
+	if shift != DefaultBucketShift {
+		s.Failf("sim: snapshot bucket shift %d does not match engine shift %d", shift, DefaultBucketShift)
 	}
 	if s.Decoding() && e.Pending() != 0 {
 		s.Failf("sim: restore into an engine with %d pending events (Reset it first)", e.Pending())
@@ -46,8 +46,8 @@ func (e *Engine) Snap(s *snap.Stream) {
 
 // rebaseWheel re-derives the wheel window from a restored clock.
 func (e *Engine) rebaseWheel() {
-	e.wheelBase = int64(e.now >> e.shift)
-	e.wheelEnd = wheelEndFor(e.wheelBase, e.shift)
+	e.wheelBase = int64(e.now >> DefaultBucketShift)
+	e.wheelEnd = wheelEndFor(e.wheelBase)
 }
 
 // SnapEvent moves an optional pending event: a presence flag, then its
@@ -116,26 +116,7 @@ func (ev Event) Seq() (seq uint64, ok bool) {
 // ForEachPending visits every queued event in unspecified order. It exists
 // for state digests and diagnostics; fn must not schedule or cancel.
 func (e *Engine) ForEachPending(fn func(when Time, seq uint64, label string)) {
-	for s := range e.buckets {
-		for nd := e.buckets[s]; nd != nil; nd = nd.next {
-			fn(nd.when, nd.seq, nd.label)
-		}
-	}
-	for i := e.batchPos; i < len(e.batch); i++ {
-		if nd := e.batch[i].nd; nd != nil {
-			fn(nd.when, nd.seq, nd.label)
-		}
-	}
-	if e.sub != nil {
-		for j := range e.sub {
-			for nd := e.sub[j]; nd != nil; nd = nd.next {
-				fn(nd.when, nd.seq, nd.label)
-			}
-		}
-	}
-	for _, nd := range e.heap {
-		fn(nd.when, nd.seq, nd.label)
-	}
+	e.eachNode(func(nd *node) { fn(nd.when, nd.seq, nd.label) })
 }
 
 // DigestState returns a canonical hash of the engine's observable state:
