@@ -37,17 +37,17 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("paratick-sim", flag.ContinueOnError)
 	mode := fs.String("mode", "paratick", "tick mode: dynticks, periodic, paratick")
-	vcpus := fs.Int("vcpus", 1, "vCPU count")
-	sockets := fs.Int("sockets", 1, "NUMA sockets to spread vCPUs over")
+	vcpus := fs.Int("vcpus", 1, "vCPU count (0 = the default, 1)")
+	sockets := fs.Int("sockets", 1, "NUMA sockets to spread vCPUs over (0 = the default, 1)")
 	wl := fs.String("workload", "fio:rndr:4:16", "workload spec (see -help)")
 	duration := fs.Duration("duration", 0, "fixed run duration (for idle workloads)")
 	seed := fs.Uint64("seed", 1, "deterministic seed")
-	guestHz := fs.Int("guest-hz", 250, "guest tick frequency")
-	hostHz := fs.Int("host-hz", 250, "host tick frequency")
+	guestHz := fs.Int("guest-hz", 250, "guest tick frequency in Hz, at most 1000 (0 = the default, 250)")
+	hostHz := fs.Int("host-hz", 250, "host tick frequency in Hz, at most 1000 (0 = the default, 250)")
 	haltPoll := fs.Duration("haltpoll", 0, "KVM halt-polling window (0 = disabled, as in the paper)")
 	pleWindow := fs.Duration("ple", 0, "pause-loop-exiting window (0 = disabled, as in the paper)")
 	spin := fs.Duration("spin", 0, "adaptive lock spin before blocking (0 = pure blocking sync)")
-	overcommit := fs.Int("overcommit", 1, "vCPUs per physical CPU")
+	overcommit := fs.Int("overcommit", 1, "vCPUs per physical CPU (0 = the default, 1)")
 	schedPolicy := fs.String("sched", "fifo", "host vCPU scheduler: fifo, fair")
 	timeslice := fs.Duration("timeslice", 0, "host pCPU timeslice (0 = 6ms default)")
 	topUp := fs.Bool("topup", false, "enable the §4.1 frequency-mismatch top-up timer")

@@ -51,7 +51,8 @@ func TestRunBadFlags(t *testing.T) {
 
 // TestRunHostileFlags pins that hostile values are refused before anything
 // runs or prints: a 5000h idle run used to simulate for hours, past the
-// 1000 s cap a workload run stops at.
+// 1000 s cap a workload run stops at; a 1 GHz host tick did not finish; a
+// NaN or infinite sync rate ran and reported wakeups.
 func TestRunHostileFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-workload", "idle", "-duration", "5000h"},
@@ -61,6 +62,12 @@ func TestRunHostileFlags(t *testing.T) {
 		{"-overcommit", "-1"},
 		{"-haltpoll", "-1ms"},
 		{"-sched", "nope"},
+		{"-host-hz", "1000000000"},
+		{"-host-hz", "1001"},
+		{"-guest-hz", "1001"},
+		{"-host-hz", "-1"},
+		{"-workload", "sync:2:NaN"},
+		{"-workload", "sync:2:+Inf"},
 	} {
 		var b strings.Builder
 		if err := run(args, &b); err == nil {

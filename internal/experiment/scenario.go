@@ -120,6 +120,11 @@ type ScenarioResult struct {
 	Events  uint64
 }
 
+// maxTickHz is the highest guest or host tick rate a scenario may ask for:
+// Linux's largest CONFIG_HZ. A rate far above it means a tick every few
+// nanoseconds, and a run that does not finish.
+const maxTickHz = 1000
+
 // Validate checks the scenario is runnable.
 func (s Scenario) Validate() error {
 	if len(s.VMs) == 0 {
@@ -134,9 +139,15 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("experiment %s: no workload VM and no duration", s.Name)
 		}
 	}
+	if s.HostHz < 0 || s.HostHz > maxTickHz {
+		return fmt.Errorf("experiment %s: host tick rate must be between 0 (the default) and %d Hz, got %d", s.Name, maxTickHz, s.HostHz)
+	}
 	for _, v := range s.VMs {
 		if v.VCPUs <= 0 && len(v.Placement) == 0 {
 			return fmt.Errorf("experiment %s: VM %q needs vCPUs or a placement", s.Name, v.Name)
+		}
+		if v.GuestHz < 0 || v.GuestHz > maxTickHz {
+			return fmt.Errorf("experiment %s: VM %q guest tick rate must be between 0 (the default) and %d Hz, got %d", s.Name, v.Name, maxTickHz, v.GuestHz)
 		}
 	}
 	if s.Duration < 0 || s.Duration > maxSimTime {

@@ -25,16 +25,35 @@ func TestScenarioValidate(t *testing.T) {
 		t.Error("VM with neither vCPUs nor placement accepted")
 	}
 	// A negative duration used to run silently to maxSimTime, a longer one
-	// ran past the cap Duration-0 runs stop at, and a negative probe was
-	// silently ignored.
+	// ran past the cap Duration-0 runs stop at, a negative probe was
+	// silently ignored, and a 1 GHz host tick (a 1 ns period) did not
+	// finish.
 	for _, s := range []Scenario{
 		{Name: "negative-duration", Duration: -sim.Second},
 		{Name: "past-cap", Duration: maxSimTime + 1},
 		{Name: "negative-probe", Duration: sim.Second, SnapshotProbe: -sim.Millisecond},
+		{Name: "host-hz-above-max", Duration: sim.Second, HostHz: maxTickHz + 1},
+		{Name: "host-hz-1GHz", Duration: sim.Second, HostHz: 1_000_000_000},
+		{Name: "host-hz-negative", Duration: sim.Second, HostHz: -1},
 	} {
 		s.VMs = []VMSpec{{Name: "a", VCPUs: 1, Workload: true}}
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s accepted", s.Name)
+		}
+	}
+	for _, hz := range []int{-1, maxTickHz + 1} {
+		s := Scenario{Name: "guest-hz", Duration: sim.Second, VMs: []VMSpec{{Name: "a", VCPUs: 1, GuestHz: hz}}}
+		if err := s.Validate(); err == nil {
+			t.Errorf("guest tick rate %d accepted", hz)
+		}
+	}
+	// The §4.1 ablation's 1000 Hz guest is the largest legal rate.
+	for _, s := range []Scenario{
+		{Name: "guest-hz-max", Duration: sim.Second, VMs: []VMSpec{{Name: "a", VCPUs: 1, GuestHz: maxTickHz}}},
+		{Name: "host-hz-max", Duration: sim.Second, HostHz: maxTickHz, VMs: []VMSpec{{Name: "a", VCPUs: 1}}},
+	} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s refused: %v", s.Name, err)
 		}
 	}
 	s = Scenario{Name: "at-cap", Duration: maxSimTime, VMs: []VMSpec{{Name: "a", VCPUs: 1}}}

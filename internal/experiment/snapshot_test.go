@@ -442,7 +442,7 @@ func findReferenceFields(t *testing.T, payload []byte) referenceFields {
 	}
 
 	at("engine")
-	d.U64() // bucket shift
+	d.U64() // span word
 	f.now = pos()
 	d.I64()
 	f.seq = pos()

@@ -85,7 +85,7 @@ func Kernels() []Kernel {
 		},
 		{
 			Name: "engine/horizon-cascade",
-			Desc: "beyond-horizon schedule + heap→wheel cascade + fire, 128 events/op",
+			Desc: "far-future schedule + radix redistribution + fire, 128 events/op",
 			Fn:   engineHorizonCascade,
 		},
 		{
@@ -218,9 +218,11 @@ func engineCancelHeavy(b *testing.B) {
 	}
 }
 
-// engineBatchDispatch measures the batched same-jiffy dispatch path: every
-// op schedules 64 events for the same instant and drains them with one
-// StepBatch — the workload shape of a tick wave across a fleet's vCPUs.
+// engineBatchDispatch measures the batched same-instant dispatch path:
+// every op schedules 64 events for the same instant, one bucket too long to
+// drain whole, which redistributes into the single-instant bucket 0 and
+// drains into the sorted batch; one StepBatch fires them all — the workload
+// shape of a tick wave across a fleet's vCPUs.
 func engineBatchDispatch(b *testing.B) {
 	e := sim.NewEngine(1)
 	const fanout = 64
@@ -235,15 +237,16 @@ func engineBatchDispatch(b *testing.B) {
 	}
 }
 
-// engineHorizonCascade measures the overflow tier: every op schedules 128
-// events beyond the near-horizon window (so they land in the min-heap),
-// then runs across the idle gap, forcing the heap→wheel cascade and firing
-// them all — the long-sleep / far-deadline shape dynticks guests produce.
+// engineHorizonCascade measures far-future keys: every op schedules 128
+// events 2^16 ns apart, starting 2^27 ns out, so they land in high buckets
+// of the radix queue, then runs across the idle gap, which redistributes
+// them down bucket by bucket until each drains, and fires them all — the
+// long-sleep / far-deadline shape dynticks guests produce. (The name is
+// from the wheel-and-heap queue this kernel first measured.)
 func engineHorizonCascade(b *testing.B) {
 	e := sim.NewEngine(1)
 	const spread = 128
-	// The default wheel window is 256 buckets of 2^16 ns; 2^26 ns starts
-	// well past it, so every At lands in the overflow heap.
+	// Twice this is where every op's events start.
 	const horizon = sim.Time(1) << 26
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

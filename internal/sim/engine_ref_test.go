@@ -2,18 +2,19 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"paratick/internal/snap"
 )
 
-// Differential testing of the hybrid two-tier engine (bitmap wheel +
-// overflow heap + same-instant batch) against refEngine, a deliberately
-// naive pure-list reference that keeps every pending event in a flat slice
-// and scans for the (when, seq) minimum on demand. The reference has no
-// horizon, no cascade, and no batching, so any divergence in fire order,
-// Cancel results, Pending counts, or the clock isolates a bug in the hybrid
-// structure. Mirrors internal/guest/wheel_ref_test.go.
+// Differential testing of the engine's radix queue (bucket lists keyed on
+// the highest bit a key differs from last in, plus a sorted batch) against
+// refEngine, a deliberately naive pure-list reference that keeps every
+// pending event in a flat slice and scans for the (when, seq) minimum on
+// demand. The reference has no buckets, no redistribution and no batch, so
+// any divergence in fire order, Cancel results, Pending counts, or the clock
+// isolates a bug in the queue. Mirrors internal/guest/wheel_ref_test.go.
 
 // refEvent is one pending occurrence in the reference model.
 type refEvent struct {
@@ -118,26 +119,27 @@ func (r *refEngine) runUntil(deadline Time) []int {
 }
 
 // engineDiffUnits are the time units scripts run under, as log2 of the
-// unit in ns. The engine's bucket is always 2^16 ns, so the unit sets where
-// a script's traffic lands: at 2^4 ns nearly all of it shares a few buckets
-// and the live batch, at 2^16 ns the unit is a bucket and op 8 fills one
-// that splits, and at 2^24 ns most of it overflows to the heap and
-// cascades back.
+// unit in ns. A bucket drains whole into the batch only if its keys span at
+// most 2^drainBucket ns and it holds at most drainMax nodes, so the unit
+// sets where a script's traffic lands: at 2^4 ns nearly all of it falls in
+// a few low buckets and the live batch, at 2^16 ns op 8's fills make
+// buckets within the drain span but too long to drain, which redistribute,
+// and at 2^24 ns most of it lands in wide buckets that redistribute several
+// times before they drain.
 var engineDiffUnits = []uint{4, 10, 16, 24}
 
-// runEngineDifferentialScript drives a hybrid engine and the reference
-// through the same byte-coded script in time units of 2^unitShift ns,
-// failing on any divergence in fire order, Cancel results, Pending, or Now.
+// runEngineDifferentialScript drives an engine and the reference through
+// the same byte-coded script in time units of 2^unitShift ns, failing on
+// any divergence in fire order, Cancel results, Pending, or Now.
 //
 // Script format: operations are consumed two bytes at a time (op, arg).
 // Ops 1, 2, 7, 8 and 9 measure time in units; ops 8 and 9 in 64ths of
-// one, a sub-list's span when the unit is a bucket.
+// one.
 //
 //	op%11 == 0: schedule at now+arg%4 (same-instant / same-jiffy pileup)
-//	op%11 == 1: schedule up to 85 units ahead (inside the wheel window
-//	            when the unit is a bucket)
-//	op%11 == 2: schedule 300 to 76,800 units ahead (far beyond the
-//	            horizon when the unit is a bucket: overflow heap, cascades)
+//	op%11 == 1: schedule up to 85 units ahead
+//	op%11 == 2: schedule 300 to 76,800 units ahead (high buckets, which
+//	            redistribute as the clock nears them)
 //	op%11 == 3: edge deadlines — now exactly, Forever, near-Forever, or a
 //	            re-arm (cancel a prior handle, schedule a replacement)
 //	op%11 == 4: cancel the handle indexed by arg (result compared)
@@ -146,13 +148,16 @@ var engineDiffUnits = []uint{4, 10, 16, 24}
 //	op%11 == 7: RunUntil a deadline derived from arg
 //	op%11 == 8: dense fill — twelve events in the unit after now's, at
 //	            64ths arg%64, arg%64+5, ... (mod 64) of it plus a
-//	            quarter-64th per arg/64; when the unit is a bucket, three
-//	            fills make one that splits when it drains
-//	op%11 == 9: RunUntil now+(arg%64)/64 unit: stopping short of a
-//	            sub-list the peek already served
+//	            quarter-64th per arg/64; at unit 2^16 ns, three fills put
+//	            36 events in one bucket, too many to drain whole
+//	op%11 == 9: RunUntil now+(arg%64)/64 unit: stopping inside a batch
+//	            the refill already drained
 //	op%11 == 10: arg%4 == 0: Reset both sides (the engine must then digest
-//	            like a fresh one); otherwise compare DigestState with a
-//	            clone holding the reference's pending events
+//	            like a fresh one); arg%4 == 3: thaw — restore a clone
+//	            from the engine's scalars and the reference's pending
+//	            events, newest seq first, compare DigestState and carry
+//	            on with the clone; otherwise compare DigestState with such
+//	            a clone restored in seq order
 func runEngineDifferentialScript(t *testing.T, unitShift uint, script []byte) {
 	t.Helper()
 	eng := NewEngine(1)
@@ -161,16 +166,17 @@ func runEngineDifferentialScript(t *testing.T, unitShift uint, script []byte) {
 		handles []Event
 		fired   []int
 	)
-	// schedule registers one event on both sides under the next integer id.
 	// Handlers append their id to fired, giving the observable order.
+	fire := func(id int) Handler {
+		return func(*Engine) { fired = append(fired, id) }
+	}
+	// schedule registers one event on both sides under the next integer id.
 	schedule := func(when Time) {
 		if when < eng.Now() {
 			when = eng.Now() // At panics on the past; the script never asks for it
 		}
 		id := len(handles)
-		handles = append(handles, eng.At(when, "diff", func(*Engine) {
-			fired = append(fired, id)
-		}))
+		handles = append(handles, eng.At(when, "diff", fire(id)))
 		ref.at(id, when)
 	}
 	checkFired := func(op int, want []int) {
@@ -186,24 +192,25 @@ func runEngineDifferentialScript(t *testing.T, unitShift uint, script []byte) {
 		fired = fired[:0]
 	}
 	nop := func(*Engine) {}
-	// checkDigest compares the engine's digest with a clone's: the engine's
-	// scalars moved through Snap, then the reference's pending events
-	// restored at their coordinates, so the clone's queue is laid out
-	// afresh (no batch, no split bucket) whatever the engine's is.
-	checkDigest := func(op int) {
+	// clone returns an engine holding the engine's scalars, moved through
+	// Snap, and no events, so whatever is restored into it is laid out
+	// afresh (no batch, buckets around the restored clock) whatever the
+	// engine's queue looks like.
+	clone := func(op int) *Engine {
 		t.Helper()
 		var enc snap.Encoder
 		eng.Snap(snap.NewWriter(&enc))
-		clone := NewEngine(1)
+		c := NewEngine(1)
 		s := snap.NewReader(snap.NewDecoder(enc.Bytes()))
-		clone.Snap(s)
+		c.Snap(s)
 		if err := s.Err(); err != nil {
 			t.Fatalf("unit 2^%d op %d: restoring the engine scalars: %v", unitShift, op, err)
 		}
-		for _, ev := range ref.events {
-			clone.ScheduleRestored(ev.when, ev.seq, "diff", nop)
-		}
-		if g, w := eng.DigestState(), clone.DigestState(); g != w {
+		return c
+	}
+	checkDigest := func(op int, c *Engine) {
+		t.Helper()
+		if g, w := eng.DigestState(), c.DigestState(); g != w {
 			t.Fatalf("unit 2^%d op %d: digest %s, clone of the reference %s", unitShift, op, g, w)
 		}
 	}
@@ -275,14 +282,29 @@ func runEngineDifferentialScript(t *testing.T, unitShift uint, script []byte) {
 			eng.RunUntil(deadline)
 			checkFired(i, ref.runUntil(deadline))
 		case 10:
-			if arg%4 != 0 {
-				checkDigest(i)
-			} else {
+			switch arg % 4 {
+			case 0:
 				eng.Reset(1)
 				ref = &refEngine{}
 				if eng.DigestState() != NewEngine(1).DigestState() {
 					t.Fatalf("unit 2^%d op %d: engine after Reset digests unlike a fresh one", unitShift, i)
 				}
+			case 3:
+				// Restored newest first, every same-instant restore after
+				// the first arrives with an older seq than those queued.
+				c := clone(i)
+				for k := len(ref.events) - 1; k >= 0; k-- {
+					ev := ref.events[k]
+					handles[ev.id] = c.ScheduleRestored(ev.when, ev.seq, "diff", fire(ev.id))
+				}
+				checkDigest(i, c)
+				eng = c
+			default:
+				c := clone(i)
+				for _, ev := range ref.events {
+					c.ScheduleRestored(ev.when, ev.seq, "diff", nop)
+				}
+				checkDigest(i, c)
 			}
 		}
 		if eng.Pending() != len(ref.events) {
@@ -290,6 +312,9 @@ func runEngineDifferentialScript(t *testing.T, unitShift uint, script []byte) {
 		}
 		if eng.Now() != ref.now {
 			t.Fatalf("unit 2^%d op %d: Now = %v, reference %v", unitShift, i, eng.Now(), ref.now)
+		}
+		if err := eng.queueInvariants(); err != nil {
+			t.Fatalf("unit 2^%d op %d: %v", unitShift, i, err)
 		}
 	}
 	// Drain everything — including Forever-deadline events — and compare the
@@ -299,6 +324,51 @@ func runEngineDifferentialScript(t *testing.T, unitShift uint, script []byte) {
 	if eng.Pending() != 0 {
 		t.Fatalf("unit 2^%d: %d events pending after full drain", unitShift, eng.Pending())
 	}
+}
+
+// queueInvariants checks the radix queue's three invariants (see Engine)
+// and its bookkeeping: every bucket node sits in bucket
+// bits.Len64(when ^ last) above batchEnd, with its occupancy bit set and
+// last at most now; the live batch is sorted and at most batchEnd; and the
+// nodes found add up to Pending.
+func (e *Engine) queueInvariants() error {
+	if e.last > e.now {
+		return fmt.Errorf("radix base %v is past now %v", e.last, e.now)
+	}
+	n := 0
+	for b, head := range e.buckets {
+		if (head != nil) != (e.occ&(1<<uint(b)) != 0) {
+			return fmt.Errorf("bucket %d: occupancy bit disagrees with its list", b)
+		}
+		for nd := head; nd != nil; nd = nd.next {
+			n++
+			if got := bits.Len64(uint64(nd.when ^ e.last)); got != b || nd.loc != int32(b) {
+				return fmt.Errorf("key %v (loc %d) in bucket %d, want bucket %d", nd.when, nd.loc, b, got)
+			}
+			if nd.when <= e.batchEnd {
+				return fmt.Errorf("bucket key %v is not above batchEnd %v", nd.when, e.batchEnd)
+			}
+		}
+	}
+	for i := e.batchPos; i < len(e.batch); i++ {
+		ent := e.batch[i]
+		if ent.when > e.batchEnd {
+			return fmt.Errorf("batch key %v is above batchEnd %v", ent.when, e.batchEnd)
+		}
+		if i > e.batchPos && entLess(ent, e.batch[i-1]) {
+			return fmt.Errorf("batch out of order at %d", i)
+		}
+		if ent.nd != nil {
+			n++
+			if ent.nd.loc != locBatch || ent.nd.when != ent.when || ent.nd.seq != ent.seq {
+				return fmt.Errorf("batch cell %d does not match its node", i)
+			}
+		}
+	}
+	if n != e.count {
+		return fmt.Errorf("queue holds %d nodes, Pending is %d", n, e.count)
+	}
+	return nil
 }
 
 // TestHybridEngineDifferentialRandomOps runs seeded random scripts against
@@ -320,9 +390,13 @@ func TestHybridEngineDifferentialRandomOps(t *testing.T) {
 }
 
 // engineDiffScripts are named adversarial patterns: same-instant pileups,
-// beyond-horizon cascades, Forever and near-Forever deadlines, cancel-heavy
-// churn, re-arm chains, RunUntil jumps across idle gaps followed by earlier
-// inserts (the spillBatch path), and a bucket split on drain.
+// far-future keys redistributed down, Forever and near-Forever deadlines,
+// cancel-heavy churn, re-arm chains, RunUntil jumps across idle gaps
+// followed by earlier inserts, dense buckets too long to drain whole, a
+// RunUntil stopping inside a drained batch, a 64-event instant, and
+// same-instant restores with older seqs. (Several names — the cascade, the
+// split — are the earlier wheel-and-heap queue's paths; the patterns still
+// stress the radix queue, and the names stay stable.)
 var engineDiffScripts = []struct {
 	name   string
 	script []byte
@@ -352,13 +426,47 @@ var engineDiffScripts = []struct {
 	}},
 	{"split-bucket", splitBucketScript},
 	{"forever-bucket-split", []byte{
-		// Near Forever the window saturates and the last bucket is split
-		// between wheel and heap: an event at exactly Forever parked in
-		// the heap must still fire before a later one drained into the
-		// batch with that bucket.
+		// Keys at and just below Forever share bucket 63: an event at
+		// exactly Forever must fire before a later one at Forever and
+		// after every near-Forever one.
 		3, 2, 6, 0, 0, 0, 3, 1, 7, 0, 3, 1,
 	}},
+	{"redistributed-bucket", []byte{
+		// Four dense fills put 48 events in one bucket whose keys span
+		// 2^16 ns when the unit is 2^16 ns: within the drain span but too
+		// long to drain, so the first dispatch redistributes it. Then a
+		// schedule and cancels hit the lower buckets and the batch.
+		8, 0, 8, 64, 8, 128, 8, 192, 10, 1, 5, 0, 1, 1, 4, 20, 4, 40, 10, 2,
+		6, 0, 9, 30, 0, 0, 4, 3, 7, 0,
+	}},
+	{"rununtil-short-then-earlier", []byte{
+		// A fill, then RunUntil to the fill's first event: it fires, and
+		// the rest of the drained batch is left ahead of the clock. A
+		// second RunUntil stops short of the batch's head, and schedules
+		// land below it and inside it.
+		8, 0, 7, 0, 0, 1, 9, 3, 0, 2, 1, 1, 10, 1, 6, 0, 6, 0, 7, 255,
+	}},
+	{"same-instant-64", sameInstantScript},
+	{"restored-same-instant", []byte{
+		// Eight events at one instant and four at another, one fired;
+		// the thaw restores them newest first, one more lands at the
+		// first instant, and a second thaw follows before they drain.
+		1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 7, 1, 9, 1, 9, 1, 9, 1, 9,
+		5, 0, 10, 3, 3, 0, 5, 0, 10, 3, 6, 0, 10, 1, 7, 255,
+	}},
 }
+
+// sameInstantScript schedules 64 events at one instant, cancels two and
+// drains the instant in one StepBatch. In units of 2^16 ns the instant's
+// bucket is too wide to drain, so it redistributes into bucket 0, which
+// drains whole however long: relinking reversed its list into filing order.
+var sameInstantScript = func() []byte {
+	var s []byte
+	for k := 0; k < 64; k++ {
+		s = append(s, 1, 7)
+	}
+	return append(s, 4, 10, 4, 20, 10, 1, 6, 0, 7, 255)
+}()
 
 // TestHybridEngineDifferentialTargeted runs every named script against the
 // reference in every time unit.
@@ -372,18 +480,14 @@ func TestHybridEngineDifferentialTargeted(t *testing.T) {
 	}
 }
 
-// splitBucketScript drives a bucket that splits on drain through every
-// split path when the unit is a bucket; in the other units the same
-// schedules run the unsplit paths. Three dense fills put 36 events in the
-// next bucket, three to a sub-span at 12 sub-spans; the first StepBatch
-// drains and splits it. Then a schedule joins the batch's own sub-list,
-// one links into a later sub-list, and cancels empty a sub-list and hit
-// batch nodes before a digest check. A RunUntil stops short of a sub-list
-// its peek served and a schedule lands in an earlier one (the batch goes
-// back first); a second RunUntil ends just before the next split bucket,
-// so its peek splits it ahead of now, and a schedule before it spills the
-// whole bucket. The bucket splits again and the engine is Reset with
-// sub-lists populated.
+// splitBucketScript drives dense buckets through redistribution. Three
+// fills put 36 events in the next 2^16 ns, in 12 clusters of three, and
+// the first StepBatch redistributes them around their minimum. Schedules,
+// cancels of bucket and batch nodes and a digest check follow, then a
+// RunUntil that stops inside a drained batch with a schedule landing
+// before it. A second round of fills ends in a RunUntil short of them, a
+// schedule before them, a thaw and a Reset with buckets populated, and a
+// third round drains.
 var splitBucketScript = []byte{
 	8, 0, 8, 64, 8, 128, 6, 0,
 	0, 1, 1, 1, 4, 35, 4, 11, 4, 23, 4, 12, 4, 1, 10, 1,
@@ -392,9 +496,9 @@ var splitBucketScript = []byte{
 	8, 3, 8, 67, 8, 131, 6, 0, 5, 0, 4, 50, 10, 1, 7, 0,
 }
 
-// FuzzHybridEngineDifferential fuzzes the hybrid engine against the
-// pure-list reference. The input is the op script, run with a bucket as
-// its time unit, where every op reaches the tier it names.
+// FuzzHybridEngineDifferential fuzzes the engine against the pure-list
+// reference. The input is the op script, run in units of 2^16 ns, where
+// op 8's fills make buckets too long to drain whole.
 func FuzzHybridEngineDifferential(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 0, 3, 0, 6, 0})
 	f.Add([]byte{2, 1, 2, 9, 2, 200, 1, 7, 7, 200, 6, 0})
@@ -420,6 +524,6 @@ func FuzzHybridEngineDifferential(f *testing.F) {
 		if len(script) > 2048 {
 			script = script[:2048]
 		}
-		runEngineDifferentialScript(t, DefaultBucketShift, script)
+		runEngineDifferentialScript(t, 16, script)
 	})
 }

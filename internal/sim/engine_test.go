@@ -433,10 +433,10 @@ func TestEventHandleSurvivesRecycling(t *testing.T) {
 }
 
 // The steady-state schedule→fire→reschedule cycle must not allocate: the
-// free list recycles event nodes and the heap never grows.
+// free list recycles event nodes and the batch never grows.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	e := NewEngine(1)
-	// Warm up: populate the node slab and heap capacity.
+	// Warm up: populate the node slab and batch capacity.
 	for i := 0; i < 100; i++ {
 		e.After(1, "warm", func(*Engine) {})
 		e.Step()
@@ -456,9 +456,9 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("schedule+cancel allocates %v objects/op, want 0", cancels)
 	}
 
-	// Deep insert + batch cancel: a chain of events a microsecond apart
-	// keeps up to 64 entries in the live batch; each round inserts an
-	// event ahead of all of them (stepping back over every entry),
+	// Deep insert + batch cancel: a chain of 64 events a microsecond apart
+	// keeps up to drainMax entries in the live batch; each round inserts
+	// an event ahead of all of them (stepping back over every entry),
 	// cancels it from the batch, and fires one chain event.
 	var chain Handler
 	chain = func(en *Engine) { en.After(64*Microsecond, "chain", chain) }
@@ -481,12 +481,12 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEngineBatchDeepInserts drives one bucket's live batch, a dozen
-// entries long, through inserts that step back deep from its tail — ahead
-// of the batch, at its tail, between entries and at an existing instant —
-// plus restored older seqs and cancels of shifted, inserted and
-// already-fired entries. The fire order must be the plain (when, seq) sort
-// of the surviving events.
+// TestEngineBatchDeepInserts drives one drained bucket's live batch, a
+// dozen entries long, through inserts that step back deep from its tail —
+// ahead of the batch, at its tail, between entries and at an existing
+// instant — plus restored older seqs and cancels of shifted, inserted and
+// already-fired entries. Every insert must land in the batch, and the fire
+// order must be the plain (when, seq) sort of the surviving events.
 func TestEngineBatchDeepInserts(t *testing.T) {
 	e := NewEngine(1)
 	type want struct {
@@ -508,11 +508,14 @@ func TestEngineBatchDeepInserts(t *testing.T) {
 	handler := func(id int) Handler {
 		return func(*Engine) { fired = append(fired, id) }
 	}
+	// Times are offsets from base: bucket 17 holds [base, 2·base), and a
+	// bucket that narrow and short drains whole into the batch.
+	const base = Time(1) << 16
 	at := func(when Time) {
-		record(e.At(when, "deep", handler(len(evs))))
+		record(e.At(base+when, "deep", handler(len(evs))))
 	}
 	restore := func(when Time, seq uint64) {
-		record(e.ScheduleRestored(when, seq, "restored", handler(len(evs))))
+		record(e.ScheduleRestored(base+when, seq, "restored", handler(len(evs))))
 	}
 	cancel := func(id int, ok bool) {
 		t.Helper()
@@ -537,7 +540,7 @@ func TestEngineBatchDeepInserts(t *testing.T) {
 	e.Cancel(e.At(Millisecond, "burn", func(*Engine) {}))
 	e.Cancel(e.At(Millisecond, "burn", func(*Engine) {}))
 	// A head event, then pairs of events sharing an instant, 100ns apart,
-	// all in bucket 0.
+	// all in one bucket.
 	at(1)
 	n := 12
 	for k := 0; k < n; k++ {
@@ -569,6 +572,11 @@ func TestEngineBatchDeepInserts(t *testing.T) {
 	at(3)           // ahead again, past the canceled cells
 	restore(900, 0) // restored ahead of the batch
 	check("insert past canceled")
+	for id, ev := range evs {
+		if ev.Pending() && ev.n.loc != locBatch {
+			t.Fatalf("event %d is not in the batch", id)
+		}
+	}
 
 	sort.Slice(live, func(i, j int) bool {
 		if live[i].when != live[j].when {
@@ -591,15 +599,13 @@ func TestEngineBatchDeepInserts(t *testing.T) {
 	}
 }
 
-// TestEngineResetDetachesEveryNode fills the live batch, the sub-lists of
-// a split bucket, every wheel bucket (several events to a bucket) and the
-// overflow heap, then resets the engine. Every node must come back to the
-// pool detached, with nil links and no heap index, every handle must be
-// dead, the sub-list heads must stay allocated and empty, and the same
-// schedule must then run again in (when, seq) order.
+// TestEngineResetDetachesEveryNode fills the live batch and every bucket
+// but bucket 0 (two events to a bucket, at its two ends), then resets the
+// engine. Every node must come back to the pool detached, with nil links,
+// every handle must be dead, and the same schedule must then run again in
+// (when, seq) order.
 func TestEngineResetDetachesEveryNode(t *testing.T) {
 	e := NewEngine(1)
-	span := Time(1) << DefaultBucketShift
 	var order []int
 	schedule := func() []Event {
 		var evs []Event
@@ -607,55 +613,36 @@ func TestEngineResetDetachesEveryNode(t *testing.T) {
 			id := len(evs)
 			evs = append(evs, e.At(when, "ev", func(*Engine) { order = append(order, id) }))
 		}
-		// Bucket 0 is dense: 40 events, two to a sub-span at 20 of its
-		// sub-spans, so its drain splits.
-		for k := Time(0); k < 40; k++ {
-			add(k/2*span/20 + k%2)
+		// Four events at time 0 fill bucket 0, which drains into the batch.
+		for k := 0; k < 4; k++ {
+			add(0)
 		}
-		for b := Time(1); b < wheelBuckets; b++ {
-			for k := Time(0); k < 3; k++ {
-				add(b*span + k*span/3)
-			}
-		}
-		for k := Time(1); k <= 4; k++ {
-			add(k * Second)
+		// Bucket b holds the keys whose highest set bit is bit b-1.
+		for b := 1; b < radixBuckets; b++ {
+			low := Time(1) << (b - 1)
+			add(low)
+			add(low | (low - 1))
 		}
 		add(Forever)
 		return evs
 	}
 	evs := schedule()
-	if !e.Step() || e.batchPos >= len(e.batch) {
-		t.Fatal("no live batch after the first dispatch")
+	if !e.Step() || !e.batchLive() || len(e.batch)-e.batchPos != 3 {
+		t.Fatal("no live batch of three after the first dispatch")
 	}
-	if e.splitBkt != 0 || e.subOcc == 0 {
-		t.Fatalf("bucket 0 not split: split bucket %d, sub-list occupancy %#x", e.splitBkt, e.subOcc)
-	}
-	for w, occ := range e.occ {
-		want := ^uint64(0)
-		if w == 0 {
-			want &^= 1 // bucket 0 is split into the batch and sub-lists
-		}
-		if occ != want {
-			t.Fatalf("occupancy word %d = %#x, want %#x", w, occ, want)
-		}
-	}
-	if len(e.heap) != 5 {
-		t.Fatalf("heap holds %d events, want 5", len(e.heap))
+	if want := ^uint64(0) &^ 1; e.occ != want {
+		t.Fatalf("occupancy word = %#x, want %#x", e.occ, want)
 	}
 	e.Reset(1)
 	for i, ev := range evs {
 		nd := ev.n
-		if ev.Pending() || nd.loc != locDetached || nd.next != nil || nd.prev != nil || nd.index != -1 {
-			t.Fatalf("event %d after Reset: pending %v, loc %d, next %p, prev %p, index %d",
-				i, ev.Pending(), nd.loc, nd.next, nd.prev, nd.index)
+		if ev.Pending() || nd.loc != locDetached || nd.next != nil || nd.prev != nil {
+			t.Fatalf("event %d after Reset: pending %v, loc %d, next %p, prev %p",
+				i, ev.Pending(), nd.loc, nd.next, nd.prev)
 		}
 	}
-	if e.Pending() != 0 || e.wheelCount != 0 || e.occ != [wheelWords]uint64{} ||
-		e.buckets != [wheelBuckets]*node{} || len(e.heap) != 0 || len(e.batch) != 0 {
+	if e.Pending() != 0 || e.occ != 0 || e.buckets != [radixBuckets]*node{} || len(e.batch) != 0 {
 		t.Fatal("queue not empty after Reset")
-	}
-	if e.splitBkt != -1 || e.batchSub != -1 || e.subOcc != 0 || e.sub == nil || *e.sub != [subLists]*node{} {
-		t.Fatal("split state not cleared after Reset, or the sub-list heads dropped")
 	}
 	order = order[:0]
 	evs = schedule()
@@ -670,28 +657,32 @@ func TestEngineResetDetachesEveryNode(t *testing.T) {
 	}
 }
 
-// TestEngineResetAllocs fills a wheel bucket, a split bucket's sub-lists,
-// the live batch and the overflow heap, then resets the engine: walking
-// the four containers and releasing their nodes must not allocate.
+// TestEngineResetAllocs fills the bucket lists, through a redistribution,
+// and the live batch, then resets the engine: walking both and releasing
+// their nodes must not allocate.
 func TestEngineResetAllocs(t *testing.T) {
 	e := NewEngine(1)
-	span := Time(1) << DefaultBucketShift
+	span := Time(1) << 16
 	nop := func(*Engine) {}
 	fill := func() {
-		for k := Time(0); k < 40; k++ {
-			e.At(k*span/40, "dense", nop)
-		}
+		// 44 events in one bucket, too many to drain whole: the first
+		// dispatch redistributes them around span, the four at span drain
+		// into the batch and the rest spread over lower buckets.
 		for k := Time(0); k < 4; k++ {
-			e.At(3*span+k, "bucket", nop)
-			e.At(k+1, "batch", nop)
-			e.At((k+1)*Second, "heap", nop)
+			e.At(span, "batch", nop)
+		}
+		for k := Time(0); k < 40; k++ {
+			e.At(span+1+k*span/40, "dense", nop)
+		}
+		for k := Time(1); k <= 4; k++ {
+			e.At(k*Second, "far", nop)
 		}
 		e.Step()
 	}
 	fill()
-	if e.splitBkt != 0 || e.subOcc == 0 || e.batchPos >= len(e.batch) || e.wheelCount == 0 || len(e.heap) == 0 {
-		t.Fatalf("fill missed a container: split bucket %d, sub-lists %#x, batch %d of %d, wheel %d, heap %d",
-			e.splitBkt, e.subOcc, e.batchPos, len(e.batch), e.wheelCount, len(e.heap))
+	if e.last != span || !e.batchLive() || e.occ == 0 {
+		t.Fatalf("fill missed a container: last %v, batch %d of %d, occupancy %#x",
+			e.last, e.batchPos, len(e.batch), e.occ)
 	}
 	e.Reset(1)
 	var pending int
@@ -703,58 +694,15 @@ func TestEngineResetAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("fill+Reset allocates %v objects/op, want 0", allocs)
 	}
-	if pending != 40+12-1 || e.Pending() != 0 {
-		t.Fatalf("pending %d before Reset and %d after, want %d and 0", pending, e.Pending(), 40+12-1)
+	if pending != 48-1 || e.Pending() != 0 {
+		t.Fatalf("pending %d before Reset and %d after, want %d and 0", pending, e.Pending(), 48-1)
 	}
 }
 
-// TestEngineSplitsOnlySpreadDenseBuckets pins the split rule: a drained
-// bucket splits into sub-lists only when it holds more than sortCutover
-// events over more than one sub-span. A same-instant group, the shape of
-// the engine/batch-dispatch kernel, stays one sorted batch however large,
-// and so does a sparse spread bucket; an engine that never splits never
-// allocates the sub-list heads.
-func TestEngineSplitsOnlySpreadDenseBuckets(t *testing.T) {
-	span := Time(1) << DefaultBucketShift
-	cases := []struct {
-		name  string
-		times func(k Time) Time
-		n     Time
-		split bool
-	}{
-		{"same-instant group", func(Time) Time { return span }, 64, false},
-		{"sparse spread", func(k Time) Time { return span + k*span/32 }, sortCutover, false},
-		{"dense spread", func(k Time) Time { return span + k*span/40 }, 40, true},
-	}
-	for _, c := range cases {
-		e := NewEngine(1)
-		var order []Time
-		for k := Time(0); k < c.n; k++ {
-			e.At(c.times(k), "ev", func(en *Engine) { order = append(order, en.Now()) })
-		}
-		e.Step()
-		if got := e.splitBkt >= 0; got != c.split {
-			t.Fatalf("%s: split %v, want %v", c.name, got, c.split)
-		}
-		if (e.sub != nil) != c.split {
-			t.Fatalf("%s: sub-list heads allocated %v, want %v", c.name, e.sub != nil, c.split)
-		}
-		if !c.split && len(e.batch)-e.batchPos != int(c.n)-1 {
-			t.Fatalf("%s: batch holds %d events after one dispatch, want %d", c.name, len(e.batch)-e.batchPos, c.n-1)
-		}
-		e.Run()
-		inOrder := sort.SliceIsSorted(order, func(i, j int) bool { return order[i] < order[j] })
-		if Time(len(order)) != c.n || !inOrder {
-			t.Fatalf("%s: fired %d of %d events, in time order %v", c.name, len(order), c.n, inOrder)
-		}
-	}
-}
-
-// TestEngineSize bounds the engine's inline size: 256 list heads plus a
-// few dozen words of scalars and slice headers, not 256 inline bucket
-// slices.
+// TestEngineSize bounds the engine's inline size: 64 list heads plus a few
+// dozen words of scalars and slice headers.
 func TestEngineSize(t *testing.T) {
-	if n, limit := unsafe.Sizeof(Engine{}), uintptr(wheelBuckets*8+256); n > limit {
+	if n, limit := unsafe.Sizeof(Engine{}), uintptr(radixBuckets*8+256); n > limit {
 		t.Fatalf("Engine is %d bytes, want at most %d", n, limit)
 	}
 }

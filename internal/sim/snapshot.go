@@ -5,8 +5,8 @@ package sim
 // engine's *scalar* state here (clock, sequence counter, RNG stream, stop
 // flags) and each component that owns events moves their coordinates with
 // SnapEvent or SnapArmed, which re-arm them on restore in the original
-// (when, seq) dispatch order. Pools (the node free list, bucket/heap/batch
-// capacities) and generation stamps are capacity, not state: they are
+// (when, seq) dispatch order. Pools (the node free list, the batch's
+// capacity) and generation stamps are capacity, not state: they are
 // deliberately outside the snapshot and outside DigestState.
 
 import (
@@ -19,13 +19,13 @@ import (
 // Snap moves the engine's scalar state. Pending events are not included —
 // their owners move them through SnapEvent or SnapArmed. Decoding requires
 // an engine holding no pending events (freshly constructed or Reset) and
-// re-derives the wheel window from the restored clock.
+// rebases the queue on the restored clock.
 func (e *Engine) Snap(s *snap.Stream) {
 	s.Section("engine")
-	shift := uint64(DefaultBucketShift)
-	s.U64(&shift)
-	if shift != DefaultBucketShift {
-		s.Failf("sim: snapshot bucket shift %d does not match engine shift %d", shift, DefaultBucketShift)
+	span := uint64(spanWord)
+	s.U64(&span)
+	if span != spanWord {
+		s.Failf("sim: snapshot span word %d, want %d", span, spanWord)
 	}
 	if s.Decoding() && e.Pending() != 0 {
 		s.Failf("sim: restore into an engine with %d pending events (Reset it first)", e.Pending())
@@ -40,15 +40,15 @@ func (e *Engine) Snap(s *snap.Stream) {
 	s.Bool(&e.stopped)
 	e.rand.Snap(s)
 	if s.Decoding() {
-		e.rebaseWheel()
+		e.rebase()
 	}
 }
 
-// rebaseWheel re-derives the wheel window from a restored clock.
-func (e *Engine) rebaseWheel() {
-	e.wheelBase = int64(e.now >> DefaultBucketShift)
-	e.wheelEnd = wheelEndFor(e.wheelBase)
-}
+// spanWord is the word an engine section opens with: the log2 bucket span
+// of the timer wheel the radix queue replaced. The queue has no span, but
+// checkpoints keep the word, so format v2 is unchanged, and a stream whose
+// word differs is not one this engine wrote.
+const spanWord = 16
 
 // SnapEvent moves an optional pending event: a presence flag, then its
 // coordinates through SnapArmed. A handle left unarmed by decoding is

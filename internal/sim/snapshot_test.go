@@ -8,7 +8,7 @@ import (
 )
 
 // exercise drives an engine through a representative mix of activity:
-// near-horizon and far-future schedules, cancels, reschedule chains, RNG
+// near and far-future schedules, cancels, reschedule chains, RNG
 // draws, and a partial run that leaves events pending.
 func exercise(e *Engine) {
 	var chain Handler
@@ -26,7 +26,7 @@ func exercise(e *Engine) {
 			e.Cancel(ev)
 		}
 	}
-	e.After(40*Millisecond, "far", func(e *Engine) {}) // overflow heap
+	e.After(40*Millisecond, "far", func(e *Engine) {}) // a high bucket
 	e.After(900*Millisecond, "farther", func(e *Engine) {})
 	e.SetObserver(func(label string, when Time) {})
 	e.RunUntil(500 * Microsecond)

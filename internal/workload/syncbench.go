@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"paratick/internal/guest"
 	"paratick/internal/sim"
@@ -38,8 +39,8 @@ func (s SyncBench) Validate() error {
 	if s.Threads%2 != 0 {
 		return fmt.Errorf("workload: syncbench pairs threads; need an even count, got %d", s.Threads)
 	}
-	if s.SyncsPerSec <= 0 {
-		return fmt.Errorf("workload: syncbench needs a positive sync rate")
+	if !(s.SyncsPerSec > 0) || math.IsInf(s.SyncsPerSec, 1) {
+		return fmt.Errorf("workload: syncbench needs a finite, positive sync rate, got %v", s.SyncsPerSec)
 	}
 	if s.CSLen <= 0 || s.Duration <= 0 {
 		return fmt.Errorf("workload: syncbench needs positive CSLen and Duration")

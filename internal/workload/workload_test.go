@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"paratick/internal/guest"
@@ -357,11 +358,15 @@ func TestSyncBenchValidate(t *testing.T) {
 	if err := DefaultSyncBench().Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// Each row breaks one field of an otherwise valid spec.
 	bad := []SyncBench{
 		{Threads: 0, SyncsPerSec: 1, CSLen: 1, Duration: 1},
-		{Threads: 1, SyncsPerSec: 0, CSLen: 1, Duration: 1},
-		{Threads: 1, SyncsPerSec: 1, CSLen: 0, Duration: 1},
-		{Threads: 1, SyncsPerSec: 1, CSLen: 1, Duration: 0},
+		{Threads: 1, SyncsPerSec: 1, CSLen: 1, Duration: 1},
+		{Threads: 2, SyncsPerSec: 0, CSLen: 1, Duration: 1},
+		{Threads: 2, SyncsPerSec: math.NaN(), CSLen: 1, Duration: 1},
+		{Threads: 2, SyncsPerSec: math.Inf(1), CSLen: 1, Duration: 1},
+		{Threads: 2, SyncsPerSec: 1, CSLen: 0, Duration: 1},
+		{Threads: 2, SyncsPerSec: 1, CSLen: 1, Duration: 0},
 	}
 	for i, b := range bad {
 		if err := b.Validate(); err == nil {

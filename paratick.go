@@ -112,7 +112,8 @@ type Scenario struct {
 	Sched SchedPolicy
 	// Timeslice overrides the host pCPU timeslice (default 6ms).
 	Timeslice time.Duration
-	// GuestHz / HostHz are the tick frequencies (default 250, the paper's).
+	// GuestHz / HostHz are the tick frequencies (default 250, the paper's),
+	// at most 1000, Linux's largest CONFIG_HZ.
 	GuestHz int
 	HostHz  int
 	// Seed fixes all randomness (default 1); equal seeds reproduce runs
