@@ -52,7 +52,8 @@ func TestRunBadFlags(t *testing.T) {
 // TestRunHostileFlags pins that hostile values are refused before anything
 // runs or prints: a 5000h idle run used to simulate for hours, past the
 // 1000 s cap a workload run stops at; a 1 GHz host tick did not finish; a
-// NaN or infinite sync rate ran and reported wakeups.
+// NaN or infinite sync rate ran and reported wakeups, and so did a finite
+// one whose mean interval overflowed sim.Time or rounded to 0 ns.
 func TestRunHostileFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-workload", "idle", "-duration", "5000h"},
@@ -68,6 +69,8 @@ func TestRunHostileFlags(t *testing.T) {
 		{"-host-hz", "-1"},
 		{"-workload", "sync:2:NaN"},
 		{"-workload", "sync:2:+Inf"},
+		{"-workload", "sync:2:1e-300"},
+		{"-workload", "sync:2:1e300"},
 	} {
 		var b strings.Builder
 		if err := run(args, &b); err == nil {

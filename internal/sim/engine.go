@@ -135,8 +135,11 @@ const (
 // return to a free list, so steady-state schedule→fire→reschedule cycles
 // allocate nothing.
 //
-// Dispatch follows the exact (when, seq) total order of a pure-heap engine;
-// engine_ref_test.go proves the equivalence differentially.
+// Step, StepBatch, Run and RunUntil are wrappers of a few lines over one
+// dispatch loop, fire, which pops live batch cells, refills only when the
+// batch runs dry, and halts after a handler's Stop. Dispatch follows the
+// exact (when, seq) total order of a pure-heap engine; engine_ref_test.go
+// proves the equivalence differentially.
 type Engine struct {
 	now Time
 
@@ -460,51 +463,50 @@ func (e *Engine) batchInsert(nd *node) {
 	e.batch[i] = ent
 }
 
-// batchLive skips the batch's dead head cells and reports whether a live
-// one remains.
+// fire is the engine's one dispatch loop. It fires up to n events (every
+// one, if n is negative) in (when, seq) order while the earliest pending
+// key is at or before deadline, and returns how many it fired. It skips
+// dead cells, refills the batch only when it runs dry, and stops after a
+// handler's Stop, leaving the request for the caller to consume.
 //
 //paratick:noalloc
-func (e *Engine) batchLive() bool {
-	for ; e.batchPos < len(e.batch); e.batchPos++ {
-		if e.batch[e.batchPos].nd != nil {
-			return true
+func (e *Engine) fire(deadline Time, n int) int {
+	k := 0
+	for k != n {
+		if e.batchPos == len(e.batch) {
+			e.batch = e.batch[:0]
+			e.batchPos = 0
+			if !e.refill(deadline) {
+				break
+			}
+		}
+		ent := &e.batch[e.batchPos]
+		nd := ent.nd
+		if nd == nil {
+			e.batchPos++
+			continue
+		}
+		if ent.when > deadline {
+			break
+		}
+		ent.nd = nil
+		e.batchPos++
+		e.now = nd.when
+		e.fired++
+		e.count--
+		fn := nd.fn
+		if e.obs != nil {
+			// Label is read before release clears it for the pool.
+			e.obs(nd.label, nd.when)
+		}
+		e.release(nd)
+		fn(e)
+		k++
+		if e.stopReq {
+			break
 		}
 	}
-	return false
-}
-
-// ensureBatch makes the batch's head cell live, refilling an empty batch
-// unless the earliest pending key is past deadline. It returns false when
-// no event remains at or before deadline.
-//
-//paratick:noalloc
-func (e *Engine) ensureBatch(deadline Time) bool {
-	if e.batchLive() {
-		return true
-	}
-	e.batch = e.batch[:0]
-	e.batchPos = 0
-	return e.refill(deadline)
-}
-
-// dispatchHead fires the batch's (live) head: advances the clock, notifies
-// the observer, recycles the node, and runs the handler.
-//
-//paratick:noalloc
-func (e *Engine) dispatchHead() {
-	nd := e.batch[e.batchPos].nd
-	e.batch[e.batchPos].nd = nil
-	e.batchPos++
-	e.now = nd.when
-	e.fired++
-	e.count--
-	fn := nd.fn
-	if e.obs != nil {
-		// Label is read before release clears it for the pool.
-		e.obs(nd.label, nd.when)
-	}
-	e.release(nd)
-	fn(e)
+	return k
 }
 
 // --- Public scheduling API ---------------------------------------------
@@ -586,13 +588,7 @@ func (e *Engine) Cancel(ev Event) bool {
 // is empty.
 //
 //paratick:noalloc
-func (e *Engine) Step() bool {
-	if !e.ensureBatch(Forever) {
-		return false
-	}
-	e.dispatchHead()
-	return true
-}
+func (e *Engine) Step() bool { return e.fire(Forever, 1) == 1 }
 
 // StepBatch dispatches every event sharing the earliest pending timestamp
 // — one simulated instant — in (when, seq) order, including events that
@@ -603,18 +599,11 @@ func (e *Engine) Step() bool {
 //
 //paratick:noalloc
 func (e *Engine) StepBatch() int {
-	if !e.ensureBatch(Forever) {
-		return 0
-	}
-	// The instant is at most batchEnd, so all of it is in the batch.
-	t0 := e.batch[e.batchPos].when
-	n := 0
-	for e.batchLive() && e.batch[e.batchPos].when == t0 {
-		e.dispatchHead()
-		n++
-		if e.stopReq {
-			break
-		}
+	// The first event sets the clock to the instant; nothing pending is
+	// earlier, so the rest of the instant is everything at or before now.
+	n := e.fire(Forever, 1)
+	if n == 1 && !e.stopReq {
+		n += e.fire(e.now, -1)
 	}
 	return n
 }
@@ -634,34 +623,26 @@ func (e *Engine) consumeStop() bool {
 // Run dispatches events until the queue empties or the engine is stopped.
 // A Stop issued before Run starts halts it before any event fires; a
 // subsequent Run resumes.
-func (e *Engine) Run() {
-	if e.consumeStop() {
-		return
-	}
-	e.stopped = false
-	for e.StepBatch() > 0 {
-		if e.consumeStop() {
-			return
-		}
-	}
-}
+func (e *Engine) Run() { e.run(Forever) }
 
 // RunUntil dispatches events with time ≤ deadline, then advances the clock
 // to exactly the deadline (if it is later than the last event). Like Run, it
-// honors a Stop issued before it starts. Dispatch goes through StepBatch, so
-// every event of a simulated instant drains in one pass.
+// honors a Stop issued before it starts; the clock advances all the same.
 func (e *Engine) RunUntil(deadline Time) {
-	if !e.consumeStop() {
-		e.stopped = false
-		for e.ensureBatch(deadline) && e.batch[e.batchPos].when <= deadline {
-			e.StepBatch()
-			if e.consumeStop() {
-				break
-			}
-		}
-	}
+	e.run(deadline)
 	if e.now < deadline {
 		e.now = deadline
+	}
+}
+
+// run is Run and RunUntil up to the clock: it consumes a stop issued
+// before it starts, or else fires up to deadline and consumes the stop
+// that halted it, if one did.
+func (e *Engine) run(deadline Time) {
+	if !e.consumeStop() {
+		e.stopped = false
+		e.fire(deadline, -1)
+		e.consumeStop()
 	}
 }
 

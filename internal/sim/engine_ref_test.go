@@ -13,26 +13,32 @@ import (
 // refEngine, a deliberately naive pure-list reference that keeps every
 // pending event in a flat slice and scans for the (when, seq) minimum on
 // demand. The reference has no buckets, no redistribution and no batch, so
-// any divergence in fire order, Cancel results, Pending counts, or the clock
-// isolates a bug in the queue. Mirrors internal/guest/wheel_ref_test.go.
+// any divergence in fire order, Cancel results, Pending counts, the clock,
+// or the stop state isolates a bug in the queue or the dispatch loop.
+// Mirrors internal/guest/wheel_ref_test.go.
 
-// refEvent is one pending occurrence in the reference model.
+// refEvent is one pending occurrence in the reference model. A stop
+// event's handler calls Stop.
 type refEvent struct {
 	id   int
 	when Time
 	seq  uint64
+	stop bool
 }
 
 // refEngine is the pure-list reference: total order is (when, seq), exactly
-// the contract Engine documents.
+// the contract Engine documents. stopReq and stopped follow Engine's: a
+// stop request is pending until a run consumes it.
 type refEngine struct {
-	now    Time
-	seq    uint64
-	events []refEvent
+	now     Time
+	seq     uint64
+	events  []refEvent
+	stopReq bool
+	stopped bool
 }
 
-func (r *refEngine) at(id int, when Time) {
-	r.events = append(r.events, refEvent{id: id, when: when, seq: r.seq})
+func (r *refEngine) at(id int, when Time, stop bool) {
+	r.events = append(r.events, refEvent{id: id, when: when, seq: r.seq, stop: stop})
 	r.seq++
 }
 
@@ -61,61 +67,80 @@ func (r *refEngine) minIndex() int {
 	return best
 }
 
-func (r *refEngine) pop(i int) refEvent {
+// fire dispatches the pending event at index i: the clock moves to it, and
+// a stop event leaves a stop request.
+func (r *refEngine) fire(i int) int {
 	e := r.events[i]
 	r.events = append(r.events[:i], r.events[i+1:]...)
-	return e
+	r.now = e.when
+	r.stopReq = r.stopReq || e.stop
+	return e.id
 }
 
-// step fires the single earliest event, mirroring Engine.Step.
+// step fires the single earliest event, mirroring Engine.Step, which
+// neither heeds nor consumes a stop request.
 func (r *refEngine) step() (int, bool) {
 	i := r.minIndex()
 	if i < 0 {
 		return 0, false
 	}
-	e := r.pop(i)
-	r.now = e.when
-	return e.id, true
+	return r.fire(i), true
 }
 
 // stepBatch fires every event sharing the earliest timestamp in (when, seq)
-// order, mirroring Engine.StepBatch.
+// order, mirroring Engine.StepBatch: it halts after any event that finds a
+// stop request pending, and leaves the request pending.
 func (r *refEngine) stepBatch() []int {
 	i := r.minIndex()
 	if i < 0 {
 		return nil
 	}
 	t0 := r.events[i].when
-	var ids []int
-	for {
+	ids := []int{r.fire(i)}
+	for !r.stopReq {
 		i := r.minIndex()
 		if i < 0 || r.events[i].when != t0 {
 			break
 		}
-		e := r.pop(i)
-		r.now = t0
-		ids = append(ids, e.id)
+		ids = append(ids, r.fire(i))
 	}
 	return ids
 }
 
-// runUntil fires everything ≤ deadline then advances the clock, mirroring
-// Engine.RunUntil.
-func (r *refEngine) runUntil(deadline Time) []int {
+// run fires everything ≤ deadline, mirroring Engine.Run: a stop request
+// pending at the start halts it before anything fires, one made by a
+// handler halts it after that handler, and either is consumed.
+func (r *refEngine) run(deadline Time) []int {
 	var ids []int
-	for {
+	for !r.stopReq {
 		i := r.minIndex()
 		if i < 0 || r.events[i].when > deadline {
 			break
 		}
-		e := r.pop(i)
-		r.now = e.when
-		ids = append(ids, e.id)
+		ids = append(ids, r.fire(i))
 	}
+	r.stopped = r.stopReq
+	r.stopReq = false
+	return ids
+}
+
+// runUntil is run then the clock advanced to deadline, mirroring
+// Engine.RunUntil, which advances it after a stop as well.
+func (r *refEngine) runUntil(deadline Time) []int {
+	ids := r.run(deadline)
 	if r.now < deadline {
 		r.now = deadline
 	}
 	return ids
+}
+
+// stale reports whether an event is pending before the clock: a run halted
+// by Stop moves the clock to its deadline past the events it left. No
+// checkpoint is taken in that state — the experiment layer re-arms the stop
+// instead of freezing — and ScheduleRestored refuses such an event.
+func (r *refEngine) stale() bool {
+	i := r.minIndex()
+	return i >= 0 && r.events[i].when < r.now
 }
 
 // engineDiffUnits are the time units scripts run under, as log2 of the
@@ -130,55 +155,74 @@ var engineDiffUnits = []uint{4, 10, 16, 24}
 
 // runEngineDifferentialScript drives an engine and the reference through
 // the same byte-coded script in time units of 2^unitShift ns, failing on
-// any divergence in fire order, Cancel results, Pending, or Now.
+// any divergence in fire order, Cancel results, Pending, Now, or the stop
+// state.
 //
 // Script format: operations are consumed two bytes at a time (op, arg).
-// Ops 1, 2, 7, 8 and 9 measure time in units; ops 8 and 9 in 64ths of
+// Ops 1, 2, 7, 8, 9 and 11 measure time in units; ops 8 and 9 in 64ths of
 // one.
 //
-//	op%11 == 0: schedule at now+arg%4 (same-instant / same-jiffy pileup)
-//	op%11 == 1: schedule up to 85 units ahead
-//	op%11 == 2: schedule 300 to 76,800 units ahead (high buckets, which
+//	op%12 == 0: schedule at now+arg%4 (same-instant / same-jiffy pileup)
+//	op%12 == 1: schedule up to 85 units ahead
+//	op%12 == 2: schedule 300 to 76,800 units ahead (high buckets, which
 //	            redistribute as the clock nears them)
-//	op%11 == 3: edge deadlines — now exactly, Forever, near-Forever, or a
+//	op%12 == 3: edge deadlines — now exactly, Forever, near-Forever, or a
 //	            re-arm (cancel a prior handle, schedule a replacement)
-//	op%11 == 4: cancel the handle indexed by arg (result compared)
-//	op%11 == 5: Step (single dispatch)
-//	op%11 == 6: StepBatch (one simulated instant)
-//	op%11 == 7: RunUntil a deadline derived from arg
-//	op%11 == 8: dense fill — twelve events in the unit after now's, at
+//	op%12 == 4: cancel the handle indexed by arg (result compared)
+//	op%12 == 5: Step (single dispatch)
+//	op%12 == 6: StepBatch (one simulated instant)
+//	op%12 == 7: RunUntil a deadline derived from arg
+//	op%12 == 8: dense fill — twelve events in the unit after now's, at
 //	            64ths arg%64, arg%64+5, ... (mod 64) of it plus a
 //	            quarter-64th per arg/64; at unit 2^16 ns, three fills put
 //	            36 events in one bucket, too many to drain whole
-//	op%11 == 9: RunUntil now+(arg%64)/64 unit: stopping inside a batch
+//	op%12 == 9: RunUntil now+(arg%64)/64 unit: stopping inside a batch
 //	            the refill already drained
-//	op%11 == 10: arg%4 == 0: Reset both sides (the engine must then digest
+//	op%12 == 10: arg%4 == 0: Reset both sides (the engine must then digest
 //	            like a fresh one); arg%4 == 3: thaw — restore a clone
 //	            from the engine's scalars and the reference's pending
 //	            events, newest seq first, compare DigestState and carry
 //	            on with the clone; otherwise compare DigestState with such
-//	            a clone restored in seq order
+//	            a clone restored in seq order. Both skip a state with an
+//	            event pending before the clock (see refEngine.stale).
+//	op%12 == 11: Stop. arg%4 == 0: schedule a stop event (its handler
+//	            calls Stop) at now+(arg/4)%4, in op 0's same-instant
+//	            pileups; arg%4 == 1: schedule one as op 1 does; arg%4 == 2:
+//	            schedule one arg/4+1 units ahead, then Run, which halts
+//	            at the first stop event it fires; arg%4 == 3: call Stop
+//	            from outside any handler
+//
+// The scripts and fuzz seeds written before op 11 existed use op bytes
+// below 11 only, so they read as they always have.
 func runEngineDifferentialScript(t *testing.T, unitShift uint, script []byte) {
 	t.Helper()
 	eng := NewEngine(1)
 	ref := &refEngine{}
 	var (
 		handles []Event
+		stops   []bool // by id: the handler calls Stop
 		fired   []int
 	)
 	// Handlers append their id to fired, giving the observable order.
 	fire := func(id int) Handler {
-		return func(*Engine) { fired = append(fired, id) }
+		return func(e *Engine) {
+			fired = append(fired, id)
+			if stops[id] {
+				e.Stop()
+			}
+		}
 	}
-	// schedule registers one event on both sides under the next integer id.
-	schedule := func(when Time) {
+	// add registers one event on both sides under the next integer id.
+	add := func(when Time, stop bool) {
 		if when < eng.Now() {
 			when = eng.Now() // At panics on the past; the script never asks for it
 		}
 		id := len(handles)
+		stops = append(stops, stop)
 		handles = append(handles, eng.At(when, "diff", fire(id)))
-		ref.at(id, when)
+		ref.at(id, when, stop)
 	}
+	schedule := func(when Time) { add(when, false) }
 	checkFired := func(op int, want []int) {
 		t.Helper()
 		if len(fired) != len(want) {
@@ -216,7 +260,7 @@ func runEngineDifferentialScript(t *testing.T, unitShift uint, script []byte) {
 	}
 	unit := Time(1) << unitShift
 	for i := 0; i+1 < len(script); i += 2 {
-		op := int(script[i] % 11)
+		op := int(script[i] % 12)
 		arg := Time(script[i+1])
 		switch op {
 		case 0:
@@ -282,14 +326,15 @@ func runEngineDifferentialScript(t *testing.T, unitShift uint, script []byte) {
 			eng.RunUntil(deadline)
 			checkFired(i, ref.runUntil(deadline))
 		case 10:
-			switch arg % 4 {
-			case 0:
+			switch {
+			case arg%4 == 0:
 				eng.Reset(1)
 				ref = &refEngine{}
 				if eng.DigestState() != NewEngine(1).DigestState() {
 					t.Fatalf("unit 2^%d op %d: engine after Reset digests unlike a fresh one", unitShift, i)
 				}
-			case 3:
+			case ref.stale():
+			case arg%4 == 3:
 				// Restored newest first, every same-instant restore after
 				// the first arrives with an older seq than those queued.
 				c := clone(i)
@@ -306,6 +351,24 @@ func runEngineDifferentialScript(t *testing.T, unitShift uint, script []byte) {
 				}
 				checkDigest(i, c)
 			}
+		case 11:
+			switch arg % 4 {
+			case 0:
+				add(eng.Now()+arg/4%4, true)
+			case 1:
+				add(eng.Now()+arg*unit/3+arg%5, true)
+			case 2:
+				add(eng.Now()+(arg/4+1)*unit, true)
+				eng.Run()
+				checkFired(i, ref.run(Forever))
+			case 3:
+				eng.Stop()
+				ref.stopReq = true
+			}
+		}
+		if eng.stopReq != ref.stopReq || eng.stopped != ref.stopped {
+			t.Fatalf("unit 2^%d op %d: stop request %v and stopped %v, reference %v and %v",
+				unitShift, i, eng.stopReq, eng.stopped, ref.stopReq, ref.stopped)
 		}
 		if eng.Pending() != len(ref.events) {
 			t.Fatalf("unit 2^%d op %d: Pending = %d, reference %d", unitShift, i, eng.Pending(), len(ref.events))
@@ -318,9 +381,12 @@ func runEngineDifferentialScript(t *testing.T, unitShift uint, script []byte) {
 		}
 	}
 	// Drain everything — including Forever-deadline events — and compare the
-	// full tail order.
-	eng.RunUntil(Forever)
-	checkFired(len(script), ref.runUntil(Forever))
+	// full tail order. Each RunUntil fires up to a stop event or consumes a
+	// pending request, so one more than the events pending is enough.
+	for n := eng.Pending() + 1; n >= 0 && len(ref.events) > 0; n-- {
+		eng.RunUntil(Forever)
+		checkFired(len(script), ref.runUntil(Forever))
+	}
 	if eng.Pending() != 0 {
 		t.Fatalf("unit 2^%d: %d events pending after full drain", unitShift, eng.Pending())
 	}
@@ -394,7 +460,8 @@ func TestHybridEngineDifferentialRandomOps(t *testing.T) {
 // cancel-heavy churn, re-arm chains, RunUntil jumps across idle gaps
 // followed by earlier inserts, dense buckets too long to drain whole, a
 // RunUntil stopping inside a drained batch, a 64-event instant, and
-// same-instant restores with older seqs. (Several names — the cascade, the
+// same-instant restores with older seqs, and Stops inside same-instant
+// groups under StepBatch, RunUntil and Run. (Several names — the cascade, the
 // split — are the earlier wheel-and-heap queue's paths; the patterns still
 // stress the radix queue, and the names stay stable.)
 var engineDiffScripts = []struct {
@@ -447,6 +514,26 @@ var engineDiffScripts = []struct {
 		8, 0, 7, 0, 0, 1, 9, 3, 0, 2, 1, 1, 10, 1, 6, 0, 6, 0, 7, 255,
 	}},
 	{"same-instant-64", sameInstantScript},
+	{"stop-in-same-instant", []byte{
+		// A stop event third of five at one instant: StepBatch halts after
+		// it and leaves the request pending, so the next StepBatch fires
+		// one event and halts again, and Step ignores it. A RunUntil
+		// consumes it before firing anything and still moves the clock to
+		// its deadline. A second group's stop halts a RunUntil mid-instant,
+		// leaving an event behind the clock that the next RunUntil fires
+		// first.
+		0, 0, 0, 0, 11, 0, 0, 0, 0, 0, 6, 0, 6, 0, 5, 0,
+		0, 1, 6, 0, 7, 0, 0, 0, 11, 0, 0, 0, 7, 0, 10, 1, 7, 0, 10, 1, 7, 255,
+	}},
+	{"stop-under-run", []byte{
+		// Run halts at a stop event inside a same-instant group, ahead of
+		// its own later stop event. A Stop from outside a handler halts
+		// the next Run before it fires anything, and a thaw carries the
+		// stopped state. A StepBatch resumes the group in (when, seq)
+		// order, a further Run halts at the first stop event left, and
+		// RunUntil halts at the next.
+		1, 9, 1, 9, 11, 9, 1, 9, 11, 14, 11, 3, 11, 18, 10, 3, 6, 0, 11, 2, 7, 255,
+	}},
 	{"restored-same-instant", []byte{
 		// Eight events at one instant and four at another, one fired;
 		// the thaw restores them newest first, one more lands at the
@@ -517,6 +604,11 @@ func FuzzHybridEngineDifferential(f *testing.F) {
 	}
 	deep = append(deep, 5, 0, 0, 1, 0, 2, 4, 5, 4, 12, 4, 0, 0, 1, 6, 0, 5, 0, 7, 255)
 	f.Add(deep)
+	// Stops: a stop event inside a same-instant group under StepBatch and
+	// then RunUntil, a Stop between runs, and a Run that halts at its own
+	// stop event.
+	f.Add([]byte{0, 0, 11, 0, 0, 0, 6, 0, 6, 0, 0, 0, 11, 0, 0, 0, 7, 0, 7, 0})
+	f.Add([]byte{1, 9, 11, 9, 1, 9, 11, 3, 11, 6, 6, 0, 11, 2, 9, 40, 7, 255})
 	for _, sc := range engineDiffScripts {
 		f.Add(sc.script)
 	}

@@ -481,6 +481,43 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestEngineRunUntilAllocs drives RunUntil, the entry point every
+// experiment dispatches through, over a fire→reschedule chain and over a
+// same-instant group whose head schedules the rest of it: once warm,
+// neither may allocate.
+func TestEngineRunUntilAllocs(t *testing.T) {
+	e := NewEngine(1)
+	nop := func(*Engine) {}
+	// Sixteen chain events a microsecond apart, each rescheduling itself
+	// 16 µs on, so every 16 µs window fires sixteen.
+	var chain Handler
+	chain = func(en *Engine) { en.After(16*Microsecond, "chain", chain) }
+	for i := 1; i <= 16; i++ {
+		e.After(Time(i)*Microsecond, "chain", chain)
+	}
+	// A tick every 16 µs that fans out eight events at its own instant.
+	var tick Handler
+	tick = func(en *Engine) {
+		for k := 0; k < 8; k++ {
+			en.After(0, "group", nop)
+		}
+		en.After(16*Microsecond, "tick", tick)
+	}
+	e.After(8*Microsecond, "tick", tick)
+	window := func() { e.RunUntil(e.Now() + 16*Microsecond) }
+	for i := 0; i < 1000; i++ {
+		window()
+	}
+	before := e.Fired()
+	if allocs := testing.AllocsPerRun(1000, window); allocs != 0 {
+		t.Fatalf("RunUntil over a chain and a same-instant group allocates %v objects/op, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up run on top of the measured ones.
+	if got, want := e.Fired()-before, uint64(1001*(16+1+8)); got != want {
+		t.Fatalf("%d events fired over 1001 windows, want %d", got, want)
+	}
+}
+
 // TestEngineBatchDeepInserts drives one drained bucket's live batch, a
 // dozen entries long, through inserts that step back deep from its tail —
 // ahead of the batch, at its tail, between entries and at an existing
@@ -627,7 +664,7 @@ func TestEngineResetDetachesEveryNode(t *testing.T) {
 		return evs
 	}
 	evs := schedule()
-	if !e.Step() || !e.batchLive() || len(e.batch)-e.batchPos != 3 {
+	if !e.Step() || len(e.batch)-e.batchPos != 3 || e.batch[e.batchPos].nd == nil {
 		t.Fatal("no live batch of three after the first dispatch")
 	}
 	if want := ^uint64(0) &^ 1; e.occ != want {
@@ -680,7 +717,7 @@ func TestEngineResetAllocs(t *testing.T) {
 		e.Step()
 	}
 	fill()
-	if e.last != span || !e.batchLive() || e.occ == 0 {
+	if e.last != span || e.batchPos == len(e.batch) || e.batch[e.batchPos].nd == nil || e.occ == 0 {
 		t.Fatalf("fill missed a container: last %v, batch %d of %d, occupancy %#x",
 			e.last, e.batchPos, len(e.batch), e.occ)
 	}

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 
 	"paratick/internal/guest"
 	"paratick/internal/sim"
@@ -39,13 +38,26 @@ func (s SyncBench) Validate() error {
 	if s.Threads%2 != 0 {
 		return fmt.Errorf("workload: syncbench pairs threads; need an even count, got %d", s.Threads)
 	}
-	if !(s.SyncsPerSec > 0) || math.IsInf(s.SyncsPerSec, 1) {
-		return fmt.Errorf("workload: syncbench needs a finite, positive sync rate, got %v", s.SyncsPerSec)
+	// NaN, zero, negative and infinite rates all fail this range too.
+	if iv := s.meanInterval(); !(iv >= 1 && iv <= float64(maxSyncInterval)) {
+		return fmt.Errorf("workload: syncbench sync rate %v gives a mean interval of %g ns per pair, want 1 ns to %v",
+			s.SyncsPerSec, iv, maxSyncInterval)
 	}
 	if s.CSLen <= 0 || s.Duration <= 0 {
 		return fmt.Errorf("workload: syncbench needs positive CSLen and Duration")
 	}
 	return nil
+}
+
+// maxSyncInterval is the longest mean interval between one pair's
+// rendezvous that Validate accepts: the 1000 s a workload run is capped at.
+const maxSyncInterval = 1000 * sim.Second
+
+// meanInterval is the mean time in ns between one pair's rendezvous at the
+// aggregate rate SyncsPerSec.
+func (s SyncBench) meanInterval() float64 {
+	pairs := float64(s.Threads) / 2
+	return float64(sim.Second) * pairs / s.SyncsPerSec
 }
 
 type syncProgram struct {
@@ -70,10 +82,8 @@ func (p *syncProgram) Next(ctx *guest.StepCtx) guest.Step {
 			}
 			return guest.Done()
 		}
-		pairs := float64(p.b.Threads) / 2
-		interval := sim.Time(float64(sim.Second) * pairs / p.b.SyncsPerSec)
 		p.phase = 1
-		return guest.Compute(ctx.Rand.Jitter(interval, 0.3))
+		return guest.Compute(ctx.Rand.Jitter(sim.Time(p.b.meanInterval()), 0.3))
 	case 1: // rendezvous: first arrival blocks, partner releases it
 		p.phase = 2
 		return guest.JoinBarrier(p.meet)

@@ -365,6 +365,10 @@ func TestSyncBenchValidate(t *testing.T) {
 		{Threads: 2, SyncsPerSec: 0, CSLen: 1, Duration: 1},
 		{Threads: 2, SyncsPerSec: math.NaN(), CSLen: 1, Duration: 1},
 		{Threads: 2, SyncsPerSec: math.Inf(1), CSLen: 1, Duration: 1},
+		// Finite rates whose mean interval overflows sim.Time, or rounds
+		// to 0 ns.
+		{Threads: 2, SyncsPerSec: 1e-300, CSLen: 1, Duration: 1},
+		{Threads: 2, SyncsPerSec: 1e300, CSLen: 1, Duration: 1},
 		{Threads: 2, SyncsPerSec: 1, CSLen: 0, Duration: 1},
 		{Threads: 2, SyncsPerSec: 1, CSLen: 1, Duration: 0},
 	}
