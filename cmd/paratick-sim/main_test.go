@@ -53,7 +53,10 @@ func TestRunBadFlags(t *testing.T) {
 // runs or prints: a 5000h idle run used to simulate for hours, past the
 // 1000 s cap a workload run stops at; a 1 GHz host tick did not finish; a
 // NaN or infinite sync rate ran and reported wakeups, and so did a finite
-// one whose mean interval overflowed sim.Time or rounded to 0 ns.
+// one whose mean interval overflowed sim.Time or rounded to 0 ns; a
+// billion-thread workload allocated a task per thread; and fio sizes that
+// wrap when converted to bytes (2^54+1 KiB blocks, 2^44+1 MiB in total)
+// ran as the wrapped sizes, 1 KiB and 1 MiB.
 func TestRunHostileFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-workload", "idle", "-duration", "5000h"},
@@ -71,6 +74,10 @@ func TestRunHostileFlags(t *testing.T) {
 		{"-workload", "sync:2:+Inf"},
 		{"-workload", "sync:2:1e-300"},
 		{"-workload", "sync:2:1e300"},
+		{"-workload", "sync:1000000000:1000"},
+		{"-workload", "parsec-par:ferret:1000000000"},
+		{"-workload", "fio:rndr:18014398509481985:1"},
+		{"-workload", "fio:rndr:4:17592186044417"},
 	} {
 		var b strings.Builder
 		if err := run(args, &b); err == nil {

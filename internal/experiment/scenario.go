@@ -439,37 +439,31 @@ func (w *world) fingerprint() []byte {
 func (w *world) runInto(m *metrics.Meter, out *ScenarioResult) error {
 	deadline := w.deadline()
 	start := w.se.Fired()
-	if !w.se.Stopped() {
-		if probe := w.alignUp(w.scenario.SnapshotProbe); probe > 0 && probe < deadline && w.se.Now() < probe {
-			w.se.RunUntil(probe)
-			if w.se.Stopped() {
-				// The workload finished before the probe, so there is no
-				// live state to freeze: the clock has run past events the
-				// finished run left pending. Re-arm the stop so the final
-				// RunUntil consumes it as an uninterrupted run would.
-				w.se.Stop()
-			} else {
-				ck, err := w.freeze()
-				if err != nil {
-					return err
-				}
-				next, err := thaw(w.scenario, ck, w.arm, nil)
-				if err != nil {
-					return fmt.Errorf("experiment %s: snapshot probe: %w", w.scenario.Name, err)
-				}
-				again, err := next.freeze()
-				if err != nil {
-					return err
-				}
-				if !bytes.Equal(ck.payload, again.payload) {
-					return fmt.Errorf("experiment %s: snapshot round-trip diverged at %v: %d bytes (digest %v) re-saved as %d bytes (digest %v)",
-						w.scenario.Name, probe, len(ck.payload), snap.HashBytes(ck.payload), len(again.payload), snap.HashBytes(again.payload))
-				}
-				w = next
+	if probe := w.alignUp(w.scenario.SnapshotProbe); probe > 0 && probe < deadline && w.se.Now() < probe {
+		w.se.RunUntil(probe)
+		// A workload that finished before the probe stopped the run, which
+		// leaves no live state to freeze; the final RunUntil does nothing.
+		if !w.se.Stopped() {
+			ck, err := w.freeze()
+			if err != nil {
+				return err
 			}
+			next, err := thaw(w.scenario, ck, w.arm, nil)
+			if err != nil {
+				return fmt.Errorf("experiment %s: snapshot probe: %w", w.scenario.Name, err)
+			}
+			again, err := next.freeze()
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(ck.payload, again.payload) {
+				return fmt.Errorf("experiment %s: snapshot round-trip diverged at %v: %d bytes (digest %v) re-saved as %d bytes (digest %v)",
+					w.scenario.Name, probe, len(ck.payload), snap.HashBytes(ck.payload), len(again.payload), snap.HashBytes(again.payload))
+			}
+			w = next
 		}
-		w.se.RunUntil(deadline)
 	}
+	w.se.RunUntil(deadline)
 	m.AddRun(w.se.Fired() - start)
 	return w.finishInto(out)
 }

@@ -62,6 +62,41 @@ func TestScenarioValidate(t *testing.T) {
 	}
 }
 
+// TestStoppedRunKeepsItsClock pins where a Duration-0 run ends: the stop
+// at workload completion is terminal and leaves the clock at the finish
+// instant, so an idle background VM's wall time is that instant too, not
+// the run cap — with or without a snapshot probe set past the finish.
+func TestStoppedRunKeepsItsClock(t *testing.T) {
+	s := Scenario{
+		Name:     "stop/background",
+		Topology: hw.Topology{Sockets: 1, CPUsPerSocket: 2, CrossSocketTax: 1.35},
+		VMs: []VMSpec{
+			{
+				Name: "work", Mode: core.DynticksIdle, Placement: []hw.CPUID{0}, Workload: true,
+				Setup: func(vm *kvm.VM) error {
+					vm.Kernel().Spawn("hog", 0, guest.Steps(guest.Compute(5*sim.Millisecond)))
+					return nil
+				},
+			},
+			{Name: "background", Mode: core.Periodic, Placement: []hw.CPUID{1}},
+		},
+	}
+	for _, probe := range []sim.Time{0, 100 * sim.Millisecond} {
+		s.SnapshotProbe = probe
+		sr, err := RunScenario(s, 1)
+		if err != nil {
+			t.Fatalf("probe %v: %v", probe, err)
+		}
+		done := sr.Results[0].WallTime
+		if done < 5*sim.Millisecond || done > 6*sim.Millisecond {
+			t.Errorf("probe %v: workload finished at %v, want about 5ms", probe, done)
+		}
+		if bg := sr.Results[1].WallTime; bg != done {
+			t.Errorf("probe %v: background VM wall time %v, want the finish instant %v", probe, bg, done)
+		}
+	}
+}
+
 // spinFleet declares nVMs identical VMs, every vCPU pinned to the same two
 // pCPUs and spinning for the whole run — an nVMs:1 overcommit with no
 // blocking, the worst case for scheduler fairness.

@@ -136,10 +136,15 @@ const (
 // allocate nothing.
 //
 // Step, StepBatch, Run and RunUntil are wrappers of a few lines over one
-// dispatch loop, fire, which pops live batch cells, refills only when the
-// batch runs dry, and halts after a handler's Stop. Dispatch follows the
-// exact (when, seq) total order of a pure-heap engine; engine_ref_test.go
-// proves the equivalence differentially.
+// dispatch loop, fire, which pops live batch cells and refills only when
+// the batch runs dry. Dispatch follows the exact (when, seq) total order of
+// a pure-heap engine; engine_ref_test.go proves the equivalence
+// differentially.
+//
+// Stop is terminal: once a handler (or anyone) calls it, no Step, Run or
+// RunUntil fires an event or moves the clock until Reset, so the clock of
+// a stopped run stays at the last event it fired and never passes an event
+// the stop left pending.
 type Engine struct {
 	now Time
 
@@ -172,8 +177,7 @@ type Engine struct {
 	//snap:skip derived: recounted as owners re-arm events on load
 	count   int
 	rand    *Rand
-	stopReq bool // Stop() pending, not yet observed by a run
-	stopped bool // most recent run was halted by Stop
+	stopped bool // set by Stop, cleared only by Reset
 	//snap:skip observer hook, reattached by the harness after restore
 	obs Observer
 }
@@ -211,7 +215,6 @@ func (e *Engine) Reset(seed uint64) {
 	e.seq = 0
 	e.fired = 0
 	e.count = 0
-	e.stopReq = false
 	e.stopped = false
 	e.obs = nil
 	e.rand.Reseed(seed)
@@ -465,14 +468,14 @@ func (e *Engine) batchInsert(nd *node) {
 
 // fire is the engine's one dispatch loop. It fires up to n events (every
 // one, if n is negative) in (when, seq) order while the earliest pending
-// key is at or before deadline, and returns how many it fired. It skips
-// dead cells, refills the batch only when it runs dry, and stops after a
-// handler's Stop, leaving the request for the caller to consume.
+// key is at or before deadline and the engine is not stopped, and returns
+// how many it fired. It skips dead cells and refills the batch only when
+// it runs dry.
 //
 //paratick:noalloc
 func (e *Engine) fire(deadline Time, n int) int {
 	k := 0
-	for k != n {
+	for k != n && !e.stopped {
 		if e.batchPos == len(e.batch) {
 			e.batch = e.batch[:0]
 			e.batchPos = 0
@@ -502,9 +505,6 @@ func (e *Engine) fire(deadline Time, n int) int {
 		e.release(nd)
 		fn(e)
 		k++
-		if e.stopReq {
-			break
-		}
 	}
 	return k
 }
@@ -585,7 +585,7 @@ func (e *Engine) Cancel(ev Event) bool {
 }
 
 // Step dispatches the single earliest event. It returns false when the queue
-// is empty.
+// is empty or the engine is stopped.
 //
 //paratick:noalloc
 func (e *Engine) Step() bool { return e.fire(Forever, 1) == 1 }
@@ -593,64 +593,39 @@ func (e *Engine) Step() bool { return e.fire(Forever, 1) == 1 }
 // StepBatch dispatches every event sharing the earliest pending timestamp
 // — one simulated instant — in (when, seq) order, including events that
 // handlers schedule for that same instant mid-batch. It returns the number
-// of events dispatched (0 when the queue is empty). A Stop issued by a
-// handler halts the batch after that handler returns, leaving the rest
-// queued; like Step, StepBatch itself does not consume the stop request.
+// of events dispatched (0 when the queue is empty or the engine is
+// stopped). A Stop issued by a handler halts the batch after that handler
+// returns, leaving the rest queued.
 //
 //paratick:noalloc
 func (e *Engine) StepBatch() int {
 	// The first event sets the clock to the instant; nothing pending is
 	// earlier, so the rest of the instant is everything at or before now.
 	n := e.fire(Forever, 1)
-	if n == 1 && !e.stopReq {
+	if n == 1 {
 		n += e.fire(e.now, -1)
 	}
 	return n
 }
 
-// consumeStop observes a pending stop request, converting it into the
-// stopped state. Each request halts exactly one run (the current one, or —
-// when issued between runs — the next one before it dispatches anything).
-func (e *Engine) consumeStop() bool {
-	if !e.stopReq {
-		return false
-	}
-	e.stopReq = false
-	e.stopped = true
-	return true
-}
-
 // Run dispatches events until the queue empties or the engine is stopped.
-// A Stop issued before Run starts halts it before any event fires; a
-// subsequent Run resumes.
-func (e *Engine) Run() { e.run(Forever) }
+func (e *Engine) Run() { e.fire(Forever, -1) }
 
-// RunUntil dispatches events with time ≤ deadline, then advances the clock
-// to exactly the deadline (if it is later than the last event). Like Run, it
-// honors a Stop issued before it starts; the clock advances all the same.
+// RunUntil dispatches events with time ≤ deadline, then, unless the engine
+// is stopped, advances the clock to exactly the deadline (if it is later
+// than the last event). A stopped run leaves the clock at the last event it
+// fired.
 func (e *Engine) RunUntil(deadline Time) {
-	e.run(deadline)
-	if e.now < deadline {
+	e.fire(deadline, -1)
+	if !e.stopped && e.now < deadline {
 		e.now = deadline
 	}
 }
 
-// run is Run and RunUntil up to the clock: it consumes a stop issued
-// before it starts, or else fires up to deadline and consumes the stop
-// that halted it, if one did.
-func (e *Engine) run(deadline Time) {
-	if !e.consumeStop() {
-		e.stopped = false
-		e.fire(deadline, -1)
-		e.consumeStop()
-	}
-}
+// Stop halts the engine for good: the current run stops after the
+// in-flight handler returns, and every later Step, Run or RunUntil fires
+// nothing and leaves the clock where it is, until Reset.
+func (e *Engine) Stop() { e.stopped = true }
 
-// Stop requests a halt: the current run stops after the in-flight handler
-// returns, and a Stop issued while no run is active stops the next
-// Run/RunUntil before it dispatches anything.
-func (e *Engine) Stop() { e.stopReq = true }
-
-// Stopped reports whether the engine is halted by Stop: either the most
-// recent run was interrupted, or a stop request is still pending.
-func (e *Engine) Stopped() bool { return e.stopped || e.stopReq }
+// Stopped reports whether Stop has been called since the last Reset.
+func (e *Engine) Stopped() bool { return e.stopped }

@@ -27,13 +27,12 @@ type refEvent struct {
 }
 
 // refEngine is the pure-list reference: total order is (when, seq), exactly
-// the contract Engine documents. stopReq and stopped follow Engine's: a
-// stop request is pending until a run consumes it.
+// the contract Engine documents. stopped follows Engine's: once a stop
+// event fires, nothing fires and the clock stays where it is.
 type refEngine struct {
 	now     Time
 	seq     uint64
 	events  []refEvent
-	stopReq bool
 	stopped bool
 }
 
@@ -68,36 +67,36 @@ func (r *refEngine) minIndex() int {
 }
 
 // fire dispatches the pending event at index i: the clock moves to it, and
-// a stop event leaves a stop request.
+// a stop event stops the engine.
 func (r *refEngine) fire(i int) int {
 	e := r.events[i]
 	r.events = append(r.events[:i], r.events[i+1:]...)
 	r.now = e.when
-	r.stopReq = r.stopReq || e.stop
+	r.stopped = r.stopped || e.stop
 	return e.id
 }
 
-// step fires the single earliest event, mirroring Engine.Step, which
-// neither heeds nor consumes a stop request.
+// step fires the single earliest event unless stopped, mirroring
+// Engine.Step.
 func (r *refEngine) step() (int, bool) {
 	i := r.minIndex()
-	if i < 0 {
+	if i < 0 || r.stopped {
 		return 0, false
 	}
 	return r.fire(i), true
 }
 
 // stepBatch fires every event sharing the earliest timestamp in (when, seq)
-// order, mirroring Engine.StepBatch: it halts after any event that finds a
-// stop request pending, and leaves the request pending.
+// order, mirroring Engine.StepBatch: it fires nothing when stopped, and
+// halts after a stop event.
 func (r *refEngine) stepBatch() []int {
 	i := r.minIndex()
-	if i < 0 {
+	if i < 0 || r.stopped {
 		return nil
 	}
 	t0 := r.events[i].when
 	ids := []int{r.fire(i)}
-	for !r.stopReq {
+	for !r.stopped {
 		i := r.minIndex()
 		if i < 0 || r.events[i].when != t0 {
 			break
@@ -107,40 +106,28 @@ func (r *refEngine) stepBatch() []int {
 	return ids
 }
 
-// run fires everything ≤ deadline, mirroring Engine.Run: a stop request
-// pending at the start halts it before anything fires, one made by a
-// handler halts it after that handler, and either is consumed.
+// run fires everything ≤ deadline until stopped, mirroring Engine.Run:
+// a stopped engine fires nothing, and a stop event halts the run after it.
 func (r *refEngine) run(deadline Time) []int {
 	var ids []int
-	for !r.stopReq {
+	for !r.stopped {
 		i := r.minIndex()
 		if i < 0 || r.events[i].when > deadline {
 			break
 		}
 		ids = append(ids, r.fire(i))
 	}
-	r.stopped = r.stopReq
-	r.stopReq = false
 	return ids
 }
 
-// runUntil is run then the clock advanced to deadline, mirroring
-// Engine.RunUntil, which advances it after a stop as well.
+// runUntil is run then, unless stopped, the clock advanced to deadline,
+// mirroring Engine.RunUntil.
 func (r *refEngine) runUntil(deadline Time) []int {
 	ids := r.run(deadline)
-	if r.now < deadline {
+	if !r.stopped && r.now < deadline {
 		r.now = deadline
 	}
 	return ids
-}
-
-// stale reports whether an event is pending before the clock: a run halted
-// by Stop moves the clock to its deadline past the events it left. No
-// checkpoint is taken in that state — the experiment layer re-arms the stop
-// instead of freezing — and ScheduleRestored refuses such an event.
-func (r *refEngine) stale() bool {
-	i := r.minIndex()
-	return i >= 0 && r.events[i].when < r.now
 }
 
 // engineDiffUnits are the time units scripts run under, as log2 of the
@@ -157,6 +144,11 @@ var engineDiffUnits = []uint{4, 10, 16, 24}
 // the same byte-coded script in time units of 2^unitShift ns, failing on
 // any divergence in fire order, Cancel results, Pending, Now, or the stop
 // state.
+//
+// Stop is terminal, so a stopped engine takes one more op, in which no
+// Step, StepBatch, Run or RunUntil may fire an event or move the clock.
+// The script then carries on with a thawed clone (op 10's thaw) that
+// starts unstopped, as does the final drain after each stop.
 //
 // Script format: operations are consumed two bytes at a time (op, arg).
 // Ops 1, 2, 7, 8, 9 and 11 measure time in units; ops 8 and 9 in 64ths of
@@ -183,8 +175,7 @@ var engineDiffUnits = []uint{4, 10, 16, 24}
 //	            from the engine's scalars and the reference's pending
 //	            events, newest seq first, compare DigestState and carry
 //	            on with the clone; otherwise compare DigestState with such
-//	            a clone restored in seq order. Both skip a state with an
-//	            event pending before the clock (see refEngine.stale).
+//	            a clone restored in seq order
 //	op%12 == 11: Stop. arg%4 == 0: schedule a stop event (its handler
 //	            calls Stop) at now+(arg/4)%4, in op 0's same-instant
 //	            pileups; arg%4 == 1: schedule one as op 1 does; arg%4 == 2:
@@ -258,7 +249,44 @@ func runEngineDifferentialScript(t *testing.T, unitShift uint, script []byte) {
 			t.Fatalf("unit 2^%d op %d: digest %s, clone of the reference %s", unitShift, op, g, w)
 		}
 	}
+	// thaw carries on with a clone holding the reference's pending events,
+	// restored newest first, so every same-instant restore after the first
+	// arrives with an older seq than those queued.
+	thaw := func(op int) {
+		t.Helper()
+		c := clone(op)
+		for k := len(ref.events) - 1; k >= 0; k-- {
+			ev := ref.events[k]
+			handles[ev.id] = c.ScheduleRestored(ev.when, ev.seq, "diff", fire(ev.id))
+		}
+		checkDigest(op, c)
+		eng = c
+	}
+	// resume thaws a stopped engine into one that starts unstopped, as a
+	// run restored from a checkpoint does.
+	resume := func(op int) {
+		t.Helper()
+		thaw(op)
+		eng.stopped = false
+		ref.stopped = false
+	}
+	checkState := func(op int) {
+		t.Helper()
+		if eng.Stopped() != ref.stopped {
+			t.Fatalf("unit 2^%d op %d: stopped %v, reference %v", unitShift, op, eng.Stopped(), ref.stopped)
+		}
+		if eng.Pending() != len(ref.events) {
+			t.Fatalf("unit 2^%d op %d: Pending = %d, reference %d", unitShift, op, eng.Pending(), len(ref.events))
+		}
+		if eng.Now() != ref.now {
+			t.Fatalf("unit 2^%d op %d: Now = %v, reference %v", unitShift, op, eng.Now(), ref.now)
+		}
+		if err := eng.queueInvariants(); err != nil {
+			t.Fatalf("unit 2^%d op %d: %v", unitShift, op, err)
+		}
+	}
 	unit := Time(1) << unitShift
+	wasStopped := false
 	for i := 0; i+1 < len(script); i += 2 {
 		op := int(script[i] % 12)
 		arg := Time(script[i+1])
@@ -333,17 +361,8 @@ func runEngineDifferentialScript(t *testing.T, unitShift uint, script []byte) {
 				if eng.DigestState() != NewEngine(1).DigestState() {
 					t.Fatalf("unit 2^%d op %d: engine after Reset digests unlike a fresh one", unitShift, i)
 				}
-			case ref.stale():
 			case arg%4 == 3:
-				// Restored newest first, every same-instant restore after
-				// the first arrives with an older seq than those queued.
-				c := clone(i)
-				for k := len(ref.events) - 1; k >= 0; k-- {
-					ev := ref.events[k]
-					handles[ev.id] = c.ScheduleRestored(ev.when, ev.seq, "diff", fire(ev.id))
-				}
-				checkDigest(i, c)
-				eng = c
+				thaw(i)
 			default:
 				c := clone(i)
 				for _, ev := range ref.events {
@@ -363,29 +382,25 @@ func runEngineDifferentialScript(t *testing.T, unitShift uint, script []byte) {
 				checkFired(i, ref.run(Forever))
 			case 3:
 				eng.Stop()
-				ref.stopReq = true
+				ref.stopped = true
 			}
 		}
-		if eng.stopReq != ref.stopReq || eng.stopped != ref.stopped {
-			t.Fatalf("unit 2^%d op %d: stop request %v and stopped %v, reference %v and %v",
-				unitShift, i, eng.stopReq, eng.stopped, ref.stopReq, ref.stopped)
+		checkState(i)
+		if wasStopped && ref.stopped {
+			resume(i)
 		}
-		if eng.Pending() != len(ref.events) {
-			t.Fatalf("unit 2^%d op %d: Pending = %d, reference %d", unitShift, i, eng.Pending(), len(ref.events))
-		}
-		if eng.Now() != ref.now {
-			t.Fatalf("unit 2^%d op %d: Now = %v, reference %v", unitShift, i, eng.Now(), ref.now)
-		}
-		if err := eng.queueInvariants(); err != nil {
-			t.Fatalf("unit 2^%d op %d: %v", unitShift, i, err)
-		}
+		wasStopped = ref.stopped
 	}
 	// Drain everything — including Forever-deadline events — and compare the
-	// full tail order. Each RunUntil fires up to a stop event or consumes a
-	// pending request, so one more than the events pending is enough.
-	for n := eng.Pending() + 1; n >= 0 && len(ref.events) > 0; n-- {
+	// full tail order. Each RunUntil fires at least one event, up to a stop
+	// event, after which the drain resumes.
+	for len(ref.events) > 0 {
+		if ref.stopped {
+			resume(len(script))
+		}
 		eng.RunUntil(Forever)
 		checkFired(len(script), ref.runUntil(Forever))
+		checkState(len(script))
 	}
 	if eng.Pending() != 0 {
 		t.Fatalf("unit 2^%d: %d events pending after full drain", unitShift, eng.Pending())
@@ -395,8 +410,9 @@ func runEngineDifferentialScript(t *testing.T, unitShift uint, script []byte) {
 // queueInvariants checks the radix queue's three invariants (see Engine)
 // and its bookkeeping: every bucket node sits in bucket
 // bits.Len64(when ^ last) above batchEnd, with its occupancy bit set and
-// last at most now; the live batch is sorted and at most batchEnd; and the
-// nodes found add up to Pending.
+// last at most now; the live batch is sorted and at most batchEnd; no
+// pending key is before now, stopped or not; and the nodes found add up to
+// Pending.
 func (e *Engine) queueInvariants() error {
 	if e.last > e.now {
 		return fmt.Errorf("radix base %v is past now %v", e.last, e.now)
@@ -414,6 +430,9 @@ func (e *Engine) queueInvariants() error {
 			if nd.when <= e.batchEnd {
 				return fmt.Errorf("bucket key %v is not above batchEnd %v", nd.when, e.batchEnd)
 			}
+			if nd.when < e.now {
+				return fmt.Errorf("bucket key %v is before now %v", nd.when, e.now)
+			}
 		}
 	}
 	for i := e.batchPos; i < len(e.batch); i++ {
@@ -428,6 +447,9 @@ func (e *Engine) queueInvariants() error {
 			n++
 			if ent.nd.loc != locBatch || ent.nd.when != ent.when || ent.nd.seq != ent.seq {
 				return fmt.Errorf("batch cell %d does not match its node", i)
+			}
+			if ent.when < e.now {
+				return fmt.Errorf("batch key %v is before now %v", ent.when, e.now)
 			}
 		}
 	}
@@ -459,11 +481,12 @@ func TestHybridEngineDifferentialRandomOps(t *testing.T) {
 // far-future keys redistributed down, Forever and near-Forever deadlines,
 // cancel-heavy churn, re-arm chains, RunUntil jumps across idle gaps
 // followed by earlier inserts, dense buckets too long to drain whole, a
-// RunUntil stopping inside a drained batch, a 64-event instant, and
-// same-instant restores with older seqs, and Stops inside same-instant
-// groups under StepBatch, RunUntil and Run. (Several names — the cascade, the
-// split — are the earlier wheel-and-heap queue's paths; the patterns still
-// stress the radix queue, and the names stay stable.)
+// RunUntil stopping inside a drained batch, a 64-event instant,
+// same-instant restores with older seqs, Stops inside same-instant groups
+// under StepBatch, RunUntil and Run, and a batch compacted under an
+// insert. (Several names — the cascade, the split — are the earlier
+// wheel-and-heap queue's paths; the patterns still stress the radix queue,
+// and the names stay stable.)
 var engineDiffScripts = []struct {
 	name   string
 	script []byte
@@ -514,24 +537,25 @@ var engineDiffScripts = []struct {
 		8, 0, 7, 0, 0, 1, 9, 3, 0, 2, 1, 1, 10, 1, 6, 0, 6, 0, 7, 255,
 	}},
 	{"same-instant-64", sameInstantScript},
+	{"batch-compaction", batchCompactionScript},
 	{"stop-in-same-instant", []byte{
 		// A stop event third of five at one instant: StepBatch halts after
-		// it and leaves the request pending, so the next StepBatch fires
-		// one event and halts again, and Step ignores it. A RunUntil
-		// consumes it before firing anything and still moves the clock to
-		// its deadline. A second group's stop halts a RunUntil mid-instant,
-		// leaving an event behind the clock that the next RunUntil fires
-		// first.
+		// it, and the next StepBatch fires nothing. On the thawed clone
+		// Step and StepBatch finish the instant. A second group's stop
+		// halts a RunUntil mid-instant and leaves the clock at that
+		// instant, so a digest check restores the event the stop left
+		// pending, and after the next thaw a RunUntil fires it first.
 		0, 0, 0, 0, 11, 0, 0, 0, 0, 0, 6, 0, 6, 0, 5, 0,
 		0, 1, 6, 0, 7, 0, 0, 0, 11, 0, 0, 0, 7, 0, 10, 1, 7, 0, 10, 1, 7, 255,
 	}},
 	{"stop-under-run", []byte{
 		// Run halts at a stop event inside a same-instant group, ahead of
-		// its own later stop event. A Stop from outside a handler halts
-		// the next Run before it fires anything, and a thaw carries the
-		// stopped state. A StepBatch resumes the group in (when, seq)
-		// order, a further Run halts at the first stop event left, and
-		// RunUntil halts at the next.
+		// its own later stop event, and a Stop from outside a handler
+		// then changes nothing. On the thawed clone a Run fires the rest
+		// of the group and halts at that later stop event, and a thaw
+		// carries the stopped state. StepBatch halts at the next stop
+		// event, a Run on the stopped engine fires nothing, and RunUntil
+		// halts at the last one.
 		1, 9, 1, 9, 11, 9, 1, 9, 11, 14, 11, 3, 11, 18, 10, 3, 6, 0, 11, 2, 7, 255,
 	}},
 	{"restored-same-instant", []byte{
@@ -553,6 +577,21 @@ var sameInstantScript = func() []byte {
 		s = append(s, 1, 7)
 	}
 	return append(s, 4, 10, 4, 20, 10, 1, 6, 0, 7, 255)
+}()
+
+// batchCompactionScript fires 64 of 70 events at one instant one Step at a
+// time, so the next schedule at that instant finds the dispatched prefix
+// dominating the batch and slides the live region down before inserting.
+// A cancel then searches the moved cells, and StepBatch ends the instant.
+var batchCompactionScript = func() []byte {
+	var s []byte
+	for k := 0; k < 70; k++ {
+		s = append(s, 0, 0)
+	}
+	for k := 0; k < 64; k++ {
+		s = append(s, 5, 0)
+	}
+	return append(s, 0, 0, 4, 66, 0, 0, 6, 0, 7, 255)
 }()
 
 // TestHybridEngineDifferentialTargeted runs every named script against the

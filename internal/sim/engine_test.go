@@ -193,10 +193,21 @@ func TestEngineStop(t *testing.T) {
 	if !e.Stopped() {
 		t.Fatal("Stopped() should be true")
 	}
-	// A later Run resumes.
+	// Stop is terminal: no later run fires anything or moves the clock.
 	e.Run()
-	if count != 10 {
-		t.Fatalf("resumed Run processed %d total", count)
+	e.RunUntil(100)
+	if e.Step() || e.StepBatch() != 0 {
+		t.Fatal("Step or StepBatch fired on a stopped engine")
+	}
+	if count != 3 || e.Now() != 3 || e.Pending() != 7 {
+		t.Fatalf("stopped engine moved on: count %d, now %v, pending %d", count, e.Now(), e.Pending())
+	}
+	// Reset clears the stop.
+	e.Reset(1)
+	e.At(1, "x", func(*Engine) { count++ })
+	e.Run()
+	if count != 4 || e.Stopped() {
+		t.Fatalf("after Reset: count %d, stopped %v", count, e.Stopped())
 	}
 }
 
@@ -356,8 +367,8 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-// A Stop issued before a run starts must halt that run before it dispatches
-// anything; the run consumes the request, so the following run resumes.
+// A Stop issued before a run starts must halt that run, and every later
+// one, before it dispatches anything.
 func TestEngineHonorsPreRunStop(t *testing.T) {
 	e := NewEngine(1)
 	count := 0
@@ -366,21 +377,15 @@ func TestEngineHonorsPreRunStop(t *testing.T) {
 	}
 	e.Stop()
 	if !e.Stopped() {
-		t.Fatal("Stopped() should report a pending pre-run stop")
+		t.Fatal("Stopped() should report a pre-run stop")
 	}
 	e.Run()
 	if count != 0 {
 		t.Fatalf("pre-run Stop ignored: %d events fired", count)
 	}
-	if !e.Stopped() {
-		t.Fatal("Stopped() should be true after a stopped run")
-	}
-	e.Run() // the stop was consumed; this run proceeds
-	if count != 5 {
-		t.Fatalf("resumed run fired %d events, want 5", count)
-	}
-	if e.Stopped() {
-		t.Fatal("Stopped() should clear on a completed run")
+	e.Run()
+	if count != 0 || !e.Stopped() {
+		t.Fatalf("second run after Stop fired %d events, stopped %v", count, e.Stopped())
 	}
 }
 
@@ -395,13 +400,43 @@ func TestEngineRunUntilHonorsPreRunStop(t *testing.T) {
 	if count != 0 {
 		t.Fatalf("pre-run Stop ignored by RunUntil: %d events fired", count)
 	}
-	// The clock still advances to the deadline, matching RunUntil's contract.
-	if e.Now() != 100 {
-		t.Fatalf("Now() = %v, want 100", e.Now())
+	// A stopped run leaves the clock where it is: past it sit the events
+	// the stop left pending.
+	if e.Now() != 0 {
+		t.Fatalf("Now() = %v, want 0", e.Now())
 	}
 	e.RunUntil(200)
-	if count != 5 {
-		t.Fatalf("resumed RunUntil fired %d events, want 5", count)
+	if count != 0 || e.Now() != 0 {
+		t.Fatalf("second RunUntil after Stop fired %d events, now %v", count, e.Now())
+	}
+}
+
+// After a handler's Stop the clock never moves back: the events the stop
+// left pending at its instant stay pending, and no later RunUntil fires
+// one behind a clock it moved past them.
+func TestEngineStoppedClockNeverMovesBack(t *testing.T) {
+	e := NewEngine(1)
+	last := Time(0)
+	for i := 0; i < 5; i++ {
+		e.At(10, "x", func(en *Engine) {
+			if en.Now() < last {
+				t.Errorf("clock moved back from %v to %v", last, en.Now())
+			}
+			last = en.Now()
+			if i == 2 {
+				en.Stop()
+			}
+		})
+	}
+	for _, deadline := range []Time{100, 200} {
+		e.RunUntil(deadline)
+		if e.Now() < last {
+			t.Fatalf("RunUntil(%v): clock moved back from %v to %v", deadline, last, e.Now())
+		}
+		last = e.Now()
+	}
+	if e.Now() != 10 || e.Pending() != 2 {
+		t.Fatalf("stopped engine at %v with %d pending, want 10 and 2", e.Now(), e.Pending())
 	}
 }
 

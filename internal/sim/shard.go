@@ -58,6 +58,8 @@ type shardWorker struct {
 
 // ShardedEngine coordinates one Engine per lane under a quantum barrier.
 // The zero value is not usable; construct with NewSharded or WrapEngine.
+// Like Engine, it keeps one stop flag: Stop is terminal, so a stopped run
+// leaves every lane clock where it stopped, and only Reset clears it.
 type ShardedEngine struct {
 	engines []*Engine
 	// shardEngines groups lanes into contiguous per-shard runs; shard s
@@ -83,7 +85,7 @@ type ShardedEngine struct {
 	//snap:skip closure wiring, rebound by the experiment layer after restore
 	hook func(Time)
 
-	stopReq, stopped bool
+	stopped bool // lane mode: set by Stop, cleared only by Reset
 }
 
 // WrapEngine adapts a single legacy engine to the ShardedEngine interface:
@@ -143,7 +145,7 @@ func NewSharded(seed uint64, lanes, shards int, quantum Time) (*ShardedEngine, e
 // seeds its lanes through it, so the arena reuse path and a fresh build
 // share one seeding rule.
 func (se *ShardedEngine) Reset(seed uint64) {
-	se.stopReq, se.stopped = false, false
+	se.stopped = false
 	if se.quantum == 0 {
 		se.engines[0].Reset(seed)
 		return
@@ -235,33 +237,24 @@ func (se *ShardedEngine) Post(m Message) {
 	se.outbox[m.Src] = append(se.outbox[m.Src], m)
 }
 
-// Stop requests a halt. In lane mode the request is honored at the next
-// quantum barrier (a mid-quantum stop would make the cut point depend on
-// shard interleaving); in legacy mode it is the engine's own Stop.
+// Stop halts the coordinator for good, as Engine.Stop does. In lane mode
+// the run ends at the next quantum barrier (a mid-quantum stop would make
+// the cut point depend on shard interleaving), and every later RunUntil
+// does nothing until Reset; in legacy mode it is the engine's own Stop.
 func (se *ShardedEngine) Stop() {
 	if se.quantum == 0 {
 		se.engines[0].Stop()
 		return
 	}
-	se.stopReq = true
+	se.stopped = true
 }
 
-// Stopped reports whether the coordinator is halted by Stop.
+// Stopped reports whether Stop has been called since the last Reset.
 func (se *ShardedEngine) Stopped() bool {
 	if se.quantum == 0 {
 		return se.engines[0].Stopped()
 	}
-	return se.stopped || se.stopReq
-}
-
-// consumeStop mirrors Engine.consumeStop for the lane-mode flags.
-func (se *ShardedEngine) consumeStop() bool {
-	if !se.stopReq {
-		return false
-	}
-	se.stopReq = false
-	se.stopped = true
-	return true
+	return se.stopped
 }
 
 // advanceAll moves every lane clock forward to t (never backward),
@@ -298,17 +291,16 @@ func (se *ShardedEngine) drain() {
 // to the engine. Lane mode runs the quantum-barrier protocol: every lane
 // advances to min(deadline, next quantum boundary) — in parallel when
 // shards > 1 — then the coordinator drains cross-lane mailboxes and runs
-// the barrier hook, until the deadline, a Stop, or global quiescence.
+// the barrier hook, until the deadline, a Stop, or global quiescence. A
+// stopped run leaves every lane clock at the barrier it stopped at.
 func (se *ShardedEngine) RunUntil(deadline Time) {
 	if se.quantum == 0 {
 		se.engines[0].RunUntil(deadline)
 		return
 	}
-	if se.consumeStop() {
-		se.advanceAll(deadline)
+	if se.stopped {
 		return
 	}
-	se.stopped = false
 	var workers []*shardWorker
 	if se.shards > 1 {
 		workers = se.startWorkers()
@@ -341,11 +333,7 @@ func (se *ShardedEngine) RunUntil(deadline Time) {
 		if se.hook != nil {
 			se.hook(q)
 		}
-		if se.consumeStop() {
-			se.advanceAll(deadline)
-			return
-		}
-		if q >= deadline {
+		if se.stopped || q >= deadline {
 			return
 		}
 		if se.Pending() == 0 {
@@ -413,8 +401,7 @@ func (se *ShardedEngine) Snap(s *snap.Stream) {
 		s.Failf("sim: snapshot quantum %v, coordinator has %v", q, se.quantum)
 	}
 	s.Len(len(se.engines), "lanes")
-	s.Bool(&se.stopReq)
-	s.Bool(&se.stopped)
+	snapStopped(s, &se.stopped)
 	for _, e := range se.engines {
 		e.Snap(s)
 	}

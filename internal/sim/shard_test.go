@@ -128,12 +128,26 @@ func TestShardedStopHonoredAtBarrier(t *testing.T) {
 	if !se.Stopped() {
 		t.Fatal("coordinator should report stopped")
 	}
-	// Matching Engine.RunUntil, the clock still advances to the deadline.
-	if se.Now() != 10*Millisecond {
-		t.Fatalf("now %v, want 10ms", se.Now())
+	// Matching Engine.RunUntil, a stopped run leaves every lane clock at
+	// the barrier it stopped at.
+	for l := 0; l < se.Lanes(); l++ {
+		if now := se.Engine(l).Now(); now != 3*Millisecond {
+			t.Fatalf("lane %d now %v, want 3ms", l, now)
+		}
 	}
-	if fired := se.Engine(0).Fired(); fired == 0 || fired > 3*10*2 {
-		t.Fatalf("lane 0 fired %d events; want a count cut at the 3ms barrier", fired)
+	fired := se.Fired()
+	if lane0 := se.Engine(0).Fired(); lane0 == 0 || lane0 > 3*10*2 {
+		t.Fatalf("lane 0 fired %d events; want a count cut at the 3ms barrier", lane0)
+	}
+	// The stop is terminal: a later RunUntil fires nothing and moves no
+	// clock, until Reset.
+	se.RunUntil(20 * Millisecond)
+	if se.Fired() != fired || se.Now() != 3*Millisecond {
+		t.Fatalf("stopped coordinator moved on: fired %d → %d, now %v", fired, se.Fired(), se.Now())
+	}
+	se.Reset(1)
+	if se.Stopped() {
+		t.Fatal("Reset must clear the stop")
 	}
 }
 

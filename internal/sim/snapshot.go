@@ -3,7 +3,7 @@ package sim
 // Checkpoint/restore support. The engine's pending events hold Go closures
 // and therefore cannot be serialized; instead the snapshot layer moves the
 // engine's *scalar* state here (clock, sequence counter, RNG stream, stop
-// flags) and each component that owns events moves their coordinates with
+// flag) and each component that owns events moves their coordinates with
 // SnapEvent or SnapArmed, which re-arm them on restore in the original
 // (when, seq) dispatch order. Pools (the node free list, the batch's
 // capacity) and generation stamps are capacity, not state: they are
@@ -36,12 +36,21 @@ func (e *Engine) Snap(s *snap.Stream) {
 	}
 	s.U64(&e.seq)
 	s.U64(&e.fired)
-	s.Bool(&e.stopReq)
-	s.Bool(&e.stopped)
+	snapStopped(s, &e.stopped)
 	e.rand.Snap(s)
 	if s.Decoding() {
 		e.rebase()
 	}
+}
+
+// snapStopped moves a stop flag as two bool words: a zero where a pending
+// stop request once sat, then the flag. Decoding reads either word set as
+// stopped, so the format is unchanged.
+func snapStopped(s *snap.Stream, stopped *bool) {
+	var req bool
+	s.Bool(&req)
+	s.Bool(stopped)
+	*stopped = *stopped || req
 }
 
 // spanWord is the word an engine section opens with: the log2 bucket span

@@ -40,7 +40,7 @@ func TestResetDigestMatchesFresh(t *testing.T) {
 	for _, seed := range []uint64{0, 1, 42, 0xdeadbeef} {
 		used := NewEngine(7)
 		exercise(used)
-		used.Stop() // leave a stop request pending, Reset must clear it
+		used.Stop() // leave the engine stopped; Reset must clear it
 		used.Reset(seed)
 
 		fresh := NewEngine(seed)

@@ -197,6 +197,11 @@ type ParallelArtifacts struct {
 	Barrier *guest.Barrier
 }
 
+// maxThreads is the most tasks one benchmark may spawn: far above the
+// paper's 80-CPU host, and low enough that a thread count read from a
+// command line cannot make a run allocate without bound.
+const maxThreads = 4096
+
 // SpawnParallel spawns `threads` tasks (one per vCPU index modulo the vCPU
 // count) running the benchmark with total work Work×(1+ParallelOverhead),
 // split evenly. Thread 0 additionally performs the benchmark's I/O.
@@ -204,8 +209,8 @@ func (p ParsecProfile) SpawnParallel(k *guest.Kernel, threads int, dev *iodev.De
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if threads <= 0 {
-		return nil, fmt.Errorf("workload: %s: need positive thread count", p.Name)
+	if threads <= 0 || threads > maxThreads {
+		return nil, fmt.Errorf("workload: %s: need 1 to %d threads, got %d", p.Name, maxThreads, threads)
 	}
 	if scale <= 0 {
 		return nil, fmt.Errorf("workload: %s: scale must be positive", p.Name)

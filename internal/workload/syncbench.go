@@ -32,8 +32,8 @@ func DefaultSyncBench() SyncBench {
 
 // Validate checks parameters.
 func (s SyncBench) Validate() error {
-	if s.Threads <= 0 {
-		return fmt.Errorf("workload: syncbench needs positive threads, got %d", s.Threads)
+	if s.Threads <= 0 || s.Threads > maxThreads {
+		return fmt.Errorf("workload: syncbench needs 1 to %d threads, got %d", maxThreads, s.Threads)
 	}
 	if s.Threads%2 != 0 {
 		return fmt.Errorf("workload: syncbench pairs threads; need an even count, got %d", s.Threads)

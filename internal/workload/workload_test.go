@@ -221,6 +221,9 @@ func TestSpawnParallelValidation(t *testing.T) {
 	if _, err := p.SpawnParallel(k, 0, dev, 1); err == nil {
 		t.Error("zero threads accepted")
 	}
+	if _, err := p.SpawnParallel(k, maxThreads+1, dev, 1); err == nil {
+		t.Error("more than maxThreads threads accepted")
+	}
 	if _, err := p.SpawnParallel(k, 2, nil, 1); err == nil {
 		t.Error("io profile without device accepted")
 	}
@@ -362,6 +365,7 @@ func TestSyncBenchValidate(t *testing.T) {
 	bad := []SyncBench{
 		{Threads: 0, SyncsPerSec: 1, CSLen: 1, Duration: 1},
 		{Threads: 1, SyncsPerSec: 1, CSLen: 1, Duration: 1},
+		{Threads: maxThreads + 2, SyncsPerSec: 1, CSLen: 1, Duration: 1},
 		{Threads: 2, SyncsPerSec: 0, CSLen: 1, Duration: 1},
 		{Threads: 2, SyncsPerSec: math.NaN(), CSLen: 1, Duration: 1},
 		{Threads: 2, SyncsPerSec: math.Inf(1), CSLen: 1, Duration: 1},

@@ -2,6 +2,7 @@ package paratick
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -167,6 +168,11 @@ func (w *fioWL) apply(b *Builder) error {
 	if w.blockSizeKB <= 0 || w.totalMB <= 0 {
 		return fmt.Errorf("paratick: fio needs positive block size and total MB")
 	}
+	// Sizes past these wrap around when converted to bytes, and a wrapped
+	// size would run as a different, valid one.
+	if w.blockSizeKB > math.MaxInt>>10 || int64(w.totalMB) > math.MaxInt64>>20 {
+		return fmt.Errorf("paratick: fio block size %d KiB or total %d MiB too large", w.blockSizeKB, w.totalMB)
+	}
 	dev, err := b.vm.AttachDevice("disk0", w.dev.profile())
 	if err != nil {
 		return err
@@ -198,7 +204,7 @@ func SyncWorkload(threads int, syncsPerSec float64, duration time.Duration) Work
 }
 
 func (w *syncWL) name() string {
-	return fmt.Sprintf("sync/%dx%.0f", w.threads, w.syncsPerSec)
+	return fmt.Sprintf("sync/%dx%s", w.threads, strconv.FormatFloat(w.syncsPerSec, 'f', -1, 64))
 }
 
 func (w *syncWL) apply(b *Builder) error {

@@ -6,18 +6,31 @@ import (
 	"time"
 )
 
+// goodWorkloadSpecs maps specs to the workload names they parse to.
+var goodWorkloadSpecs = []struct {
+	spec string
+	name string
+}{
+	{"idle", "idle"},
+	{"parsec-seq:dedup", "parsec-seq/dedup"},
+	{"parsec-par:ferret:8", "parsec-par/ferret-x8"},
+	{"fio:rndr:4:64", "fio/rndr-4k"},
+	{"sync:16:1000", "sync/16x1000"},
+	// A fractional rate keeps its digits, so 0.4 and 0.3 get different
+	// names.
+	{"sync:2:0.4", "sync/2x0.4"},
+	{"sync:2:0.3", "sync/2x0.3"},
+}
+
+// badWorkloadSpecs fail to parse.
+var badWorkloadSpecs = []string{
+	"", "bogus", "parsec-seq", "parsec-seq:a:b", "parsec-par:x",
+	"parsec-par:x:notanumber", "fio:rndr:4", "fio:rndr:x:1",
+	"fio:rndr:4:x", "sync:16", "sync:x:1000", "sync:16:x",
+}
+
 func TestParseWorkloadSpec(t *testing.T) {
-	good := []struct {
-		spec string
-		name string
-	}{
-		{"idle", "idle"},
-		{"parsec-seq:dedup", "parsec-seq/dedup"},
-		{"parsec-par:ferret:8", "parsec-par/ferret-x8"},
-		{"fio:rndr:4:64", "fio/rndr-4k"},
-		{"sync:16:1000", "sync/16x1000"},
-	}
-	for _, c := range good {
+	for _, c := range goodWorkloadSpecs {
 		w, err := ParseWorkloadSpec(c.spec, time.Second)
 		if err != nil {
 			t.Errorf("ParseWorkloadSpec(%q): %v", c.spec, err)
@@ -27,12 +40,7 @@ func TestParseWorkloadSpec(t *testing.T) {
 			t.Errorf("spec %q → name %q, want %q", c.spec, w.name(), c.name)
 		}
 	}
-	bad := []string{
-		"", "bogus", "parsec-seq", "parsec-seq:a:b", "parsec-par:x",
-		"parsec-par:x:notanumber", "fio:rndr:4", "fio:rndr:x:1",
-		"fio:rndr:4:x", "sync:16", "sync:x:1000", "sync:16:x",
-	}
-	for _, spec := range bad {
+	for _, spec := range badWorkloadSpecs {
 		if _, err := ParseWorkloadSpec(spec, 0); err == nil {
 			t.Errorf("bad spec %q accepted", spec)
 		}
