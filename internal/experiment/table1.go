@@ -44,6 +44,22 @@ func RunTable1(opts Options) (*Table1Result, error) {
 
 	workloads := []string{"W1", "W2", "W3", "W4"}
 	modes := []core.Mode{core.Periodic, core.DynticksIdle, core.Paratick}
+	names := make([]string, len(modes))
+	for j, mode := range modes {
+		names[j] = "table1/" + mode.String()
+	}
+	// Every scenario shares one placement and one sync Setup: buildWorld
+	// and the fingerprint only read them. All VMs span the 16 pCPUs
+	// (vCPU i on pCPU i) — the overcommitted consolidation scenario of §3.1.
+	placement := make([]hw.CPUID, 16)
+	for i := range placement {
+		placement[i] = hw.CPUID(i)
+	}
+	syncSetup := func(vm *kvm.VM) error {
+		bench := workload.DefaultSyncBench()
+		bench.Duration = dur
+		return bench.Spawn(vm.Kernel())
+	}
 	// One run per (workload, mode) cell, regrouped by index.
 	runs := make([]run, 0, len(workloads)*len(modes))
 	for _, w := range workloads {
@@ -51,9 +67,18 @@ func RunTable1(opts Options) (*Table1Result, error) {
 		if w == "W2" || w == "W4" {
 			nVMs = 4
 		}
-		sync := w == "W3" || w == "W4"
-		for _, mode := range modes {
-			runs = append(runs, run{s: table1Scenario(opts, mode, nVMs, sync, dur), seed: opts.Seed})
+		var setup func(*kvm.VM) error
+		if w == "W3" || w == "W4" {
+			setup = syncSetup
+		}
+		for j, mode := range modes {
+			s := opts.scenario(Scenario{
+				Name:     names[j],
+				Topology: hw.SmallTopology(), // the §3.3 16-pCPU system
+				Duration: dur,
+				VMs:      table1VMs(mode, nVMs, placement, setup),
+			})
+			runs = append(runs, run{s: s, seed: opts.Seed})
 		}
 	}
 	exits := make([]uint64, len(runs))
@@ -77,34 +102,20 @@ func RunTable1(opts Options) (*Table1Result, error) {
 	return res, nil
 }
 
-// table1Scenario declares nVMs 16-vCPU VMs (idle, or running the §3.3
-// blocking-sync workload) for dur.
-func table1Scenario(opts Options, mode core.Mode, nVMs int, sync bool, dur sim.Time) Scenario {
-	// All VMs span the 16 pCPUs (vCPU i on pCPU i) — the overcommitted
-	// consolidation scenario of §3.1.
-	placement := make([]hw.CPUID, 16)
-	for i := range placement {
-		placement[i] = hw.CPUID(i)
-	}
-	s := opts.scenario(Scenario{
-		Name:     fmt.Sprintf("table1/%s", mode),
-		Topology: hw.SmallTopology(), // the §3.3 16-pCPU system
-		Duration: dur,
-		VMs:      make([]VMSpec, 0, nVMs),
-	})
-	for n := 0; n < nVMs; n++ {
-		vs := VMSpec{Name: fmt.Sprintf("vm%d", n), Mode: mode, Placement: placement}
-		if sync {
-			vs.TaskHint = workload.DefaultSyncBench().Threads
-			vs.Setup = func(vm *kvm.VM) error {
-				bench := workload.DefaultSyncBench()
-				bench.Duration = dur
-				return bench.Spawn(vm.Kernel())
-			}
+// table1VMNames names a Table 1 scenario's VMs; W2 and W4 have the most.
+var table1VMNames = [...]string{"vm0", "vm1", "vm2", "vm3"}
+
+// table1VMs declares nVMs 16-vCPU VMs pinned by placement, idle or, with a
+// setup, running the §3.3 blocking-sync workload.
+func table1VMs(mode core.Mode, nVMs int, placement []hw.CPUID, setup func(*kvm.VM) error) []VMSpec {
+	vms := make([]VMSpec, nVMs)
+	for n := range vms {
+		vms[n] = VMSpec{Name: table1VMNames[n], Mode: mode, Placement: placement, Setup: setup}
+		if setup != nil {
+			vms[n].TaskHint = workload.DefaultSyncBench().Threads
 		}
-		s.VMs = append(s.VMs, vs)
 	}
-	return s
+	return vms
 }
 
 // Render prints Table 1 with analytic and simulated columns. Simulated

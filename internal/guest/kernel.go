@@ -116,7 +116,10 @@ type Kernel struct {
 	// segFree pools Segment objects: every unit of guest execution used to
 	// be a fresh heap literal, which made segment churn the second-largest
 	// allocation source in whole-experiment profiles. Segments cycle
-	// acquire → queue → issue → release (at the vCPU's next fetch).
+	// acquire → queue → issue → release (at the vCPU's next fetch), LIFO.
+	// The pool grows a segSlab at a time, so it ends a run holding about
+	// as many segments as the kernel's vCPUs held at once, and a pooled
+	// kernel keeps them (and only them) for its next run.
 	//snap:skip pool of recycled segments, capacity only
 	segFree []*Segment
 
@@ -143,11 +146,27 @@ type Kernel struct {
 }
 
 // segSlab is how many segments are allocated at once when the pool runs
-// dry; one allocation amortizes over a slab's worth of queued segments.
-const segSlab = 64
+// dry. A pool grows by what its vCPUs hold at once, not by a worst case: a
+// vCPU of tick-exits, sync-wakeups or io-lanes never queues more than 6
+// segments, so a slab of 8 holds one vCPU's worth, and a kernel whose
+// vCPUs hold more takes one more slab per 8. At 64, every pooled kernel
+// kept a 7 KiB slab that was mostly never touched. With the slab and
+// vcpuQueueCap at 8, io-lanes' heap_live_mb fell from 0.558 to 0.448 MiB
+// (a fifth of it) with allocs_per_op level.
+// Allocating on every miss (a slab of 1) holds barely less (paper-suite
+// 0.342 against 0.346 MiB) for 3–4% more allocs_per_op on sync-wakeups
+// (6.97 against 6.77) and paper-suite (24,415 against 23,600).
+const segSlab = 8
 
-// acquireSeg returns a zeroed segment from the pool, refilling it a slab at
-// a time.
+// vcpuQueueCap is a vCPU's initial segment-queue capacity, sized like
+// segSlab by what a vCPU queues at once (at most 6 on three of the four
+// bench workloads). append grows the few queues that hold more (one
+// paper-suite vCPU reaches 130), and Reset keeps the grown capacity.
+const vcpuQueueCap = 8
+
+// acquireSeg returns a zeroed segment from the pool. A dry pool takes one
+// slab of segSlab segments, hands out the first and pools the rest, so
+// steady state allocates nothing and a refill is rare.
 //
 //paratick:noalloc
 func (k *Kernel) acquireSeg() *Segment {
@@ -230,7 +249,7 @@ func (k *Kernel) AddVCPU() *VCPU {
 		// never grows the queue.
 		runqCap = k.cfg.TaskHint
 	}
-	v := &VCPU{kernel: k, id: len(k.vcpus), queue: make([]*Segment, 0, 64), runq: make([]*Task, 0, runqCap)}
+	v := &VCPU{kernel: k, id: len(k.vcpus), queue: make([]*Segment, 0, vcpuQueueCap), runq: make([]*Task, 0, runqCap)}
 	v.reset()
 	k.vcpus = append(k.vcpus, v)
 	return v

@@ -151,6 +151,33 @@ func TestSegmentPoolZeroed(t *testing.T) {
 	}
 }
 
+// TestSegmentPoolSizedByUse pins that the segment pool and a vCPU's queue
+// grow by what the vCPU holds at once, not by a worst-case slab: after a
+// run that contends a lock, sleeps and ticks, a 1-vCPU kernel owns at most
+// 16 segments across its pool and its queue's capacity.
+func TestSegmentPoolSizedByUse(t *testing.T) {
+	e, k := newTestKernel(t, core.Periodic, 1)
+	k.cfg.AdaptiveSpin = 2 * sim.Microsecond
+	v := k.vcpus[0]
+	l := k.NewLock("sized")
+	k.Spawn("holder", 0, Steps(Acquire(l), Compute(50*sim.Microsecond), Release(l),
+		Sleep(3*sim.Millisecond), Compute(9*sim.Millisecond), Done()))
+	k.Spawn("contender", 0, Steps(Compute(sim.Microsecond), Acquire(l), Release(l),
+		Sleep(sim.Millisecond), Done()))
+	v.Boot()
+	newMiniExec(e, v).runUntilTasksDone(t)
+	v.Next()
+
+	owned := len(k.segFree) + len(v.queue)
+	if owned == 0 {
+		t.Fatal("no segment pooled or queued after a run; check is vacuous")
+	}
+	if held := owned + cap(v.queue); held > 16 {
+		t.Errorf("kernel holds %d pooled or queued segments and %d queue slots (%d in all), want at most 16",
+			owned, cap(v.queue), held)
+	}
+}
+
 // buildSnapshotScenario constructs the fixture used by the kernel
 // round-trip tests: two tasks on one vCPU contending a lock (with adaptive
 // spin), sleeping, and syncing on a barrier. Construction is deterministic,

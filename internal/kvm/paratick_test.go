@@ -388,3 +388,41 @@ func TestPLEExitsChargedOnSpinSegments(t *testing.T) {
 		t.Fatalf("PLE exits = %d, want 3", got)
 	}
 }
+
+// TestChargePLEClosedForm pins chargePLE's one-step charge to the loop it
+// replaced, one single-exit charge per elapsed PLE window: for every
+// (spin, window) pair the VM's counters, exit-cost histogram included, come
+// out identical.
+func TestChargePLEClosedForm(t *testing.T) {
+	for _, tc := range []struct{ spin, window sim.Time }{
+		{35 * sim.Microsecond, 10 * sim.Microsecond},
+		{10 * sim.Microsecond, 10 * sim.Microsecond},
+		{9 * sim.Microsecond, 10 * sim.Microsecond}, // shorter than a window
+		{0, sim.Microsecond},
+		{1_234_567, 3_333},
+		{100 * sim.Microsecond, 1}, // 100,000 exits
+		{sim.Millisecond, 0},       // PLE off
+	} {
+		r := newRig(t, core.Periodic, 1)
+		r.host.cfg.PLEWindow = tc.window
+		v := r.vm.vcpus[0]
+		v.vm.counters.Exits[metrics.ExitPLE] = 7 // charges add to what is there
+		want := *v.vm.counters
+		v.pcpu.chargePLE(v, &guestSegment{Kind: guest.SegRun, Spin: true, Duration: tc.spin})
+		cost := v.pcpu.cost().ExitPLE
+		var windows sim.Time
+		if tc.window > 0 {
+			windows = tc.spin / tc.window
+		}
+		for i := sim.Time(0); i < windows; i++ {
+			want.Exits[metrics.ExitPLE]++
+			want.HostOverhead += cost
+			want.ExitCost[metrics.ExitPLE].Observe(cost)
+		}
+		if *v.vm.counters != want {
+			t.Errorf("spin %v, window %v: closed form charged %d exits, %v overhead; the loop charges %d, %v",
+				tc.spin, tc.window, v.vm.counters.Exits[metrics.ExitPLE], v.vm.counters.HostOverhead,
+				want.Exits[metrics.ExitPLE], want.HostOverhead)
+		}
+	}
+}

@@ -218,18 +218,16 @@ func (p *PCPU) exec(entry bool) {
 }
 
 // chargePLE accounts pause-loop exits for a spin segment: one exit per
-// elapsed PLE window. (The spin still runs its full duration; PLE's yield
-// benefit matters only under overcommit, which is exactly the paper's
-// argument for disabling it otherwise.)
+// elapsed PLE window, charged at once in O(1) however short the window.
+// (The spin still runs its full duration; PLE's yield benefit matters only
+// under overcommit, which is exactly the paper's argument for disabling it
+// otherwise.)
 func (p *PCPU) chargePLE(v *VCPU, seg *guestSegment) {
 	w := p.host.cfg.PLEWindow
-	if w <= 0 {
+	if w <= 0 || seg.Duration < w {
 		return
 	}
-	perExit := p.cost().ExitPLE
-	for n := int64(seg.Duration / w); n > 0; n-- {
-		p.chargeExit(v, metrics.ExitPLE, perExit)
-	}
+	p.chargeExits(v, metrics.ExitPLE, p.cost().ExitPLE, uint64(seg.Duration/w))
 }
 
 // ipiCost prices a wakeup IPI, taxing cross-socket delivery.
@@ -263,14 +261,15 @@ func (p *PCPU) chargeRun(v *VCPU, seg *guestSegment, d sim.Time) {
 	}
 }
 
-// chargeExit accounts one VM exit: its count, its host cost in overhead and
+// chargeExits accounts n VM exits of one reason and per-exit cost, exactly
+// as n single charges would: their count, their host cost in overhead and
 // in the per-reason histogram, and a trace span. PLE exits are not traced:
 // they happen inside a spin segment that keeps running.
-func (p *PCPU) chargeExit(v *VCPU, reason metrics.ExitReason, cost sim.Time) {
+func (p *PCPU) chargeExits(v *VCPU, reason metrics.ExitReason, cost sim.Time, n uint64) {
 	cnt := v.vm.counters
-	cnt.AddExit(reason)
-	cnt.HostOverhead += cost
-	cnt.ExitCost[reason].Observe(cost)
+	cnt.Exits[reason] += n
+	cnt.HostOverhead += cost * sim.Time(n)
+	cnt.ExitCost[reason].ObserveN(cost, n)
 	if reason != metrics.ExitPLE {
 		p.traceSpan(trace.KindExit, v, reason.String(), cost)
 	}
@@ -279,7 +278,7 @@ func (p *PCPU) chargeExit(v *VCPU, reason metrics.ExitReason, cost sim.Time) {
 // takeExit charges v a VM exit of reason and occupies the pCPU for its
 // host cost in phase ph, whose completion applies the exit's effect.
 func (p *PCPU) takeExit(v *VCPU, reason metrics.ExitReason, cost sim.Time, ph phase) {
-	p.chargeExit(v, reason, cost)
+	p.chargeExits(v, reason, cost, 1)
 	p.await(ph, cost)
 }
 

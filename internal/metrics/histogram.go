@@ -46,13 +46,22 @@ func bucketOf(d sim.Time) int {
 // indicate a model bug upstream; the histogram never corrupts).
 //
 //paratick:noalloc
-func (h *Histogram) Observe(d sim.Time) {
+func (h *Histogram) Observe(d sim.Time) { h.ObserveN(d, 1) }
+
+// ObserveN records n observations of one duration in O(1); it leaves h
+// exactly as n calls of Observe(d) would.
+//
+//paratick:noalloc
+func (h *Histogram) ObserveN(d sim.Time, n uint64) {
+	if n == 0 {
+		return
+	}
 	if d < 0 {
 		d = 0
 	}
-	h.Buckets[bucketOf(d)]++
-	h.N++
-	h.Sum += d
+	h.Buckets[bucketOf(d)] += n
+	h.N += n
+	h.Sum += d * sim.Time(n)
 	if d > h.MaxSeen {
 		h.MaxSeen = d
 	}

@@ -60,6 +60,24 @@ func TestHistogramNegativeClampsToZero(t *testing.T) {
 	}
 }
 
+func TestHistogramObserveNMatchesObserve(t *testing.T) {
+	for _, tc := range []struct {
+		d sim.Time
+		n uint64
+	}{{1200, 1}, {1200, 3}, {-5, 4}, {0, 2}, {7 * sim.Millisecond, 1000}, {1200, 0}} {
+		var got, want Histogram
+		got.Observe(3 * sim.Microsecond) // a prior observation to add to
+		want.Observe(3 * sim.Microsecond)
+		got.ObserveN(tc.d, tc.n)
+		for i := uint64(0); i < tc.n; i++ {
+			want.Observe(tc.d)
+		}
+		if got != want {
+			t.Errorf("ObserveN(%v, %d) = %+v, want %+v", tc.d, tc.n, got, want)
+		}
+	}
+}
+
 func TestHistogramMerge(t *testing.T) {
 	var a, b Histogram
 	a.Observe(10)
