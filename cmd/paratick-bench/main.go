@@ -7,7 +7,7 @@
 //	                overcommit|ablation|shardfleet] [-scale 1.0] [-sched fifo|fair]
 //	               [-seed 1] [-device nvme|sata-ssd|hdd] [-out DIR]
 //	               [-workers N] [-shards N] [-quantum D] [-no-arena]
-//	               [-bench-json FILE] [-manifest FILE]
+//	               [-manifest FILE]
 //	               [-trace-out FILE.json] [-cpuprofile FILE] [-memprofile FILE]
 //	paratick-bench -perf-suite [-perf-out FILE.json] [-perf-baseline FILE.json]
 //	               [-perf-threshold 1.25]
@@ -20,8 +20,9 @@
 // output is byte-identical regardless of worker count. -no-arena disables
 // the host/VM arena pooling that recycles worlds across a worker's runs —
 // pooling is execution-only, so output is byte-identical either way (the CI
-// arena differential diffs both). -bench-json writes one timing record per
-// experiment (wall clock, events fired, events/sec).
+// arena differential diffs both). -manifest writes the run's flags, source
+// and Go versions, and totals, with one timing record per experiment (wall
+// clock, events fired, events/sec).
 //
 // Intra-run sharding:
 //
@@ -113,7 +114,6 @@ func run(args []string, w io.Writer) error {
 	quantum := fs.Duration("quantum", 0, "lane-mode barrier quantum (0 = serial legacy engine)")
 	schedPolicy := fs.String("sched", "fifo", "host vCPU scheduler for the experiments: fifo, fair (the overcommit sweep always compares both)")
 	out := fs.String("out", "", "directory for CSV output (optional)")
-	benchJSON := fs.String("bench-json", "", "file for per-experiment timing records as JSON (optional)")
 	manifestPath := fs.String("manifest", "", "file for the run-manifest JSON (optional)")
 	traceOut := fs.String("trace-out", "", "file for a Chrome trace-event JSON of the reference scenario (optional)")
 	cpuProfile := fs.String("cpuprofile", "", "file for a pprof CPU profile (optional)")
@@ -202,12 +202,6 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "wrote %s\n", *traceOut)
-	}
-	if *benchJSON != "" {
-		if err := b.writeJSON(*benchJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", *benchJSON)
 	}
 	if *manifestPath != "" {
 		if err := writeManifest(*manifestPath, opts, *device, wall, b.records); err != nil {
@@ -376,7 +370,7 @@ func gitDescribe() string {
 	return strings.TrimSpace(string(out))
 }
 
-// benchRecord is one experiment's timing entry for -bench-json.
+// benchRecord is one experiment's timing entry in the -manifest record.
 type benchRecord struct {
 	Name         string  `json:"name"`
 	WallNs       int64   `json:"wall_ns"`
@@ -416,14 +410,6 @@ func (b *bench) measure(name string, fn func(experiment.Options, string, io.Writ
 	fmt.Fprintf(b.w, "[%s] %v wall, %d runs, %d events, %.0f events/sec\n\n",
 		name, wall.Round(time.Millisecond), rec.Runs, rec.Events, rec.EventsPerSec)
 	return nil
-}
-
-func (b *bench) writeJSON(path string) error {
-	data, err := json.MarshalIndent(b.records, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func writeCSV(dir, name string, t *metrics.Table, w io.Writer) error {

@@ -64,13 +64,14 @@ func TestRunHostileFlags(t *testing.T) {
 	}
 }
 
-func TestRunManifestAndBenchJSON(t *testing.T) {
+// TestRunManifest checks the -manifest record: the run's flags, versions
+// and totals, and one timing record per experiment run.
+func TestRunManifest(t *testing.T) {
 	dir := t.TempDir()
 	mf := filepath.Join(dir, "manifest.json")
-	bj := filepath.Join(dir, "bench.json")
 	var b strings.Builder
 	err := run([]string{"-run", "table1", "-scale", "0.02", "-workers", "2",
-		"-manifest", mf, "-bench-json", bj}, &b)
+		"-manifest", mf}, &b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +92,12 @@ func TestRunManifestAndBenchJSON(t *testing.T) {
 	if m.GoVersion == "" {
 		t.Fatal("manifest missing go version")
 	}
-	if len(m.Experiments) != 1 || m.Experiments[0].Name != "table1" {
+	if len(m.Experiments) != 1 {
 		t.Fatalf("manifest experiments wrong: %+v", m.Experiments)
 	}
-	var recs []benchRecord
-	if bdata, err := os.ReadFile(bj); err != nil {
-		t.Fatal(err)
-	} else if err := json.Unmarshal(bdata, &recs); err != nil {
-		t.Fatalf("bench-json invalid: %v", err)
+	if r := m.Experiments[0]; r.Name != "table1" || r.WallNs <= 0 || r.Runs != m.Runs ||
+		r.Events != m.Events || r.EventsPerSec <= 0 || r.Workers != 2 {
+		t.Fatalf("manifest experiment record wrong: %+v (manifest %+v)", r, m)
 	}
 }
 

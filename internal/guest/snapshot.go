@@ -35,11 +35,10 @@ func (w *TimerWheel) snapClock(s *snap.Stream) {
 		if w.count != 0 {
 			s.Failf("guest: restore into a wheel holding %d timers", w.count)
 		}
-		w.nextOK = false
 	}
 	s.I64(&w.curJiff)
 	s.U64(&w.seq)
-	if w.curJiff < 0 {
+	if w.curJiff < 0 || w.curJiff >= w.maxJiff {
 		s.Failf("guest: snapshot wheel clock at jiffy %d", w.curJiff)
 	}
 }
@@ -47,7 +46,9 @@ func (w *TimerWheel) snapClock(s *snap.Stream) {
 // snapTimer moves a pending timer's deadline, and the fire jiffy and
 // Add-order seq assigned at the original Add. Decoding re-queues the timer
 // on w, bound to fire, with that placement identity; the wheel's clock must
-// already be restored, and pending timers always satisfy fireJiff > curJiff.
+// already be restored. Decoding refuses what Add never assigns: a fire
+// jiffy at or before the clock, before the deadline's jiffy or past the
+// "never" jiffy, and a seq the wheel has not handed out yet.
 func (w *TimerWheel) snapTimer(s *snap.Stream, t *SoftTimer, fire func(sim.Time)) {
 	if s.Decoding() {
 		*t = SoftTimer{}
@@ -58,13 +59,19 @@ func (w *TimerWheel) snapTimer(s *snap.Stream, t *SoftTimer, fire func(sim.Time)
 	if !s.Decoding() || s.Err() != nil {
 		return
 	}
-	if t.fireJiff <= w.curJiff {
+	switch {
+	case t.fireJiff <= w.curJiff:
 		s.Failf("guest: restored timer fires at jiffy %d, wheel already at %d", t.fireJiff, w.curJiff)
-		return
+	case t.fireJiff < w.deadlineJiffies(t.Deadline):
+		s.Failf("guest: restored timer fires at jiffy %d, before its deadline %v", t.fireJiff, t.Deadline)
+	case t.fireJiff > w.maxJiff:
+		s.Failf("guest: restored timer fires at jiffy %d, past the never jiffy %d", t.fireJiff, w.maxJiff)
+	case t.seq >= w.seq:
+		s.Failf("guest: restored timer has seq %d, wheel has handed out %d", t.seq, w.seq)
+	default:
+		t.Fire = fire
+		w.insert(t)
 	}
-	t.Fire = fire
-	w.insert(t)
-	w.nextOK = false
 }
 
 // --- segments ----------------------------------------------------------------

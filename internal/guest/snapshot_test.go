@@ -14,8 +14,7 @@ import (
 	"paratick/internal/snap"
 )
 
-// forEachPending visits every queued timer (buckets and overflow) in an
-// unspecified order.
+// forEachPending visits every queued timer in an unspecified order.
 func (w *TimerWheel) forEachPending(fn func(t *SoftTimer)) {
 	if w.buckets != nil {
 		for lvl := 0; lvl < wheelLevels; lvl++ {
@@ -26,16 +25,13 @@ func (w *TimerWheel) forEachPending(fn func(t *SoftTimer)) {
 			}
 		}
 	}
-	for t := w.overflow; t != nil; t = t.next {
-		fn(t)
-	}
 }
 
 // DigestState hashes the wheel's observable state: clock, counters,
-// occupancy bitmaps, and every pending timer in Add order. Cached
-// next-expiry values and retained bucket capacity are excluded — both are
-// derived or deliberately recycled state. A freshly constructed wheel and
-// a used-then-Reset wheel must digest identically.
+// occupancy bitmaps, and every pending timer in Add order. Retained bucket
+// and scratch capacity is excluded: it is deliberately recycled state. A
+// freshly constructed wheel and a used-then-Reset wheel must digest
+// identically.
 func (w *TimerWheel) DigestState() snap.Digest {
 	var enc snap.Encoder
 	enc.Section("wheel-digest")
@@ -59,8 +55,9 @@ func (w *TimerWheel) DigestState() snap.Digest {
 	return snap.HashBytes(enc.Bytes())
 }
 
-// exerciseWheel drives a wheel through every structural path: all six
-// levels, the overflow list, cancels, partial advances, and late adds.
+// exerciseWheel drives a wheel through every structural path: levels 0
+// to 3 and a Forever timer above them, cancels, cascades, partial advances,
+// and late adds.
 func exerciseWheel(w *TimerWheel, fired *int) []*SoftTimer {
 	noop := func(sim.Time) { *fired++ }
 	j := w.Jiffy()
@@ -70,7 +67,10 @@ func exerciseWheel(w *TimerWheel, fired *int) []*SoftTimer {
 		w.Add(t)
 		timers = append(timers, t)
 	}
-	// Cancel a few from different levels and the overflow list.
+	forever := &SoftTimer{Deadline: sim.Forever, Fire: noop}
+	w.Add(forever)
+	timers = append(timers, forever)
+	// Cancel a few from different levels.
 	w.Cancel(timers[2])
 	w.Cancel(timers[5])
 	w.Cancel(timers[10])
@@ -80,7 +80,6 @@ func exerciseWheel(w *TimerWheel, fired *int) []*SoftTimer {
 	late := &SoftTimer{Deadline: 2 * j, Fire: noop}
 	w.Add(late)
 	timers = append(timers, late)
-	w.NextExpiry() // populate the next-expiry cache
 	return timers
 }
 
@@ -482,6 +481,20 @@ func partiesOffset(t *testing.T, buf []byte, k *Kernel, n int) int {
 	return bytes.Index(buf, enc.Bytes()) + len(enc.Bytes())
 }
 
+// TestSnapshotRejectsWheelClockPastNever restores a wheel clock at the
+// never jiffy, which AdvanceTo never reaches: decoding must refuse it.
+func TestSnapshotRejectsWheelClockPastNever(t *testing.T) {
+	w := NewTimerWheel(sim.Millisecond)
+	w.curJiff = w.maxJiff
+	var enc snap.Encoder
+	w.snapClock(snap.NewWriter(&enc))
+	s := snap.NewReader(snap.NewDecoder(enc.Bytes()))
+	NewTimerWheel(sim.Millisecond).snapClock(s)
+	if err := s.Err(); err == nil || !strings.Contains(err.Error(), "wheel clock at jiffy") {
+		t.Fatalf("decode err = %v, want a refused wheel clock", err)
+	}
+}
+
 // TestSnapshotRejectsMisplacedTask corrupts task placements so that the
 // rebuilt lists or I/O waits contradict each other or the lock or barrier
 // records. Each case must fail to decode with an error naming the
@@ -509,11 +522,23 @@ func TestSnapshotRejectsMisplacedTask(t *testing.T) {
 		return e, k, newMiniExec(e, k.vcpus[0])
 	}
 	twoWaiting := func(k *Kernel) bool { return k.barriers[0].Waiting() == 2 }
-	var slot0, slot2, two, minusOne snap.Encoder
+	// One task sleeps 50 ms on a 4 ms jiffy: its timer, the wheel's only
+	// one, fires at jiffy 13 with seq 0. The sleeper record ends with the
+	// timer's deadline, fire jiffy and seq, just before the task's RNG.
+	slept := func(t *testing.T) (*sim.Engine, *Kernel, *miniExec) {
+		e, k := newTestKernel(t, core.DynticksIdle, 1)
+		k.Spawn("a", 0, Steps(Sleep(50*sim.Millisecond), Done()))
+		k.vcpus[0].Boot()
+		return e, k, newMiniExec(e, k.vcpus[0])
+	}
+	asleep := func(k *Kernel) bool { return k.tasks[0].sleepTimer.Pending() }
+	var slot0, slot2, two, minusOne, pastNever, seq1 snap.Encoder
 	slot0.I64(0)
 	slot2.I64(2)
 	two.I64(2)
 	minusOne.I64(-1)
+	pastNever.I64(int64(sim.Forever/DefaultConfig().TickPeriod()) + 1)
+	seq1.U64(1)
 	for _, tc := range []struct {
 		name, want string
 		build      func(*testing.T) (*sim.Engine, *Kernel, *miniExec)
@@ -554,6 +579,21 @@ func TestSnapshotRejectsMisplacedTask(t *testing.T) {
 		{"negative barrier parties", "barrier 0 has -1 parties", joined, twoWaiting,
 			func(b []byte, at offsets) []byte {
 				copy(b[at.parties(0):], minusOne.Bytes())
+				return b
+			}},
+		{"sleep timer fires before its deadline", "fires at jiffy 2, before its deadline 50.0002ms", slept, asleep,
+			func(b []byte, at offsets) []byte {
+				copy(b[at.rng(0)-16:], two.Bytes())
+				return b
+			}},
+		{"sleep timer fires past the never jiffy", "past the never jiffy", slept, asleep,
+			func(b []byte, at offsets) []byte {
+				copy(b[at.rng(0)-16:], pastNever.Bytes())
+				return b
+			}},
+		{"sleep timer seq not yet handed out", "has seq 1, wheel has handed out 1", slept, asleep,
+			func(b []byte, at offsets) []byte {
+				copy(b[at.rng(0)-8:], seq1.Bytes())
 				return b
 			}},
 	} {

@@ -14,13 +14,9 @@ import (
 )
 
 const (
-	wheelLevels     = 6
-	wheelSlots      = 64
-	wheelLevelShift = 3 // each level is 8× coarser
-
-	// overflowLevel marks a timer parked on the far-future overflow list
-	// (beyond the top level's horizon) rather than in a wheel bucket.
-	overflowLevel = -1
+	wheelDigit  = 6               // bits of the fire jiffy that one level indexes
+	wheelSlots  = 1 << wheelDigit // slots per level: one per digit value
+	wheelLevels = 11              // ⌈63 / wheelDigit⌉ digits: every non-negative int64 jiffy
 )
 
 // SoftTimer is one entry in the timer wheel: an application or kernel soft
@@ -35,24 +31,17 @@ type SoftTimer struct {
 
 	// fireJiff is the effective fire jiffy, fixed at Add time: the deadline
 	// rounded up to jiffy granularity, but never at or before the jiffy the
-	// wheel had already processed (a late add fires at the next boundary,
-	// not a full wheel lap later). All placement math runs on fireJiff, so
-	// every bucket's occupancy bit corresponds exactly to when its timers
-	// fire or cascade.
+	// wheel had already processed (a late add fires at the next boundary).
+	// Together with the wheel's clock it fixes the timer's bucket.
 	fireJiff int64
 	// seq is the Add order; timers expiring in the same jiffy fire in
 	// (Deadline, seq) order.
 	seq uint64
 
-	// next and prev link the timer into its bucket (or the overflow list)
-	// while queued; prev is nil at the list's head. Both are nil while the
-	// timer is detached.
+	// next and prev link the timer into its bucket while queued; prev is
+	// nil at the list's head. Both are nil while the timer is detached.
 	//snap:skip wheel placement, recomputed when the timer is re-added on load
 	next, prev *SoftTimer
-	// level and slot locate the timer's bucket; byte-sized, they keep a
-	// timer within one cache line.
-	//snap:skip wheel placement, recomputed when the timer is re-added on load
-	level, slot int8
 	//snap:skip wheel placement, recomputed when the timer is re-added on load
 	queued bool
 }
@@ -63,31 +52,31 @@ type SoftTimer struct {
 func (t *SoftTimer) Pending() bool { return t != nil && t.queued }
 
 // TimerWheel is a hierarchical timer wheel in the style of Linux's
-// kernel/time/timer.c: 64-slot levels, each level 8× coarser than the one
-// below, timers cascading downward as time advances. Granularity is one
-// jiffy; timers never fire early.
+// kernel/time/timer.c, with one jiffy of granularity: timers never fire
+// early. It reads a fire jiffy as eleven 6-bit digits and files a timer by
+// the highest digit in which its fire jiffy differs from the wheel's clock:
+// at that level, in the slot of its own digit there. This is the radix-heap
+// bucket rule (Ahuja et al. 1990) applied per digit, and it gives three
+// invariants:
 //
-// Each level carries a 64-bit occupancy bitmap — bit s set iff bucket s is
-// non-empty — maintained on every Add/Cancel/expire. The bitmaps make the
-// two hot queries cheap:
-//
-//   - NextExpiry locates the earliest occupied bucket per level with a
-//     rotate + TrailingZeros64 and scans only those (at most one bucket per
-//     level), instead of walking all 6×64 buckets.
-//   - AdvanceTo jumps directly from one occupied slot boundary (or cascade
-//     boundary, or overflow-migration point) to the next, so advancing an
-//     idle vCPU across millions of empty jiffies costs O(occupied buckets),
-//     not O(elapsed jiffies).
-//
-// Timers whose deadline lies beyond the top level's horizon are parked on a
-// separate overflow list and migrate into the wheel once the horizon
-// reaches them; this keeps the per-level invariant exact (every in-wheel
-// timer's fire jiffy falls inside its bucket's current-lap span).
+//   - Every pending timer has a bucket. A level-l timer shares every digit
+//     above l with the clock and has a larger digit l, so its slot lies
+//     ahead of the clock's in the current lap of level l: no far-future
+//     overflow list, and the earliest occupied slot of a level is the
+//     lowest bit of its 64-bit occupancy bitmap.
+//   - Every level-l timer fires before any level-(l+1) timer, so the
+//     earliest timer is in the lowest occupied level's lowest slot, which
+//     NextExpiry scans.
+//   - Moving the clock to that slot's first jiffy leaves every other timer
+//     where it is. AdvanceTo does only that: it jumps there, then re-files
+//     that bucket's timers against the new clock (each lands at a lower
+//     level) or, at level 0, fires them. An idle stretch of any length costs
+//     one step per occupied bucket on the way.
 //
 // As in Linux, where each bucket is an intrusive hlist_head, a bucket is
 // the head of a doubly linked list threaded through the timers themselves,
-// so Add and Cancel are O(1). The 6×64 heads live in one array that the
-// wheel allocates on its first bucketed insert, its only allocation after
+// so Add and Cancel are O(1). The 11×64 heads live in one array that the
+// wheel allocates on its first insert, its only allocation after
 // construction, and keeps across Reset: most vCPUs never hold a soft
 // timer, and their wheels hold no bucket storage at all.
 type TimerWheel struct {
@@ -96,30 +85,20 @@ type TimerWheel struct {
 	//snap:skip derived from jiffy at construction
 	maxJiff int64 // sim.Forever / jiffy: fire jiffies at or past this mean "never"
 	curJiff int64 // jiffies fully processed
-	//snap:skip derived population, rebuilt as timers are re-added on load
-	buckets *[wheelLevels][wheelSlots]*SoftTimer // list heads; nil until the first bucketed insert
-	//snap:skip derived population, rebuilt as timers are re-added on load
-	occ [wheelLevels]uint64 // bit s set iff buckets[level][s] is non-empty
-	// overflow heads the unordered list of timers beyond the top level's
-	// reach. It is empty in steady state.
-	//snap:skip derived population, rebuilt as timers are re-added on load
-	overflow *SoftTimer
-	// due is the level-0 drain's scratch: the expiring bucket, sorted for
-	// firing. It holds no timer between drains.
-	//snap:skip scratch capacity, never simulation state
-	//reset:keep scratch capacity; every drain clears what it collected
-	due []*SoftTimer
+	// count sits in the first cache line with the clock: an empty wheel,
+	// nearly every vCPU's, answers AdvanceTo and NextExpiry from that line.
 	//snap:skip derived population, rebuilt as timers are re-added on load
 	count int
 	seq   uint64
-
-	// nextJiff caches the earliest pending fire jiffy; nextOK marks it
-	// valid. Invalidated when the holder of the minimum is canceled or
-	// fires; recomputed from the bitmaps, never by a full scan.
-	//snap:skip cache, recomputed from the occupancy bitmaps
-	nextJiff int64
-	//snap:skip cache, recomputed from the occupancy bitmaps
-	nextOK bool
+	//snap:skip derived population, rebuilt as timers are re-added on load
+	buckets *[wheelLevels][wheelSlots]*SoftTimer // list heads; nil until the first insert
+	//snap:skip derived population, rebuilt as timers are re-added on load
+	occ [wheelLevels]uint64 // bit s set iff buckets[level][s] is non-empty
+	// due is the level-0 drain's scratch: the expiring bucket, sorted for
+	// firing. It holds no timer between drains, and Reset keeps its
+	// capacity.
+	//snap:skip scratch capacity, never simulation state
+	due []*SoftTimer
 }
 
 // NewTimerWheel creates a wheel with the given jiffy duration: an empty
@@ -139,64 +118,18 @@ func (w *TimerWheel) Reset(jiffy sim.Time) {
 	if jiffy <= 0 {
 		panic(fmt.Sprintf("guest: timer wheel jiffy must be positive, got %v", jiffy))
 	}
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		occ := w.occ[lvl]
-		for occ != 0 {
-			s := bits.TrailingZeros64(occ)
-			occ &^= 1 << uint(s)
-			detachAll(&w.buckets[lvl][s])
+	for lvl, occ := range w.occ {
+		for ; occ != 0; occ &= occ - 1 {
+			head := &w.buckets[lvl][bits.TrailingZeros64(occ)]
+			for t := *head; t != nil; {
+				next := t.next
+				t.next, t.prev, t.queued = nil, nil, false
+				t = next
+			}
+			*head = nil
 		}
-		w.occ[lvl] = 0
 	}
-	detachAll(&w.overflow)
-	w.jiffy = jiffy
-	w.maxJiff = int64(sim.Forever / jiffy)
-	w.curJiff = 0
-	w.count = 0
-	w.seq = 0
-	w.nextJiff = 0
-	w.nextOK = false
-}
-
-// detachAll empties the list at *head, leaving every timer it held
-// detached with nil links.
-//
-//paratick:noalloc
-func detachAll(head **SoftTimer) {
-	for t := *head; t != nil; {
-		next := t.next
-		t.next, t.prev = nil, nil
-		t.queued = false
-		t = next
-	}
-	*head = nil
-}
-
-// push links t in at the head of the list at *head.
-//
-//paratick:noalloc
-func push(head **SoftTimer, t *SoftTimer) {
-	t.prev = nil
-	t.next = *head
-	if t.next != nil {
-		t.next.prev = t
-	}
-	*head = t
-}
-
-// unlink removes t from the list at *head and clears its links.
-//
-//paratick:noalloc
-func unlink(head **SoftTimer, t *SoftTimer) {
-	if t.prev != nil {
-		t.prev.next = t.next
-	} else {
-		*head = t.next
-	}
-	if t.next != nil {
-		t.next.prev = t.prev
-	}
-	t.next, t.prev = nil, nil
+	*w = TimerWheel{jiffy: jiffy, maxJiff: int64(sim.Forever / jiffy), buckets: w.buckets, due: w.due}
 }
 
 // Jiffy returns the wheel granularity.
@@ -204,20 +137,6 @@ func (w *TimerWheel) Jiffy() sim.Time { return w.jiffy }
 
 // Len returns the number of pending timers.
 func (w *TimerWheel) Len() int { return w.count }
-
-// levelSpan returns the number of jiffies one slot covers at a level.
-//
-//paratick:noalloc
-func levelSpan(level int) int64 {
-	return 1 << (uint(level) * wheelLevelShift)
-}
-
-// levelReach returns how many jiffies ahead a level can represent.
-//
-//paratick:noalloc
-func levelReach(level int) int64 {
-	return wheelSlots * levelSpan(level)
-}
 
 // deadlineJiffies rounds a deadline up to jiffies. Deadlines at or near
 // sim.Forever — where the round-up `deadline + jiffy - 1` would overflow and
@@ -242,49 +161,51 @@ func (w *TimerWheel) Add(t *SoftTimer) {
 	if t.Pending() {
 		panic("guest: Add of already-pending timer")
 	}
-	fj := w.deadlineJiffies(t.Deadline)
-	if fj <= w.curJiff {
-		// Late add: the deadline's jiffy is already processed. Fire at the
-		// next boundary — never in a processed slot, which would delay the
-		// timer a full wheel lap.
-		fj = w.curJiff + 1
-	}
-	t.fireJiff = fj
+	// A late add, whose deadline's jiffy is already processed, fires at the
+	// next boundary.
+	t.fireJiff = max(w.deadlineJiffies(t.Deadline), w.curJiff+1)
 	t.seq = w.seq
 	w.seq++
 	w.insert(t)
-	if w.nextOK && fj < w.nextJiff {
-		w.nextJiff = fj
-	}
 }
 
-// insert places a timer by its (already fixed) fire jiffy: into the finest
-// level whose reach covers it, or onto the overflow list beyond the top
-// level's horizon. Used by Add, cascades, and overflow migration.
+// insert queues a timer whose fire jiffy is already fixed: for Add, and
+// for a restored timer.
 //
 //paratick:noalloc
 func (w *TimerWheel) insert(t *SoftTimer) {
-	t.queued = true
-	w.count++
-	// The finest level whose reach, 2^(6+3·lvl) jiffies, exceeds delta:
-	// the one holding delta's top bit, found without a loop.
-	lvl := 0
-	if delta := t.fireJiff - w.curJiff; delta >= wheelSlots {
-		lvl = (bits.Len64(uint64(delta)) - 4) / wheelLevelShift
-	}
-	if lvl >= wheelLevels {
-		t.level = overflowLevel
-		push(&w.overflow, t)
-		return
-	}
 	if w.buckets == nil {
-		//lint:ignore A001 the bucket array, allocated once per wheel on its first bucketed insert and kept across Reset
+		//lint:ignore A001 the bucket array, allocated once per wheel on its first insert and kept across Reset
 		w.buckets = new([wheelLevels][wheelSlots]*SoftTimer)
 	}
-	slot := int(uint64(t.fireJiff>>(uint(lvl)*wheelLevelShift)) % wheelSlots)
-	t.level, t.slot = int8(lvl), int8(slot)
-	push(&w.buckets[lvl][slot], t)
-	w.occ[lvl] |= 1 << uint(slot)
+	t.queued = true
+	w.count++
+	w.file(t)
+}
+
+// bucket returns the level and slot that a fire jiffy selects against the
+// clock: the highest digit in which they differ (level 0 when none does),
+// and the fire jiffy's digit there.
+//
+//paratick:noalloc
+func (w *TimerWheel) bucket(fj int64) (int, int) {
+	lvl := uint(bits.Len64(uint64(fj^w.curJiff)|1)-1) / wheelDigit
+	return int(lvl), int(uint64(fj) >> (lvl * wheelDigit) % wheelSlots)
+}
+
+// file links a queued timer at the head of the bucket its fire jiffy
+// selects against the clock.
+//
+//paratick:noalloc
+func (w *TimerWheel) file(t *SoftTimer) {
+	lvl, slot := w.bucket(t.fireJiff)
+	head := &w.buckets[lvl][slot]
+	t.prev, t.next = nil, *head
+	if t.next != nil {
+		t.next.prev = t
+	}
+	*head = t
+	w.occ[lvl] |= 1 << slot
 }
 
 // Cancel removes a pending timer; a no-op for detached timers. Returns
@@ -295,21 +216,32 @@ func (w *TimerWheel) Cancel(t *SoftTimer) bool {
 	if !t.Pending() {
 		return false
 	}
-	if t.level == overflowLevel {
-		unlink(&w.overflow, t)
+	if t.prev != nil {
+		t.prev.next = t.next
 	} else {
-		head := &w.buckets[t.level][t.slot]
-		unlink(head, t)
-		if *head == nil {
-			w.occ[t.level] &^= 1 << uint(t.slot)
+		lvl, slot := w.bucket(t.fireJiff)
+		if w.buckets[lvl][slot] = t.next; t.next == nil {
+			w.occ[lvl] &^= 1 << slot
 		}
 	}
-	t.queued = false
-	w.count--
-	if w.nextOK && t.fireJiff == w.nextJiff {
-		w.nextOK = false
+	if t.next != nil {
+		t.next.prev = t.prev
 	}
+	t.next, t.prev, t.queued = nil, nil, false
+	w.count--
 	return true
+}
+
+// first returns the lowest occupied level and its lowest occupied slot: the
+// bucket holding the earliest timer. The wheel must not be empty.
+//
+//paratick:noalloc
+func (w *TimerWheel) first() (int, int) {
+	lvl := 0
+	for w.occ[lvl] == 0 {
+		lvl++
+	}
+	return lvl, bits.TrailingZeros64(w.occ[lvl])
 }
 
 // NextExpiry returns the earliest pending *fire time* — the deadline
@@ -324,99 +256,21 @@ func (w *TimerWheel) NextExpiry() sim.Time {
 	if w.count == 0 {
 		return sim.Forever
 	}
-	if !w.nextOK {
-		w.nextJiff = w.earliestFireJiff()
-		w.nextOK = true
+	lvl, slot := w.first()
+	fj := w.maxJiff
+	for t := w.buckets[lvl][slot]; t != nil; t = t.next {
+		fj = min(fj, t.fireJiff)
 	}
-	return w.fireTimeOf(w.nextJiff)
-}
-
-// fireTimeOf converts a fire jiffy to simulated time; jiffies at or past
-// maxJiff mean "never".
-//
-//paratick:noalloc
-func (w *TimerWheel) fireTimeOf(fj int64) sim.Time {
 	if fj >= w.maxJiff {
 		return sim.Forever
 	}
 	return sim.Time(fj) * w.jiffy
 }
 
-// earliestFireJiff finds the minimum pending fire jiffy from the occupancy
-// bitmaps: per level it inspects only the earliest occupied bucket (whose
-// span is provably the earliest at that level), pruned against the best
-// candidate so far, plus the overflow list.
-//
-//paratick:noalloc
-func (w *TimerWheel) earliestFireJiff() int64 {
-	best := w.maxJiff
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		occ := w.occ[lvl]
-		if occ == 0 {
-			continue
-		}
-		span := levelSpan(lvl)
-		k := nextOccupied(occ, w.curJiff/span+1)
-		if k*span >= best {
-			continue // the whole bucket starts at or after the best so far
-		}
-		for t := w.buckets[lvl][int(k%wheelSlots)]; t != nil; t = t.next {
-			if t.fireJiff < best {
-				best = t.fireJiff
-			}
-		}
-	}
-	for t := w.overflow; t != nil; t = t.next {
-		if t.fireJiff < best {
-			best = t.fireJiff
-		}
-	}
-	return best
-}
-
-// nextOccupied returns the smallest position k ≥ from whose slot (k mod 64)
-// has its bit set in occ. occ must be non-zero; the result is < from+64.
-// Rotating occ right by (from mod 64) aligns slot (from+i) mod 64 with bit
-// i, so TrailingZeros64 yields the offset directly.
-//
-//paratick:noalloc
-func nextOccupied(occ uint64, from int64) int64 {
-	rot := bits.RotateLeft64(occ, -int(uint64(from)%wheelSlots))
-	return from + int64(bits.TrailingZeros64(rot))
-}
-
-// nextEventJiffy returns the first jiffy after curJiff at which the wheel
-// has any work: an occupied level-0 slot expiring, an occupied higher-level
-// bucket cascading at its slot boundary, or an overflow timer entering the
-// top level's horizon. Returns maxJiff when nothing is pending.
-//
-//paratick:noalloc
-func (w *TimerWheel) nextEventJiffy() int64 {
-	next := w.maxJiff
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		if w.occ[lvl] == 0 {
-			continue
-		}
-		span := levelSpan(lvl)
-		k := nextOccupied(w.occ[lvl], w.curJiff/span+1)
-		if ev := k * span; ev < next {
-			next = ev
-		}
-	}
-	reach := levelReach(wheelLevels - 1)
-	for t := w.overflow; t != nil; t = t.next {
-		if ev := t.fireJiff - reach + 1; ev < next {
-			next = ev
-		}
-	}
-	return next
-}
-
 // AdvanceTo processes all jiffies up to now, firing expired timers in
 // (Deadline, Add-order) order within each jiffy. It returns the number
-// fired. Empty stretches are skipped wholesale: the clock jumps from one
-// occupied boundary to the next, so a long idle gap costs only the few
-// buckets actually holding timers.
+// fired. The clock jumps from one occupied bucket to the next, so a long
+// idle gap costs only the few buckets actually holding timers.
 //
 //paratick:noalloc
 func (w *TimerWheel) AdvanceTo(now sim.Time) int {
@@ -427,96 +281,68 @@ func (w *TimerWheel) AdvanceTo(now sim.Time) int {
 		return 0
 	}
 	fired := 0
-	for w.curJiff < target {
-		if w.count == 0 {
-			break
-		}
-		next := w.nextEventJiffy()
+	for w.count != 0 {
+		// The earliest bucket's first jiffy: the clock's digits above the
+		// bucket's level, its slot, then zeros.
+		lvl, slot := w.first()
+		shift := lvl * wheelDigit
+		next := w.curJiff&^(1<<(shift+wheelDigit)-1) | int64(slot)<<shift
 		if next > target {
 			break
 		}
 		w.curJiff = next
-		fired += w.processJiffy(now)
-	}
-	if w.curJiff < target {
-		w.curJiff = target
-	}
-	if fired > 0 {
-		w.nextOK = false
-	}
-	return fired
-}
-
-// processJiffy runs the wheel work due at curJiff: overflow migration,
-// cascades of higher levels whose slot boundary was crossed, then the
-// level-0 bucket drain.
-//
-//paratick:noalloc
-func (w *TimerWheel) processJiffy(now sim.Time) int {
-	// Far-future timers whose fire jiffy is now within the top level's
-	// horizon migrate into the wheel proper.
-	reach := levelReach(wheelLevels - 1)
-	for t := w.overflow; t != nil; {
-		next := t.next
-		if t.fireJiff-w.curJiff < reach {
-			unlink(&w.overflow, t)
-			w.count--
-			w.insert(t)
-		}
-		t = next
-	}
-	// Cascade higher levels whose slot boundary we crossed. Re-placements
-	// always land at a finer level (their remaining delta is below this
-	// level's slot span), so the bucket being drained is never linked to.
-	for lvl := 1; lvl < wheelLevels; lvl++ {
-		if w.curJiff%levelSpan(lvl) != 0 {
-			break
-		}
-		slot := int((w.curJiff / levelSpan(lvl)) % wheelSlots)
-		if w.occ[lvl]&(1<<uint(slot)) == 0 {
-			continue
-		}
 		t := w.buckets[lvl][slot]
 		w.buckets[lvl][slot] = nil
-		w.occ[lvl] &^= 1 << uint(slot)
+		w.occ[lvl] &^= 1 << slot
+		if lvl == 0 {
+			fired += w.drain(t, now)
+			continue
+		}
+		// Cascade: each timer now differs from the clock only below lvl.
+		// One that fires at the clock itself files at level 0 in the clock's
+		// slot, which the next pass drains.
 		for t != nil {
 			next := t.next
-			w.count--
-			w.insert(t) // relinks t, overwriting both links
+			w.file(t)
 			t = next
 		}
 	}
-	// Drain the level-0 bucket into the scratch slice. Every timer is
-	// detached before any Fire callback runs, so a handler canceling a
-	// sibling expiring in the same jiffy sees a clean no-op instead of a
-	// stale link. The scratch is taken off the wheel for the drain, so a
-	// callback that drains this wheel again cannot overwrite it.
-	slot := int(w.curJiff % wheelSlots)
-	if w.occ[0]&(1<<uint(slot)) == 0 {
-		return 0
-	}
-	t := w.buckets[0][slot]
-	w.buckets[0][slot] = nil
-	w.occ[0] &^= 1 << uint(slot)
+	w.curJiff = max(w.curJiff, target)
+	return fired
+}
+
+// drain fires the detached level-0 bucket list t, whose timers all fire at
+// the clock's jiffy, and returns how many fired. Every timer is detached
+// before any Fire callback runs, so a handler canceling a sibling expiring
+// in the same jiffy sees a clean no-op instead of a stale link. The scratch
+// is taken off the wheel for the drain, so a callback that drains this
+// wheel again cannot overwrite it.
+//
+//paratick:noalloc
+func (w *TimerWheel) drain(t *SoftTimer, now sim.Time) int {
+	jiff := w.curJiff
 	due := w.due[:0]
 	w.due = nil
 	for t != nil {
 		next := t.next
-		t.next, t.prev = nil, nil
-		t.queued = false
+		t.next, t.prev, t.queued = nil, nil, false
 		w.count--
 		due = append(due, t)
 		t = next
 	}
-	// The list holds the bucket newest first; reversed, it is in Add order,
-	// the common case that sortByDeadline passes through in one scan.
-	for i, j := 0, len(due)-1; i < j; i, j = i+1, j-1 {
-		due[i], due[j] = due[j], due[i]
+	// Add files a bucket newest first, and each cascade reverses it. A
+	// bucket whose head fires after its tail is reversed, so that the
+	// common case, timers in (Deadline, Add order), reaches sortByDeadline
+	// in order and passes in one scan instead of in O(n²) moves.
+	if n := len(due); n > 1 && firesAfter(due[0], due[n-1]) {
+		for i, j := 0, n-1; i < j; i, j = i+1, j-1 {
+			due[i], due[j] = due[j], due[i]
+		}
 	}
 	sortByDeadline(due)
 	fired := 0
 	for _, t := range due {
-		if t.fireJiff != w.curJiff {
+		if t.fireJiff != jiff {
 			// An earlier callback of this drain re-added it, which moved
 			// its fire jiffy past this one: it now waits for that (or, if
 			// the callback canceled it again, for nothing).
@@ -540,11 +366,18 @@ func sortByDeadline(b []*SoftTimer) {
 	for i := 1; i < len(b); i++ {
 		t := b[i]
 		j := i - 1
-		for j >= 0 && (b[j].Deadline > t.Deadline ||
-			(b[j].Deadline == t.Deadline && b[j].seq > t.seq)) {
+		for j >= 0 && firesAfter(b[j], t) {
 			b[j+1] = b[j]
 			j--
 		}
 		b[j+1] = t
 	}
+}
+
+// firesAfter reports whether a fires after b within one jiffy: by
+// Deadline, then Add order.
+//
+//paratick:noalloc
+func firesAfter(a, b *SoftTimer) bool {
+	return a.Deadline > b.Deadline || a.Deadline == b.Deadline && a.seq > b.seq
 }

@@ -73,13 +73,12 @@ func BenchmarkWheelAdvanceSparseIdle(b *testing.B) {
 
 // BenchmarkWheelAdvanceDense measures jiffy processing with 10⁴ timers
 // spread across mixed levels, each re-queueing on fire so occupancy stays
-// constant. Most single-jiffy advances fire something, which is the case
-// that used to trigger a full recomputeNext scan of every bucket.
+// constant. Most single-jiffy advances fire something or cascade a bucket.
 func BenchmarkWheelAdvanceDense(b *testing.B) {
 	const n = 10_000
 	w := NewTimerWheel(sim.Millisecond)
 	rng := sim.NewRand(1)
-	// Deadlines up to 20s → levels 0 through 3 at a 1ms jiffy, ~0.5
+	// Deadlines up to 20s → levels 0 through 2 at a 1ms jiffy, ~0.5
 	// expirations per jiffy.
 	span := func() sim.Time { return rng.Between(sim.Millisecond, 20*sim.Second) }
 	for i := 0; i < n; i++ {
@@ -122,17 +121,16 @@ func BenchmarkWheelNextExpiry(b *testing.B) {
 // BenchmarkWheelNextExpiryDense measures the idle-entry evaluation against
 // a dense wheel (10⁴ timers, mixed levels) with the realistic churn around
 // it: every idle entry arms a short wakeup timer that the subsequent idle
-// exit cancels, so each NextExpiry follows a mutation that invalidated the
-// cached minimum. The old wheel re-validated its cache by scanning all
-// 6×64 buckets and every queued timer; the bitmaps answer from the
-// earliest occupied bucket per level.
+// exit cancels, so each NextExpiry follows a change of the earliest timer.
+// The bitmaps answer from one bucket: the lowest occupied level's lowest
+// occupied slot.
 func BenchmarkWheelNextExpiryDense(b *testing.B) {
 	const n = 10_000
 	w := NewTimerWheel(sim.Millisecond)
 	rng := sim.NewRand(1)
 	for i := 0; i < n; i++ {
 		w.Add(&SoftTimer{
-			// 1s..2000s: occupancy across levels 1 through 5.
+			// 1s..2000s: occupancy across levels 1 through 3.
 			Deadline: rng.Between(sim.Second, 2000*sim.Second),
 			Fire:     func(sim.Time) {},
 		})
@@ -143,7 +141,7 @@ func BenchmarkWheelNextExpiryDense(b *testing.B) {
 	var sink sim.Time
 	for i := 0; i < b.N; i++ {
 		// The wakeup is the earliest pending timer, so canceling it always
-		// invalidates the cached minimum.
+		// moves the minimum to another bucket.
 		wakeup.Deadline = sim.Time(i%1000+1) * sim.Millisecond
 		w.Add(wakeup)
 		sink = w.NextExpiry()
@@ -154,8 +152,8 @@ func BenchmarkWheelNextExpiryDense(b *testing.B) {
 }
 
 // TestWheelSteadyStateAllocs asserts the hot wheel operations — Add,
-// Cancel, and NextExpiry, including the recompute after a cache-
-// invalidating cancel — allocate nothing on a fresh wheel once it holds
+// Cancel, and NextExpiry, including the scan after the earliest timer is
+// canceled — allocate nothing on a fresh wheel once it holds
 // timers: the bucket lists are threaded through the timers, so no Add
 // grows a bucket.
 func TestWheelSteadyStateAllocs(t *testing.T) {
@@ -174,7 +172,7 @@ func TestWheelSteadyStateAllocs(t *testing.T) {
 		w.Add(tm)
 		_ = w.NextExpiry()
 		w.Cancel(tm)
-		_ = w.NextExpiry() // recompute path: the canceled timer was the minimum
+		_ = w.NextExpiry() // the canceled timer was the minimum
 		i++
 	})
 	if allocs != 0 {
@@ -215,7 +213,7 @@ func TestNewTimerWheelAllocatesOnlyItsShell(t *testing.T) {
 
 // TestWheelSize bounds a wheel's inline size. The bucket heads live behind
 // one pointer, so a wheel that never holds a timer costs a few words, not
-// 6×64 inline bucket headers.
+// 11×64 inline bucket headers.
 func TestWheelSize(t *testing.T) {
 	if n := unsafe.Sizeof(TimerWheel{}); n > 160 {
 		t.Fatalf("TimerWheel is %d bytes, want at most 160", n)

@@ -75,12 +75,13 @@ func FuzzTimerWheel(f *testing.F) {
 	})
 }
 
-// FuzzTimerWheelDifferential drives the bitmap wheel and the naive
-// sorted-list reference model (wheel_ref_test.go) from the same fuzzed op
-// script — adds at every deadline scale including beyond the top-level
-// horizon and at/near sim.Forever, cancels, and advances from sub-jiffy
-// steps to sparse-idle fast-forwards — and fails on any divergence in fire
-// times, fire order, pending counts, or NextExpiry.
+// FuzzTimerWheelDifferential drives the wheel and the naive sorted-list
+// reference model (wheel_ref_test.go) from the same fuzzed op script — adds
+// at every deadline scale up to millions of jiffies out and at/near
+// sim.Forever, cancels, and advances from sub-jiffy steps to sparse-idle
+// fast-forwards — and fails on any divergence in fire times, fire order,
+// pending counts, or NextExpiry. Each script runs at a 1 ms jiffy and at a
+// 1 ns jiffy, whose near-Forever timers sit at the wheel's top levels.
 func FuzzTimerWheelDifferential(f *testing.F) {
 	f.Add([]byte{0x00, 0x10, 0x05, 0x20})
 	f.Add([]byte{2, 255, 2, 128, 7, 255, 7, 255})                   // beyond-horizon + huge advances
@@ -88,5 +89,8 @@ func FuzzTimerWheelDifferential(f *testing.F) {
 	f.Add([]byte{1, 9, 1, 9, 0, 3, 0, 3, 6, 40})                    // same-jiffy deadline ordering
 	f.Add([]byte{0, 10, 4, 0, 0, 20, 4, 1, 5, 90, 6, 10})           // cancel churn
 	f.Add([]byte{1, 64, 1, 65, 1, 127, 6, 31, 6, 31, 6, 31, 6, 31}) // cascade boundaries
-	f.Fuzz(runDifferentialScript)
+	f.Fuzz(func(t *testing.T, script []byte) {
+		runDifferentialScript(t, sim.Millisecond, script)
+		runDifferentialScript(t, sim.Nanosecond, script)
+	})
 }

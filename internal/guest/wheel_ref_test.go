@@ -9,7 +9,7 @@ import (
 
 // This file holds the differential harness: a naive sorted-list reference
 // model of the timer wheel's contract, and a byte-script interpreter that
-// drives the real bitmap wheel and the model side by side, comparing fire
+// drives the real wheel and the model side by side, comparing fire
 // sequences, counts, and NextExpiry after every operation. The fuzz target
 // FuzzTimerWheelDifferential and the deterministic TestWheelDifferential*
 // tests both run scripts through it.
@@ -124,11 +124,12 @@ type diffTimer struct {
 // runDifferentialScript interprets a byte script as wheel operations and
 // checks the real wheel against the reference model after every step.
 // Opcodes (byte % 8): 0,1,2 add at increasing deadline scales (the largest
-// crosses the top level's horizon), 3 add an edge-case deadline (past, now,
+// up to 2^24 jiffies out), 3 add an edge-case deadline (past, now,
 // near-Forever, Forever), 4 cancel a random timer, 5,6,7 advance at
-// increasing step scales. The operand is the following byte.
-func runDifferentialScript(t *testing.T, script []byte) {
-	const jiffy = sim.Millisecond
+// increasing step scales. The operand is the following byte. Deadlines and
+// steps scale with the jiffy, except the near-Forever edge cases, which a
+// 1 ns jiffy files at the wheel's top levels.
+func runDifferentialScript(t *testing.T, jiffy sim.Time, script []byte) {
 	w := NewTimerWheel(jiffy)
 	ref := newRefWheel(jiffy)
 	var (
@@ -155,7 +156,7 @@ func runDifferentialScript(t *testing.T, script []byte) {
 			addTimer(now + sim.Time(arg+1)*jiffy)
 		case 1: // medium add: spans middle levels, off jiffy boundaries
 			addTimer(now + sim.Time(arg*797+13)*jiffy + sim.Time(arg%7)*jiffy/5)
-		case 2: // huge add: around and beyond the top level's horizon
+		case 2: // huge add: up to 2^24 jiffies out, levels 2 to 4
 			addTimer(now + sim.Time(arg*65536+1)*jiffy)
 		case 3: // edge-case deadlines
 			switch arg % 4 {
@@ -208,9 +209,10 @@ func runDifferentialScript(t *testing.T, script []byte) {
 			t.Fatalf("op %d: NextExpiry %v, reference %v (now %v)", i, got, want, now)
 		}
 	}
-	// Drain within the horizon and verify the survivors agree one final time.
+	// Drain 2^21 + 1000 jiffies further and verify the survivors agree one
+	// final time.
 	fired = fired[:0]
-	now += sim.Time(levelReach(wheelLevels-1)+1000) * jiffy
+	now += sim.Time(1<<21+1000) * jiffy
 	n := w.AdvanceTo(now)
 	want := ref.advance(now)
 	if n != len(want) || len(fired) != len(want) {
@@ -226,6 +228,12 @@ func runDifferentialScript(t *testing.T, script []byte) {
 	}
 }
 
+// differentialJiffies are the jiffies the differential harness runs every
+// script at: the 1 ns jiffy of a 1 GHz tick, whose near-Forever fire jiffies
+// reach the top level; a prime jiffy, which divides neither sim.Forever nor
+// any decimal step; and the 1 ms jiffy of a 1000 Hz tick.
+var differentialJiffies = []sim.Time{sim.Nanosecond, 999_983, sim.Millisecond}
+
 // TestWheelDifferentialRandomOps drives the differential harness from
 // seeded random scripts so the reference-model comparison runs on every
 // plain `go test`, not only under fuzzing.
@@ -236,7 +244,9 @@ func TestWheelDifferentialRandomOps(t *testing.T) {
 		for i := range script {
 			script[i] = byte(rng.Uint64())
 		}
-		runDifferentialScript(t, script)
+		for _, jiffy := range differentialJiffies {
+			runDifferentialScript(t, jiffy, script)
+		}
 	}
 }
 
@@ -254,6 +264,10 @@ func TestWheelDifferentialTargeted(t *testing.T) {
 	}
 	for name, script := range scripts {
 		script := script
-		t.Run(name, func(t *testing.T) { runDifferentialScript(t, script) })
+		t.Run(name, func(t *testing.T) {
+			for _, jiffy := range differentialJiffies {
+				runDifferentialScript(t, jiffy, script)
+			}
+		})
 	}
 }

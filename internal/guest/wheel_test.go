@@ -107,8 +107,8 @@ func TestWheelCancel(t *testing.T) {
 	if w.Len() != 0 {
 		t.Fatal("count wrong after cancel")
 	}
-	// NextExpiry after canceling the cached minimum must not return the
-	// stale deadline.
+	// NextExpiry after canceling the minimum must not return its
+	// deadline.
 	w2 := NewTimerWheel(testJiffy)
 	a := &SoftTimer{Deadline: 8 * sim.Millisecond, Fire: func(sim.Time) {}}
 	b := &SoftTimer{Deadline: 80 * sim.Millisecond, Fire: func(sim.Time) {}}
@@ -116,7 +116,7 @@ func TestWheelCancel(t *testing.T) {
 	w2.Add(b)
 	w2.Cancel(a)
 	if got := w2.NextExpiry(); got != 80*sim.Millisecond {
-		t.Fatalf("stale cache: NextExpiry = %v, want 80ms", got)
+		t.Fatalf("NextExpiry after canceling the minimum = %v, want 80ms", got)
 	}
 }
 
@@ -192,10 +192,10 @@ func TestWheelLongDeadlineCascades(t *testing.T) {
 }
 
 func TestWheelVeryLongDeadlineBeyondHorizon(t *testing.T) {
-	// Deadlines beyond the top level's reach are clamped and still fire
-	// (eventually, never early).
+	// A deadline past 2^21 jiffies, the reach of a six-level 8×-coarsening
+	// wheel, still fires on time: never early, and by the advance past it.
 	w := NewTimerWheel(sim.Millisecond)
-	deadline := sim.Time(levelReach(wheelLevels-1)+1000) * sim.Millisecond
+	deadline := sim.Time(1<<21+1000) * sim.Millisecond
 	fired := false
 	w.Add(&SoftTimer{Deadline: deadline, Fire: func(sim.Time) { fired = true }})
 	// Advance in coarse steps to keep the test fast.
@@ -497,13 +497,14 @@ func TestWheelFireCanAddTimers(t *testing.T) {
 	}
 }
 
-// TestWheelResetDetachesEveryTimer fills every level, several timers to a
-// bucket, and the overflow list, then resets the wheel. Every timer must
-// come out detached with nil links, the wheel empty, and each timer must
-// then queue and fire again exactly once, in deadline order.
+// TestWheelResetDetachesEveryTimer fills every level, three timers to a
+// bucket, then resets the wheel. A 1 ns jiffy lets fire jiffies reach the
+// top level. Every timer must come out detached with nil links, the wheel
+// empty, and each timer must then queue and fire again exactly once, in
+// deadline order.
 func TestWheelResetDetachesEveryTimer(t *testing.T) {
-	w := NewTimerWheel(sim.Millisecond)
-	w.AdvanceTo(5 * sim.Millisecond)
+	w := NewTimerWheel(sim.Nanosecond)
+	w.AdvanceTo(5)
 	var fired []int
 	var timers []*SoftTimer
 	add := func(deadline sim.Time) {
@@ -513,30 +514,26 @@ func TestWheelResetDetachesEveryTimer(t *testing.T) {
 		w.Add(tm)
 	}
 	for lvl := 0; lvl < wheelLevels; lvl++ {
-		// Three timers in one bucket at the middle of this level's reach.
-		jiffies := levelReach(lvl) / 2
+		// Digit lvl is 7, above the clock's, and the digits below it 0: one
+		// bucket per level, up to 7·2^60 at the top.
 		for k := 0; k < 3; k++ {
-			add(5*sim.Millisecond + sim.Time(jiffies)*sim.Millisecond + sim.Time(k))
+			add(sim.Time(7) << (lvl * wheelDigit))
 		}
 	}
-	add(sim.Time(3*levelReach(wheelLevels-1)) * sim.Millisecond)
 	add(sim.Forever)
 	for lvl := 0; lvl < wheelLevels; lvl++ {
 		if w.occ[lvl] == 0 {
 			t.Fatalf("level %d holds no timer before the reset", lvl)
 		}
 	}
-	if w.overflow == nil {
-		t.Fatal("the overflow list is empty before the reset")
-	}
-	w.Reset(sim.Millisecond)
+	w.Reset(sim.Nanosecond)
 	for i, tm := range timers {
 		if tm.Pending() || tm.next != nil || tm.prev != nil {
 			t.Fatalf("timer %d after Reset: pending %v, next %p, prev %p", i, tm.Pending(), tm.next, tm.prev)
 		}
 	}
-	if w.Len() != 0 || w.occ != [wheelLevels]uint64{} || w.overflow != nil || w.NextExpiry() != sim.Forever {
-		t.Fatalf("wheel not empty after Reset: len %d, occ %v, overflow %p", w.Len(), w.occ, w.overflow)
+	if w.Len() != 0 || w.occ != [wheelLevels]uint64{} || w.NextExpiry() != sim.Forever {
+		t.Fatalf("wheel not empty after Reset: len %d, occ %v", w.Len(), w.occ)
 	}
 	if w.buckets == nil || *w.buckets != [wheelLevels][wheelSlots]*SoftTimer{} {
 		t.Fatal("Reset dropped the bucket array or left a bucket head set")
@@ -547,7 +544,7 @@ func TestWheelResetDetachesEveryTimer(t *testing.T) {
 	if w.Len() != len(timers) {
 		t.Fatalf("re-added %d timers, wheel holds %d", len(timers), w.Len())
 	}
-	w.AdvanceTo(sim.Time(4*levelReach(wheelLevels-1)) * sim.Millisecond)
+	w.AdvanceTo(sim.Forever)
 	if len(fired) != len(timers)-1 || w.Len() != 1 { // the Forever timer stays
 		t.Fatalf("fired %v, want every timer but the last once", fired)
 	}

@@ -55,7 +55,7 @@ func Kernels() []Kernel {
 		},
 		{
 			Name: "wheel/next-expiry-dense",
-			Desc: "NextExpiry on 10k-timer wheel with cache-invalidating churn",
+			Desc: "NextExpiry on 10k-timer wheel with churn of its earliest timer",
 			Fn:   wheelNextExpiryDense,
 		},
 		{
@@ -135,8 +135,8 @@ func wheelNextExpiryDense(b *testing.B) {
 	b.ResetTimer()
 	var sink sim.Time
 	for i := 0; i < b.N; i++ {
-		// The wakeup is the earliest timer, so canceling it invalidates the
-		// wheel's cached minimum and forces a bitmap recompute.
+		// The wakeup is the earliest timer, so each NextExpiry after the
+		// cancel scans the bucket of the next-earliest timer.
 		wakeup.Deadline = sim.Time(i%1000+1) * sim.Millisecond
 		w.Add(wakeup)
 		sink = w.NextExpiry()
