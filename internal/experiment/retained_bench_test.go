@@ -87,3 +87,40 @@ func liveHeap() uint64 {
 	runtime.ReadMemStats(&ms)
 	return ms.HeapAlloc
 }
+
+// shardFleetRunAllocs bounds a warm Session run of the io-lanes fleet:
+// ShardFleetScenario at scale 0.05 with 16 VMs on two shards. Its pooled
+// world keeps the VMs with their devices, the host with its IPI streams,
+// and the world shell, so a run allocates little more than its 16 fio
+// programs and the start of its two shard workers: 27 measured (2-vCPU
+// Xeon, Go 1.24), 270 while devices, streams and the shell were built anew
+// each run.
+const shardFleetRunAllocs = 64
+
+// TestShardFleetSessionAllocs holds the io-lanes fleet's warm Session runs
+// to shardFleetRunAllocs allocations each.
+func TestShardFleetSessionAllocs(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Scale = 0.05
+	opts.Quantum = sim.Millisecond
+	opts.Shards = 2
+	sc, err := ShardFleetScenario(opts, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession()
+	var res ScenarioResult
+	seed := uint64(1)
+	run := func() {
+		if err := s.RunScenarioInto(sc, seed, nil, &res); err != nil {
+			t.Fatal(err)
+		}
+		seed++
+	}
+	run() // cold: builds and pools the world
+	allocs := testing.AllocsPerRun(8, run)
+	t.Logf("%.1f allocations per warm shard-fleet run", allocs)
+	if allocs > shardFleetRunAllocs {
+		t.Fatalf("a warm shard-fleet Session run allocates %.1f, want at most %d", allocs, shardFleetRunAllocs)
+	}
+}

@@ -145,6 +145,20 @@ type arena struct {
 	// place for each result it hands to keep, so harvesting a sweep's
 	// counters allocates nothing. Valid only until the worker's next run.
 	res ScenarioResult
+	// shell is the world buildWorld resets in place for each run on this
+	// arena, keeping its vms slice and pre-bound stop hook. A world built
+	// on the arena is valid only until the arena's next build: a fork
+	// group freezes its warmup world before the first arm thaws.
+	shell world
+}
+
+// worldShell returns the world object buildWorld fills: the arena's shell,
+// or a new one for a nil arena.
+func (a *arena) worldShell() *world {
+	if a == nil {
+		return new(world)
+	}
+	return &a.shell
 }
 
 // resultScratch returns the arena's reusable ScenarioResult — overwritten

@@ -218,6 +218,10 @@ type world struct {
 	// arm is the hook thaw applied after decoding (nil for a straight run
 	// or a plain resume); the snapshot probe re-applies it to its copy.
 	arm func(*world) error
+	// stopWhenDone stops the run once every workload VM has finished. It
+	// is bound once per world object and reads the world's fields when it
+	// fires, so an arena's pooled shell keeps it across runs.
+	stopWhenDone func(sim.Time)
 }
 
 // buildWorld constructs the scenario and starts every VM, leaving the
@@ -226,7 +230,9 @@ type world struct {
 // order (kernel and device creation fork the engine's RNG), then all VMs
 // start in the same order, exactly as the pre-scenario runners did.
 // Checkpoint restore relies on the same property: rebuilding from an equal
-// (Scenario, seed) yields an object graph of identical shape.
+// (Scenario, seed) yields an object graph of identical shape. On an arena
+// the world is the arena's shell, reset in place, so it is valid only until
+// the next build on that arena; a nil arena builds a new one.
 func buildWorld(s Scenario, seed uint64, a *arena) (*world, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -264,13 +270,19 @@ func buildWorld(s Scenario, seed uint64, a *arena) (*world, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &world{
-		scenario: s,
-		seed:     seed,
-		cfg:      cfg,
-		se:       se,
-		host:     host,
-		vms:      make([]*kvm.VM, 0, len(s.VMs)),
+	w := a.worldShell()
+	clear(w.vms)
+	*w = world{
+		scenario:     s,
+		seed:         seed,
+		cfg:          cfg,
+		se:           se,
+		host:         host,
+		vms:          w.vms[:0],
+		stopWhenDone: w.stopWhenDone,
+	}
+	if w.vms == nil {
+		w.vms = make([]*kvm.VM, 0, len(s.VMs))
 	}
 	for _, vs := range s.VMs {
 		placement, err := vs.placement(cfg.Topology)
@@ -311,17 +323,19 @@ func buildWorld(s Scenario, seed uint64, a *arena) (*world, error) {
 		// every lane's state race-free: a per-VM hook would run on several
 		// shard goroutines, and a mid-quantum stop would depend on the
 		// shard interleaving.
-		stopWhenDone := func(sim.Time) {
-			if w.workloadsDone() {
-				se.Stop()
+		if w.stopWhenDone == nil {
+			w.stopWhenDone = func(sim.Time) {
+				if w.workloadsDone() {
+					w.se.Stop()
+				}
 			}
 		}
 		if s.Quantum > 0 {
-			se.SetBarrierHook(stopWhenDone)
+			se.SetBarrierHook(w.stopWhenDone)
 		} else {
 			for i, vs := range s.VMs {
 				if vs.Workload {
-					w.vms[i].OnWorkloadDone = stopWhenDone
+					w.vms[i].OnWorkloadDone = w.stopWhenDone
 				}
 			}
 		}

@@ -143,6 +143,11 @@ type Kernel struct {
 	barrierPool []*Barrier
 	//snap:skip pool of recycled sync objects, capacity only
 	condPool []*Cond
+	// devicePool holds the previous run's attached devices after a Reset,
+	// indexed by attach order. The hypervisor resets the one at the next
+	// attach index (TakePooledDevice) instead of building a device.
+	//snap:skip pool of recycled devices, reset by the hypervisor on attach
+	devicePool []*iodev.Device
 }
 
 // segSlab is how many segments are allocated at once when the pool runs
@@ -266,6 +271,22 @@ func (k *Kernel) AttachDevice(d *iodev.Device) {
 
 // Devices returns the attached devices.
 func (k *Kernel) Devices() []*iodev.Device { return k.devices }
+
+// TakePooledDevice removes and returns the device the previous run attached
+// at the index the next AttachDevice fills, or nil. The caller resets it
+// and attaches it; deterministic scenario construction attaches devices in
+// the same order each run, so in steady state every attach is a pool hit.
+//
+//paratick:noalloc
+func (k *Kernel) TakePooledDevice() *iodev.Device {
+	i := len(k.devices)
+	if i >= len(k.devicePool) {
+		return nil
+	}
+	d := k.devicePool[i]
+	k.devicePool[i] = nil
+	return d
+}
 
 // claim takes the pooled sync object at registry id when deterministic
 // scenario construction is recreating it under the same name, or returns

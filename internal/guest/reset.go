@@ -14,6 +14,11 @@ package guest
 //     kept; every other field is written by the reset.
 //   - The vCPU count is construction identity: the VM arena only recycles a
 //     kernel onto a world with the same number of vCPUs.
+//   - Attached devices are pooled like sync objects: Reset swaps them into
+//     the device pool and the hypervisor's AttachDevice resets the one at
+//     the next attach index (iodev.Device.Reset forks the device stream at
+//     the draw point iodev.New uses). A kernel belongs to one VM for life,
+//     so a pooled device keeps the interrupt hook that VM bound.
 
 import (
 	"fmt"
@@ -54,8 +59,10 @@ func (k *Kernel) Reset(engine *sim.Engine, cost hw.CostModel, cfg Config, counte
 	}
 	k.retireTasks()
 	k.recycleSyncObjects()
-	clear(k.devices)
-	k.devices = k.devices[:0]
+	// Attached devices are pooled the same way; the next run's AttachDevice
+	// calls, replayed in the same order, reset them in place, and the
+	// device's Reset drops the requests and events of the finished run.
+	recycle(&k.devices, &k.devicePool)
 	k.liveTasks = 0
 	k.started = false
 	if cfg.TaskHint > cap(k.tasks) {
@@ -81,24 +88,26 @@ func (k *Kernel) retireTasks() {
 // recycleSyncObjects swaps each non-empty sync registry into its pool, so
 // the next run's New{Lock,Barrier,Cond} calls — which deterministic scenario
 // construction replays in the same order with the same names — become pool
-// hits. Stale pool leftovers (objects the previous build never re-claimed)
-// are dropped first. A registry the finished run never touched leaves its
-// pool alone: an idle run between two workload runs must not discard the
-// pooled objects the next workload run would have re-claimed.
+// hits.
 //
 //paratick:noalloc
 func (k *Kernel) recycleSyncObjects() {
-	if len(k.locks) > 0 {
-		clear(k.lockPool)
-		k.locks, k.lockPool = k.lockPool[:0], k.locks
-	}
-	if len(k.barriers) > 0 {
-		clear(k.barrierPool)
-		k.barriers, k.barrierPool = k.barrierPool[:0], k.barriers
-	}
-	if len(k.conds) > 0 {
-		clear(k.condPool)
-		k.conds, k.condPool = k.condPool[:0], k.conds
+	recycle(&k.locks, &k.lockPool)
+	recycle(&k.barriers, &k.barrierPool)
+	recycle(&k.conds, &k.condPool)
+}
+
+// recycle swaps a non-empty registry into its pool, dropping stale pool
+// leftovers (objects the previous build never re-claimed) first. A registry
+// the finished run never touched leaves its pool alone: an idle run between
+// two workload runs must not discard the pooled objects the next workload
+// run would have re-claimed.
+//
+//paratick:noalloc
+func recycle[T any](live, pool *[]T) {
+	if len(*live) > 0 {
+		clear(*pool)
+		*live, *pool = (*pool)[:0], *live
 	}
 }
 

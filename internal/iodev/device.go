@@ -128,30 +128,36 @@ func (r *Request) Done() bool { return r.Completed > 0 }
 // Device is a block device with a bounded in-flight window. Completions are
 // announced through the OnComplete callback (wired to the hypervisor's
 // interrupt-raising path) and held until the guest drains them.
+//
+// A device is pooled with the guest kernel it is attached to: New builds a
+// shell and calls Reset, and a pooled VM resets the device its previous run
+// attached at the same index, so fresh and recycled devices take one path.
 type Device struct {
 	name string
-	//snap:skip cache: label precomputed from name at construction
+	//snap:skip cache: label rebuilt by Reset when the name changes
 	ioLabel string // precomputed completion-event label; submit is a hot path
-	//snap:skip cache: label precomputed from name at construction
+	//snap:skip cache: label rebuilt by Reset when the name changes
 	coalesceLabel string // precomputed coalescing-flush label
-	//snap:skip engine wiring, bound at construction
+	//snap:skip engine wiring, bound by Reset
 	engine *sim.Engine
 	rng    *sim.Rand
 	//snap:skip deliberately unsnapshotted: forked arms re-apply SetProfile after restore
 	profile Profile
-	//snap:skip immutable interrupt vector from device construction
+	//snap:skip interrupt vector, fixed by Reset at attach time
 	vector hw.Vector
 
 	// OnComplete is invoked at completion time, before the request is
 	// queued for draining (per-request observation; tests and metrics).
 	// The request is recycled once the guest drains and releases it, so
-	// an observer must not keep the pointer past that point.
+	// an observer must not keep the pointer past that point. Reset clears
+	// it.
 	//snap:skip observer callback, rewired by the harness after restore
 	OnComplete func(req *Request)
 	// OnInterrupt raises the completion interrupt toward the given vCPU.
 	// With coalescing enabled it fires once per batch rather than once per
-	// request. The hypervisor wires this to its interrupt-injection path.
-	//snap:skip injection wiring, rebound by the hypervisor at attach time
+	// request. The hypervisor wires this to its interrupt-injection path
+	// once per device object; Reset keeps it.
+	//snap:skip injection wiring, bound by the hypervisor when it builds the device
 	OnInterrupt func(vcpu int)
 
 	running   []*Request // in service, submission order; each carries its completion event
@@ -163,10 +169,11 @@ type Device struct {
 	drained []*Request
 	// free holds released requests for NewRequest.
 	//snap:skip pool: released requests, zeroed except for their pre-bound handler
+	//reset:keep pool: released requests keep their pre-bound handlers across runs
 	free []*Request
 
 	// Per-vCPU coalescing state: pending completion count and the flush
-	// event.
+	// event. Built on the first coalesced completion.
 	coalesce map[int]*coalesceState
 
 	ops           uint64
@@ -175,25 +182,49 @@ type Device struct {
 	coalescedIRQs uint64
 }
 
-// New creates a device. The vector is the interrupt it raises on
-// completions.
+// New creates a device: a shell plus Reset. The vector is the interrupt it
+// raises on completions.
 func New(engine *sim.Engine, name string, profile Profile, vector hw.Vector) (*Device, error) {
-	if engine == nil {
-		return nil, fmt.Errorf("iodev: nil engine")
-	}
-	if err := profile.Validate(); err != nil {
+	d := new(Device)
+	if err := d.Reset(engine, name, profile, vector); err != nil {
 		return nil, err
 	}
-	return &Device{
-		name:          name,
-		ioLabel:       "io:" + name,
-		coalesceLabel: "io-coalesce:" + name,
-		engine:        engine,
-		rng:           engine.Rand().Fork(uint64(vector) + 0x10dead),
-		profile:       profile,
-		vector:        vector,
-		coalesce:      make(map[int]*coalesceState),
-	}, nil
+	return d, nil
+}
+
+// Reset returns the device to its just-constructed state for a run on
+// engine, forking its latency stream at the draw point New uses. It keeps
+// the labels (rebuilt only when the name changes), OnInterrupt, slice
+// capacities and the free list with its pre-bound handlers. Requests the
+// device still holds are dropped, not pooled: a guest segment of the
+// finished run may still point at one. On error the device is unchanged.
+func (d *Device) Reset(engine *sim.Engine, name string, profile Profile, vector hw.Vector) error {
+	if engine == nil {
+		return fmt.Errorf("iodev: nil engine")
+	}
+	if err := profile.Validate(); err != nil {
+		return err
+	}
+	if d.ioLabel == "" || name != d.name {
+		d.name = name
+		d.ioLabel = "io:" + name
+		d.coalesceLabel = "io-coalesce:" + name
+	}
+	d.engine = engine
+	if d.rng == nil {
+		d.rng = new(sim.Rand)
+	}
+	engine.Rand().ForkInto(d.rng, uint64(vector)+0x10dead)
+	d.profile = profile
+	d.vector = vector
+	d.OnComplete = nil
+	for _, list := range [...]*[]*Request{&d.running, &d.waiting, &d.completed, &d.drained} {
+		clear(*list)
+		*list = (*list)[:0]
+	}
+	clear(d.coalesce)
+	d.ops, d.bytesRead, d.bytesWritten, d.coalescedIRQs = 0, 0, 0, 0
+	return nil
 }
 
 // Name returns the device name.
@@ -332,6 +363,9 @@ type coalesceState struct {
 // newCoalesceState builds vcpu's batch state with its flush handler bound,
 // for first use and for restore alike.
 func (d *Device) newCoalesceState(vcpu int) *coalesceState {
+	if d.coalesce == nil {
+		d.coalesce = make(map[int]*coalesceState)
+	}
 	st := &coalesceState{}
 	st.fire = func(*sim.Engine) {
 		st.flush = sim.Event{}

@@ -1,6 +1,7 @@
 package iodev
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -512,5 +513,108 @@ func TestRequestSnapRejectsUnknownRefs(t *testing.T) {
 				t.Fatalf("round trip = %+v, want %+v", got, req)
 			}
 		})
+	}
+}
+
+// TestDeviceResetMatchesNew is the device pool's contract: a device reset
+// while it holds requests in service, queued, completed and undrained, and
+// a coalescing batch with its flush pending, encodes to the same bytes as a
+// New device and then completes the same script at the same instants with
+// the same interrupts. The reset also changes the name and vector, so the
+// labels and the stream's fork tag must follow; the fork itself must sit at
+// the engine's first draw, where devices have always forked theirs.
+func TestDeviceResetMatchesNew(t *testing.T) {
+	const seed = 5
+	dirty := NVMe()
+	dirty.QueueDepth = 2
+	dirty.CoalesceWindow = 30 * sim.Microsecond
+	dirty.CoalesceMax = 3
+	e := sim.NewEngine(seed)
+	d, err := New(e, "old0", dirty, hw.IODeviceBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.OnInterrupt = func(int) {}
+	d.OnComplete = func(*Request) {}
+	for i := 0; i < 5; i++ {
+		req := d.NewRequest()
+		req.Bytes, req.VCPU = 4096, i%2
+		d.Submit(req)
+	}
+	e.RunUntil(10 * sim.Microsecond)
+	for _, req := range d.DrainCompletedFor(0) {
+		d.Release(req)
+	}
+	if d.Inflight() == 0 || d.QueuedWaiting() == 0 || len(d.completed) == 0 || len(d.free) == 0 ||
+		d.coalesce[1] == nil || d.coalesce[1].pending == 0 || d.Ops() == 0 {
+		t.Fatalf("device is not dirty enough for the audit: %d in flight, %d queued, %d completed, %d free, coalesce %v",
+			d.Inflight(), d.QueuedWaiting(), len(d.completed), len(d.free), d.coalesce)
+	}
+
+	p := NVMe()
+	p.QueueDepth = 3
+	p.CoalesceWindow = 20 * sim.Microsecond
+	p.CoalesceMax = 2
+	e.Reset(seed)
+	if err := d.Reset(e, "disk0", p, hw.IODeviceBase+1); err != nil {
+		t.Fatal(err)
+	}
+	if d.OnComplete != nil || d.OnInterrupt == nil {
+		t.Fatal("Reset must clear the completion observer and keep the interrupt hook")
+	}
+	// The stream is forked at the engine's first draw, with the vector's tag.
+	if want := sim.NewEngine(seed).Rand().Fork(uint64(hw.IODeviceBase+1) + 0x10dead); *d.rng != *want {
+		t.Fatal("Reset did not fork the device stream from the engine's first draw")
+	}
+	fe := sim.NewEngine(seed)
+	fresh, err := New(fe, "disk0", p, hw.IODeviceBase+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	encode := func(d *Device) []byte {
+		var enc snap.Encoder
+		w := snap.NewWriter(&enc)
+		d.Snap(w, 2, 1)
+		if err := w.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return enc.Bytes()
+	}
+	if got, want := encode(d), encode(fresh); string(got) != string(want) {
+		t.Fatalf("reset device encodes to %d bytes (digest %v), New to %d (digest %v)",
+			len(got), snap.HashBytes(got), len(want), snap.HashBytes(want))
+	}
+
+	// script submits two waves of mixed requests, draining and releasing
+	// between them, and logs every completion and interrupt.
+	script := func(e *sim.Engine, d *Device) []string {
+		var log []string
+		d.OnComplete = func(r *Request) {
+			log = append(log, fmt.Sprintf("done %d/%d w=%v @%v", r.VCPU, r.Bytes, r.Write, r.Completed))
+		}
+		d.OnInterrupt = func(vcpu int) { log = append(log, fmt.Sprintf("irq %d @%v", vcpu, e.Now())) }
+		for wave := 0; wave < 2; wave++ {
+			for i := 0; i < 7; i++ {
+				req := d.NewRequest()
+				req.Bytes = 4096 << (i % 3)
+				req.VCPU = i % 2
+				req.Write = i%3 == 2
+				req.Sequential = i%2 == 0
+				d.Submit(req)
+			}
+			e.Run()
+			for vcpu := 0; vcpu < 2; vcpu++ {
+				for _, req := range d.DrainCompletedFor(vcpu) {
+					d.Release(req)
+				}
+			}
+		}
+		return append(log, fmt.Sprintf("ops %d read %d written %d coalesced %d engine %v",
+			d.Ops(), d.BytesRead(), d.BytesWritten(), d.CoalescedInterrupts(), e.DigestState()))
+	}
+	got, want := script(e, d), script(fe, fresh)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("reset device ran the script differently:\n got %q\nwant %q", got, want)
 	}
 }

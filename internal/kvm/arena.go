@@ -26,9 +26,13 @@ type HostArena struct {
 }
 
 // VMArena pools whole VMs across a host's runs: the guest kernel with its
-// task, segment, and sync-object pools; the host-side vCPUs with their
-// pre-bound deadline-timer handler closures and pending-IRQ double buffers;
-// and the per-vCPU timer wheels, which stay attached to their kernels.
+// task, segment, sync-object and device pools; the host-side vCPUs with
+// their pre-bound deadline-timer handler closures and pending-IRQ double
+// buffers; and the per-vCPU timer wheels, which stay attached to their
+// kernels. A pooled VM's AttachDevice resets the device its previous run
+// attached at the same index, keeping the device's request pool and its
+// pre-bound interrupt hook. (The host keeps its own lane-mode IPI streams:
+// Host.reset blanks them for AddIPIStream to rebind.)
 // Host.reset stashes a finished run's VMs here, next to whatever earlier
 // worlds left unclaimed, and NewVM re-acquires them keyed on (vCPU count,
 // guest tick Hz) — the construction-shape fields; the workload shape adapts
@@ -160,8 +164,7 @@ func (h *Host) reset(cfg Config) error {
 			}
 			h.inflight[l] = h.inflight[l][:0]
 		}
-		clear(h.streams)
-		h.streams = h.streams[:0]
+		h.recycleStreams()
 		h.se.SetDeliver(h.deliverRemoteIRQ)
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"paratick/internal/core"
 	"paratick/internal/guest"
 	"paratick/internal/hw"
+	"paratick/internal/iodev"
 	"paratick/internal/metrics"
 	"paratick/internal/sched"
 	"paratick/internal/sim"
@@ -93,17 +94,30 @@ func TestHostArenaReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// arenaWork is the workload vmArenaRun gives each VM.
+type arenaWork int
+
+const (
+	burnWork arenaWork = iota // one CPU-burn task
+	syncWork                  // two tasks meeting on a lock and a barrier
+	fioWork                   // reads and writes on an attached NVMe device
+)
+
+func (w arenaWork) String() string { return [...]string{"burn", "sync", "fio"}[w] }
+
 // vmArenaRun builds a host on se through the arena, boots two 2-vCPU VMs in
-// the given guest shape, runs to completion, and returns the engine digest
-// plus per-VM exit totals. The variant axes — tick mode, guest Hz, and
-// workload (pure compute vs lock/barrier sync) — are exactly what the VM
-// arena must recycle across without observable effect.
-func vmArenaRun(t *testing.T, a *HostArena, se *sim.ShardedEngine, cfg Config, hz int, mode core.Mode, sync bool) (snap.Digest, []uint64) {
+// the given guest shape, runs to completion, and returns the engine digest,
+// the per-VM exit totals, and the devices the VMs attached. The variant
+// axes — tick mode, guest Hz, and workload (pure compute, lock/barrier sync,
+// device I/O) — are exactly what the VM arena must recycle across without
+// observable effect.
+func vmArenaRun(t *testing.T, a *HostArena, se *sim.ShardedEngine, cfg Config, hz int, mode core.Mode, work arenaWork) (snap.Digest, []uint64, []*iodev.Device) {
 	t.Helper()
 	host, err := a.NewHostOn(se, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var devs []*iodev.Device
 	for i := 0; i < 2; i++ {
 		gcfg := guest.DefaultConfig()
 		gcfg.TickHz = hz
@@ -113,7 +127,8 @@ func vmArenaRun(t *testing.T, a *HostArena, se *sim.ShardedEngine, cfg Config, h
 			t.Fatal(err)
 		}
 		k := vm.Kernel()
-		if sync {
+		switch work {
+		case syncWork:
 			l := k.NewLock("l")
 			bar := k.NewBarrier("b", 2)
 			for task := 0; task < 2; task++ {
@@ -125,7 +140,23 @@ func vmArenaRun(t *testing.T, a *HostArena, se *sim.ShardedEngine, cfg Config, h
 					guest.Compute(100*sim.Microsecond),
 				))
 			}
-		} else {
+		case fioWork:
+			dev, err := vm.AttachDevice("disk0", iodev.NVMe())
+			if err != nil {
+				t.Fatal(err)
+			}
+			devs = append(devs, dev)
+			for task := 0; task < 2; task++ {
+				k.Spawn("fio", task, guest.Steps(
+					guest.Read(dev, 4096, false),
+					guest.Compute(50*sim.Microsecond),
+					guest.WriteOp(dev, 16384, true, true),
+					guest.Read(dev, 65536, true),
+					guest.WriteOp(dev, 4096, false, false),
+					guest.Compute(20*sim.Microsecond),
+				))
+			}
+		default:
 			k.Spawn("burn", 0, guest.Steps(guest.Compute(3*sim.Millisecond)))
 		}
 		vm.Start()
@@ -138,52 +169,77 @@ func vmArenaRun(t *testing.T, a *HostArena, se *sim.ShardedEngine, cfg Config, h
 		}
 		exits = append(exits, vm.Counters().TotalExits())
 	}
-	return se.Root().DigestState(), exits
+	if work == fioWork {
+		for _, vm := range host.VMs() {
+			if c := vm.Counters(); c.IOReads != 4 || c.IOWrites != 4 {
+				t.Fatalf("fio VM completed %d reads and %d writes, want 4 and 4", c.IOReads, c.IOWrites)
+			}
+		}
+	}
+	return se.Root().DigestState(), exits, devs
 }
 
 // TestVMArenaRecycledMatchesFresh is the VM pool's digest audit: a run whose
 // VMs came out of the arena must be byte-identical — engine digest and
 // counters — to the same run on freshly constructed VMs, including when
-// consecutive runs switch tick mode, guest Hz, and workload shape (compute
-// vs lock/barrier sync). The Hz switch also exercises the shape key: a
-// 100 Hz request cannot reuse a pooled 250 Hz VM, and since the pool keeps
-// only the last world's VMs, the 250 Hz round after it rebuilds its VMs
-// too — fresh builds interleaved with recycled ones.
+// consecutive runs switch tick mode, guest Hz, and workload shape (compute,
+// lock/barrier sync, device I/O). The Hz switch also exercises the shape
+// key: a 100 Hz request cannot reuse a pooled 250 Hz VM, and since the pool
+// keeps only the last world's VMs, the 250 Hz round after it rebuilds its
+// VMs too — fresh builds interleaved with recycled ones. The last fio round
+// must run on the devices the first one attached, kept in the kernels'
+// device pools across the burn round between them.
 func TestVMArenaRecycledMatchesFresh(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology = hw.SmallTopology()
 	type variant struct {
 		hz   int
 		mode core.Mode
-		sync bool
+		work arenaWork
 	}
 	rounds := []variant{
-		{250, core.Periodic, false},
-		{250, core.Paratick, true},      // mode + workload switch on recycled VMs
-		{100, core.DynticksIdle, false}, // Hz switch → pool miss, fresh build
-		{250, core.Periodic, true},      // workload switch again on the 250 Hz pair
-		{250, core.Paratick, false},
+		{250, core.Periodic, burnWork},
+		{250, core.Paratick, syncWork},     // mode + workload switch on recycled VMs
+		{100, core.DynticksIdle, burnWork}, // Hz switch → pool miss, fresh build
+		{250, core.Periodic, syncWork},     // workload switch again on the 250 Hz pair
+		{250, core.Paratick, burnWork},
+		{250, core.DynticksIdle, fioWork}, // first devices, on recycled VMs
+		{250, core.Periodic, burnWork},    // no attach: the device pools stay
+		{250, core.Paratick, fioWork},     // recycled devices
 	}
 	fresh := make([]snap.Digest, len(rounds))
 	freshExits := make([][]uint64, len(rounds))
 	for i, v := range rounds {
 		e := sim.NewEngine(11)
-		fresh[i], freshExits[i] = vmArenaRun(t, nil, sim.WrapEngine(e), cfg, v.hz, v.mode, v.sync)
+		fresh[i], freshExits[i], _ = vmArenaRun(t, nil, sim.WrapEngine(e), cfg, v.hz, v.mode, v.work)
 	}
 
 	a := &HostArena{}
 	e := sim.NewEngine(11)
 	se := sim.WrapEngine(e)
+	var firstDevs []*iodev.Device
 	for i, v := range rounds {
 		e.Reset(11)
-		dig, exits := vmArenaRun(t, a, se, cfg, v.hz, v.mode, v.sync)
+		dig, exits, devs := vmArenaRun(t, a, se, cfg, v.hz, v.mode, v.work)
 		if dig != fresh[i] {
-			t.Fatalf("round %d (%dHz %v sync=%v): recycled-VM digest %x, fresh %x",
-				i, v.hz, v.mode, v.sync, dig, fresh[i])
+			t.Fatalf("round %d (%dHz %v %v): recycled-VM digest %x, fresh %x",
+				i, v.hz, v.mode, v.work, dig, fresh[i])
 		}
 		for j := range exits {
 			if exits[j] != freshExits[i][j] {
 				t.Fatalf("round %d: vm %d exits %d recycled, %d fresh", i, j, exits[j], freshExits[i][j])
+			}
+		}
+		if v.work != fioWork {
+			continue
+		}
+		if firstDevs == nil {
+			firstDevs = devs
+			continue
+		}
+		for _, d := range devs {
+			if !slices.Contains(firstDevs, d) {
+				t.Fatalf("round %d attached a new device instead of recycling a pooled one", i)
 			}
 		}
 	}
@@ -199,7 +255,7 @@ func TestVMArenaRecyclesVMObjects(t *testing.T) {
 	se := sim.WrapEngine(e)
 	cfg := DefaultConfig()
 	cfg.Topology = hw.SmallTopology()
-	vmArenaRun(t, a, se, cfg, 250, core.Periodic, false)
+	vmArenaRun(t, a, se, cfg, 250, core.Periodic, burnWork)
 	pooled := make(map[*VM]bool)
 	for _, vm := range a.host.VMs() {
 		pooled[vm] = true
@@ -241,16 +297,16 @@ func TestVMArenaHoldsOneWorld(t *testing.T) {
 	se := sim.WrapEngine(e)
 	cfg := DefaultConfig()
 	cfg.Topology = hw.SmallTopology()
-	vmArenaRun(t, a, se, cfg, 250, core.Periodic, false)
+	vmArenaRun(t, a, se, cfg, 250, core.Periodic, burnWork)
 	first := slices.Clone(a.host.VMs())
 	e.Reset(3)
-	vmArenaRun(t, a, se, cfg, 100, core.Periodic, false)
+	vmArenaRun(t, a, se, cfg, 100, core.Periodic, burnWork)
 	second := slices.Clone(a.host.VMs())
 	if !slices.Equal(a.vms.free, first) {
 		t.Fatalf("pool holds %d VMs after the 100 Hz world, want the unclaimed 250 Hz world's %d", len(a.vms.free), len(first))
 	}
 	e.Reset(3)
-	vmArenaRun(t, a, se, cfg, 250, core.Periodic, false)
+	vmArenaRun(t, a, se, cfg, 250, core.Periodic, burnWork)
 	third := slices.Clone(a.host.VMs())
 	for _, vm := range third {
 		if !slices.Contains(first, vm) {
@@ -291,7 +347,7 @@ func TestVMArenaHoldsOneWorld(t *testing.T) {
 func TestVMArenaReuseAfterAbandonedRun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology = hw.SmallTopology()
-	freshDig, freshExits := vmArenaRun(t, nil, sim.WrapEngine(sim.NewEngine(5)), cfg, 250, core.Paratick, true)
+	freshDig, freshExits, _ := vmArenaRun(t, nil, sim.WrapEngine(sim.NewEngine(5)), cfg, 250, core.Paratick, syncWork)
 
 	a := &HostArena{}
 	e := sim.NewEngine(5)
@@ -330,7 +386,7 @@ func TestVMArenaReuseAfterAbandonedRun(t *testing.T) {
 	}
 
 	e.Reset(5)
-	dig, exits := vmArenaRun(t, a, se, cfg, 250, core.Paratick, true)
+	dig, exits, _ := vmArenaRun(t, a, se, cfg, 250, core.Paratick, syncWork)
 	if dig != freshDig {
 		t.Fatalf("post-abandon recycled digest %x, fresh %x", dig, freshDig)
 	}
@@ -449,7 +505,8 @@ func laneArenaRun(t *testing.T, a *HostArena, se *sim.ShardedEngine, until sim.T
 // host checkpoint's digest, and every VM's counters — to a freshly built
 // one. It covers Host.reset's
 // lane branch: the in-flight lists, the IPI streams, and the barrier
-// delivery hook.
+// delivery hook. The reused host must run its stream on the stream object
+// the abandoned run built, which the reset left naming no VM.
 func TestHostArenaLaneReuseMatchesFresh(t *testing.T) {
 	const seed, done = 13, 20 * sim.Millisecond
 	newSE := func() *sim.ShardedEngine {
@@ -467,10 +524,23 @@ func TestHostArenaLaneReuseMatchesFresh(t *testing.T) {
 	if len(abandoned.inflight[1]) == 0 {
 		t.Fatal("abandon point has no remote IRQ in flight; the audit would be vacuous")
 	}
+	streams := slices.Clone(abandoned.streams)
+	se.Reset(seed)
+	if _, err := a.NewHostOn(se, laneArenaConfig()); err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range abandoned.streamPool {
+		if st.src != nil || st.dst != nil || st.sent != 0 || st.ev != (sim.Event{}) || st.fn == nil {
+			t.Fatalf("pooled stream %d is not blank but for its handler: %+v", i, *st)
+		}
+	}
 	se.Reset(seed)
 	host, digests, counters := laneArenaRun(t, a, se, done)
 	if host != abandoned {
 		t.Fatal("the arena rebuilt the host instead of reusing it")
+	}
+	if !slices.Equal(host.streams, streams) {
+		t.Fatal("the reused host built new IPI stream objects instead of recycling its own")
 	}
 	for _, vm := range host.VMs() {
 		if finished, _ := vm.WorkloadDone(); !finished {

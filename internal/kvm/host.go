@@ -124,6 +124,10 @@ type Host struct {
 	freeIRQ [][]*remoteIRQ
 	// streams are the periodic cross-VM IPI generators, in creation order.
 	streams []*ipiStream
+	// streamPool holds the previous run's streams after a reset, blank but
+	// for their pre-bound handlers, indexed by creation order.
+	//snap:skip pool: blank streams with their pre-bound handlers, never live state
+	streamPool []*ipiStream
 }
 
 // NewHost creates a host on a single engine — the legacy serial mode,

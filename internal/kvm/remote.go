@@ -123,10 +123,10 @@ func (h *Host) dropInflight(lane int, r *remoteIRQ) {
 
 // ipiStream is one periodic cross-VM doorbell generator: every period it
 // posts a remote IRQ from src's lane to dst's vCPU, modeling a vhost-style
-// notification stream between VMs on different sockets.
+// notification stream between VMs on different sockets. A pooled host
+// keeps its streams with their pre-bound handlers: Host.reset blanks them
+// into streamPool and AddIPIStream rebinds the one at the next index.
 type ipiStream struct {
-	//snap:skip back-pointer wiring, bound when the stream is installed
-	host *Host
 	//snap:skip stream endpoints are scenario config, re-installed before restore
 	src, dst *VM
 	//snap:skip immutable stream parameter from the scenario
@@ -137,7 +137,7 @@ type ipiStream struct {
 	latency sim.Time
 	sent    uint64
 	ev      sim.Event
-	//snap:skip pre-bound handler, recreated when the stream is installed
+	//snap:skip pre-bound handler, bound when the stream object is built
 	fn sim.Handler
 }
 
@@ -161,14 +161,39 @@ func (h *Host) AddIPIStream(src, dst *VM, vcpu int, period, latency, phase sim.T
 	if phase <= 0 {
 		phase = period
 	}
-	s := &ipiStream{host: h, src: src, dst: dst, vcpu: vcpu, period: period, latency: latency}
-	s.fn = func(e *sim.Engine) {
-		s.sent++
-		now := e.Now()
-		h.PostRemoteIRQ(s.src, s.dst, s.vcpu, hw.RescheduleVector, now+s.latency)
-		s.ev = e.At(now+s.period, "ipi-stream", s.fn)
+	var s *ipiStream
+	if i := len(h.streams); i < len(h.streamPool) {
+		s = h.streamPool[i]
+		h.streamPool[i] = nil
+	} else {
+		s = new(ipiStream)
+		s.fn = func(e *sim.Engine) {
+			s.sent++
+			now := e.Now()
+			h.PostRemoteIRQ(s.src, s.dst, s.vcpu, hw.RescheduleVector, now+s.latency)
+			s.ev = e.At(now+s.period, "ipi-stream", s.fn)
+		}
 	}
+	s.src, s.dst, s.vcpu, s.period, s.latency = src, dst, vcpu, period, latency
 	s.ev = src.engine.At(phase, "ipi-stream", s.fn)
 	h.streams = append(h.streams, s)
 	return nil
+}
+
+// recycleStreams blanks the finished run's streams, keeping only their
+// pre-bound handlers, and swaps them into streamPool for AddIPIStream. A
+// blank stream names no VM, so a pooled host pins none of the VMs the arena
+// drops. The engines were reset, so the pending events are dropped, not
+// canceled. A run that installed no stream leaves the pool alone.
+//
+//paratick:noalloc
+func (h *Host) recycleStreams() {
+	if len(h.streams) == 0 {
+		return
+	}
+	for _, s := range h.streams {
+		*s = ipiStream{fn: s.fn}
+	}
+	clear(h.streamPool)
+	h.streams, h.streamPool = h.streamPool[:0], h.streams
 }

@@ -173,21 +173,32 @@ func (vm *VM) VCPUs() []*VCPU { return vm.vcpus }
 // WorkloadDone reports whether all guest tasks have finished, and when.
 func (vm *VM) WorkloadDone() (bool, sim.Time) { return vm.workloadDone, vm.doneAt }
 
-// AttachDevice creates a block device with the given profile, wires its
-// completion interrupts into this VM, and registers it with the guest.
+// AttachDevice attaches a block device with the given profile, wires its
+// completion interrupts into this VM, and registers it with the guest. A
+// pooled VM resets the device its previous run attached at the same index;
+// the profile is validated first, so a refused attach leaves the pool as
+// it was.
 func (vm *VM) AttachDevice(name string, profile iodev.Profile) (*iodev.Device, error) {
+	if err := profile.Validate(); err != nil {
+		return nil, err
+	}
 	h := vm.host
-	dev, err := iodev.New(vm.engine, name, profile, h.nextIOVector)
-	if err != nil {
+	dev := vm.kernel.TakePooledDevice()
+	if dev == nil {
+		dev = new(iodev.Device)
+		// Bound once per device: the kernel, and so its device pool,
+		// belongs to this VM for life.
+		dev.OnInterrupt = func(vcpu int) {
+			if vcpu < 0 || vcpu >= len(vm.vcpus) {
+				panic(fmt.Sprintf("kvm: completion for invalid vCPU %d", vcpu))
+			}
+			vm.vcpus[vcpu].pendIRQ(dev.Vector())
+		}
+	}
+	if err := dev.Reset(vm.engine, name, profile, h.nextIOVector); err != nil {
 		return nil, err
 	}
 	h.nextIOVector++
-	dev.OnInterrupt = func(vcpu int) {
-		if vcpu < 0 || vcpu >= len(vm.vcpus) {
-			panic(fmt.Sprintf("kvm: completion for invalid vCPU %d", vcpu))
-		}
-		vm.vcpus[vcpu].pendIRQ(dev.Vector())
-	}
 	vm.kernel.AttachDevice(dev)
 	return dev, nil
 }

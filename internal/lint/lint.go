@@ -140,10 +140,12 @@ func DefaultConfig(modPath string) *Config {
 		ArenaRoots: []string{
 			// Host/VM pooling: HostArena.NewHostOn → Host.reset → PCPU.reset,
 			// and the VM take path, which runs through Host.NewVM (the arena
-			// itself only stashes) → VM.reset → Kernel.Reset → VCPU.reset.
+			// itself only stashes) → VM.reset → Kernel.Reset → VCPU.reset;
+			// and the device take path, VM.AttachDevice → Device.Reset.
 			p("internal/kvm") + ":HostArena",
 			p("internal/kvm") + ":VMArena",
 			p("internal/kvm") + ":Host.NewVM",
+			p("internal/kvm") + ":VM.AttachDevice",
 		},
 		LaneDispatchPkgs: []string{
 			p("internal/sim"), p("internal/guest"), p("internal/kvm"),

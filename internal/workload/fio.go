@@ -166,6 +166,21 @@ func (j FioJob) Spawn(k *guest.Kernel, dev *iodev.Device) error {
 	if err != nil {
 		return err
 	}
-	k.Spawn("fio-"+j.Pattern.String(), 0, prog)
+	k.Spawn(fioTaskName(j.Pattern), 0, prog)
 	return nil
+}
+
+// fioTaskNames holds the task name of each pattern, so spawning into a
+// recycled VM formats nothing.
+var fioTaskNames = [...]string{
+	SeqRead: "fio-seqr", SeqWrite: "fio-seqwr", RandRead: "fio-rndr", RandWrite: "fio-rndwr",
+}
+
+// fioTaskName returns the task name for p, formatting one only for a
+// pattern outside the table.
+func fioTaskName(p FioPattern) string {
+	if p >= 0 && int(p) < len(fioTaskNames) {
+		return fioTaskNames[p]
+	}
+	return "fio-" + p.String()
 }

@@ -12,7 +12,29 @@ const nameTableSize = 64
 var (
 	syncTaskNames = makeNames("sync.", nameTableSize)
 	syncPairNames = makeNames("sync.pair", nameTableSize)
+	// parsecNameTables holds each stock PARSEC profile's thread and lock
+	// stripe names. It is built once at package init and only read after,
+	// so concurrent experiment workers share it without a race.
+	parsecNameTables = makeParsecNames()
 )
+
+// parsecNames are one profile's "<name>.<i>" thread names and
+// "<name>.lock<i>" stripe names (SpawnParallel takes one stripe per four
+// threads).
+type parsecNames struct {
+	tasks, locks []string
+}
+
+func makeParsecNames() map[string]parsecNames {
+	out := make(map[string]parsecNames)
+	for _, p := range Profiles() {
+		out[p.Name] = parsecNames{
+			tasks: makeNames(p.Name+".", nameTableSize),
+			locks: makeNames(p.Name+".lock", nameTableSize/4),
+		}
+	}
+	return out
+}
 
 func makeNames(prefix string, n int) []string {
 	out := make([]string, n)
@@ -22,10 +44,12 @@ func makeNames(prefix string, n int) []string {
 	return out
 }
 
-// indexedName returns tab[i] when the table covers i, formatting otherwise.
-func indexedName(tab []string, prefix string, i int) string {
+// indexedName returns tab[i] when the table covers i, and formats
+// base+suffix+i otherwise. The prefix comes in two parts so that a caller
+// with a per-profile prefix joins nothing on a table hit.
+func indexedName(tab []string, base, suffix string, i int) string {
 	if i < len(tab) {
 		return tab[i]
 	}
-	return prefix + strconv.Itoa(i)
+	return base + suffix + strconv.Itoa(i)
 }

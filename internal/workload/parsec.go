@@ -9,7 +9,6 @@ package workload
 
 import (
 	"fmt"
-	"strconv"
 
 	"paratick/internal/guest"
 	"paratick/internal/iodev"
@@ -227,8 +226,10 @@ func (p ParsecProfile) SpawnParallel(k *guest.Kernel, threads int, dev *iodev.De
 	if stripes < 1 {
 		stripes = 1
 	}
+	// An unknown profile finds no table and formats its names.
+	names := parsecNameTables[p.Name]
 	for i := 0; i < stripes; i++ {
-		art.Locks = append(art.Locks, k.NewLock(p.Name+".lock"+strconv.Itoa(i)))
+		art.Locks = append(art.Locks, k.NewLock(indexedName(names.locks, p.Name, ".lock", i)))
 	}
 	if p.BarrierIters > 0 {
 		art.Barrier = k.NewBarrier(p.Name+".barrier", threads)
@@ -245,7 +246,7 @@ func (p ParsecProfile) SpawnParallel(k *guest.Kernel, threads int, dev *iodev.De
 			remaining: share,
 			doIO:      i == 0 && p.IOOpsPerSec > 0,
 		}
-		k.Spawn(p.Name+"."+strconv.Itoa(i), i%nv, &progs[i])
+		k.Spawn(indexedName(names.tasks, p.Name, ".", i), i%nv, &progs[i])
 	}
 	return art, nil
 }

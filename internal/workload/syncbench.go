@@ -109,11 +109,11 @@ func (s SyncBench) Spawn(k *guest.Kernel) error {
 	// task plus one per formatted name.
 	progs := make([]syncProgram, s.Threads)
 	for pair := 0; pair < s.Threads/2; pair++ {
-		meet := k.NewBarrier(indexedName(syncPairNames, "sync.pair", pair), 2)
+		meet := k.NewBarrier(indexedName(syncPairNames, "sync.pair", "", pair), 2)
 		for j := 0; j < 2; j++ {
 			i := pair*2 + j
 			progs[i] = syncProgram{b: s, meet: meet, until: until}
-			k.Spawn(indexedName(syncTaskNames, "sync.", i), i%nv, &progs[i])
+			k.Spawn(indexedName(syncTaskNames, "sync.", "", i), i%nv, &progs[i])
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"paratick/internal/guest"
@@ -529,5 +530,28 @@ func TestFioSpawn(t *testing.T) {
 	bad := DefaultFioJob(SeqRead, 0, 4096)
 	if err := bad.Spawn(k, dev); err == nil {
 		t.Fatal("invalid job spawned")
+	}
+}
+
+// TestNameTablesMatchFormatting pins the pre-built task and lock names to
+// the names formatting would give, including the fallbacks: an index past
+// a table, a profile without one, and a pattern outside the fio table.
+func TestNameTablesMatchFormatting(t *testing.T) {
+	for p := SeqRead; p <= RandWrite+1; p++ {
+		if got, want := fioTaskName(p), "fio-"+p.String(); got != want {
+			t.Errorf("fio task name of %v = %q, want %q", p, got, want)
+		}
+	}
+	profiles := append(Profiles(), ParsecProfile{Name: "custom"})
+	for _, p := range profiles {
+		names := parsecNameTables[p.Name]
+		for i := 0; i <= nameTableSize; i++ {
+			if got, want := indexedName(names.tasks, p.Name, ".", i), p.Name+"."+strconv.Itoa(i); got != want {
+				t.Fatalf("task name %d of %s = %q, want %q", i, p.Name, got, want)
+			}
+			if got, want := indexedName(names.locks, p.Name, ".lock", i), p.Name+".lock"+strconv.Itoa(i); got != want {
+				t.Fatalf("lock name %d of %s = %q, want %q", i, p.Name, got, want)
+			}
+		}
 	}
 }
