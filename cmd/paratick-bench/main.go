@@ -8,7 +8,7 @@
 //	               [-seed 1] [-device nvme|sata-ssd|hdd] [-out DIR]
 //	               [-workers N] [-shards N] [-quantum D] [-no-arena]
 //	               [-manifest FILE]
-//	               [-trace-out FILE.json] [-cpuprofile FILE] [-memprofile FILE]
+//	               [-cpuprofile FILE] [-memprofile FILE]
 //	paratick-bench -perf-suite [-perf-out FILE.json] [-perf-baseline FILE.json]
 //	               [-perf-threshold 1.25]
 //	paratick-bench -checkpoint-out FILE [-checkpoint-at 10ms]
@@ -64,13 +64,11 @@
 //
 // Observability extras:
 //
-//   - -trace-out runs a fixed-seed reference scenario with tracing enabled
-//     and writes a Chrome trace-event JSON file loadable in Perfetto
-//     (ui.perfetto.dev). The scenario is a single serial simulation, so the
-//     file is byte-identical for any -workers value.
 //   - -manifest writes a JSON run manifest: seed, scale, workers, device,
 //     git version, wall clock, and aggregate events/sec.
 //   - -cpuprofile / -memprofile write pprof profiles of the bench process.
+//   - Per-event traces of a single scenario come from paratick-sim -trace,
+//     which also exports them as Chrome trace-event JSON (-trace-out).
 package main
 
 import (
@@ -87,7 +85,6 @@ import (
 	"strings"
 	"time"
 
-	"paratick"
 	"paratick/internal/experiment"
 	"paratick/internal/iodev"
 	"paratick/internal/metrics"
@@ -115,7 +112,6 @@ func run(args []string, w io.Writer) error {
 	schedPolicy := fs.String("sched", "fifo", "host vCPU scheduler for the experiments: fifo, fair (the overcommit sweep always compares both)")
 	out := fs.String("out", "", "directory for CSV output (optional)")
 	manifestPath := fs.String("manifest", "", "file for the run-manifest JSON (optional)")
-	traceOut := fs.String("trace-out", "", "file for a Chrome trace-event JSON of the reference scenario (optional)")
 	cpuProfile := fs.String("cpuprofile", "", "file for a pprof CPU profile (optional)")
 	memProfile := fs.String("memprofile", "", "file for a pprof heap profile (optional)")
 	perfSuite := fs.Bool("perf-suite", false, "run the pinned micro-benchmark suite (internal/perf) instead of the experiments")
@@ -197,12 +193,6 @@ func run(args []string, w io.Writer) error {
 	}
 	wall := time.Since(start)
 
-	if *traceOut != "" {
-		if err := writeReferenceTrace(*traceOut, *seed); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote %s\n", *traceOut)
-	}
 	if *manifestPath != "" {
 		if err := writeManifest(*manifestPath, opts, *device, wall, b.records); err != nil {
 			return err
@@ -282,36 +272,6 @@ func runCheckpoint(w io.Writer, opts experiment.Options, outPath, inPath string,
 			s.Name, ck.At(), ck.Seed(), res.Events, c.TotalExits(), c.TimerExits())
 	}
 	return nil
-}
-
-// writeReferenceTrace runs the fixed reference scenario — one paratick VM on
-// a small fio workload, tracing on — and exports it as Chrome trace JSON.
-// The run is a single serial simulation, so the bytes depend only on the
-// seed, never on -workers or host parallelism.
-func writeReferenceTrace(path string, seed uint64) error {
-	workload, err := paratick.ParseWorkloadSpec("fio:rndr:4:4", 0)
-	if err != nil {
-		return err
-	}
-	rep, err := paratick.Run(paratick.Scenario{
-		Mode:          paratick.ModeParatick,
-		VCPUs:         2,
-		Seed:          seed,
-		Workload:      workload,
-		TraceCapacity: 1 << 16,
-	})
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.Trace.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // manifest is the -manifest run record: enough to reproduce and rate the run.

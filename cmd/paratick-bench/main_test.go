@@ -101,41 +101,6 @@ func TestRunManifest(t *testing.T) {
 	}
 }
 
-// The -trace-out file must be valid Chrome JSON and byte-identical across
-// worker counts — the property the CI golden check enforces.
-func TestTraceOutByteStableAcrossWorkers(t *testing.T) {
-	dir := t.TempDir()
-	outs := make([][]byte, 0, 2)
-	for i, workers := range []string{"1", "4"} {
-		path := filepath.Join(dir, "trace"+workers+".json")
-		var b strings.Builder
-		err := run([]string{"-run", "table1", "-scale", "0.02",
-			"-workers", workers, "-trace-out", path}, &b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			var doc struct {
-				TraceEvents []json.RawMessage `json:"traceEvents"`
-			}
-			if err := json.Unmarshal(data, &doc); err != nil {
-				t.Fatalf("trace not valid JSON: %v", err)
-			}
-			if len(doc.TraceEvents) == 0 {
-				t.Fatal("trace has no events")
-			}
-		}
-		outs = append(outs, data)
-	}
-	if !bytes.Equal(outs[0], outs[1]) {
-		t.Fatal("trace output differs between -workers 1 and -workers 4")
-	}
-}
-
 func TestRunProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")

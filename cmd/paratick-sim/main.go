@@ -2,12 +2,20 @@
 // tick mode — and prints its report, optionally comparing against the
 // dynticks baseline.
 //
+// -trace N records the run's last N exit, injection and scheduler events
+// and prints a perf-style summary of them after the report; -events N adds
+// the raw tail, and -trace-out FILE.json exports them as Chrome trace JSON
+// for Perfetto (ui.perfetto.dev), one track per pCPU/vCPU. The bytes
+// depend only on the flags.
+//
 // Usage:
 //
 //	paratick-sim [-mode dynticks|periodic|paratick] [-vcpus N] [-sockets N]
 //	             [-workload SPEC] [-duration 1s] [-seed 1] [-compare]
-//	             [-guest-hz 250] [-host-hz 250] [-haltpoll 0]
-//	             [-overcommit N] [-sched fifo|fair] [-timeslice 6ms]
+//	             [-guest-hz 250] [-host-hz 250] [-haltpoll 0] [-ple 0]
+//	             [-spin 0] [-overcommit N] [-sched fifo|fair]
+//	             [-timeslice 6ms] [-topup] [-disarm-on-idle-exit]
+//	             [-trace N [-events N] [-trace-out FILE.json]]
 //
 // Workload specs:
 //
@@ -53,8 +61,19 @@ func run(args []string, w io.Writer) error {
 	topUp := fs.Bool("topup", false, "enable the §4.1 frequency-mismatch top-up timer")
 	disarm := fs.Bool("disarm-on-idle-exit", false, "invert the §5.2.5 heuristic (ablation)")
 	compare := fs.Bool("compare", false, "also run the dynticks baseline and print the comparison")
+	traceCap := fs.Int("trace", 0, "trace ring capacity: record the last N events and print their summary (0 = no tracing)")
+	events := fs.Int("events", 0, "print the last N raw trace events (requires -trace)")
+	traceOut := fs.String("trace-out", "", "file for Chrome trace-event JSON (requires -trace)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch {
+	case *traceCap < 0 || *events < 0:
+		return fmt.Errorf("-trace and -events must be non-negative")
+	case *traceCap == 0 && (*events > 0 || *traceOut != ""):
+		return fmt.Errorf("-events and -trace-out require -trace")
+	case *traceCap > 0 && *compare:
+		return fmt.Errorf("-trace traces one run; -compare runs two")
 	}
 
 	m, err := paratick.ParseTickMode(*mode)
@@ -68,9 +87,6 @@ func run(args []string, w io.Writer) error {
 	workload, err := paratick.ParseWorkloadSpec(*wl, *duration)
 	if err != nil {
 		return err
-	}
-	if *wl == "idle" && *duration <= 0 {
-		return fmt.Errorf("idle workload requires -duration")
 	}
 	s := paratick.Scenario{
 		Mode:             m,
@@ -88,6 +104,7 @@ func run(args []string, w io.Writer) error {
 		AdaptiveSpin:     *spin,
 		TopUpTimer:       *topUp,
 		DisarmOnIdleExit: *disarm,
+		TraceCapacity:    *traceCap,
 		Workload:         workload,
 	}
 	if *compare {
@@ -103,5 +120,31 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	fmt.Fprint(w, rep.Summary())
+	if *traceCap == 0 {
+		return nil
+	}
+	fmt.Fprintln(w)
+	fmt.Fprint(w, rep.Trace.Summary())
+	if *events > 0 {
+		evs := rep.Trace.Events()
+		fmt.Fprintln(w)
+		for _, e := range evs[max(0, len(evs)-*events):] {
+			fmt.Fprintln(w, e.String())
+		}
+	}
+	if *traceOut != "" {
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			return err
+		}
+		if err := rep.Trace.WriteChrome(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "wrote %s\n", *traceOut)
+	}
 	return nil
 }

@@ -1,6 +1,11 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -25,6 +30,77 @@ func TestRunCompareSmoke(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "paratick vs dynticks") {
 		t.Fatalf("comparison header missing:\n%s", b.String())
+	}
+}
+
+func TestRunTraceSmoke(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"-workload", "fio:rndr:4:1", "-trace", "4096", "-events", "5"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{"VM exits", "trace:"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestRunTraceOutWritesValidChromeJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	var b strings.Builder
+	if err := run([]string{"-workload", "fio:rndr:4:1", "-trace", "4096", "-trace-out", path}, &b); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkChromeTrace(t, data)
+}
+
+// referenceTraceSHA256 is the digest of the reference scenario's Chrome
+// trace: two paratick vCPUs on fio:rndr:4:4, seed 1, a 65536-event ring.
+// The file depends only on the flags, so any change to these bytes is a
+// change to what the simulator records.
+const referenceTraceSHA256 = "98f0d250b44f5254479acf0c9ace5683f8b26a3d25cfd6e7b1edceb5a38ba380"
+
+func TestRunTraceOutReferenceBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	var b strings.Builder
+	if err := run([]string{"-mode", "paratick", "-vcpus", "2", "-workload", "fio:rndr:4:4",
+		"-trace", "65536", "-trace-out", path}, &b); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != referenceTraceSHA256 {
+		t.Errorf("reference trace sha256 %x, want %s", sum, referenceTraceSHA256)
+	}
+	checkChromeTrace(t, data)
+}
+
+// checkChromeTrace fails t unless data is a Chrome trace-event JSON
+// document with at least one event.
+func checkChromeTrace(t *testing.T, data []byte) {
+	t.Helper()
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("trace file is not valid JSON: %v", err)
+	}
+	if len(doc.TraceEvents) == 0 {
+		t.Fatal("trace file has no events")
+	}
+}
+
+func TestRunTraceBadMode(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"-mode", "bogus", "-trace", "4096"}, &b); err == nil {
+		t.Error("bogus mode accepted with tracing on")
 	}
 }
 
@@ -56,7 +132,9 @@ func TestRunBadFlags(t *testing.T) {
 // one whose mean interval overflowed sim.Time or rounded to 0 ns; a
 // billion-thread workload allocated a task per thread; and fio sizes that
 // wrap when converted to bytes (2^54+1 KiB blocks, 2^44+1 MiB in total)
-// ran as the wrapped sizes, 1 KiB and 1 MiB.
+// ran as the wrapped sizes, 1 KiB and 1 MiB. Trace flags that cannot take
+// effect (-events or -trace-out without -trace, a trace of a -compare's two
+// runs) are refused too, not ignored.
 func TestRunHostileFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-workload", "idle", "-duration", "5000h"},
@@ -78,6 +156,10 @@ func TestRunHostileFlags(t *testing.T) {
 		{"-workload", "parsec-par:ferret:1000000000"},
 		{"-workload", "fio:rndr:18014398509481985:1"},
 		{"-workload", "fio:rndr:4:17592186044417"},
+		{"-trace", "-1"},
+		{"-events", "5"},
+		{"-trace-out", filepath.Join(t.TempDir(), "trace.json")},
+		{"-trace", "16", "-compare"},
 	} {
 		var b strings.Builder
 		if err := run(args, &b); err == nil {

@@ -30,7 +30,8 @@ type VMSpec struct {
 	Sockets   int // 0 → 1
 	Placement []hw.CPUID
 	// Workload marks this VM's tasks as the scenario's completion condition:
-	// a Scenario with Duration 0 runs until every workload VM finishes.
+	// a Scenario with Duration 0 runs until every workload VM finishes, so
+	// there each workload VM's Setup must spawn at least one task.
 	Workload bool
 	// TaskHint presizes the guest's task bookkeeping (task registry, vCPU
 	// run queues) for roughly this many Setup-spawned tasks, so the first
@@ -308,6 +309,11 @@ func buildWorld(s Scenario, seed uint64, a *arena) (*world, error) {
 			if err := vs.Setup(vm); err != nil {
 				return nil, fmt.Errorf("experiment %s setup %s: %w", s.Name, vs.Name, err)
 			}
+		}
+		if vs.Workload && s.Duration == 0 && vm.Kernel().LiveTasks() == 0 {
+			// Completion waits on this VM's tasks, and it has none: the
+			// run could only end at the deadline cap, as a failure.
+			return nil, fmt.Errorf("experiment %s: workload VM %s spawned no task, so it needs a Duration", s.Name, vs.Name)
 		}
 		w.vms = append(w.vms, vm)
 	}

@@ -75,21 +75,6 @@ func (h *Host) releaseRemoteIRQ(lane int, r *remoteIRQ) {
 	h.freeIRQ[lane] = append(h.freeIRQ[lane], r)
 }
 
-// PostRemoteIRQ sends an interrupt to another VM's vCPU across lanes,
-// taking effect at fireAt. It must be called from the source VM's lane
-// (its execution context) and fireAt must respect the conservative
-// horizon (now + quantum); sim.ShardedEngine.Post enforces both bounds it
-// can see and panics on violations.
-func (h *Host) PostRemoteIRQ(src, dst *VM, vcpu int, vec hw.Vector, fireAt sim.Time) {
-	if vcpu < 0 || vcpu >= len(dst.vcpus) {
-		panic(fmt.Sprintf("kvm: remote IRQ for invalid vCPU %d of VM %q", vcpu, dst.name))
-	}
-	h.se.Post(sim.Message{
-		Src: src.lane, Dst: dst.lane, FireAt: fireAt,
-		A: int64(dst.index), B: int64(vcpu), C: int64(vec),
-	})
-}
-
 // deliverRemoteIRQ is the barrier-drain hook: it runs on the coordinator
 // with every lane parked, arms the interrupt on the destination lane's
 // engine, and tracks it as in flight until it fires.
@@ -170,7 +155,13 @@ func (h *Host) AddIPIStream(src, dst *VM, vcpu int, period, latency, phase sim.T
 		s.fn = func(e *sim.Engine) {
 			s.sent++
 			now := e.Now()
-			h.PostRemoteIRQ(s.src, s.dst, s.vcpu, hw.RescheduleVector, now+s.latency)
+			// Posted from the source VM's lane; the latency is at least one
+			// quantum, the conservative horizon sim.ShardedEngine.Post
+			// enforces.
+			h.se.Post(sim.Message{
+				Src: s.src.lane, Dst: s.dst.lane, FireAt: now + s.latency,
+				A: int64(s.dst.index), B: int64(s.vcpu), C: int64(hw.RescheduleVector),
+			})
 			s.ev = e.At(now+s.period, "ipi-stream", s.fn)
 		}
 	}

@@ -108,6 +108,51 @@ func TestShardedPostBelowHorizonPanics(t *testing.T) {
 	se.Post(Message{Src: 0, Dst: 1, FireAt: Millisecond - 1})
 }
 
+// TestShardedQuiescenceAdvancesEveryLane covers RunUntil's global
+// quiescence branch: once no lane holds an event and the mailboxes are
+// drained after a barrier, the coordinator moves every lane clock to the
+// deadline at once and runs no further barrier.
+func TestShardedQuiescenceAdvancesEveryLane(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		eventAt Time // on lane 1; 0 = none
+		hooks   []Time
+	}{
+		{"empty", 0, []Time{Millisecond}},
+		{"one-event", 5 * Millisecond, []Time{Millisecond, 2 * Millisecond, 3 * Millisecond, 4 * Millisecond, 5 * Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			se, err := NewSharded(1, 2, 1, Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fired := false
+			if tc.eventAt > 0 {
+				se.Engine(1).At(tc.eventAt, "once", func(*Engine) { fired = true })
+			}
+			var hooks []Time
+			se.SetBarrierHook(func(now Time) { hooks = append(hooks, now) })
+			se.RunUntil(10 * Millisecond)
+			for l := 0; l < se.Lanes(); l++ {
+				if now := se.Engine(l).Now(); now != 10*Millisecond {
+					t.Errorf("lane %d now %v, want 10ms", l, now)
+				}
+			}
+			if tc.eventAt > 0 && !fired {
+				t.Error("the lane-1 event never fired")
+			}
+			if len(hooks) != len(tc.hooks) {
+				t.Fatalf("barrier hook ran at %v, want %v", hooks, tc.hooks)
+			}
+			for i := range hooks {
+				if hooks[i] != tc.hooks[i] {
+					t.Fatalf("barrier hook ran at %v, want %v", hooks, tc.hooks)
+				}
+			}
+		})
+	}
+}
+
 func TestShardedStopHonoredAtBarrier(t *testing.T) {
 	se, err := NewSharded(1, 2, 1, Millisecond)
 	if err != nil {

@@ -120,7 +120,8 @@ type Scenario struct {
 	// bit for bit.
 	Seed uint64
 	// Duration bounds open-ended workloads (e.g. IdleWorkload). When zero,
-	// the run ends at workload completion.
+	// the run ends at workload completion, and a workload that spawns no
+	// task is refused.
 	Duration time.Duration
 	// HaltPoll enables KVM-style halt polling (the paper disables it).
 	HaltPoll time.Duration

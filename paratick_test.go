@@ -67,6 +67,22 @@ func TestRunIdleScenario(t *testing.T) {
 	}
 }
 
+// TestRunTasklessWorkloadNeedsDuration pins that a workload that spawns no
+// task and has no Duration is refused when the world is built, naming the
+// VM, instead of simulating to the 1000 s cap and failing there.
+func TestRunTasklessWorkloadNeedsDuration(t *testing.T) {
+	for _, wl := range []Workload{
+		IdleWorkload(),
+		CustomWorkload("empty", func(*Builder) error { return nil }),
+	} {
+		_, err := Run(Scenario{Workload: wl})
+		want := "workload VM " + wl.name() + " spawned no task"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s without a Duration: got %v, want an error containing %q", wl.name(), err, want)
+		}
+	}
+}
+
 func TestRunFioScenario(t *testing.T) {
 	rep, err := Run(Scenario{
 		Mode:     ModeParatick,
