@@ -7,8 +7,10 @@ import (
 
 	"paratick/internal/core"
 	"paratick/internal/hw"
+	"paratick/internal/kvm"
 	"paratick/internal/sched"
 	"paratick/internal/sim"
+	"paratick/internal/workload"
 )
 
 // retainedSession keeps the session BenchmarkSessionRetainedHeap built last
@@ -90,12 +92,14 @@ func liveHeap() uint64 {
 
 // shardFleetRunAllocs bounds a warm Session run of the io-lanes fleet:
 // ShardFleetScenario at scale 0.05 with 16 VMs on two shards. Its pooled
-// world keeps the VMs with their devices, the host with its IPI streams,
-// and the world shell, so a run allocates little more than its 16 fio
-// programs and the start of its two shard workers: 27 measured (2-vCPU
-// Xeon, Go 1.24), 270 while devices, streams and the shell were built anew
-// each run.
-const shardFleetRunAllocs = 64
+// world keeps the VMs with their devices and the fio programs of their
+// retired tasks, the host with its IPI streams and bound delivery hook, the
+// coordinator with its shard worker handles, and the world shell, so a
+// warm run allocates nothing: 0 measured (2-vCPU Xeon, Go 1.24), plus a
+// margin of 2. It allocated 27 while each run built its 16 fio programs
+// and its two shard workers, and 270 while devices, streams and the shell
+// were built anew each run as well.
+const shardFleetRunAllocs = 2
 
 // TestShardFleetSessionAllocs holds the io-lanes fleet's warm Session runs
 // to shardFleetRunAllocs allocations each.
@@ -122,5 +126,49 @@ func TestShardFleetSessionAllocs(t *testing.T) {
 	t.Logf("%.1f allocations per warm shard-fleet run", allocs)
 	if allocs > shardFleetRunAllocs {
 		t.Fatalf("a warm shard-fleet Session run allocates %.1f, want at most %d", allocs, shardFleetRunAllocs)
+	}
+}
+
+// syncWakeupsRunAllocs bounds a warm Session run shaped like the
+// sync-wakeups benchmark workload; see TestSyncWakeupsSessionAllocs.
+const syncWakeupsRunAllocs = 1
+
+// TestSyncWakeupsSessionAllocs holds a warm Session run of Table 1's
+// consolidation host running the sync benchmark to syncWakeupsRunAllocs
+// allocations: four 16-vCPU paratick VMs pinned 4:1 onto 16 pCPUs under
+// the fair scheduler, each spawning 16 sync threads that rendezvous in
+// pairs 8000 times a second for one simulated second. A recycled kernel
+// hands each respawned thread the program of the task it reuses, so a
+// warm run builds no programs (it built one slab per VM before).
+func TestSyncWakeupsSessionAllocs(t *testing.T) {
+	placement := make([]hw.CPUID, 16)
+	for i := range placement {
+		placement[i] = hw.CPUID(i)
+	}
+	spawn := func(vm *kvm.VM) error {
+		b := workload.DefaultSyncBench()
+		b.SyncsPerSec = 8000
+		b.Duration = sim.Second
+		return b.Spawn(vm.Kernel())
+	}
+	sc := Scenario{Name: "sync-wakeups", Topology: hw.SmallTopology(), SchedPolicy: sched.Fair, Duration: sim.Second}
+	for n := 0; n < 4; n++ {
+		sc.VMs = append(sc.VMs, VMSpec{Name: fmt.Sprintf("vm%d", n), Mode: core.Paratick, Placement: placement,
+			TaskHint: 16, Setup: spawn})
+	}
+	s := NewSession()
+	var res ScenarioResult
+	seed := uint64(1)
+	run := func() {
+		if err := s.RunScenarioInto(sc, seed, nil, &res); err != nil {
+			t.Fatal(err)
+		}
+		seed++
+	}
+	run() // cold: builds and pools the world
+	allocs := testing.AllocsPerRun(8, run)
+	t.Logf("%.1f allocations per warm sync-wakeups run", allocs)
+	if allocs > syncWakeupsRunAllocs {
+		t.Fatalf("a warm sync-wakeups Session run allocates %.1f, want at most %d", allocs, syncWakeupsRunAllocs)
 	}
 }

@@ -126,7 +126,8 @@ type Kernel struct {
 	// taskFree holds the previous run's Task objects after a Reset, reused
 	// by Spawn in LIFO order. A recycled task keeps its pre-bound sleep
 	// callback (it reads t.vcpu at call time, so re-homing is safe) and its
-	// Rand object (reseeded via ForkInto at the identical draw point).
+	// Rand object (reseeded via ForkInto at the identical draw point), and
+	// its last program, which NewProgram reuses as the shell of the next.
 	//snap:skip pool of recycled tasks, capacity only
 	taskFree []*Task
 
@@ -368,6 +369,31 @@ func (k *Kernel) Spawn(name string, vcpu int, prog Program) *Task {
 	k.liveTasks++
 	t.vcpu.runq = append(t.vcpu.runq, t)
 	return t
+}
+
+// NewProgram returns zeroed storage of type P for the program of the next
+// task Spawn creates, so a workload respawned into a recycled kernel
+// allocates no program. When the task Spawn will recycle next ran a *P in
+// its last run, that program is reused in place. Otherwise the storage is
+// the next slot of *slab, which is allocated on the first miss with room
+// for left programs: the one being made and those the caller will ask for
+// after it. A workload calls it once per task, right before that task's
+// Spawn, with one slab variable for the whole spawn, so a fresh kernel
+// costs one allocation per spawn, as a slab built up front would.
+func NewProgram[P any](k *Kernel, slab *[]P, left int) *P {
+	if n := len(k.taskFree); n > 0 {
+		if p, ok := any(k.taskFree[n-1].prog).(*P); ok {
+			var zero P
+			*p = zero
+			return p
+		}
+	}
+	if len(*slab) == 0 {
+		*slab = make([]P, left)
+	}
+	p := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return p
 }
 
 // Tasks returns all spawned tasks.

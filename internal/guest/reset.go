@@ -10,8 +10,9 @@ package guest
 //     stream (tag 0x6e57) and Spawn forks the kernel stream once per task,
 //     each via ForkInto, whether the Rand object is new or recycled.
 //   - Construction identity survives, per-run state does not: registry ids,
-//     names, pre-bound closures (task callbacks) and slice capacities are
-//     kept; every other field is written by the reset.
+//     names, pre-bound closures (task callbacks), slice capacities and the
+//     retired tasks' programs (reused zeroed, by NewProgram) are kept;
+//     every other field is written by the reset.
 //   - The vCPU count is construction identity: the VM arena only recycles a
 //     kernel onto a world with the same number of vCPUs.
 //   - Attached devices are pooled like sync objects: Reset swaps them into
@@ -72,13 +73,14 @@ func (k *Kernel) Reset(engine *sim.Engine, cost hw.CostModel, cfg Config, counte
 }
 
 // retireTasks moves every task of the finished run into the free pool for
-// Spawn to recycle. The program reference is dropped (it belongs to the
-// workload, not the task); the Rand object and pre-bound callbacks stay.
+// Spawn to recycle. The Rand object and pre-bound callbacks stay, and so
+// does the program: NewProgram hands it out again, zeroed, as the shell of
+// the next run's program when the respawning workload asks for the same
+// type.
 //
 //paratick:noalloc
 func (k *Kernel) retireTasks() {
 	for i, t := range k.tasks {
-		t.prog = nil
 		k.taskFree = append(k.taskFree, t)
 		k.tasks[i] = nil
 	}

@@ -43,7 +43,7 @@ type miniExec struct {
 
 func newMiniExec(e *sim.Engine, v *VCPU) *miniExec {
 	m := &miniExec{e: e, v: v, stepCap: 10000}
-	m.timer = hw.NewDeadlineTimer(e, "mini", func(now sim.Time) {
+	m.timer = hw.NewDeadlineTimer(e, "timer:mini", func(now sim.Time) {
 		v.Deliver(hw.LocalTimerVector)
 		m.hlt = false
 	})

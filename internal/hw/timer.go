@@ -2,10 +2,20 @@ package hw
 
 import (
 	"fmt"
+	"strings"
 
 	"paratick/internal/sim"
 	"paratick/internal/snap"
 )
+
+// timerName returns the name a timer label carries after its prefix.
+func timerName(label, prefix string) string {
+	name, ok := strings.CutPrefix(label, prefix)
+	if !ok {
+		panic(fmt.Sprintf("hw: timer label %q does not start with %q", label, prefix))
+	}
+	return name
+}
 
 // DeadlineTimer models a one-shot hardware timer armed by writing an
 // absolute deadline — the programming model of both the x86 TSC-deadline
@@ -16,9 +26,9 @@ import (
 type DeadlineTimer struct {
 	//reset:keep diagnostic name fixed at construction, stable across reuse
 	name string
-	//snap:skip cache: label precomputed from name at construction
-	//reset:keep cache: precomputed from name, which also survives reuse
-	label string // precomputed event label; arming is a hot path
+	//snap:skip event label fixed at construction; name is its suffix
+	//reset:keep event label fixed at construction, stable across reuse
+	label string
 	//snap:skip engine wiring; Reset rebinds it when the owner moves lanes
 	engine *sim.Engine
 	//snap:skip pre-bound closure, recreated at construction
@@ -32,11 +42,13 @@ type DeadlineTimer struct {
 }
 
 // NewDeadlineTimer creates a disarmed timer that invokes fire on expiry.
-func NewDeadlineTimer(engine *sim.Engine, name string, fire func(now sim.Time)) *DeadlineTimer {
+// label is the timer's event label, "timer:" followed by its name; a
+// constant label lets construction build no string.
+func NewDeadlineTimer(engine *sim.Engine, label string, fire func(now sim.Time)) *DeadlineTimer {
 	if engine == nil || fire == nil {
 		panic("hw: DeadlineTimer requires an engine and a fire callback")
 	}
-	t := &DeadlineTimer{name: name, label: "timer:" + name, engine: engine, fire: fire}
+	t := &DeadlineTimer{name: timerName(label, "timer:"), label: label, engine: engine, fire: fire}
 	t.handler = func(e *sim.Engine) {
 		t.ev = sim.Event{}
 		t.expireCt++
@@ -127,7 +139,7 @@ func (t *DeadlineTimer) Snap(s *snap.Stream) {
 // does, preventing the model from firing every host tick in lockstep.
 type PeriodicTimer struct {
 	name string
-	//snap:skip cache: label precomputed from name at construction
+	//snap:skip event label fixed at construction; name is its suffix
 	label string
 	//snap:skip engine wiring; Reset rebinds it when the owner moves lanes
 	engine *sim.Engine
@@ -142,15 +154,18 @@ type PeriodicTimer struct {
 	ticks   uint64
 }
 
-// NewPeriodicTimer creates a stopped periodic timer.
-func NewPeriodicTimer(engine *sim.Engine, name string, period sim.Time, fire func(now sim.Time)) *PeriodicTimer {
+// NewPeriodicTimer creates a stopped periodic timer. label is the timer's
+// event label, "ptimer:" followed by its name; a constant label lets
+// construction build no string.
+func NewPeriodicTimer(engine *sim.Engine, label string, period sim.Time, fire func(now sim.Time)) *PeriodicTimer {
 	if engine == nil || fire == nil {
 		panic("hw: PeriodicTimer requires an engine and a fire callback")
 	}
+	name := timerName(label, "ptimer:")
 	if period <= 0 {
 		panic(fmt.Sprintf("hw: PeriodicTimer %q period must be positive, got %v", name, period))
 	}
-	t := &PeriodicTimer{name: name, label: "ptimer:" + name, engine: engine, period: period, fire: fire}
+	t := &PeriodicTimer{name: name, label: label, engine: engine, period: period, fire: fire}
 	t.handler = func(e *sim.Engine) {
 		t.ticks++
 		t.schedule(e.Now() + t.period)

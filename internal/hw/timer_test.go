@@ -11,7 +11,7 @@ import (
 func TestDeadlineTimerFires(t *testing.T) {
 	e := sim.NewEngine(1)
 	var fired []sim.Time
-	dt := NewDeadlineTimer(e, "t", func(now sim.Time) { fired = append(fired, now) })
+	dt := NewDeadlineTimer(e, "timer:t", func(now sim.Time) { fired = append(fired, now) })
 	dt.Arm(100)
 	if !dt.Armed() || dt.Deadline() != 100 {
 		t.Fatalf("armed=%v deadline=%v", dt.Armed(), dt.Deadline())
@@ -34,7 +34,7 @@ func TestDeadlineTimerFires(t *testing.T) {
 func TestDeadlineTimerRearmReplaces(t *testing.T) {
 	e := sim.NewEngine(1)
 	var fired []sim.Time
-	dt := NewDeadlineTimer(e, "t", func(now sim.Time) { fired = append(fired, now) })
+	dt := NewDeadlineTimer(e, "timer:t", func(now sim.Time) { fired = append(fired, now) })
 	dt.Arm(100)
 	dt.Arm(200) // overwrite, like rewriting TSC_DEADLINE
 	e.Run()
@@ -49,7 +49,7 @@ func TestDeadlineTimerRearmReplaces(t *testing.T) {
 func TestDeadlineTimerCancel(t *testing.T) {
 	e := sim.NewEngine(1)
 	fired := 0
-	dt := NewDeadlineTimer(e, "t", func(sim.Time) { fired++ })
+	dt := NewDeadlineTimer(e, "timer:t", func(sim.Time) { fired++ })
 	dt.Arm(100)
 	dt.Cancel()
 	dt.Cancel() // idempotent
@@ -62,7 +62,7 @@ func TestDeadlineTimerCancel(t *testing.T) {
 func TestDeadlineTimerPastDeadlineFiresNow(t *testing.T) {
 	e := sim.NewEngine(1)
 	var fired []sim.Time
-	dt := NewDeadlineTimer(e, "t", func(now sim.Time) { fired = append(fired, now) })
+	dt := NewDeadlineTimer(e, "timer:t", func(now sim.Time) { fired = append(fired, now) })
 	e.At(500, "arm", func(*sim.Engine) { dt.Arm(100) })
 	e.Run()
 	if len(fired) != 1 || fired[0] != 500 {
@@ -73,7 +73,7 @@ func TestDeadlineTimerPastDeadlineFiresNow(t *testing.T) {
 func TestDeadlineTimerArmForeverDisarms(t *testing.T) {
 	e := sim.NewEngine(1)
 	fired := 0
-	dt := NewDeadlineTimer(e, "t", func(sim.Time) { fired++ })
+	dt := NewDeadlineTimer(e, "timer:t", func(sim.Time) { fired++ })
 	dt.Arm(100)
 	dt.Arm(sim.Forever)
 	if dt.Armed() {
@@ -88,7 +88,7 @@ func TestDeadlineTimerArmForeverDisarms(t *testing.T) {
 func TestDeadlineTimerArmAfter(t *testing.T) {
 	e := sim.NewEngine(1)
 	var fired []sim.Time
-	dt := NewDeadlineTimer(e, "t", func(now sim.Time) { fired = append(fired, now) })
+	dt := NewDeadlineTimer(e, "timer:t", func(now sim.Time) { fired = append(fired, now) })
 	e.At(50, "arm", func(*sim.Engine) { dt.ArmAfter(25) })
 	e.Run()
 	if len(fired) != 1 || fired[0] != 75 {
@@ -104,7 +104,7 @@ func TestDeadlineTimerRearmFromCallback(t *testing.T) {
 	e := sim.NewEngine(1)
 	var fired []sim.Time
 	var dt *DeadlineTimer
-	dt = NewDeadlineTimer(e, "t", func(now sim.Time) {
+	dt = NewDeadlineTimer(e, "timer:t", func(now sim.Time) {
 		fired = append(fired, now)
 		if len(fired) < 3 {
 			dt.Arm(now + 10)
@@ -131,7 +131,7 @@ func TestNewDeadlineTimerPanics(t *testing.T) {
 				t.Error("nil engine did not panic")
 			}
 		}()
-		NewDeadlineTimer(nil, "t", func(sim.Time) {})
+		NewDeadlineTimer(nil, "timer:t", func(sim.Time) {})
 	}()
 	func() {
 		defer func() {
@@ -139,14 +139,41 @@ func TestNewDeadlineTimerPanics(t *testing.T) {
 				t.Error("nil callback did not panic")
 			}
 		}()
-		NewDeadlineTimer(e, "t", nil)
+		NewDeadlineTimer(e, "timer:t", nil)
 	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a label without the timer: prefix did not panic")
+			}
+		}()
+		NewDeadlineTimer(e, "t", func(sim.Time) {})
+	}()
+}
+
+// TestTimerConstructionBuildsNoLabel pins that a timer built from a
+// constant label allocates only itself and its pre-bound handler: the
+// label is the caller's string, and the name is a slice of it.
+func TestTimerConstructionBuildsNoLabel(t *testing.T) {
+	e := sim.NewEngine(1)
+	fire := func(sim.Time) {}
+	var dt *DeadlineTimer
+	if allocs := testing.AllocsPerRun(50, func() { dt = NewDeadlineTimer(e, "timer:guest-timer", fire) }); allocs != 2 {
+		t.Errorf("NewDeadlineTimer allocates %.1f, want 2 (timer and handler)", allocs)
+	}
+	var pt *PeriodicTimer
+	if allocs := testing.AllocsPerRun(50, func() { pt = NewPeriodicTimer(e, "ptimer:host-tick", sim.Millisecond, fire) }); allocs != 2 {
+		t.Errorf("NewPeriodicTimer allocates %.1f, want 2 (timer and handler)", allocs)
+	}
+	if dt.name != "guest-timer" || dt.label != "timer:guest-timer" || pt.name != "host-tick" || pt.label != "ptimer:host-tick" {
+		t.Fatalf("names %q, %q and labels %q, %q", dt.name, pt.name, dt.label, pt.label)
+	}
 }
 
 func TestPeriodicTimerTicks(t *testing.T) {
 	e := sim.NewEngine(1)
 	var fired []sim.Time
-	pt := NewPeriodicTimer(e, "tick", 4*sim.Millisecond, func(now sim.Time) {
+	pt := NewPeriodicTimer(e, "ptimer:tick", 4*sim.Millisecond, func(now sim.Time) {
 		fired = append(fired, now)
 	})
 	pt.Start(sim.Millisecond) // phase 1ms
@@ -171,7 +198,7 @@ func TestPeriodicTimerTicks(t *testing.T) {
 func TestPeriodicTimerStop(t *testing.T) {
 	e := sim.NewEngine(1)
 	count := 0
-	pt := NewPeriodicTimer(e, "tick", sim.Millisecond, func(sim.Time) { count++ })
+	pt := NewPeriodicTimer(e, "ptimer:tick", sim.Millisecond, func(sim.Time) { count++ })
 	pt.Start(0)
 	e.RunUntil(3 * sim.Millisecond)
 	pt.Stop()
@@ -187,7 +214,7 @@ func TestPeriodicTimerStop(t *testing.T) {
 
 func TestPeriodicTimerDoubleStartPanics(t *testing.T) {
 	e := sim.NewEngine(1)
-	pt := NewPeriodicTimer(e, "tick", sim.Millisecond, func(sim.Time) {})
+	pt := NewPeriodicTimer(e, "ptimer:tick", sim.Millisecond, func(sim.Time) {})
 	pt.Start(0)
 	defer func() {
 		if recover() == nil {
@@ -204,14 +231,14 @@ func TestPeriodicTimerBadPeriodPanics(t *testing.T) {
 			t.Error("non-positive period did not panic")
 		}
 	}()
-	NewPeriodicTimer(e, "tick", 0, func(sim.Time) {})
+	NewPeriodicTimer(e, "ptimer:tick", 0, func(sim.Time) {})
 }
 
 func TestPeriodicTimerRate(t *testing.T) {
 	// A 250 Hz timer must fire exactly 2500 times in 10 simulated seconds.
 	e := sim.NewEngine(1)
 	count := 0
-	pt := NewPeriodicTimer(e, "tick", sim.PeriodFromHz(250), func(sim.Time) { count++ })
+	pt := NewPeriodicTimer(e, "ptimer:tick", sim.PeriodFromHz(250), func(sim.Time) { count++ })
 	pt.Start(pt.Period()) // first tick at t=4ms, so exactly t/period ticks in (0,10s]
 	e.RunUntil(10 * sim.Second)
 	if count != 2500 {
@@ -236,7 +263,7 @@ func TestDeadlineTimerOrderProperty(t *testing.T) {
 		var fired []sim.Time
 		idx := 0
 		var dt *DeadlineTimer
-		dt = NewDeadlineTimer(e, "p", func(now sim.Time) {
+		dt = NewDeadlineTimer(e, "timer:p", func(now sim.Time) {
 			fired = append(fired, now)
 			idx++
 			if idx < len(deadlines) {
@@ -271,7 +298,7 @@ func max(a, b int) int {
 func TestPeriodicTimerNegativePhaseClamps(t *testing.T) {
 	e := sim.NewEngine(1)
 	var first sim.Time = -1
-	pt := NewPeriodicTimer(e, "x", sim.Millisecond, func(now sim.Time) {
+	pt := NewPeriodicTimer(e, "ptimer:x", sim.Millisecond, func(now sim.Time) {
 		if first < 0 {
 			first = now
 		}
@@ -285,7 +312,7 @@ func TestPeriodicTimerNegativePhaseClamps(t *testing.T) {
 
 func TestDeadlineTimerArmCountAcrossCancel(t *testing.T) {
 	e := sim.NewEngine(1)
-	dt := NewDeadlineTimer(e, "x", func(sim.Time) {})
+	dt := NewDeadlineTimer(e, "timer:x", func(sim.Time) {})
 	dt.Arm(10)
 	dt.Cancel()
 	dt.Arm(20)

@@ -165,7 +165,7 @@ func (h *Host) reset(cfg Config) error {
 			h.inflight[l] = h.inflight[l][:0]
 		}
 		h.recycleStreams()
-		h.se.SetDeliver(h.deliverRemoteIRQ)
+		h.se.SetDeliver(h.deliver)
 	}
 	return nil
 }

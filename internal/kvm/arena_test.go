@@ -12,6 +12,7 @@ import (
 	"paratick/internal/sched"
 	"paratick/internal/sim"
 	"paratick/internal/snap"
+	"paratick/internal/workload"
 )
 
 // runWorkload builds a host on se via the given arena, boots two VMs with a
@@ -98,21 +99,41 @@ func TestHostArenaReuseMatchesFresh(t *testing.T) {
 type arenaWork int
 
 const (
-	burnWork arenaWork = iota // one CPU-burn task
-	syncWork                  // two tasks meeting on a lock and a barrier
-	fioWork                   // reads and writes on an attached NVMe device
+	burnWork   arenaWork = iota // one CPU-burn task
+	syncWork                    // two tasks meeting on a lock and a barrier
+	fioWork                     // reads and writes on an attached NVMe device
+	fioJobWork                  // the fio workload's program on an NVMe device
+	benchWork                   // the sync benchmark's four paired threads
+	parsecWork                  // PARSEC dedup's four threads, thread 0 doing I/O
 )
 
-func (w arenaWork) String() string { return [...]string{"burn", "sync", "fio"}[w] }
+func (w arenaWork) String() string {
+	return [...]string{"burn", "sync", "fio", "fio-job", "syncbench", "parsec"}[w]
+}
+
+// arenaDone is when vmArenaRun stops a run it lets finish.
+const arenaDone = 30 * sim.Millisecond
 
 // vmArenaRun builds a host on se through the arena, boots two 2-vCPU VMs in
 // the given guest shape, runs to completion, and returns the engine digest,
 // the per-VM exit totals, and the devices the VMs attached. The variant
 // axes — tick mode, guest Hz, and workload (pure compute, lock/barrier sync,
-// device I/O) — are exactly what the VM arena must recycle across without
-// observable effect.
+// device I/O, and the fio, sync and PARSEC workloads' own programs) — are
+// exactly what the VM arena must recycle across without observable effect.
 func vmArenaRun(t *testing.T, a *HostArena, se *sim.ShardedEngine, cfg Config, hz int, mode core.Mode, work arenaWork) (snap.Digest, []uint64, []*iodev.Device) {
 	t.Helper()
+	return vmArenaRunUntil(t, a, se, cfg, hz, mode, work, arenaDone)
+}
+
+// vmArenaRunUntil is vmArenaRun stopped at until. A run stopped before
+// arenaDone is abandoned mid-way: its workload is not checked for
+// completion, and its digest also covers the host checkpoint, so every
+// task's program state at the cut is compared.
+func vmArenaRunUntil(t *testing.T, a *HostArena, se *sim.ShardedEngine, cfg Config, hz int, mode core.Mode, work arenaWork, until sim.Time) (snap.Digest, []uint64, []*iodev.Device) {
+	t.Helper()
+	if until == 0 {
+		until = arenaDone
+	}
 	host, err := a.NewHostOn(se, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -156,15 +177,42 @@ func vmArenaRun(t *testing.T, a *HostArena, se *sim.ShardedEngine, cfg Config, h
 					guest.Compute(20*sim.Microsecond),
 				))
 			}
+		case fioJobWork:
+			dev, err := vm.AttachDevice("disk0", iodev.NVMe())
+			if err != nil {
+				t.Fatal(err)
+			}
+			devs = append(devs, dev)
+			if err := workload.DefaultFioJob(workload.RandRead, 4096, 32*4096).Spawn(k, dev); err != nil {
+				t.Fatal(err)
+			}
+		case benchWork:
+			b := workload.SyncBench{Threads: 4, SyncsPerSec: 20000, CSLen: 5 * sim.Microsecond, Duration: 5 * sim.Millisecond}
+			if err := b.Spawn(k); err != nil {
+				t.Fatal(err)
+			}
+		case parsecWork:
+			dev, err := vm.AttachDevice("disk0", iodev.NVMe())
+			if err != nil {
+				t.Fatal(err)
+			}
+			devs = append(devs, dev)
+			p, err := workload.ProfileByName("dedup")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.SpawnParallel(k, 4, dev, 0.005); err != nil {
+				t.Fatal(err)
+			}
 		default:
 			k.Spawn("burn", 0, guest.Steps(guest.Compute(3*sim.Millisecond)))
 		}
 		vm.Start()
 	}
-	se.RunUntil(30 * sim.Millisecond)
+	se.RunUntil(until)
 	var exits []uint64
 	for _, vm := range host.VMs() {
-		if done, _ := vm.WorkloadDone(); !done {
+		if done, _ := vm.WorkloadDone(); !done && until == arenaDone {
 			t.Fatal("workload did not finish")
 		}
 		exits = append(exits, vm.Counters().TotalExits())
@@ -176,7 +224,15 @@ func vmArenaRun(t *testing.T, a *HostArena, se *sim.ShardedEngine, cfg Config, h
 			}
 		}
 	}
-	return se.Root().DigestState(), exits, devs
+	dig := se.Root().DigestState()
+	if until != arenaDone {
+		var enc snap.Encoder
+		if err := host.Save(&enc); err != nil {
+			t.Fatal(err)
+		}
+		dig ^= snap.HashBytes(enc.Bytes())
+	}
+	return dig, exits, devs
 }
 
 // TestVMArenaRecycledMatchesFresh is the VM pool's digest audit: a run whose
@@ -188,30 +244,45 @@ func vmArenaRun(t *testing.T, a *HostArena, se *sim.ShardedEngine, cfg Config, h
 // keeps only the last world's VMs, the 250 Hz round after it rebuilds its
 // VMs too — fresh builds interleaved with recycled ones. The last fio round
 // must run on the devices the first one attached, kept in the kernels'
-// device pools across the burn round between them.
+// device pools across the burn round between them. The fio, sync-benchmark
+// and PARSEC rounds respawn their workloads' programs into the shells of
+// the retired tasks: after a run of another program type (which must build
+// fresh programs), after a run of their own type, and after a world
+// abandoned mid-run, whose programs are zeroed halfway through their work.
+// An abandoned round's digest also covers the host checkpoint, so every
+// task's program state at the cut is compared.
 func TestVMArenaRecycledMatchesFresh(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology = hw.SmallTopology()
 	type variant struct {
-		hz   int
-		mode core.Mode
-		work arenaWork
+		hz    int
+		mode  core.Mode
+		work  arenaWork
+		until sim.Time // 0 runs to arenaDone; earlier abandons the world
 	}
 	rounds := []variant{
-		{250, core.Periodic, burnWork},
-		{250, core.Paratick, syncWork},     // mode + workload switch on recycled VMs
-		{100, core.DynticksIdle, burnWork}, // Hz switch → pool miss, fresh build
-		{250, core.Periodic, syncWork},     // workload switch again on the 250 Hz pair
-		{250, core.Paratick, burnWork},
-		{250, core.DynticksIdle, fioWork}, // first devices, on recycled VMs
-		{250, core.Periodic, burnWork},    // no attach: the device pools stay
-		{250, core.Paratick, fioWork},     // recycled devices
+		{250, core.Periodic, burnWork, 0},
+		{250, core.Paratick, syncWork, 0},     // mode + workload switch on recycled VMs
+		{100, core.DynticksIdle, burnWork, 0}, // Hz switch → pool miss, fresh build
+		{250, core.Periodic, syncWork, 0},     // workload switch again on the 250 Hz pair
+		{250, core.Paratick, burnWork, 0},
+		{250, core.DynticksIdle, fioWork, 0},                 // first devices, on recycled VMs
+		{250, core.Periodic, burnWork, 0},                    // no attach: the device pools stay
+		{250, core.Paratick, fioWork, 0},                     // recycled devices
+		{250, core.Periodic, fioJobWork, 0},                  // guest.Steps shells: a type miss
+		{250, core.Paratick, fioJobWork, 0},                  // recycled fio programs
+		{250, core.DynticksIdle, benchWork, 0},               // fio shells: a type miss
+		{250, core.Paratick, benchWork, 2 * sim.Millisecond}, // recycled, then abandoned
+		{250, core.Periodic, benchWork, 0},                   // programs of an abandoned world
+		{250, core.Paratick, parsecWork, 0},                  // sync shells: a type miss
+		{250, core.DynticksIdle, parsecWork, 3 * sim.Millisecond},
+		{250, core.Paratick, parsecWork, 0},
 	}
 	fresh := make([]snap.Digest, len(rounds))
 	freshExits := make([][]uint64, len(rounds))
 	for i, v := range rounds {
 		e := sim.NewEngine(11)
-		fresh[i], freshExits[i], _ = vmArenaRun(t, nil, sim.WrapEngine(e), cfg, v.hz, v.mode, v.work)
+		fresh[i], freshExits[i], _ = vmArenaRunUntil(t, nil, sim.WrapEngine(e), cfg, v.hz, v.mode, v.work, v.until)
 	}
 
 	a := &HostArena{}
@@ -220,7 +291,7 @@ func TestVMArenaRecycledMatchesFresh(t *testing.T) {
 	var firstDevs []*iodev.Device
 	for i, v := range rounds {
 		e.Reset(11)
-		dig, exits, devs := vmArenaRun(t, a, se, cfg, v.hz, v.mode, v.work)
+		dig, exits, devs := vmArenaRunUntil(t, a, se, cfg, v.hz, v.mode, v.work, v.until)
 		if dig != fresh[i] {
 			t.Fatalf("round %d (%dHz %v %v): recycled-VM digest %x, fresh %x",
 				i, v.hz, v.mode, v.work, dig, fresh[i])

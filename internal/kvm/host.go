@@ -128,6 +128,10 @@ type Host struct {
 	// for their pre-bound handlers, indexed by creation order.
 	//snap:skip pool: blank streams with their pre-bound handlers, never live state
 	streamPool []*ipiStream
+	// deliver is deliverRemoteIRQ bound once at construction, so reset
+	// installs it on the coordinator without allocating a method value.
+	//snap:skip pre-bound barrier-drain hook, reinstalled by reset
+	deliver func(sim.Message)
 }
 
 // NewHost creates a host on a single engine — the legacy serial mode,
@@ -161,12 +165,13 @@ func NewHostOn(se *sim.ShardedEngine, cfg Config) (*Host, error) {
 	if se.Quantum() > 0 {
 		h.inflight = make([][]*remoteIRQ, se.Lanes())
 		h.freeIRQ = make([][]*remoteIRQ, se.Lanes())
+		h.deliver = h.deliverRemoteIRQ
 	}
 	for i := range h.pcpus {
 		lane := h.laneOf(cfg.Topology.SocketOf(hw.CPUID(i)))
 		p := &PCPU{host: h, id: hw.CPUID(i), lane: lane, engine: se.Engine(lane)}
 		p.doneFn = p.complete
-		p.tick = hw.NewPeriodicTimer(p.engine, "host-tick", cfg.HostTickPeriod(), p.onHostTick)
+		p.tick = hw.NewPeriodicTimer(p.engine, "ptimer:host-tick", cfg.HostTickPeriod(), p.onHostTick)
 		h.pcpus[i] = p
 	}
 	if err := h.reset(cfg); err != nil {

@@ -145,8 +145,8 @@ func (vm *VM) newVCPU() *VCPU {
 		pending:      make([]pendingIRQ, 0, 8),
 		pendingSpare: make([]pendingIRQ, 0, 8),
 	}
-	v.guestTimer = hw.NewDeadlineTimer(vm.engine, "guest-timer", v.onGuestTimer)
-	v.topUpTimer = hw.NewDeadlineTimer(vm.engine, "topup-timer", v.onTopUpTimer)
+	v.guestTimer = hw.NewDeadlineTimer(vm.engine, "timer:guest-timer", v.onGuestTimer)
+	v.topUpTimer = hw.NewDeadlineTimer(vm.engine, "timer:topup-timer", v.onTopUpTimer)
 	return v
 }
 

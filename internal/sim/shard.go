@@ -45,15 +45,38 @@ type Message struct {
 	A, B, C int64
 }
 
-// shardWorker is one shard's goroutine handle during a RunUntil: start
-// carries the next barrier to advance to, done signals the span finished.
+// shardWorker is one shard's goroutine handle: start carries the next
+// barrier to advance to (or stopWorker), done signals the span finished.
 // The channel pair is also the memory barrier that publishes the shard's
 // engine state to the coordinator (and back) — engines are never touched
-// by two goroutines concurrently.
+// by two goroutines concurrently. The coordinator builds its workers once;
+// each RunUntil starts one goroutine per worker with `go w.loop()` and
+// ends it with stopWorker before returning.
 type shardWorker struct {
 	engines []*Engine
 	start   chan Time
 	done    chan struct{}
+	// loop is run bound to this worker, so starting the goroutine
+	// allocates no closure.
+	loop func()
+}
+
+// stopWorker is the barrier value that ends a worker's goroutine; real
+// barriers are never negative.
+const stopWorker Time = -1
+
+// run advances the worker's lanes to each barrier it is sent until it
+// receives stopWorker.
+func (w *shardWorker) run() {
+	for q := range w.start {
+		if q == stopWorker {
+			return
+		}
+		for _, e := range w.engines {
+			e.RunUntil(q)
+		}
+		w.done <- struct{}{}
+	}
 }
 
 // ShardedEngine coordinates one Engine per lane under a quantum barrier.
@@ -69,6 +92,10 @@ type ShardedEngine struct {
 	quantum      Time
 	//snap:skip construction-time worker count, fixed by the topology
 	shards int
+	// workers are the goroutine handles of a multi-shard coordinator, one
+	// per shard, built at construction; nil when shards == 1.
+	//snap:skip goroutine handles, idle between RunUntil calls
+	workers []*shardWorker
 
 	// outbox[src] buffers messages posted by lane src during the current
 	// quantum; only src's shard appends to it, so no locking is needed.
@@ -136,6 +163,18 @@ func NewSharded(seed uint64, lanes, shards int, quantum Time) (*ShardedEngine, e
 		lo, hi := s*lanes/shards, (s+1)*lanes/shards
 		se.shardEngines[s] = se.engines[lo:hi]
 	}
+	if shards > 1 {
+		se.workers = make([]*shardWorker, shards)
+		for s := range se.workers {
+			w := &shardWorker{
+				engines: se.shardEngines[s],
+				start:   make(chan Time),
+				done:    make(chan struct{}),
+			}
+			w.loop = w.run
+			se.workers[s] = w
+		}
+	}
 	se.Reset(seed)
 	return se, nil
 }
@@ -150,7 +189,8 @@ func (se *ShardedEngine) Reset(seed uint64) {
 		se.engines[0].Reset(seed)
 		return
 	}
-	rs := NewRand(seed)
+	var rs Rand
+	rs.Reseed(seed)
 	for l, e := range se.engines {
 		e.Reset(rs.Uint64())
 		se.outbox[l] = se.outbox[l][:0]
@@ -301,10 +341,9 @@ func (se *ShardedEngine) RunUntil(deadline Time) {
 	if se.stopped {
 		return
 	}
-	var workers []*shardWorker
-	if se.shards > 1 {
-		workers = se.startWorkers()
-		defer stopWorkers(workers)
+	if se.workers != nil {
+		se.startWorkers()
+		defer se.stopWorkers()
 	}
 	for {
 		now := se.engines[0].now
@@ -317,11 +356,11 @@ func (se *ShardedEngine) RunUntil(deadline Time) {
 		if q > deadline {
 			q = deadline
 		}
-		if workers != nil {
-			for _, w := range workers {
+		if se.workers != nil {
+			for _, w := range se.workers {
 				w.start <- q
 			}
-			for _, w := range workers {
+			for _, w := range se.workers {
 				<-w.done
 			}
 		} else {
@@ -345,35 +384,22 @@ func (se *ShardedEngine) RunUntil(deadline Time) {
 	}
 }
 
-// startWorkers launches one goroutine per shard for the duration of a
-// RunUntil. Workers are cheap to spawn relative to a quantum's worth of
-// events, and scoping them to the call keeps the engine single-threaded
-// everywhere else (construction, snapshotting, draining).
-func (se *ShardedEngine) startWorkers() []*shardWorker {
-	workers := make([]*shardWorker, se.shards)
-	for s := range workers {
-		w := &shardWorker{
-			engines: se.shardEngines[s],
-			start:   make(chan Time),
-			done:    make(chan struct{}),
-		}
-		workers[s] = w
-		go func(w *shardWorker) {
-			for q := range w.start {
-				for _, e := range w.engines {
-					e.RunUntil(q)
-				}
-				w.done <- struct{}{}
-			}
-		}(w)
+// startWorkers starts one goroutine per shard for the duration of a
+// RunUntil. The worker handles and their channels are built once, at
+// construction, so a start allocates nothing; scoping the goroutines to
+// the call keeps the engine single-threaded everywhere else
+// (construction, snapshotting, draining) and leaves nothing running
+// between calls, so a coordinator needs no Close.
+func (se *ShardedEngine) startWorkers() {
+	for _, w := range se.workers {
+		go w.loop()
 	}
-	return workers
 }
 
-// stopWorkers releases the shard goroutines.
-func stopWorkers(workers []*shardWorker) {
-	for _, w := range workers {
-		close(w.start)
+// stopWorkers ends the shard goroutines startWorkers started.
+func (se *ShardedEngine) stopWorkers() {
+	for _, w := range se.workers {
+		w.start <- stopWorker
 	}
 }
 

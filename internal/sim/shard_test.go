@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"paratick/internal/snap"
 )
@@ -193,6 +195,81 @@ func TestShardedStopHonoredAtBarrier(t *testing.T) {
 	se.Reset(1)
 	if se.Stopped() {
 		t.Fatal("Reset must clear the stop")
+	}
+}
+
+// TestShardedRunUntilAllocsNothing pins the multi-shard coordinator's
+// reuse contract: its worker handles and channels are built once, so a warm
+// 2-shard RunUntil allocates nothing, and the goroutines a call starts are
+// all gone once it returns, also when the barrier hook stops the run
+// mid-way.
+func TestShardedRunUntilAllocsNothing(t *testing.T) {
+	se, err := NewSharded(1, 4, 2, Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One self-rescheduling ticker per lane, bound once so re-arming it
+	// after a Reset allocates nothing.
+	ticks := make([]Handler, se.Lanes())
+	for l := range ticks {
+		var fn Handler
+		fn = func(e *Engine) { e.After(100*Microsecond, "tick", fn) }
+		ticks[l] = fn
+	}
+	arm := func() {
+		for l, fn := range ticks {
+			se.Engine(l).After(100*Microsecond, "tick", fn)
+		}
+	}
+	arm()
+	base := runtime.NumGoroutine()
+	window := func() { se.RunUntil(se.Now() + 2*Millisecond) }
+	for i := 0; i < 4; i++ {
+		window()
+	}
+	waitGoroutines(t, base, "a warm RunUntil")
+	if allocs := testing.AllocsPerRun(100, window); allocs != 0 {
+		t.Fatalf("a warm 2-shard RunUntil allocates %.1f, want 0", allocs)
+	}
+	waitGoroutines(t, base, "101 more RunUntil calls")
+
+	// A mid-run Stop ends the run at a barrier while the workers wait for
+	// the next span; they must still be released.
+	stopAt := Time(0)
+	se.SetBarrierHook(func(now Time) {
+		if now == stopAt {
+			se.Stop()
+		}
+	})
+	stopped := func() {
+		se.Reset(1)
+		arm()
+		stopAt = 3 * Millisecond
+		se.RunUntil(10 * Millisecond)
+	}
+	stopped()
+	if !se.Stopped() || se.Now() != 3*Millisecond {
+		t.Fatalf("stopped run: stopped %v at %v, want true at 3ms", se.Stopped(), se.Now())
+	}
+	waitGoroutines(t, base, "a run stopped at a barrier")
+	if allocs := testing.AllocsPerRun(20, stopped); allocs != 0 {
+		t.Fatalf("a warm 2-shard run stopped mid-way allocates %.1f, want 0", allocs)
+	}
+	waitGoroutines(t, base, "21 more stopped runs")
+}
+
+// waitGoroutines fails the test unless the goroutine count settles back to
+// base. A worker that has taken its stop value may still be on its way out
+// when RunUntil returns, so the count is given a moment to settle.
+func waitGoroutines(t *testing.T, base int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %s, %d goroutines run, want the %d from before the first call", after, runtime.NumGoroutine(), base)
+		}
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
 	}
 }
 

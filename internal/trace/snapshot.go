@@ -50,21 +50,30 @@ func (b *Buffer) Snap(s *snap.Stream) {
 	}
 	b.full = len(b.events) >= b.cap
 
-	// The count map moves under sorted keys; decoding rebuilds it from them.
-	var keys []string
+	// The count map moves as its rows, sorted by their "kind/detail" names;
+	// decoding rebuilds it from the names.
+	var rows []countKey
 	if s.Decoding() {
 		clear(b.counts)
 	} else {
 		for k := range b.counts {
-			keys = append(keys, k)
+			rows = append(rows, k)
 		}
-		sort.Strings(keys)
+		sort.Slice(rows, func(i, j int) bool { return rows[i].String() < rows[j].String() })
 	}
-	for i := range snap.Slice(s, &keys) {
-		n := b.counts[keys[i]]
-		s.String(&keys[i])
+	for i := range snap.Slice(s, &rows) {
+		name := rows[i].String()
+		n := b.counts[rows[i]]
+		s.String(&name)
 		s.U64(&n)
-		b.counts[keys[i]] = n
+		if s.Decoding() {
+			key, ok := parseCountKey(name)
+			if !ok {
+				s.Failf("trace: snapshot count row %q is not kind/detail", name)
+				return
+			}
+			b.counts[key] = n
+		}
 	}
 }
 

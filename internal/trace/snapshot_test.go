@@ -92,3 +92,45 @@ func TestLoadRejectsCapacityMismatch(t *testing.T) {
 		t.Fatal("capacity mismatch not rejected")
 	}
 }
+
+// TestBufferSaveLoadKeepsCountRows round-trips count rows whose names are
+// the hardest to split back into a kind and a detail: a kind outside the
+// named four and details that contain the separator.
+func TestBufferSaveLoadKeepsCountRows(t *testing.T) {
+	src := NewBuffer(2)
+	rows := []struct {
+		kind   Kind
+		detail string
+	}{{KindExit, "a/b"}, {Kind(7), "x"}, {Kind(-1), "/"}, {KindSched, ""}}
+	for i, r := range rows {
+		for n := 0; n <= i; n++ {
+			src.Record(Event{When: sim.Time(i), Kind: r.kind, Detail: r.detail})
+		}
+	}
+	var enc snap.Encoder
+	if err := snap.Encode(&enc, src); err != nil {
+		t.Fatal(err)
+	}
+	dst := NewBuffer(2)
+	if err := snap.Decode(snap.NewDecoder(enc.Bytes()), dst); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rows {
+		if got := dst.Count(r.kind, r.detail); got != uint64(i+1) {
+			t.Errorf("restored Count(%v, %q) = %d, want %d", r.kind, r.detail, got, i+1)
+		}
+	}
+	if src.Summary() != dst.Summary() {
+		t.Fatalf("summaries differ:\n%s\n%s", src.Summary(), dst.Summary())
+	}
+}
+
+// TestParseCountKeyRejectsMalformedNames covers the names a corrupt
+// checkpoint can carry in place of a count row.
+func TestParseCountKeyRejectsMalformedNames(t *testing.T) {
+	for _, name := range []string{"", "exit", "bogus/x", "kind(x)/y", "kind(07)/y", "kind(1/y"} {
+		if k, ok := parseCountKey(name); ok {
+			t.Errorf("parseCountKey(%q) = %v, want a refusal", name, k)
+		}
+	}
+}

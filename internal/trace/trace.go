@@ -7,6 +7,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"paratick/internal/sim"
@@ -74,7 +75,7 @@ type Buffer struct {
 	//snap:skip ring state, re-derived from the moved ring's length
 	full   bool
 	total  uint64
-	counts map[string]uint64 // "kind/detail" → occurrences
+	counts map[countKey]uint64
 	first  sim.Time
 	last   sim.Time
 }
@@ -85,7 +86,39 @@ func NewBuffer(capacity int) *Buffer {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &Buffer{cap: capacity, counts: make(map[string]uint64)}
+	return &Buffer{cap: capacity, counts: make(map[countKey]uint64)}
+}
+
+// countKey is one aggregate row: a kind and a detail. Counting under the
+// pair lets Record count without building a string; the "kind/detail" name
+// a row is rendered and checkpointed under is built only there.
+type countKey struct {
+	kind   Kind
+	detail string
+}
+
+// String renders the key as "kind/detail".
+func (k countKey) String() string { return k.kind.String() + "/" + k.detail }
+
+// parseCountKey is the inverse of countKey.String.
+func parseCountKey(name string) (countKey, bool) {
+	kind, detail, ok := strings.Cut(name, "/")
+	if !ok {
+		return countKey{}, false
+	}
+	for k := KindExit; k <= KindSched; k++ {
+		if kind == k.String() {
+			return countKey{k, detail}, true
+		}
+	}
+	if n, ok := strings.CutPrefix(kind, "kind("); ok {
+		if n, ok := strings.CutSuffix(n, ")"); ok {
+			if v, err := strconv.Atoi(n); err == nil && Kind(v).String() == kind {
+				return countKey{Kind(v), detail}, true
+			}
+		}
+	}
+	return countKey{}, false
 }
 
 // Record appends an event; older events are overwritten once the ring is
@@ -108,7 +141,7 @@ func (b *Buffer) Record(e Event) {
 		}
 	}
 	b.total++
-	b.counts[e.Kind.String()+"/"+e.Detail]++
+	b.counts[countKey{e.Kind, e.Detail}]++
 	if len(b.events) < b.cap {
 		b.events = append(b.events, e)
 		return
@@ -186,9 +219,7 @@ func Merge(lanes []*Buffer, capacity int) *Buffer {
 	// Record only saw the retained events; replace the aggregates with the
 	// lane sums so overwritten events stay counted.
 	out.total = 0
-	for k := range out.counts {
-		delete(out.counts, k)
-	}
+	clear(out.counts)
 	for _, b := range lanes {
 		if b == nil || b.total == 0 {
 			continue
@@ -212,7 +243,7 @@ func (b *Buffer) Count(kind Kind, detail string) uint64 {
 	if b == nil {
 		return 0
 	}
-	return b.counts[kind.String()+"/"+detail]
+	return b.counts[countKey{kind, detail}]
 }
 
 // Summary renders a perf-style aggregate: every kind/detail pair with its
@@ -227,7 +258,7 @@ func (b *Buffer) Summary() string {
 	}
 	rows := make([]row, 0, len(b.counts))
 	for k, c := range b.counts {
-		rows = append(rows, row{k, c})
+		rows = append(rows, row{k.String(), c})
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].count != rows[j].count {

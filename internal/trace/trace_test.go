@@ -157,3 +157,21 @@ func TestEventString(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordAllocatesNothing pins that tracing an event costs no
+// allocation once the ring is full and its kind/detail row exists: the
+// per-kind count is keyed by the (kind, detail) pair, and the "kind/detail"
+// name is built only where rows are rendered or checkpointed.
+func TestRecordAllocatesNothing(t *testing.T) {
+	b := NewBuffer(4)
+	e := ev(1, KindExit, "msr-write")
+	for i := 0; i < b.Cap(); i++ {
+		b.Record(e)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { b.Record(e) }); allocs != 0 {
+		t.Fatalf("Record allocates %.1f per event, want 0", allocs)
+	}
+	if got := b.Count(KindExit, "msr-write"); got != 105 {
+		t.Fatalf("Count(exit/msr-write) = %d, want 105", got)
+	}
+}

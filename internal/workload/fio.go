@@ -125,18 +125,28 @@ type fioProgram struct {
 
 // Program builds the job's task program against dev.
 func (j FioJob) Program(dev *iodev.Device) (guest.Program, error) {
-	if err := j.Validate(); err != nil {
+	f := new(fioProgram)
+	if err := j.initProgram(f, dev); err != nil {
 		return nil, err
 	}
+	return f, nil
+}
+
+// initProgram validates the job and writes its program for dev into f.
+func (j FioJob) initProgram(f *fioProgram, dev *iodev.Device) error {
+	if err := j.Validate(); err != nil {
+		return err
+	}
 	if dev == nil {
-		return nil, fmt.Errorf("workload: fio needs a device")
+		return fmt.Errorf("workload: fio needs a device")
 	}
 	wb := j.WriteBehind
 	if wb == 0 {
 		wb = 2
 	}
 	j.WriteBehind = wb
-	return &fioProgram{job: j, dev: dev, opsLeft: j.Ops(), thinking: true}, nil
+	*f = fioProgram{job: j, dev: dev, opsLeft: j.Ops(), thinking: true}
+	return nil
 }
 
 func (f *fioProgram) Next(ctx *guest.StepCtx) guest.Step {
@@ -161,9 +171,11 @@ func (f *fioProgram) Next(ctx *guest.StepCtx) guest.Step {
 }
 
 // Spawn creates the fio task on vCPU 0 (the paper runs fio in a 1-vCPU VM).
+// A kernel recycled from a fio run reuses that run's program.
 func (j FioJob) Spawn(k *guest.Kernel, dev *iodev.Device) error {
-	prog, err := j.Program(dev)
-	if err != nil {
+	var slab []fioProgram
+	prog := guest.NewProgram(k, &slab, 1)
+	if err := j.initProgram(prog, dev); err != nil {
 		return err
 	}
 	k.Spawn(fioTaskName(j.Pattern), 0, prog)

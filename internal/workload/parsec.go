@@ -236,9 +236,10 @@ func (p ParsecProfile) SpawnParallel(k *guest.Kernel, threads int, dev *iodev.De
 	}
 	total := sim.Time(float64(p.Work) * (1 + p.ParallelOverhead) * scale)
 	share := total / sim.Time(threads)
-	progs := make([]parProgram, threads)
-	for i := range progs {
-		progs[i] = parProgram{
+	var slab []parProgram
+	for i := 0; i < threads; i++ {
+		prog := guest.NewProgram(k, &slab, threads-i)
+		*prog = parProgram{
 			p:         p,
 			dev:       dev,
 			locks:     art.Locks,
@@ -246,7 +247,7 @@ func (p ParsecProfile) SpawnParallel(k *guest.Kernel, threads int, dev *iodev.De
 			remaining: share,
 			doIO:      i == 0 && p.IOOpsPerSec > 0,
 		}
-		k.Spawn(indexedName(names.tasks, p.Name, ".", i), i%nv, &progs[i])
+		k.Spawn(indexedName(names.tasks, p.Name, ".", i), i%nv, prog)
 	}
 	return art, nil
 }

@@ -104,16 +104,17 @@ func (s SyncBench) Spawn(k *guest.Kernel) error {
 		return fmt.Errorf("workload: syncbench needs vCPUs")
 	}
 	until := k.Now() + s.Duration
-	// One slab for all programs and pre-formatted names: respawning the
-	// benchmark into a recycled VM costs a single allocation, not one per
-	// task plus one per formatted name.
-	progs := make([]syncProgram, s.Threads)
+	// Programs come from the recycled kernel's retired tasks, or else one
+	// slab, and names are pre-formatted: respawning the benchmark into a
+	// recycled VM allocates nothing, and into a fresh one a single slab.
+	var slab []syncProgram
 	for pair := 0; pair < s.Threads/2; pair++ {
 		meet := k.NewBarrier(indexedName(syncPairNames, "sync.pair", "", pair), 2)
 		for j := 0; j < 2; j++ {
 			i := pair*2 + j
-			progs[i] = syncProgram{b: s, meet: meet, until: until}
-			k.Spawn(indexedName(syncTaskNames, "sync.", "", i), i%nv, &progs[i])
+			prog := guest.NewProgram(k, &slab, s.Threads-i)
+			*prog = syncProgram{b: s, meet: meet, until: until}
+			k.Spawn(indexedName(syncTaskNames, "sync.", "", i), i%nv, prog)
 		}
 	}
 	return nil
