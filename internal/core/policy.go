@@ -142,17 +142,35 @@ type Options struct {
 // NewPolicy returns a fresh per-vCPU policy instance for the mode: a zero
 // instance that ResetPolicy initializes, the same path a pooled one takes.
 func NewPolicy(mode Mode, opts Options) TickPolicy {
-	var p TickPolicy
+	var p [1]TickPolicy
+	FillPolicies(mode, opts, p[:])
+	return p[0]
+}
+
+// FillPolicies fills out with fresh policy instances for the mode, carved
+// from one slab: a VM's vCPUs get theirs for one allocation, not one each.
+func FillPolicies(mode Mode, opts Options, out []TickPolicy) {
 	switch mode {
 	case Periodic:
-		p = new(periodicPolicy)
+		carve(out, make([]periodicPolicy, len(out)))
 	case DynticksIdle:
-		p = new(dynticksPolicy)
+		carve(out, make([]dynticksPolicy, len(out)))
 	case Paratick:
-		p = new(paratickPolicy)
+		carve(out, make([]paratickPolicy, len(out)))
 	default:
 		panic(fmt.Sprintf("core: unknown mode %d", int(mode)))
 	}
-	ResetPolicy(p, opts)
-	return p
+	for _, p := range out {
+		ResetPolicy(p, opts)
+	}
+}
+
+// carve points each policy of out at its own slot of slab.
+func carve[T any, P interface {
+	*T
+	TickPolicy
+}](out []TickPolicy, slab []T) {
+	for i := range slab {
+		out[i] = P(&slab[i])
+	}
 }

@@ -42,10 +42,10 @@ func ShardFleetScenario(opts Options, vms int) (Scenario, error) {
 	s := opts.scenario(Scenario{Name: "shardfleet", Topology: topo})
 	for i := 0; i < vms; i++ {
 		socket := i % topo.Sockets
-		cpus := topo.CPUsOnSocket(socket)
 		placement := make([]hw.CPUID, shardFleetVCPUs)
 		for j := range placement {
-			placement[j] = cpus[(shardFleetVCPUs*(i/topo.Sockets)+j)%len(cpus)]
+			slot := (shardFleetVCPUs*(i/topo.Sockets) + j) % topo.CPUsPerSocket
+			placement[j] = hw.CPUID(socket*topo.CPUsPerSocket + slot)
 		}
 		mode := core.Paratick
 		if i%2 == 1 {

@@ -2,6 +2,7 @@ package guest
 
 import (
 	"fmt"
+	"slices"
 
 	"paratick/internal/core"
 	"paratick/internal/hw"
@@ -245,9 +246,14 @@ func (k *Kernel) Now() sim.Time { return k.engine.Now() }
 // VCPUs returns the kernel's vCPUs.
 func (k *Kernel) VCPUs() []*VCPU { return k.vcpus }
 
-// AddVCPU creates the next vCPU. All vCPUs must be added before tasks
-// spawn.
-func (k *Kernel) AddVCPU() *VCPU {
+// AddVCPUs creates the next n vCPUs and returns them. All vCPUs must be
+// added before tasks spawn. The vCPUs, their timer wheels and tick
+// policies, and the backing arrays of their segment and run queues come
+// from one slab each, so adding n vCPUs costs a fixed number of
+// allocations. Each queue is carved with a full slice expression: one that
+// outgrows its share reallocates on its own instead of overrunning its
+// neighbour's.
+func (k *Kernel) AddVCPUs(n int) []*VCPU {
 	runqCap := 16
 	if k.cfg.TaskHint > runqCap {
 		// Wakes append to a task's home run queue, so in the worst case one
@@ -255,10 +261,24 @@ func (k *Kernel) AddVCPU() *VCPU {
 		// never grows the queue.
 		runqCap = k.cfg.TaskHint
 	}
-	v := &VCPU{kernel: k, id: len(k.vcpus), queue: make([]*Segment, 0, vcpuQueueCap), runq: make([]*Task, 0, runqCap)}
-	v.reset()
-	k.vcpus = append(k.vcpus, v)
-	return v
+	slab := make([]VCPU, n)
+	wheels := make([]TimerWheel, n)
+	policies := make([]core.TickPolicy, n)
+	core.FillPolicies(k.cfg.Mode, k.cfg.PolicyOpts, policies)
+	queues := make([]*Segment, n*vcpuQueueCap)
+	runqs := make([]*Task, n*runqCap)
+	first := len(k.vcpus)
+	k.vcpus = slices.Grow(k.vcpus, n)
+	for i := range slab {
+		v := &slab[i]
+		v.kernel, v.id, v.wheel = k, first+i, &wheels[i]
+		v.policyCache[k.cfg.Mode] = policies[i]
+		v.queue = queues[i*vcpuQueueCap : i*vcpuQueueCap : (i+1)*vcpuQueueCap]
+		v.runq = runqs[i*runqCap : i*runqCap : (i+1)*runqCap]
+		v.reset()
+		k.vcpus = append(k.vcpus, v)
+	}
+	return k.vcpus[first:]
 }
 
 // AttachDevice registers a block device whose completion interrupts this

@@ -6,6 +6,7 @@ import (
 	"paratick/internal/core"
 	"paratick/internal/hw"
 	"paratick/internal/metrics"
+	"paratick/internal/sim"
 )
 
 // shellA and shellB are two program types a workload could spawn.
@@ -72,5 +73,31 @@ func TestNewProgramReusesRetiredShells(t *testing.T) {
 	b2 := NewProgram(k, &slab, 1)
 	if b2 == b || len(slab) != 0 {
 		t.Fatal("the second program did not take the slab's remaining slot")
+	}
+}
+
+// TestAddVCPUsCarvesQueuesApart pins the carving of AddVCPUs' backing
+// arrays: a vCPU whose run queue or segment queue outgrows its share
+// reallocates on its own, and its neighbour's queues keep their entries.
+func TestAddVCPUsCarvesQueuesApart(t *testing.T) {
+	k, err := NewKernel(sim.NewEngine(1), hw.DefaultCostModel(), DefaultConfig(), &metrics.Counters{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := k.AddVCPUs(2)
+	neighbour := k.Spawn("neighbour", 1, Steps(Compute(sim.Microsecond)))
+	for i, n := 0, 3*cap(vs[0].runq); i < n; i++ {
+		k.Spawn("crowd", 0, Steps(Compute(sim.Microsecond)))
+	}
+	if len(vs[1].runq) != 1 || vs[1].runq[0] != neighbour {
+		t.Fatalf("vCPU 1's run queue holds %d tasks after vCPU 0's outgrew its share, want only its own", len(vs[1].runq))
+	}
+	vs[1].addKernelSeg(sim.Microsecond, "neighbour")
+	seg := vs[1].queue[0]
+	for i := 0; i < 3*vcpuQueueCap; i++ {
+		vs[0].addKernelSeg(sim.Microsecond, "crowd")
+	}
+	if len(vs[1].queue) != 1 || vs[1].queue[0] != seg {
+		t.Fatalf("vCPU 1's segment queue holds %d segments after vCPU 0's outgrew its share, want only its own", len(vs[1].queue))
 	}
 }

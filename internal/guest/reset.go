@@ -114,10 +114,10 @@ func recycle[T any](live, pool *[]T) {
 }
 
 // reset brings the vCPU to its just-constructed state under the kernel's
-// current config; AddVCPU builds a shell and calls it. Segments still
+// current config; AddVCPUs builds a shell and calls it. Segments still
 // queued or issued from a previous run are recycled into the kernel pool,
 // the policy is swapped to the cached instance for the mode, and the timer
-// wheel is built or reset in place to the jiffy.
+// wheel is reset in place to the jiffy.
 func (v *VCPU) reset() {
 	k := v.kernel
 	v.clearRunState()
@@ -128,11 +128,7 @@ func (v *VCPU) reset() {
 		v.policyCache[mode] = p
 	}
 	v.policy = p
-	if v.wheel == nil {
-		v.wheel = NewTimerWheel(k.cfg.TickPeriod())
-	} else {
-		v.wheel.Reset(k.cfg.TickPeriod())
-	}
+	v.wheel.Reset(k.cfg.TickPeriod())
 }
 
 // clearRunState recycles leftover segments and zeroes every per-run field

@@ -191,7 +191,7 @@ func buildSnapshotScenario(t *testing.T) (*sim.Engine, *Kernel, *miniExec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.AddVCPU()
+	k.AddVCPUs(1)
 	v := k.vcpus[0]
 	l := k.NewLock("l0")
 	b := k.NewBarrier("b0", 2)
@@ -258,7 +258,7 @@ func TestKernelSaveLoadByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k2.AddVCPU()
+		k2.AddVCPUs(1)
 		l2 := k2.NewLock("l0")
 		b2 := k2.NewBarrier("b0", 2)
 		k2.Spawn("t0", 0, Steps(

@@ -14,10 +14,8 @@ import (
 // segment stream the hypervisor executes. It implements core.GuestVCPU.
 type VCPU struct {
 	//snap:skip back-pointer wiring, bound at attach time
-	//reset:keep back-pointer bound at attach time, stable across reuse
 	kernel *Kernel
 	//snap:skip identity is implicit in the kernel's save order
-	//reset:keep stable slot ordinal; vCPUs are recycled in attach order
 	id     int
 	policy core.TickPolicy
 

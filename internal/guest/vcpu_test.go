@@ -21,9 +21,7 @@ func newTestKernel(t *testing.T, mode core.Mode, vcpus int) (*sim.Engine, *Kerne
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < vcpus; i++ {
-		k.AddVCPU()
-	}
+	k.AddVCPUs(vcpus)
 	return e, k
 }
 
@@ -716,7 +714,7 @@ func TestLockSpinPathAcquiresAfterRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.AddVCPU()
+	k.AddVCPUs(1)
 	v := k.VCPUs()[0]
 	m := newMiniExec(e, v)
 	l := k.NewLock("l")
@@ -750,7 +748,7 @@ func TestSpinSegmentEmitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k.AddVCPU()
+	k.AddVCPUs(1)
 	v := k.VCPUs()[0]
 	l := k.NewLock("l")
 	k.Spawn("holder", 0, Steps(Acquire(l), Sleep(8*sim.Millisecond), Release(l), Done()))
@@ -810,7 +808,7 @@ func TestSpinSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := k.AddVCPU()
+	v := k.AddVCPUs(1)[0]
 	l := k.NewLock("l")
 	k.Spawn("holder", 0, &cycle{steps: []Step{Acquire(l), Sleep(200 * sim.Microsecond), Release(l)}})
 	k.Spawn("waiter", 0, &cycle{steps: []Step{Compute(sim.Microsecond), Acquire(l), Release(l)}})

@@ -24,17 +24,12 @@ func timerName(label, prefix string) string {
 // TSC_DEADLINE MSR; writing a deadline in the past fires immediately
 // (scheduled at "now"); Cancel disarms it.
 type DeadlineTimer struct {
-	//reset:keep diagnostic name fixed at construction, stable across reuse
 	name string
 	//snap:skip event label fixed at construction; name is its suffix
-	//reset:keep event label fixed at construction, stable across reuse
 	label string
 	//snap:skip engine wiring; Reset rebinds it when the owner moves lanes
 	engine *sim.Engine
-	//snap:skip pre-bound closure, recreated at construction
-	//reset:keep pre-bound expiry closure, identical across reuses
-	fire func(now sim.Time)
-	//snap:skip pre-bound handler wrapping fire, recreated at construction
+	//snap:skip pre-bound handler, recreated at construction
 	handler  sim.Handler // pre-bound expiry handler; arming must not allocate
 	ev       sim.Event
 	armCount uint64
@@ -45,16 +40,34 @@ type DeadlineTimer struct {
 // label is the timer's event label, "timer:" followed by its name; a
 // constant label lets construction build no string.
 func NewDeadlineTimer(engine *sim.Engine, label string, fire func(now sim.Time)) *DeadlineTimer {
-	if engine == nil || fire == nil {
-		panic("hw: DeadlineTimer requires an engine and a fire callback")
+	if fire == nil {
+		panic("hw: DeadlineTimer requires a fire callback")
 	}
-	t := &DeadlineTimer{name: timerName(label, "timer:"), label: label, engine: engine, fire: fire}
-	t.handler = func(e *sim.Engine) {
-		t.ev = sim.Event{}
-		t.expireCt++
-		t.fire(e.Now())
-	}
+	t := new(DeadlineTimer)
+	t.Init(engine, label, func(e *sim.Engine) { fire(t.Expire(e)) })
 	return t
+}
+
+// Init builds a disarmed timer in place: a field of its owner, or a slot of
+// a slab. handler is the pre-bound expiry handler; it must begin with
+// t.Expire(e), which takes the expiry's time. An owner that binds handler
+// as a closure over itself, calling its own expiry method, pays one
+// allocation for the timer: the closure.
+func (t *DeadlineTimer) Init(engine *sim.Engine, label string, handler sim.Handler) {
+	if engine == nil || handler == nil {
+		panic("hw: DeadlineTimer requires an engine and a handler")
+	}
+	*t = DeadlineTimer{name: timerName(label, "timer:"), label: label, engine: engine, handler: handler}
+}
+
+// Expire records the expiry the timer's handler is running for and
+// returns its time: the timer is disarmed and its expirations counted.
+//
+//paratick:noalloc
+func (t *DeadlineTimer) Expire(e *sim.Engine) sim.Time {
+	t.ev = sim.Event{}
+	t.expireCt++
+	return e.Now()
 }
 
 // Arm programs the timer to expire at deadline, replacing any previous
@@ -143,12 +156,8 @@ type PeriodicTimer struct {
 	label string
 	//snap:skip engine wiring; Reset rebinds it when the owner moves lanes
 	engine *sim.Engine
-	//reset:keep tick rate fixed at construction; the host pool only reuses on a matching HostHz
 	period sim.Time
-	//snap:skip pre-bound closure, recreated at construction
-	//reset:keep pre-bound tick closure, identical across reuses
-	fire func(now sim.Time)
-	//snap:skip pre-bound handler wrapping fire, recreated at construction
+	//snap:skip pre-bound handler, recreated at construction
 	handler sim.Handler // pre-bound tick handler; rescheduling must not allocate
 	ev      sim.Event
 	ticks   uint64
@@ -158,20 +167,37 @@ type PeriodicTimer struct {
 // event label, "ptimer:" followed by its name; a constant label lets
 // construction build no string.
 func NewPeriodicTimer(engine *sim.Engine, label string, period sim.Time, fire func(now sim.Time)) *PeriodicTimer {
-	if engine == nil || fire == nil {
-		panic("hw: PeriodicTimer requires an engine and a fire callback")
+	if fire == nil {
+		panic("hw: PeriodicTimer requires a fire callback")
+	}
+	t := new(PeriodicTimer)
+	t.Init(engine, label, period, func(e *sim.Engine) { fire(t.Tick(e)) })
+	return t
+}
+
+// Init builds a stopped periodic timer in place. handler is the pre-bound
+// tick handler; it must begin with t.Tick(e), which takes the tick's time.
+// Like DeadlineTimer.Init, an owner binding handler over itself pays one
+// allocation for the timer.
+func (t *PeriodicTimer) Init(engine *sim.Engine, label string, period sim.Time, handler sim.Handler) {
+	if engine == nil || handler == nil {
+		panic("hw: PeriodicTimer requires an engine and a handler")
 	}
 	name := timerName(label, "ptimer:")
 	if period <= 0 {
 		panic(fmt.Sprintf("hw: PeriodicTimer %q period must be positive, got %v", name, period))
 	}
-	t := &PeriodicTimer{name: name, label: label, engine: engine, period: period, fire: fire}
-	t.handler = func(e *sim.Engine) {
-		t.ticks++
-		t.schedule(e.Now() + t.period)
-		t.fire(e.Now())
-	}
-	return t
+	*t = PeriodicTimer{name: name, label: label, engine: engine, period: period, handler: handler}
+}
+
+// Tick records the tick the timer's handler is running for, schedules the
+// next one a period later, and returns the tick's time.
+//
+//paratick:noalloc
+func (t *PeriodicTimer) Tick(e *sim.Engine) sim.Time {
+	t.ticks++
+	t.schedule(e.Now() + t.period)
+	return e.Now()
 }
 
 // Start begins ticking; the first tick fires phase nanoseconds from now and

@@ -60,18 +60,6 @@ func (t Topology) SocketOf(cpu CPUID) int {
 // SameSocket reports whether two CPUs share a socket.
 func (t Topology) SameSocket(a, b CPUID) bool { return t.SocketOf(a) == t.SocketOf(b) }
 
-// CPUsOnSocket returns the CPU ids belonging to a socket.
-func (t Topology) CPUsOnSocket(socket int) []CPUID {
-	if socket < 0 || socket >= t.Sockets {
-		panic(fmt.Sprintf("hw: socket %d out of range [0,%d)", socket, t.Sockets))
-	}
-	out := make([]CPUID, t.CPUsPerSocket)
-	for i := range out {
-		out[i] = CPUID(socket*t.CPUsPerSocket + i)
-	}
-	return out
-}
-
 // SpreadAcross picks n CPUs spread across the given number of sockets, the
 // way the paper places its small/medium/large VMs (§6.2): vCPUs are packed
 // socket by socket, using `sockets` distinct sockets.
@@ -89,9 +77,8 @@ func (t Topology) SpreadAcross(n, sockets int) ([]CPUID, error) {
 	out := make([]CPUID, 0, n)
 	perSocket := (n + sockets - 1) / sockets
 	for s := 0; s < sockets && len(out) < n; s++ {
-		cpus := t.CPUsOnSocket(s)
 		for i := 0; i < perSocket && len(out) < n; i++ {
-			out = append(out, cpus[i])
+			out = append(out, CPUID(s*t.CPUsPerSocket+i))
 		}
 	}
 	return out, nil

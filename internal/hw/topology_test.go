@@ -71,25 +71,6 @@ func TestSocketOfPanicsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestCPUsOnSocket(t *testing.T) {
-	top := PaperTopology()
-	cpus := top.CPUsOnSocket(2)
-	if len(cpus) != 20 {
-		t.Fatalf("socket 2 has %d CPUs", len(cpus))
-	}
-	if cpus[0] != 40 || cpus[19] != 59 {
-		t.Fatalf("socket 2 CPUs = %v..%v", cpus[0], cpus[19])
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("CPUsOnSocket(4) did not panic")
-			}
-		}()
-		top.CPUsOnSocket(4)
-	}()
-}
-
 func TestSpreadAcrossPaperScenarios(t *testing.T) {
 	top := PaperTopology()
 	// Small VM: 4 vCPUs on one socket.

@@ -7,13 +7,13 @@ import (
 )
 
 // HostArena pools Host construction across the runs of one experiment
-// worker. Building a host is the second-largest allocation source in an
-// end-to-end run after VM construction: one PCPU per physical CPU, one
-// pre-bound handler closure each, a periodic host-tick timer per pCPU,
-// and the scheduler's per-CPU queues. All of that state is reusable — the
-// closure captures only the PCPU itself, which survives — so consecutive
-// runs on the same coordinator and machine shape reset the cached host in
-// place instead of rebuilding it.
+// worker. Building a host takes a fixed number of slabs — the pCPUs with
+// their host-tick timers in place, the scheduler's per-CPU queues — plus
+// two pre-bound handler closures per pCPU (its completion handler and its
+// tick timer's). All of that state is reusable — the closures capture only
+// the PCPU itself, which survives — so consecutive runs on the same
+// coordinator and machine shape reset the cached host in place instead of
+// rebuilding it.
 //
 // Reuse never changes behaviour: a reset host is indistinguishable from a
 // fresh one (the contract TestHostArenaReuseMatchesFresh pins, and
@@ -29,9 +29,12 @@ type HostArena struct {
 // task, segment, sync-object and device pools; the host-side vCPUs with
 // their pre-bound deadline-timer handler closures and pending-IRQ double
 // buffers; and the per-vCPU timer wheels, which stay attached to their
-// kernels. A pooled VM's AttachDevice resets the device its previous run
-// attached at the same index, keeping the device's request pool and its
-// pre-bound interrupt hook. (The host keeps its own lane-mode IPI streams:
+// kernels. A fresh VM builds all of these from slabs, one per kind (see
+// VM.buildVCPUs and guest.Kernel.AddVCPUs), so a pool miss costs a fixed
+// number of allocations plus one handler per deadline timer. A pooled VM's
+// AttachDevice resets the device its previous run attached at the same
+// index, keeping the device's request pool and its pre-bound interrupt
+// hook. (The host keeps its own lane-mode IPI streams:
 // Host.reset blanks them for AddIPIStream to rebind.)
 // Host.reset stashes a finished run's VMs here, next to whatever earlier
 // worlds left unclaimed, and NewVM re-acquires them keyed on (vCPU count,

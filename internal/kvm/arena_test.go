@@ -82,7 +82,7 @@ func TestHostArenaReuseMatchesFresh(t *testing.T) {
 		e.Reset(7)
 		dig, exits := arenaRun(t, a, se, tc.cfg)
 		if dig != tc.digest {
-			t.Fatalf("round %d: reused-host digest %x, fresh run %x", round, dig, tc.digest)
+			t.Fatalf("round %d: reused-host digest %v, fresh run %v", round, dig, tc.digest)
 		}
 		for i := range exits {
 			if exits[i] != tc.exits[i] {
@@ -105,10 +105,11 @@ const (
 	fioJobWork                  // the fio workload's program on an NVMe device
 	benchWork                   // the sync benchmark's four paired threads
 	parsecWork                  // PARSEC dedup's four threads, thread 0 doing I/O
+	crowdWork                   // more tasks on vCPU 0 than its run-queue share holds
 )
 
 func (w arenaWork) String() string {
-	return [...]string{"burn", "sync", "fio", "fio-job", "syncbench", "parsec"}[w]
+	return [...]string{"burn", "sync", "fio", "fio-job", "syncbench", "parsec", "crowd"}[w]
 }
 
 // arenaDone is when vmArenaRun stops a run it lets finish.
@@ -204,6 +205,16 @@ func vmArenaRunUntil(t *testing.T, a *HostArena, se *sim.ShardedEngine, cfg Conf
 			if _, err := p.SpawnParallel(k, 4, dev, 0.005); err != nil {
 				t.Fatal(err)
 			}
+		case crowdWork:
+			// vCPU 1 queues its tasks first; then vCPU 0 queues more than
+			// the 16 its share of the kernel's run-queue slab holds, so a
+			// queue that overran its share would overwrite vCPU 1's.
+			for task := 0; task < 3; task++ {
+				k.Spawn("crowd", 1, guest.Steps(guest.Compute(100*sim.Microsecond)))
+			}
+			for task := 0; task < 20; task++ {
+				k.Spawn("crowd", 0, guest.Steps(guest.Compute(100*sim.Microsecond)))
+			}
 		default:
 			k.Spawn("burn", 0, guest.Steps(guest.Compute(3*sim.Millisecond)))
 		}
@@ -216,6 +227,15 @@ func vmArenaRunUntil(t *testing.T, a *HostArena, se *sim.ShardedEngine, cfg Conf
 			t.Fatal("workload did not finish")
 		}
 		exits = append(exits, vm.Counters().TotalExits())
+	}
+	if work == crowdWork {
+		for _, vm := range host.VMs() {
+			for _, task := range vm.Kernel().Tasks() {
+				if task.State() != guest.TaskDone {
+					t.Fatalf("crowd task %d on vCPU %d is %v after the run, want done", task.ID, task.VCPU().ID(), task.State())
+				}
+			}
+		}
 	}
 	if work == fioWork {
 		for _, vm := range host.VMs() {
@@ -250,7 +270,10 @@ func vmArenaRunUntil(t *testing.T, a *HostArena, se *sim.ShardedEngine, cfg Conf
 // fresh programs), after a run of their own type, and after a world
 // abandoned mid-run, whose programs are zeroed halfway through their work.
 // An abandoned round's digest also covers the host checkpoint, so every
-// task's program state at the cut is compared.
+// task's program state at the cut is compared. The crowd rounds queue more
+// tasks on one vCPU than its share of the kernel's run-queue slab holds,
+// fresh and recycled: a queue that overran its neighbour's share would
+// lose the neighbour's tasks.
 func TestVMArenaRecycledMatchesFresh(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Topology = hw.SmallTopology()
@@ -277,6 +300,8 @@ func TestVMArenaRecycledMatchesFresh(t *testing.T) {
 		{250, core.Paratick, parsecWork, 0},                  // sync shells: a type miss
 		{250, core.DynticksIdle, parsecWork, 3 * sim.Millisecond},
 		{250, core.Paratick, parsecWork, 0},
+		{250, core.Periodic, crowdWork, 0}, // vCPU 0's run queue outgrows its share
+		{250, core.Paratick, crowdWork, 0}, // recycled after outgrowing it
 	}
 	fresh := make([]snap.Digest, len(rounds))
 	freshExits := make([][]uint64, len(rounds))
@@ -293,7 +318,7 @@ func TestVMArenaRecycledMatchesFresh(t *testing.T) {
 		e.Reset(11)
 		dig, exits, devs := vmArenaRunUntil(t, a, se, cfg, v.hz, v.mode, v.work, v.until)
 		if dig != fresh[i] {
-			t.Fatalf("round %d (%dHz %v %v): recycled-VM digest %x, fresh %x",
+			t.Fatalf("round %d (%dHz %v %v): recycled-VM digest %v, fresh %v",
 				i, v.hz, v.mode, v.work, dig, fresh[i])
 		}
 		for j := range exits {
@@ -459,7 +484,7 @@ func TestVMArenaReuseAfterAbandonedRun(t *testing.T) {
 	e.Reset(5)
 	dig, exits, _ := vmArenaRun(t, a, se, cfg, 250, core.Paratick, syncWork)
 	if dig != freshDig {
-		t.Fatalf("post-abandon recycled digest %x, fresh %x", dig, freshDig)
+		t.Fatalf("post-abandon recycled digest %v, fresh %v", dig, freshDig)
 	}
 	for i := range exits {
 		if exits[i] != freshExits[i] {
@@ -689,9 +714,10 @@ func checkBlankIRQPool(t *testing.T, h *Host) {
 
 // TestFreshHostAllocs bounds the allocations of building a host without an
 // arena — what nil-arena runs, snapshot thaws and shard fleets pay per
-// world. Each pCPU binds one pre-bound completion handler; a handler per
-// completion kind cost five more allocations per pCPU (884 rather than 484
-// on the paper's 80-CPU machine).
+// world. The pCPUs, with their host-tick timers in place, come from one
+// slab, so each pCPU adds only its two pre-bound handlers: the completion
+// handler and the tick timer's (165 allocations on the paper's 80-CPU
+// machine). Built one object at a time, a pCPU cost about five.
 func TestFreshHostAllocs(t *testing.T) {
 	se := sim.WrapEngine(sim.NewEngine(1))
 	cfg := DefaultConfig()
@@ -701,9 +727,67 @@ func TestFreshHostAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 580 {
-		t.Fatalf("building a fresh %d-pCPU host took %v allocations, want at most 580",
+	if allocs > 180 {
+		t.Fatalf("building a fresh %d-pCPU host took %v allocations, want at most 180",
 			cfg.Topology.NumCPUs(), allocs)
 	}
 	t.Logf("%v allocations per fresh host", allocs)
+}
+
+// TestFreshVMAllocSlope bounds what each vCPU adds to building a VM
+// without an arena. A VM's vCPUs, guest vCPUs, timer wheels, queues and
+// pending-interrupt buffers come from slabs, so a vCPU adds only its two
+// deadline timers' pre-bound handlers and its tick policy; built one
+// object at a time, a vCPU cost about 14 allocations.
+func TestFreshVMAllocSlope(t *testing.T) {
+	se := sim.WrapEngine(sim.NewEngine(1))
+	cfg := DefaultConfig()
+	host, err := NewHostOn(se, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(vcpus int) float64 {
+		placement := make([]hw.CPUID, vcpus)
+		for i := range placement {
+			placement[i] = hw.CPUID(i)
+		}
+		return testing.AllocsPerRun(20, func() {
+			host.vms = host.vms[:0]
+			if _, err := host.NewVM("vm", guest.DefaultConfig(), placement); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, many := build(1), build(64)
+	slope := (many - one) / 63
+	if slope > 3 {
+		t.Fatalf("a fresh VM costs %v allocations at 1 vCPU and %v at 64: %.2f per vCPU, want at most 3", one, many, slope)
+	}
+	t.Logf("fresh VM: %v allocations at 1 vCPU, %v at 64 (%.2f per vCPU)", one, many, slope)
+}
+
+// TestPendingBuffersCarvedApart pins the carving of a VM's
+// pending-interrupt slab: a vCPU that pends more distinct vectors than its
+// buffer's share reallocates it, leaving its neighbour's pending interrupts
+// where they were.
+func TestPendingBuffersCarvedApart(t *testing.T) {
+	host, err := NewHostOn(sim.WrapEngine(sim.NewEngine(1)), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, err := host.NewVM("vm", guest.DefaultConfig(), []hw.CPUID{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v0, v1 := vm.VCPUs()[0], vm.VCPUs()[1]
+	v1.queue(hw.LocalTimerVector)
+	for i := 0; i < 3*pendCap; i++ {
+		v0.queue(hw.IODeviceBase + hw.Vector(i))
+	}
+	if got := v1.PendingIRQs(); len(got) != 1 || got[0] != hw.LocalTimerVector {
+		t.Fatalf("vCPU 1 pends %v after vCPU 0 outgrew its buffer, want only the local timer", got)
+	}
+	if got := v0.PendingIRQs(); len(got) != 3*pendCap {
+		t.Fatalf("vCPU 0 pends %d vectors, want %d", len(got), 3*pendCap)
+	}
 }

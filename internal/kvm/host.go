@@ -159,19 +159,23 @@ func NewHostOn(se *sim.ShardedEngine, cfg Config) (*Host, error) {
 			se.Lanes(), cfg.Topology.Sockets)
 	}
 	// The shell holds the machine shape the host pool keys on: one pCPU per
-	// physical CPU with its pre-bound handler and host-tick timer, plus
-	// the per-lane in-flight lists. reset writes everything else.
-	h := &Host{se: se, pcpus: make([]*PCPU, cfg.Topology.NumCPUs())}
+	// physical CPU, with its host-tick timer in place and its pre-bound
+	// completion handler, plus the per-lane in-flight lists. The pCPUs come
+	// from one slab, so a host costs a fixed number of allocations plus the
+	// two pre-bound handlers of each pCPU. reset writes everything else.
+	slab := make([]PCPU, cfg.Topology.NumCPUs())
+	h := &Host{se: se, pcpus: make([]*PCPU, len(slab))}
 	if se.Quantum() > 0 {
 		h.inflight = make([][]*remoteIRQ, se.Lanes())
 		h.freeIRQ = make([][]*remoteIRQ, se.Lanes())
 		h.deliver = h.deliverRemoteIRQ
 	}
-	for i := range h.pcpus {
+	for i := range slab {
+		p := &slab[i]
 		lane := h.laneOf(cfg.Topology.SocketOf(hw.CPUID(i)))
-		p := &PCPU{host: h, id: hw.CPUID(i), lane: lane, engine: se.Engine(lane)}
+		p.host, p.id, p.lane, p.engine = h, hw.CPUID(i), lane, se.Engine(lane)
 		p.doneFn = p.complete
-		p.tick = hw.NewPeriodicTimer(p.engine, "ptimer:host-tick", cfg.HostTickPeriod(), p.onHostTick)
+		p.tick.Init(p.engine, "ptimer:host-tick", cfg.HostTickPeriod(), func(e *sim.Engine) { p.onHostTick(p.tick.Tick(e)) })
 		h.pcpus[i] = p
 	}
 	if err := h.reset(cfg); err != nil {

@@ -17,10 +17,8 @@ type guestSegment = guest.Segment
 // charging exit costs as they occur.
 type PCPU struct {
 	//snap:skip back-pointer wiring, bound at host construction
-	//reset:keep back-pointer to the owning host, wired once at construction
 	host *Host
-	//reset:keep identity fixed at construction; the pooled host keeps its pCPU set
-	id hw.CPUID
+	id   hw.CPUID
 	// engine is the pCPU's lane engine (its socket's shard); every event
 	// this pCPU schedules and every random draw it makes goes through its
 	// lane, which is what keeps shard execution race-free and the outcome
@@ -28,9 +26,8 @@ type PCPU struct {
 	//snap:skip lane-engine wiring, re-derived from the topology at construction
 	engine *sim.Engine
 	//snap:skip lane index, re-derived from the topology at construction
-	//reset:keep lane index fixed by the topology, which the host pool keys on
 	lane int
-	tick *hw.PeriodicTimer
+	tick hw.PeriodicTimer
 
 	current *VCPU
 

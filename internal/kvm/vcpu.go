@@ -42,10 +42,8 @@ type VCPU struct {
 	//snap:skip back-pointer wiring, bound at VM construction
 	vm *VM
 	//snap:skip identity is implicit in the VM's save order
-	//reset:keep identity fixed at construction; VM reuse keys on the vCPU count
 	id int
 	//snap:skip guest-CPU wiring, re-linked to the kernel's vCPU at construction
-	//reset:keep wiring to the recycled kernel's vCPU, which stays attached across reuse
 	gcpu *guest.VCPU
 	pcpu *PCPU
 
@@ -64,9 +62,9 @@ type VCPU struct {
 	// guestTimer realizes the guest's TSC-deadline timer: while the vCPU
 	// runs, its expiry models a VMX preemption-timer exit; while the vCPU
 	// is descheduled or halted it is the host-armed hrtimer.
-	guestTimer *hw.DeadlineTimer
+	guestTimer hw.DeadlineTimer
 	// topUpTimer implements the §4.1 frequency-mismatch extension.
-	topUpTimer *hw.DeadlineTimer
+	topUpTimer hw.DeadlineTimer
 
 	lastVirtualTick sim.Time
 	sliceStart      sim.Time
@@ -79,7 +77,7 @@ type pendingIRQ struct {
 	since sim.Time
 }
 
-// reset brings a vCPU — a fresh shell from VM.newVCPU or a pooled one — to
+// reset brings a vCPU — a fresh shell from VM.buildVCPUs or a pooled one — to
 // its just-constructed state on a (possibly different) pCPU with a fresh
 // scheduler ordinal. The deadline timers are reset in place onto the VM's
 // current lane engine — their expiry handlers were pre-bound at

@@ -77,7 +77,7 @@ func (h *Host) NewVM(name string, gcfg guest.Config, placement []hw.CPUID) (*VM,
 	}
 	vm := h.vmArena.take(len(placement), gcfg.TickHz)
 	if vm == nil {
-		vm = &VM{host: h, kernel: new(guest.Kernel), counters: new(metrics.Counters), vcpus: make([]*VCPU, 0, len(placement))}
+		vm = &VM{host: h, kernel: new(guest.Kernel), counters: new(metrics.Counters)}
 		vm.kernel.OnAllDone = func(now sim.Time) {
 			vm.workloadDone = true
 			vm.doneAt = now
@@ -99,8 +99,8 @@ func (h *Host) NewVM(name string, gcfg guest.Config, placement []hw.CPUID) (*VM,
 // tasks, sync objects, segment pool, and timer wheels), the host vCPUs
 // with their pre-bound deadline-timer handlers, and the OnAllDone
 // completion closure (it captures only the VM and reads per-run fields at
-// fire time). vCPUs are built on first use, so a shell grows to the
-// placement while a pooled VM, keyed on the vCPU count, already has it.
+// fire time). A fresh shell builds all of its vCPUs here, at once; a pooled
+// VM, keyed on the vCPU count, already has them.
 func (vm *VM) reset(name string, engine *sim.Engine, lane int, gcfg guest.Config, placement []hw.CPUID) error {
 	h := vm.host
 	vm.name = name
@@ -122,32 +122,43 @@ func (vm *VM) reset(name string, engine *sim.Engine, lane int, gcfg guest.Config
 	vm.doneAt = 0
 	vm.workloadDone = false
 	vm.OnWorkloadDone = nil
+	if vm.vcpus == nil {
+		vm.buildVCPUs(len(placement))
+	}
 	for i, cpu := range placement {
-		if i == len(vm.vcpus) {
-			vm.vcpus = append(vm.vcpus, vm.newVCPU())
-		}
 		vm.vcpus[i].reset(h.pcpus[cpu], h.nextSchedKey)
 		h.nextSchedKey++
 	}
 	return nil
 }
 
-// newVCPU builds the shell of the VM's next vCPU on the next guest vCPU;
-// VCPU.reset writes its per-run state.
-func (vm *VM) newVCPU() *VCPU {
-	v := &VCPU{
-		vm:   vm,
-		id:   len(vm.vcpus),
-		gcpu: vm.kernel.AddVCPU(),
-		// The LAPIC IRR dedupes by vector, so the pend queue holds at most
-		// the distinct vectors in play; 8 covers every scenario without
-		// first-run growth.
-		pending:      make([]pendingIRQ, 0, 8),
-		pendingSpare: make([]pendingIRQ, 0, 8),
+// pendCap is the capacity of each pending-interrupt buffer. The LAPIC IRR
+// dedupes by vector, so the pend queue holds at most the distinct vectors
+// in play; 8 covers every scenario without first-run growth, and a buffer
+// that needs more reallocates on its own instead of overrunning its
+// neighbour's share of the slab.
+const pendCap = 8
+
+// buildVCPUs builds the shells of a fresh VM's n vCPUs on n new guest
+// vCPUs: one slab of VCPUs (each with its two deadline timers in place)
+// and one of pending-interrupt buffers, so a VM costs a fixed number of
+// allocations plus one pre-bound handler per timer. VCPU.reset writes
+// their per-run state.
+func (vm *VM) buildVCPUs(n int) {
+	gcpus := vm.kernel.AddVCPUs(n)
+	slab := make([]VCPU, n)
+	pend := make([]pendingIRQ, 2*n*pendCap)
+	vm.vcpus = make([]*VCPU, n)
+	for i := range slab {
+		v := &slab[i]
+		v.vm, v.id, v.gcpu = vm, i, gcpus[i]
+		buf := pend[2*i*pendCap:]
+		v.pending = buf[:0:pendCap]
+		v.pendingSpare = buf[pendCap : pendCap : 2*pendCap]
+		v.guestTimer.Init(vm.engine, "timer:guest-timer", func(e *sim.Engine) { v.onGuestTimer(v.guestTimer.Expire(e)) })
+		v.topUpTimer.Init(vm.engine, "timer:topup-timer", func(e *sim.Engine) { v.onTopUpTimer(v.topUpTimer.Expire(e)) })
+		vm.vcpus[i] = v
 	}
-	v.guestTimer = hw.NewDeadlineTimer(vm.engine, "timer:guest-timer", v.onGuestTimer)
-	v.topUpTimer = hw.NewDeadlineTimer(vm.engine, "timer:topup-timer", v.onTopUpTimer)
-	return v
 }
 
 // SetEntryHook overrides the VM-entry hook (nil disables). NewVM installs

@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a simple aligned text/CSV table used to render the paper's
@@ -23,7 +25,10 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
-// String renders the table with aligned columns.
+// String renders the table with aligned columns. Each line is rendered
+// straight into the output buffer and only its own trailing padding is
+// trimmed, so rendering is linear in the table's size and allocates per
+// table, not per line or cell.
 func (t *Table) String() string {
 	cols := len(t.Headers)
 	for _, r := range t.Rows {
@@ -44,39 +49,68 @@ func (t *Table) String() string {
 		measure(r)
 	}
 
-	var b strings.Builder
+	line := 2*cols + 1
+	for _, w := range widths {
+		line += w
+	}
+	out := make([]byte, 0, len(t.Title)+1+line*(len(t.Rows)+2))
 	if t.Title != "" {
-		b.WriteString(t.Title)
-		b.WriteByte('\n')
+		out = append(out, t.Title...)
+		out = append(out, '\n')
 	}
 	writeRow := func(row []string) {
+		start := len(out)
 		for i := 0; i < cols; i++ {
 			cell := ""
 			if i < len(row) {
 				cell = row[i]
 			}
 			if i > 0 {
-				b.WriteString("  ")
+				out = append(out, "  "...)
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+			out = appendPadded(out, cell, widths[i])
 		}
-		// Trim trailing spaces from padding.
-		s := b.String()
-		trimmed := strings.TrimRight(s, " ")
-		b.Reset()
-		b.WriteString(trimmed)
-		b.WriteByte('\n')
+		out = endLine(out, start)
 	}
 	writeRow(t.Headers)
-	sep := make([]string, cols)
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
+	start := len(out)
+	for i, w := range widths {
+		if i > 0 {
+			out = append(out, "  "...)
+		}
+		out = appendRepeat(out, '-', w)
 	}
-	writeRow(sep)
+	out = endLine(out, start)
 	for _, r := range t.Rows {
 		writeRow(r)
 	}
-	return b.String()
+	return string(out)
+}
+
+// appendPadded appends s left-aligned in a field of width, as fmt's %-*s
+// does: the field is padded to width runes, so a multi-byte cell, whose
+// width was measured in bytes, gets less padding than its byte length
+// suggests.
+func appendPadded(out []byte, s string, width int) []byte {
+	out = append(out, s...)
+	return appendRepeat(out, ' ', width-utf8.RuneCountInString(s))
+}
+
+// appendRepeat appends n copies of c (none when n <= 0).
+func appendRepeat(out []byte, c byte, n int) []byte {
+	for ; n > 0; n-- {
+		out = append(out, c)
+	}
+	return out
+}
+
+// endLine trims the trailing spaces of the line that began at start and
+// ends it.
+func endLine(out []byte, start int) []byte {
+	for len(out) > start && out[len(out)-1] == ' ' {
+		out = out[:len(out)-1]
+	}
+	return append(out, '\n')
 }
 
 // CSV renders the table as RFC-4180-ish CSV (quotes around cells containing
@@ -142,27 +176,35 @@ func (c *BarChart) String() string {
 			labelW = len(l)
 		}
 	}
-	var b strings.Builder
+	var out []byte
 	if c.Title != "" {
-		fmt.Fprintf(&b, "%s (full bar = %.0f%%)\n", c.Title, maxAbs*100)
+		out = fmt.Appendf(out, "%s (full bar = %.0f%%)\n", c.Title, maxAbs*100)
 	}
+	out = slices.Grow(out, len(c.values)*(labelW+2*half+12))
 	for i, v := range c.values {
 		n := int(abs(v)/maxAbs*half + 0.5)
 		if n > half {
 			n = half
 		}
-		left := strings.Repeat(" ", half)
-		right := strings.Repeat(" ", half)
+		left, right := 0, 0 // bar columns on each side of the axis
 		if v < 0 {
-			left = strings.Repeat(" ", half-n) + strings.Repeat("#", n)
+			left = n
 		} else if v > 0 {
-			right = strings.Repeat("#", n) + strings.Repeat(" ", half-n)
+			right = n
 		}
-		line := fmt.Sprintf("%-*s %s|%s %s", labelW, c.labels[i], left, right, Pct1(v))
-		b.WriteString(strings.TrimRight(line, " "))
-		b.WriteByte('\n')
+		start := len(out)
+		out = appendPadded(out, c.labels[i], labelW)
+		out = append(out, ' ')
+		out = appendRepeat(out, ' ', half-left)
+		out = appendRepeat(out, '#', left)
+		out = append(out, '|')
+		out = appendRepeat(out, '#', right)
+		out = appendRepeat(out, ' ', half-right)
+		out = append(out, ' ')
+		out = appendPct1(out, v)
+		out = endLine(out, start)
 	}
-	return b.String()
+	return string(out)
 }
 
 func abs(x float64) float64 {

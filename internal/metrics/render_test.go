@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -106,5 +108,151 @@ func TestBarChartScales(t *testing.T) {
 	}
 	if small != 15 {
 		t.Errorf("half-magnitude bar should be 15, got %d", small)
+	}
+}
+
+// fmtTableString is the fmt-based formatter Table.String replaced: a cell
+// padded by %-*s, then the whole output so far trimmed of trailing spaces
+// after every row. The rendering tests compare against its bytes.
+func fmtTableString(t *Table) string {
+	cols := len(t.Headers)
+	for _, r := range t.Rows {
+		cols = max(cols, len(r))
+	}
+	widths := make([]int, cols)
+	for _, row := range append([][]string{t.Headers}, t.Rows...) {
+		for i, c := range row {
+			widths[i] = max(widths[i], len(c))
+		}
+	}
+	var b strings.Builder
+	if t.Title != "" {
+		b.WriteString(t.Title + "\n")
+	}
+	writeRow := func(row []string) {
+		for i := 0; i < cols; i++ {
+			cell := ""
+			if i < len(row) {
+				cell = row[i]
+			}
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			fmt.Fprintf(&b, "%-*s", widths[i], cell)
+		}
+		s := strings.TrimRight(b.String(), " ")
+		b.Reset()
+		b.WriteString(s + "\n")
+	}
+	writeRow(t.Headers)
+	sep := make([]string, cols)
+	for i := range sep {
+		sep[i] = strings.Repeat("-", widths[i])
+	}
+	writeRow(sep)
+	for _, r := range t.Rows {
+		writeRow(r)
+	}
+	return b.String()
+}
+
+// fmtBarChartString is the fmt-based chart formatter BarChart.String
+// replaced.
+func fmtBarChartString(c *BarChart) string {
+	const half = 30
+	maxAbs := 0.0
+	for _, v := range c.values {
+		if a := abs(v); a > maxAbs {
+			maxAbs = a
+		}
+	}
+	if maxAbs == 0 {
+		maxAbs = 1
+	}
+	labelW := 0
+	for _, l := range c.labels {
+		labelW = max(labelW, len(l))
+	}
+	var b strings.Builder
+	if c.Title != "" {
+		fmt.Fprintf(&b, "%s (full bar = %.0f%%)\n", c.Title, maxAbs*100)
+	}
+	for i, v := range c.values {
+		n := min(int(abs(v)/maxAbs*half+0.5), half)
+		left, right := strings.Repeat(" ", half), strings.Repeat(" ", half)
+		if v < 0 {
+			left = strings.Repeat(" ", half-n) + strings.Repeat("#", n)
+		} else if v > 0 {
+			right = strings.Repeat("#", n) + strings.Repeat(" ", half-n)
+		}
+		pct := "n/a"
+		if !math.IsNaN(v) {
+			pct = fmt.Sprintf("%+.1f%%", v*100)
+		}
+		line := fmt.Sprintf("%-*s %s|%s %s", labelW, c.labels[i], left, right, pct)
+		b.WriteString(strings.TrimRight(line, " ") + "\n")
+	}
+	return b.String()
+}
+
+// TestTableStringMatchesFmt pins Table.String to the fmt formatter's bytes
+// where the two could part: a non-ASCII cell (fmt pads to a width in
+// runes, the widths count bytes), short rows, an all-empty row, an
+// all-empty last column, and a table without a title or rows.
+func TestTableStringMatchesFmt(t *testing.T) {
+	exits := NewTable("Table 7: latency", "class", "p50", "unit", "note")
+	exits.AddRow("timer", "1.5", "µs")
+	exits.AddRow("ipi", "12", "ms", "")
+	exits.AddRow()
+	exits.AddRow("", "", "", "")
+	exits.AddRow("µµµµ", "x")
+	exits.AddRow("wide cell  ", "trailing ", "µ", "  ")
+	blankLast := NewTable("", "a", "")
+	blankLast.AddRow("x", "")
+	blankLast.AddRow("yy")
+	for _, tb := range []*Table{exits, blankLast, NewTable(""), NewTable("only title"), NewTable("", "h")} {
+		if got, want := tb.String(), fmtTableString(tb); got != want {
+			t.Errorf("table %q renders\n%q\nwant\n%q", tb.Title, got, want)
+		}
+	}
+}
+
+// TestBarChartStringMatchesFmt pins BarChart.String, and the Pct1 digits
+// it shares, to the fmt formatter's bytes: bars of both signs, a zero and
+// an undefined (NaN) value, values that round to a signed zero, infinities,
+// and a non-ASCII label.
+func TestBarChartStringMatchesFmt(t *testing.T) {
+	c := NewBarChart("Figure 9: µs saved")
+	for i, v := range []float64{-0.5, 0.25, 0, math.NaN(), -0.0004, 0.0004, math.Copysign(0, -1), 1e-9, -1.2345, 0.99951} {
+		c.Add(fmt.Sprintf("bench-%d-µ", i), v)
+	}
+	untitled := NewBarChart("")
+	untitled.Add("x", 0.1)
+	for _, ch := range []*BarChart{c, untitled, NewBarChart("empty")} {
+		if got, want := ch.String(), fmtBarChartString(ch); got != want {
+			t.Errorf("chart %q renders\n%q\nwant\n%q", ch.Title, got, want)
+		}
+	}
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), -0.0004, 12.3456, -1e-300} {
+		want := "n/a"
+		if !math.IsNaN(v) {
+			want = fmt.Sprintf("%+.1f%%", v*100)
+		}
+		if got := Pct1(v); got != want {
+			t.Errorf("Pct1(%v) = %q, want %q", v, got, want)
+		}
+	}
+}
+
+// TestTableStringAllocs pins that rendering allocates per table, not per
+// line or cell: a 100-row table takes its widths, its output buffer and
+// the returned string.
+func TestTableStringAllocs(t *testing.T) {
+	tb := NewTable("Table: allocs", "name", "exits", "delta")
+	for i := 0; i < 100; i++ {
+		tb.AddRow(fmt.Sprintf("row%d", i), fmt.Sprint(i*37), "-1.5%")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _ = tb.String() }); allocs > 3 {
+		t.Fatalf("rendering a 100-row table took %v allocations, want at most 3", allocs)
 	}
 }

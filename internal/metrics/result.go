@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"paratick/internal/sim"
 )
@@ -99,10 +100,22 @@ func Pct(f float64) string {
 // Pct1 formats a fraction as a signed percentage with one decimal, or "n/a"
 // for an undefined (NaN) delta.
 func Pct1(f float64) string {
+	var buf [24]byte
+	return string(appendPct1(buf[:0], f))
+}
+
+// appendPct1 appends Pct1(f) to out without boxing f: the digits are
+// fmt's %+.1f%%, a sign always included.
+func appendPct1(out []byte, f float64) []byte {
 	if math.IsNaN(f) {
-		return "n/a"
+		return append(out, "n/a"...)
 	}
-	return fmt.Sprintf("%+.1f%%", f*100)
+	p := f * 100
+	if !math.Signbit(p) && !math.IsInf(p, 1) {
+		out = append(out, '+') // strconv signs only negatives and +Inf
+	}
+	out = strconv.AppendFloat(out, p, 'f', 1, 64)
+	return append(out, '%')
 }
 
 // Aggregate summarizes a set of comparisons with arithmetic means of the

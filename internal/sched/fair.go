@@ -22,6 +22,10 @@ type fairSched struct {
 	//snap:skip immutable policy parameter from the scenario
 	minGranularity sim.Time
 	queues         []fairQueue
+	// spare is queue storage not yet carved into a queue.
+	//snap:skip pool: uncarved queue capacity, never scheduler state
+	//reset:keep pool: uncarved queue capacity; carved shares stay with their queues across Reset
+	spare []Entity
 }
 
 // fairQueue holds one pCPU's waiters. Queues stay tiny (bounded by the
@@ -55,7 +59,7 @@ func (s *fairSched) Enqueue(cpu hw.CPUID, e Entity, now sim.Time) {
 	if n, floor := e.SchedNode(), q.minVruntime-s.timeslice/2; n.vruntime < floor {
 		n.vruntime = floor
 	}
-	q.push(e)
+	q.push(e, &s.spare)
 }
 
 // minIndex returns the index of the queue's least-vruntime waiter, ties

@@ -15,7 +15,32 @@ type fifoQueue struct {
 	head int
 }
 
-func (q *fifoQueue) push(e Entity) { q.items = append(q.items, e) }
+// queueShare is the capacity a ready queue is carved on its first push:
+// a pCPU's queue at the 4:1 overcommit the paper's scenarios reach, where
+// every vCPU of a pCPU queues at boot. queueChunk is how many shares one
+// backing array holds. Carving on first push sizes the storage by the
+// pCPUs the host places vCPUs on, not by the topology: a fresh scheduler
+// allocates once per sixteen queues it uses, not per queue as each grows
+// 1 → 2 → 4, and holds nothing for pCPUs it never queues on.
+const (
+	queueShare = 4
+	queueChunk = 16
+)
+
+// push appends e. A queue's first push carves it a share of *spare, its
+// scheduler's uncarved queue storage, with a full slice expression, so a
+// queue that outgrows its share reallocates on its own instead of
+// overrunning its neighbour's.
+func (q *fifoQueue) push(e Entity, spare *[]Entity) {
+	if cap(q.items) == 0 {
+		if len(*spare) < queueShare {
+			*spare = make([]Entity, queueShare*queueChunk)
+		}
+		q.items = (*spare)[:0:queueShare]
+		*spare = (*spare)[queueShare:]
+	}
+	q.items = append(q.items, e)
+}
 
 //paratick:noalloc
 func (q *fifoQueue) len() int { return len(q.items) - q.head }
@@ -73,6 +98,10 @@ func clearTail(s []Entity, from int) {
 // accounting.
 type fifoSched struct {
 	queues []fifoQueue
+	// spare is queue storage not yet carved into a queue.
+	//snap:skip pool: uncarved queue capacity, never scheduler state
+	//reset:keep pool: uncarved queue capacity; carved shares stay with their queues across Reset
+	spare []Entity
 	//snap:skip immutable policy parameter from the scenario
 	timeslice sim.Time
 }
@@ -86,7 +115,7 @@ func newFIFO(topo hw.Topology, timeslice sim.Time) *fifoSched {
 func (s *fifoSched) Name() string { return FIFO.String() }
 
 func (s *fifoSched) Enqueue(cpu hw.CPUID, e Entity, now sim.Time) {
-	s.queues[cpu].push(e)
+	s.queues[cpu].push(e, &s.spare)
 }
 
 func (s *fifoSched) PickNext(cpu hw.CPUID, now sim.Time) Entity {

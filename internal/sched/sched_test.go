@@ -89,15 +89,37 @@ func TestFIFOOrderAndTick(t *testing.T) {
 	}
 }
 
+// TestQueueSharesDoNotOverlap pins the carving of ready queues from one
+// backing array: a queue that outgrows its share reallocates, so its
+// neighbour's entities stay where they were.
+func TestQueueSharesDoNotOverlap(t *testing.T) {
+	var spare []Entity
+	var a, b fifoQueue
+	a.push(newEnt(0, 0), &spare)
+	b.push(newEnt(100, 0), &spare)
+	for k := uint64(1); k < 3*queueShare; k++ {
+		a.push(newEnt(k, 0), &spare)
+	}
+	if b.len() != 1 || b.at(0).SchedNode().Key != 100 {
+		t.Fatalf("neighbour queue holds %d entities, first key %d: overrun by a growing queue", b.len(), b.at(0).SchedNode().Key)
+	}
+	for k := uint64(0); k < 3*queueShare; k++ {
+		if got := a.pop().SchedNode().Key; got != k {
+			t.Fatalf("grown queue popped key %d, want %d", got, k)
+		}
+	}
+}
+
 // TestFIFOQueueCompaction pushes enough entities through the ring that the
 // head-index compaction path runs, and checks order survives it.
 func TestFIFOQueueCompaction(t *testing.T) {
 	var q fifoQueue
+	var spare []Entity
 	next := uint64(0)
 	popped := uint64(0)
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 7; i++ {
-			q.push(newEnt(next, 0))
+			q.push(newEnt(next, 0), &spare)
 			next++
 		}
 		for i := 0; i < 5; i++ {

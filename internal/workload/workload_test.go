@@ -19,9 +19,7 @@ func testKernel(t *testing.T, vcpus int) (*sim.Engine, *guest.Kernel) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < vcpus; i++ {
-		k.AddVCPU()
-	}
+	k.AddVCPUs(vcpus)
 	return e, k
 }
 
